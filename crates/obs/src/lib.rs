@@ -150,6 +150,8 @@ pub struct ShardObs {
     pub stream: Option<StreamSink>,
     /// Per-shard stream sequence counter (push order within the shard).
     pub seq: u64,
+    /// Render buffer reused by every stream flush of this shard.
+    line_buf: Vec<u8>,
     /// Per-bundle flow-span accumulators and health-monitor state, keyed
     /// by global bundle index ([`flow::DIRECT_BUNDLE`] for direct
     /// traffic). Entries migrate with their bundle.
@@ -172,6 +174,7 @@ impl ShardObs {
             sampler: None,
             stream: None,
             seq: 0,
+            line_buf: Vec::new(),
             bundle_obs: BTreeMap::new(),
             fluid_floor: Vec::new(),
         }
@@ -191,12 +194,26 @@ impl ShardObs {
 
     /// Pushes a trace record stamped with sim-time `at` and the current
     /// wall clock. No-op below [`ObsLevel::Full`].
+    ///
+    /// With a stream attached the wall clock is not read (the line
+    /// protocol never exports the envelope stamp) and a full ring spills
+    /// into the stream instead of dropping: the sink bounds memory there,
+    /// so no record is lost however many one window produces.
     #[inline]
     pub fn record(&mut self, at: Nanos, kind: TraceKind) {
         if self.level.trace_on() {
+            let wall_ns = match &self.stream {
+                Some(stream) => {
+                    if self.ring.is_full() {
+                        stream.flush_ring(&mut self.ring, &mut self.seq, &mut self.line_buf);
+                    }
+                    0
+                }
+                None => wall_now_ns(),
+            };
             self.ring.push(TraceRecord {
                 at,
-                wall_ns: wall_now_ns(),
+                wall_ns,
                 shard: self.shard,
                 kind,
             });
@@ -237,7 +254,7 @@ impl ShardObs {
     pub fn flush(&mut self, at: Nanos) {
         if let Some(stream) = &self.stream {
             if self.level.trace_on() {
-                stream.flush_ring(&mut self.ring, &mut self.seq);
+                stream.flush_ring(&mut self.ring, &mut self.seq, &mut self.line_buf);
             }
             if self.level.metrics_on() {
                 stream.write_metrics(at, self.shard, &self.metrics);
@@ -285,15 +302,7 @@ impl ObsReport {
     /// order, so this is byte-identical to the same run's streamed lines
     /// after [`stream::sort_canonical`].
     pub fn to_jsonl(&self) -> String {
-        let mut seqs: BTreeMap<u16, u64> = BTreeMap::new();
-        let mut out = String::with_capacity(self.trace.len() * 96);
-        for rec in &self.trace {
-            let seq = seqs.entry(rec.shard).or_insert(0);
-            out.push_str(&stream::render_line(rec, *seq));
-            *seq += 1;
-            out.push('\n');
-        }
-        out
+        stream::render_lines(&self.trace)
     }
 
     /// Per-flow delay decompositions reduced from the merged trace.
@@ -342,6 +351,40 @@ mod tests {
             },
         );
         assert_eq!(full.ring.len(), 1);
+    }
+
+    #[test]
+    fn a_full_ring_spills_into_the_stream_and_drops_without_one() {
+        let ring = || TraceRing::with_capacity(8, 8);
+        let push_100 = |obs: &mut ShardObs| {
+            for i in 0..100u64 {
+                obs.record(Nanos(i), TraceKind::Drop { bundle: i as u32 });
+            }
+        };
+
+        let (sink, buf) = StreamSink::to_shared_vec();
+        let mut streamed = ShardObs::new(ObsLevel::Full, 2);
+        streamed.ring = ring();
+        streamed.stream = Some(sink);
+        push_100(&mut streamed);
+        assert!(streamed.ring.len() <= 8, "the ring never outgrows its cap");
+        streamed.flush(Nanos(100));
+        assert_eq!(streamed.ring.dropped, 0);
+        let text = buf.contents();
+        let parsed: Vec<StreamedRecord> = text.lines().filter_map(stream::parse_line).collect();
+        assert_eq!(parsed.len(), 100, "every record reached the stream");
+        for (i, r) in parsed.iter().enumerate() {
+            assert_eq!(r.seq, i as u64, "seq is contiguous across spills");
+            assert_eq!(r.rec.kind, TraceKind::Drop { bundle: i as u32 });
+            assert_eq!(r.rec.wall_ns, 0);
+        }
+
+        // Without a stream the ring is the only bound: drop and count.
+        let mut in_memory = ShardObs::new(ObsLevel::Full, 2);
+        in_memory.ring = ring();
+        push_100(&mut in_memory);
+        assert_eq!(in_memory.ring.len(), 8);
+        assert_eq!(in_memory.ring.dropped, 92);
     }
 
     #[test]

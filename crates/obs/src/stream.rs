@@ -19,6 +19,9 @@
 //! * Metrics piggyback as meta lines (`{"meta":"metrics",...}`) at each
 //!   flush; consumers that only want the trace skip lines containing a
 //!   `meta` key.
+//! * The grammar is strict and normative (ARCHITECTURE.md, "Streaming
+//!   export"): a flat object without whitespace, unsigned decimal values,
+//!   the closing brace required, unknown numeric keys ignored.
 //!
 //! ## Canonical order
 //!
@@ -120,34 +123,37 @@ impl StreamSink {
         lock(&self.inner).lines
     }
 
-    fn write_line(inner: &mut StreamInner, line: &str) {
+    /// Appends `lines` complete, newline-terminated lines: one lock, one
+    /// `write_all`, however many records the block holds.
+    fn write_block(&self, block: &[u8], lines: u64) {
+        let inner = &mut *lock(&self.inner);
         if inner.failed {
             return;
         }
-        if writeln!(inner.out, "{line}").is_err() {
+        if inner.out.write_all(block).is_err() {
             inner.failed = true;
         } else {
-            inner.lines += 1;
+            inner.lines += lines;
         }
     }
 
-    /// Serializes one barrier's worth of trace records, assigning
-    /// per-shard sequence numbers from `seq` in push order, and clears the
-    /// ring. Dropped-record counts stay in the ring (they surface through
-    /// `HostMetrics::trace_ring_dropped`).
-    pub fn flush_ring(&self, ring: &mut TraceRing, seq: &mut u64) {
-        if ring.pending().is_empty() {
+    /// Serializes the ring's pending records into `buf` (the caller's
+    /// reused render buffer, overwritten), assigning per-shard sequence
+    /// numbers from `seq` in push order, hands the sink the whole block at
+    /// once and clears the ring. Dropped-record counts stay in the ring
+    /// (they surface through `HostMetrics::trace_ring_dropped`).
+    pub fn flush_ring(&self, ring: &mut TraceRing, seq: &mut u64, buf: &mut Vec<u8>) {
+        let pending = ring.pending();
+        if pending.is_empty() {
             return;
         }
-        let mut inner = lock(&self.inner);
-        let mut line = String::with_capacity(96);
-        for rec in ring.pending() {
-            line.clear();
-            render_line_into(&mut line, rec, *seq);
+        buf.clear();
+        for rec in pending {
+            render_line_into(buf, rec, *seq);
+            buf.push(b'\n');
             *seq += 1;
-            Self::write_line(&mut inner, &line);
         }
-        drop(inner);
+        self.write_block(buf, pending.len() as u64);
         ring.clear_pending();
     }
 
@@ -166,8 +172,8 @@ impl StreamSink {
             }
             let _ = write!(line, "{c}");
         }
-        line.push_str("]}");
-        Self::write_line(&mut lock(&self.inner), &line);
+        line.push_str("]}\n");
+        self.write_block(line.as_bytes(), 1);
     }
 
     /// Flushes the underlying writer (end of run, and before a snapshot is
@@ -202,35 +208,57 @@ fn kind_tag(kind: &TraceKind) -> &'static str {
     }
 }
 
-fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
-    let _ = write!(
-        out,
-        "{{\"at\":{},\"shard\":{},\"seq\":{seq},\"k\":\"{}\"",
-        rec.at.as_nanos(),
-        rec.shard,
-        kind_tag(&rec.kind)
-    );
-    let mut f = |name: &str, v: u64| {
-        let _ = write!(out, ",\"{name}\":{v}");
-    };
-    match rec.kind {
-        TraceKind::Enqueue { bundle } => f("bundle", bundle as u64),
-        TraceKind::Dequeue { bundle, sojourn_ns } => {
-            f("bundle", bundle as u64);
-            f("sojourn_ns", sojourn_ns);
+/// Appends `v` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        TraceKind::Drop { bundle } => f("bundle", bundle as u64),
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `,"name":value` — the key bytes are one literal per call site.
+macro_rules! field {
+    ($out:expr, $name:literal, $v:expr) => {{
+        $out.extend_from_slice(concat!(",\"", $name, "\":").as_bytes());
+        push_u64($out, $v as u64);
+    }};
+}
+
+/// Appends one record's line (no trailing newline). Pure byte pushes: no
+/// formatter, no allocation beyond `out`'s own growth.
+fn render_line_into(out: &mut Vec<u8>, rec: &TraceRecord, seq: u64) {
+    out.extend_from_slice(b"{\"at\":");
+    push_u64(out, rec.at.as_nanos());
+    field!(out, "shard", rec.shard);
+    field!(out, "seq", seq);
+    out.extend_from_slice(b",\"k\":\"");
+    out.extend_from_slice(kind_tag(&rec.kind).as_bytes());
+    out.push(b'"');
+    match rec.kind {
+        TraceKind::Enqueue { bundle } => field!(out, "bundle", bundle),
+        TraceKind::Dequeue { bundle, sojourn_ns } => {
+            field!(out, "bundle", bundle);
+            field!(out, "sojourn_ns", sojourn_ns);
+        }
+        TraceKind::Drop { bundle } => field!(out, "bundle", bundle),
         TraceKind::ModeChange { bundle, mode } => {
-            f("bundle", bundle as u64);
-            f("mode", mode as u64);
+            field!(out, "bundle", bundle);
+            field!(out, "mode", mode);
         }
         TraceKind::RateChange { bundle, rate_bps } => {
-            f("bundle", bundle as u64);
-            f("rate_bps", rate_bps);
+            field!(out, "bundle", bundle);
+            field!(out, "rate_bps", rate_bps);
         }
         TraceKind::Epoch { bundle, size_pkts } => {
-            f("bundle", bundle as u64);
-            f("size_pkts", size_pkts);
+            field!(out, "bundle", bundle);
+            field!(out, "size_pkts", size_pkts);
         }
         TraceKind::Migration {
             bundle,
@@ -239,11 +267,11 @@ fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
             pkts,
             bytes,
         } => {
-            f("bundle", bundle as u64);
-            f("from", from as u64);
-            f("to", to as u64);
-            f("pkts", pkts);
-            f("bytes", bytes);
+            field!(out, "bundle", bundle);
+            field!(out, "from", from);
+            field!(out, "to", to);
+            field!(out, "pkts", pkts);
+            field!(out, "bytes", bytes);
         }
         TraceKind::WorkerWindow {
             windex,
@@ -252,11 +280,11 @@ fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
             stall_ns,
             events,
         } => {
-            f("windex", windex);
-            f("width_ns", width_ns);
-            f("busy_ns", busy_ns);
-            f("stall_ns", stall_ns);
-            f("events", events);
+            field!(out, "windex", windex);
+            field!(out, "width_ns", width_ns);
+            field!(out, "busy_ns", busy_ns);
+            field!(out, "stall_ns", stall_ns);
+            field!(out, "events", events);
         }
         TraceKind::NetPhase {
             windex,
@@ -264,36 +292,36 @@ fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
             wall_dur_ns,
             events,
         } => {
-            f("windex", windex);
-            f("width_ns", width_ns);
-            f("wall_dur_ns", wall_dur_ns);
-            f("events", events);
+            field!(out, "windex", windex);
+            field!(out, "width_ns", width_ns);
+            field!(out, "wall_dur_ns", wall_dur_ns);
+            field!(out, "events", events);
         }
         TraceKind::FluidLevel {
             path,
             backlog_bytes,
             rate_bps,
         } => {
-            f("path", path as u64);
-            f("backlog_bytes", backlog_bytes);
-            f("rate_bps", rate_bps);
+            field!(out, "path", path);
+            field!(out, "backlog_bytes", backlog_bytes);
+            field!(out, "rate_bps", rate_bps);
         }
         TraceKind::FlowAdmit {
             flow,
             bundle,
             size_bytes,
         } => {
-            f("flow", flow);
-            f("bundle", bundle as u64);
-            f("size_bytes", size_bytes);
+            field!(out, "flow", flow);
+            field!(out, "bundle", bundle);
+            field!(out, "size_bytes", size_bytes);
         }
         TraceKind::FlowSendbox { flow, sojourn_ns } => {
-            f("flow", flow);
-            f("sojourn_ns", sojourn_ns);
+            field!(out, "flow", flow);
+            field!(out, "sojourn_ns", sojourn_ns);
         }
         TraceKind::FlowBottleneck { flow, sojourn_ns } => {
-            f("flow", flow);
-            f("sojourn_ns", sojourn_ns);
+            field!(out, "flow", flow);
+            field!(out, "sojourn_ns", sojourn_ns);
         }
         TraceKind::FlowEnd {
             flow,
@@ -301,38 +329,53 @@ fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
             sendbox_ns,
             slowdown_milli,
         } => {
-            f("flow", flow);
-            f("fct_ns", fct_ns);
-            f("sendbox_ns", sendbox_ns);
-            f("slowdown_milli", slowdown_milli);
+            field!(out, "flow", flow);
+            field!(out, "fct_ns", fct_ns);
+            field!(out, "sendbox_ns", sendbox_ns);
+            field!(out, "slowdown_milli", slowdown_milli);
         }
         TraceKind::Health {
             kind,
             subject,
             value,
         } => {
-            f("kind", kind as u64);
-            f("subject", subject as u64);
-            f("value", value);
+            field!(out, "kind", kind);
+            field!(out, "subject", subject);
+            field!(out, "value", value);
         }
         TraceKind::FluidAgg {
             agg,
             path,
             rate_bps,
         } => {
-            f("agg", agg as u64);
-            f("path", path as u64);
-            f("rate_bps", rate_bps);
+            field!(out, "agg", agg);
+            field!(out, "path", path);
+            field!(out, "rate_bps", rate_bps);
         }
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 /// Renders one record as its canonical stream line (no trailing newline).
 pub fn render_line(rec: &TraceRecord, seq: u64) -> String {
-    let mut s = String::with_capacity(96);
-    render_line_into(&mut s, rec, seq);
-    s
+    let mut line = Vec::with_capacity(96);
+    render_line_into(&mut line, rec, seq);
+    String::from_utf8(line).expect("the line protocol is ASCII")
+}
+
+/// Renders records as newline-terminated stream lines, numbering each
+/// shard's records from 0 in iteration order (the in-memory trace's
+/// counterpart of a streamed run's per-shard `seq`).
+pub(crate) fn render_lines(records: &[TraceRecord]) -> String {
+    let mut seqs: std::collections::BTreeMap<u16, u64> = std::collections::BTreeMap::new();
+    let mut out = Vec::with_capacity(records.len() * 96);
+    for rec in records {
+        let seq = seqs.entry(rec.shard).or_insert(0);
+        render_line_into(&mut out, rec, *seq);
+        out.push(b'\n');
+        *seq += 1;
+    }
+    String::from_utf8(out).expect("the line protocol is ASCII")
 }
 
 /// One parsed stream line: the record (with `wall_ns` zeroed — the stream
@@ -346,113 +389,190 @@ pub struct StreamedRecord {
     pub rec: TraceRecord,
 }
 
-/// Extracts a numeric field from a flat JSON object line.
-fn num_field(line: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Numeric keys a reader keeps per line: twice the widest record (three
+/// envelope keys plus five payload fields). Keys past the sixteenth are
+/// checked like the rest and then ignored, so the fields a record needs
+/// must sit among a line's first sixteen.
+const MAX_KEYS: usize = 16;
+
+/// The numeric keys and the `"k"` tag of one scanned line.
+struct Fields<'a> {
+    keys: [&'a [u8]; MAX_KEYS],
+    vals: [u64; MAX_KEYS],
+    len: usize,
+    tag: Option<&'a [u8]>,
 }
 
-/// Extracts a string field from a flat JSON object line.
-fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"{name}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
+impl Fields<'_> {
+    /// The value of the first key named `name`.
+    fn get(&self, name: &str) -> Option<u64> {
+        let i = self.keys[..self.len]
+            .iter()
+            .position(|k| *k == name.as_bytes())?;
+        Some(self.vals[i])
+    }
+
+    fn get_as<T: TryFrom<u64>>(&self, name: &str) -> Option<T> {
+        T::try_from(self.get(name)?).ok()
+    }
+}
+
+/// Reads an unsigned decimal starting at `line[i]`: 1–20 digits, no
+/// leading zero, no overflow. Returns the value and the index past it.
+fn scan_u64(line: &[u8], mut i: usize) -> Option<(u64, usize)> {
+    let start = i;
+    let mut v: u64 = 0;
+    while let Some(d) = line
+        .get(i)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|d| *d < 10)
+    {
+        v = v.checked_mul(10)?.checked_add(d as u64)?;
+        i += 1;
+    }
+    let digits = i - start;
+    let leading_zero = digits > 1 && line[start] == b'0';
+    (digits > 0 && !leading_zero).then_some((v, i))
+}
+
+/// One left-to-right pass over a flat JSON object: `{"key":value,...}`
+/// with no whitespace, every value an unsigned decimal except the string
+/// under `"k"`, and the closing brace the line's last byte. `None` for
+/// anything else — including meta lines, whose `"meta"` key is rejected
+/// where it is met.
+fn scan(line: &[u8]) -> Option<Fields<'_>> {
+    let mut f = Fields {
+        keys: [&[]; MAX_KEYS],
+        vals: [0; MAX_KEYS],
+        len: 0,
+        tag: None,
+    };
+    if line.first() != Some(&b'{') {
+        return None;
+    }
+    let mut i = 1;
+    loop {
+        if line.get(i) != Some(&b'"') {
+            return None;
+        }
+        i += 1;
+        let key = &line[i..i + line[i..].iter().position(|&b| b == b'"')?];
+        i += key.len() + 1;
+        if line.get(i) != Some(&b':') || key == b"meta" {
+            return None;
+        }
+        i += 1;
+        if line.get(i) == Some(&b'"') {
+            if key != b"k" {
+                return None;
+            }
+            i += 1;
+            let tag = &line[i..i + line[i..].iter().position(|&b| b == b'"')?];
+            i += tag.len() + 1;
+            f.tag.get_or_insert(tag);
+        } else {
+            let (v, next) = scan_u64(line, i)?;
+            if f.len < MAX_KEYS {
+                f.keys[f.len] = key;
+                f.vals[f.len] = v;
+                f.len += 1;
+            }
+            i = next;
+        }
+        match line.get(i)? {
+            b',' => i += 1,
+            b'}' => return (i + 1 == line.len()).then_some(f),
+            _ => return None,
+        }
+    }
 }
 
 /// Parses one stream line back into a record. Returns `None` for meta
-/// lines, blank lines and anything malformed — consumers iterate
-/// `lines().filter_map(parse_line)`.
+/// lines, blank lines and anything malformed — a line cut short by a
+/// crash included, since the closing brace is required — so consumers
+/// iterate `lines().filter_map(parse_line)`. Keys the record's kind does
+/// not use are ignored; a value too wide for its field is malformed.
 pub fn parse_line(line: &str) -> Option<StreamedRecord> {
-    if line.is_empty() || line.contains("\"meta\":") {
-        return None;
-    }
-    let at = Nanos(num_field(line, "at")?);
-    let shard = num_field(line, "shard")? as u16;
-    let seq = num_field(line, "seq")?;
-    let k = str_field(line, "k")?;
-    let n = |name: &str| num_field(line, name);
-    let kind = match k {
-        "enq" => TraceKind::Enqueue {
-            bundle: n("bundle")? as u32,
+    let f = scan(line.as_bytes())?;
+    let at = Nanos(f.get("at")?);
+    let shard = f.get_as("shard")?;
+    let seq = f.get("seq")?;
+    let kind = match f.tag? {
+        b"enq" => TraceKind::Enqueue {
+            bundle: f.get_as("bundle")?,
         },
-        "deq" => TraceKind::Dequeue {
-            bundle: n("bundle")? as u32,
-            sojourn_ns: n("sojourn_ns")?,
+        b"deq" => TraceKind::Dequeue {
+            bundle: f.get_as("bundle")?,
+            sojourn_ns: f.get("sojourn_ns")?,
         },
-        "drop" => TraceKind::Drop {
-            bundle: n("bundle")? as u32,
+        b"drop" => TraceKind::Drop {
+            bundle: f.get_as("bundle")?,
         },
-        "mode" => TraceKind::ModeChange {
-            bundle: n("bundle")? as u32,
-            mode: n("mode")? as u8,
+        b"mode" => TraceKind::ModeChange {
+            bundle: f.get_as("bundle")?,
+            mode: f.get_as("mode")?,
         },
-        "rate" => TraceKind::RateChange {
-            bundle: n("bundle")? as u32,
-            rate_bps: n("rate_bps")?,
+        b"rate" => TraceKind::RateChange {
+            bundle: f.get_as("bundle")?,
+            rate_bps: f.get("rate_bps")?,
         },
-        "epoch" => TraceKind::Epoch {
-            bundle: n("bundle")? as u32,
-            size_pkts: n("size_pkts")?,
+        b"epoch" => TraceKind::Epoch {
+            bundle: f.get_as("bundle")?,
+            size_pkts: f.get("size_pkts")?,
         },
-        "migrate" => TraceKind::Migration {
-            bundle: n("bundle")? as u32,
-            from: n("from")? as u16,
-            to: n("to")? as u16,
-            pkts: n("pkts")?,
-            bytes: n("bytes")?,
+        b"migrate" => TraceKind::Migration {
+            bundle: f.get_as("bundle")?,
+            from: f.get_as("from")?,
+            to: f.get_as("to")?,
+            pkts: f.get("pkts")?,
+            bytes: f.get("bytes")?,
         },
-        "window" => TraceKind::WorkerWindow {
-            windex: n("windex")?,
-            width_ns: n("width_ns")?,
-            busy_ns: n("busy_ns")?,
-            stall_ns: n("stall_ns")?,
-            events: n("events")?,
+        b"window" => TraceKind::WorkerWindow {
+            windex: f.get("windex")?,
+            width_ns: f.get("width_ns")?,
+            busy_ns: f.get("busy_ns")?,
+            stall_ns: f.get("stall_ns")?,
+            events: f.get("events")?,
         },
-        "netphase" => TraceKind::NetPhase {
-            windex: n("windex")?,
-            width_ns: n("width_ns")?,
-            wall_dur_ns: n("wall_dur_ns")?,
-            events: n("events")?,
+        b"netphase" => TraceKind::NetPhase {
+            windex: f.get("windex")?,
+            width_ns: f.get("width_ns")?,
+            wall_dur_ns: f.get("wall_dur_ns")?,
+            events: f.get("events")?,
         },
-        "fluid" => TraceKind::FluidLevel {
-            path: n("path")? as u32,
-            backlog_bytes: n("backlog_bytes")?,
-            rate_bps: n("rate_bps")?,
+        b"fluid" => TraceKind::FluidLevel {
+            path: f.get_as("path")?,
+            backlog_bytes: f.get("backlog_bytes")?,
+            rate_bps: f.get("rate_bps")?,
         },
-        "flow_admit" => TraceKind::FlowAdmit {
-            flow: n("flow")?,
-            bundle: n("bundle")? as u32,
-            size_bytes: n("size_bytes")?,
+        b"flow_admit" => TraceKind::FlowAdmit {
+            flow: f.get("flow")?,
+            bundle: f.get_as("bundle")?,
+            size_bytes: f.get("size_bytes")?,
         },
-        "flow_sendbox" => TraceKind::FlowSendbox {
-            flow: n("flow")?,
-            sojourn_ns: n("sojourn_ns")?,
+        b"flow_sendbox" => TraceKind::FlowSendbox {
+            flow: f.get("flow")?,
+            sojourn_ns: f.get("sojourn_ns")?,
         },
-        "flow_bn" => TraceKind::FlowBottleneck {
-            flow: n("flow")?,
-            sojourn_ns: n("sojourn_ns")?,
+        b"flow_bn" => TraceKind::FlowBottleneck {
+            flow: f.get("flow")?,
+            sojourn_ns: f.get("sojourn_ns")?,
         },
-        "flow_end" => TraceKind::FlowEnd {
-            flow: n("flow")?,
-            fct_ns: n("fct_ns")?,
-            sendbox_ns: n("sendbox_ns")?,
-            slowdown_milli: n("slowdown_milli")?,
+        b"flow_end" => TraceKind::FlowEnd {
+            flow: f.get("flow")?,
+            fct_ns: f.get("fct_ns")?,
+            sendbox_ns: f.get("sendbox_ns")?,
+            slowdown_milli: f.get("slowdown_milli")?,
         },
-        "health" => TraceKind::Health {
-            kind: n("kind")? as u8,
-            subject: n("subject")? as u32,
-            value: n("value")?,
+        b"health" => TraceKind::Health {
+            kind: f.get_as("kind")?,
+            subject: f.get_as("subject")?,
+            value: f.get("value")?,
         },
-        "fluid_agg" => TraceKind::FluidAgg {
-            agg: n("agg")? as u32,
-            path: n("path")? as u32,
-            rate_bps: n("rate_bps")?,
+        b"fluid_agg" => TraceKind::FluidAgg {
+            agg: f.get_as("agg")?,
+            path: f.get_as("path")?,
+            rate_bps: f.get("rate_bps")?,
         },
         _ => return None,
     };
@@ -581,20 +701,82 @@ mod tests {
         assert!(parse_line("{\"at\":1,\"shard\":0,\"seq\":0,\"k\":\"unknown\"}").is_none());
     }
 
+    /// The grammar's edges, one line each: everything but the first is one
+    /// defect away from it.
+    #[test]
+    fn the_grammar_is_strict() {
+        let ok = |line: &str| parse_line(line).map(|r| (r.rec.at.as_nanos(), r.rec.shard, r.seq));
+        let max = u64::MAX;
+        let good = format!(
+            "{{\"at\":{max},\"shard\":65535,\"seq\":0,\"k\":\"drop\",\"bundle\":4294967295}}"
+        );
+        assert_eq!(ok(&good), Some((max, u16::MAX, 0)));
+        // Forty unknown keys after the record's own.
+        let wide = format!("{}{}}}", &good[..good.len() - 1], ",\"x\":1".repeat(40));
+        for (why, bad) in [
+            ("no closing brace", good[..good.len() - 1].to_string()),
+            ("bytes after the brace", format!("{good} ")),
+            (
+                "at = 2^64",
+                good.replace("18446744073709551615", "18446744073709551616"),
+            ),
+            (
+                "21-digit at",
+                good.replace("18446744073709551615", "100000000000000000000"),
+            ),
+            ("shard = 2^16", good.replace("65535", "65536")),
+            ("bundle = 2^32", good.replace("4294967295", "4294967296")),
+            ("leading zero", good.replace("\"seq\":0", "\"seq\":00")),
+            ("empty value", good.replace("\"seq\":0", "\"seq\":")),
+            ("negative value", good.replace("\"seq\":0", "\"seq\":-1")),
+            ("fractional value", good.replace("\"seq\":0", "\"seq\":0.5")),
+            ("whitespace", good.replace("\"seq\":0", "\"seq\": 0")),
+            (
+                "string where a number belongs",
+                good.replace("\"seq\":0", "\"seq\":\"0\""),
+            ),
+            (
+                "numeric meta key",
+                good.replace("\"seq\":0", "\"seq\":0,\"meta\":1"),
+            ),
+            (
+                "nested value",
+                good.replace("\"seq\":0", "\"seq\":0,\"c\":[1]"),
+            ),
+            ("missing field", good.replace(",\"bundle\":4294967295", "")),
+            (
+                "a needed key behind sixteen others",
+                good.replace("\"seq\":0", &format!("\"seq\":0{}", ",\"x\":1".repeat(13))),
+            ),
+            (
+                "a malformed value behind sixteen keys",
+                format!("{},\"y\":-1}}", &wide[..wide.len() - 1]),
+            ),
+        ] {
+            assert_eq!(ok(&bad), None, "{why}: {bad}");
+        }
+        // Unknown keys past the sixteenth are ignored like any other; the
+        // first of two equal keys wins.
+        assert_eq!(ok(&wide), Some((max, u16::MAX, 0)));
+        let twice = good.replace("\"seq\":0", "\"seq\":0,\"seq\":9");
+        assert_eq!(ok(&twice), Some((max, u16::MAX, 0)));
+    }
+
     #[test]
     fn sink_streams_ring_contents_and_clears_it() {
         let (sink, buf) = StreamSink::to_shared_vec();
         let mut ring = TraceRing::with_capacity(8, 8);
         let mut seq = 0u64;
+        let mut scratch = Vec::new();
         for i in 0..3u64 {
             ring.push(rec(i * 10, 0, TraceKind::Enqueue { bundle: i as u32 }));
         }
-        sink.flush_ring(&mut ring, &mut seq);
+        sink.flush_ring(&mut ring, &mut seq, &mut scratch);
         assert_eq!(seq, 3);
         assert!(ring.is_empty());
         // A second barrier keeps counting from where the first stopped.
         ring.push(rec(100, 0, TraceKind::Drop { bundle: 9 }));
-        sink.flush_ring(&mut ring, &mut seq);
+        sink.flush_ring(&mut ring, &mut seq, &mut scratch);
         assert_eq!(seq, 4);
         sink.flush_io();
         let text = buf.contents();
@@ -641,5 +823,418 @@ mod tests {
             })
             .collect();
         assert_eq!(bundles, vec![2, 1, 0]);
+    }
+
+    /// The codec as it stood before the one-pass rewrite, kept verbatim as
+    /// the reference the property tests below compare against: a
+    /// `write!`-based renderer and a `find`-per-field parser.
+    mod oracle {
+        use std::fmt::Write as _;
+
+        use super::super::{kind_tag, StreamedRecord};
+        use crate::trace::{TraceKind, TraceRecord};
+        use bundler_types::Nanos;
+
+        pub fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
+            let _ = write!(
+                out,
+                "{{\"at\":{},\"shard\":{},\"seq\":{seq},\"k\":\"{}\"",
+                rec.at.as_nanos(),
+                rec.shard,
+                kind_tag(&rec.kind)
+            );
+            let mut f = |name: &str, v: u64| {
+                let _ = write!(out, ",\"{name}\":{v}");
+            };
+            match rec.kind {
+                TraceKind::Enqueue { bundle } => f("bundle", bundle as u64),
+                TraceKind::Dequeue { bundle, sojourn_ns } => {
+                    f("bundle", bundle as u64);
+                    f("sojourn_ns", sojourn_ns);
+                }
+                TraceKind::Drop { bundle } => f("bundle", bundle as u64),
+                TraceKind::ModeChange { bundle, mode } => {
+                    f("bundle", bundle as u64);
+                    f("mode", mode as u64);
+                }
+                TraceKind::RateChange { bundle, rate_bps } => {
+                    f("bundle", bundle as u64);
+                    f("rate_bps", rate_bps);
+                }
+                TraceKind::Epoch { bundle, size_pkts } => {
+                    f("bundle", bundle as u64);
+                    f("size_pkts", size_pkts);
+                }
+                TraceKind::Migration {
+                    bundle,
+                    from,
+                    to,
+                    pkts,
+                    bytes,
+                } => {
+                    f("bundle", bundle as u64);
+                    f("from", from as u64);
+                    f("to", to as u64);
+                    f("pkts", pkts);
+                    f("bytes", bytes);
+                }
+                TraceKind::WorkerWindow {
+                    windex,
+                    width_ns,
+                    busy_ns,
+                    stall_ns,
+                    events,
+                } => {
+                    f("windex", windex);
+                    f("width_ns", width_ns);
+                    f("busy_ns", busy_ns);
+                    f("stall_ns", stall_ns);
+                    f("events", events);
+                }
+                TraceKind::NetPhase {
+                    windex,
+                    width_ns,
+                    wall_dur_ns,
+                    events,
+                } => {
+                    f("windex", windex);
+                    f("width_ns", width_ns);
+                    f("wall_dur_ns", wall_dur_ns);
+                    f("events", events);
+                }
+                TraceKind::FluidLevel {
+                    path,
+                    backlog_bytes,
+                    rate_bps,
+                } => {
+                    f("path", path as u64);
+                    f("backlog_bytes", backlog_bytes);
+                    f("rate_bps", rate_bps);
+                }
+                TraceKind::FlowAdmit {
+                    flow,
+                    bundle,
+                    size_bytes,
+                } => {
+                    f("flow", flow);
+                    f("bundle", bundle as u64);
+                    f("size_bytes", size_bytes);
+                }
+                TraceKind::FlowSendbox { flow, sojourn_ns } => {
+                    f("flow", flow);
+                    f("sojourn_ns", sojourn_ns);
+                }
+                TraceKind::FlowBottleneck { flow, sojourn_ns } => {
+                    f("flow", flow);
+                    f("sojourn_ns", sojourn_ns);
+                }
+                TraceKind::FlowEnd {
+                    flow,
+                    fct_ns,
+                    sendbox_ns,
+                    slowdown_milli,
+                } => {
+                    f("flow", flow);
+                    f("fct_ns", fct_ns);
+                    f("sendbox_ns", sendbox_ns);
+                    f("slowdown_milli", slowdown_milli);
+                }
+                TraceKind::Health {
+                    kind,
+                    subject,
+                    value,
+                } => {
+                    f("kind", kind as u64);
+                    f("subject", subject as u64);
+                    f("value", value);
+                }
+                TraceKind::FluidAgg {
+                    agg,
+                    path,
+                    rate_bps,
+                } => {
+                    f("agg", agg as u64);
+                    f("path", path as u64);
+                    f("rate_bps", rate_bps);
+                }
+            }
+            out.push('}');
+        }
+
+        /// Extracts a numeric field from a flat JSON object line.
+        fn num_field(line: &str, name: &str) -> Option<u64> {
+            let pat = format!("\"{name}\":");
+            let start = line.find(&pat)? + pat.len();
+            let rest = &line[start..];
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..end].parse().ok()
+        }
+
+        /// Extracts a string field from a flat JSON object line.
+        fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+            let pat = format!("\"{name}\":\"");
+            let start = line.find(&pat)? + pat.len();
+            let rest = &line[start..];
+            Some(&rest[..rest.find('"')?])
+        }
+
+        pub fn parse_line(line: &str) -> Option<StreamedRecord> {
+            if line.is_empty() || line.contains("\"meta\":") {
+                return None;
+            }
+            let at = Nanos(num_field(line, "at")?);
+            let shard = num_field(line, "shard")? as u16;
+            let seq = num_field(line, "seq")?;
+            let k = str_field(line, "k")?;
+            let n = |name: &str| num_field(line, name);
+            let kind = match k {
+                "enq" => TraceKind::Enqueue {
+                    bundle: n("bundle")? as u32,
+                },
+                "deq" => TraceKind::Dequeue {
+                    bundle: n("bundle")? as u32,
+                    sojourn_ns: n("sojourn_ns")?,
+                },
+                "drop" => TraceKind::Drop {
+                    bundle: n("bundle")? as u32,
+                },
+                "mode" => TraceKind::ModeChange {
+                    bundle: n("bundle")? as u32,
+                    mode: n("mode")? as u8,
+                },
+                "rate" => TraceKind::RateChange {
+                    bundle: n("bundle")? as u32,
+                    rate_bps: n("rate_bps")?,
+                },
+                "epoch" => TraceKind::Epoch {
+                    bundle: n("bundle")? as u32,
+                    size_pkts: n("size_pkts")?,
+                },
+                "migrate" => TraceKind::Migration {
+                    bundle: n("bundle")? as u32,
+                    from: n("from")? as u16,
+                    to: n("to")? as u16,
+                    pkts: n("pkts")?,
+                    bytes: n("bytes")?,
+                },
+                "window" => TraceKind::WorkerWindow {
+                    windex: n("windex")?,
+                    width_ns: n("width_ns")?,
+                    busy_ns: n("busy_ns")?,
+                    stall_ns: n("stall_ns")?,
+                    events: n("events")?,
+                },
+                "netphase" => TraceKind::NetPhase {
+                    windex: n("windex")?,
+                    width_ns: n("width_ns")?,
+                    wall_dur_ns: n("wall_dur_ns")?,
+                    events: n("events")?,
+                },
+                "fluid" => TraceKind::FluidLevel {
+                    path: n("path")? as u32,
+                    backlog_bytes: n("backlog_bytes")?,
+                    rate_bps: n("rate_bps")?,
+                },
+                "flow_admit" => TraceKind::FlowAdmit {
+                    flow: n("flow")?,
+                    bundle: n("bundle")? as u32,
+                    size_bytes: n("size_bytes")?,
+                },
+                "flow_sendbox" => TraceKind::FlowSendbox {
+                    flow: n("flow")?,
+                    sojourn_ns: n("sojourn_ns")?,
+                },
+                "flow_bn" => TraceKind::FlowBottleneck {
+                    flow: n("flow")?,
+                    sojourn_ns: n("sojourn_ns")?,
+                },
+                "flow_end" => TraceKind::FlowEnd {
+                    flow: n("flow")?,
+                    fct_ns: n("fct_ns")?,
+                    sendbox_ns: n("sendbox_ns")?,
+                    slowdown_milli: n("slowdown_milli")?,
+                },
+                "health" => TraceKind::Health {
+                    kind: n("kind")? as u8,
+                    subject: n("subject")? as u32,
+                    value: n("value")?,
+                },
+                "fluid_agg" => TraceKind::FluidAgg {
+                    agg: n("agg")? as u32,
+                    path: n("path")? as u32,
+                    rate_bps: n("rate_bps")?,
+                },
+                _ => return None,
+            };
+            Some(StreamedRecord {
+                seq,
+                rec: TraceRecord {
+                    at,
+                    wall_ns: 0,
+                    shard,
+                    kind,
+                },
+            })
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// A `u64` that is 0 or `u64::MAX` half the time.
+    fn edgy_u64() -> impl Strategy<Value = u64> {
+        (0u8..4, any::<u64>()).prop_map(|(pick, v)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            _ => v,
+        })
+    }
+
+    /// Every `TraceKind` variant, each field drawn from the full range of
+    /// its type (narrow fields truncate an edgy `u64`, so 0 and the
+    /// type's maximum are both common).
+    fn record_strategy() -> impl Strategy<Value = (TraceRecord, u64)> {
+        (
+            0u8..16,
+            (edgy_u64(), edgy_u64(), edgy_u64(), edgy_u64(), edgy_u64()),
+            (edgy_u64(), edgy_u64(), edgy_u64()),
+        )
+            .prop_map(|(variant, (a, b, c, d, e), (at, shard, seq))| {
+                let kind = match variant {
+                    0 => TraceKind::Enqueue { bundle: a as u32 },
+                    1 => TraceKind::Dequeue {
+                        bundle: a as u32,
+                        sojourn_ns: b,
+                    },
+                    2 => TraceKind::Drop { bundle: a as u32 },
+                    3 => TraceKind::ModeChange {
+                        bundle: a as u32,
+                        mode: b as u8,
+                    },
+                    4 => TraceKind::RateChange {
+                        bundle: a as u32,
+                        rate_bps: b,
+                    },
+                    5 => TraceKind::Epoch {
+                        bundle: a as u32,
+                        size_pkts: b,
+                    },
+                    6 => TraceKind::Migration {
+                        bundle: a as u32,
+                        from: b as u16,
+                        to: c as u16,
+                        pkts: d,
+                        bytes: e,
+                    },
+                    7 => TraceKind::WorkerWindow {
+                        windex: a,
+                        width_ns: b,
+                        busy_ns: c,
+                        stall_ns: d,
+                        events: e,
+                    },
+                    8 => TraceKind::NetPhase {
+                        windex: a,
+                        width_ns: b,
+                        wall_dur_ns: c,
+                        events: d,
+                    },
+                    9 => TraceKind::FluidLevel {
+                        path: a as u32,
+                        backlog_bytes: b,
+                        rate_bps: c,
+                    },
+                    10 => TraceKind::FlowAdmit {
+                        flow: a,
+                        bundle: b as u32,
+                        size_bytes: c,
+                    },
+                    11 => TraceKind::FlowSendbox {
+                        flow: a,
+                        sojourn_ns: b,
+                    },
+                    12 => TraceKind::FlowBottleneck {
+                        flow: a,
+                        sojourn_ns: b,
+                    },
+                    13 => TraceKind::FlowEnd {
+                        flow: a,
+                        fct_ns: b,
+                        sendbox_ns: c,
+                        slowdown_milli: d,
+                    },
+                    14 => TraceKind::Health {
+                        kind: a as u8,
+                        subject: b as u32,
+                        value: c,
+                    },
+                    _ => TraceKind::FluidAgg {
+                        agg: a as u32,
+                        path: b as u32,
+                        rate_bps: c,
+                    },
+                };
+                (rec(at, shard as u16, kind), seq)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// New render == old render byte for byte; `parse(render(x)) == x`
+        /// up to the envelope stamp, which is not on the wire; and the new
+        /// parser agrees with the old one on the rendered line.
+        #[test]
+        fn codec_matches_the_reference_and_round_trips((r, seq) in record_strategy()) {
+            let line = render_line(&r, seq);
+            let mut reference = String::new();
+            oracle::render_line_into(&mut reference, &r, seq);
+            prop_assert_eq!(&line, &reference);
+            let parsed = parse_line(&line);
+            prop_assert_eq!(parsed, Some(StreamedRecord { seq, rec: TraceRecord { wall_ns: 0, ..r } }));
+            prop_assert_eq!(parsed, oracle::parse_line(&line));
+        }
+
+        /// Numeric keys the record's kind does not use are ignored wherever
+        /// they sit, by both parsers alike.
+        #[test]
+        fn unknown_numeric_keys_are_ignored(
+            (r, seq) in record_strategy(),
+            extra in edgy_u64(),
+            slot in 0usize..8,
+        ) {
+            let line = render_line(&r, seq);
+            // After the `slot`-th comma, or at the end of the object.
+            let at = line
+                .match_indices(',')
+                .nth(slot)
+                .map_or(line.len() - 1, |(i, _)| i);
+            let widened = format!("{},\"zz_unknown\":{extra}{}", &line[..at], &line[at..]);
+            prop_assert_eq!(parse_line(&widened), parse_line(&line), "{}", widened);
+            prop_assert_eq!(parse_line(&widened), oracle::parse_line(&widened));
+        }
+
+        /// A line cut at any byte — what a crash mid-write leaves behind —
+        /// is never a record.
+        #[test]
+        fn every_truncation_is_rejected((r, seq) in record_strategy()) {
+            let line = render_line(&r, seq);
+            for cut in 0..line.len() {
+                prop_assert_eq!(parse_line(&line[..cut]), None, "cut at {}: {}", cut, &line[..cut]);
+            }
+        }
+
+        /// Arbitrary bytes never parse and never panic.
+        #[test]
+        fn garbage_is_rejected(bytes in collection::vec(any::<u8>(), 0..120)) {
+            let text = String::from_utf8_lossy(&bytes);
+            for line in text.lines() {
+                prop_assert_eq!(parse_line(line), None);
+            }
+            // The same noise behind a plausible opening.
+            let line = format!("{{\"at\":1,\"shard\":0,\"seq\":0,{text}");
+            prop_assert_eq!(parse_line(line.lines().next().unwrap_or("")), None);
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! window's worth of records; at every window barrier the ring is drained
 //! into a larger per-shard sink (single-threaded runs drain at sample
 //! events instead). Overflow drops the *newest* record and counts it, so a
-//! hot window can never starve the spans recorded later in the run.
+//! hot window can never starve the spans recorded later in the run — unless
+//! a stream sink is attached, in which case `ShardObs::record` spills the
+//! full ring into the stream and nothing is dropped.
 //!
 //! Records carry sim-time (`at`) and wall-time (`wall_ns`). Only sim-time
 //! and the event payload participate in [`first_divergence`], which is how
@@ -312,7 +314,7 @@ impl TraceRing {
     /// Pushes a record; drops it (counted) if the ring is full.
     #[inline]
     pub fn push(&mut self, rec: TraceRecord) {
-        if self.buf.len() >= self.cap {
+        if self.is_full() {
             if self.dropped == 0 {
                 note_first_drop(self.cap);
             }
@@ -320,6 +322,12 @@ impl TraceRing {
         } else {
             self.buf.push(rec);
         }
+    }
+
+    /// True when the next [`TraceRing::push`] would drop its record.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.buf.len() >= self.cap
     }
 
     /// Records currently waiting in the ring (not yet drained).

@@ -222,8 +222,12 @@ impl Control {
 pub struct ShardedSimulation {
     config: SimulationConfig,
     workload: Vec<FlowSpec>,
-    /// A validated snapshot to resume from instead of a fresh start.
-    restore_from: Option<Vec<u8>>,
+    /// A validated snapshot to resume from instead of a fresh start, with
+    /// the `snapshot::fingerprint` of `config` and `workload` its header
+    /// was checked against. Neither changes once the host exists, so the
+    /// run reuses the value for the checkpoints it writes; a fresh run
+    /// hashes once, at its first checkpoint, and `new` never does.
+    restore_from: Option<(Vec<u8>, u64)>,
 }
 
 impl ShardedSimulation {
@@ -253,7 +257,7 @@ impl ShardedSimulation {
         Ok(ShardedSimulation {
             config,
             workload,
-            restore_from: Some(bytes.to_vec()),
+            restore_from: Some((bytes.to_vec(), fp)),
         })
     }
 
@@ -321,7 +325,9 @@ impl ShardedSimulation {
             // zero-delay bottleneck (rtt = 0) leaves no conservative
             // lookahead to parallelize over, so it also runs inline.
             let sim = match &self.restore_from {
-                Some(bytes) => Simulation::restore(self.config, self.workload, bytes)?,
+                Some((bytes, fp)) => {
+                    Simulation::restore_fingerprinted(self.config, self.workload, bytes, *fp)?
+                }
                 None => Simulation::new(self.config, self.workload),
             };
             return Ok(match sink {
@@ -482,9 +488,12 @@ fn run_sharded(
     config: SimulationConfig,
     workload: Vec<FlowSpec>,
     shards: usize,
-    restore_from: Option<Vec<u8>>,
+    restore_from: Option<(Vec<u8>, u64)>,
     mut sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
 ) -> Result<SimReport, ShardError> {
+    // The run's snapshot fingerprint: known after a restore, otherwise
+    // computed by the first checkpoint.
+    let mut fingerprint = restore_from.as_ref().map(|&(_, fp)| fp);
     let mut balancer = Balancer::new(&config, &workload, shards);
     let probe = NetCore::new(&config);
     let lookahead = probe.min_one_way_delay();
@@ -586,13 +595,12 @@ fn run_sharded(
         .collect();
 
     let start = match &restore_from {
-        Some(bytes) => {
+        Some((bytes, fp)) => {
             let corrupt = |e: serde::binary::DecodeError| {
                 ShardError::Snapshot(SnapshotError::Corrupt(e.to_string()))
             };
-            let fp = snapshot::fingerprint(&config, &workload);
             let mut r = Reader::new(bytes);
-            let at = snapshot::read_header(&mut r, fp)?;
+            let at = snapshot::read_header(&mut r, *fp)?;
             // The whole-run residue lands on shard 0; `assemble_report`
             // sums across shards, so totals are placement-independent.
             let residue = WorkerResidue::decode(&mut r).map_err(corrupt)?;
@@ -713,6 +721,9 @@ fn run_sharded(
         _ => None,
     };
 
+    // Size hint for the next checkpoint's buffer: the previous one's
+    // length (successive snapshots of one run differ little).
+    let mut last_snapshot_len = 0;
     let mut plan: Vec<Move> = Vec::new();
     let mut prev_window: Option<(u64, Nanos)> = None;
     let mut window_start = start;
@@ -769,13 +780,17 @@ fn run_sharded(
                         .flatten()
                         .collect(),
                 };
-                let blob = assemble_snapshot(
+                let mut blob = Vec::with_capacity(last_snapshot_len);
+                let fp =
+                    *fingerprint.get_or_insert_with(|| snapshot::fingerprint(&config, &workload));
+                snapshot::write_header(&mut blob, window_start, fp);
+                assemble_snapshot(
                     &config,
-                    &workload,
-                    window_start,
                     std::mem::take(&mut *lock(&ctrl.parts)),
                     sections,
+                    &mut blob,
                 );
+                last_snapshot_len = blob.len();
                 if let Some(f) = sink.as_deref_mut() {
                     f(window_start, blob);
                 }
@@ -1003,24 +1018,20 @@ fn net_loop(
     }
 }
 
-/// Assembles per-shard checkpoint parts plus the per-path net sections
-/// into the canonical snapshot wire format — the exact bytes the
+/// Appends per-shard checkpoint parts plus the per-path net sections to
+/// a snapshot header in the canonical wire format — the exact bytes the
 /// single-threaded host writes at the same instant, regardless of worker
 /// or net shard count or placement: merged residue, the direct slice,
 /// bundle parcels in ascending index order, then one net section per path
 /// in ascending global path id.
 fn assemble_snapshot(
     config: &SimulationConfig,
-    workload: &[FlowSpec],
-    at: Nanos,
     parts: Vec<Option<CheckpointPart>>,
     mut net_sections: Vec<PathSection>,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
     let n_bundles = config.n_bundles();
     let n_paths = config.num_paths.max(1);
-    let fp = snapshot::fingerprint(config, workload);
-    let mut out = Vec::new();
-    snapshot::write_header(&mut out, at, fp);
     let mut residue = WorkerResidue::default();
     let mut direct: Option<Vec<u8>> = None;
     let mut bundles: Vec<(usize, Vec<u8>)> = Vec::with_capacity(n_bundles);
@@ -1034,10 +1045,10 @@ fn assemble_snapshot(
         }
         bundles.extend(part.bundles);
     }
-    residue.encode(&mut out);
+    residue.encode(out);
     out.extend_from_slice(&direct.expect("shard 0 serializes the direct slice"));
     bundles.sort_by_key(|&(b, _)| b);
-    (n_bundles as u64).encode(&mut out);
+    (n_bundles as u64).encode(out);
     for (i, (b, bytes)) in bundles.iter().enumerate() {
         assert_eq!(i, *b, "bundle {b} was checkpointed by no worker, or by two");
         out.extend_from_slice(bytes);
@@ -1052,7 +1063,6 @@ fn assemble_snapshot(
         assert_eq!(i, *gid, "path {gid} checkpointed by no net core, or by two");
         out.extend_from_slice(bytes);
     }
-    out
 }
 
 /// A worker thread's connections to the net side.

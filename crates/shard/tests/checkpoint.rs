@@ -95,6 +95,45 @@ fn restore_into_any_shard_count_is_bit_identical() {
     }
 }
 
+/// The hosts hash the workload once and reuse the value: every header —
+/// the first checkpoint's, the later ones', and those a restored run goes
+/// on to write — must still carry exactly what a fresh
+/// `snapshot::fingerprint` of the same config and workload returns.
+#[test]
+fn every_checkpoint_header_carries_the_fresh_fingerprint() {
+    use bundler_sim::snapshot;
+    let (config, wl) = setup(5, None);
+    for shards in [1usize, 2] {
+        let mut cfg = config.clone();
+        cfg.shards = shards;
+        let fresh = snapshot::fingerprint(&cfg, &wl);
+        let check = |ckpts: &[(bundler_types::Nanos, Vec<u8>)], who: &str| {
+            for (at, blob) in ckpts {
+                let mut r = serde::binary::Reader::new(blob);
+                assert_eq!(
+                    snapshot::read_header(&mut r, fresh),
+                    Ok(*at),
+                    "{who}, {shards} shard(s), checkpoint at {at:?}"
+                );
+            }
+        };
+        let mut ckpts = Vec::new();
+        ShardedSimulation::new(cfg.clone(), wl.clone()).run_collecting(&mut ckpts);
+        assert!(ckpts.len() >= 3, "expected several checkpoints");
+        check(&ckpts, "uninterrupted run");
+
+        let mut later = Vec::new();
+        ShardedSimulation::restore(cfg, wl.clone(), &ckpts[0].1)
+            .expect("valid snapshot")
+            .run_collecting(&mut later);
+        check(&later, "restored run");
+        assert!(
+            later == ckpts[1..],
+            "a restored run re-takes the uninterrupted run's checkpoints ({shards} shard(s))"
+        );
+    }
+}
+
 #[test]
 fn restore_rejects_a_mismatched_config() {
     let (config, wl) = setup(5, None);

@@ -246,6 +246,14 @@ pub struct Simulation {
     /// restoring churn packets through the arena by value, so they clear
     /// it.
     arena_exact: bool,
+    /// `snapshot::fingerprint` of this run's config and workload. Both are
+    /// immutable once the simulation exists, so the value is computed at
+    /// most once: by `restore`, or by the first checkpoint — never by
+    /// `new`, so a run that takes no checkpoint never pays for it.
+    fingerprint: Option<u64>,
+    /// Length of the previous checkpoint's blob, the size hint for the
+    /// next one's buffer (successive snapshots of one run differ little).
+    last_snapshot_len: usize,
 }
 
 impl Simulation {
@@ -268,6 +276,8 @@ impl Simulation {
             deliveries: Vec::with_capacity(64),
             start: Nanos::ZERO,
             arena_exact: true,
+            fingerprint: None,
+            last_snapshot_len: 0,
         }
     }
 
@@ -281,9 +291,28 @@ impl Simulation {
         workload: Vec<FlowSpec>,
         bytes: &[u8],
     ) -> Result<Self, crate::snapshot::SnapshotError> {
+        let fp = crate::snapshot::fingerprint(&config, &workload);
+        Self::restore_fingerprinted(config, workload, bytes, fp)
+    }
+
+    /// [`Simulation::restore`] without the hash, for the sharded host, which
+    /// has computed it to validate the header before it picks an engine.
+    ///
+    /// `fp` MUST be `snapshot::fingerprint(&config, &workload)` of the very
+    /// arguments passed here. It is the only thing the header is checked
+    /// against and it is stamped on every later checkpoint: a value taken
+    /// from anywhere else — the header's own above all — turns the
+    /// config/workload validation into a no-op. Everything else calls
+    /// [`Simulation::restore`].
+    #[doc(hidden)]
+    pub fn restore_fingerprinted(
+        config: SimulationConfig,
+        workload: Vec<FlowSpec>,
+        bytes: &[u8],
+        fp: u64,
+    ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let corrupt = |e: serde::binary::DecodeError| SnapshotError::Corrupt(e.to_string());
-        let fp = crate::snapshot::fingerprint(&config, &workload);
         let mut r = serde::binary::Reader::new(bytes);
         let at = crate::snapshot::read_header(&mut r, fp)?;
         let mut queue = EventQueue::with_engine(config.event_engine);
@@ -335,6 +364,8 @@ impl Simulation {
             deliveries: Vec::with_capacity(64),
             start: at,
             arena_exact: false,
+            fingerprint: Some(fp),
+            last_snapshot_len: 0,
         })
     }
 
@@ -487,8 +518,10 @@ impl Simulation {
         if let Some(stream) = &self.config.stream {
             stream.flush_io();
         }
-        let fp = crate::snapshot::fingerprint(&self.config, &self.workload);
-        let mut out = Vec::new();
+        let fp = *self
+            .fingerprint
+            .get_or_insert_with(|| crate::snapshot::fingerprint(&self.config, &self.workload));
+        let mut out = Vec::with_capacity(self.last_snapshot_len);
         crate::snapshot::write_header(&mut out, at, fp);
         self.worker.residue().encode(&mut out);
         self.worker
@@ -516,6 +549,7 @@ impl Simulation {
                 "checkpointing requires a snapshot-capable bottleneck queue discipline (path {gid})"
             );
         }
+        self.last_snapshot_len = out.len();
         out
     }
 
@@ -782,6 +816,52 @@ mod tests {
                 assert_eq!(batched, single, "fluid={fluid} {engine:?}");
             }
         }
+    }
+
+    #[test]
+    fn the_workload_is_fingerprinted_at_most_once_per_simulation() {
+        use crate::snapshot::FINGERPRINT_CALLS;
+        let calls = || FINGERPRINT_CALLS.with(|c| c.get());
+        let workload = || {
+            vec![
+                FlowSpec::bundled(1, 400_000, Nanos::ZERO, 0),
+                FlowSpec::direct(2, 150_000, Nanos::from_millis(40)),
+            ]
+        };
+        let mut cfg = single_flow_config(true);
+        cfg.duration = Duration::from_secs(3);
+        cfg.checkpoint_every = Some(Duration::from_millis(500));
+
+        // Construction and a run without checkpoints never pay for it.
+        let before = calls();
+        Simulation::new(cfg.clone(), workload()).run();
+        assert_eq!(calls(), before);
+
+        // Five checkpoints, one hash — and every header carries it.
+        let fp = crate::snapshot::fingerprint(&cfg, &workload());
+        let before = calls();
+        let mut ckpts = Vec::new();
+        Simulation::new(cfg.clone(), workload()).run_collecting(&mut ckpts);
+        assert_eq!(ckpts.len(), 5);
+        assert_eq!(calls(), before + 1);
+        for (at, blob) in &ckpts {
+            let mut r = serde::binary::Reader::new(blob);
+            assert_eq!(crate::snapshot::read_header(&mut r, fp), Ok(*at));
+        }
+
+        // A restore hashes once to validate the header; the checkpoints
+        // the restored run goes on to take reuse that value.
+        let before = calls();
+        let mut later = Vec::new();
+        Simulation::restore(cfg, workload(), &ckpts[1].1)
+            .expect("restore")
+            .run_collecting(&mut later);
+        assert_eq!(calls(), before + 1);
+        assert_eq!(
+            later,
+            ckpts[2..],
+            "the resumed run re-takes the same checkpoints"
+        );
     }
 
     #[test]

@@ -128,6 +128,9 @@ impl FlowSpec {
 pub struct FlowSizeDist {
     /// (size_bytes, cumulative_probability), strictly increasing in both.
     points: Vec<(u64, f64)>,
+    /// [`FlowSizeDist::mean_bytes`], integrated on first use: `points`
+    /// never change, and a scenario asks once per site.
+    mean: std::sync::OnceLock<f64>,
 }
 
 impl FlowSizeDist {
@@ -151,7 +154,10 @@ impl FlowSizeDist {
         if (points.last().unwrap().1 - 1.0).abs() > 1e-9 {
             return Err("last point must have cumulative probability 1.0".into());
         }
-        Ok(FlowSizeDist { points })
+        Ok(FlowSizeDist {
+            points,
+            mean: std::sync::OnceLock::new(),
+        })
     }
 
     /// The synthetic CAIDA-like request-size distribution described in §7.1:
@@ -223,15 +229,18 @@ impl FlowSizeDist {
         self.points.last().unwrap().0
     }
 
-    /// Mean flow size, computed by numerically integrating the inverse CDF.
+    /// Mean flow size, computed by numerically integrating the inverse CDF
+    /// (once per distribution; clones made afterwards carry the value).
     pub fn mean_bytes(&self) -> f64 {
-        let steps = 100_000;
-        let mut acc = 0.0;
-        for i in 0..steps {
-            let u = (i as f64 + 0.5) / steps as f64;
-            acc += self.quantile(u) as f64;
-        }
-        acc / steps as f64
+        *self.mean.get_or_init(|| {
+            let steps = 100_000;
+            let mut acc = 0.0;
+            for i in 0..steps {
+                let u = (i as f64 + 0.5) / steps as f64;
+                acc += self.quantile(u) as f64;
+            }
+            acc / steps as f64
+        })
     }
 
     /// Fraction of flows at or below `size` bytes.

@@ -213,7 +213,11 @@ impl EndhostAlg {
             EndhostAlg::NewReno => Box::new(reno::NewReno::new(mss)),
             EndhostAlg::Bbr => Box::new(bbr::BbrWindow::new(mss)),
             EndhostAlg::Vegas => Box::new(vegas::Vegas::new(mss)),
-            EndhostAlg::FixedWindow(pkts) => Box::new(FixedWindow { cwnd: pkts * mss }),
+            EndhostAlg::FixedWindow(pkts) => Box::new(FixedWindow {
+                // Saturating: `pkts` is decoded from snapshots as well as
+                // written by callers.
+                cwnd: pkts.saturating_mul(mss),
+            }),
         }
     }
 }
@@ -327,6 +331,15 @@ impl WindowCc for FixedWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fixed_window_saturates_instead_of_overflowing() {
+        // A snapshot can carry any packet count.
+        assert_eq!(
+            EndhostAlg::FixedWindow(u64::MAX).build(1460).cwnd(),
+            u64::MAX
+        );
+    }
 
     #[test]
     fn measurement_queue_delay() {

@@ -24,8 +24,8 @@
 //!   amortized instead of the O(log n) — with large element moves — of one
 //!   big binary heap over every pending event.
 //! * [`BinaryHeapQueue`] — the straightforward binary-heap implementation,
-//!   kept as the reference the calendar queue is property-tested against
-//!   and as a selectable engine for A/B benchmarking.
+//!   kept only as the reference the calendar queue is property-tested
+//!   against (here and in `tests/properties.rs`); nothing runs on it.
 
 use std::collections::BinaryHeap;
 

@@ -38,13 +38,12 @@ impl PhaseProfile {
     }
 }
 
-/// One net phase execution (on the driver thread, or on a dedicated net
-/// thread when the bottleneck is sharded).
+/// One net phase execution on a net thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetWindow {
     /// Window index the phase served.
     pub windex: u64,
-    /// Which net shard ran the phase (0 when the bottleneck is unsharded).
+    /// Which net shard ran the phase.
     pub net_shard: u16,
     /// Wall nanoseconds the phase took.
     pub wall_ns: u64,
@@ -52,7 +51,7 @@ pub struct NetWindow {
     pub events: u64,
 }
 
-/// The driver's net-phase timeline.
+/// The net threads' net-phase timeline.
 #[derive(Debug, Clone, Default)]
 pub struct NetPhaseProfile {
     /// Per-window net phases, in window order.
@@ -74,7 +73,7 @@ pub struct PhaseBreakdown {
     pub busy_frac: f64,
     /// Fraction workers spent blocked on window barriers.
     pub stall_frac: f64,
-    /// Fraction the driver spent in the shared net phase.
+    /// Fraction the net threads spent in net phases.
     pub net_frac: f64,
 }
 

@@ -33,7 +33,7 @@ use bundler_sim::workload::{FlowSpec, Origin};
 use bundler_types::Nanos;
 
 /// How many windows between rate-aware rebalancing decisions. Windows are
-/// fractions of the base RTT (¼ RTT when the net phase is pipelined), so
+/// ¼ of the base RTT (half the one-way lookahead), so
 /// 32 windows average load over several ~10 ms control intervals — long
 /// enough that bursty Poisson arrivals don't read as load swings — while
 /// still reacting within a simulated second.

@@ -1,44 +1,46 @@
 //! The windowed multi-threaded driver.
 //!
 //! See the crate docs for the synchronization argument. The run is a
-//! sequence of *windows* `[T, T+Δ)` delimited by barriers; within each,
-//! every worker drains its inbound mailboxes (deliveries produced in
-//! earlier windows, all timestamped ≥ T) and handles its local events with
-//! `t < T+Δ`, moving packets released toward the bottleneck into
-//! `(timestamp, key, packet)` envelopes. The net phase for a window drains
-//! every worker's outbound envelopes into the net event queue — whose
-//! `(timestamp, key)` order is the canonical merge — handles net events of
-//! the window, and routes the resulting deliveries to the owning worker's
-//! mailbox by flow id.
+//! sequence of *windows* `[T, T+Δ)` delimited by barriers, with Δ = ½
+//! lookahead. Three kinds of thread attend every barrier:
 //!
-//! Refinements over the PR 4 loop:
+//! * **Workers** (one per shard). Within a window each drains its inbound
+//!   mailboxes (deliveries produced in earlier windows, all timestamped
+//!   ≥ T) and handles its local events with `t < T+Δ`, moving packets
+//!   released toward the bottleneck into `(timestamp, key, packet)`
+//!   envelopes.
+//! * **Net threads** (one per net shard, at least one). The net phase for
+//!   window W drains every worker's envelopes of that window into the net
+//!   event queue — whose `(timestamp, key)` order is the canonical merge —
+//!   handles net events below the window's end, and routes the resulting
+//!   deliveries to the owning worker's mailbox by flow id. It runs
+//!   *during worker window W+1*: every delivery it produces lands ≥ 2
+//!   windows ahead (`t + lookahead ≥ T_W + 2Δ`), so the bottleneck's work
+//!   hides behind the workers instead of idling them at the barrier.
+//!   Worker→net envelopes double-buffer by window parity so a net phase
+//!   only ever drains a quiesced buffer; net→worker deliveries go through
+//!   mailboxes whose producer and consumer are fixed threads, and are
+//!   published strictly before the barrier that opens the window that
+//!   could need them.
+//! * **The driver** (the calling thread) only coordinates: it publishes
+//!   each window's end and phases, runs the balancer between windows and
+//!   assembles checkpoints.
 //!
-//! * **Pipelined net phase.** With Δ = ½ lookahead, every delivery the net
-//!   phase of window W produces lands ≥ 2 windows ahead (`t + lookahead ≥
-//!   T_W + 2Δ`), so the net phase of window W runs *concurrently* with
-//!   worker window W+1 — the sequential bottleneck fraction hides behind
-//!   the workers instead of idling them at the barrier. Worker→net
-//!   envelopes double-buffer by window parity so a net phase only ever
-//!   drains a quiesced buffer; net→worker deliveries go through mailboxes
-//!   whose producer and consumer are fixed threads, and are published
-//!   strictly before the barrier that opens the window that could need
-//!   them.
-//! * **Net sharding.** `SimulationConfig::net_shards > 1` splits the
-//!   bottleneck across dedicated net threads: net shard k owns the paths
-//!   `{gid : gid mod net_shards == k}`, with its own event queue, arena
-//!   and per-path key streams ([`NetCore::with_partition`]). Workers route
+//! A configuration with one shard, or whose lookahead is too short to
+//! halve (< 2 ns), has nothing to window over: [`ShardedSimulation`] then
+//! *is* the single-threaded [`Simulation`].
+//!
+//! * **Net sharding.** `SimulationConfig::net_shards = K` splits the
+//!   bottleneck across K net threads: net shard k owns the paths
+//!   `{gid : gid mod K == k}`, with its own event queue, arena and
+//!   per-path key streams ([`NetCore::with_partition`]). Workers route
 //!   each outbound packet with a stateless copy of the net side's load
-//!   balancer (`pick(pkt) mod net_shards`), so a packet's path — and
-//!   therefore its owning net shard — is a pure function of the packet,
-//!   identical on both sides of the mailbox. Paths never interact with
-//!   each other (per-path fault cursors, per-path fluid state, per-path
-//!   sampling), so disjoint queues preserve the canonical order and every
+//!   balancer (`pick(pkt) mod K`), so a packet's path — and therefore its
+//!   owning net shard — is a pure function of the packet, identical on
+//!   both sides of the mailbox. Paths never interact with each other, so
+//!   disjoint queues preserve the canonical order and every
 //!   `(shards, net_shards)` combination is bit-identical — proven by the
-//!   differential matrix in `tests/net_shards.rs`. Net threads attend the
-//!   same barriers as workers; each runs its phase for window W during
-//!   worker window W+1. Net sharding requires the pipelined regime: with
-//!   a sub-2 ns lookahead the bottleneck falls back to one driver-inline
-//!   core.
+//!   differential matrix in `tests/net_shards.rs`.
 //! * **Wire-format envelopes.** With `SimulationConfig::wire_envelopes`
 //!   on, every envelope is encoded→decoded through the versioned `NETENV`
 //!   frame ([`crate::wire`]) at its sending edge, exercising the portable
@@ -53,20 +55,20 @@
 //!   (property-tested in `tests/equivalence.rs`).
 //! * **Checkpoint phases.** With `SimulationConfig::checkpoint_every` set
 //!   and a collecting run, the first window boundary at or past each
-//!   interval multiple opens with a checkpoint rendezvous: pending
-//!   pipelined net phases run early (so every net event below the boundary
-//!   `T` is processed and its deliveries published — inline before the
-//!   window-start barrier, on net threads behind one extra barrier), then
-//!   each worker drains its inboxes and serializes its partition —
-//!   residue, the direct slice on shard 0, one [`BundleParcel`] per owned
-//!   bundle — while each net core serializes one section per owned path.
-//!   After one more barrier the driver assembles the parts, **in canonical
-//!   order, independent of the partitioning** (bundles ascending, then
-//!   path sections ascending by global path id), into the same versioned
-//!   wire format the single-threaded host writes
-//!   (`bundler_sim::snapshot`) — byte-identical to the solo snapshot at
-//!   the same `T`, restorable into any worker or net shard count.
+//!   interval multiple opens with a checkpoint rendezvous: the net threads
+//!   run their pending phases early (so every net event below the boundary
+//!   `T` is processed and its deliveries published) and serialize one
+//!   section per owned path; behind the net-flush barrier each worker
+//!   drains its inboxes and serializes its partition — residue, the direct
+//!   slice on shard 0, one [`BundleParcel`] per owned bundle. After one
+//!   more barrier the driver assembles the parts, **in canonical order,
+//!   independent of the partitioning** (bundles ascending, then path
+//!   sections ascending by global path id), into the same versioned wire
+//!   format the single-threaded host writes (`bundler_sim::snapshot`) —
+//!   byte-identical to the solo snapshot at the same `T`, restorable into
+//!   any worker or net shard count.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
@@ -79,11 +81,11 @@ use bundler_sim::runtime::{
     Partition, ToNet, WorkerCore, WorkerResidue, LP_BUNDLE0,
 };
 use bundler_sim::sim::SimulationConfig;
-use bundler_sim::snapshot::{self, SnapshotError};
+use bundler_sim::snapshot::{self, RestoreHost};
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{SimReport, Simulation};
 use bundler_types::{Duration, FlowId, Nanos, Packet, PacketArena};
-use serde::binary::{Decode, Encode, Reader};
+use serde::binary::Encode;
 
 use crate::balance::{Balancer, Move};
 use crate::error::{self, ShardError};
@@ -121,7 +123,7 @@ struct CheckpointPart {
 }
 
 /// Delivery routing state shared by the driver (writer, at window ends)
-/// and the net side (reader, during net phases). The window barriers
+/// and the net threads (readers, during net phases). The window barriers
 /// separate writes from reads; the atomics make the sharing sound.
 struct Routing {
     /// A flow's LP is static: its workload origin.
@@ -140,8 +142,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 struct Control {
     /// Workers + net threads + driver rendezvous here twice per window
-    /// (plus one more on migration windows, and one or two more on
-    /// checkpoint windows).
+    /// (plus one more on migration windows, and two more on checkpoint
+    /// windows).
     barrier: Barrier,
     /// End of the current window (exclusive), as nanoseconds.
     window_end: AtomicU64,
@@ -186,23 +188,35 @@ struct Control {
 }
 
 impl Control {
-    /// Records a thread failure: flags the run and fills the diagnostic
-    /// slot (first failure wins).
-    fn note_failure(
+    /// Runs one phase of a thread's window unless the thread has already
+    /// failed. A panic must not abandon the barrier protocol (std barriers
+    /// do not poison; the other threads would block forever): it is
+    /// caught, the run is flagged and the diagnostic slot filled (first
+    /// failure wins) with `last_event` as the thread left it, and the
+    /// thread, now `failed`, idles at the barriers until told to stop.
+    fn guard(
         &self,
+        failed: &mut bool,
         shard: usize,
         window: u64,
-        last_event: Option<(Nanos, EventKey)>,
-        payload: &(dyn std::any::Any + Send),
+        last_event: &Cell<Option<(Nanos, EventKey)>>,
+        phase: impl FnOnce(),
     ) {
+        if *failed {
+            return;
+        }
+        let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(phase)) else {
+            return;
+        };
+        *failed = true;
         self.panicked.store(true, Ordering::Release);
         let mut diag = lock(&self.diag);
         if diag.is_none() {
             *diag = Some(ShardError::WorkerPanicked {
                 shard,
                 window,
-                last_event,
-                message: error::panic_message(payload),
+                last_event: last_event.get(),
+                message: error::panic_message(payload.as_ref()),
             });
         }
     }
@@ -210,75 +224,112 @@ impl Control {
 
 /// The multi-threaded simulation host.
 ///
-/// `SimulationConfig::shards` selects the worker count: `1` delegates to
-/// the single-threaded [`Simulation`] (today's engine, unchanged); `k > 1`
+/// `SimulationConfig::shards` selects the worker count: `1` is the
+/// single-threaded [`Simulation`] (today's engine, unchanged); `k > 1`
 /// partitions bundles across `k` worker threads around the shared
 /// bottleneck, statically or adaptively per
 /// [`SimulationConfig::balance`](bundler_sim::sim::ShardBalance).
-/// `SimulationConfig::net_shards` additionally splits the bottleneck
-/// itself across dedicated net threads by path. Results are bit-identical
-/// for every worker and net shard count and balance mode — see the crate
-/// docs, `tests/equivalence.rs` and `tests/net_shards.rs`.
-pub struct ShardedSimulation {
-    config: SimulationConfig,
-    workload: Vec<FlowSpec>,
-    /// A validated snapshot to resume from instead of a fresh start, with
-    /// the `snapshot::fingerprint` of `config` and `workload` its header
-    /// was checked against. Neither changes once the host exists, so the
-    /// run reuses the value for the checkpoints it writes; a fresh run
-    /// hashes once, at its first checkpoint, and `new` never does.
-    restore_from: Option<(Vec<u8>, u64)>,
+/// `SimulationConfig::net_shards` splits the bottleneck itself across
+/// that many net threads by path. Results are bit-identical for every
+/// worker and net shard count and balance mode — see the crate docs,
+/// `tests/equivalence.rs` and `tests/net_shards.rs`.
+pub struct ShardedSimulation(Host);
+
+#[allow(clippy::large_enum_variant)] // one value per run, built once, moved once
+enum Host {
+    /// One shard, or a lookahead too short to halve into windows: the
+    /// single-threaded engine itself.
+    Solo(Simulation),
+    Windowed {
+        config: SimulationConfig,
+        workload: Vec<FlowSpec>,
+        /// Δ = ½ lookahead.
+        window: Duration,
+        cores: Cores,
+        /// Simulated time the run starts from (`ZERO` for a fresh run, the
+        /// snapshot's stamp after a restore).
+        start: Nanos,
+        /// `snapshot::fingerprint` of `config` and `workload`, which never
+        /// change once the host exists: known after a restore (the header
+        /// was checked against it), otherwise computed by the first
+        /// checkpoint, so a run that takes none never hashes.
+        fingerprint: Option<u64>,
+    },
+}
+
+/// The window width Δ = ½ lookahead of a configuration the windowed
+/// runtime can run; `None` when the single-threaded engine runs it
+/// instead (one shard, or a one-way delay below 2 ns, which leaves no
+/// conservative lookahead to halve).
+fn window_of(config: &SimulationConfig) -> Option<Duration> {
+    let lookahead = NetCore::new(config).min_one_way_delay();
+    (config.shards > 1 && lookahead.as_nanos() >= 2).then(|| Duration(lookahead.as_nanos() / 2))
 }
 
 impl ShardedSimulation {
     /// Builds a sharded simulation from a configuration and workload.
     pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
-        ShardedSimulation {
-            config,
-            workload,
-            restore_from: None,
-        }
+        ShardedSimulation(match window_of(&config) {
+            None => Host::Solo(Simulation::new(config, workload)),
+            Some(window) => Host::Windowed {
+                cores: Cores::new(&config, &workload, true),
+                config,
+                workload,
+                window,
+                start: Nanos::ZERO,
+                fingerprint: None,
+            },
+        })
     }
 
     /// Builds a sharded simulation that resumes from a snapshot taken at
     /// some earlier instant of a run with an equivalent config and the
     /// same workload — by *any* host: snapshots are partition-invariant,
     /// so a solo snapshot restores into any worker or net shard count and
-    /// vice versa. The header and fingerprint are validated here; payload
-    /// corruption surfaces from the run entry points.
+    /// vice versa. The whole snapshot is validated and decoded here.
     pub fn restore(
         config: SimulationConfig,
         workload: Vec<FlowSpec>,
         bytes: &[u8],
     ) -> Result<Self, ShardError> {
-        let fp = snapshot::fingerprint(&config, &workload);
-        let mut r = Reader::new(bytes);
-        snapshot::read_header(&mut r, fp)?;
-        Ok(ShardedSimulation {
-            config,
-            workload,
-            restore_from: Some((bytes.to_vec(), fp)),
-        })
+        Ok(ShardedSimulation(match window_of(&config) {
+            None => Host::Solo(Simulation::restore(config, workload, bytes)?),
+            Some(window) => {
+                let fp = snapshot::fingerprint(&config, &workload);
+                let mut cores = Cores::new(&config, &workload, false);
+                let start = snapshot::restore_into(&config, bytes, fp, &mut cores)?;
+                Host::Windowed {
+                    config,
+                    workload,
+                    window,
+                    cores,
+                    start,
+                    fingerprint: Some(fp),
+                }
+            }
+        }))
     }
 
     /// The configured shard count (≥ 1).
     pub fn shards(&self) -> usize {
-        self.config.shards.max(1)
+        match &self.0 {
+            Host::Solo(sim) => sim.config().shards.max(1),
+            Host::Windowed { config, .. } => config.shards,
+        }
     }
 
     /// Runs the simulation to completion and returns the report.
     ///
-    /// Panics on worker failure or a corrupt snapshot, with the
-    /// [`ShardError`] diagnostic as the message; use
-    /// [`try_run`](ShardedSimulation::try_run) to handle failures as
-    /// values.
+    /// Panics on worker failure, with the [`ShardError`] diagnostic as the
+    /// message; use [`try_run`](ShardedSimulation::try_run) to handle
+    /// failures as values.
     pub fn run(self) -> SimReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation to completion, surfacing worker panics and
-    /// snapshot corruption as a typed [`ShardError`] (with shard id,
-    /// window and last event key) instead of unwinding.
+    /// Runs the simulation to completion, surfacing worker panics as a
+    /// typed [`ShardError`] (with shard id, window and last event key)
+    /// instead of unwinding.
     pub fn try_run(self) -> Result<SimReport, ShardError> {
         self.try_run_inner(None)
     }
@@ -318,31 +369,27 @@ impl ShardedSimulation {
         self,
         sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
     ) -> Result<SimReport, ShardError> {
-        let shards = self.shards();
-        let lookahead = NetCore::new(&self.config).min_one_way_delay();
-        if shards == 1 || lookahead.is_zero() {
-            // One shard is literally the single-threaded engine. A
-            // zero-delay bottleneck (rtt = 0) leaves no conservative
-            // lookahead to parallelize over, so it also runs inline.
-            let sim = match &self.restore_from {
-                Some((bytes, fp)) => {
-                    Simulation::restore_fingerprinted(self.config, self.workload, bytes, *fp)?
-                }
-                None => Simulation::new(self.config, self.workload),
-            };
-            return Ok(match sink {
+        match self.0 {
+            Host::Solo(sim) => Ok(match sink {
                 Some(f) => sim.run_with_checkpoints(f),
                 None => sim.run(),
-            });
+            }),
+            Host::Windowed {
+                config,
+                workload,
+                window,
+                cores,
+                start,
+                fingerprint,
+            } => run_sharded(config, workload, window, cores, start, fingerprint, sink),
         }
-        run_sharded(self.config, self.workload, shards, self.restore_from, sink)
     }
 }
 
 /// One net core plus everything its phases touch: its queue, arena,
 /// inbound receivers (per worker, per parity), outbound senders (per
-/// worker) and scratch buffers. Owned by the driver when the bottleneck
-/// is unsharded, by a dedicated net thread otherwise.
+/// worker) and scratch buffers. Owned by its net thread once the run
+/// starts.
 struct NetSide {
     net: NetCore,
     queue: EventQueue,
@@ -358,19 +405,89 @@ struct NetSide {
     wire_buf: Vec<u8>,
 }
 
-impl NetSide {
-    fn new(net: NetCore, config: &SimulationConfig) -> Self {
-        NetSide {
-            net,
-            queue: EventQueue::with_engine(config.event_engine),
-            arena: PacketArena::with_capacity(1024),
-            rx: Vec::new(),
-            to_worker: Vec::new(),
-            windows: Vec::new(),
-            inbound: Vec::with_capacity(256),
-            deliveries: Vec::with_capacity(64),
-            wire_buf: Vec::new(),
+/// Every core of a windowed run, built on the calling thread before any
+/// worker or net thread exists.
+struct Cores {
+    balancer: Balancer,
+    /// One per worker shard.
+    workers: Vec<(WorkerCore, EventQueue, PacketArena)>,
+    /// One per net shard: net shard k owns the paths `gid % K == k`; every
+    /// core holds the full path vector so global path ids index directly.
+    sides: Vec<NetSide>,
+}
+
+impl Cores {
+    /// `fresh` cores own their balancer-assigned bundles and hold the
+    /// run's initial events; the others own nothing and hold none — every
+    /// bundle complex and pending event arrives from a snapshot.
+    fn new(config: &SimulationConfig, workload: &[FlowSpec], fresh: bool) -> Self {
+        let shards = config.shards;
+        let balancer = Balancer::new(config, workload, shards);
+        let workers = (0..shards)
+            .map(|index| {
+                let part = Partition {
+                    workers: shards,
+                    index,
+                };
+                let owned = balancer
+                    .assignment()
+                    .iter()
+                    .map(|&owner| fresh && owner == index)
+                    .collect();
+                let mut core = WorkerCore::with_owned(config, workload, part, owned);
+                let mut queue = EventQueue::new();
+                if fresh {
+                    core.schedule_initial(&mut queue);
+                }
+                (core, queue, PacketArena::with_capacity(1024))
+            })
+            .collect();
+        let net_shards = config.effective_net_shards();
+        let sides = (0..net_shards)
+            .map(|k| {
+                let mut net = NetCore::with_partition(config, k, net_shards);
+                let mut queue = EventQueue::new();
+                if fresh {
+                    net.schedule_initial(&mut queue);
+                }
+                NetSide {
+                    net,
+                    queue,
+                    arena: PacketArena::with_capacity(1024),
+                    rx: Vec::new(),
+                    to_worker: Vec::new(),
+                    windows: Vec::new(),
+                    inbound: Vec::with_capacity(256),
+                    deliveries: Vec::with_capacity(64),
+                    wire_buf: Vec::new(),
+                }
+            })
+            .collect();
+        Cores {
+            balancer,
+            workers,
+            sides,
         }
+    }
+}
+
+impl RestoreHost for Cores {
+    fn worker(
+        &mut self,
+        bundle: Option<usize>,
+    ) -> (&mut WorkerCore, &mut EventQueue, &mut PacketArena) {
+        // The direct LP lives on shard 0, and the whole-run residue lands
+        // there too: `assemble_report` sums across shards, so totals are
+        // placement-independent.
+        let owner = bundle.map_or(0, |b| self.balancer.assignment()[b]);
+        let (core, queue, arena) = &mut self.workers[owner];
+        (core, queue, arena)
+    }
+
+    fn net(&mut self, gid: usize) -> (&mut NetCore, &mut EventQueue, &mut PacketArena) {
+        let k = gid % self.sides.len();
+        let side = &mut self.sides[k];
+        (&mut side.net, &mut side.queue, &mut side.arena)
     }
 }
 
@@ -382,7 +499,6 @@ fn net_phase(
     windex: u64,
     window_end: Nanos,
     window: Duration,
-    pipeline: bool,
     routing: &Routing,
     wire_on: bool,
 ) {
@@ -412,12 +528,10 @@ fn net_phase(
             &mut side.deliveries,
         );
         for d in side.deliveries.drain(..) {
-            // Conservative lookahead: sequential windows need one window
-            // of slack, pipelined windows two (the delivery must clear
-            // the worker window running concurrently with this net
-            // phase).
+            // Conservative lookahead: the delivery must clear the worker
+            // window running concurrently with this net phase.
             debug_assert!(
-                d.at >= window_end + if pipeline { window } else { Duration::ZERO },
+                d.at >= window_end + window,
                 "delivery inside a window already running"
             );
             let flow = side.arena[d.pkt].flow;
@@ -463,66 +577,25 @@ fn net_phase(
     }
 }
 
-/// Serializes one checkpoint section per path this core owns, ascending
-/// by global path id.
-fn net_sections(side: &mut NetSide) -> Vec<(usize, Vec<u8>)> {
-    let owned: Vec<usize> = side.net.owned_paths().to_vec();
-    owned
-        .into_iter()
-        .map(|gid| {
-            let mut buf = Vec::new();
-            let ok = side
-                .net
-                .save_path_section(gid, &mut side.queue, &mut side.arena, &mut buf);
-            assert!(
-                ok,
-                "checkpointing requires a snapshot-capable bottleneck queue \
-                 discipline (path {gid})"
-            );
-            (gid, buf)
-        })
-        .collect()
-}
-
 fn run_sharded(
     config: SimulationConfig,
     workload: Vec<FlowSpec>,
-    shards: usize,
-    restore_from: Option<(Vec<u8>, u64)>,
+    window: Duration,
+    cores: Cores,
+    start: Nanos,
+    mut fingerprint: Option<u64>,
     mut sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
 ) -> Result<SimReport, ShardError> {
-    // The run's snapshot fingerprint: known after a restore, otherwise
-    // computed by the first checkpoint.
-    let mut fingerprint = restore_from.as_ref().map(|&(_, fp)| fp);
-    let mut balancer = Balancer::new(&config, &workload, shards);
-    let probe = NetCore::new(&config);
-    let lookahead = probe.min_one_way_delay();
+    let Cores {
+        mut balancer,
+        workers: worker_cores,
+        mut sides,
+    } = cores;
+    let shards = worker_cores.len();
+    let net_shards = sides.len();
     let end = Nanos::ZERO + config.duration;
     let n_bundles = config.n_bundles();
-    let n_paths = config.num_paths.max(1);
     let wire_on = config.wire_envelopes;
-
-    // Δ = ½ lookahead pipelines the net phase behind the next worker
-    // window (its outputs land ≥ 2 windows ahead); a 1 ns lookahead can't
-    // be halved, so it falls back to the sequential net-between-barriers
-    // order with Δ = lookahead.
-    let pipeline = lookahead.as_nanos() >= 2;
-    let window = if pipeline {
-        Duration(lookahead.as_nanos() / 2)
-    } else {
-        lookahead
-    };
-    // Net sharding rides the pipelined regime (each net thread's phase
-    // hides behind the next worker window); without it the bottleneck
-    // stays one driver-inline core. The clamp to the path count lives in
-    // `effective_net_shards`.
-    let net_shards = if pipeline {
-        config.effective_net_shards()
-    } else {
-        1
-    };
-    let inline_net = net_shards == 1;
-    let net_threads = if inline_net { 0 } else { net_shards };
 
     // Delivery routing: a flow's LP is static (its workload origin); the
     // LP's owning worker follows the balancer's assignment. Shared with
@@ -543,7 +616,7 @@ fn run_sharded(
     }
 
     let ctrl = Arc::new(Control {
-        barrier: Barrier::new(shards + net_threads + 1),
+        barrier: Barrier::new(shards + net_shards + 1),
         window_end: AtomicU64::new(0),
         migrating: AtomicBool::new(false),
         plan: Mutex::new(Vec::new()),
@@ -558,110 +631,12 @@ fn run_sharded(
         diag: Mutex::new(None),
     });
 
-    // Build every net core on this thread: net shard k owns the paths
-    // `gid % net_shards == k`; every core holds the full path vector so
-    // global path ids index directly.
-    let mut sides: Vec<NetSide> = if inline_net {
-        vec![NetSide::new(probe, &config)]
-    } else {
-        (0..net_shards)
-            .map(|k| NetSide::new(NetCore::with_partition(&config, k, net_shards), &config))
-            .collect()
-    };
-
-    // Build every worker core on this thread: a restore pours the
-    // snapshot into them before any thread exists, a fresh run schedules
-    // the initial events.
-    let mut cores: Vec<(WorkerCore, EventQueue, PacketArena)> = (0..shards)
-        .map(|index| {
-            let part = Partition {
-                workers: shards,
-                index,
-            };
-            let owned: Vec<bool> = if restore_from.is_some() {
-                // Own nothing yet: every bundle complex arrives by
-                // adoption from the snapshot below.
-                vec![false; n_bundles]
-            } else {
-                (0..n_bundles)
-                    .map(|b| balancer.assignment()[b] == index)
-                    .collect()
-            };
-            let core = WorkerCore::with_owned(&config, &workload, part, owned);
-            let queue = EventQueue::with_engine(config.event_engine);
-            let arena = PacketArena::with_capacity(1024);
-            (core, queue, arena)
-        })
-        .collect();
-
-    let start = match &restore_from {
-        Some((bytes, fp)) => {
-            let corrupt = |e: serde::binary::DecodeError| {
-                ShardError::Snapshot(SnapshotError::Corrupt(e.to_string()))
-            };
-            let mut r = Reader::new(bytes);
-            let at = snapshot::read_header(&mut r, *fp)?;
-            // The whole-run residue lands on shard 0; `assemble_report`
-            // sums across shards, so totals are placement-independent.
-            let residue = WorkerResidue::decode(&mut r).map_err(corrupt)?;
-            cores[0].0.apply_residue(residue);
-            {
-                let (core, queue, arena) = &mut cores[0];
-                core.load_direct_state(queue, arena, &mut r)
-                    .map_err(corrupt)?;
-            }
-            let count = u64::decode(&mut r).map_err(corrupt)? as usize;
-            if count != n_bundles {
-                return Err(SnapshotError::Corrupt(format!(
-                    "snapshot has {count} bundles, config defines {n_bundles}"
-                ))
-                .into());
-            }
-            for b in 0..count {
-                let parcel = BundleParcel::from_state(&config, &mut r).map_err(corrupt)?;
-                if parcel.bundle() != b {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "bundle parcels out of order: found {} at position {b}",
-                        parcel.bundle()
-                    ))
-                    .into());
-                }
-                let owner = balancer.assignment()[b];
-                let (core, queue, arena) = &mut cores[owner];
-                core.adopt_bundle(parcel, queue, arena, at);
-            }
-            // The net slice is path-major: one section per path in
-            // ascending global id, each restored into the owning core.
-            for gid in 0..n_paths {
-                let side = &mut sides[gid % net_shards];
-                side.net
-                    .load_path_section(gid, &mut side.queue, &mut side.arena, &mut r)
-                    .map_err(corrupt)?;
-            }
-            if !r.is_empty() {
-                return Err(
-                    SnapshotError::Corrupt("trailing bytes after snapshot payload".into()).into(),
-                );
-            }
-            at
-        }
-        None => {
-            for (core, queue, _) in cores.iter_mut() {
-                core.schedule_initial(queue);
-            }
-            for side in sides.iter_mut() {
-                side.net.schedule_initial(&mut side.queue);
-            }
-            Nanos::ZERO
-        }
-    };
-
     // Mailboxes: worker→net envelopes double-buffer by window parity, one
     // pair per (worker, net shard); net→worker deliveries use one mailbox
     // per (net shard, worker). Every mailbox has fixed producer and
     // consumer threads; publication is ordered by the barriers.
     let mut handles = Vec::with_capacity(shards);
-    for (index, (core, queue, arena)) in cores.into_iter().enumerate() {
+    for (index, (core, queue, arena)) in worker_cores.into_iter().enumerate() {
         let mut to_net: Vec<[Sender<Envelope>; 2]> = Vec::with_capacity(net_shards);
         let mut inboxes: Vec<Receiver<Envelope>> = Vec::with_capacity(net_shards);
         for side in sides.iter_mut() {
@@ -676,8 +651,8 @@ fn run_sharded(
         let link = WorkerLink {
             to_net,
             inboxes,
+            inbound: Vec::with_capacity(256),
             lb: balancer_for(&config),
-            net_threads,
             wire_on,
         };
         let ctrl = Arc::clone(&ctrl);
@@ -689,25 +664,19 @@ fn run_sharded(
         );
     }
 
-    // Dedicated net threads (net_shards > 1): each owns its NetSide and
-    // attends the same barriers as the workers.
-    let mut net_handles = Vec::with_capacity(net_threads);
-    let mut solo = if inline_net {
-        Some(sides.remove(0))
-    } else {
-        for side in sides.drain(..) {
+    // Each net thread owns its NetSide and attends the same barriers as
+    // the workers.
+    let net_handles: Vec<_> = sides
+        .into_iter()
+        .map(|side| {
             let ctrl = Arc::clone(&ctrl);
             let routing = Arc::clone(&routing);
-            let k = side.net.shard();
-            net_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("bundler-net-{k}"))
-                    .spawn(move || net_loop(side, ctrl, routing, window, wire_on, shards))
-                    .expect("spawn net shard"),
-            );
-        }
-        None
-    };
+            std::thread::Builder::new()
+                .name(format!("bundler-net-{}", side.net.shard()))
+                .spawn(move || net_loop(side, ctrl, routing, window, wire_on, shards))
+                .expect("spawn net shard")
+        })
+        .collect();
 
     // The next checkpoint target: the first interval multiple strictly
     // after the run's start (so a restored run does not re-write the
@@ -725,33 +694,16 @@ fn run_sharded(
     // length (successive snapshots of one run differ little).
     let mut last_snapshot_len = 0;
     let mut plan: Vec<Move> = Vec::new();
-    let mut prev_window: Option<(u64, Nanos)> = None;
     let mut window_start = start;
     let mut windex: u64 = 0;
     while window_start < end {
         let window_end = (window_start + window).min(end);
         let take_ckpt = matches!(next_ckpt, Some((_, target)) if window_start >= target);
         if take_ckpt {
-            // The snapshot is the state at T = window_start: every net
-            // event below T must be processed and its deliveries
-            // published *before* the workers serialize their partitions,
-            // so the pending pipelined net phase (normally concurrent
-            // with this window) runs early — here for the inline core
-            // (before the window-start barrier), behind the net-flush
-            // barrier on net threads. Its parity buffers quiesced at the
-            // previous end barrier; running it early only shortens the
-            // pipeline overlap for one window.
-            if pipeline {
-                if let (Some(side), Some((pidx, pend))) = (solo.as_mut(), prev_window.take()) {
-                    net_phase(side, pidx, pend, window, pipeline, &routing, wire_on);
-                }
-            }
             ctrl.checkpoint_at
                 .store(window_start.as_nanos(), Ordering::Release);
             *lock(&ctrl.parts) = (0..shards).map(|_| None).collect();
-            if !inline_net {
-                *lock(&ctrl.net_parts) = (0..net_shards).map(|_| None).collect();
-            }
+            *lock(&ctrl.net_parts) = (0..net_shards).map(|_| None).collect();
         }
         ctrl.checkpoint.store(take_ckpt, Ordering::Release);
         ctrl.window_end
@@ -767,19 +719,18 @@ fn run_sharded(
             ctrl.barrier.wait(); // parcels deposited ↔ adopted
         }
         if take_ckpt {
-            if !inline_net {
-                ctrl.barrier.wait(); // net phases flushed, net parts deposited
-            }
+            // The snapshot is the state at T = window_start, so the net
+            // threads run their pending phase early (see `net_loop`; its
+            // parity buffers quiesced at the previous end barrier), before
+            // the workers serialize their partitions.
+            ctrl.barrier.wait(); // net phases flushed, net parts deposited
             ctrl.barrier.wait(); // checkpoint parts deposited
             if !ctrl.panicked.load(Ordering::Acquire) {
-                let sections = match solo.as_mut() {
-                    Some(side) => net_sections(side),
-                    None => lock(&ctrl.net_parts)
-                        .iter_mut()
-                        .filter_map(Option::take)
-                        .flatten()
-                        .collect(),
-                };
+                let sections = lock(&ctrl.net_parts)
+                    .iter_mut()
+                    .filter_map(Option::take)
+                    .flatten()
+                    .collect();
                 let mut blob = Vec::with_capacity(last_snapshot_len);
                 let fp =
                     *fingerprint.get_or_insert_with(|| snapshot::fingerprint(&config, &workload));
@@ -794,12 +745,10 @@ fn run_sharded(
                 if let Some(f) = sink.as_deref_mut() {
                     f(window_start, blob);
                 }
-                // Publish every streamed record below the checkpoint
-                // instant so a crash after this boundary leaves the export
-                // file a complete prefix of the restored continuation.
-                if let Some(side) = solo.as_mut() {
-                    side.net.obs.flush(window_start);
-                }
+                // Every thread flushed its records below the checkpoint
+                // instant before depositing its part; push them to the
+                // sink's file so a crash after this boundary leaves the
+                // export a complete prefix of the restored continuation.
                 if let Some(stream) = &config.stream {
                     stream.flush_io();
                 }
@@ -807,23 +756,9 @@ fn run_sharded(
             let iv = next_ckpt.map(|(iv, _)| iv).unwrap_or(0);
             next_ckpt = Some((iv, Nanos((window_start.as_nanos() / iv + 1) * iv)));
         }
-        if pipeline {
-            // Hide the sequential fraction: net phase W runs while the
-            // workers run window W+1 (on this thread for the inline core;
-            // net threads do the same on their own).
-            if let (Some(side), Some((pidx, pend))) = (solo.as_mut(), prev_window) {
-                net_phase(side, pidx, pend, window, pipeline, &routing, wire_on);
-            }
-        }
         ctrl.barrier.wait(); // workers done
         if ctrl.panicked.load(Ordering::Acquire) {
             break;
-        }
-        if !pipeline {
-            let side = solo.as_mut().expect("net sharding requires pipelining");
-            net_phase(
-                side, windex, window_end, window, pipeline, &routing, wire_on,
-            );
         }
         // Decide the plan for the *next* window boundary from the counts
         // the workers just published, and re-point delivery routing — the
@@ -848,25 +783,15 @@ fn run_sharded(
         for mv in &plan {
             routing.worker_of_lp[bundle_lp(mv.bundle) as usize].store(mv.to, Ordering::Release);
         }
-        prev_window = Some((windex, window_end));
         window_start = window_end;
         windex += 1;
     }
-    if pipeline && !ctrl.panicked.load(Ordering::Acquire) {
-        // The final worker window's net phase has not run yet (net
-        // threads run theirs at the stop barrier).
-        if let (Some(side), Some((pidx, pend))) = (solo.as_mut(), prev_window) {
-            net_phase(side, pidx, pend, window, pipeline, &routing, wire_on);
-        }
-    }
 
     ctrl.stop.store(true, Ordering::Release);
-    ctrl.migrating.store(false, Ordering::Release);
-    ctrl.checkpoint.store(false, Ordering::Release);
     ctrl.barrier.wait(); // release workers + net threads into the stop check
     let mut workers = Vec::with_capacity(shards);
     let mut recycled = 0;
-    let mut vanished: Option<(usize, Option<String>)> = None;
+    let mut vanished: Option<(usize, String)> = None;
     for (shard, h) in handles.into_iter().enumerate() {
         match h.join() {
             Ok(Some((core, arena))) => {
@@ -876,22 +801,11 @@ fn run_sharded(
             // The worker failed; its diagnostic is in `ctrl.diag`.
             Ok(None) => {}
             // The thread unwound outside the panic net (or was killed).
-            Err(payload) => vanished = Some((shard, Some(error::panic_message(payload.as_ref())))),
+            Err(payload) => vanished = Some((shard, error::panic_message(payload.as_ref()))),
         }
     }
     let mut nets: Vec<NetCore> = Vec::with_capacity(net_shards);
     let mut net_windows: Vec<NetWindow> = Vec::new();
-    if let Some(mut side) = solo.take() {
-        if side.net.obs.metrics_on() {
-            // Driver-side (net→worker) spill counts; the worker-side
-            // senders fold theirs in at the stop check.
-            side.net.obs.host.mailbox_spills +=
-                side.to_worker.iter().map(Sender::spill_count).sum::<u64>();
-        }
-        recycled += side.arena.recycled();
-        net_windows = side.windows;
-        nets.push(side.net);
-    }
     for (k, h) in net_handles.into_iter().enumerate() {
         match h.join() {
             Ok((net, arena, windows)) => {
@@ -899,23 +813,18 @@ fn run_sharded(
                 net_windows.extend(windows);
                 nets.push(net);
             }
-            Err(payload) => {
-                vanished = Some((shards + k, Some(error::panic_message(payload.as_ref()))))
-            }
+            Err(payload) => vanished = Some((shards + k, error::panic_message(payload.as_ref()))),
         }
     }
     if let Some(err) = lock(&ctrl.diag).take() {
         return Err(err);
     }
     if let Some((shard, message)) = vanished {
-        return Err(match message {
-            Some(message) => ShardError::WorkerPanicked {
-                shard,
-                window: windex,
-                last_event: None,
-                message,
-            },
-            None => ShardError::WorkerVanished { shard },
+        return Err(ShardError::WorkerPanicked {
+            shard,
+            window: windex,
+            last_event: None,
+            message,
         });
     }
     workers.sort_by_key(|w| w.partition().index);
@@ -930,10 +839,9 @@ fn run_sharded(
     Ok(report)
 }
 
-/// The loop a dedicated net thread runs when the bottleneck is sharded.
-/// Mirrors the driver's inline scheduling: the phase for window W runs
-/// during worker window W+1 (pipelined — net sharding requires it), early
-/// on checkpoint windows, and one final time at the stop barrier.
+/// The loop a net thread runs: the phase for window W runs during worker
+/// window W+1, early on checkpoint windows, and one final time at the
+/// stop barrier.
 fn net_loop(
     mut side: NetSide,
     ctrl: Arc<Control>,
@@ -948,69 +856,61 @@ fn net_loop(
     let mut failed = false;
     loop {
         ctrl.barrier.wait(); // window start
-        if ctrl.stop.load(Ordering::Acquire) {
-            if !failed && !ctrl.panicked.load(Ordering::Acquire) {
-                // The final worker window's net phase has not run yet.
-                // Its deliveries land in mailboxes nothing will drain —
-                // exactly as the inline core's final phase does (they
-                // would be timestamped past the end of the run) — but
-                // the events below the end must be processed for the
-                // report's counters.
-                if let Some((pidx, pend)) = prev.take() {
-                    let phase = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        net_phase(&mut side, pidx, pend, window, true, &routing, wire_on);
-                    }));
-                    if let Err(payload) = phase {
-                        ctrl.note_failure(workers + k, windex, None, payload.as_ref());
-                    }
-                }
+        let stop = ctrl.stop.load(Ordering::Acquire);
+        let window_end = Nanos(ctrl.window_end.load(Ordering::Acquire));
+        if !stop && ctrl.migrating.load(Ordering::Acquire) {
+            ctrl.barrier.wait(); // parcels deposited ↔ adopted (idle here)
+        }
+        let checkpoint = !stop && ctrl.checkpoint.load(Ordering::Acquire);
+        // The pending phase — the previous worker window's — runs now,
+        // concurrently with the window the workers just started. On a
+        // checkpoint window that is early: every net event below the
+        // checkpoint instant is processed and its deliveries published
+        // before the net-flush barrier releases the workers into their
+        // serialization. At the stop barrier it is the final worker
+        // window's: its deliveries land in mailboxes nothing will drain
+        // (they are timestamped past the end of the run), but the events
+        // below the end must be processed for the report's counters —
+        // unless the run is stopping because a thread failed.
+        failed |= stop && ctrl.panicked.load(Ordering::Acquire);
+        ctrl.guard(&mut failed, workers + k, windex, &Cell::new(None), || {
+            if let Some((pidx, pend)) = prev.take() {
+                net_phase(&mut side, pidx, pend, window, &routing, wire_on);
             }
+            if checkpoint {
+                // One section per owned path, ascending by global path id.
+                let owned: Vec<usize> = side.net.owned_paths().to_vec();
+                let sections = owned.into_iter().map(|gid| -> PathSection {
+                    let mut buf = Vec::new();
+                    let ok =
+                        side.net
+                            .save_path_section(gid, &mut side.queue, &mut side.arena, &mut buf);
+                    assert!(
+                        ok,
+                        "checkpointing requires a snapshot-capable bottleneck queue \
+                         discipline (path {gid})"
+                    );
+                    (gid, buf)
+                });
+                let sections = sections.collect();
+                lock(&ctrl.net_parts)[k] = Some(sections);
+                // Mirror `Simulation::snapshot`: everything recorded
+                // below the checkpoint instant is on the stream before
+                // the snapshot is assembled.
+                let at = Nanos(ctrl.checkpoint_at.load(Ordering::Acquire));
+                side.net.obs.flush(at);
+            }
+        });
+        if stop {
             if side.net.obs.metrics_on() {
                 side.net.obs.host.mailbox_spills +=
                     side.to_worker.iter().map(Sender::spill_count).sum::<u64>();
             }
             return (side.net, side.arena, side.windows);
         }
-        let window_end = Nanos(ctrl.window_end.load(Ordering::Acquire));
-        if ctrl.migrating.load(Ordering::Acquire) {
-            ctrl.barrier.wait(); // parcels deposited ↔ adopted (idle here)
-        }
-        if ctrl.checkpoint.load(Ordering::Acquire) {
-            if !failed {
-                let phase = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let at = Nanos(ctrl.checkpoint_at.load(Ordering::Acquire));
-                    // Run the pending phase early: every net event below
-                    // the checkpoint instant is processed and its
-                    // deliveries published before the net-flush barrier
-                    // releases the workers into their serialization.
-                    if let Some((pidx, pend)) = prev.take() {
-                        net_phase(&mut side, pidx, pend, window, true, &routing, wire_on);
-                    }
-                    let sections = net_sections(&mut side);
-                    lock(&ctrl.net_parts)[k] = Some(sections);
-                    // Mirror the inline core: everything recorded below
-                    // the checkpoint instant is on the stream before the
-                    // snapshot is assembled.
-                    side.net.obs.flush(at);
-                }));
-                if let Err(payload) = phase {
-                    failed = true;
-                    ctrl.note_failure(workers + k, windex, None, payload.as_ref());
-                }
-            }
+        if checkpoint {
             ctrl.barrier.wait(); // net phases flushed, net parts deposited
             ctrl.barrier.wait(); // worker checkpoint parts deposited (idle)
-        }
-        if !failed {
-            if let Some((pidx, pend)) = prev.take() {
-                let phase = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    net_phase(&mut side, pidx, pend, window, true, &routing, wire_on);
-                }));
-                if let Err(payload) = phase {
-                    failed = true;
-                    ctrl.note_failure(workers + k, windex, None, payload.as_ref());
-                }
-            }
         }
         prev = Some((windex, window_end));
         windex += 1;
@@ -1071,13 +971,12 @@ struct WorkerLink {
     to_net: Vec<[Sender<Envelope>; 2]>,
     /// Net→worker inboxes, one per net shard.
     inboxes: Vec<Receiver<Envelope>>,
+    /// Scratch the inboxes drain through.
+    inbound: Vec<Envelope>,
     /// Stateless copy of the net side's load balancer: a packet's path —
     /// and therefore its owning net shard — is a pure function of the
     /// packet, so both sides of the mailbox compute the same route.
     lb: LoadBalancer,
-    /// Dedicated net threads attending the barriers (0 = driver-inline
-    /// bottleneck), which add one extra rendezvous on checkpoint windows.
-    net_threads: usize,
     /// Encode→decode every outbound envelope through the NETENV frame.
     wire_on: bool,
 }
@@ -1096,14 +995,13 @@ fn worker_loop(
     let me = core.partition().index;
     let n_bundles = ctrl.counts.len();
     let net_shards = link.to_net.len();
-    let mut inbound: Vec<Envelope> = Vec::with_capacity(256);
     let mut to_net: Vec<ToNet> = Vec::with_capacity(64);
     let mut wire_buf: Vec<u8> = Vec::new();
     let mut parity = 0usize;
     let mut failed = false;
-    // The last event this worker peeked before handling — the diagnostic
-    // anchor if the handler panics.
-    let mut last_event: Option<(Nanos, EventKey)> = None;
+    // The last event this worker peeked before handling in the current
+    // window — the diagnostic anchor if the handler panics.
+    let last_event = Cell::new(None);
     // Phase profiling (metrics level and up): wall time split into barrier
     // stall vs. event processing, per window. All stamps are outputs only
     // — nothing here feeds back into simulation state.
@@ -1135,187 +1033,149 @@ fn worker_loop(
         // the driver with a diagnostic, and idle at the barriers until
         // told to stop.
         if migrating {
-            if !failed {
-                let phase = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // Drain the inboxes *before* extracting: deliveries
-                    // for an outgoing bundle (routed here under the old
-                    // assignment) become queue events and migrate with it.
-                    let drained =
-                        drain_inbox(&mut link.inboxes, &mut inbound, &mut arena, &mut queue);
-                    if timing {
-                        core.obs.host.inbox_messages += drained as u64;
-                        core.obs.host.mailbox_depth.record(drained as u64);
-                    }
-                    let plan = lock(&ctrl.plan);
-                    for (i, mv) in plan.iter().enumerate() {
-                        if mv.from == me {
-                            let parcel = core.extract_bundle(mv.bundle, &mut queue, &mut arena);
-                            if timing {
-                                let (pkts, bytes) = parcel.footprint();
-                                core.obs.host.migrations += 1;
-                                core.obs.host.migration_pkts += pkts;
-                                core.obs.host.migration_bytes += bytes;
-                                core.obs.record(
-                                    window_start_sim,
-                                    TraceKind::Migration {
-                                        bundle: mv.bundle as u32,
-                                        from: mv.from as u16,
-                                        to: mv.to as u16,
-                                        pkts,
-                                        bytes,
-                                    },
-                                );
-                            }
-                            lock(&ctrl.parcels)[i] = Some(parcel);
+            ctrl.guard(&mut failed, me, windex, &last_event, || {
+                // Drain the inboxes *before* extracting: deliveries
+                // for an outgoing bundle (routed here under the old
+                // assignment) become queue events and migrate with it.
+                drain_inbox(&mut link, &mut arena, &mut queue, &mut core.obs);
+                let plan = lock(&ctrl.plan);
+                for (i, mv) in plan.iter().enumerate() {
+                    if mv.from == me {
+                        let parcel = core.extract_bundle(mv.bundle, &mut queue, &mut arena);
+                        if timing {
+                            let (pkts, bytes) = parcel.footprint();
+                            core.obs.host.migrations += 1;
+                            core.obs.host.migration_pkts += pkts;
+                            core.obs.host.migration_bytes += bytes;
+                            core.obs.record(
+                                window_start_sim,
+                                TraceKind::Migration {
+                                    bundle: mv.bundle as u32,
+                                    from: mv.from as u16,
+                                    to: mv.to as u16,
+                                    pkts,
+                                    bytes,
+                                },
+                            );
                         }
+                        lock(&ctrl.parcels)[i] = Some(parcel);
                     }
-                }));
-                if let Err(payload) = phase {
-                    failed = true;
-                    ctrl.note_failure(me, windex, None, payload.as_ref());
                 }
-            }
+            });
             let migrate_wait = if timing { wall_now_ns() } else { 0 };
             ctrl.barrier.wait(); // all parcels deposited
             if timing {
                 stall_ns += wall_now_ns().saturating_sub(migrate_wait);
             }
-            if !failed {
-                let phase = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let now = queue.now();
-                    let plan = lock(&ctrl.plan);
-                    for (i, mv) in plan.iter().enumerate() {
-                        if mv.to == me {
-                            let parcel = lock(&ctrl.parcels)[i]
-                                .take()
-                                .expect("the source worker deposited the parcel");
-                            core.adopt_bundle(parcel, &mut queue, &mut arena, now);
-                        }
+            ctrl.guard(&mut failed, me, windex, &last_event, || {
+                let now = queue.now();
+                let plan = lock(&ctrl.plan);
+                for (i, mv) in plan.iter().enumerate() {
+                    if mv.to == me {
+                        let parcel = lock(&ctrl.parcels)[i]
+                            .take()
+                            .expect("the source worker deposited the parcel");
+                        core.adopt_bundle(parcel, &mut queue, &mut arena, now)
+                            .expect("a bundle lifted off its worker installs");
                     }
-                }));
-                if let Err(payload) = phase {
-                    failed = true;
-                    ctrl.note_failure(me, windex, None, payload.as_ref());
                 }
-            }
+            });
         }
         if ctrl.checkpoint.load(Ordering::Acquire) {
-            if link.net_threads > 0 {
-                // Net threads run their pending phases and deposit their
-                // path sections first; the drain below must see every
-                // delivery published below the checkpoint instant.
-                ctrl.barrier.wait(); // net phases flushed
-            }
-            if !failed {
-                let phase = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let at = Nanos(ctrl.checkpoint_at.load(Ordering::Acquire));
-                    // Pull every delivery published before this window
-                    // into the queue: the snapshot must hold *all*
-                    // pending events ≥ T, including in-flight arrivals.
-                    let drained =
-                        drain_inbox(&mut link.inboxes, &mut inbound, &mut arena, &mut queue);
-                    if timing {
-                        core.obs.host.inbox_messages += drained as u64;
-                        core.obs.host.mailbox_depth.record(drained as u64);
-                    }
-                    let mut part = CheckpointPart {
-                        residue: core.residue(),
-                        direct: None,
-                        bundles: Vec::new(),
-                    };
-                    if me == 0 {
-                        let mut buf = Vec::new();
-                        core.save_direct_state(&mut queue, &mut arena, &mut buf);
-                        part.direct = Some(buf);
-                    }
-                    for b in 0..n_bundles {
-                        if core.owns_bundle(b) {
-                            let parcel = core.extract_bundle(b, &mut queue, &mut arena);
-                            let mut buf = Vec::new();
-                            let ok = parcel.save_state(&mut buf);
-                            core.adopt_bundle(parcel, &mut queue, &mut arena, at);
-                            assert!(
-                                ok,
-                                "checkpointing requires a snapshot-capable sendbox queue \
-                                 discipline (bundle {b})"
-                            );
-                            part.bundles.push((b, buf));
-                        }
-                    }
-                    lock(&ctrl.parts)[me] = Some(part);
-                    // Mirror `Simulation::snapshot`: everything recorded
-                    // before the checkpoint instant is on the stream
-                    // before the snapshot is assembled.
-                    core.obs.flush(at);
-                }));
-                if let Err(payload) = phase {
-                    failed = true;
-                    ctrl.note_failure(me, windex, None, payload.as_ref());
+            // Net threads run their pending phases and deposit their path
+            // sections first; the drain below must see every delivery
+            // published below the checkpoint instant.
+            ctrl.barrier.wait(); // net phases flushed
+            ctrl.guard(&mut failed, me, windex, &last_event, || {
+                let at = Nanos(ctrl.checkpoint_at.load(Ordering::Acquire));
+                // Pull every delivery published before this window
+                // into the queue: the snapshot must hold *all*
+                // pending events ≥ T, including in-flight arrivals.
+                drain_inbox(&mut link, &mut arena, &mut queue, &mut core.obs);
+                let mut part = CheckpointPart {
+                    residue: core.residue(),
+                    direct: None,
+                    bundles: Vec::new(),
+                };
+                if me == 0 {
+                    let mut buf = Vec::new();
+                    core.save_direct_state(&mut queue, &mut arena, &mut buf);
+                    part.direct = Some(buf);
                 }
-            }
+                for b in 0..n_bundles {
+                    if core.owns_bundle(b) {
+                        let parcel = core.extract_bundle(b, &mut queue, &mut arena);
+                        let mut buf = Vec::new();
+                        let ok = parcel.save_state(&mut buf);
+                        core.adopt_bundle(parcel, &mut queue, &mut arena, at)
+                            .expect("a bundle lifted off this worker installs back");
+                        assert!(
+                            ok,
+                            "checkpointing requires a snapshot-capable sendbox queue \
+                             discipline (bundle {b})"
+                        );
+                        part.bundles.push((b, buf));
+                    }
+                }
+                lock(&ctrl.parts)[me] = Some(part);
+                // Mirror `Simulation::snapshot`: everything recorded
+                // before the checkpoint instant is on the stream
+                // before the snapshot is assembled.
+                core.obs.flush(at);
+            });
             ctrl.barrier.wait(); // checkpoint parts deposited
         }
         let window_end = Nanos(ctrl.window_end.load(Ordering::Acquire));
         let events_before = core.events_processed();
         let busy_from = if timing { wall_now_ns() } else { 0 };
-        if !failed {
-            let window = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let drained = drain_inbox(&mut link.inboxes, &mut inbound, &mut arena, &mut queue);
-                if timing {
-                    core.obs.host.inbox_messages += drained as u64;
-                    core.obs.host.mailbox_depth.record(drained as u64);
-                    // Host-side watchdog (non-portable, like the window
-                    // records): a drain close to the ring capacity means
-                    // the next burst will take the mutex slow path.
-                    if drained > MAILBOX_CAPACITY * 3 / 4 {
-                        core.obs.record(
-                            window_start_sim,
-                            TraceKind::Health {
-                                kind: HealthKind::MailboxNearSpill as u8,
-                                subject: me as u32,
-                                value: drained as u64,
-                            },
-                        );
-                    }
-                }
-                while let Some((t, key)) = queue.peek() {
-                    if t >= window_end {
-                        break;
-                    }
-                    last_event = Some((t, key));
-                    let (now, event) = queue.pop().expect("peeked");
-                    core.handle(event, now, &mut arena, &mut queue, &mut to_net);
-                    for m in to_net.drain(..) {
-                        debug_assert_eq!(m.at, now, "bottleneck entry is a zero-latency hop");
-                        let mut pkt = arena.remove(m.pkt);
-                        // The packet's path is a pure function of the
-                        // packet; its owning net shard follows from the
-                        // partition rule `gid % net_shards`.
-                        let net_shard = link.lb.pick(&pkt) % net_shards;
-                        if link.wire_on {
-                            pkt = wire::roundtrip(WireDir::ToNet, m.at, m.key, pkt, &mut wire_buf);
-                        }
-                        link.to_net[net_shard][parity].send(Envelope {
-                            at: m.at,
-                            key: m.key,
-                            pkt,
-                        });
-                    }
-                }
-                // Publish this window's cumulative load signal for the
-                // bundles currently owned here; the driver reads it after
-                // the end barrier.
-                for b in 0..n_bundles {
-                    if core.owns_bundle(b) {
-                        ctrl.counts[b].store(core.bundle_events(b), Ordering::Release);
-                    }
-                }
-            }));
-            if let Err(payload) = window {
-                failed = true;
-                ctrl.note_failure(me, windex, last_event, payload.as_ref());
+        ctrl.guard(&mut failed, me, windex, &last_event, || {
+            let drained = drain_inbox(&mut link, &mut arena, &mut queue, &mut core.obs);
+            // Host-side watchdog (non-portable, like the window records):
+            // a drain close to the ring capacity means the next burst
+            // will take the mutex slow path.
+            if timing && drained > MAILBOX_CAPACITY * 3 / 4 {
+                core.obs.record(
+                    window_start_sim,
+                    TraceKind::Health {
+                        kind: HealthKind::MailboxNearSpill as u8,
+                        subject: me as u32,
+                        value: drained as u64,
+                    },
+                );
             }
-        }
+            while let Some((t, key)) = queue.peek() {
+                if t >= window_end {
+                    break;
+                }
+                last_event.set(Some((t, key)));
+                let (now, event) = queue.pop().expect("peeked");
+                core.handle(event, now, &mut arena, &mut queue, &mut to_net);
+                for m in to_net.drain(..) {
+                    debug_assert_eq!(m.at, now, "bottleneck entry is a zero-latency hop");
+                    let mut pkt = arena.remove(m.pkt);
+                    // The packet's path is a pure function of the
+                    // packet; its owning net shard follows from the
+                    // partition rule `gid % net_shards`.
+                    let net_shard = link.lb.pick(&pkt) % net_shards;
+                    if link.wire_on {
+                        pkt = wire::roundtrip(WireDir::ToNet, m.at, m.key, pkt, &mut wire_buf);
+                    }
+                    link.to_net[net_shard][parity].send(Envelope {
+                        at: m.at,
+                        key: m.key,
+                        pkt,
+                    });
+                }
+            }
+            // Publish this window's cumulative load signal for the
+            // bundles currently owned here; the driver reads it after
+            // the end barrier.
+            for b in 0..n_bundles {
+                if core.owns_bundle(b) {
+                    ctrl.counts[b].store(core.bundle_events(b), Ordering::Release);
+                }
+            }
+        });
         if timing && !failed {
             let busy_ns = wall_now_ns().saturating_sub(busy_from);
             let events = core.events_processed() - events_before;
@@ -1345,30 +1205,35 @@ fn worker_loop(
         window_start_sim = window_end;
         windex += 1;
         parity ^= 1;
+        last_event.set(None);
         wait_from = if timing { wall_now_ns() } else { 0 };
         ctrl.barrier.wait(); // window end
     }
 }
 
 /// Schedules every available inbound delivery (from every net shard's
-/// mailbox) into the local queue and returns how many messages were
-/// waiting (the mailbox-depth signal). Insertion order across mailboxes
-/// is irrelevant: the queue sorts by the canonical `(timestamp, key)`
-/// order.
+/// mailbox) into the local queue, records how many messages were waiting
+/// (the mailbox-depth signal) when metrics are on, and returns the count.
+/// Insertion order across mailboxes is irrelevant: the queue sorts by the
+/// canonical `(timestamp, key)` order.
 fn drain_inbox(
-    inboxes: &mut [Receiver<Envelope>],
-    inbound: &mut Vec<Envelope>,
+    link: &mut WorkerLink,
     arena: &mut PacketArena,
     queue: &mut EventQueue,
+    obs: &mut bundler_obs::ShardObs,
 ) -> usize {
     let mut drained = 0;
-    for inbox in inboxes.iter_mut() {
-        inbox.drain_into(inbound);
-        drained += inbound.len();
-        for m in inbound.drain(..) {
+    for inbox in link.inboxes.iter_mut() {
+        inbox.drain_into(&mut link.inbound);
+        drained += link.inbound.len();
+        for m in link.inbound.drain(..) {
             let pkt = arena.insert(m.pkt);
             queue.schedule(m.at, m.key, Event::ArriveDestination { pkt });
         }
+    }
+    if obs.metrics_on() {
+        obs.host.inbox_messages += drained as u64;
+        obs.host.mailbox_depth.record(drained as u64);
     }
     drained
 }
@@ -1427,6 +1292,30 @@ mod tests {
     }
 
     #[test]
+    fn a_lookahead_too_short_to_halve_runs_on_the_single_threaded_engine() {
+        // rtt = 2 ns leaves a 1 ns one-way delay: there is no half-lookahead
+        // window to run, whatever `shards` asks for.
+        let config = SimulationConfig {
+            duration: Duration::from_millis(200),
+            rtt: Duration(2),
+            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            shards: 2,
+            ..Default::default()
+        };
+        let workload = vec![
+            FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0),
+            FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
+        ];
+        let sharded = ShardedSimulation::new(config.clone(), workload.clone());
+        assert!(matches!(sharded.0, Host::Solo(_)));
+        let solo = Simulation::new(config, workload).run();
+        assert_eq!(
+            bundler_sim::SimStats::of(&sharded.run()),
+            bundler_sim::SimStats::of(&solo)
+        );
+    }
+
+    #[test]
     fn one_shard_delegates_to_the_single_threaded_engine() {
         let config = SimulationConfig {
             duration: bundler_types::Duration::from_secs(2),
@@ -1434,7 +1323,8 @@ mod tests {
             ..Default::default()
         };
         let workload = vec![FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0)];
-        let report = ShardedSimulation::new(config, workload).run();
-        assert_eq!(report.completed, 1);
+        let sharded = ShardedSimulation::new(config, workload);
+        assert!(matches!(sharded.0, Host::Solo(_)));
+        assert_eq!(sharded.run().completed, 1);
     }
 }

@@ -13,15 +13,17 @@
 //!   The key stream of each logical process depends only on that process's
 //!   own history, so the total order — and therefore every simulation
 //!   result — is independent of how processes are placed on threads.
-//! * **Conservative time windows.** Workers and the bottleneck alternate
-//!   over windows of the *lookahead* — the minimum one-way bottleneck
+//! * **Conservative time windows.** Workers and the bottleneck advance
+//!   over windows of half the *lookahead* — the minimum one-way bottleneck
 //!   propagation delay. Within a window, workers run in parallel (they
 //!   never exchange messages with each other: bundles only interact where
 //!   queues build, at the bottleneck — the paper's own decomposition);
-//!   the bottleneck then consumes their arrivals for the same window. The
+//!   the bottleneck's net threads consume a window's arrivals once the
+//!   workers have finished it, while the workers run the next one. The
 //!   only zero-latency hop (site edge → bottleneck) is covered by that
 //!   phase order, and every bottleneck output lies at least one lookahead
-//!   in the future, so no event can arrive in a window already processed.
+//!   — two windows — in the future, so no event can arrive in a window
+//!   already processed.
 //! * **Deterministic mailboxes.** Cross-shard messages travel through
 //!   fixed-capacity SPSC rings ([`mailbox`]) carrying `(timestamp, key,
 //!   packet)` envelopes and are merged by scheduling them into the

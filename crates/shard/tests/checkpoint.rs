@@ -149,6 +149,82 @@ fn restore_rejects_a_mismatched_config() {
     }
 }
 
+/// The sharded host's `restore` is as total over bad bytes as the solo
+/// one (`crates/sim/tests/checkpoint.rs` has the same sweep): two workers,
+/// and for the two-path metro world two net shards, receive the parts. On
+/// real checkpoints — `many_sites` under a fault plan, `metro` with the
+/// fluid tier — every truncation is a typed snapshot error, and an 8-byte
+/// overwrite anywhere past the header is that or a decodable snapshot:
+/// never a panic, never an allocation the process dies on.
+#[test]
+fn restore_is_total_over_truncated_and_overwritten_snapshots() {
+    use bundler_sim::fault::FaultKind;
+    use bundler_sim::fluid::CrossTrafficTier;
+    use bundler_sim::scenario::metro::MetroScenario;
+    use bundler_types::Nanos;
+
+    // 28 bytes of header: magic, version, instant, fingerprint.
+    const HEADER: usize = 28;
+    // Debug builds sample offsets; the stride is odd so every alignment
+    // against the 8-byte fields is still hit.
+    let stride = if cfg!(debug_assertions) { 29 } else { 1 };
+
+    // A long reorder burst keeps the bottleneck's one-slot reorder buffer
+    // in use when the checkpoint is taken.
+    let plan = FaultPlan::generate(31, Duration::from_secs(4), 1).with_fault(
+        Nanos::from_millis(120),
+        FaultKind::Reorder { count: 100_000 },
+    );
+    let (many_sites, many_sites_wl) = setup(31, Some(plan));
+    let sc = MetroScenario::builder()
+        .sites(2)
+        .users_per_site(100)
+        .requests_per_site(4)
+        .bottleneck(Rate::from_mbps(40))
+        .drain(Duration::from_secs(1))
+        .tier(CrossTrafficTier::Fluid)
+        .seed(31)
+        .build();
+    let mut metro = sc.sim_config();
+    metro.num_paths = 2;
+    metro.net_shards = 2;
+    metro.path_delay_spread = Duration::from_millis(5);
+    for (what, mut config, wl) in [
+        ("many_sites + faults", many_sites, many_sites_wl),
+        ("metro fluid", metro, sc.workload()),
+    ] {
+        config.shards = 2;
+        // 200 ms in, flows are mid-transfer and the time series, which
+        // dominate later snapshots, are still short.
+        config.checkpoint_every = Some(Duration::from_millis(200));
+        let mut ckpts = Vec::new();
+        ShardedSimulation::new(config.clone(), wl.clone()).run_collecting(&mut ckpts);
+        let blob = ckpts.swap_remove(0).1;
+        let restore = |bytes: &[u8]| ShardedSimulation::restore(config.clone(), wl.clone(), bytes);
+        assert!(
+            restore(&blob).is_ok(),
+            "{what}: the intact snapshot restores"
+        );
+        for len in (0..blob.len()).step_by(stride) {
+            assert!(
+                matches!(restore(&blob[..len]).err(), Some(ShardError::Snapshot(_))),
+                "{what}: truncation to {len} of {} bytes must be rejected",
+                blob.len()
+            );
+        }
+        let mut patched = blob.clone();
+        for at in (HEADER..blob.len() - 8).step_by(stride) {
+            for value in [u64::MAX, 1 << 40, 1000] {
+                patched[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                if let Err(e) = restore(&patched) {
+                    assert!(matches!(e, ShardError::Snapshot(_)), "{what}: {e}");
+                }
+            }
+            patched[at..at + 8].copy_from_slice(&blob[at..at + 8]);
+        }
+    }
+}
+
 #[test]
 fn worker_panic_surfaces_a_typed_diagnostic() {
     // StrictPriority does not support checkpointing (the last scheduler

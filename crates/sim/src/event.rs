@@ -16,17 +16,11 @@
 //! merge cross-shard mailboxes into exactly the order the single-threaded
 //! engine produces — bit-identical results for any shard count.
 //!
-//! Two interchangeable engines sit behind [`EventQueue`]:
-//!
-//! * [`EventEngine::CalendarWheel`] (default) — a hierarchical calendar
-//!   queue ([`bundler_core::wheel::CalendarQueue`]): O(1) amortized
-//!   push/pop with per-level occupancy bitmaps, the hot-path engine.
-//! * [`EventEngine::BinaryHeap`] — the straightforward binary heap, kept as
-//!   the reference implementation for property tests and A/B benchmarks
-//!   (`bench_report` measures both in the same run).
-//!
-//! The two engines produce byte-identical simulations; `bench_report`
-//! asserts this on every run.
+//! [`EventQueue`] is a hierarchical calendar queue
+//! ([`bundler_core::wheel::CalendarQueue`]): O(1) amortized push/pop with
+//! per-level occupancy bitmaps. Its pop order is property-tested against
+//! the reference binary heap in `bundler_core::wheel` and
+//! `tests/properties.rs`.
 //!
 //! [`Event`] itself is deliberately small: packets live in a
 //! [`PacketArena`](bundler_types::PacketArena) and events carry 4-byte
@@ -36,7 +30,7 @@
 //! used to carry whole ~100-byte `Packet`s through every heap sift).
 
 use bundler_core::feedback::{CongestionAck, EpochSizeUpdate};
-use bundler_core::wheel::{BinaryHeapQueue, CalendarQueue};
+use bundler_core::wheel::CalendarQueue;
 use bundler_types::{Duration, FlowId, Nanos, PacketId};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
@@ -301,32 +295,17 @@ const _: () = assert!(
      arena or side table instead of carrying it inline"
 );
 
-/// Which backing structure orders the events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventEngine {
-    /// Hierarchical calendar queue (the default hot-path engine).
-    #[default]
-    CalendarWheel,
-    /// Reference binary heap (for property tests and A/B benchmarks).
-    BinaryHeap,
-}
-
 /// The calendar queue's finest slot width: 2^13 ns ≈ 8.2 µs, stated as
 /// the exact power of two because [`CalendarQueue::new`] rounds down to
 /// one. Sub-slot ordering is exact regardless (the current slot drains
 /// through a small sorted buffer), so this only trades bucket occupancy
 /// against slot hops; this width measured best across the canonical
-/// scenarios (see `bench_report`) at the simulated link rates.
+/// scenarios at the simulated link rates.
 const WHEEL_QUANTUM: Duration = Duration(1 << 13);
-
-enum Inner {
-    Wheel(CalendarQueue<Event>),
-    Heap(BinaryHeapQueue<Event>),
-}
 
 /// Time-ordered event queue over `(timestamp, EventKey)`.
 pub struct EventQueue {
-    inner: Inner,
+    inner: CalendarQueue<Event>,
 }
 
 impl Default for EventQueue {
@@ -336,34 +315,16 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue at time zero on the default engine.
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_engine(EventEngine::default())
-    }
-
-    /// Creates an empty queue on the given engine.
-    pub fn with_engine(engine: EventEngine) -> Self {
-        let inner = match engine {
-            EventEngine::CalendarWheel => Inner::Wheel(CalendarQueue::new(WHEEL_QUANTUM)),
-            EventEngine::BinaryHeap => Inner::Heap(BinaryHeapQueue::new()),
-        };
-        EventQueue { inner }
-    }
-
-    /// The engine backing this queue.
-    pub fn engine(&self) -> EventEngine {
-        match self.inner {
-            Inner::Wheel(_) => EventEngine::CalendarWheel,
-            Inner::Heap(_) => EventEngine::BinaryHeap,
+        EventQueue {
+            inner: CalendarQueue::new(WHEEL_QUANTUM),
         }
     }
 
     /// The current simulation time (the timestamp of the last popped event).
     pub fn now(&self) -> Nanos {
-        match &self.inner {
-            Inner::Wheel(q) => q.now(),
-            Inner::Heap(q) => q.now(),
-        }
+        self.inner.now()
     }
 
     /// Schedules `event` at absolute time `at` under the canonical `key`.
@@ -371,10 +332,7 @@ impl EventQueue {
     /// run "immediately").
     #[inline]
     pub fn schedule(&mut self, at: Nanos, key: EventKey, event: Event) {
-        match &mut self.inner {
-            Inner::Wheel(q) => q.schedule_keyed(at, key.0, event),
-            Inner::Heap(q) => q.schedule_keyed(at, key.0, event),
-        }
+        self.inner.schedule_keyed(at, key.0, event);
     }
 
     /// The `(timestamp, key)` of the next event without popping it — how
@@ -382,19 +340,13 @@ impl EventQueue {
     /// the current time window.
     #[inline]
     pub fn peek(&mut self) -> Option<(Nanos, EventKey)> {
-        match &mut self.inner {
-            Inner::Wheel(q) => q.peek_key().map(|(t, k)| (t, EventKey(k))),
-            Inner::Heap(q) => q.peek_key().map(|(t, k)| (t, EventKey(k))),
-        }
+        self.inner.peek_key().map(|(t, k)| (t, EventKey(k)))
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Nanos, Event)> {
-        match &mut self.inner {
-            Inner::Wheel(q) => q.pop(),
-            Inner::Heap(q) => q.pop(),
-        }
+        self.inner.pop()
     }
 
     /// Pops the maximal *run* of pending events sharing the next event's
@@ -435,25 +387,21 @@ impl EventQueue {
     /// window barrier, never how the hot path runs.
     pub fn extract_if(
         &mut self,
-        mut pred: impl FnMut(&Event) -> bool,
+        pred: impl FnMut(&Event) -> bool,
     ) -> Vec<(Nanos, EventKey, Event)> {
-        let mut out: Vec<(Nanos, EventKey, Event)> = match &mut self.inner {
-            Inner::Wheel(q) => q.extract_if(&mut pred),
-            Inner::Heap(q) => q.extract_if(&mut pred),
-        }
-        .into_iter()
-        .map(|(at, key, event)| (at, EventKey(key), event))
-        .collect();
+        let mut out: Vec<(Nanos, EventKey, Event)> = self
+            .inner
+            .extract_if(pred)
+            .into_iter()
+            .map(|(at, key, event)| (at, EventKey(key), event))
+            .collect();
         out.sort_unstable_by_key(|&(at, key, _)| (at, key));
         out
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(q) => q.len(),
-            Inner::Heap(q) => q.len(),
-        }
+        self.inner.len()
     }
 
     /// True if no events are pending.
@@ -465,10 +413,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn engines() -> [EventEngine; 2] {
-        [EventEngine::CalendarWheel, EventEngine::BinaryHeap]
-    }
 
     fn key(lp: u16, seq: u64) -> EventKey {
         EventKey::new(lp, seq)
@@ -486,159 +430,136 @@ mod tests {
     }
 
     #[test]
-    fn events_pop_in_time_order_on_both_engines() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            q.schedule(Nanos::from_millis(5), key(0, 1), Event::Sample { lp: 0 });
-            q.schedule(Nanos::from_millis(1), key(0, 2), Event::Sample { lp: 0 });
-            q.schedule(Nanos::from_millis(3), key(0, 3), Event::Sample { lp: 0 });
-            let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(t, _)| t.as_nanos() / 1_000_000)
-                .collect();
-            assert_eq!(times, vec![1, 3, 5], "{engine:?}");
-        }
+    fn events_pop_in_time_order() {
+        let mut q = EventQueue::new();
+        q.schedule(Nanos::from_millis(5), key(0, 1), Event::Sample { lp: 0 });
+        q.schedule(Nanos::from_millis(1), key(0, 2), Event::Sample { lp: 0 });
+        q.schedule(Nanos::from_millis(3), key(0, 3), Event::Sample { lp: 0 });
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_nanos() / 1_000_000)
+            .collect();
+        assert_eq!(times, vec![1, 3, 5]);
     }
 
     #[test]
-    fn ties_break_by_key_on_both_engines() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            // Scheduled out of key order: pops must sort by (lp, seq).
-            q.schedule(
-                Nanos::from_millis(1),
-                key(2, 1),
-                Event::ControlTick { bundle: 2 },
-            );
-            q.schedule(
-                Nanos::from_millis(1),
-                key(0, 9),
-                Event::ControlTick { bundle: 0 },
-            );
-            q.schedule(
-                Nanos::from_millis(1),
-                key(1, 4),
-                Event::ControlTick { bundle: 1 },
-            );
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|(_, e)| match e {
-                    Event::ControlTick { bundle } => bundle,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, vec![0, 1, 2], "{engine:?}");
-        }
+    fn ties_break_by_key() {
+        let mut q = EventQueue::new();
+        // Scheduled out of key order: pops must sort by (lp, seq).
+        q.schedule(
+            Nanos::from_millis(1),
+            key(2, 1),
+            Event::ControlTick { bundle: 2 },
+        );
+        q.schedule(
+            Nanos::from_millis(1),
+            key(0, 9),
+            Event::ControlTick { bundle: 0 },
+        );
+        q.schedule(
+            Nanos::from_millis(1),
+            key(1, 4),
+            Event::ControlTick { bundle: 1 },
+        );
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::ControlTick { bundle } => bundle,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
     fn clock_advances_and_past_events_clamp() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            q.schedule(Nanos::from_millis(10), key(0, 1), Event::Sample { lp: 0 });
-            assert_eq!(q.pop().unwrap().0, Nanos::from_millis(10));
-            assert_eq!(q.now(), Nanos::from_millis(10));
-            // Scheduling "in the past" runs at the current time, never earlier.
-            q.schedule(Nanos::from_millis(1), key(0, 2), Event::Sample { lp: 0 });
-            assert_eq!(q.pop().unwrap().0, Nanos::from_millis(10));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Nanos::from_millis(10), key(0, 1), Event::Sample { lp: 0 });
+        assert_eq!(q.pop().unwrap().0, Nanos::from_millis(10));
+        assert_eq!(q.now(), Nanos::from_millis(10));
+        // Scheduling "in the past" runs at the current time, never earlier.
+        q.schedule(Nanos::from_millis(1), key(0, 2), Event::Sample { lp: 0 });
+        assert_eq!(q.pop().unwrap().0, Nanos::from_millis(10));
     }
 
     #[test]
     fn peek_matches_pop_without_consuming() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            assert_eq!(q.peek(), None);
-            q.schedule(Nanos::from_millis(2), key(1, 3), Event::Sample { lp: 1 });
-            q.schedule(Nanos::from_millis(1), key(4, 7), Event::Sample { lp: 4 });
-            assert_eq!(
-                q.peek(),
-                Some((Nanos::from_millis(1), key(4, 7))),
-                "{engine:?}"
-            );
-            assert_eq!(q.len(), 2, "peek must not consume");
-            assert_eq!(q.pop().unwrap().0, Nanos::from_millis(1));
-            assert_eq!(q.peek(), Some((Nanos::from_millis(2), key(1, 3))));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek(), None);
+        q.schedule(Nanos::from_millis(2), key(1, 3), Event::Sample { lp: 1 });
+        q.schedule(Nanos::from_millis(1), key(4, 7), Event::Sample { lp: 4 });
+        assert_eq!(q.peek(), Some((Nanos::from_millis(1), key(4, 7))));
+        assert_eq!(q.len(), 2, "peek must not consume");
+        assert_eq!(q.pop().unwrap().0, Nanos::from_millis(1));
+        assert_eq!(q.peek(), Some((Nanos::from_millis(2), key(1, 3))));
     }
 
     #[test]
     fn len_and_empty() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            assert!(q.is_empty());
-            q.schedule(Nanos::ZERO, key(0, 1), Event::Sample { lp: 0 });
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(Nanos::ZERO, key(0, 1), Event::Sample { lp: 0 });
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn pop_run_pulls_whole_same_timestamp_lp_runs() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            let t1 = Nanos::from_millis(1);
-            let t2 = Nanos::from_millis(2);
-            q.schedule(t1, key(3, 1), Event::ControlTick { bundle: 3 });
-            q.schedule(t1, key(3, 2), Event::SendboxRelease { bundle: 3 });
-            q.schedule(t1, key(5, 1), Event::ControlTick { bundle: 5 });
-            q.schedule(t2, key(3, 3), Event::ControlTick { bundle: 3 });
-            let mut buf = Vec::new();
-            // Run 1: both lp-3 events at t1, not the lp-5 one.
-            assert_eq!(q.pop_run(&mut buf), 2, "{engine:?}");
-            assert_eq!(
-                buf.iter().map(|&(t, k, _)| (t, k)).collect::<Vec<_>>(),
-                vec![(t1, key(3, 1)), (t1, key(3, 2))]
-            );
-            // Run 2: lp 5 at t1. Run 3: lp 3 again at t2.
-            assert_eq!(q.pop_run(&mut buf), 1);
-            assert_eq!(buf[0].1, key(5, 1));
-            assert_eq!(q.pop_run(&mut buf), 1);
-            assert_eq!((buf[0].0, buf[0].1), (t2, key(3, 3)));
-            assert_eq!(q.pop_run(&mut buf), 0, "empty queue yields no run");
-            assert!(buf.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let t1 = Nanos::from_millis(1);
+        let t2 = Nanos::from_millis(2);
+        q.schedule(t1, key(3, 1), Event::ControlTick { bundle: 3 });
+        q.schedule(t1, key(3, 2), Event::SendboxRelease { bundle: 3 });
+        q.schedule(t1, key(5, 1), Event::ControlTick { bundle: 5 });
+        q.schedule(t2, key(3, 3), Event::ControlTick { bundle: 3 });
+        let mut buf = Vec::new();
+        // Run 1: both lp-3 events at t1, not the lp-5 one.
+        assert_eq!(q.pop_run(&mut buf), 2);
+        assert_eq!(
+            buf.iter().map(|&(t, k, _)| (t, k)).collect::<Vec<_>>(),
+            vec![(t1, key(3, 1)), (t1, key(3, 2))]
+        );
+        // Run 2: lp 5 at t1. Run 3: lp 3 again at t2.
+        assert_eq!(q.pop_run(&mut buf), 1);
+        assert_eq!(buf[0].1, key(5, 1));
+        assert_eq!(q.pop_run(&mut buf), 1);
+        assert_eq!((buf[0].0, buf[0].1), (t2, key(3, 3)));
+        assert_eq!(q.pop_run(&mut buf), 0, "empty queue yields no run");
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn pop_run_sequence_matches_one_at_a_time_pops() {
         // Property: concatenating pop_run buffers replays exactly the pop()
-        // sequence, on both engines, for an adversarial schedule (many ties,
-        // interleaved LPs, clamped past events).
-        for engine in engines() {
-            let mut a = EventQueue::with_engine(engine);
-            let mut b = EventQueue::with_engine(engine);
-            let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-            for i in 0..500u64 {
-                // xorshift: cheap deterministic pseudo-randomness.
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let t = Nanos::from_micros((x % 97) * ((x >> 32) & 7));
-                let lp = (x % 5) as u16;
-                let k = key(lp, i);
-                let ev = Event::Sample { lp };
-                a.schedule(t, k, ev);
-                b.schedule(t, k, ev);
-            }
-            let singles: Vec<(Nanos, u16)> = std::iter::from_fn(|| {
-                let (t, k) = b.peek()?;
-                b.pop();
-                Some((t, k.lp()))
-            })
-            .collect();
-            let mut runs = Vec::new();
-            let mut buf = Vec::new();
-            while a.pop_run(&mut buf) > 0 {
-                runs.extend(buf.iter().map(|&(t, k, _)| (t, k.lp())));
-            }
-            assert_eq!(runs, singles, "{engine:?}");
+        // sequence for an adversarial schedule (many ties, interleaved LPs,
+        // clamped past events).
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for i in 0..500u64 {
+            // xorshift: cheap deterministic pseudo-randomness.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = Nanos::from_micros((x % 97) * ((x >> 32) & 7));
+            let lp = (x % 5) as u16;
+            let k = key(lp, i);
+            let ev = Event::Sample { lp };
+            a.schedule(t, k, ev);
+            b.schedule(t, k, ev);
         }
-    }
-
-    #[test]
-    fn default_engine_is_the_calendar_wheel() {
-        assert_eq!(EventQueue::new().engine(), EventEngine::CalendarWheel);
+        let singles: Vec<(Nanos, u16)> = std::iter::from_fn(|| {
+            let (t, k) = b.peek()?;
+            b.pop();
+            Some((t, k.lp()))
+        })
+        .collect();
+        let mut runs = Vec::new();
+        let mut buf = Vec::new();
+        while a.pop_run(&mut buf) > 0 {
+            runs.extend(buf.iter().map(|&(t, k, _)| (t, k.lp())));
+        }
+        assert_eq!(runs, singles);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use bundler_types::{
     flow::ipv4, Duration, FlowId, FlowKey, Nanos, Packet, PacketArena, PacketId, PacketKind, Rate,
 };
 
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader};
 
 use crate::edge::{Bundle, BundleMode, DetachedEdgeBundle, MultiBundle};
 use crate::event::{Event, EventKey, EventQueue};
@@ -1332,13 +1332,18 @@ impl WorkerCore {
     /// stream is exactly what the single-threaded engine would run. `now`
     /// is the current window start (only used to re-anchor the agent's
     /// tick wheel, which event-driven hosts never consult).
+    ///
+    /// A parcel lifted off a worker by [`WorkerCore::extract_bundle`]
+    /// always installs. One decoded from snapshot bytes may name an id or
+    /// prefix the agent edge already manages; that is the `Err`, and the
+    /// worker is then half-updated and must be dropped.
     pub fn adopt_bundle(
         &mut self,
         parcel: BundleParcel,
         queue: &mut EventQueue,
         arena: &mut PacketArena,
         now: Nanos,
-    ) {
+    ) -> Result<(), String> {
         let bundle = parcel.bundle;
         assert!(
             !self.owned[bundle],
@@ -1362,8 +1367,7 @@ impl WorkerCore {
                 self.multi
                     .as_mut()
                     .expect("agent-mode worker")
-                    .adopt(*detached, now)
-                    .expect("migrated bundle must install cleanly");
+                    .adopt(*detached, now)?;
             }
             EdgeParcel::Classic(mut b) => {
                 b.tbf.for_each_pkt_mut(&mut |id| {
@@ -1394,6 +1398,7 @@ impl WorkerCore {
         if let Some(state) = parcel.obs {
             self.obs.put_bundle_obs(bundle, state);
         }
+        Ok(())
     }
 
     /// The worker's run-wide accumulators that belong to no single LP:
@@ -1507,12 +1512,7 @@ impl WorkerCore {
         r: &mut Reader<'_>,
     ) -> Result<(), DecodeError> {
         let events = Vec::<(Nanos, EventKey, Event)>::decode(r)?;
-        let n = u64::decode(r)? as usize;
-        let mut pkts = Vec::with_capacity(n);
-        for _ in 0..n {
-            pkts.push(Packet::decode(r)?);
-        }
-        let mut next = pkts.into_iter();
+        let mut next = Vec::<Packet>::decode(r)?.into_iter();
         for (at, key, mut event) in events {
             if let Event::ArriveDestination { pkt } | Event::ArriveSource { pkt } = &mut event {
                 let p = match next.next() {
@@ -1690,6 +1690,30 @@ impl BundleParcel {
         (pkts, bytes)
     }
 
+    /// Whether the parcel carries exactly one packet per packet-bearing
+    /// pending event and per id queued at its edge — what
+    /// [`WorkerCore::adopt_bundle`] relies on. True of every extracted
+    /// parcel; one decoded from snapshot bytes must be checked.
+    pub(crate) fn packets_pair_up(&mut self) -> bool {
+        let in_events = self
+            .events
+            .iter()
+            .filter(|(_, _, e)| {
+                matches!(
+                    e,
+                    Event::ArriveDestination { .. } | Event::ArriveSource { .. }
+                )
+            })
+            .count();
+        let mut queued = 0;
+        match &mut self.edge {
+            EdgeParcel::Multi(d) => d.for_each_pkt_mut(&mut |_| queued += 1),
+            EdgeParcel::Classic(b) => b.tbf.for_each_pkt_mut(&mut |_| queued += 1),
+            EdgeParcel::None => {}
+        }
+        in_events == self.event_pkts.len() && queued == self.edge_pkts.len()
+    }
+
     /// Serializes the parcel — a bundle complex already lifted off its
     /// worker, so everything is by value and in canonical order. Returns
     /// `false` if the edge's queue discipline does not support
@@ -1767,7 +1791,7 @@ impl BundleParcel {
             0 => EdgeParcel::None,
             1 => {
                 let cfg = match config.bundles.get(bundle) {
-                    Some(BundleMode::Bundler(cfg)) => *cfg,
+                    Some(BundleMode::Bundler(cfg)) if config.multi_bundle.is_none() => *cfg,
                     _ => return Err(r.error("snapshot deploys a sendbox the config does not")),
                 };
                 EdgeParcel::Classic(Box::new(Bundle::from_state(bundle, cfg, r)?))
@@ -1786,13 +1810,13 @@ impl BundleParcel {
             _ => return Err(r.error("unknown edge parcel tag")),
         };
         let edge_pkts = Vec::<Packet>::decode(r)?;
-        let n = u64::decode(r)? as usize;
+        let n = decode_len(r, "parcel flow count")?;
         let mut flows = Vec::with_capacity(n);
         for _ in 0..n {
             let id = FlowId::decode(r)?;
             flows.push((id, FlowState::from_state(r)?));
         }
-        let n = u64::decode(r)? as usize;
+        let n = decode_len(r, "parcel ping count")?;
         let mut pings = Vec::with_capacity(n);
         for _ in 0..n {
             let id = FlowId::decode(r)?;
@@ -1938,13 +1962,14 @@ pub fn balancer_for(config: &SimulationConfig) -> LoadBalancer {
 /// bottleneck-side statistics.
 ///
 /// One `NetCore` instance hosts a *partition* of the global path set: the
-/// single-threaded engine and the `net_shards = 1` driver own every path;
-/// with `net_shards > 1`, net shard `k` owns `{gid : gid % net_shards ==
-/// k}`. Every per-path accumulator is indexed by the **global** path id
-/// and every event key is drawn from the owning path's private sequence
-/// stream (`(gid << PATH_SEQ_SHIFT) | seq`), so the union of all shards'
-/// outputs is bit-identical to one core owning everything — the invariant
-/// the cross-shard differential matrix in `crates/shard/tests` pins.
+/// single-threaded engine's core owns every path; in the sharded host net
+/// shard `k` owns `{gid : gid % net_shards == k}` (every path when
+/// `net_shards = 1`). Every per-path accumulator is indexed by the
+/// **global** path id and every event key is drawn from the owning path's
+/// private sequence stream (`(gid << PATH_SEQ_SHIFT) | seq`), so the union
+/// of all shards' outputs is bit-identical to one core owning everything —
+/// the invariant the cross-shard differential matrix in
+/// `crates/shard/tests` pins.
 pub struct NetCore {
     paths: Vec<BottleneckPath>,
     /// Global path ids this core owns, ascending. Paths outside the set
@@ -2013,8 +2038,7 @@ struct NetFaults {
 
 impl NetCore {
     /// Builds the bottleneck from the simulation configuration, owning
-    /// every path (the single-threaded host and the `net_shards = 1`
-    /// driver).
+    /// every path.
     pub fn new(config: &SimulationConfig) -> Self {
         NetCore::with_partition(config, 0, 1)
     }
@@ -2251,12 +2275,7 @@ impl NetCore {
             }
         }
         let events = Vec::<(Nanos, EventKey, Event)>::decode(r)?;
-        let n = u64::decode(r)? as usize;
-        let mut pkts = Vec::with_capacity(n);
-        for _ in 0..n {
-            pkts.push(Packet::decode(r)?);
-        }
-        let mut next = pkts.into_iter();
+        let mut next = Vec::<Packet>::decode(r)?.into_iter();
         for (at, key, mut event) in events {
             if let Event::ArriveBottleneck { pkt } = &mut event {
                 let p = match next.next() {

@@ -7,8 +7,8 @@
 //! barrier. This scenario makes that imbalance reproducible — site 0
 //! receives as many requests (and backlogged bulk flows) as all the cold
 //! sites combined — so `bundler-shard`'s rate-aware balancer has something
-//! real to fix, and `bench_report`'s `--balance` axis something real to
-//! measure.
+//! real to fix (the repository benchmark's `hot_solo` and `hot_sharded`
+//! workloads run this world).
 //!
 //! The run is a deterministic function of its seed, like every scenario.
 

@@ -4,10 +4,8 @@
 //! The hot path is allocation-free in steady state: packets live in a
 //! [`PacketArena`] and move through queues and events as 4-byte
 //! [`PacketId`](bundler_types::PacketId)s, endhosts emit into reusable
-//! scratch buffers, and the
-//! event queue is a calendar queue with O(1) amortized operations
-//! (selectable via [`SimulationConfig::event_engine`] for A/B
-//! measurement against the reference binary heap).
+//! scratch buffers, and the event queue is a calendar queue with O(1)
+//! amortized operations.
 //!
 //! [`Simulation`] is the *single-threaded host*: it composes one
 //! [`WorkerCore`] owning every site-side logical process with the
@@ -19,10 +17,10 @@
 
 use bundler_core::feedback::BundleId;
 use bundler_types::{Duration, FlowKey, Nanos, PacketArena, Rate};
-use serde::binary::{Decode, Encode};
+use serde::binary::Encode;
 
 use crate::edge::{BundleMode, MultiBundle, MultiBundleSpec};
-use crate::event::{Event, EventEngine, EventQueue};
+use crate::event::{Event, EventQueue};
 use crate::runtime::{
     assemble_report, is_net_event, Delivery, NetCore, Partition, ToNet, WorkerCore,
 };
@@ -59,11 +57,6 @@ pub struct SimulationConfig {
     pub multi_bundle: Option<MultiBundleMode>,
     /// Interval between statistics samples.
     pub sample_interval: Duration,
-    /// Which event-queue engine orders the simulation. The engines are
-    /// behaviourally identical (verified by property test and by
-    /// `bench_report` on every run); the calendar wheel is the fast one and
-    /// the binary heap exists as the reference/baseline.
-    pub event_engine: EventEngine,
     /// How many worker shards the simulation runs on. `1` (the default) is
     /// today's engine: this crate's single-threaded [`Simulation`],
     /// unchanged. Larger values are honoured by the multi-threaded host in
@@ -77,13 +70,12 @@ pub struct SimulationConfig {
     /// construction — so this only trades load balance against migration
     /// work.
     pub balance: ShardBalance,
-    /// How many net shards the bottleneck runs on. `1` (the default) keeps
-    /// today's single net core. Larger values are honoured by the
-    /// multi-threaded host, which partitions the bottleneck sub-paths
-    /// round-robin across that many dedicated net threads (net shard `k`
-    /// owns paths `{gid : gid % net_shards == k}`) and produces
-    /// bit-identical results; values above `num_paths` are clamped. The
-    /// plain [`Simulation`] ignores the field.
+    /// How many net shards the bottleneck runs on in the multi-threaded
+    /// host, which partitions the bottleneck sub-paths round-robin across
+    /// that many net threads (net shard `k` owns paths
+    /// `{gid : gid % net_shards == k}`; `1`, the default, is one net thread
+    /// owning every path) and produces bit-identical results; values above
+    /// `num_paths` are clamped. The plain [`Simulation`] ignores the field.
     pub net_shards: usize,
     /// Route every mailbox envelope through the versioned `NETENV` wire
     /// format (encode → decode at the sending edge) in the sharded host.
@@ -179,7 +171,6 @@ impl Default for SimulationConfig {
             bundles: vec![BundleMode::StatusQuo],
             multi_bundle: None,
             sample_interval: Duration::from_millis(50),
-            event_engine: EventEngine::default(),
             shards: 1,
             balance: ShardBalance::default(),
             net_shards: 1,
@@ -256,11 +247,31 @@ pub struct Simulation {
     last_snapshot_len: usize,
 }
 
+/// The single-threaded host's cores while a snapshot is poured into them:
+/// every part of the snapshot lands on the one worker, net core, queue and
+/// arena.
+struct SoloParts {
+    worker: WorkerCore,
+    net: NetCore,
+    queue: EventQueue,
+    arena: PacketArena,
+}
+
+impl crate::snapshot::RestoreHost for SoloParts {
+    fn worker(&mut self, _: Option<usize>) -> (&mut WorkerCore, &mut EventQueue, &mut PacketArena) {
+        (&mut self.worker, &mut self.queue, &mut self.arena)
+    }
+
+    fn net(&mut self, _: usize) -> (&mut NetCore, &mut EventQueue, &mut PacketArena) {
+        (&mut self.net, &mut self.queue, &mut self.arena)
+    }
+}
+
 impl Simulation {
     /// Builds a simulation from a configuration and a workload (flow
     /// arrivals). Panics if a bundle configuration is invalid.
     pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
-        let mut queue = EventQueue::with_engine(config.event_engine);
+        let mut queue = EventQueue::new();
         let mut worker = WorkerCore::new(&config, &workload, Partition::solo());
         let mut net = NetCore::new(&config);
         worker.schedule_initial(&mut queue);
@@ -292,74 +303,28 @@ impl Simulation {
         bytes: &[u8],
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         let fp = crate::snapshot::fingerprint(&config, &workload);
-        Self::restore_fingerprinted(config, workload, bytes, fp)
-    }
-
-    /// [`Simulation::restore`] without the hash, for the sharded host, which
-    /// has computed it to validate the header before it picks an engine.
-    ///
-    /// `fp` MUST be `snapshot::fingerprint(&config, &workload)` of the very
-    /// arguments passed here. It is the only thing the header is checked
-    /// against and it is stamped on every later checkpoint: a value taken
-    /// from anywhere else — the header's own above all — turns the
-    /// config/workload validation into a no-op. Everything else calls
-    /// [`Simulation::restore`].
-    #[doc(hidden)]
-    pub fn restore_fingerprinted(
-        config: SimulationConfig,
-        workload: Vec<FlowSpec>,
-        bytes: &[u8],
-        fp: u64,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let corrupt = |e: serde::binary::DecodeError| SnapshotError::Corrupt(e.to_string());
-        let mut r = serde::binary::Reader::new(bytes);
-        let at = crate::snapshot::read_header(&mut r, fp)?;
-        let mut queue = EventQueue::with_engine(config.event_engine);
-        let mut arena = PacketArena::with_capacity(1024);
-        let n_bundles = config.n_bundles();
         // Start from an empty worker (it owns nothing, schedules nothing)
         // and pour the snapshot in: every pending event — including future
         // flow arrivals — comes from the snapshot, not `schedule_initial`.
-        let mut worker = WorkerCore::with_owned(
-            &config,
-            &workload,
-            Partition::solo(),
-            vec![false; n_bundles],
-        );
-        let residue = crate::runtime::WorkerResidue::decode(&mut r).map_err(corrupt)?;
-        worker.apply_residue(residue);
-        worker
-            .load_direct_state(&mut queue, &mut arena, &mut r)
-            .map_err(corrupt)?;
-        let count = u64::decode(&mut r).map_err(corrupt)? as usize;
-        if count != n_bundles {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {count} bundles, config defines {n_bundles}"
-            )));
-        }
-        for _ in 0..count {
-            let parcel =
-                crate::runtime::BundleParcel::from_state(&config, &mut r).map_err(corrupt)?;
-            worker.adopt_bundle(parcel, &mut queue, &mut arena, at);
-        }
-        let mut net = NetCore::new(&config);
-        for gid in 0..config.num_paths.max(1) {
-            net.load_path_section(gid, &mut queue, &mut arena, &mut r)
-                .map_err(corrupt)?;
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt(
-                "trailing bytes after snapshot payload".into(),
-            ));
-        }
+        let mut parts = SoloParts {
+            worker: WorkerCore::with_owned(
+                &config,
+                &workload,
+                Partition::solo(),
+                vec![false; config.n_bundles()],
+            ),
+            net: NetCore::new(&config),
+            queue: EventQueue::new(),
+            arena: PacketArena::with_capacity(1024),
+        };
+        let at = crate::snapshot::restore_into(&config, bytes, fp, &mut parts)?;
         Ok(Simulation {
             config,
             workload,
-            queue,
-            arena,
-            worker,
-            net,
+            queue: parts.queue,
+            arena: parts.arena,
+            worker: parts.worker,
+            net: parts.net,
             to_net: Vec::with_capacity(64),
             deliveries: Vec::with_capacity(64),
             start: at,
@@ -534,7 +499,8 @@ impl Simulation {
                 .extract_bundle(b, &mut self.queue, &mut self.arena);
             let ok = parcel.save_state(&mut out);
             self.worker
-                .adopt_bundle(parcel, &mut self.queue, &mut self.arena, at);
+                .adopt_bundle(parcel, &mut self.queue, &mut self.arena, at)
+                .expect("a bundle lifted off this worker installs back");
             assert!(
                 ok,
                 "checkpointing requires a snapshot-capable sendbox queue discipline (bundle {b})"
@@ -721,40 +687,6 @@ mod tests {
         assert_eq!(bundled.len(), 1);
     }
 
-    #[test]
-    fn calendar_and_heap_engines_produce_identical_runs() {
-        // The engine swap must be invisible: same seed, byte-identical
-        // report. This exercises every event type through both engines.
-        let workload = || {
-            vec![
-                FlowSpec::bundled(1, 400_000, Nanos::ZERO, 0),
-                FlowSpec::bundled(2, 25_000, Nanos::from_millis(90), 0),
-                FlowSpec::direct(3, 150_000, Nanos::from_millis(40)),
-                FlowSpec::bundled(4, 40, Nanos::from_millis(10), 0).as_ping(),
-            ]
-        };
-        let mut cfg = single_flow_config(true);
-        cfg.duration = Duration::from_secs(5);
-        let run = |engine| {
-            let mut c = cfg.clone();
-            c.event_engine = engine;
-            Simulation::new(c, workload()).run()
-        };
-        let wheel = run(EventEngine::CalendarWheel);
-        let heap = run(EventEngine::BinaryHeap);
-        assert_eq!(wheel.completed, heap.completed);
-        assert_eq!(wheel.events_processed, heap.events_processed);
-        assert_eq!(wheel.packets_created, heap.packets_created);
-        let fw: Vec<u64> = wheel.fcts.iter().map(|f| f.fct.as_nanos()).collect();
-        let fh: Vec<u64> = heap.fcts.iter().map(|f| f.fct.as_nanos()).collect();
-        assert_eq!(fw, fh, "engines must be byte-identical");
-        assert_eq!(wheel.ping_rtts_ms[0], heap.ping_rtts_ms[0]);
-        assert_eq!(
-            wheel.bottleneck_queue_delay_ms.samples,
-            heap.bottleneck_queue_delay_ms.samples
-        );
-    }
-
     /// The pre-`pop_run` main loop, event for event: pop one, handle one.
     /// Kept verbatim as the reference for the A/B test below.
     fn run_one_at_a_time(mut sim: Simulation) -> SimReport {
@@ -792,7 +724,7 @@ mod tests {
         use crate::stats::SimStats;
         // Batched run-draining must be invisible: same workload, identical
         // digest against the reference per-pop loop — with and without the
-        // fluid tier, on both engines.
+        // fluid tier.
         let workload = || {
             vec![
                 FlowSpec::bundled(1, 400_000, Nanos::ZERO, 0),
@@ -802,19 +734,16 @@ mod tests {
             ]
         };
         for fluid in [false, true] {
-            for engine in [EventEngine::CalendarWheel, EventEngine::BinaryHeap] {
-                let mut cfg = single_flow_config(true);
-                cfg.duration = Duration::from_secs(5);
-                cfg.event_engine = engine;
-                if fluid {
-                    cfg.cross_traffic = Some(crate::fluid::FluidCrossTraffic::new(vec![
-                        crate::fluid::FluidAggregate::new(16, Duration::from_millis(50)),
-                    ]));
-                }
-                let batched = SimStats::of(&Simulation::new(cfg.clone(), workload()).run());
-                let single = SimStats::of(&run_one_at_a_time(Simulation::new(cfg, workload())));
-                assert_eq!(batched, single, "fluid={fluid} {engine:?}");
+            let mut cfg = single_flow_config(true);
+            cfg.duration = Duration::from_secs(5);
+            if fluid {
+                cfg.cross_traffic = Some(crate::fluid::FluidCrossTraffic::new(vec![
+                    crate::fluid::FluidAggregate::new(16, Duration::from_millis(50)),
+                ]));
             }
+            let batched = SimStats::of(&Simulation::new(cfg.clone(), workload()).run());
+            let single = SimStats::of(&run_one_at_a_time(Simulation::new(cfg, workload())));
+            assert_eq!(batched, single, "fluid={fluid}");
         }
     }
 

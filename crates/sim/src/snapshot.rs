@@ -54,18 +54,20 @@
 //!
 //! The fingerprint covers only fields that change simulation *results*
 //! (durations, rates, topology, workload, fault plan). Observability level,
-//! shard count, balance policy, event-queue engine and the checkpoint
-//! cadence are deliberately excluded so a snapshot can be replayed with
-//! tracing enabled or restored into a different partitioning.
+//! shard count, balance policy and the checkpoint cadence are deliberately
+//! excluded so a snapshot can be replayed with tracing enabled or restored
+//! into a different partitioning.
 //!
 //! Anything host-dependent (pointers, hash-map iteration order, thread ids)
 //! is never written: collections are serialized in canonical orders (flow
 //! id, event key, scheduler traversal order), which is what makes the bytes
 //! portable and partition-invariant.
 
-use bundler_types::Nanos;
-use serde::binary::{Decode, Encode, Reader};
+use bundler_types::{Nanos, PacketArena};
+use serde::binary::{Decode, DecodeError, Encode, Reader};
 
+use crate::event::EventQueue;
+use crate::runtime::{BundleParcel, NetCore, WorkerCore, WorkerResidue};
 use crate::sim::SimulationConfig;
 use crate::workload::FlowSpec;
 
@@ -138,8 +140,8 @@ thread_local! {
 /// Fingerprint of the result-affecting parts of a config + workload.
 ///
 /// Built from the `Debug` rendering of exactly the fields that change what
-/// the simulation computes. Excludes `obs`, `shards`, `balance`,
-/// `event_engine` and `checkpoint_every` so that replay-with-tracing and
+/// the simulation computes. Excludes `obs`, `shards`, `balance` and
+/// `checkpoint_every` so that replay-with-tracing and
 /// restore-into-different-shard-count both accept the snapshot.
 ///
 /// The rendering is linear in the workload (about 0.5 µs per flow), and
@@ -184,22 +186,29 @@ pub fn write_header(out: &mut Vec<u8>, at: Nanos, fp: u64) {
     fp.encode(out);
 }
 
-/// Validates the header and returns the snapshot's timestamp, leaving the
-/// reader positioned at the start of the payload. Exposed for the sharded
-/// host's restore path.
-pub fn read_header(r: &mut Reader<'_>, expected_fp: u64) -> Result<Nanos, SnapshotError> {
-    let magic = r
-        .take(MAGIC.len(), "snapshot magic")
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+fn corrupt(e: DecodeError) -> SnapshotError {
+    SnapshotError::Corrupt(e.to_string())
+}
+
+/// Checks the magic and version and returns the snapshot's timestamp,
+/// leaving the reader at the fingerprint.
+fn read_stamp(r: &mut Reader<'_>) -> Result<Nanos, SnapshotError> {
+    let magic = r.take(MAGIC.len(), "snapshot magic").map_err(corrupt)?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = u32::decode(r).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+    let version = u32::decode(r).map_err(corrupt)?;
     if version != VERSION {
         return Err(SnapshotError::BadVersion { found: version });
     }
-    let at = Nanos::decode(r).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let found = u64::decode(r).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+    Nanos::decode(r).map_err(corrupt)
+}
+
+/// Validates the header and returns the snapshot's timestamp, leaving the
+/// reader positioned at the start of the payload.
+pub fn read_header(r: &mut Reader<'_>, expected_fp: u64) -> Result<Nanos, SnapshotError> {
+    let at = read_stamp(r)?;
+    let found = u64::decode(r).map_err(corrupt)?;
     if found != expected_fp {
         return Err(SnapshotError::FingerprintMismatch {
             expected: expected_fp,
@@ -212,18 +221,80 @@ pub fn read_header(r: &mut Reader<'_>, expected_fp: u64) -> Result<Nanos, Snapsh
 /// Reads only the timestamp out of a snapshot header without checking the
 /// fingerprint — useful for listing checkpoints.
 pub fn peek_at(bytes: &[u8]) -> Result<Nanos, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .take(MAGIC.len(), "snapshot magic")
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic);
+    read_stamp(&mut Reader::new(bytes))
+}
+
+/// Where a snapshot's parts land. The hosts differ only in this: the
+/// single-threaded host answers every call with its one worker, net core,
+/// queue and arena; the sharded host picks the worker the balancer assigned
+/// the bundle to and the net shard that owns the path.
+pub trait RestoreHost {
+    /// The worker core that takes bundle `bundle` — for `None`, the direct
+    /// LP and the run-wide residue — with its queue and arena.
+    fn worker(
+        &mut self,
+        bundle: Option<usize>,
+    ) -> (&mut WorkerCore, &mut EventQueue, &mut PacketArena);
+
+    /// The net core that owns path `gid`, with its queue and arena.
+    fn net(&mut self, gid: usize) -> (&mut NetCore, &mut EventQueue, &mut PacketArena);
+}
+
+/// Pours a snapshot into freshly built, empty cores (workers that own no
+/// bundle, nothing scheduled) and returns the instant it was taken at.
+/// `fp` is [`fingerprint`] of the restoring `config` and workload. The one
+/// walk of the wire format both hosts restore through: header, residue,
+/// direct slice, bundle parcels in ascending index, one section per path in
+/// ascending global id, nothing after. Bytes that do not decode to that
+/// return [`SnapshotError::Corrupt`]; the cores are then half-filled and
+/// must be dropped.
+pub fn restore_into(
+    config: &SimulationConfig,
+    bytes: &[u8],
+    fp: u64,
+    host: &mut impl RestoreHost,
+) -> Result<Nanos, SnapshotError> {
+    let r = &mut Reader::new(bytes);
+    let at = read_header(r, fp)?;
+    let residue = WorkerResidue::decode(r).map_err(corrupt)?;
+    let (core, queue, arena) = host.worker(None);
+    core.apply_residue(residue);
+    core.load_direct_state(queue, arena, r).map_err(corrupt)?;
+    let n_bundles = config.n_bundles();
+    let count = usize::decode(r).map_err(corrupt)?;
+    if count != n_bundles {
+        return Err(SnapshotError::Corrupt(format!(
+            "snapshot has {count} bundles, config defines {n_bundles}"
+        )));
     }
-    let version = u32::decode(&mut r).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion { found: version });
+    for b in 0..n_bundles {
+        let mut parcel = BundleParcel::from_state(config, r).map_err(corrupt)?;
+        if parcel.bundle() != b {
+            return Err(SnapshotError::Corrupt(format!(
+                "bundle parcels out of order: found {} at position {b}",
+                parcel.bundle()
+            )));
+        }
+        if !parcel.packets_pair_up() {
+            return Err(SnapshotError::Corrupt(format!(
+                "bundle {b} carries a different number of packets than its events and queue name"
+            )));
+        }
+        let (core, queue, arena) = host.worker(Some(b));
+        core.adopt_bundle(parcel, queue, arena, at)
+            .map_err(|e| SnapshotError::Corrupt(format!("bundle {b} does not install: {e}")))?;
     }
-    Nanos::decode(&mut r).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+    for gid in 0..config.num_paths.max(1) {
+        let (net, queue, arena) = host.net(gid);
+        net.load_path_section(gid, queue, arena, r)
+            .map_err(corrupt)?;
+    }
+    if !r.is_empty() {
+        return Err(SnapshotError::Corrupt(
+            "trailing bytes after snapshot payload".into(),
+        ));
+    }
+    Ok(at)
 }
 
 /// Restores the last checkpoint at or before `t` and re-runs the tail of

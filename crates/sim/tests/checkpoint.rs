@@ -263,3 +263,92 @@ fn snapshot_wire_format_is_stable() {
          (see this test's doc comment for the required steps)"
     );
 }
+
+/// Two real checkpoints with the worlds that wrote them: agent-mode
+/// `many_sites` under a fault plan (plus a long reorder burst, so the
+/// bottleneck's one-slot reorder buffer is in use when the checkpoint is
+/// taken), and `metro` with the fluid cross-traffic tier on two imbalanced
+/// paths — between them every snapshot section that exists. Taken 200 ms
+/// in: flows are mid-transfer and the time series, which dominate later
+/// snapshots, are still short.
+fn corruption_targets() -> Vec<(&'static str, SimulationConfig, Vec<FlowSpec>, Vec<u8>)> {
+    use bundler_sim::fluid::CrossTrafficTier;
+    use bundler_sim::scenario::metro::MetroScenario;
+
+    let sc = scenario(31);
+    let plan = FaultPlan::generate(31, sc.sim_config().duration, sc.sim_config().num_paths)
+        .with_fault(
+            Nanos::from_millis(120),
+            FaultKind::Reorder { count: 100_000 },
+        );
+    let (many_sites, many_sites_wl) = setup(31, Some(plan));
+    let sc = MetroScenario::builder()
+        .sites(2)
+        .users_per_site(100)
+        .requests_per_site(4)
+        .bottleneck(Rate::from_mbps(40))
+        .drain(Duration::from_secs(1))
+        .tier(CrossTrafficTier::Fluid)
+        .seed(31)
+        .build();
+    let mut metro = sc.sim_config();
+    metro.num_paths = 2;
+    metro.path_delay_spread = Duration::from_millis(5);
+    [
+        ("many_sites + faults", many_sites, many_sites_wl),
+        ("metro fluid", metro, sc.workload()),
+    ]
+    .into_iter()
+    .map(|(what, mut config, workload)| {
+        config.checkpoint_every = Some(Duration::from_millis(200));
+        let mut ckpts = Vec::new();
+        Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts);
+        (what, config, workload, ckpts.swap_remove(0).1)
+    })
+    .collect()
+}
+
+/// `restore` is total over bad bytes: every truncation is an error, and an
+/// 8-byte overwrite anywhere past the header — the values a hostile or
+/// bit-rotted length prefix, count or index would take — is an error or a
+/// (differently) decodable snapshot. Never a panic, never an allocation
+/// the process dies on. What an altered-but-decodable snapshot then does in
+/// `run()` is not this test's subject.
+#[test]
+fn restore_is_total_over_truncated_and_overwritten_snapshots() {
+    // 28 bytes of header: magic, version, instant, fingerprint.
+    const HEADER: usize = 28;
+    // Debug builds sample offsets; the stride is odd so every alignment
+    // against the 8-byte fields is still hit.
+    let stride = if cfg!(debug_assertions) { 29 } else { 1 };
+    for (what, config, workload, blob) in corruption_targets() {
+        let restore = |bytes: &[u8]| Simulation::restore(config.clone(), workload.clone(), bytes);
+        assert!(
+            restore(&blob).is_ok(),
+            "{what}: the intact snapshot restores"
+        );
+        for len in (0..blob.len()).step_by(stride) {
+            assert!(
+                matches!(
+                    restore(&blob[..len]).err(),
+                    Some(snapshot::SnapshotError::Corrupt(_))
+                ),
+                "{what}: truncation to {len} of {} bytes must be rejected",
+                blob.len()
+            );
+        }
+        let mut patched = blob.clone();
+        for at in (HEADER..blob.len() - 8).step_by(stride) {
+            for value in [u64::MAX, 1 << 40, 1000] {
+                patched[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                if let Err(e) = restore(&patched) {
+                    assert!(
+                        matches!(e, snapshot::SnapshotError::Corrupt(_)),
+                        "{what}: {e}"
+                    );
+                }
+            }
+            patched[at..at + 8].copy_from_slice(&blob[at..at + 8]);
+        }
+    }
+}

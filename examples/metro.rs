@@ -22,7 +22,7 @@
 //! (`CrossTrafficTier::Fluid`), scaled `--fluid-multiplier` times larger.
 //! The fluid tier's cost is O(aggregates), independent of the user count,
 //! so it carries a 100x population at a fraction of the wall time; the
-//! closing ratio line is what `BENCH_PR8.json` tracks and CI smokes.
+//! example asserts the closing ratio, and CI runs it ("Metro tier smoke").
 
 use std::time::Instant;
 

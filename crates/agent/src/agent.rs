@@ -57,6 +57,19 @@ pub struct AgentStats {
     pub advances: u64,
 }
 
+/// Field-wise sum: how a host that partitions one site's bundle table
+/// across several agents reports the site's totals.
+impl std::ops::AddAssign for AgentStats {
+    fn add_assign(&mut self, other: AgentStats) {
+        self.packets_classified += other.packets_classified;
+        self.packets_unclassified += other.packets_unclassified;
+        self.acks_delivered += other.acks_delivered;
+        self.acks_unknown += other.acks_unknown;
+        self.ticks_run += other.ticks_run;
+        self.advances += other.advances;
+    }
+}
+
 impl Encode for AgentStats {
     fn encode(&self, out: &mut Vec<u8>) {
         self.packets_classified.encode(out);

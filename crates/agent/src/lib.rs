@@ -17,7 +17,7 @@
 //! [`SiteAgent`] ties the three together around the per-bundle
 //! [`Sendbox`](bundler_core::Sendbox) control planes. Datapaths (queues,
 //! pacing) stay with the caller, mirroring the sendbox's own split: the
-//! simulator's `MultiBundle` edge owns one token bucket per bundle, a real
+//! simulator's agent edge owns one token bucket per bundle, a real
 //! deployment would own one qdisc per bundle.
 
 #![forbid(unsafe_code)]

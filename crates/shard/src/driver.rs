@@ -262,7 +262,7 @@ enum Host {
 /// instead (one shard, or a one-way delay below 2 ns, which leaves no
 /// conservative lookahead to halve).
 fn window_of(config: &SimulationConfig) -> Option<Duration> {
-    let lookahead = NetCore::new(config).min_one_way_delay();
+    let lookahead = config.lookahead();
     (config.shards > 1 && lookahead.as_nanos() >= 2).then(|| Duration(lookahead.as_nanos() / 2))
 }
 

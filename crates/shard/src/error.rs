@@ -30,12 +30,6 @@ pub enum ShardError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A worker thread terminated without unwinding through the driver's
-    /// panic net (it was killed, or its stack was exhausted).
-    WorkerVanished {
-        /// Index of the shard whose thread disappeared.
-        shard: usize,
-    },
     /// The snapshot handed to [`crate::ShardedSimulation::restore`] was
     /// rejected.
     Snapshot(SnapshotError),
@@ -56,9 +50,6 @@ impl std::fmt::Display for ShardError {
                     None => write!(f, " (outside event processing)")?,
                 }
                 write!(f, ": {message}")
-            }
-            ShardError::WorkerVanished { shard } => {
-                write!(f, "worker shard {shard} terminated without reporting")
             }
             ShardError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
         }

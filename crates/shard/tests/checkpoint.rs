@@ -225,6 +225,94 @@ fn restore_is_total_over_truncated_and_overwritten_snapshots() {
     }
 }
 
+/// The classic (non-agent) sendbox edge — two `Bundler` bundles around a
+/// status-quo one, two imbalanced paths, a direct flow and a ping: the
+/// world of `equivalence.rs::classic_mode_survives_worst_case_migration`.
+/// Every other checkpoint test runs an agent-mode world, so this is the
+/// one that writes and restores edge tags 0 (no sendbox) and 1 (`Bundle`).
+/// The 500 ms cadence is a multiple of the 10 ms window (rtt 40 ms).
+fn classic_world() -> (SimulationConfig, Vec<FlowSpec>) {
+    use bundler_core::BundlerConfig;
+    use bundler_sim::edge::BundleMode;
+    use bundler_types::Nanos;
+
+    let config = SimulationConfig {
+        duration: Duration::from_secs(6),
+        bottleneck_rate: Rate::from_mbps(48),
+        rtt: Duration::from_millis(40),
+        num_paths: 2,
+        path_delay_spread: Duration::from_millis(5),
+        bundles: vec![
+            BundleMode::Bundler(BundlerConfig::default()),
+            BundleMode::StatusQuo,
+            BundleMode::Bundler(BundlerConfig::default()),
+        ],
+        checkpoint_every: Some(Duration::from_millis(500)),
+        ..Default::default()
+    };
+    let workload = vec![
+        FlowSpec::bundled(1, 900_000, Nanos::ZERO, 0),
+        FlowSpec::bundled(2, FlowSpec::BACKLOGGED, Nanos::from_millis(15), 1),
+        FlowSpec::bundled(3, 300_000, Nanos::from_millis(40), 2),
+        FlowSpec::direct(4, 400_000, Nanos::from_millis(25)),
+        FlowSpec::bundled(5, 40, Nanos::from_millis(10), 0).as_ping(),
+        FlowSpec::bundled(6, 120_000, Nanos::from_millis(350), 2),
+    ];
+    (config, workload)
+}
+
+#[test]
+fn classic_edge_checkpoints_restore_and_match_solo() {
+    // The checkpoint stamped 2 s, reduced to an FNV-1a hash: the exact
+    // bytes of status-quo parcels and `Bundle::save_state`. If this fails
+    // the snapshot layout changed — follow the steps on
+    // `snapshot_wire_format_is_stable` in `crates/sim/tests/checkpoint.rs`.
+    const GOLDEN_AT_2S: (usize, u64) = (35_933, 0x88e1_5bc8_17d4_3e3a);
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+        h
+    }
+
+    let (config, wl) = classic_world();
+    let mut solo = Vec::new();
+    let want = SimStats::of(&Simulation::new(config.clone(), wl.clone()).run_collecting(&mut solo));
+    assert_eq!(solo.len(), 11, "one checkpoint per 500 ms of a 6 s run");
+    let (_, blob) = solo
+        .iter()
+        .find(|(at, _)| *at == bundler_types::Nanos::from_secs(2))
+        .expect("a checkpoint stamped 2 s");
+    assert_eq!((blob.len(), fnv1a64(blob)), GOLDEN_AT_2S);
+
+    for (at, blob) in &solo {
+        let report = Simulation::restore(config.clone(), wl.clone(), blob)
+            .expect("valid snapshot")
+            .run();
+        assert_eq!(want, SimStats::of(&report), "solo restore at {at:?}");
+        let mut cfg = config.clone();
+        cfg.shards = 2;
+        let report = ShardedSimulation::restore(cfg, wl.clone(), blob)
+            .expect("valid snapshot")
+            .run();
+        assert_eq!(want, SimStats::of(&report), "2-shard restore at {at:?}");
+    }
+    for balance in [ShardBalance::Rotate, ShardBalance::Rate] {
+        let mut cfg = config.clone();
+        cfg.shards = 2;
+        cfg.balance = balance;
+        let mut got = Vec::new();
+        let report = ShardedSimulation::new(cfg, wl.clone()).run_collecting(&mut got);
+        assert_eq!(want, SimStats::of(&report), "2 shards, {balance:?}");
+        assert!(
+            solo == got,
+            "2-shard {balance:?} checkpoints differ from the solo run's"
+        );
+    }
+}
+
 #[test]
 fn worker_panic_surfaces_a_typed_diagnostic() {
     // StrictPriority does not support checkpointing (the last scheduler

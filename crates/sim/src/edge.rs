@@ -1,18 +1,27 @@
-//! The site edge: either a transparent pass-through (status quo), a
+//! The site edge: either a transparent pass-through (status quo) or a
 //! Bundler sendbox (token-bucket rate limiter + scheduler + control plane)
-//! paired with a receivebox at the destination site, or — for the
-//! multi-site experiments — a [`MultiBundle`] edge where one
-//! [`SiteAgent`] manages many bundles behind a prefix classifier.
+//! paired with a receivebox at the destination site.
+//!
+//! There is one kind of per-bundle edge state, [`Bundle`], and one
+//! container for it, [`Edge`], whether the site has one remote peer or
+//! forty-eight. The two configurations of a source site — per-bundle
+//! [`BundleMode`]s ("classic") and one [`SiteAgent`] managing many bundles
+//! behind a prefix classifier ("agent") — differ in exactly two things,
+//! both decided inside [`Edge`]: *which bundle a packet belongs to* (its
+//! flow's origin, or a longest-prefix match on its destination) and *who
+//! holds the bundle's [`Sendbox`]* (the [`Bundle`] itself, or the agent).
 
-use bundler_agent::{AgentConfig, SiteAgent};
+use bundler_agent::{AgentStats, DetachedBundle, SiteAgent};
 use bundler_core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
-use bundler_core::{BundlerConfig, FnvHashMap, Mode, Receivebox, Sendbox};
+use bundler_core::{BundlerConfig, Mode, Receivebox, Sendbox, SendboxOutput};
 use bundler_sched::tbf::{Release, Tbf};
 use bundler_sched::Enqueued;
-use bundler_types::{Duration, IpPrefix, Nanos, Packet, PacketArena, PacketId, Rate};
+use bundler_types::{IpPrefix, Nanos, Packet, PacketArena, PacketId, Rate};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
+use crate::sim::SimulationConfig;
 use crate::stats::TimeSeries;
+use crate::workload::Origin;
 
 /// How a bundle's traffic is treated at the source site edge.
 #[derive(Debug, Clone, Copy)]
@@ -31,8 +40,11 @@ pub struct Bundle {
     pub index: usize,
     /// The sendbox datapath: token bucket + configured scheduler.
     pub tbf: Tbf,
-    /// The sendbox control plane.
-    pub control: Sendbox,
+    /// The sendbox control plane, when the bundle holds it itself. `None`
+    /// at an agent edge, where the [`SiteAgent`] holds every bundle's
+    /// [`Sendbox`] so that its classifier, ACK routing and telemetry see
+    /// them (see [`Edge`]).
+    pub control: Option<Sendbox>,
     /// The receivebox at the destination site.
     pub receivebox: Receivebox,
     /// Whether a release event is currently scheduled (prevents duplicate
@@ -51,29 +63,38 @@ impl std::fmt::Debug for Bundle {
             .field("index", &self.index)
             .field("rate", &self.tbf.rate())
             .field("queued", &self.tbf.len_packets())
-            .field("mode", &self.control.mode())
+            .field("mode", &self.last_mode)
             .finish()
     }
 }
 
 impl Bundle {
-    /// Creates a bundle instance from a Bundler configuration.
+    /// Creates a bundle instance from a Bundler configuration, holding its
+    /// own control plane.
     pub fn new(index: usize, config: BundlerConfig, now: Nanos) -> Result<Self, String> {
         config.validate()?;
-        let scheduler = config.policy.build(config.sendbox_queue_capacity_pkts);
-        let tbf = Tbf::new(config.initial_rate, 3 * 1514, scheduler, now);
         let control = Sendbox::new(BundleId(index as u32), config)?;
-        let receivebox = Receivebox::new(BundleId(index as u32), config.initial_epoch_size);
         Ok(Bundle {
+            control: Some(control),
+            ..Bundle::without_control(index, &config, now)
+        })
+    }
+
+    /// A bundle whose control plane lives elsewhere (in the edge's
+    /// [`SiteAgent`], which validated `config` when it built the
+    /// [`Sendbox`]): datapath, receivebox and telemetry only.
+    fn without_control(index: usize, config: &BundlerConfig, now: Nanos) -> Self {
+        let scheduler = config.policy.build(config.sendbox_queue_capacity_pkts);
+        Bundle {
             index,
-            tbf,
-            control,
-            receivebox,
+            tbf: Tbf::new(config.initial_rate, 3 * 1514, scheduler, now),
+            control: None,
+            receivebox: Receivebox::new(BundleId(index as u32), config.initial_epoch_size),
             release_scheduled: false,
             queue_delay_ms: TimeSeries::new(),
             mode_timeline: vec![(now, Mode::DelayControl.to_string())],
             last_mode: Mode::DelayControl,
-        })
+        }
     }
 
     /// Offers a packet from a bundled flow to the sendbox scheduler.
@@ -90,33 +111,28 @@ impl Bundle {
     }
 
     /// Attempts to release the next packet under the current pacing rate.
-    /// On success the control plane is notified so it can record epoch
-    /// boundaries.
+    /// On success the bundle's own control plane, if it holds one, is
+    /// notified so it can record epoch boundaries ([`Edge::try_release`]
+    /// notifies an agent-held one).
     pub fn try_release(&mut self, arena: &mut PacketArena, now: Nanos) -> Release {
         let release = self.tbf.try_dequeue(arena, now);
-        if let Release::Packet(pkt) = release {
-            self.control.on_packet_forwarded(&arena[pkt], now);
+        if let (Release::Packet(pkt), Some(control)) = (release, self.control.as_mut()) {
+            control.on_packet_forwarded(&arena[pkt], now);
         }
         release
     }
 
-    /// Runs one control tick: invokes the control plane, applies the new
-    /// rate to the token bucket, and returns any epoch-size update that must
-    /// be delivered to the receivebox.
-    pub fn tick(&mut self, now: Nanos) -> Option<EpochSizeUpdate> {
-        let queue_bytes = self.tbf.len_bytes();
-        let out = self.control.on_tick(queue_bytes, now);
+    /// Applies one control tick's output to the datapath: the new pacing
+    /// rate goes to the token bucket, a mode change onto the timeline, and
+    /// any epoch-size update that must be delivered to the receivebox is
+    /// returned.
+    fn apply_tick(&mut self, out: SendboxOutput, now: Nanos) -> Option<EpochSizeUpdate> {
         self.tbf.set_rate(out.rate, now);
         if out.mode != self.last_mode {
             self.last_mode = out.mode;
             self.mode_timeline.push((now, out.mode.to_string()));
         }
         out.epoch_update
-    }
-
-    /// Delivers a congestion ACK from the receivebox to the control plane.
-    pub fn on_congestion_ack(&mut self, ack: &CongestionAck, now: Nanos) {
-        self.control.on_congestion_ack(ack, now);
     }
 
     /// Current pacing rate.
@@ -141,9 +157,9 @@ impl Bundle {
         self.queue_delay_ms.push(now, delay_ms.min(30_000.0));
     }
 
-    /// Current operating mode of the control plane.
+    /// Operating mode of the control plane as of its last tick.
     pub fn mode(&self) -> Mode {
-        self.control.mode()
+        self.last_mode
     }
 
     /// Enables or disables the sendbox datapath's observability export
@@ -159,16 +175,19 @@ impl Bundle {
         self.tbf.take_obs()
     }
 
-    /// Serializes the bundle's complete dynamic state. Queued packet ids go
-    /// out as-is, so the caller must have rewritten them to ordinals (via
-    /// `Tbf::for_each_pkt_mut`) and must carry the packets themselves
+    /// Serializes the bundle's complete dynamic state: datapath, control
+    /// plane if the bundle holds it, receivebox, telemetry. Queued packet
+    /// ids go out as-is, so the caller must have rewritten them to ordinals
+    /// (via `Tbf::for_each_pkt_mut`) and must carry the packets themselves
     /// separately. Fails (returns `false`, stream part-written) if the
     /// scheduler policy does not support checkpointing.
     pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
         if !self.tbf.save_state(out) {
             return false;
         }
-        self.control.save_state(out);
+        if let Some(control) = &self.control {
+            control.save_state(out);
+        }
         self.receivebox.save_state(out);
         self.release_scheduled.encode(out);
         self.queue_delay_ms.encode(out);
@@ -177,29 +196,27 @@ impl Bundle {
         true
     }
 
-    /// Rebuilds a bundle from its configuration plus bytes written by
-    /// [`Bundle::save_state`]. Queued packet ids come back as the ordinals
-    /// the saver wrote; the caller re-homes them into its arena.
-    pub fn from_state(
-        index: usize,
-        config: BundlerConfig,
-        r: &mut Reader<'_>,
-    ) -> Result<Self, DecodeError> {
-        let mut b = Bundle::new(index, config, Nanos::ZERO)
-            .map_err(|_| r.error("invalid bundler config"))?;
-        b.tbf.load_state(r)?;
-        b.control.load_state(r)?;
-        b.receivebox.load_state(r)?;
-        b.release_scheduled = bool::decode(r)?;
-        b.queue_delay_ms = TimeSeries::decode(r)?;
-        b.mode_timeline = Vec::<(Nanos, String)>::decode(r)?;
-        b.last_mode = Mode::decode(r)?;
-        Ok(b)
+    /// Overwrites a freshly configured bundle's dynamic state with bytes
+    /// written by [`Bundle::save_state`] for a bundle of the same kind
+    /// (holding its control plane or not). Queued packet ids come back as
+    /// the ordinals the saver wrote; the caller re-homes them into its
+    /// arena.
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.tbf.load_state(r)?;
+        if let Some(control) = &mut self.control {
+            control.load_state(r)?;
+        }
+        self.receivebox.load_state(r)?;
+        self.release_scheduled = bool::decode(r)?;
+        self.queue_delay_ms = TimeSeries::decode(r)?;
+        self.mode_timeline = Vec::<(Nanos, String)>::decode(r)?;
+        self.last_mode = Mode::decode(r)?;
+        Ok(())
     }
 }
 
-/// One bundle of a [`MultiBundle`] edge: the destination prefixes it
-/// serves and its Bundler configuration.
+/// One bundle of an agent edge: the destination prefixes it serves and its
+/// Bundler configuration.
 #[derive(Debug, Clone)]
 pub struct MultiBundleSpec {
     /// Destination prefixes routed to this bundle (the remote site's
@@ -209,473 +226,291 @@ pub struct MultiBundleSpec {
     pub config: BundlerConfig,
 }
 
-/// A site edge managing many bundles through one [`SiteAgent`]: per-packet
-/// classification picks the bundle, each bundle keeps its own token-bucket
-/// datapath and (remote) receivebox, and control ticks run either through
-/// the agent's timer wheel ([`MultiBundle::advance`]) or one bundle at a
-/// time from the host's event loop ([`MultiBundle::tick_bundle`]).
-///
-/// An edge may manage the whole site's bundle table or one shard's
-/// *partition* of it ([`MultiBundle::partition`]): every method addresses
-/// bundles by their site-wide (global) index either way, so the simulation
-/// core is oblivious to the partitioning.
-pub struct MultiBundle {
-    /// The agent owning every managed bundle's control plane.
-    pub agent: SiteAgent,
-    /// Global index per local slot, in addition order (ascending).
-    ids: Vec<usize>,
-    /// Global index → local slot.
-    slot_of: FnvHashMap<usize, usize>,
-    datapaths: Vec<Tbf>,
-    receiveboxes: Vec<Receivebox>,
-    /// Whether a release event is scheduled per slot (prevents duplicate
-    /// scheduling in the event loop).
-    release_scheduled: Vec<bool>,
-    /// Sendbox queue delay samples in milliseconds, per slot.
-    queue_delay_ms: Vec<TimeSeries>,
-    /// Mode changes observed per slot: (time, mode name).
-    mode_timeline: Vec<Vec<(Nanos, String)>>,
-    last_modes: Vec<Mode>,
+/// A bundle's sendbox edge state in transit between two [`Edge`]s, or to
+/// and from snapshot bytes.
+pub(crate) struct DetachedEdge {
+    /// The bundle's edge state, if a sendbox is deployed for it. A
+    /// status-quo bundle has none (its flows and telemetry still migrate).
+    pub(crate) bundle: Option<Bundle>,
+    /// At an agent edge, the control plane and prefixes the [`SiteAgent`]
+    /// hands over.
+    agent: Option<DetachedBundle>,
 }
 
-impl std::fmt::Debug for MultiBundle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiBundle")
-            .field("agent", &self.agent)
-            .field("bundles", &self.ids)
-            .finish()
-    }
+/// One worker's partition of the source site's sendbox edge: the
+/// [`Bundle`] of every deployed bundle the worker owns, indexed by the
+/// site-wide (global) bundle id, and — when the site runs an agent
+/// ([`SimulationConfig::multi_bundle`]) — the [`SiteAgent`] managing those
+/// same bundles' control planes.
+pub(crate) struct Edge {
+    /// `Some` exactly for the owned bundles that deploy a sendbox.
+    bundles: Vec<Option<Bundle>>,
+    /// At an agent edge, manages exactly the bundles that are `Some` above.
+    agent: Option<SiteAgent>,
 }
 
-impl MultiBundle {
-    /// Builds the edge: one bundle per spec, registered with the agent in
-    /// order (bundle `i` is `specs[i]`).
-    pub fn new(
-        agent_config: AgentConfig,
-        specs: &[MultiBundleSpec],
-        now: Nanos,
-    ) -> Result<Self, String> {
-        let owned: Vec<usize> = (0..specs.len()).collect();
-        Self::partition(agent_config, specs, &owned, now)
-    }
-
-    /// Builds one shard's partition of a site edge: only the bundles named
-    /// by `owned` (global indices into `specs`, strictly ascending) are
-    /// instantiated, but they keep their global identity for
+impl Edge {
+    /// Builds the partition of the configured edge that `owned` (one flag
+    /// per bundle index) selects. Bundles keep their global identity for
     /// classification, ACK routing and telemetry.
-    pub fn partition(
-        agent_config: AgentConfig,
-        specs: &[MultiBundleSpec],
-        owned: &[usize],
-        now: Nanos,
-    ) -> Result<Self, String> {
-        let mut agent = SiteAgent::new(agent_config);
-        let mut datapaths = Vec::with_capacity(owned.len());
-        let mut receiveboxes = Vec::with_capacity(owned.len());
-        let mut slot_of = FnvHashMap::default();
-        for (slot, &b) in owned.iter().enumerate() {
-            if slot > 0 && owned[slot - 1] >= b {
-                return Err("owned bundle indices must be strictly ascending".into());
+    pub(crate) fn new(config: &SimulationConfig, owned: &[bool]) -> Result<Self, String> {
+        let now = Nanos::ZERO;
+        let mut bundles = Vec::with_capacity(owned.len());
+        let agent = match &config.multi_bundle {
+            Some(mode) => {
+                let mut agent = SiteAgent::new(mode.agent);
+                for (b, spec) in mode.specs.iter().enumerate() {
+                    bundles.push(if owned[b] {
+                        let id = BundleId(b as u32);
+                        agent.add_bundle_with_id(&spec.prefixes, spec.config, id, now)?;
+                        Some(Bundle::without_control(b, &spec.config, now))
+                    } else {
+                        None
+                    });
+                }
+                Some(agent)
             }
-            let spec = specs
-                .get(b)
-                .ok_or_else(|| format!("bundle index {b} out of range"))?;
-            agent.add_bundle_with_id(&spec.prefixes, spec.config, BundleId(b as u32), now)?;
-            let scheduler = spec
-                .config
-                .policy
-                .build(spec.config.sendbox_queue_capacity_pkts);
-            datapaths.push(Tbf::new(spec.config.initial_rate, 3 * 1514, scheduler, now));
-            receiveboxes.push(Receivebox::new(
-                BundleId(b as u32),
-                spec.config.initial_epoch_size,
-            ));
-            slot_of.insert(b, slot);
-        }
-        let n = owned.len();
-        Ok(MultiBundle {
-            agent,
-            ids: owned.to_vec(),
-            slot_of,
-            datapaths,
-            receiveboxes,
-            release_scheduled: vec![false; n],
-            queue_delay_ms: vec![TimeSeries::new(); n],
-            mode_timeline: (0..n)
-                .map(|_| vec![(now, Mode::DelayControl.to_string())])
-                .collect(),
-            last_modes: vec![Mode::DelayControl; n],
-        })
+            None => {
+                for (b, mode) in config.bundles.iter().enumerate() {
+                    bundles.push(match mode {
+                        BundleMode::Bundler(cfg) if owned[b] => Some(Bundle::new(b, *cfg, now)?),
+                        _ => None,
+                    });
+                }
+                None
+            }
+        };
+        Ok(Edge { bundles, agent })
     }
 
-    /// Number of bundles managed at this edge (the partition's size).
-    pub fn len(&self) -> usize {
-        self.datapaths.len()
+    /// Bundle `b`'s edge state, if this partition deploys a sendbox for it.
+    pub(crate) fn bundle(&self, b: usize) -> Option<&Bundle> {
+        self.bundles.get(b)?.as_ref()
     }
 
-    /// True if the edge manages no bundles.
-    pub fn is_empty(&self) -> bool {
-        self.datapaths.is_empty()
+    /// Mutable access to bundle `b`'s edge state.
+    pub(crate) fn bundle_mut(&mut self, b: usize) -> Option<&mut Bundle> {
+        self.bundles.get_mut(b)?.as_mut()
     }
 
-    /// The global indices of the managed bundles, ascending.
-    pub fn bundles(&self) -> &[usize] {
-        &self.ids
-    }
-
-    /// True if this edge manages the given global bundle index.
-    pub fn manages(&self, bundle: usize) -> bool {
-        self.slot_of.contains_key(&bundle)
-    }
-
-    fn slot(&self, bundle: usize) -> usize {
-        self.slot_of[&bundle]
-    }
-
-    /// Classifies a packet to its bundle (global index) by destination
-    /// prefix.
-    pub fn classify(&mut self, pkt: &Packet) -> Option<usize> {
-        self.agent.classify_packet(pkt)
-    }
-
-    /// Offers a packet to bundle `bundle`'s sendbox scheduler. Returns
-    /// `false` if the scheduler dropped a packet to make room (the victim
-    /// is freed back to the arena here).
-    pub fn enqueue(
+    /// The bundle whose sendbox a forward-direction packet enters, if any.
+    /// An agent edge picks it by longest-prefix match on the destination
+    /// address — exactly what a real site edge does — and never asks for
+    /// the flow's `origin`; a classic edge takes the origin's bundle when
+    /// it deploys a sendbox here.
+    pub(crate) fn classify(
         &mut self,
-        bundle: usize,
-        pkt: PacketId,
-        arena: &mut PacketArena,
-        now: Nanos,
-    ) -> bool {
-        let slot = self.slot(bundle);
-        match self.datapaths[slot].enqueue(pkt, arena, now) {
-            Enqueued::Queued => true,
-            Enqueued::Dropped(victim) => {
-                arena.free(victim);
-                false
+        pkt: &Packet,
+        origin: impl FnOnce() -> Origin,
+    ) -> Option<usize> {
+        match &mut self.agent {
+            Some(agent) => {
+                let b = agent.classify_packet(pkt);
+                debug_assert!(
+                    b.is_none_or(|b| self.bundles[b].is_some()),
+                    "flow classified across the partition: bundle {b:?} not owned"
+                );
+                b
             }
+            None => match origin() {
+                Origin::Bundle(b) if self.bundle(b).is_some() => Some(b),
+                _ => None,
+            },
         }
     }
 
-    /// Attempts to release bundle `bundle`'s next packet under its pacing
-    /// rate, notifying the control plane on success.
-    pub fn try_release(&mut self, bundle: usize, arena: &mut PacketArena, now: Nanos) -> Release {
-        let slot = self.slot(bundle);
-        let release = self.datapaths[slot].try_dequeue(arena, now);
-        if let Release::Packet(pkt) = release {
-            self.agent.on_packet_forwarded(bundle, &arena[pkt], now);
+    /// The destination-site receivebox observes a packet of a flow from
+    /// bundle `origin`. An agent edge picks the receivebox by the
+    /// destination address, exactly as the send side classified: a packet
+    /// that missed the prefix table there (and travelled outside the
+    /// bundle) must not produce congestion ACKs for a sendbox that never
+    /// saw it.
+    pub(crate) fn receivebox_on_packet(
+        &mut self,
+        origin: usize,
+        pkt: &Packet,
+        now: Nanos,
+    ) -> Option<CongestionAck> {
+        let b = match &self.agent {
+            Some(agent) => agent.classify(&pkt.key)?,
+            None => origin,
+        };
+        self.bundle_mut(b)?.receivebox.on_packet(pkt, now)
+    }
+
+    /// Read access to bundle `b`'s control plane, whoever holds it.
+    pub(crate) fn control(&self, b: usize) -> Option<&Sendbox> {
+        match &self.agent {
+            Some(agent) => agent.sendbox(b),
+            None => self.bundle(b)?.control.as_ref(),
+        }
+    }
+
+    /// Attempts to release bundle `b`'s next packet under its pacing rate,
+    /// notifying the control plane on success.
+    pub(crate) fn try_release(&mut self, b: usize, arena: &mut PacketArena, now: Nanos) -> Release {
+        let bundle = self.bundles[b]
+            .as_mut()
+            .expect("releasing a deployed bundle");
+        let release = bundle.try_release(arena, now);
+        if let (Release::Packet(pkt), Some(agent)) = (release, self.agent.as_mut()) {
+            agent.on_packet_forwarded(b, &arena[pkt], now);
         }
         release
     }
 
-    /// Runs bundle `bundle`'s control tick immediately: the control plane
-    /// runs, its new pacing rate is applied to the token bucket, the mode
-    /// timeline is updated, and any epoch-size update to deliver is
-    /// returned. This is the event-driven path the simulator uses (one
-    /// `ControlTick` event per bundle, canonical per-LP order); the wheel
-    /// path below batches instead.
-    pub fn tick_bundle(&mut self, bundle: usize, now: Nanos) -> Option<EpochSizeUpdate> {
-        let slot = self.slot(bundle);
-        let queue_bytes = self.datapaths[slot].len_bytes();
-        let output = self
-            .agent
-            .tick_bundle(bundle, queue_bytes, now)
-            .expect("managed bundle has a control plane");
-        self.datapaths[slot].set_rate(output.rate, now);
-        if output.mode != self.last_modes[slot] {
-            self.last_modes[slot] = output.mode;
-            self.mode_timeline[slot].push((now, output.mode.to_string()));
-        }
-        output.epoch_update
-    }
-
-    /// The control interval of bundle `bundle`.
-    pub fn control_interval(&self, bundle: usize) -> Duration {
-        self.agent
-            .sendbox(bundle)
-            .expect("managed bundle")
-            .config()
-            .control_interval
-    }
-
-    /// Advances the agent's tick wheel to `now`: every due bundle runs its
-    /// control tick, its new pacing rate is applied to its token bucket and
-    /// its mode timeline is updated. Returns `(bundle, epoch update)` for
-    /// each tick that produced an epoch-size update to deliver.
-    pub fn advance(&mut self, now: Nanos) -> Vec<(usize, Option<EpochSizeUpdate>)> {
-        let datapaths = &self.datapaths;
-        let slot_of = &self.slot_of;
-        let ticks = self
-            .agent
-            .advance(now, |b| datapaths[slot_of[&b]].len_bytes());
-        let mut out = Vec::with_capacity(ticks.len());
-        for tick in ticks {
-            let b = tick.bundle;
-            let slot = self.slot_of[&b];
-            self.datapaths[slot].set_rate(tick.output.rate, now);
-            if tick.output.mode != self.last_modes[slot] {
-                self.last_modes[slot] = tick.output.mode;
-                self.mode_timeline[slot].push((now, tick.output.mode.to_string()));
-            }
-            out.push((b, tick.output.epoch_update));
-        }
-        out
-    }
-
-    /// When the next wheel-driven control tick is due (hosts using
-    /// [`MultiBundle::advance`] schedule off this).
-    pub fn next_tick_at(&self) -> Option<Nanos> {
-        self.agent.next_tick_at()
-    }
-
-    /// The destination-site receivebox observes an arriving packet.
-    pub fn receivebox_on_packet(
-        &mut self,
-        bundle: usize,
-        pkt: &Packet,
-        now: Nanos,
-    ) -> Option<CongestionAck> {
-        let slot = self.slot(bundle);
-        self.receiveboxes
-            .get_mut(slot)
-            .and_then(|rb| rb.on_packet(pkt, now))
-    }
-
-    /// Delivers an epoch-size update to bundle `bundle`'s receivebox.
-    pub fn on_epoch_update(&mut self, bundle: usize, update: &EpochSizeUpdate) {
-        let slot = self.slot(bundle);
-        if let Some(rb) = self.receiveboxes.get_mut(slot) {
-            rb.on_epoch_update(update);
-        }
-    }
-
-    /// Delivers a congestion ACK to the agent (routed by its bundle id).
-    pub fn on_congestion_ack(&mut self, ack: &CongestionAck, now: Nanos) {
-        self.agent.on_congestion_ack(ack, now);
-    }
-
-    /// Whether a release event is scheduled for bundle `bundle`.
-    pub fn release_scheduled(&self, bundle: usize) -> bool {
-        self.release_scheduled[self.slot(bundle)]
-    }
-
-    /// Marks whether a release event is scheduled for bundle `bundle`.
-    pub fn set_release_scheduled(&mut self, bundle: usize, scheduled: bool) {
-        let slot = self.slot(bundle);
-        self.release_scheduled[slot] = scheduled;
-    }
-
-    /// Bundle `bundle`'s current pacing rate.
-    pub fn rate(&self, bundle: usize) -> Rate {
-        self.datapaths[self.slot(bundle)].rate()
-    }
-
-    /// Bytes queued at bundle `bundle`'s sendbox.
-    pub fn queue_bytes(&self, bundle: usize) -> u64 {
-        self.datapaths[self.slot(bundle)].len_bytes()
-    }
-
-    /// True if bundle `bundle`'s sendbox queue is empty.
-    pub fn queue_is_empty(&self, bundle: usize) -> bool {
-        self.datapaths[self.slot(bundle)].is_empty()
-    }
-
-    /// Records a queue-delay sample for bundle `bundle`.
-    pub fn sample_queue_delay(&mut self, bundle: usize, now: Nanos) {
-        let slot = self.slot(bundle);
-        let tbf = &self.datapaths[slot];
-        let rate = tbf.rate();
-        let delay_ms = if rate.is_zero() {
-            0.0
-        } else {
-            rate.transmit_time(tbf.len_bytes()).as_millis_f64()
+    /// Runs bundle `b`'s control tick: the control plane runs on the
+    /// datapath's queue occupancy, its new pacing rate is applied to the
+    /// token bucket, the mode timeline is updated, and any epoch-size
+    /// update to deliver is returned. One `ControlTick` event per bundle
+    /// drives this in canonical per-LP order, so an agent's timer wheel is
+    /// never consulted.
+    pub(crate) fn tick(&mut self, b: usize, now: Nanos) -> Option<EpochSizeUpdate> {
+        let bundle = self.bundles[b].as_mut().expect("ticking a deployed bundle");
+        let queue_bytes = bundle.tbf.len_bytes();
+        let out = match &mut bundle.control {
+            Some(own) => own.on_tick(queue_bytes, now),
+            None => self
+                .agent
+                .as_mut()
+                .and_then(|agent| agent.tick_bundle(b, queue_bytes, now))
+                .expect("the agent manages every bundle that holds no control plane"),
         };
-        self.queue_delay_ms[slot].push(now, delay_ms.min(30_000.0));
+        bundle.apply_tick(out, now)
     }
 
-    /// Records a queue-delay sample for every managed bundle.
-    pub fn sample_queue_delays(&mut self, now: Nanos) {
-        for b in self.ids.clone() {
-            self.sample_queue_delay(b, now);
-        }
-    }
-
-    /// Bundle `bundle`'s queue-delay sample series.
-    pub fn queue_delay_series(&self, bundle: usize) -> &TimeSeries {
-        &self.queue_delay_ms[self.slot(bundle)]
-    }
-
-    /// Bundle `bundle`'s mode timeline.
-    pub fn mode_timeline_of(&self, bundle: usize) -> &[(Nanos, String)] {
-        &self.mode_timeline[self.slot(bundle)]
-    }
-
-    /// Bundle `bundle`'s current control mode (as of its last tick).
-    pub fn mode_of(&self, bundle: usize) -> Mode {
-        self.last_modes[self.slot(bundle)]
-    }
-
-    /// Enables or disables observability export on every managed bundle's
-    /// datapath. Newly adopted bundles carry their own flag inside the
-    /// migrated scheduler, so this only needs to run at construction.
-    pub fn set_obs(&mut self, on: bool) {
-        for dp in &mut self.datapaths {
-            dp.set_obs(on);
-        }
-    }
-
-    /// Takes bundle `bundle`'s datapath observability export, if recording
-    /// was enabled.
-    pub fn take_obs(&mut self, bundle: usize) -> Option<bundler_obs::SchedObs> {
-        let slot = self.slot(bundle);
-        self.datapaths[slot].take_obs()
-    }
-
-    /// Read access to bundle `bundle`'s control plane.
-    pub fn sendbox(&self, bundle: usize) -> Option<&Sendbox> {
-        self.agent.sendbox(bundle)
-    }
-
-    /// Read access to bundle `bundle`'s receivebox.
-    pub fn receivebox(&self, bundle: usize) -> Option<&Receivebox> {
-        self.slot_of
-            .get(&bundle)
-            .and_then(|&s| self.receiveboxes.get(s))
-    }
-
-    /// Lifts bundle `bundle` (global index) out of this edge with all of
-    /// its live state — control plane, token-bucket datapath (queued
-    /// packets included), receivebox, telemetry series — for
-    /// [`MultiBundle::adopt`] on another edge. Returns `None` for an
-    /// unmanaged index. The caller re-homes the datapath's queued packets
-    /// between arenas via [`DetachedEdgeBundle::for_each_pkt_mut`].
-    pub fn extract(&mut self, bundle: usize) -> Option<DetachedEdgeBundle> {
-        let slot = self.slot_of.remove(&bundle)?;
-        self.ids.remove(slot);
-        for s in self.slot_of.values_mut() {
-            if *s > slot {
-                *s -= 1;
+    /// Delivers a congestion ACK to the control plane of the bundle it
+    /// names.
+    pub(crate) fn on_congestion_ack(&mut self, ack: &CongestionAck, now: Nanos) {
+        match &mut self.agent {
+            Some(agent) => agent.on_congestion_ack(ack, now),
+            None => {
+                let own = self.bundle_mut(ack.bundle.0 as usize);
+                if let Some(control) = own.and_then(|b| b.control.as_mut()) {
+                    control.on_congestion_ack(ack, now);
+                }
             }
         }
-        let agent = self
-            .agent
-            .remove_bundle(bundle)
-            .expect("slot table and agent agree on managed bundles");
-        Some(DetachedEdgeBundle {
-            agent,
-            index: bundle,
-            datapath: self.datapaths.remove(slot),
-            receivebox: self.receiveboxes.remove(slot),
-            release_scheduled: self.release_scheduled.remove(slot),
-            queue_delay_ms: self.queue_delay_ms.remove(slot),
-            mode_timeline: self.mode_timeline.remove(slot),
-            last_mode: self.last_modes.remove(slot),
-        })
     }
 
-    /// Installs a bundle extracted from another edge, preserving every
-    /// piece of its state. The slot order stays ascending by global index
-    /// (the invariant [`MultiBundle::partition`] establishes). Fails if the
-    /// index is already managed or a prefix conflicts.
-    pub fn adopt(&mut self, detached: DetachedEdgeBundle, now: Nanos) -> Result<(), String> {
-        let bundle = detached.index;
-        if self.slot_of.contains_key(&bundle) {
-            return Err(format!("bundle {bundle} is already managed here"));
+    /// Enables or disables observability export on every deployed bundle's
+    /// datapath. Adopted bundles carry their own flag inside the migrated
+    /// scheduler, so this only needs to run at construction.
+    pub(crate) fn set_obs(&mut self, on: bool) {
+        for b in self.bundles.iter_mut().flatten() {
+            b.set_obs(on);
         }
-        self.agent.adopt_bundle(detached.agent, now)?;
-        let slot = self.ids.partition_point(|&b| b < bundle);
-        for s in self.slot_of.values_mut() {
-            if *s >= slot {
-                *s += 1;
-            }
+    }
+
+    /// The site agent, at an agent edge.
+    pub(crate) fn agent(&self) -> Option<&SiteAgent> {
+        self.agent.as_ref()
+    }
+
+    /// Overwrites the agent's lifetime counters (snapshot restore rebuilds
+    /// the agent by re-adopting bundles, then reinstates them).
+    pub(crate) fn restore_agent_stats(&mut self, stats: AgentStats) {
+        if let Some(agent) = &mut self.agent {
+            agent.restore_stats(stats);
         }
-        self.ids.insert(slot, bundle);
-        self.slot_of.insert(bundle, slot);
-        self.datapaths.insert(slot, detached.datapath);
-        self.receiveboxes.insert(slot, detached.receivebox);
-        self.release_scheduled
-            .insert(slot, detached.release_scheduled);
-        self.queue_delay_ms.insert(slot, detached.queue_delay_ms);
-        self.mode_timeline.insert(slot, detached.mode_timeline);
-        self.last_modes.insert(slot, detached.last_mode);
+    }
+
+    /// Lifts bundle `b` out of this edge with all of its live state —
+    /// token-bucket datapath (queued packets included), control plane,
+    /// receivebox, telemetry series — for [`Edge::adopt`] on another edge.
+    /// The caller re-homes the datapath's queued packets between arenas via
+    /// `Tbf::for_each_pkt_mut`.
+    pub(crate) fn extract(&mut self, b: usize) -> DetachedEdge {
+        DetachedEdge {
+            bundle: self.bundles[b].take(),
+            agent: self.agent.as_mut().and_then(|a| a.remove_bundle(b)),
+        }
+    }
+
+    /// Installs bundle `b`'s edge state extracted from another edge (or
+    /// decoded from a snapshot), preserving every piece of it. `now` only
+    /// re-anchors the agent's tick wheel. Fails if the agent already
+    /// manages the id or one of its prefixes.
+    pub(crate) fn adopt(
+        &mut self,
+        b: usize,
+        detached: DetachedEdge,
+        now: Nanos,
+    ) -> Result<(), String> {
+        if let (Some(agent), Some(part)) = (self.agent.as_mut(), detached.agent) {
+            agent.adopt_bundle(part, now)?;
+        }
+        self.bundles[b] = detached.bundle;
         Ok(())
     }
 }
 
-/// One bundle's complete site-edge state in transit between two
-/// [`MultiBundle`] edges (the sharded runtime migrating a bundle between
-/// worker shards). Everything a bundle owns at the edge travels together:
-/// the agent-held control plane, the token-bucket datapath with its queued
-/// packets, the remote receivebox, and the telemetry accumulated so far.
-#[derive(Debug)]
-pub struct DetachedEdgeBundle {
-    agent: bundler_agent::DetachedBundle,
-    index: usize,
-    datapath: Tbf,
-    receivebox: Receivebox,
-    release_scheduled: bool,
-    queue_delay_ms: TimeSeries,
-    mode_timeline: Vec<(Nanos, String)>,
-    last_mode: Mode,
-}
-
-impl DetachedEdgeBundle {
-    /// The bundle's global index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Whether a release event was scheduled when the bundle was lifted.
-    pub fn release_scheduled(&self) -> bool {
-        self.release_scheduled
-    }
-
-    /// Visits every packet id queued in the detached datapath (see
-    /// [`Tbf::for_each_pkt_mut`]): how queued packets are moved out of the
-    /// source shard's arena and into the destination shard's.
-    pub fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut PacketId)) {
-        self.datapath.for_each_pkt_mut(f);
-    }
-
-    /// Serializes the detached bundle's complete state. Same packet-id
-    /// contract as [`Bundle::save_state`]: ids go out as the ordinals the
-    /// caller rewrote them to, packets travel separately.
-    pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        self.agent.save_state(out);
-        self.index.encode(out);
-        if !self.datapath.save_state(out) {
-            return false;
+impl DetachedEdge {
+    /// Appends the edge state to a snapshot stream: a tag — `0` no
+    /// sendbox, `1` a [`Bundle`] holding its control plane, `2` an
+    /// agent-held one — then the state. The tags and each tag's field order
+    /// are the `BNDLSNAP` v3 format; tag 2 interleaves the two halves the
+    /// way the format always has (agent part, index, then the [`Bundle`]).
+    /// Same packet-id contract as [`Bundle::save_state`], whose `false`
+    /// this passes on.
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) -> bool {
+        let Some(bundle) = &self.bundle else {
+            0u8.encode(out);
+            return true;
+        };
+        match &self.agent {
+            None => 1u8.encode(out),
+            Some(part) => {
+                2u8.encode(out);
+                part.save_state(out);
+                bundle.index.encode(out);
+            }
         }
-        self.receivebox.save_state(out);
-        self.release_scheduled.encode(out);
-        self.queue_delay_ms.encode(out);
-        self.mode_timeline.encode(out);
-        self.last_mode.encode(out);
-        true
+        bundle.save_state(out)
     }
 
-    /// Rebuilds a detached bundle from its spec's configuration plus bytes
-    /// written by [`DetachedEdgeBundle::save_state`].
-    pub fn from_state(config: BundlerConfig, r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let agent = bundler_agent::DetachedBundle::from_state(config, r)?;
-        let index = usize::decode(r)?;
-        let scheduler = config.policy.build(config.sendbox_queue_capacity_pkts);
-        let mut datapath = Tbf::new(config.initial_rate, 3 * 1514, scheduler, Nanos::ZERO);
-        datapath.load_state(r)?;
-        Ok(DetachedEdgeBundle {
-            agent,
-            index,
-            datapath,
-            receivebox: {
-                let mut rb = Receivebox::new(BundleId(index as u32), config.initial_epoch_size);
-                rb.load_state(r)?;
-                rb
+    /// Reverses [`DetachedEdge::save_state`] for bundle `b`, rebuilding the
+    /// edge state from the *restoring* config (the snapshot fingerprint
+    /// guarantees it matches the writing one) and rejecting a tag the
+    /// config does not deploy.
+    pub(crate) fn from_state(
+        config: &SimulationConfig,
+        b: usize,
+        r: &mut Reader<'_>,
+    ) -> Result<Self, DecodeError> {
+        let (mut bundle, agent) = match u8::decode(r)? {
+            0 => {
+                return Ok(DetachedEdge {
+                    bundle: None,
+                    agent: None,
+                })
+            }
+            1 => match config.bundles.get(b) {
+                Some(BundleMode::Bundler(cfg)) if config.multi_bundle.is_none() => {
+                    let bundle = Bundle::new(b, *cfg, Nanos::ZERO);
+                    (bundle.map_err(|_| r.error("invalid bundler config"))?, None)
+                }
+                _ => return Err(r.error("snapshot deploys a sendbox the config does not")),
             },
-            release_scheduled: bool::decode(r)?,
-            queue_delay_ms: TimeSeries::decode(r)?,
-            mode_timeline: Vec::<(Nanos, String)>::decode(r)?,
-            last_mode: Mode::decode(r)?,
+            2 => {
+                let Some(spec) = config.multi_bundle.as_ref().and_then(|m| m.specs.get(b)) else {
+                    return Err(r.error("snapshot has an agent bundle the config lacks"));
+                };
+                let part = DetachedBundle::from_state(spec.config, r)?;
+                // Both halves install under the parcel's index, which the
+                // restore walk has checked against the config.
+                if usize::decode(r)? != b || part.id() != BundleId(b as u32) {
+                    return Err(r.error("agent bundle is not the one its parcel names"));
+                }
+                let bundle = Bundle::without_control(b, &spec.config, Nanos::ZERO);
+                (bundle, Some(part))
+            }
+            _ => return Err(r.error("unknown edge parcel tag")),
+        };
+        bundle.load_state(r)?;
+        Ok(DetachedEdge {
+            bundle: Some(bundle),
+            agent,
         })
     }
 }
@@ -683,6 +518,8 @@ impl DetachedEdgeBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::MultiBundleMode;
+    use bundler_agent::AgentConfig;
     use bundler_types::{flow::ipv4, Duration, FlowId, FlowKey};
 
     fn pkt(i: u16) -> Packet {
@@ -733,17 +570,21 @@ mod tests {
         assert_eq!(released, 10);
         assert!(a.is_empty(), "released packets freed");
         // With epoch size 1, every forwarded packet is a boundary.
-        assert_eq!(b.control.stats().boundaries, 10);
+        assert_eq!(b.control.unwrap().stats().boundaries, 10);
     }
 
     #[test]
     fn tick_applies_rate_to_token_bucket() {
-        let mut b = Bundle::new(0, BundlerConfig::default(), Nanos::ZERO).unwrap();
-        let r0 = b.rate();
+        let config = SimulationConfig {
+            bundles: vec![BundleMode::Bundler(BundlerConfig::default())],
+            ..Default::default()
+        };
+        let mut edge = Edge::new(&config, &[true]).unwrap();
+        let r0 = edge.bundle(0).unwrap().rate();
         // Without feedback the rate stays at the initial value.
-        b.tick(Nanos::from_millis(10));
-        assert_eq!(b.rate(), r0);
-        assert_eq!(b.mode(), Mode::DelayControl);
+        edge.tick(0, Nanos::from_millis(10));
+        assert_eq!(edge.bundle(0).unwrap().rate(), r0);
+        assert_eq!(edge.bundle(0).unwrap().mode(), Mode::DelayControl);
     }
 
     #[test]
@@ -769,6 +610,19 @@ mod tests {
             .collect()
     }
 
+    /// The whole agent edge over `specs` (every bundle owned).
+    fn agent_edge(specs: Vec<MultiBundleSpec>) -> Result<Edge, String> {
+        let owned = vec![true; specs.len()];
+        let config = SimulationConfig {
+            multi_bundle: Some(MultiBundleMode {
+                agent: AgentConfig::default(),
+                specs,
+            }),
+            ..Default::default()
+        };
+        Edge::new(&config, &owned)
+    }
+
     fn pkt_to_site(site: u8, i: u16) -> Packet {
         Packet::data(
             FlowId(site as u64),
@@ -783,16 +637,17 @@ mod tests {
     #[test]
     fn multi_bundle_classifies_and_releases_per_bundle() {
         let mut arena = PacketArena::new();
-        let mut edge = MultiBundle::new(AgentConfig::default(), &multi_specs(3), Nanos::ZERO)
-            .expect("valid specs");
-        assert_eq!(edge.len(), 3);
+        let mut edge = agent_edge(multi_specs(3)).expect("valid specs");
         for site in 0..3u8 {
             for i in 0..5 {
                 let p = pkt_to_site(site, i);
-                let b = edge.classify(&p).expect("prefix installed");
+                let b = edge
+                    .classify(&p, || unreachable!("an agent edge classifies by prefix"))
+                    .expect("prefix installed");
                 assert_eq!(b, site as usize);
                 let id = arena.insert(p);
-                assert!(edge.enqueue(b, id, &mut arena, Nanos::ZERO));
+                let bundle = edge.bundle_mut(b).unwrap();
+                assert!(bundle.enqueue(id, &mut arena, Nanos::ZERO));
             }
         }
         // Releasing drains each bundle's own queue and notifies its control
@@ -812,53 +667,45 @@ mod tests {
                     Release::Empty => {}
                 }
             }
-            if !progress && (0..3).all(|b| edge.queue_is_empty(b)) {
+            if !progress && (0..3).all(|b| edge.bundle(b).unwrap().tbf.is_empty()) {
                 break;
             }
         }
         assert_eq!(released, 15);
         let total: u64 = (0..3)
-            .map(|b| edge.sendbox(b).unwrap().stats().packets_sent)
+            .map(|b| edge.control(b).unwrap().stats().packets_sent)
             .sum();
         assert_eq!(total, 15);
     }
 
     #[test]
-    fn multi_bundle_advance_applies_rates_and_tracks_modes() {
-        let mut edge = MultiBundle::new(AgentConfig::default(), &multi_specs(2), Nanos::ZERO)
-            .expect("valid specs");
-        assert_eq!(edge.next_tick_at(), Some(Nanos::from_millis(10)));
-        let ticks = edge.advance(Nanos::from_millis(10));
-        assert_eq!(
-            ticks.len(),
-            2,
-            "both bundles share the default 10 ms interval"
-        );
+    fn multi_bundle_tick_applies_rates_and_tracks_modes() {
+        let mut edge = agent_edge(multi_specs(2)).expect("valid specs");
         for b in 0..2 {
-            assert_eq!(edge.rate(b), BundlerConfig::default().initial_rate);
+            assert_eq!(edge.tick(b, Nanos::from_millis(10)), None);
+            let bundle = edge.bundle_mut(b).unwrap();
+            assert_eq!(bundle.rate(), BundlerConfig::default().initial_rate);
             assert_eq!(
-                edge.mode_timeline_of(b).len(),
+                bundle.mode_timeline.len(),
                 1,
                 "no mode change without feedback"
             );
+            bundle.sample_queue_delay(Nanos::from_millis(11));
+            assert_eq!(bundle.queue_delay_ms.len(), 1);
         }
-        assert_eq!(edge.next_tick_at(), Some(Nanos::from_millis(20)));
-        edge.sample_queue_delays(Nanos::from_millis(11));
-        assert_eq!(edge.queue_delay_series(0).len(), 1);
+        assert_eq!(edge.agent().unwrap().stats().ticks_run, 2);
     }
 
     #[test]
     fn multi_bundle_feedback_round_trip() {
-        let specs = multi_specs(2);
         let mut arena = PacketArena::new();
-        let mut edge =
-            MultiBundle::new(AgentConfig::default(), &specs, Nanos::ZERO).expect("valid specs");
+        let mut edge = agent_edge(multi_specs(2)).expect("valid specs");
         // Push traffic through bundle 1 and let its receivebox answer.
         let mut now = Nanos::ZERO;
         for i in 0..400u16 {
             let p = pkt_to_site(1, i);
             let id = arena.insert(p);
-            assert!(edge.enqueue(1, id, &mut arena, now));
+            assert!(edge.bundle_mut(1).unwrap().enqueue(id, &mut arena, now));
             loop {
                 match edge.try_release(1, &mut arena, now) {
                     Release::Packet(pkt) => {
@@ -877,20 +724,20 @@ mod tests {
                 }
             }
         }
-        let sb = edge.sendbox(1).unwrap();
+        let sb = edge.control(1).unwrap();
         assert!(sb.stats().acks_received > 0, "feedback must have flowed");
         assert_eq!(sb.min_rtt(), Some(Duration::from_millis(50)));
-        assert_eq!(edge.sendbox(0).unwrap().stats().acks_received, 0);
-        assert!(edge.receivebox(1).unwrap().stats().acks_sent > 0);
+        assert_eq!(edge.control(0).unwrap().stats().acks_received, 0);
+        assert!(edge.bundle(1).unwrap().receivebox.stats().acks_sent > 0);
     }
 
     #[test]
     fn multi_bundle_rejects_invalid_specs() {
         let mut specs = multi_specs(2);
         specs[1].config.initial_epoch_size = 3;
-        assert!(MultiBundle::new(AgentConfig::default(), &specs, Nanos::ZERO).is_err());
+        assert!(agent_edge(specs).is_err());
         let mut dup = multi_specs(1);
         dup.push(dup[0].clone());
-        assert!(MultiBundle::new(AgentConfig::default(), &dup, Nanos::ZERO).is_err());
+        assert!(agent_edge(dup).is_err());
     }
 }

@@ -22,6 +22,14 @@
 //! scheduled it (see [`crate::event`]); the cores increment per-LP
 //! sequence counters so the key streams — and therefore every merge order
 //! and every result — are identical for any partitioning.
+//!
+//! A worker holds its bundles' sendbox state in one [`Edge`]; whether a
+//! `SiteAgent` classifies packets and holds the control planes is the
+//! edge's business, so every handler here is written once. State leaves a
+//! core in two shapes only: a [`BundleParcel`] (a whole bundle complex by
+//! value — migration, and the bundle slice of a snapshot) and the
+//! pending-events-plus-packets layout of `save_pending`, which the direct
+//! slice, every parcel and every path section share.
 
 use bundler_core::FnvHashMap;
 use bundler_obs::{
@@ -36,7 +44,7 @@ use bundler_types::{
 
 use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader};
 
-use crate::edge::{Bundle, BundleMode, DetachedEdgeBundle, MultiBundle};
+use crate::edge::{DetachedEdge, Edge};
 use crate::event::{Event, EventKey, EventQueue};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fluid::FluidState;
@@ -139,6 +147,21 @@ impl FlowState {
     }
 }
 
+/// The workload origin of a flow or ping a worker knows; anything else is
+/// attributed to direct cross traffic. A free function over the two tables
+/// so a caller can consult them while it holds the edge mutably.
+fn origin_of(
+    flows: &FnvHashMap<FlowId, FlowState>,
+    ping_origin: &FnvHashMap<FlowId, Origin>,
+    flow: FlowId,
+) -> Origin {
+    flows
+        .get(&flow)
+        .map(|f| f.origin)
+        .or_else(|| ping_origin.get(&flow).copied())
+        .unwrap_or(Origin::Direct)
+}
+
 /// The five-tuple assigned to a flow: source site 10.0.x.x, destination
 /// site 10.1.x.x; cross traffic comes from 10.2.x.x. Ports spread flows
 /// for hashing schedulers.
@@ -206,10 +229,8 @@ pub struct WorkerCore {
     /// The full workload table; `Event::FlowArrival` indexes into it. Only
     /// arrivals for owned LPs are scheduled.
     specs: Vec<FlowSpec>,
-    /// Per-bundle legacy edges (classic mode), `Some` only for owned slots.
-    bundles: Vec<Option<Bundle>>,
-    /// The owned partition of the multi-bundle edge (agent mode).
-    multi: Option<MultiBundle>,
+    /// The owned partition of the site's sendbox edge.
+    edge: Edge,
     flows: FnvHashMap<FlowId, FlowState>,
     pings: FnvHashMap<FlowId, PingClient>,
     ping_origin: FnvHashMap<FlowId, Origin>,
@@ -277,31 +298,11 @@ impl WorkerCore {
         part: Partition,
         owned: Vec<bool>,
     ) -> Self {
-        let forward_delay = Duration(config.rtt.as_nanos() / 2);
+        let forward_delay = config.lookahead();
         let reverse_delay = config.rtt - forward_delay;
         let n_bundles = config.n_bundles();
         debug_assert_eq!(owned.len(), n_bundles);
-        let (mut bundles, mut multi) = match &config.multi_bundle {
-            Some(mode) => {
-                let owned_ids: Vec<usize> = (0..mode.specs.len()).filter(|&b| owned[b]).collect();
-                let edge = MultiBundle::partition(mode.agent, &mode.specs, &owned_ids, Nanos::ZERO)
-                    .expect("invalid multi-bundle specs");
-                (Vec::new(), Some(edge))
-            }
-            None => {
-                let mut bundles = Vec::new();
-                for (i, mode) in config.bundles.iter().enumerate() {
-                    match mode {
-                        _ if !owned[i] => bundles.push(None),
-                        BundleMode::StatusQuo => bundles.push(None),
-                        BundleMode::Bundler(cfg) => bundles.push(Some(
-                            Bundle::new(i, *cfg, Nanos::ZERO).expect("invalid bundler config"),
-                        )),
-                    }
-                }
-                (bundles, None)
-            }
-        };
+        let mut edge = Edge::new(config, &owned).expect("invalid bundle configuration");
         let mut obs = ShardObs::new(config.obs, part.index as u16);
         obs.sampler = config.flow_trace.map(FlowSampler::new);
         obs.stream = config.stream.clone();
@@ -309,12 +310,7 @@ impl WorkerCore {
             // Turn on the in-scheduler sojourn/drop-state export. The flag
             // lives inside the datapath scheduler, so it migrates with the
             // bundle and never needs re-arming on adoption.
-            if let Some(m) = multi.as_mut() {
-                m.set_obs(true);
-            }
-            for b in bundles.iter_mut().flatten() {
-                b.set_obs(true);
-            }
+            edge.set_obs(true);
         }
         WorkerCore {
             config: config.clone(),
@@ -322,8 +318,7 @@ impl WorkerCore {
             owned,
             n_bundles,
             specs: workload.to_vec(),
-            bundles,
-            multi,
+            edge,
             flows: FnvHashMap::default(),
             pings: FnvHashMap::default(),
             ping_origin: FnvHashMap::default(),
@@ -410,13 +405,7 @@ impl WorkerCore {
 
     /// The LP owning a flow (for events routed by flow id).
     fn flow_lp(&self, flow: FlowId) -> u16 {
-        let origin = self
-            .flows
-            .get(&flow)
-            .map(|f| f.origin)
-            .or_else(|| self.ping_origin.get(&flow).copied())
-            .unwrap_or(Origin::Direct);
-        origin_lp(origin)
+        origin_lp(origin_of(&self.flows, &self.ping_origin, flow))
     }
 
     /// Schedules this worker's initial events: flow arrivals for owned
@@ -437,14 +426,7 @@ impl WorkerCore {
             if !self.owned[b] {
                 continue;
             }
-            let interval = if let Some(multi) = self.multi.as_ref() {
-                Some(multi.control_interval(b))
-            } else {
-                self.bundles[b]
-                    .as_ref()
-                    .map(|bundle| bundle.control.config().control_interval)
-            };
-            if let Some(interval) = interval {
+            if let Some(interval) = self.edge.control(b).map(|c| c.config().control_interval) {
                 let key = self.key_for(bundle_lp(b));
                 queue.schedule(
                     Nanos::ZERO + interval,
@@ -492,11 +474,7 @@ impl WorkerCore {
                 if self.feedback_blacked_out(now) {
                     return;
                 }
-                if let Some(multi) = self.multi.as_mut() {
-                    multi.on_congestion_ack(&ack, now);
-                } else if let Some(Some(b)) = self.bundles.get_mut(ack.bundle.0 as usize) {
-                    b.on_congestion_ack(&ack, now);
-                }
+                self.edge.on_congestion_ack(&ack, now);
             }
             Event::EpochUpdateArrive { update } => {
                 let bundle = update.bundle.0 as usize;
@@ -504,9 +482,7 @@ impl WorkerCore {
                 if self.feedback_blacked_out(now) {
                     return;
                 }
-                if let Some(multi) = self.multi.as_mut() {
-                    multi.on_epoch_update(bundle, &update);
-                } else if let Some(Some(b)) = self.bundles.get_mut(bundle) {
+                if let Some(b) = self.edge.bundle_mut(bundle) {
                     b.receivebox.on_epoch_update(&update);
                 }
             }
@@ -629,12 +605,10 @@ impl WorkerCore {
     }
 
     /// Routes a forward-direction (source-site to destination-site) packet:
-    /// through the bundle's sendbox if one is deployed, else directly to the
-    /// bottleneck. A multi-bundle edge picks the bundle by longest-prefix
-    /// match on the destination address instead of by flow bookkeeping —
-    /// exactly what a real site edge does.
+    /// through its bundle's sendbox if the edge deploys one, else directly
+    /// to the bottleneck.
     ///
-    /// `lp` is the LP acting (the flow's complex); in multi-bundle mode the
+    /// `lp` is the LP acting (the flow's complex). At an agent edge the
     /// prefix classification of a bundled flow resolves to its own bundle
     /// (site addressing guarantees it), so the sendbox reached is always
     /// owned by this worker.
@@ -647,68 +621,34 @@ impl WorkerCore {
         queue: &mut EventQueue,
         to_net: &mut Vec<ToNet>,
     ) {
-        if let Some(multi) = self.multi.as_mut() {
-            match multi.classify(&arena[pkt]) {
-                Some(b) => {
-                    debug_assert!(
-                        multi.manages(b),
-                        "flow classified across the partition: bundle {b} not owned"
-                    );
-                    let queued = multi.enqueue(b, pkt, arena, now);
-                    if self.obs.metrics_on() {
-                        if queued {
-                            self.obs.metrics.add(CounterId::SendboxEnqueued, 1);
-                            self.obs
-                                .metrics
-                                .gauge_max(GaugeId::PeakSendboxBacklogBytes, multi.queue_bytes(b));
-                            self.obs
-                                .record(now, TraceKind::Enqueue { bundle: b as u32 });
-                        } else {
-                            self.obs.metrics.add(CounterId::SendboxDropped, 1);
-                            self.obs.record(now, TraceKind::Drop { bundle: b as u32 });
-                        }
-                    }
-                    if !multi.release_scheduled(b) {
-                        multi.set_release_scheduled(b, true);
-                        let k = self.key_for(lp);
-                        queue.schedule(now, k, Event::SendboxRelease { bundle: b as u32 });
-                    }
-                }
-                None => self.send_to_bottleneck(pkt, lp, now, to_net),
+        let classified = self.edge.classify(&arena[pkt], || {
+            origin_of(&self.flows, &self.ping_origin, arena[pkt].flow)
+        });
+        let Some(b) = classified else {
+            return self.send_to_bottleneck(pkt, lp, now, to_net);
+        };
+        let bundle = self
+            .edge
+            .bundle_mut(b)
+            .expect("classified to a deployed bundle");
+        let queued = bundle.enqueue(pkt, arena, now);
+        if self.obs.metrics_on() {
+            if queued {
+                self.obs.metrics.add(CounterId::SendboxEnqueued, 1);
+                self.obs
+                    .metrics
+                    .gauge_max(GaugeId::PeakSendboxBacklogBytes, bundle.queue_bytes());
+                self.obs
+                    .record(now, TraceKind::Enqueue { bundle: b as u32 });
+            } else {
+                self.obs.metrics.add(CounterId::SendboxDropped, 1);
+                self.obs.record(now, TraceKind::Drop { bundle: b as u32 });
             }
-            return;
         }
-        let flow = arena[pkt].flow;
-        let origin = self
-            .flows
-            .get(&flow)
-            .map(|f| f.origin)
-            .or_else(|| self.ping_origin.get(&flow).copied())
-            .unwrap_or(Origin::Direct);
-        match origin {
-            Origin::Bundle(b) if self.bundles.get(b).map(|x| x.is_some()).unwrap_or(false) => {
-                let bundle = self.bundles[b].as_mut().expect("checked above");
-                let queued = bundle.enqueue(pkt, arena, now);
-                if self.obs.metrics_on() {
-                    if queued {
-                        self.obs.metrics.add(CounterId::SendboxEnqueued, 1);
-                        self.obs
-                            .metrics
-                            .gauge_max(GaugeId::PeakSendboxBacklogBytes, bundle.queue_bytes());
-                        self.obs
-                            .record(now, TraceKind::Enqueue { bundle: b as u32 });
-                    } else {
-                        self.obs.metrics.add(CounterId::SendboxDropped, 1);
-                        self.obs.record(now, TraceKind::Drop { bundle: b as u32 });
-                    }
-                }
-                if !bundle.release_scheduled {
-                    bundle.release_scheduled = true;
-                    let k = self.key_for(lp);
-                    queue.schedule(now, k, Event::SendboxRelease { bundle: b as u32 });
-                }
-            }
-            _ => self.send_to_bottleneck(pkt, lp, now, to_net),
+        if !bundle.release_scheduled {
+            bundle.release_scheduled = true;
+            let k = self.key_for(lp);
+            queue.schedule(now, k, Event::SendboxRelease { bundle: b as u32 });
         }
     }
 
@@ -728,42 +668,20 @@ impl WorkerCore {
             let p = &arena[pkt];
             (p.flow, p.payload, p.seq, p.key)
         };
-        let origin = self
-            .flows
-            .get(&flow_id)
-            .map(|f| f.origin)
-            .or_else(|| self.ping_origin.get(&flow_id).copied())
-            .unwrap_or(Origin::Direct);
+        let origin = origin_of(&self.flows, &self.ping_origin, flow_id);
         let lp = origin_lp(origin);
         self.note_event(lp);
 
         // The receivebox observes every bundled data packet arriving at the
         // destination site (each bundle's remote site has its own).
         if let Origin::Bundle(b) = origin {
-            if let Some(multi) = self.multi.as_mut() {
-                // Pick the receivebox by the destination address, exactly as
-                // the send side classified: a packet that missed the prefix
-                // table there (and travelled outside the bundle) must not
-                // produce congestion ACKs for a sendbox that never saw it.
-                if let Some(dst_bundle) = multi.agent.classify(&key) {
-                    if let Some(ack) = multi.receivebox_on_packet(dst_bundle, &arena[pkt], now) {
-                        let k = self.key_for(lp);
-                        queue.schedule(
-                            now + self.reverse_delay,
-                            k,
-                            Event::CongestionAckArrive { ack },
-                        );
-                    }
-                }
-            } else if let Some(Some(bundle)) = self.bundles.get_mut(b) {
-                if let Some(ack) = bundle.receivebox.on_packet(&arena[pkt], now) {
-                    let k = self.key_for(lp);
-                    queue.schedule(
-                        now + self.reverse_delay,
-                        k,
-                        Event::CongestionAckArrive { ack },
-                    );
-                }
+            if let Some(ack) = self.edge.receivebox_on_packet(b, &arena[pkt], now) {
+                let k = self.key_for(lp);
+                queue.schedule(
+                    now + self.reverse_delay,
+                    k,
+                    Event::CongestionAckArrive { ack },
+                );
             }
             if let Some(acc) = self.bundle_delivered.get_mut(b) {
                 *acc += payload as u64;
@@ -904,47 +822,28 @@ impl WorkerCore {
 
     fn on_control_tick(&mut self, bundle: usize, now: Nanos, queue: &mut EventQueue) {
         let lp = bundle_lp(bundle);
-        // `tick_obs` is `(rate_bps, mode_changed, mode)` when metrics are
-        // on; the mode change is detected by timeline growth so both edge
-        // modes share the logic.
-        let (update, interval, kick, tick_obs) = if let Some(multi) = self.multi.as_mut() {
-            let timeline_before = multi.mode_timeline_of(bundle).len();
-            let update = multi.tick_bundle(bundle, now);
-            let interval = multi.control_interval(bundle);
-            let kick = !multi.release_scheduled(bundle) && !multi.queue_is_empty(bundle);
-            if kick {
-                multi.set_release_scheduled(bundle, true);
-            }
-            let tick_obs = self.obs.metrics_on().then(|| {
-                (
-                    multi.rate(bundle).as_bps(),
-                    multi.mode_timeline_of(bundle).len() > timeline_before,
-                    mode_byte(multi.mode_of(bundle)),
-                )
-            });
-            (update, interval, kick, tick_obs)
-        } else {
-            let b = match self.bundles.get_mut(bundle) {
-                Some(Some(b)) => b,
-                _ => return,
-            };
-            let timeline_before = b.mode_timeline.len();
-            let update = b.tick(now);
-            let interval = b.control.config().control_interval;
-            // The new rate may allow more packets out immediately.
-            let kick = !b.release_scheduled && !b.tbf.is_empty();
-            if kick {
-                b.release_scheduled = true;
-            }
-            let tick_obs = self.obs.metrics_on().then(|| {
-                (
-                    b.rate().as_bps(),
-                    b.mode_timeline.len() > timeline_before,
-                    mode_byte(b.mode()),
-                )
-            });
-            (update, interval, kick, tick_obs)
+        let Some(b) = self.edge.bundle(bundle) else {
+            return;
         };
+        // The mode change is detected by timeline growth.
+        let timeline_before = b.mode_timeline.len();
+        let update = self.edge.tick(bundle, now);
+        let control = self.edge.control(bundle).expect("ticked above");
+        let interval = control.config().control_interval;
+        let b = self.edge.bundle_mut(bundle).expect("checked above");
+        // The new rate may allow more packets out immediately.
+        let kick = !b.release_scheduled && !b.tbf.is_empty();
+        if kick {
+            b.release_scheduled = true;
+        }
+        // `(rate_bps, mode_changed, mode)` when metrics are on.
+        let tick_obs = self.obs.metrics_on().then(|| {
+            (
+                b.rate().as_bps(),
+                b.mode_timeline.len() > timeline_before,
+                mode_byte(b.mode()),
+            )
+        });
         if let Some((rate_bps, mode_changed, mode)) = tick_obs {
             self.obs.metrics.add(CounterId::ControlTicks, 1);
             self.obs.record(
@@ -1012,30 +911,20 @@ impl WorkerCore {
         to_net: &mut Vec<ToNet>,
     ) {
         let lp = bundle_lp(bundle);
-        let mut released = std::mem::take(&mut self.release_buf);
-        let reschedule = if let Some(multi) = self.multi.as_mut() {
-            multi.set_release_scheduled(bundle, false);
-            let reschedule =
-                drain_release_burst(|t| multi.try_release(bundle, arena, t), now, &mut released);
-            if reschedule.is_some() {
-                multi.set_release_scheduled(bundle, true);
-            }
-            reschedule
-        } else {
-            let b = match self.bundles.get_mut(bundle) {
-                Some(Some(b)) => b,
-                _ => {
-                    self.release_buf = released;
-                    return;
-                }
-            };
-            b.release_scheduled = false;
-            let reschedule = drain_release_burst(|t| b.try_release(arena, t), now, &mut released);
-            if reschedule.is_some() {
-                b.release_scheduled = true;
-            }
-            reschedule
+        let Some(b) = self.edge.bundle_mut(bundle) else {
+            return;
         };
+        b.release_scheduled = false;
+        let mut released = std::mem::take(&mut self.release_buf);
+        let reschedule = drain_release_burst(
+            |t| self.edge.try_release(bundle, arena, t),
+            now,
+            &mut released,
+        );
+        if reschedule.is_some() {
+            let b = self.edge.bundle_mut(bundle).expect("checked above");
+            b.release_scheduled = true;
+        }
         if self.obs.metrics_on() {
             for &pkt in released.iter() {
                 // `enqueued_at` still holds the sendbox-enqueue stamp: the
@@ -1131,18 +1020,10 @@ impl WorkerCore {
             let mbps = (*acc as f64 * 8.0) / interval / 1e6;
             self.bundle_throughput_mbps[b].push(now, mbps);
             *acc = 0;
-            if let Some(Some(bundle)) = self.bundles.get_mut(b) {
+            if let Some(bundle) = self.edge.bundle_mut(b) {
                 bundle.sample_queue_delay(now);
                 self.bundle_pacing_rate_mbps[b].push(now, bundle.rate().as_mbps_f64());
-                if let Some(m) = bundle.control.last_measurement() {
-                    self.bundle_rtt_estimate_ms[b].push(now, m.rtt.as_millis_f64());
-                    self.bundle_recv_rate_estimate_mbps[b].push(now, m.recv_rate.as_mbps_f64());
-                }
-            }
-            if let Some(multi) = self.multi.as_mut() {
-                multi.sample_queue_delay(b, now);
-                self.bundle_pacing_rate_mbps[b].push(now, multi.rate(b).as_mbps_f64());
-                if let Some(m) = multi.sendbox(b).and_then(|s| s.last_measurement()) {
+                if let Some(m) = self.edge.control(b).and_then(|c| c.last_measurement()) {
                     self.bundle_rtt_estimate_ms[b].push(now, m.rtt.as_millis_f64());
                     self.bundle_recv_rate_estimate_mbps[b].push(now, m.recv_rate.as_mbps_f64());
                 }
@@ -1155,23 +1036,17 @@ impl WorkerCore {
                 // the bundle), evaluated on the canonical sample stream so
                 // verdicts are identical for any shard count.
                 let b = (lp - LP_BUNDLE0) as usize;
-                let readings = if let Some(multi) = self.multi.as_ref() {
-                    multi.sendbox(b).map(|s| {
+                let readings = self
+                    .edge
+                    .bundle(b)
+                    .zip(self.edge.control(b))
+                    .map(|(bundle, c)| {
                         (
-                            multi.queue_bytes(b),
-                            s.stats().packets_sent,
-                            multi.mode_timeline_of(b).len().saturating_sub(1) as u64,
+                            bundle.queue_bytes(),
+                            c.stats().packets_sent,
+                            bundle.mode_timeline.len().saturating_sub(1) as u64,
                         )
-                    })
-                } else if let Some(Some(bundle)) = self.bundles.get(b) {
-                    Some((
-                        bundle.queue_bytes(),
-                        bundle.control.stats().packets_sent,
-                        bundle.mode_timeline.len().saturating_sub(1) as u64,
-                    ))
-                } else {
-                    None
-                };
+                    });
                 if let Some((backlog, sent, mode_changes)) = readings {
                     let mut verdicts = std::mem::take(&mut self.health_buf);
                     verdicts.clear();
@@ -1254,31 +1129,17 @@ impl WorkerCore {
         // (timestamp, key) order; the same order rewrites packet ids on
         // adoption, so the two passes pair up exactly.
         let mut events = queue.extract_if(|e| !is_net_event(e) && self.event_lp(e, arena) == lp);
-        let mut event_pkts = Vec::new();
-        for (_, _, e) in events.iter_mut() {
-            if let Event::ArriveDestination { pkt } | Event::ArriveSource { pkt } = e {
-                event_pkts.push(arena.remove(*pkt));
-            }
-        }
+        let event_pkts = events
+            .iter_mut()
+            .filter_map(|(_, _, e)| event_pkt_mut(e))
+            .map(|id| arena.remove(*id))
+            .collect();
+        let mut edge = self.edge.extract(bundle);
         let mut edge_pkts = Vec::new();
-        let edge = if let Some(multi) = self.multi.as_mut() {
-            let mut detached = multi
-                .extract(bundle)
-                .expect("agent-mode worker manages every owned bundle");
-            detached.for_each_pkt_mut(&mut |id| edge_pkts.push(arena.remove(*id)));
-            EdgeParcel::Multi(Box::new(detached))
-        } else {
-            match self.bundles[bundle].take() {
-                Some(mut b) => {
-                    b.tbf
-                        .for_each_pkt_mut(&mut |id| edge_pkts.push(arena.remove(*id)));
-                    EdgeParcel::Classic(Box::new(b))
-                }
-                // Status-quo bundles have no sendbox; their flows and
-                // telemetry still migrate.
-                None => EdgeParcel::None,
-            }
-        };
+        if let Some(b) = &mut edge.bundle {
+            b.tbf
+                .for_each_pkt_mut(&mut |id| edge_pkts.push(arena.remove(*id)));
+        }
         let mut flow_ids: Vec<FlowId> = self
             .flows
             .iter()
@@ -1358,34 +1219,16 @@ impl WorkerCore {
         self.bundle_pacing_rate_mbps[bundle] = parcel.pacing;
         self.bundle_rtt_estimate_ms[bundle] = parcel.rtt_estimate;
         self.bundle_recv_rate_estimate_mbps[bundle] = parcel.recv_rate;
+        let mut edge = parcel.edge;
         let mut edge_pkts = parcel.edge_pkts.into_iter();
-        match parcel.edge {
-            EdgeParcel::Multi(mut detached) => {
-                detached.for_each_pkt_mut(&mut |id| {
-                    *id = arena.insert(edge_pkts.next().expect("one packet per queued id"));
-                });
-                self.multi
-                    .as_mut()
-                    .expect("agent-mode worker")
-                    .adopt(*detached, now)?;
-            }
-            EdgeParcel::Classic(mut b) => {
-                b.tbf.for_each_pkt_mut(&mut |id| {
-                    *id = arena.insert(edge_pkts.next().expect("one packet per queued id"));
-                });
-                self.bundles[bundle] = Some(*b);
-            }
-            EdgeParcel::None => {}
+        if let Some(b) = &mut edge.bundle {
+            b.tbf.for_each_pkt_mut(&mut |id| {
+                *id = arena.insert(edge_pkts.next().expect("one packet per queued id"));
+            });
         }
         debug_assert!(edge_pkts.next().is_none(), "datapath packet count moved");
-        let mut event_pkts = parcel.event_pkts.into_iter();
-        for (at, key, mut event) in parcel.events {
-            if let Event::ArriveDestination { pkt } | Event::ArriveSource { pkt } = &mut event {
-                *pkt = arena.insert(event_pkts.next().expect("one packet per packet event"));
-            }
-            queue.schedule(at, key, event);
-        }
-        debug_assert!(event_pkts.next().is_none(), "event packet count moved");
+        self.edge.adopt(bundle, edge, now)?;
+        schedule_pending(parcel.events, parcel.event_pkts, queue, arena);
         for (id, f) in parcel.flows {
             self.flows.insert(id, f);
         }
@@ -1414,7 +1257,7 @@ impl WorkerCore {
             events_processed: self.events_processed,
             packets_created: self.packets_created,
             fcts,
-            agent_stats: self.multi.as_ref().map(|m| m.agent.stats()),
+            agent_stats: self.edge.agent().map(|a| a.stats()),
         }
     }
 
@@ -1425,8 +1268,8 @@ impl WorkerCore {
         self.events_processed = res.events_processed;
         self.packets_created = res.packets_created;
         self.fcts = res.fcts;
-        if let (Some(multi), Some(stats)) = (self.multi.as_mut(), res.agent_stats) {
-            multi.agent.restore_stats(stats);
+        if let Some(stats) = res.agent_stats {
+            self.edge.restore_agent_stats(stats);
         }
     }
 
@@ -1442,21 +1285,9 @@ impl WorkerCore {
         out: &mut Vec<u8>,
     ) {
         debug_assert!(self.part.owns_direct());
-        let events = queue.extract_if(|e| !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT);
-        encode_events_canonical(&events, out);
-        let mut pkts: Vec<&Packet> = Vec::new();
-        for (_, _, e) in &events {
-            if let Event::ArriveDestination { pkt } | Event::ArriveSource { pkt } = e {
-                pkts.push(&arena[*pkt]);
-            }
-        }
-        (pkts.len() as u64).encode(out);
-        for p in pkts {
-            p.encode(out);
-        }
-        for (at, key, event) in events {
-            queue.schedule(at, key, event);
-        }
+        save_pending_in_place(queue, arena, out, |e| {
+            !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT
+        });
         let mut ids: Vec<FlowId> = self
             .flows
             .iter()
@@ -1511,18 +1342,7 @@ impl WorkerCore {
         arena: &mut PacketArena,
         r: &mut Reader<'_>,
     ) -> Result<(), DecodeError> {
-        let events = Vec::<(Nanos, EventKey, Event)>::decode(r)?;
-        let mut next = Vec::<Packet>::decode(r)?.into_iter();
-        for (at, key, mut event) in events {
-            if let Event::ArriveDestination { pkt } | Event::ArriveSource { pkt } = &mut event {
-                let p = match next.next() {
-                    Some(p) => p,
-                    None => return Err(r.error("missing direct event packet")),
-                };
-                *pkt = arena.insert(p);
-            }
-            queue.schedule(at, key, event);
-        }
+        load_pending(queue, arena, r, "missing direct event packet")?;
         let n = u64::decode(r)? as usize;
         for _ in 0..n {
             let id = FlowId::decode(r)?;
@@ -1549,27 +1369,6 @@ impl WorkerCore {
             _ => return Err(r.error("unknown direct-obs presence tag")),
         }
         Ok(())
-    }
-
-    /// Read access to a bundle's sendbox control plane (tests).
-    pub fn bundle_control(&self, bundle: usize) -> Option<&bundler_core::Sendbox> {
-        self.bundles
-            .get(bundle)
-            .and_then(|b| b.as_ref())
-            .map(|b| &b.control)
-    }
-
-    /// Read access to a bundle's receivebox (tests).
-    pub fn bundle_receivebox(&self, bundle: usize) -> Option<&bundler_core::Receivebox> {
-        self.bundles
-            .get(bundle)
-            .and_then(|b| b.as_ref())
-            .map(|b| &b.receivebox)
-    }
-
-    /// The multi-bundle edge partition, if this run uses one.
-    pub fn multi_bundle(&self) -> Option<&MultiBundle> {
-        self.multi.as_ref()
     }
 }
 
@@ -1598,18 +1397,9 @@ impl WorkerResidue {
         self.packets_created += other.packets_created;
         self.fcts.append(&mut other.fcts);
         self.fcts.sort_by_key(|&(t, k, _)| (t, k));
-        self.agent_stats = match (self.agent_stats.take(), other.agent_stats) {
-            (Some(mut a), Some(b)) => {
-                a.packets_classified += b.packets_classified;
-                a.packets_unclassified += b.packets_unclassified;
-                a.acks_delivered += b.acks_delivered;
-                a.acks_unknown += b.acks_unknown;
-                a.ticks_run += b.ticks_run;
-                a.advances += b.advances;
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        };
+        if let Some(stats) = other.agent_stats {
+            *self.agent_stats.get_or_insert_with(Default::default) += stats;
+        }
     }
 }
 
@@ -1651,10 +1441,10 @@ pub struct BundleParcel {
     delivered: u64,
     /// Pending events in canonical order; packet ids are stale until
     /// adoption rewrites them against `event_pkts`.
-    events: Vec<(Nanos, EventKey, Event)>,
+    events: Vec<Pending>,
     /// One packet per packet-bearing entry of `events`, in the same order.
     event_pkts: Vec<Packet>,
-    edge: EdgeParcel,
+    edge: DetachedEdge,
     /// The sendbox datapath's queued packets, in the edge's traversal
     /// order.
     edge_pkts: Vec<Packet>,
@@ -1695,23 +1485,11 @@ impl BundleParcel {
     /// [`WorkerCore::adopt_bundle`] relies on. True of every extracted
     /// parcel; one decoded from snapshot bytes must be checked.
     pub(crate) fn packets_pair_up(&mut self) -> bool {
-        let in_events = self
-            .events
-            .iter()
-            .filter(|(_, _, e)| {
-                matches!(
-                    e,
-                    Event::ArriveDestination { .. } | Event::ArriveSource { .. }
-                )
-            })
-            .count();
         let mut queued = 0;
-        match &mut self.edge {
-            EdgeParcel::Multi(d) => d.for_each_pkt_mut(&mut |_| queued += 1),
-            EdgeParcel::Classic(b) => b.tbf.for_each_pkt_mut(&mut |_| queued += 1),
-            EdgeParcel::None => {}
+        if let Some(b) = &mut self.edge.bundle {
+            b.tbf.for_each_pkt_mut(&mut |_| queued += 1);
         }
-        in_events == self.event_pkts.len() && queued == self.edge_pkts.len()
+        packet_events(&self.events) == self.event_pkts.len() && queued == self.edge_pkts.len()
     }
 
     /// Serializes the parcel — a bundle complex already lifted off its
@@ -1723,22 +1501,9 @@ impl BundleParcel {
         self.seq.encode(out);
         self.lp_events.encode(out);
         self.delivered.encode(out);
-        encode_events_canonical(&self.events, out);
-        self.event_pkts.encode(out);
-        match &self.edge {
-            EdgeParcel::None => 0u8.encode(out),
-            EdgeParcel::Classic(b) => {
-                1u8.encode(out);
-                if !b.save_state(out) {
-                    return false;
-                }
-            }
-            EdgeParcel::Multi(d) => {
-                2u8.encode(out);
-                if !d.save_state(out) {
-                    return false;
-                }
-            }
+        save_pending(&self.events, self.event_pkts.iter(), out);
+        if !self.edge.save_state(out) {
+            return false;
         }
         self.edge_pkts.encode(out);
         (self.flows.len() as u64).encode(out);
@@ -1785,30 +1550,9 @@ impl BundleParcel {
         let seq = u64::decode(r)?;
         let lp_events = u64::decode(r)?;
         let delivered = u64::decode(r)?;
-        let events = Vec::<(Nanos, EventKey, Event)>::decode(r)?;
+        let events = Vec::<Pending>::decode(r)?;
         let event_pkts = Vec::<Packet>::decode(r)?;
-        let edge = match u8::decode(r)? {
-            0 => EdgeParcel::None,
-            1 => {
-                let cfg = match config.bundles.get(bundle) {
-                    Some(BundleMode::Bundler(cfg)) if config.multi_bundle.is_none() => *cfg,
-                    _ => return Err(r.error("snapshot deploys a sendbox the config does not")),
-                };
-                EdgeParcel::Classic(Box::new(Bundle::from_state(bundle, cfg, r)?))
-            }
-            2 => {
-                let cfg = match config
-                    .multi_bundle
-                    .as_ref()
-                    .and_then(|m| m.specs.get(bundle))
-                {
-                    Some(spec) => spec.config,
-                    None => return Err(r.error("snapshot has an agent bundle the config lacks")),
-                };
-                EdgeParcel::Multi(Box::new(DetachedEdgeBundle::from_state(cfg, r)?))
-            }
-            _ => return Err(r.error("unknown edge parcel tag")),
-        };
+        let edge = DetachedEdge::from_state(config, bundle, r)?;
         let edge_pkts = Vec::<Packet>::decode(r)?;
         let n = decode_len(r, "parcel flow count")?;
         let mut flows = Vec::with_capacity(n);
@@ -1899,21 +1643,10 @@ fn decode_bundle_obs(r: &mut Reader<'_>) -> Result<BundleObsState, DecodeError> 
     Ok(state)
 }
 
-/// The edge-mode-specific part of a [`BundleParcel`].
-enum EdgeParcel {
-    /// Classic mode, no sendbox deployed (status quo): nothing to move.
-    None,
-    /// Classic mode with a deployed sendbox/receivebox pair.
-    Classic(Box<Bundle>),
-    /// Agent mode: the bundle's slice of the `MultiBundle` edge.
-    Multi(Box<DetachedEdgeBundle>),
-}
-
 /// Drains one release burst from a sendbox datapath: up to 64 packets per
 /// event (to keep single events bounded), appending the released packet ids
 /// to `released` and returning the delay after which to schedule the next
-/// release event (`None` when the queue emptied). Shared by the
-/// single-bundle and multi-bundle paths so both pace identically.
+/// release event (`None` when the queue emptied).
 fn drain_release_burst(
     mut try_release: impl FnMut(Nanos) -> Release,
     now: Nanos,
@@ -2051,7 +1784,7 @@ impl NetCore {
         assert!(net_shards >= 1 && shard < net_shards, "bad net partition");
         let per_path_rate = Rate::from_bps(config.bottleneck_rate.as_bps() / n as u64);
         let buffer = config.effective_buffer_pkts();
-        let forward_delay = Duration(config.rtt.as_nanos() / 2);
+        let forward_delay = config.lookahead();
         let mut paths = Vec::new();
         for i in 0..n {
             let extra = Duration(config.path_delay_spread.as_nanos() * i as u64);
@@ -2116,17 +1849,6 @@ impl NetCore {
     /// This core's net-shard index.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// The minimum one-way delay across paths: the sharded driver's
-    /// conservative lookahead (every net output is at least this far in
-    /// the future).
-    pub fn min_one_way_delay(&self) -> Duration {
-        self.paths
-            .iter()
-            .map(|p| p.one_way_delay())
-            .min()
-            .unwrap_or(Duration::ZERO)
     }
 
     /// Events this core has handled (across its owned paths).
@@ -2219,21 +1941,9 @@ impl NetCore {
                 }
             }
         }
-        let events = queue.extract_if(|e| is_net_event(e) && self.net_event_path(e, arena) == gid);
-        encode_events_canonical(&events, out);
-        let mut pkts: Vec<&Packet> = Vec::new();
-        for (_, _, e) in &events {
-            if let Event::ArriveBottleneck { pkt } = e {
-                pkts.push(&arena[*pkt]);
-            }
-        }
-        (pkts.len() as u64).encode(out);
-        for p in pkts {
-            p.encode(out);
-        }
-        for (at, key, event) in events {
-            queue.schedule(at, key, event);
-        }
+        save_pending_in_place(queue, arena, out, |e| {
+            is_net_event(e) && self.net_event_path(e, arena) == gid
+        });
         true
     }
 
@@ -2274,19 +1984,7 @@ impl NetCore {
                 }
             }
         }
-        let events = Vec::<(Nanos, EventKey, Event)>::decode(r)?;
-        let mut next = Vec::<Packet>::decode(r)?.into_iter();
-        for (at, key, mut event) in events {
-            if let Event::ArriveBottleneck { pkt } = &mut event {
-                let p = match next.next() {
-                    Some(p) => p,
-                    None => return Err(r.error("missing net event packet")),
-                };
-                *pkt = arena.insert(p);
-            }
-            queue.schedule(at, key, event);
-        }
-        Ok(())
+        load_pending(queue, arena, r, "missing net event packet")
     }
 
     /// Schedules the initial events of every path this core owns: the
@@ -2581,24 +2279,6 @@ impl NetCore {
         let (at, key) = (now + self.sample_interval, self.key_for(gid));
         queue.schedule(at, key, Event::PathSample { path: gid as u32 });
     }
-
-    /// Test/diagnostic dump of path state.
-    pub fn debug_paths(&self) -> String {
-        self.paths
-            .iter()
-            .map(|p| {
-                format!(
-                    "queue_len={} drops={} busy_until={} dequeue_scheduled={} delivered={}",
-                    p.queue_len(),
-                    p.drops,
-                    p.busy_until(),
-                    p.dequeue_scheduled,
-                    p.bytes_delivered
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ; ")
-    }
 }
 
 /// True if the event is handled by a net core.
@@ -2613,25 +2293,115 @@ pub fn is_net_event(event: &Event) -> bool {
     )
 }
 
-/// Encodes a pending-event list with every arena id zeroed. The ids are
+/// A pending event as queues hold it: timestamp, canonical key, event.
+type Pending = (Nanos, EventKey, Event);
+
+/// The arena id a pending event carries, if it is one of the three
+/// packet-bearing kinds. A worker's queue never holds the net kind nor a
+/// net core's the worker kinds, so one rule serves every event list.
+fn event_pkt_mut(event: &mut Event) -> Option<&mut PacketId> {
+    match event {
+        Event::ArriveBottleneck { pkt }
+        | Event::ArriveDestination { pkt }
+        | Event::ArriveSource { pkt } => Some(pkt),
+        _ => None,
+    }
+}
+
+/// Appends pending events and the packets they carry — the one layout the
+/// direct slice, every bundle parcel and every path section share: the
+/// event list with every arena id zeroed, then `pkts` (one per
+/// packet-bearing event, in event order) behind a `u64` count. The ids are
 /// host-local slot indices (a restore rewrites them from the packet values
 /// carried alongside), so leaving them in would make snapshot bytes depend
 /// on arena allocation order — which differs between the single-threaded
 /// and sharded hosts. Zeroing them keeps the bytes partition-invariant.
-fn encode_events_canonical(events: &[(Nanos, EventKey, Event)], out: &mut Vec<u8>) {
-    let canon: Vec<(Nanos, EventKey, Event)> = events
+fn save_pending<'a>(
+    events: &[Pending],
+    pkts: impl ExactSizeIterator<Item = &'a Packet>,
+    out: &mut Vec<u8>,
+) {
+    let canon: Vec<Pending> = events
         .iter()
         .map(|&(at, key, mut event)| {
-            match &mut event {
-                Event::ArriveBottleneck { pkt }
-                | Event::ArriveDestination { pkt }
-                | Event::ArriveSource { pkt } => *pkt = PacketId::from_index(0),
-                _ => {}
+            if let Some(pkt) = event_pkt_mut(&mut event) {
+                *pkt = PacketId::from_index(0);
             }
             (at, key, event)
         })
         .collect();
     canon.encode(out);
+    (pkts.len() as u64).encode(out);
+    for p in pkts {
+        p.encode(out);
+    }
+}
+
+/// [`save_pending`] for the events `select` picks out of a live queue,
+/// *without* disturbing the run: they are lifted out in canonical order,
+/// serialized (packets cloned by value out of `arena`) and re-scheduled
+/// under their original ids.
+fn save_pending_in_place(
+    queue: &mut EventQueue,
+    arena: &PacketArena,
+    out: &mut Vec<u8>,
+    select: impl Fn(&Event) -> bool,
+) {
+    let mut events = queue.extract_if(select);
+    let ids: Vec<PacketId> = events
+        .iter_mut()
+        .filter_map(|(_, _, e)| event_pkt_mut(e).copied())
+        .collect();
+    save_pending(&events, ids.iter().map(|&id| &arena[id]), out);
+    for (at, key, event) in events {
+        queue.schedule(at, key, event);
+    }
+}
+
+/// How many packets a pending-event list needs carried alongside it.
+fn packet_events(events: &[Pending]) -> usize {
+    events
+        .iter()
+        .filter(|&&(_, _, mut e)| event_pkt_mut(&mut e).is_some())
+        .count()
+}
+
+/// Schedules pending events into `queue`, moving the packet of each
+/// packet-bearing one into `arena` and rewriting the event's id to the new
+/// slot. `pkts` holds exactly [`packet_events`] packets: true of anything
+/// lifted off a live core, checked at decode for snapshot bytes.
+fn schedule_pending(
+    events: Vec<Pending>,
+    pkts: Vec<Packet>,
+    queue: &mut EventQueue,
+    arena: &mut PacketArena,
+) {
+    let mut pkts = pkts.into_iter();
+    for (at, key, mut event) in events {
+        if let Some(pkt) = event_pkt_mut(&mut event) {
+            *pkt = arena.insert(pkts.next().expect("one packet per packet event"));
+        }
+        queue.schedule(at, key, event);
+    }
+    debug_assert!(pkts.next().is_none(), "event packet count moved");
+}
+
+/// Reverses [`save_pending`] straight into `queue` and `arena`; `missing`
+/// words the typed error for a packet list that does not pair up with the
+/// events.
+fn load_pending(
+    queue: &mut EventQueue,
+    arena: &mut PacketArena,
+    r: &mut Reader<'_>,
+    missing: &'static str,
+) -> Result<(), DecodeError> {
+    let events = Vec::<Pending>::decode(r)?;
+    let pkts = Vec::<Packet>::decode(r)?;
+    if packet_events(&events) != pkts.len() {
+        return Err(r.error(missing));
+    }
+    schedule_pending(events, pkts, queue, arena);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2693,38 +2463,20 @@ pub fn assemble_report(
             report.bundle_rtt_estimate_ms[b] = std::mem::take(&mut w.bundle_rtt_estimate_ms[b]);
             report.bundle_recv_rate_estimate_mbps[b] =
                 std::mem::take(&mut w.bundle_recv_rate_estimate_mbps[b]);
-            if let Some(Some(bundle)) = w.bundles.get(b) {
+            if let Some(control) = w.edge.control(b) {
+                report.out_of_order_fraction[b] = control.out_of_order_fraction();
+            }
+            if let Some(bundle) = w.edge.bundle(b) {
                 report.sendbox_queue_delay_ms[b] = bundle.queue_delay_ms.clone();
                 report.mode_timeline[b] = bundle.mode_timeline.clone();
-                report.out_of_order_fraction[b] = bundle.control.out_of_order_fraction();
-            }
-            if let Some(multi) = w.multi.as_ref() {
-                report.sendbox_queue_delay_ms[b] = multi.queue_delay_series(b).clone();
-                report.mode_timeline[b] = multi.mode_timeline_of(b).to_vec();
-                report.out_of_order_fraction[b] = multi
-                    .sendbox(b)
-                    .map(|s| s.out_of_order_fraction())
-                    .unwrap_or(0.0);
             }
         }
         if w.part.owns_direct() {
             report.cross_throughput_mbps = std::mem::take(&mut w.cross_throughput_mbps);
         }
-        if let Some(multi) = w.multi.as_ref() {
-            telemetry_rows.extend(multi.agent.snapshots().bundles);
-            let s = multi.agent.stats();
-            agent_stats_total = Some(match agent_stats_total {
-                None => s,
-                Some(mut t) => {
-                    t.packets_classified += s.packets_classified;
-                    t.packets_unclassified += s.packets_unclassified;
-                    t.acks_delivered += s.acks_delivered;
-                    t.acks_unknown += s.acks_unknown;
-                    t.ticks_run += s.ticks_run;
-                    t.advances += s.advances;
-                    t
-                }
-            });
+        if let Some(agent) = w.edge.agent() {
+            telemetry_rows.extend(agent.snapshots().bundles);
+            *agent_stats_total.get_or_insert_with(Default::default) += agent.stats();
         }
         // Ping RTT series, merged per bundle in flow-id order so the
         // result is independent of hash-map iteration and partitioning.
@@ -2814,14 +2566,7 @@ pub fn assemble_report(
                 if !w.owned[b] {
                     continue;
                 }
-                let sched = if let Some(multi) = w.multi.as_mut() {
-                    multi.take_obs(b)
-                } else if let Some(Some(bundle)) = w.bundles.get_mut(b) {
-                    bundle.take_obs()
-                } else {
-                    None
-                };
-                if let Some(sched) = sched {
+                if let Some(sched) = w.edge.bundle_mut(b).and_then(|bundle| bundle.take_obs()) {
                     sched.merge_into(&mut w.obs.metrics);
                 }
             }

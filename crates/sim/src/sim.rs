@@ -15,11 +15,10 @@
 //! Because event order is canonical (see [`crate::event`]), both hosts
 //! produce bit-identical reports for the same config and workload.
 
-use bundler_core::feedback::BundleId;
 use bundler_types::{Duration, FlowKey, Nanos, PacketArena, Rate};
 use serde::binary::Encode;
 
-use crate::edge::{BundleMode, MultiBundle, MultiBundleSpec};
+use crate::edge::{BundleMode, MultiBundleSpec};
 use crate::event::{Event, EventQueue};
 use crate::runtime::{
     assemble_report, is_net_event, Delivery, NetCore, Partition, ToNet, WorkerCore,
@@ -50,8 +49,8 @@ pub struct SimulationConfig {
     pub in_network_fq: bool,
     /// One entry per bundle index used by the workload.
     pub bundles: Vec<BundleMode>,
-    /// When set, the source site edge is a [`MultiBundle`] agent managing
-    /// one bundle per spec behind a destination-prefix classifier, and
+    /// When set, the source site edge is one `SiteAgent` managing one
+    /// bundle per spec behind a destination-prefix classifier, and
     /// `bundles` is ignored. Workload origins must still name bundle
     /// indices consistent with the specs' prefixes.
     pub multi_bundle: Option<MultiBundleMode>,
@@ -148,7 +147,7 @@ pub enum ShardBalance {
     Rotate,
 }
 
-/// Configuration of a [`MultiBundle`] source edge.
+/// Configuration of an agent-managed source edge.
 #[derive(Debug, Clone)]
 pub struct MultiBundleMode {
     /// Agent-wide tunables (tick-wheel quantum).
@@ -205,6 +204,15 @@ impl SimulationConfig {
         } else {
             ((2 * self.bdp_bytes()) / 1500).max(40) as usize
         }
+    }
+
+    /// The forward half of `rtt`: the one-way delay of bottleneck sub-path
+    /// 0, which carries no `path_delay_spread`, and so the least of any
+    /// sub-path. Every net output lands at least this far in the future —
+    /// the windowed runtime's conservative lookahead. Both cores take
+    /// their forward delay from here.
+    pub fn lookahead(&self) -> Duration {
+        Duration(self.rtt.as_nanos() / 2)
     }
 
     /// The net-shard count the sharded host actually runs: at least one,
@@ -539,27 +547,6 @@ impl Simulation {
 
     fn worker_packets_created(&self) -> u64 {
         self.worker.packets_created()
-    }
-
-    /// Convenience accessor used by tests: the sendbox control plane of a
-    /// bundle, if it is deployed.
-    pub fn bundle_control(&self, bundle: usize) -> Option<&bundler_core::Sendbox> {
-        self.worker.bundle_control(bundle)
-    }
-
-    /// Convenience accessor: the receivebox of a bundle, if deployed.
-    pub fn bundle_receivebox(&self, bundle: usize) -> Option<&bundler_core::Receivebox> {
-        self.worker.bundle_receivebox(bundle)
-    }
-
-    /// The multi-bundle site edge, if this run uses one.
-    pub fn multi_bundle(&self) -> Option<&MultiBundle> {
-        self.worker.multi_bundle()
-    }
-
-    /// Bundle id type helper (exposed for integration tests).
-    pub fn bundle_id(index: usize) -> BundleId {
-        BundleId(index as u32)
     }
 }
 

@@ -140,9 +140,11 @@ thread_local! {
 /// Fingerprint of the result-affecting parts of a config + workload.
 ///
 /// Built from the `Debug` rendering of exactly the fields that change what
-/// the simulation computes. Excludes `obs`, `shards`, `balance` and
-/// `checkpoint_every` so that replay-with-tracing and
-/// restore-into-different-shard-count both accept the snapshot.
+/// the simulation computes. Excludes the fields that only change how a run
+/// is hosted or observed so that replay-with-tracing and
+/// restore-into-different-shard-count both accept the snapshot. The config
+/// is destructured without a rest pattern: a field added to
+/// [`SimulationConfig`] does not compile until it is put on one side.
 ///
 /// The rendering is linear in the workload (about 0.5 µs per flow), and
 /// config and workload are immutable once a host is built: the hosts call
@@ -150,27 +152,39 @@ thread_local! {
 pub fn fingerprint(config: &SimulationConfig, workload: &[FlowSpec]) -> u64 {
     #[cfg(test)]
     FINGERPRINT_CALLS.with(|calls| calls.set(calls.get() + 1));
+    let SimulationConfig {
+        duration,
+        bottleneck_rate,
+        rtt,
+        buffer_pkts,
+        num_paths,
+        path_delay_spread,
+        packet_spraying,
+        in_network_fq,
+        bundles,
+        multi_bundle,
+        sample_interval,
+        faults,
+        cross_traffic,
+        shards: _,
+        balance: _,
+        net_shards: _,
+        wire_envelopes: _,
+        obs: _,
+        checkpoint_every: _,
+        flow_trace: _,
+        stream: _,
+    } = config;
     let mut s = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        config.duration,
-        config.bottleneck_rate,
-        config.rtt,
-        config.buffer_pkts,
-        config.num_paths,
-        config.path_delay_spread,
-        config.packet_spraying,
-        config.in_network_fq,
-        config.bundles,
-        config.multi_bundle,
-        config.sample_interval,
-        config.faults,
-        workload,
+        "{duration:?}|{bottleneck_rate:?}|{rtt:?}|{buffer_pkts:?}|{num_paths:?}|\
+         {path_delay_spread:?}|{packet_spraying:?}|{in_network_fq:?}|{bundles:?}|\
+         {multi_bundle:?}|{sample_interval:?}|{faults:?}|{workload:?}",
     );
     // Appended (rather than a 14th slot) only when the fluid tier is on, so
     // fingerprints of packet-only configs are unchanged from before the
     // tier existed. The fluid snapshot section is likewise conditional on
     // this field, so the fingerprint pins whether the section is present.
-    if let Some(ct) = &config.cross_traffic {
+    if let Some(ct) = cross_traffic {
         use std::fmt::Write;
         let _ = write!(s, "|{ct:?}");
     }
@@ -333,13 +347,29 @@ mod tests {
         let wl = vec![FlowSpec::bundled(1, 500_000, Nanos::ZERO, 0)];
         let fp = fingerprint(&base, &wl);
 
-        let mut obs = base.clone();
-        obs.obs = bundler_obs::ObsLevel::Full;
-        assert_eq!(fp, fingerprint(&obs, &wl), "obs level must not change fp");
-
-        let mut sharded = base.clone();
-        sharded.shards = 4;
-        assert_eq!(fp, fingerprint(&sharded, &wl), "shards must not change fp");
+        // Every field that only changes how the run is hosted or observed.
+        type Flip = fn(&mut SimulationConfig);
+        let flips: [(&str, Flip); 8] = [
+            ("shards", |c| c.shards = 4),
+            ("balance", |c| c.balance = crate::sim::ShardBalance::Rotate),
+            ("net_shards", |c| c.net_shards = 2),
+            ("wire_envelopes", |c| c.wire_envelopes = true),
+            ("obs", |c| c.obs = bundler_obs::ObsLevel::Full),
+            ("checkpoint_every", |c| {
+                c.checkpoint_every = Some(bundler_types::Duration::from_millis(500))
+            }),
+            ("flow_trace", |c| {
+                c.flow_trace = Some(bundler_obs::FlowTrace::default())
+            }),
+            ("stream", |c| {
+                c.stream = Some(bundler_obs::StreamSink::to_shared_vec().0)
+            }),
+        ];
+        for (field, flip) in flips {
+            let mut flipped = base.clone();
+            flip(&mut flipped);
+            assert_eq!(fp, fingerprint(&flipped, &wl), "{field} must not change fp");
+        }
 
         let mut faster = base.clone();
         faster.bottleneck_rate = bundler_types::Rate::from_mbps_f64(123.0);

@@ -267,11 +267,10 @@ pub struct SimReport {
     pub bytes_delivered: u64,
     /// Ping (request/response) RTT samples in milliseconds, per bundle.
     pub ping_rtts_ms: Vec<Vec<f64>>,
-    /// Final site-agent telemetry export, when the run used a
-    /// [`MultiBundle`](crate::edge::MultiBundle) edge.
+    /// Final site-agent telemetry export, when the run used an agent edge
+    /// ([`SimulationConfig::multi_bundle`](crate::SimulationConfig::multi_bundle)).
     pub agent_telemetry: Option<bundler_agent::AgentTelemetry>,
-    /// The site agent's own counters, when the run used a `MultiBundle`
-    /// edge.
+    /// The site agent's own counters, when the run used an agent edge.
     pub agent_stats: Option<bundler_agent::AgentStats>,
     /// Total events the simulation loop processed. Together with the wall
     /// time around [`Simulation::run`](crate::Simulation::run) this is the

@@ -3,11 +3,11 @@
 //! paired with a receivebox at the destination site.
 //!
 //! There is one kind of per-bundle edge state, [`Bundle`], and one
-//! container for it, [`Edge`], whether the site has one remote peer or
+//! container for it, `Edge`, whether the site has one remote peer or
 //! forty-eight. The two configurations of a source site — per-bundle
 //! [`BundleMode`]s ("classic") and one [`SiteAgent`] managing many bundles
 //! behind a prefix classifier ("agent") — differ in exactly two things,
-//! both decided inside [`Edge`]: *which bundle a packet belongs to* (its
+//! both decided inside `Edge`: *which bundle a packet belongs to* (its
 //! flow's origin, or a longest-prefix match on its destination) and *who
 //! holds the bundle's [`Sendbox`]* (the [`Bundle`] itself, or the agent).
 
@@ -43,7 +43,7 @@ pub struct Bundle {
     /// The sendbox control plane, when the bundle holds it itself. `None`
     /// at an agent edge, where the [`SiteAgent`] holds every bundle's
     /// [`Sendbox`] so that its classifier, ACK routing and telemetry see
-    /// them (see [`Edge`]).
+    /// them (see `Edge`).
     pub control: Option<Sendbox>,
     /// The receivebox at the destination site.
     pub receivebox: Receivebox,
@@ -112,7 +112,7 @@ impl Bundle {
 
     /// Attempts to release the next packet under the current pacing rate.
     /// On success the bundle's own control plane, if it holds one, is
-    /// notified so it can record epoch boundaries ([`Edge::try_release`]
+    /// notified so it can record epoch boundaries (`Edge::try_release`
     /// notifies an agent-held one).
     pub fn try_release(&mut self, arena: &mut PacketArena, now: Nanos) -> Release {
         let release = self.tbf.try_dequeue(arena, now);

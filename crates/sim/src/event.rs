@@ -355,14 +355,19 @@ impl EventQueue {
     ///
     /// Within one `(timestamp, lp)` pair keys are totally ordered by the
     /// LP's own sequence, so the run is exactly the consecutive prefix of
-    /// the canonical order — handler dispatch and per-LP state lookups
-    /// amortize over the whole run. Callers that interleave scheduling with
-    /// consumption (the simulation main loop) must still merge newly
-    /// scheduled events against the buffered run: a handler can schedule a
+    /// the canonical order. A caller that schedules while it consumes must
+    /// still merge against the buffered run: a handler can schedule a
     /// *different* LP's event at the same timestamp with a key that sorts
-    /// before the rest of the run. Same-LP events scheduled mid-run always
-    /// carry higher sequences and sort after the run, so the run itself
-    /// never goes stale.
+    /// before the rest of the run.
+    ///
+    /// No host drains its queue this way: the single-threaded loop pops one
+    /// event at a time, as the sharded ones always did (the batching saved
+    /// nothing — every buffered event was still dispatched alone, behind
+    /// two extra peeks). The one caller left is the repository benchmark's
+    /// `sim.event.sched_pop_ns` kernel (`benchmark/src/kernels.rs`), which
+    /// a performance change may not edit; the next `[benchmark]` change
+    /// re-points it at [`EventQueue::pop`] and deletes this with its two
+    /// tests.
     pub fn pop_run(&mut self, buf: &mut Vec<(Nanos, EventKey, Event)>) -> usize {
         buf.clear();
         let Some((t0, k0)) = self.peek() else {

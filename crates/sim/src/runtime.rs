@@ -23,13 +23,21 @@
 //! sequence counters so the key streams — and therefore every merge order
 //! and every result — are identical for any partitioning.
 //!
-//! A worker holds its bundles' sendbox state in one [`Edge`]; whether a
+//! A worker holds its bundles' sendbox state in one `Edge`; whether a
 //! `SiteAgent` classifies packets and holds the control planes is the
-//! edge's business, so every handler here is written once. State leaves a
+//! edge's business, so every handler here is written once. Its flows and
+//! pings live in one `FlowTable` — a slab of per-flow state behind one
+//! compact id index — which a handler consults once per event: it resolves
+//! the event's flow to a slot and passes the origin it found on to the
+//! routing below it. Every walk of the table that reaches a snapshot or the
+//! report goes in ascending `FlowId`, never in hash order. State leaves a
 //! core in two shapes only: a [`BundleParcel`] (a whole bundle complex by
 //! value — migration, and the bundle slice of a snapshot) and the
 //! pending-events-plus-packets layout of `save_pending`, which the direct
 //! slice, every parcel and every path section share.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
 
 use bundler_core::FnvHashMap;
 use bundler_obs::{
@@ -147,19 +155,125 @@ impl FlowState {
     }
 }
 
-/// The workload origin of a flow or ping a worker knows; anything else is
-/// attributed to direct cross traffic. A free function over the two tables
-/// so a caller can consult them while it holds the edge mutably.
-fn origin_of(
-    flows: &FnvHashMap<FlowId, FlowState>,
-    ping_origin: &FnvHashMap<FlowId, Origin>,
-    flow: FlowId,
-) -> Origin {
-    flows
-        .get(&flow)
-        .map(|f| f.origin)
-        .or_else(|| ping_origin.get(&flow).copied())
-        .unwrap_or(Origin::Direct)
+/// What one slot of a [`FlowTable`] holds.
+// The large variant is the common one — nearly every slot is a TCP flow —
+// so boxing it would only put the state every packet event reads back
+// behind a pointer.
+#[allow(clippy::large_enum_variant)]
+enum FlowSlot {
+    /// On the free list; no id resolves here.
+    Free,
+    /// A TCP transfer: both endhosts and the flow's bookkeeping.
+    Tcp(FlowState),
+    /// A closed-loop ping. `client` is `None` only for an entry decoded
+    /// from a snapshot whose presence flag was `false`; such a flow keeps
+    /// its origin and answers nothing.
+    Ping {
+        origin: Origin,
+        client: Option<PingClient>,
+    },
+}
+
+impl FlowSlot {
+    /// The workload origin of the flow held here.
+    fn origin(&self) -> Origin {
+        match self {
+            FlowSlot::Tcp(f) => f.origin,
+            FlowSlot::Ping { origin, .. } => *origin,
+            FlowSlot::Free => unreachable!("no id resolves to a free slot"),
+        }
+    }
+}
+
+/// Every flow and ping a worker knows, by [`FlowId`]: the per-flow state
+/// sits in a slab, and one compact hash index (16-byte entries) maps an id
+/// to its slot. A handler hashes its flow id once ([`FlowTable::slot_of`])
+/// and works on the slot from then on. The index is a hash map rather than
+/// a direct table because ids are not dense — the multi-site scenarios
+/// number flows `site × 1 000 000 + i`. A completed flow keeps its slot
+/// (late ACKs and the RTO poll still resolve it); slots are only freed when
+/// a bundle's flows leave with its parcel, and are reused by the next
+/// insert.
+#[derive(Default)]
+struct FlowTable {
+    index: FnvHashMap<FlowId, u32>,
+    slots: Vec<FlowSlot>,
+    free: Vec<u32>,
+}
+
+impl FlowTable {
+    /// Makes room for `additional` more flows without filling anything in.
+    fn reserve(&mut self, additional: usize) {
+        self.index.reserve(additional);
+        self.slots
+            .reserve(additional.saturating_sub(self.free.len()));
+    }
+
+    /// The slot `id` lives in — the one hash lookup of an event.
+    #[inline]
+    fn slot_of(&self, id: FlowId) -> Option<usize> {
+        self.index.get(&id).map(|&slot| slot as usize)
+    }
+
+    /// The origin of the flow in `slot`; an id the worker does not know
+    /// (`None`) is attributed to direct cross traffic.
+    #[inline]
+    fn origin_at(&self, slot: Option<usize>) -> Origin {
+        slot.map_or(Origin::Direct, |slot| self.slots[slot].origin())
+    }
+
+    /// Registers `id`, replacing whatever it named before (two workload
+    /// specs with one id: the later arrival wins, as with a map insert).
+    /// Returns whether the id was new — a snapshot written by a run never
+    /// names a flow twice, so the decoders treat `false` as corrupt bytes.
+    fn insert(&mut self, id: FlowId, state: FlowSlot) -> bool {
+        match self.index.entry(id) {
+            Entry::Occupied(held) => {
+                self.slots[*held.get() as usize] = state;
+                false
+            }
+            Entry::Vacant(vacant) => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slots[slot as usize] = state;
+                        slot
+                    }
+                    None => {
+                        self.slots.push(state);
+                        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 flows")
+                    }
+                };
+                vacant.insert(slot);
+                true
+            }
+        }
+    }
+
+    /// Unregisters `id`, freeing its slot for reuse.
+    fn remove(&mut self, id: FlowId) -> Option<FlowSlot> {
+        let slot = self.index.remove(&id)?;
+        self.free.push(slot);
+        Some(std::mem::replace(
+            &mut self.slots[slot as usize],
+            FlowSlot::Free,
+        ))
+    }
+
+    /// What `pick` selects from each registered flow, in ascending
+    /// [`FlowId`] order — the order every snapshot section and the report
+    /// list flows in, so neither depends on hash-map iteration.
+    fn sorted<'a, T>(
+        &'a self,
+        mut pick: impl FnMut(&'a FlowSlot) -> Option<T>,
+    ) -> Vec<(FlowId, T)> {
+        let mut picked: Vec<(FlowId, T)> = self
+            .index
+            .iter()
+            .filter_map(|(&id, &slot)| Some((id, pick(&self.slots[slot as usize])?)))
+            .collect();
+        picked.sort_unstable_by_key(|&(id, _)| id);
+        picked
+    }
 }
 
 /// The five-tuple assigned to a flow: source site 10.0.x.x, destination
@@ -231,9 +345,8 @@ pub struct WorkerCore {
     specs: Vec<FlowSpec>,
     /// The owned partition of the site's sendbox edge.
     edge: Edge,
-    flows: FnvHashMap<FlowId, FlowState>,
-    pings: FnvHashMap<FlowId, PingClient>,
-    ping_origin: FnvHashMap<FlowId, Origin>,
+    /// Every flow and ping of the owned LPs, entered at its `FlowArrival`.
+    flows: FlowTable,
     /// Per-LP schedule sequence counters, indexed by LP id.
     seqs: Vec<u64>,
     /// Events handled per LP, indexed by LP id: the measured load signal
@@ -312,16 +425,14 @@ impl WorkerCore {
             // bundle and never needs re-arming on adoption.
             edge.set_obs(true);
         }
-        WorkerCore {
+        let mut core = WorkerCore {
             config: config.clone(),
             part,
             owned,
             n_bundles,
             specs: workload.to_vec(),
             edge,
-            flows: FnvHashMap::default(),
-            pings: FnvHashMap::default(),
-            ping_origin: FnvHashMap::default(),
+            flows: FlowTable::default(),
             seqs: vec![0; LP_BUNDLE0 as usize + n_bundles],
             lp_events: vec![0; LP_BUNDLE0 as usize + n_bundles],
             forward_delay,
@@ -340,7 +451,21 @@ impl WorkerCore {
             events_processed: 0,
             packets_created: 0,
             obs,
-        }
+        };
+        // Room for every flow `schedule_initial` will admit, reserved but
+        // not filled: slots are written as the arrivals fire, so
+        // construction pays for no flow state and the table never rehashes
+        // mid-run.
+        let admitted = core
+            .specs
+            .iter()
+            .filter(|spec| match spec.origin {
+                Origin::Bundle(b) => core.owns_bundle(b),
+                Origin::Direct => part.owns_direct(),
+            })
+            .count();
+        core.flows.reserve(admitted);
+        core
     }
 
     /// The partition this worker was built with (static index and worker
@@ -405,7 +530,19 @@ impl WorkerCore {
 
     /// The LP owning a flow (for events routed by flow id).
     fn flow_lp(&self, flow: FlowId) -> u16 {
-        origin_lp(origin_of(&self.flows, &self.ping_origin, flow))
+        origin_lp(self.flows.origin_at(self.flows.slot_of(flow)))
+    }
+
+    /// Resolves the flow an event is about — the event's one hash lookup —
+    /// to its table slot, workload origin and LP, and attributes the event
+    /// to that LP.
+    #[inline]
+    fn resolve(&mut self, flow: FlowId) -> (Option<usize>, Origin, u16) {
+        let slot = self.flows.slot_of(flow);
+        let origin = self.flows.origin_at(slot);
+        let lp = origin_lp(origin);
+        self.note_event(lp);
+        (slot, origin, lp)
     }
 
     /// Schedules this worker's initial events: flow arrivals for owned
@@ -511,10 +648,11 @@ impl WorkerCore {
     /// Routes every id accumulated in `pkt_buf` (the endhost scratch
     /// buffer) into the network, preserving the buffer's capacity. The
     /// ids were freshly inserted by this core's endhosts, so they count
-    /// as created here.
+    /// as created here. `origin` is their flow's, which the caller holds.
     fn flush_pkt_buf(
         &mut self,
         lp: u16,
+        origin: Origin,
         now: Nanos,
         arena: &mut PacketArena,
         queue: &mut EventQueue,
@@ -523,7 +661,7 @@ impl WorkerCore {
         let mut buf = std::mem::take(&mut self.pkt_buf);
         self.packets_created += buf.len() as u64;
         for id in buf.drain(..) {
-            self.route_forward(id, lp, now, arena, queue, to_net);
+            self.route_forward(id, lp, origin, now, arena, queue, to_net);
         }
         self.pkt_buf = buf;
     }
@@ -543,17 +681,21 @@ impl WorkerCore {
         if spec.is_ping {
             let mut client = PingClient::new(spec.id, key, spec.size_bytes.max(40) as u32);
             let req = client.maybe_request(now, arena);
-            // Route the first request before registering the flow's origin,
-            // exactly as the pre-arena code did: in classic (non-agent)
-            // mode the origin lookup misses and the first request travels
-            // outside the bundle. Changing this would silently shift every
-            // subsequent closed-loop RTT sample.
+            // The first request is routed as if the flow's origin were not
+            // registered yet, exactly as the pre-arena code did: in classic
+            // (non-agent) mode it travels outside the bundle. Changing this
+            // would silently shift every subsequent closed-loop RTT sample.
             if let Some(req) = req {
                 self.packets_created += 1;
-                self.route_forward(req, lp, now, arena, queue, to_net);
+                self.route_forward(req, lp, Origin::Direct, now, arena, queue, to_net);
             }
-            self.ping_origin.insert(spec.id, spec.origin);
-            self.pings.insert(spec.id, client);
+            self.flows.insert(
+                spec.id,
+                FlowSlot::Ping {
+                    origin: spec.origin,
+                    client: Some(client),
+                },
+            );
             return;
         }
         if self.obs.flow_sampled(spec.id.0) {
@@ -581,7 +723,8 @@ impl WorkerCore {
                 },
             );
         }
-        let sender = TcpSender::new(spec.id, key, spec.size_bytes, spec.alg, spec.class, now);
+        let mut sender = TcpSender::new(spec.id, key, spec.size_bytes, spec.alg, spec.class, now);
+        sender.maybe_send(now, arena, &mut self.pkt_buf);
         let state = FlowState {
             sender,
             receiver: TcpReceiver::new(),
@@ -589,13 +732,8 @@ impl WorkerCore {
             size_bytes: spec.size_bytes,
             recorded: false,
         };
-        self.flows.insert(spec.id, state);
-        self.flows
-            .get_mut(&spec.id)
-            .expect("just inserted")
-            .sender
-            .maybe_send(now, arena, &mut self.pkt_buf);
-        self.flush_pkt_buf(lp, now, arena, queue, to_net);
+        self.flows.insert(spec.id, FlowSlot::Tcp(state));
+        self.flush_pkt_buf(lp, spec.origin, now, arena, queue, to_net);
         let k = self.key_for(lp);
         queue.schedule(
             now + Duration::from_millis(1000),
@@ -608,22 +746,23 @@ impl WorkerCore {
     /// through its bundle's sendbox if the edge deploys one, else directly
     /// to the bottleneck.
     ///
-    /// `lp` is the LP acting (the flow's complex). At an agent edge the
-    /// prefix classification of a bundled flow resolves to its own bundle
-    /// (site addressing guarantees it), so the sendbox reached is always
-    /// owned by this worker.
+    /// `lp` is the LP acting (the flow's complex) and `origin` the flow's
+    /// workload origin, both already resolved by the caller. At an agent
+    /// edge the prefix classification of a bundled flow resolves to its own
+    /// bundle (site addressing guarantees it), so the sendbox reached is
+    /// always owned by this worker.
+    #[allow(clippy::too_many_arguments)]
     fn route_forward(
         &mut self,
         pkt: PacketId,
         lp: u16,
+        origin: Origin,
         now: Nanos,
         arena: &mut PacketArena,
         queue: &mut EventQueue,
         to_net: &mut Vec<ToNet>,
     ) {
-        let classified = self.edge.classify(&arena[pkt], || {
-            origin_of(&self.flows, &self.ping_origin, arena[pkt].flow)
-        });
+        let classified = self.edge.classify(&arena[pkt], || origin);
         let Some(b) = classified else {
             return self.send_to_bottleneck(pkt, lp, now, to_net);
         };
@@ -668,9 +807,7 @@ impl WorkerCore {
             let p = &arena[pkt];
             (p.flow, p.payload, p.seq, p.key)
         };
-        let origin = origin_of(&self.flows, &self.ping_origin, flow_id);
-        let lp = origin_lp(origin);
-        self.note_event(lp);
+        let (slot, origin, lp) = self.resolve(flow_id);
 
         // The receivebox observes every bundled data packet arriving at the
         // destination site (each bundle's remote site has its own).
@@ -691,30 +828,36 @@ impl WorkerCore {
         }
 
         // Application processing.
-        if self.pings.contains_key(&flow_id) {
-            // The "server" echoes the request; the response returns over the
-            // (uncongested) reverse path. The packet's arena slot is reused
-            // in place for the response — no copy, no allocation.
-            arena[pkt].kind = PacketKind::Ack;
-            let k = self.key_for(lp);
-            queue.schedule(now + self.reverse_delay, k, Event::ArriveSource { pkt });
-            return;
-        }
-        if let Some(flow) = self.flows.get_mut(&flow_id) {
-            let ack_seq = flow.receiver.on_data(seq, payload);
-            // The SACK information must be a snapshot taken together with
-            // the cumulative ACK; mixing a stale cumulative value with newer
-            // receiver state would make ordinary pipelining look like loss.
-            let ack = Packet::ack(flow_id, key.reversed(), ack_seq, now)
-                .with_sack_highest(flow.receiver.highest_received());
-            let ack_id = arena.insert(ack);
-            self.packets_created += 1;
-            let k = self.key_for(lp);
-            queue.schedule(
-                now + self.reverse_delay,
-                k,
-                Event::ArriveSource { pkt: ack_id },
-            );
+        match slot.map(|slot| &mut self.flows.slots[slot]) {
+            Some(FlowSlot::Ping {
+                client: Some(_), ..
+            }) => {
+                // The "server" echoes the request; the response returns over
+                // the (uncongested) reverse path. The packet's arena slot is
+                // reused in place for the response — no copy, no allocation.
+                arena[pkt].kind = PacketKind::Ack;
+                let k = self.key_for(lp);
+                queue.schedule(now + self.reverse_delay, k, Event::ArriveSource { pkt });
+                return;
+            }
+            Some(FlowSlot::Tcp(flow)) => {
+                let ack_seq = flow.receiver.on_data(seq, payload);
+                // The SACK information must be a snapshot taken together
+                // with the cumulative ACK; mixing a stale cumulative value
+                // with newer receiver state would make ordinary pipelining
+                // look like loss.
+                let ack = Packet::ack(flow_id, key.reversed(), ack_seq, now)
+                    .with_sack_highest(flow.receiver.highest_received());
+                let ack_id = arena.insert(ack);
+                self.packets_created += 1;
+                let k = self.key_for(lp);
+                queue.schedule(
+                    now + self.reverse_delay,
+                    k,
+                    Event::ArriveSource { pkt: ack_id },
+                );
+            }
+            _ => {}
         }
         // The data packet has been consumed at the destination endhost.
         arena.free(pkt);
@@ -732,20 +875,21 @@ impl WorkerCore {
             let p = &arena[pkt];
             (p.flow, p.seq, p.sack_highest)
         };
-        let lp = self.flow_lp(flow_id);
-        self.note_event(lp);
+        let (slot, origin, lp) = self.resolve(flow_id);
         // Whatever arrives back at the source (transport ACK or ping
         // response) terminates here.
         arena.free(pkt);
-        if let Some(ping) = self.pings.get_mut(&flow_id) {
-            if let Some(next) = ping.on_response(seq, now, arena) {
-                self.packets_created += 1;
-                self.route_forward(next, lp, now, arena, queue, to_net);
+        let (completed, size, started) = match slot.map(|slot| &mut self.flows.slots[slot]) {
+            Some(FlowSlot::Ping {
+                client: Some(ping), ..
+            }) => {
+                if let Some(next) = ping.on_response(seq, now, arena) {
+                    self.packets_created += 1;
+                    self.route_forward(next, lp, origin, now, arena, queue, to_net);
+                }
+                return;
             }
-            return;
-        }
-        let (completed, origin, size, started) = match self.flows.get_mut(&flow_id) {
-            Some(flow) => {
+            Some(FlowSlot::Tcp(flow)) => {
                 let highest = sack_highest.max(seq);
                 flow.sender
                     .on_ack_sack(seq, highest, now, arena, &mut self.pkt_buf);
@@ -753,11 +897,11 @@ impl WorkerCore {
                 if completed {
                     flow.recorded = true;
                 }
-                (completed, flow.origin, flow.size_bytes, flow.sender.started)
+                (completed, flow.size_bytes, flow.sender.started)
             }
-            None => return,
+            _ => return,
         };
-        self.flush_pkt_buf(lp, now, arena, queue, to_net);
+        self.flush_pkt_buf(lp, origin, now, arena, queue, to_net);
         if completed {
             let fct = now.saturating_since(started);
             let unloaded = self.unloaded_fct(size);
@@ -983,29 +1127,22 @@ impl WorkerCore {
         queue: &mut EventQueue,
         to_net: &mut Vec<ToNet>,
     ) {
-        let lp = self.flow_lp(flow);
-        self.note_event(lp);
-        let next = match self.flows.get_mut(&flow) {
-            Some(f) => f.sender.on_rto_check(now, arena, &mut self.pkt_buf),
+        let (slot, origin, lp) = self.resolve(flow);
+        let Some(FlowSlot::Tcp(f)) = slot.map(|slot| &mut self.flows.slots[slot]) else {
+            return;
+        };
+        let next = f.sender.on_rto_check(now, arena, &mut self.pkt_buf);
+        let complete = f.sender.is_complete();
+        self.flush_pkt_buf(lp, origin, now, arena, queue, to_net);
+        // Flow idle: poll again later in case new data appears (cheap: one
+        // event per second per flow). A complete flow is never polled again.
+        let at = match next {
+            Some(at) => at,
+            None if !complete => now + Duration::from_secs(1),
             None => return,
         };
-        self.flush_pkt_buf(lp, now, arena, queue, to_net);
-        match next {
-            Some(at) => {
-                let k = self.key_for(lp);
-                queue.schedule(at, k, Event::RtoCheck { flow });
-            }
-            None => {
-                // Flow idle or complete: poll again later in case new data
-                // appears (cheap: one event per second per flow).
-                if let Some(f) = self.flows.get(&flow) {
-                    if !f.sender.is_complete() {
-                        let k = self.key_for(lp);
-                        queue.schedule(now + Duration::from_secs(1), k, Event::RtoCheck { flow });
-                    }
-                }
-            }
-        }
+        let k = self.key_for(lp);
+        queue.schedule(at, k, Event::RtoCheck { flow });
     }
 
     fn on_sample(&mut self, lp: u16, now: Nanos, queue: &mut EventQueue) {
@@ -1081,7 +1218,7 @@ impl WorkerCore {
 
     /// The site-side LP an event is handled by — the routing rule bundle
     /// migration extracts pending events with. Flow-routed events resolve
-    /// through the flow tables, so this must run while they are intact.
+    /// through the flow table, so this must run while it is intact.
     fn event_lp(&self, event: &Event, arena: &PacketArena) -> u16 {
         match *event {
             Event::FlowArrival { spec } => origin_lp(self.specs[spec as usize].origin),
@@ -1140,33 +1277,19 @@ impl WorkerCore {
             b.tbf
                 .for_each_pkt_mut(&mut |id| edge_pkts.push(arena.remove(*id)));
         }
-        let mut flow_ids: Vec<FlowId> = self
+        // The bundle's flows and pings, each list in ascending id — the
+        // order the parcel's snapshot bytes list them in.
+        let (mut flows, mut pings) = (Vec::new(), Vec::new());
+        let ids = self
             .flows
-            .iter()
-            .filter(|(_, f)| matches!(f.origin, Origin::Bundle(b) if b == bundle))
-            .map(|(id, _)| *id)
-            .collect();
-        flow_ids.sort();
-        let flows = flow_ids
-            .into_iter()
-            .map(|id| (id, self.flows.remove(&id).expect("listed above")))
-            .collect();
-        let mut ping_ids: Vec<FlowId> = self
-            .ping_origin
-            .iter()
-            .filter(|(_, o)| matches!(o, Origin::Bundle(b) if *b == bundle))
-            .map(|(id, _)| *id)
-            .collect();
-        ping_ids.sort();
-        let pings = ping_ids
-            .into_iter()
-            .map(|id| {
-                let origin = self.ping_origin.remove(&id).expect("listed above");
-                // A ping whose first request is still in flight has an
-                // origin entry but no client yet — mirror that on arrival.
-                (id, self.pings.remove(&id), origin)
-            })
-            .collect();
+            .sorted(|slot| (slot.origin() == Origin::Bundle(bundle)).then_some(()));
+        for (id, ()) in ids {
+            match self.flows.remove(id).expect("listed above") {
+                FlowSlot::Tcp(f) => flows.push((id, f)),
+                FlowSlot::Ping { origin, client } => pings.push((id, client, origin)),
+                FlowSlot::Free => unreachable!("no id resolves to a free slot"),
+            }
+        }
         BundleParcel {
             bundle,
             seq: std::mem::take(&mut self.seqs[lp as usize]),
@@ -1196,8 +1319,9 @@ impl WorkerCore {
     ///
     /// A parcel lifted off a worker by [`WorkerCore::extract_bundle`]
     /// always installs. One decoded from snapshot bytes may name an id or
-    /// prefix the agent edge already manages; that is the `Err`, and the
-    /// worker is then half-updated and must be dropped.
+    /// prefix the agent edge already manages, or a flow id this worker
+    /// already holds; that is the `Err`, and the worker is then
+    /// half-updated and must be dropped.
     pub fn adopt_bundle(
         &mut self,
         parcel: BundleParcel,
@@ -1229,13 +1353,20 @@ impl WorkerCore {
         debug_assert!(edge_pkts.next().is_none(), "datapath packet count moved");
         self.edge.adopt(bundle, edge, now)?;
         schedule_pending(parcel.events, parcel.event_pkts, queue, arena);
-        for (id, f) in parcel.flows {
-            self.flows.insert(id, f);
-        }
-        for (id, ping, origin) in parcel.pings {
-            self.ping_origin.insert(id, origin);
-            if let Some(ping) = ping {
-                self.pings.insert(id, ping);
+        // A restore adopts into a worker that reserved nothing for the
+        // bundle; size the table for the whole parcel at once.
+        self.flows.reserve(parcel.flows.len() + parcel.pings.len());
+        let flows = parcel
+            .flows
+            .into_iter()
+            .map(|(id, f)| (id, FlowSlot::Tcp(f)));
+        let pings = parcel
+            .pings
+            .into_iter()
+            .map(|(id, client, origin)| (id, FlowSlot::Ping { origin, client }));
+        for (id, slot) in flows.chain(pings) {
+            if !self.flows.insert(id, slot) {
+                return Err(format!("flow {} is already held by this worker", id.0));
             }
         }
         if let Some(state) = parcel.obs {
@@ -1288,29 +1419,27 @@ impl WorkerCore {
         save_pending_in_place(queue, arena, out, |e| {
             !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT
         });
-        let mut ids: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| matches!(f.origin, Origin::Direct))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort();
-        (ids.len() as u64).encode(out);
-        for id in ids {
+        // Direct flows, then direct pings, each in ascending id.
+        let flows = self.flows.sorted(|slot| match slot {
+            FlowSlot::Tcp(f) if f.origin == Origin::Direct => Some(f),
+            _ => None,
+        });
+        (flows.len() as u64).encode(out);
+        for (id, f) in flows {
             id.encode(out);
-            self.flows[&id].save_state(out);
+            f.save_state(out);
         }
-        let mut pids: Vec<FlowId> = self
-            .ping_origin
-            .iter()
-            .filter(|(_, o)| matches!(o, Origin::Direct))
-            .map(|(id, _)| *id)
-            .collect();
-        pids.sort();
-        (pids.len() as u64).encode(out);
-        for id in pids {
+        let pings = self.flows.sorted(|slot| match slot {
+            FlowSlot::Ping {
+                origin: Origin::Direct,
+                client,
+            } => Some(client),
+            _ => None,
+        });
+        (pings.len() as u64).encode(out);
+        for (id, client) in pings {
             id.encode(out);
-            match self.pings.get(&id) {
+            match client {
                 Some(p) => {
                     true.encode(out);
                     p.save_state(out);
@@ -1346,15 +1475,23 @@ impl WorkerCore {
         let n = u64::decode(r)? as usize;
         for _ in 0..n {
             let id = FlowId::decode(r)?;
-            self.flows.insert(id, FlowState::from_state(r)?);
+            let flow = FlowSlot::Tcp(FlowState::from_state(r)?);
+            if !self.flows.insert(id, flow) {
+                return Err(r.error("direct slice names a flow id twice"));
+            }
         }
         let n = u64::decode(r)? as usize;
         for _ in 0..n {
             let id = FlowId::decode(r)?;
-            if bool::decode(r)? {
-                self.pings.insert(id, PingClient::from_state(r)?);
+            let client = if bool::decode(r)? {
+                Some(PingClient::from_state(r)?)
+            } else {
+                None
+            };
+            let origin = Origin::Direct;
+            if !self.flows.insert(id, FlowSlot::Ping { origin, client }) {
+                return Err(r.error("direct slice names a flow id twice"));
             }
-            self.ping_origin.insert(id, Origin::Direct);
         }
         self.seqs[LP_DIRECT as usize] = u64::decode(r)?;
         self.lp_events[LP_DIRECT as usize] = u64::decode(r)?;
@@ -1554,16 +1691,26 @@ impl BundleParcel {
         let event_pkts = Vec::<Packet>::decode(r)?;
         let edge = DetachedEdge::from_state(config, bundle, r)?;
         let edge_pkts = Vec::<Packet>::decode(r)?;
+        // A parcel written by a run names each flow once; bytes that name
+        // one twice (as two flows, two pings or one of each) would alias a
+        // table slot on adoption.
+        let mut seen = HashSet::new();
         let n = decode_len(r, "parcel flow count")?;
         let mut flows = Vec::with_capacity(n);
         for _ in 0..n {
             let id = FlowId::decode(r)?;
+            if !seen.insert(id) {
+                return Err(r.error("parcel names a flow id twice"));
+            }
             flows.push((id, FlowState::from_state(r)?));
         }
         let n = decode_len(r, "parcel ping count")?;
         let mut pings = Vec::with_capacity(n);
         for _ in 0..n {
             let id = FlowId::decode(r)?;
+            if !seen.insert(id) {
+                return Err(r.error("parcel names a flow id twice"));
+            }
             let ping = if bool::decode(r)? {
                 Some(PingClient::from_state(r)?)
             } else {
@@ -2445,13 +2592,15 @@ pub fn assemble_report(
     let mut agent_stats_total: Option<bundler_agent::AgentStats> = None;
 
     for w in &mut workers {
-        let mut unfinished = 0;
-        for f in w.flows.values() {
-            if !f.sender.is_complete() && f.size_bytes != FlowSpec::BACKLOGGED {
-                unfinished += 1;
-            }
-        }
-        report.unfinished += unfinished;
+        report.unfinished += w
+            .flows
+            .slots
+            .iter()
+            .filter(|slot| {
+                matches!(slot, FlowSlot::Tcp(f)
+                    if !f.sender.is_complete() && f.size_bytes != FlowSpec::BACKLOGGED)
+            })
+            .count();
         report.events_processed += w.events_processed;
         report.packets_created += w.packets_created;
         for b in 0..n_bundles {
@@ -2480,13 +2629,15 @@ pub fn assemble_report(
         }
         // Ping RTT series, merged per bundle in flow-id order so the
         // result is independent of hash-map iteration and partitioning.
-        let mut ping_ids: Vec<FlowId> = w.pings.keys().copied().collect();
-        ping_ids.sort();
-        for id in ping_ids {
-            if let Some(Origin::Bundle(b)) = w.ping_origin.get(&id) {
-                let ping = &w.pings[&id];
-                report.ping_rtts_ms[*b].extend(ping.rtts.iter().map(|d| d.as_millis_f64()));
-            }
+        let pings = w.flows.sorted(|slot| match slot {
+            FlowSlot::Ping {
+                origin: Origin::Bundle(b),
+                client: Some(ping),
+            } => Some((*b, ping)),
+            _ => None,
+        });
+        for (_, (b, ping)) in pings {
+            report.ping_rtts_ms[b].extend(ping.rtts.iter().map(|d| d.as_millis_f64()));
         }
     }
 
@@ -2610,4 +2761,239 @@ pub fn assemble_report(
     }
 
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use bundler_cc::EndhostAlg;
+    use bundler_core::BundlerConfig;
+    use bundler_types::TrafficClass;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::edge::BundleMode;
+
+    /// A TCP slot recognizable by `tag` (its size).
+    fn tcp(id: FlowId, origin: Origin, tag: u64) -> FlowSlot {
+        let key = flow_key(id.0, origin);
+        let class = TrafficClass::BEST_EFFORT;
+        FlowSlot::Tcp(FlowState {
+            sender: TcpSender::new(id, key, tag, EndhostAlg::Cubic, class, Nanos::ZERO),
+            receiver: TcpReceiver::new(),
+            origin,
+            size_bytes: tag,
+            recorded: false,
+        })
+    }
+
+    /// A ping slot recognizable by `tag` (its payload); `None` is the
+    /// client-less entry a `false` presence flag in a snapshot decodes to.
+    fn ping(id: FlowId, origin: Origin, tag: Option<u32>) -> FlowSlot {
+        let client = tag.map(|payload| PingClient::new(id, flow_key(id.0, origin), payload));
+        FlowSlot::Ping { origin, client }
+    }
+
+    /// The three maps the table replaced, with the one rule the table adds:
+    /// an id names one thing, so registering it as a flow unregisters the
+    /// ping of that id and the other way round.
+    #[derive(Default)]
+    struct ThreeMaps {
+        flows: HashMap<FlowId, (Origin, u64)>,
+        pings: HashMap<FlowId, u32>,
+        ping_origin: HashMap<FlowId, Origin>,
+    }
+
+    impl ThreeMaps {
+        fn holds(&self, id: FlowId) -> bool {
+            self.flows.contains_key(&id) || self.ping_origin.contains_key(&id)
+        }
+
+        fn remove(&mut self, id: FlowId) {
+            self.flows.remove(&id);
+            self.pings.remove(&id);
+            self.ping_origin.remove(&id);
+        }
+
+        fn origin_of(&self, id: FlowId) -> Origin {
+            self.flows
+                .get(&id)
+                .map(|f| f.0)
+                .or_else(|| self.ping_origin.get(&id).copied())
+                .unwrap_or(Origin::Direct)
+        }
+    }
+
+    /// Sparse ids, the way the multi-site scenarios number flows.
+    fn flow_id(site: u64, i: u64) -> FlowId {
+        FlowId(site * 1_000_000 + i)
+    }
+
+    fn origin(pick: u8) -> Origin {
+        match pick {
+            0 => Origin::Direct,
+            b => Origin::Bundle(b as usize - 1),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn flow_table_agrees_with_the_three_maps_it_replaced(
+            ops in collection::vec((0u8..4, 0u64..3, 0u64..6, 0u8..3, 1u32..1000), 1..120),
+        ) {
+            let mut table = FlowTable::default();
+            let mut model = ThreeMaps::default();
+            for (op, site, i, pick, tag) in ops {
+                let (id, origin) = (flow_id(site, i), origin(pick));
+                let held = model.holds(id);
+                match op {
+                    0 => {
+                        prop_assert_eq!(table.insert(id, tcp(id, origin, tag as u64)), !held);
+                        model.remove(id);
+                        model.flows.insert(id, (origin, tag as u64));
+                    }
+                    1 => {
+                        // Every third ping is the client-less kind.
+                        let tag = (tag % 3 != 0).then_some(tag);
+                        prop_assert_eq!(table.insert(id, ping(id, origin, tag)), !held);
+                        model.remove(id);
+                        model.ping_origin.insert(id, origin);
+                        if let Some(tag) = tag {
+                            model.pings.insert(id, tag);
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(table.remove(id).is_some(), held);
+                        model.remove(id);
+                    }
+                }
+                // Every id of the universe resolves as the maps would.
+                for id in (0..3).flat_map(|site| (0..6).map(move |i| flow_id(site, i))) {
+                    let slot = table.slot_of(id);
+                    prop_assert_eq!(slot.is_some(), model.holds(id));
+                    prop_assert_eq!(table.origin_at(slot), model.origin_of(id));
+                    match slot.map(|slot| &table.slots[slot]) {
+                        Some(FlowSlot::Tcp(f)) => {
+                            prop_assert_eq!(Some(&(f.origin, f.size_bytes)), model.flows.get(&id));
+                        }
+                        Some(FlowSlot::Ping { client, .. }) => {
+                            prop_assert!(!model.flows.contains_key(&id));
+                            let payload = client.as_ref().map(|c| c.payload);
+                            prop_assert_eq!(payload, model.pings.get(&id).copied());
+                        }
+                        Some(FlowSlot::Free) => panic!("{id:?} resolves to a free slot"),
+                        None => {}
+                    }
+                }
+                // The ordered walk lists exactly the registered ids, ascending.
+                let walked: Vec<FlowId> = table.sorted(|_| Some(())).into_iter().map(|e| e.0).collect();
+                let mut expected: Vec<FlowId> =
+                    model.flows.keys().chain(model.ping_origin.keys()).copied().collect();
+                expected.sort();
+                prop_assert_eq!(walked, expected);
+                // Each slot is indexed or on the free list, never both.
+                prop_assert_eq!(table.index.len() + table.free.len(), table.slots.len());
+                for &slot in &table.free {
+                    prop_assert!(matches!(table.slots[slot as usize], FlowSlot::Free));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rotating_a_bundle_reuses_its_slots() {
+        // What `ShardBalance::Rotate` does to a bundle at every barrier,
+        // 1 000 times over: the freed slots are taken again on adoption, so
+        // neither the slab nor the free list grows.
+        let config = SimulationConfig {
+            bundles: vec![
+                BundleMode::Bundler(BundlerConfig::default()),
+                BundleMode::StatusQuo,
+            ],
+            ..Default::default()
+        };
+        let mut workload: Vec<FlowSpec> = (0..40)
+            .map(|i| {
+                FlowSpec::bundled(
+                    flow_id(i % 2, i).0,
+                    50_000,
+                    Nanos::from_millis(i),
+                    i as usize % 2,
+                )
+            })
+            .collect();
+        workload.push(FlowSpec::bundled(flow_id(0, 90).0, 40, Nanos::ZERO, 0).as_ping());
+        workload.push(FlowSpec::direct(flow_id(2, 0).0, 50_000, Nanos::ZERO));
+        let mut core = WorkerCore::new(&config, &workload, Partition::solo());
+        let (mut queue, mut arena) = (EventQueue::new(), PacketArena::new());
+        core.schedule_initial(&mut queue);
+        // Admit every flow (nothing reaches the bottleneck: no net core).
+        let mut to_net = Vec::new();
+        let now = Nanos::from_millis(45);
+        while queue.peek().is_some_and(|(t, _)| t < now) {
+            let (t, event) = queue.pop().expect("peeked");
+            core.handle(event, t, &mut arena, &mut queue, &mut to_net);
+        }
+        assert_eq!(core.flows.index.len(), workload.len());
+        let slots = core.flows.slots.len();
+        for cycle in 0..1000 {
+            let parcel = core.extract_bundle(0, &mut queue, &mut arena);
+            assert_eq!(core.flows.free.len(), 21, "bundle 0's flows and ping left");
+            core.adopt_bundle(parcel, &mut queue, &mut arena, now)
+                .expect("a parcel lifted off this worker installs back");
+            assert_eq!(core.flows.slots.len(), slots, "cycle {cycle}");
+            assert!(core.flows.free.is_empty(), "cycle {cycle}");
+            assert_eq!(core.flows.index.len(), workload.len());
+        }
+    }
+
+    #[test]
+    fn a_snapshot_naming_one_flow_twice_is_corrupt() {
+        use crate::sim::Simulation;
+        use crate::snapshot::SnapshotError;
+        // Ids whose eight bytes occur nowhere else in a snapshot, so every
+        // mention of one (its table entry, its sender, its pending events
+        // and packets) can be rewritten to name another.
+        let id = |n: u64| 0x000a_0b0c_0d0e_0f00 + n;
+        let config = SimulationConfig {
+            duration: Duration::from_secs(1),
+            bundles: vec![BundleMode::StatusQuo],
+            checkpoint_every: Some(Duration::from_millis(200)),
+            ..Default::default()
+        };
+        let workload = vec![
+            FlowSpec::direct(id(1), FlowSpec::BACKLOGGED, Nanos::ZERO),
+            FlowSpec::direct(id(2), FlowSpec::BACKLOGGED, Nanos::ZERO),
+            FlowSpec::bundled(id(3), FlowSpec::BACKLOGGED, Nanos::ZERO, 0),
+            FlowSpec::bundled(id(4), FlowSpec::BACKLOGGED, Nanos::ZERO, 0),
+            FlowSpec::bundled(id(5), 40, Nanos::ZERO, 0).as_ping(),
+        ];
+        let mut ckpts = Vec::new();
+        Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts);
+        let blob = &ckpts[0].1;
+        let restore = |bytes: &[u8]| Simulation::restore(config.clone(), workload.clone(), bytes);
+        assert!(restore(blob).is_ok(), "the intact snapshot restores");
+        for (keep, renamed, what) in [
+            (1, 2, "direct slice names a flow id twice"),
+            (3, 4, "parcel names a flow id twice"),
+            (3, 5, "parcel names a flow id twice"),
+            (1, 3, "already held by this worker"),
+        ] {
+            let (keep, renamed) = (id(keep).to_le_bytes(), id(renamed).to_le_bytes());
+            let mut patched = blob.clone();
+            let mut hits = 0;
+            for at in 0..patched.len() - 8 {
+                if patched[at..at + 8] == renamed {
+                    patched[at..at + 8].copy_from_slice(&keep);
+                    hits += 1;
+                }
+            }
+            assert!(hits > 0, "{what}: the renamed id is in the snapshot");
+            match restore(&patched).err() {
+                Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected a corrupt snapshot, got {other:?}"),
+            }
+        }
+    }
 }

@@ -1,11 +1,18 @@
 //! The simulation engine: wires endhosts, site edges, the bottleneck and
 //! the Bundler control loop together and runs the event loop.
 //!
-//! The hot path is allocation-free in steady state: packets live in a
-//! [`PacketArena`] and move through queues and events as 4-byte
+//! No packet hop allocates: packets live in a [`PacketArena`] and move
+//! through queues and events as 4-byte
 //! [`PacketId`](bundler_types::PacketId)s, endhosts emit into reusable
-//! scratch buffers, and the event queue is a calendar queue with O(1)
-//! amortized operations.
+//! scratch buffers, per-flow state sits in a slab reserved at
+//! construction, and the event queue is a calendar queue with O(1)
+//! amortized operations. What does allocate is per *flow*: a sender's
+//! congestion-controller box and in-flight window, and the receiver's
+//! out-of-order buffer when segments arrive out of order.
+//!
+//! The main loop is pop → dispatch, one event at a time. A checkpoint is
+//! taken between two pops, when the next event's time has reached the
+//! checkpoint instant; the queue is only peeked while one is armed.
 //!
 //! [`Simulation`] is the *single-threaded host*: it composes one
 //! [`WorkerCore`] owning every site-side logical process with the
@@ -388,56 +395,26 @@ impl Simulation {
             }
             _ => None,
         };
-        // The loop drains the queue in whole `(timestamp, lp)` *runs*
-        // (`EventQueue::pop_run`) so dispatch amortizes over consecutive
-        // same-LP events, but stays byte-identical to one-at-a-time pops:
-        // before consuming each buffered event it checks whether a handler
-        // scheduled a *different* LP's event at the same timestamp with a
-        // smaller key (e.g. a worker run emitting net-LP arrivals — the net
-        // LP is 0 and sorts first), and interleaves it at exactly the spot
-        // a per-pop loop would have. Same-LP events scheduled mid-run carry
-        // higher sequences and sort after the buffered run by construction.
-        let mut run: Vec<(Nanos, crate::event::EventKey, Event)> = Vec::with_capacity(64);
-        let mut run_idx = 0;
         loop {
-            if run_idx == run.len() {
-                // Buffer drained: checkpoint boundaries and run refills
-                // only happen here, where queue state equals loop state.
-                let Some((peek_t, _)) = self.queue.peek() else {
+            // Peeked only while a checkpoint is armed; otherwise pop alone.
+            if let Some((iv, at)) = next_ckpt.filter(|&(_, at)| at < end) {
+                let Some((next, _)) = self.queue.peek() else {
                     break;
                 };
-                if let Some((iv, at)) = next_ckpt {
-                    if at < end && peek_t >= at {
-                        // Every event before `at` has been processed and
-                        // none at or after it — the state *is* the state
-                        // at `at`.
-                        let blob = self.snapshot(at);
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink(at, blob);
-                        }
-                        next_ckpt = Some((iv, at + Duration(iv)));
-                        continue;
+                if next >= at {
+                    // Every event before `at` has been processed and none
+                    // at or after it, and nothing is pending outside the
+                    // queue — the state *is* the state at `at`.
+                    let blob = self.snapshot(at);
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink(at, blob);
                     }
-                }
-                if self.queue.pop_run(&mut run) == 0 {
-                    break;
-                }
-                run_idx = 0;
-                if run[0].0 >= end {
-                    break;
+                    next_ckpt = Some((iv, at + Duration(iv)));
+                    continue;
                 }
             }
-            let (t, key, _) = run[run_idx];
-            let (now, event) = match self.queue.peek() {
-                Some((qt, qk)) if (qt, qk) < (t, key) => {
-                    let (qt, e) = self.queue.pop().expect("peeked event must pop");
-                    (qt, e)
-                }
-                _ => {
-                    let (_, _, e) = run[run_idx];
-                    run_idx += 1;
-                    (t, e)
-                }
+            let Some((now, event)) = self.queue.pop() else {
+                break;
             };
             if now >= end {
                 break;
@@ -672,66 +649,6 @@ mod tests {
         assert_eq!(report.completed, 2);
         let bundled: Vec<_> = report.fcts.iter().filter(|f| f.bundle.is_some()).collect();
         assert_eq!(bundled.len(), 1);
-    }
-
-    /// The pre-`pop_run` main loop, event for event: pop one, handle one.
-    /// Kept verbatim as the reference for the A/B test below.
-    fn run_one_at_a_time(mut sim: Simulation) -> SimReport {
-        let end = Nanos::ZERO + sim.config.duration;
-        while let Some((now, event)) = sim.queue.pop() {
-            if now >= end {
-                break;
-            }
-            if is_net_event(&event) {
-                sim.net.handle(
-                    event,
-                    now,
-                    &mut sim.arena,
-                    &mut sim.queue,
-                    &mut sim.deliveries,
-                );
-                for d in sim.deliveries.drain(..) {
-                    sim.queue
-                        .schedule(d.at, d.key, Event::ArriveDestination { pkt: d.pkt });
-                }
-            } else {
-                sim.worker
-                    .handle(event, now, &mut sim.arena, &mut sim.queue, &mut sim.to_net);
-                for m in sim.to_net.drain(..) {
-                    sim.queue
-                        .schedule(m.at, m.key, Event::ArriveBottleneck { pkt: m.pkt });
-                }
-            }
-        }
-        sim.finalize()
-    }
-
-    #[test]
-    fn pop_run_loop_matches_one_at_a_time_pops() {
-        use crate::stats::SimStats;
-        // Batched run-draining must be invisible: same workload, identical
-        // digest against the reference per-pop loop — with and without the
-        // fluid tier.
-        let workload = || {
-            vec![
-                FlowSpec::bundled(1, 400_000, Nanos::ZERO, 0),
-                FlowSpec::bundled(2, 25_000, Nanos::from_millis(90), 0),
-                FlowSpec::direct(3, 150_000, Nanos::from_millis(40)),
-                FlowSpec::bundled(4, 40, Nanos::from_millis(10), 0).as_ping(),
-            ]
-        };
-        for fluid in [false, true] {
-            let mut cfg = single_flow_config(true);
-            cfg.duration = Duration::from_secs(5);
-            if fluid {
-                cfg.cross_traffic = Some(crate::fluid::FluidCrossTraffic::new(vec![
-                    crate::fluid::FluidAggregate::new(16, Duration::from_millis(50)),
-                ]));
-            }
-            let batched = SimStats::of(&Simulation::new(cfg.clone(), workload()).run());
-            let single = SimStats::of(&run_one_at_a_time(Simulation::new(cfg, workload())));
-            assert_eq!(batched, single, "fluid={fluid}");
-        }
     }
 
     #[test]

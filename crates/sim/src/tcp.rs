@@ -599,13 +599,17 @@ impl TcpReceiver {
 
     /// The highest byte the receiver holds, counting out-of-order buffered
     /// data: the information a SACK-capable receiver would report.
+    ///
+    /// One sender cuts its segments at fixed boundaries (a retransmission
+    /// repeats the original's `seq` and `len`), so buffered segments never
+    /// overlap and the one that starts last also ends last: the last key
+    /// answers for the whole map, where a scan of it paid O(buffered
+    /// segments) on every data packet after a burst loss.
     pub fn highest_received(&self) -> u64 {
         let ooo_max = self
             .out_of_order
-            .iter()
-            .map(|(&seq, &len)| seq + len as u64)
-            .max()
-            .unwrap_or(0);
+            .last_key_value()
+            .map_or(0, |(&seq, &len)| seq + len as u64);
         self.recv_next.max(ooo_max)
     }
 
@@ -963,5 +967,42 @@ mod tests {
         assert_eq!(p.rtts[0], Duration::from_millis(30));
         // Response to a stale sequence number is ignored.
         assert!(p.on_response(999, Nanos::from_millis(40), &mut a).is_none());
+    }
+
+    proptest::proptest! {
+        /// `highest_received` answers from the last buffered segment; the
+        /// oracle is the scan of the whole out-of-order map it replaced.
+        /// Segments are cut the way a sender cuts them — MSS-sized with a
+        /// short tail — and arrive in any interleaving of in-order,
+        /// out-of-order, duplicate and retransmitted copies.
+        #[test]
+        fn highest_received_matches_a_scan_of_the_buffered_segments(
+            full in 1u64..40,
+            tail in 0u32..MSS as u32,
+            arrivals in proptest::collection::vec((0u8..3, 0usize..64), 1..200),
+        ) {
+            let mut segs: Vec<(u64, u32)> = (0..full).map(|i| (i * MSS, MSS as u32)).collect();
+            if tail > 0 {
+                segs.push((full * MSS, tail));
+            }
+            let scan = |r: &TcpReceiver| {
+                let ooo_max = r.out_of_order.iter().map(|(&seq, &len)| seq + len as u64).max();
+                r.recv_next.max(ooo_max.unwrap_or(0))
+            };
+            let mut r = TcpReceiver::new();
+            for (kind, pick) in arrivals {
+                // One arrival in three is the segment the receiver waits
+                // for, so holes also close and the buffer drains.
+                let next = (r.recv_next / MSS) as usize;
+                let i = if kind == 0 && next < segs.len() { next } else { pick % segs.len() };
+                let (seq, len) = segs[i];
+                r.on_data(seq, len);
+                proptest::prop_assert_eq!(r.highest_received(), scan(&r));
+                let mut bytes = Vec::new();
+                r.save_state(&mut bytes);
+                let back = TcpReceiver::from_state(&mut Reader::new(&bytes)).expect("round trip");
+                proptest::prop_assert_eq!(back.highest_received(), scan(&r));
+            }
+        }
     }
 }

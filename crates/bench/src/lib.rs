@@ -1,5 +1,5 @@
 //! Shared helpers for the experiment binaries (one binary per figure or
-//! table of the paper) and the Criterion micro-benchmarks.
+//! table of the paper).
 //!
 //! Every binary honours the `BUNDLER_SCALE` environment variable:
 //!

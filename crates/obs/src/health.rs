@@ -5,9 +5,7 @@
 //! [`TraceKind::Health`] records are bit-identical across shard counts:
 //! sample events fire at the same sim-times everywhere, the readings are
 //! simulation state, and the per-bundle [`HealthState`] migrates with its
-//! bundle. The one exception is [`HealthKind::MailboxNearSpill`], which
-//! watches the *host's* mailbox occupancy and is therefore flagged
-//! non-portable (excluded from cross-shard-count trace comparisons).
+//! bundle.
 //!
 //! Monitors never feed back into the simulation: they read, compare and
 //! record.
@@ -35,9 +33,9 @@ pub enum HealthKind {
     /// A bundle's CC mode machine changed ≥ [`MODE_FLAP_THRESHOLD`] times
     /// within one sample interval (value: changes in the interval).
     ModeFlapping = 2,
-    /// A cross-shard mailbox drain came close to its ring capacity
-    /// (value: envelopes drained). Host-side: not portable.
-    MailboxNearSpill = 3,
+    // Tag 3 was the host-side mailbox watchdog, which went with the
+    // mailbox ring it watched; the number stays unassigned so old streams
+    // keep their meaning.
     /// A fluid cross-traffic aggregate collapsed to its floor rate
     /// (value: rate in bits/sec).
     FluidCollapse = 4,
@@ -50,7 +48,6 @@ impl HealthKind {
             0 => HealthKind::QueueGrowth,
             1 => HealthKind::StarvedBundle,
             2 => HealthKind::ModeFlapping,
-            3 => HealthKind::MailboxNearSpill,
             4 => HealthKind::FluidCollapse,
             _ => return None,
         })
@@ -62,7 +59,6 @@ impl HealthKind {
             HealthKind::QueueGrowth => "queue_growth",
             HealthKind::StarvedBundle => "starved_bundle",
             HealthKind::ModeFlapping => "mode_flapping",
-            HealthKind::MailboxNearSpill => "mailbox_near_spill",
             HealthKind::FluidCollapse => "fluid_collapse",
         }
     }
@@ -128,11 +124,12 @@ mod tests {
 
     #[test]
     fn kind_round_trips_and_names() {
-        for v in 0..5u8 {
+        for v in [0, 1, 2, 4u8] {
             let k = HealthKind::from_u8(v).unwrap();
             assert_eq!(k as u8, v);
             assert!(!k.name().is_empty());
         }
+        assert_eq!(HealthKind::from_u8(3), None, "retired, never reassigned");
         assert_eq!(HealthKind::from_u8(9), None);
     }
 

@@ -265,7 +265,7 @@ impl TraceRecord {
                 | TraceKind::WorkerWindow { .. }
                 | TraceKind::NetPhase { .. }
                 | TraceKind::Health {
-                    kind: 3, // HealthKind::MailboxNearSpill: host-side
+                    kind: 3, // the retired mailbox watchdog's tag: host-side
                     ..
                 }
         )

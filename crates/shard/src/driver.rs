@@ -1,99 +1,97 @@
 //! The windowed multi-threaded driver.
 //!
 //! See the crate docs for the synchronization argument. The run is a
-//! sequence of *windows* `[T, T+Δ)` delimited by barriers, with Δ = ½
-//! lookahead. Three kinds of thread attend every barrier:
+//! sequence of *windows* `[T, T+Δ)`, Δ = ½ lookahead, attended by three
+//! kinds of thread: one **worker** per shard, one **net thread** per net
+//! shard (net shard k of K owns the bottleneck paths `gid % K == k`), and
+//! the **driver** — the calling thread, which only coordinates. A
+//! configuration with one shard, or whose lookahead is too short to halve
+//! (< 2 ns), has nothing to window over: [`ShardedSimulation`] then *is*
+//! the single-threaded [`Simulation`].
 //!
-//! * **Workers** (one per shard). Within a window each drains its inbound
-//!   mailboxes (deliveries produced in earlier windows, all timestamped
-//!   ≥ T) and handles its local events with `t < T+Δ`, moving packets
-//!   released toward the bottleneck into `(timestamp, key, packet)`
-//!   envelopes.
-//! * **Net threads** (one per net shard, at least one). The net phase for
-//!   window W drains every worker's envelopes of that window into the net
-//!   event queue — whose `(timestamp, key)` order is the canonical merge —
-//!   handles net events below the window's end, and routes the resulting
-//!   deliveries to the owning worker's mailbox by flow id. It runs
-//!   *during worker window W+1*: every delivery it produces lands ≥ 2
-//!   windows ahead (`t + lookahead ≥ T_W + 2Δ`), so the bottleneck's work
-//!   hides behind the workers instead of idling them at the barrier.
-//!   Worker→net envelopes double-buffer by window parity so a net phase
-//!   only ever drains a quiesced buffer; net→worker deliveries go through
-//!   mailboxes whose producer and consumer are fixed threads, and are
-//!   published strictly before the barrier that opens the window that
-//!   could need them.
-//! * **The driver** (the calling thread) only coordinates: it publishes
-//!   each window's end and phases, runs the balancer between windows and
-//!   assembles checkpoints.
+//! Before each window the driver publishes one [`WindowPlan`]; the plan
+//! alone says which [`Phase`]s the window has, and every thread walks them
+//! in [`Seat::attend`] — the window-start barrier, then each phase
+//! followed by one barrier — supplying only its own share of each
+//! ([`Party::step`]; doing nothing is the default). In plan order:
 //!
-//! A configuration with one shard, or whose lookahead is too short to
-//! halve (< 2 ns), has nothing to window over: [`ShardedSimulation`] then
-//! *is* the single-threaded [`Simulation`].
+//! **`Extract`** (windows the balancer re-packs, see [`crate::balance`]).
+//! Each worker drains its inboxes — deliveries routed to it under the old
+//! assignment become queue events and travel with their bundle — lifts
+//! every bundle it is losing off its core and deposits the
+//! [`BundleParcel`]. The barrier that ends the phase is the rendezvous:
+//! every parcel is in its slot.
 //!
-//! * **Net sharding.** `SimulationConfig::net_shards = K` splits the
-//!   bottleneck across K net threads: net shard k owns the paths
-//!   `{gid : gid mod K == k}`, with its own event queue, arena and
-//!   per-path key streams ([`NetCore::with_partition`]). Workers route
-//!   each outbound packet with a stateless copy of the net side's load
-//!   balancer (`pick(pkt) mod K`), so a packet's path — and therefore its
-//!   owning net shard — is a pure function of the packet, identical on
-//!   both sides of the mailbox. Paths never interact with each other, so
-//!   disjoint queues preserve the canonical order and every
-//!   `(shards, net_shards)` combination is bit-identical — proven by the
-//!   differential matrix in `tests/net_shards.rs`.
-//! * **Wire-format envelopes.** With `SimulationConfig::wire_envelopes`
-//!   on, every envelope is encoded→decoded through the versioned `NETENV`
-//!   frame ([`crate::wire`]) at its sending edge, exercising the portable
-//!   byte format in live traffic without changing any result.
-//! * **Migration phases.** When the balancer re-packs bundles
-//!   ([`crate::balance`]), the window opens with an extra barrier: owners
-//!   first drain their inboxes (so in-flight deliveries for a migrating
-//!   bundle are in the queue) and deposit [`BundleParcel`]s, then — after
-//!   the rendezvous — adopters install them. Because re-partitioning
-//!   happens only at barriers and event order is canonical, *any*
-//!   migration schedule is bit-identical to the single-threaded engine
-//!   (property-tested in `tests/equivalence.rs`).
-//! * **Checkpoint phases.** With `SimulationConfig::checkpoint_every` set
-//!   and a collecting run, the first window boundary at or past each
-//!   interval multiple opens with a checkpoint rendezvous: the net threads
-//!   run their pending phases early (so every net event below the boundary
-//!   `T` is processed and its deliveries published) and serialize one
-//!   section per owned path; behind the net-flush barrier each worker
-//!   drains its inboxes and serializes its partition — residue, the direct
-//!   slice on shard 0, one [`BundleParcel`] per owned bundle. After one
-//!   more barrier the driver assembles the parts, **in canonical order,
-//!   independent of the partitioning** (bundles ascending, then path
-//!   sections ascending by global path id), into the same versioned wire
-//!   format the single-threaded host writes (`bundler_sim::snapshot`) —
-//!   byte-identical to the solo snapshot at the same `T`, restorable into
-//!   any worker or net shard count.
+//! **`Adopt`** (same windows). Each worker installs the parcels addressed
+//! to it. Re-partitioning happens only here, between barriers, and event
+//! order is canonical, so *any* migration schedule is bit-identical to the
+//! single-threaded engine (property-tested in `tests/equivalence.rs`).
+//!
+//! **`Flush`** (checkpoint windows: with
+//! `SimulationConfig::checkpoint_every` set and a collecting run, the
+//! first window start `T` at or past each interval multiple). The net
+//! threads run their pending net phase early, so every net event below `T`
+//! is handled and its deliveries published, then serialize one section per
+//! owned path.
+//!
+//! **`Save`** (same windows). Each worker drains its inboxes — the
+//! snapshot must hold every pending event ≥ `T`, in-flight arrivals
+//! included — and serializes its part: residue, the direct slice on shard
+//! 0, one parcel per owned bundle.
+//!
+//! **`Run`** (every window). Each worker drains its inboxes (deliveries
+//! produced in earlier windows, all timestamped ≥ T) and handles its local
+//! events with `t < T+Δ`, moving packets released toward the bottleneck
+//! into `(timestamp, key, packet)` envelopes; with
+//! `SimulationConfig::wire_envelopes` on, each crosses the versioned
+//! `NETENV` frame ([`crate::wire`]) on the way. A packet's path — and so
+//! its net shard — is a pure function of the packet (`pick(pkt) mod K`, a
+//! stateless copy of the net side's load balancer), identical on both
+//! sides of the mailbox. Meanwhile each net thread runs the net phase of
+//! the *previous* window, unless `Flush` already did: it merges that
+//! window's envelopes into its queue — whose `(timestamp, key)` order is
+//! the canonical merge — handles net events below that window's end and
+//! routes deliveries to the owning worker's mailbox by flow id. Every
+//! delivery lands ≥ 2 windows ahead (`t + lookahead ≥ T + 2Δ`), so the
+//! bottleneck's work hides behind the workers instead of idling them at
+//! the barrier; worker→net envelopes double-buffer by window parity, so a
+//! net phase only ever drains a quiesced buffer. Paths never interact, so
+//! every `(shards, net_shards)` combination is bit-identical (the
+//! differential matrix in `tests/net_shards.rs`). And on a checkpoint
+//! window the driver assembles the deposited parts through
+//! [`snapshot::Writer::write`] — canonical order, independent of the
+//! partitioning, byte-identical to the solo snapshot at the same `T` and
+//! restorable into any worker or net shard count.
+//!
+//! Between the barrier that ends `Run` and the next window's start, the
+//! driver alone runs: it reads the load counts the workers published,
+//! lets the balancer decide the next window's moves, and re-points
+//! delivery routing at the post-migration owners.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use bundler_core::FnvHashMap;
-use bundler_obs::{wall_now_ns, HealthKind, NetWindow, TraceKind, WindowPhase};
+use bundler_obs::{wall_now_ns, NetWindow, TraceKind, WindowPhase};
 use bundler_sim::event::{Event, EventKey, EventQueue};
 use bundler_sim::path::LoadBalancer;
 use bundler_sim::runtime::{
     assemble_report, balancer_for, bundle_lp, origin_lp, BundleParcel, Delivery, NetCore,
-    Partition, ToNet, WorkerCore, WorkerResidue, LP_BUNDLE0,
+    Partition, ToNet, WorkerCore, LP_BUNDLE0,
 };
 use bundler_sim::sim::SimulationConfig;
-use bundler_sim::snapshot::{self, RestoreHost};
+use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{SimReport, Simulation};
 use bundler_types::{Duration, FlowId, Nanos, Packet, PacketArena};
-use serde::binary::Encode;
 
 use crate::balance::{Balancer, Move};
 use crate::error::{self, ShardError};
 use crate::mailbox::{self, Receiver, Sender};
 use crate::wire::{self, WireDir};
 
-/// Ring capacity per mailbox (messages); bursts beyond this spill to the
-/// mailbox's lossless slow path.
+/// Messages a mailbox holds before its vector first grows.
 const MAILBOX_CAPACITY: usize = 4096;
 
 /// A cross-shard message: a packet in flight between a worker shard and
@@ -105,24 +103,7 @@ struct Envelope {
     pkt: Packet,
 }
 
-/// `(path global id, serialized section)` — one bottleneck path's slice
-/// of a checkpoint, as deposited by the net thread that owns the path.
-type PathSection = (usize, Vec<u8>);
-
-/// One worker's serialized partition of a whole-simulation snapshot,
-/// deposited at the checkpoint rendezvous and assembled by the driver.
-struct CheckpointPart {
-    /// The worker's merged accumulators (fcts, counters, agent stats).
-    residue: WorkerResidue,
-    /// The direct-traffic slice — present exactly on shard 0, which owns
-    /// the direct LP.
-    direct: Option<Vec<u8>>,
-    /// `(bundle index, serialized parcel)` for every bundle the worker
-    /// owned at the rendezvous.
-    bundles: Vec<(usize, Vec<u8>)>,
-}
-
-/// Delivery routing state shared by the driver (writer, at window ends)
+/// Delivery routing state shared by the driver (writer, between windows)
 /// and the net threads (readers, during net phases). The window barriers
 /// separate writes from reads; the atomics make the sharing sound.
 struct Routing {
@@ -133,92 +114,183 @@ struct Routing {
 }
 
 /// Locks a driver mutex, recovering the data from a poisoned lock: a
-/// worker that panicked mid-phase is already flagged via
-/// `Control::panicked` and its diagnostic slot, so the shared structures
-/// stay readable for the shutdown path instead of cascading panics.
+/// thread that panicked mid-phase has its diagnostic in `Control::diag`,
+/// so the shared structures stay readable for the shutdown path instead
+/// of cascading panics.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// One stretch of a window between two barriers. See the module docs for
+/// what each thread does in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Extract,
+    Adopt,
+    Flush,
+    Save,
+    Run,
+}
+
+/// Everything the threads need to know about one window, published by the
+/// driver before the window-start barrier.
+#[derive(Debug, Clone, Default)]
+struct WindowPlan {
+    /// 0-based window index; its parity picks the worker→net buffer.
+    windex: u64,
+    /// The window is `[start, end)` in simulated time.
+    start: Nanos,
+    end: Nanos,
+    /// Bundles that change worker as the window opens.
+    moves: Vec<Move>,
+    /// Whether a checkpoint stamped `start` is taken as the window opens.
+    checkpoint: bool,
+    /// The run is over: there is no window, the threads return.
+    stop: bool,
+}
+
+impl WindowPlan {
+    /// The phases this window has, in order — the one place the sequence
+    /// is stated. Each ends at a barrier.
+    fn phases(&self) -> impl Iterator<Item = Phase> {
+        let migrate = !self.moves.is_empty();
+        [
+            (Phase::Extract, migrate),
+            (Phase::Adopt, migrate),
+            (Phase::Flush, self.checkpoint),
+            (Phase::Save, self.checkpoint),
+            (Phase::Run, true),
+        ]
+        .into_iter()
+        .filter_map(|(phase, on)| on.then_some(phase))
+    }
+}
+
 struct Control {
-    /// Workers + net threads + driver rendezvous here twice per window
-    /// (plus one more on migration windows, and two more on checkpoint
-    /// windows).
+    /// Workers + net threads + driver rendezvous here: once to open a
+    /// window, once more after each of its phases.
     barrier: Barrier,
-    /// End of the current window (exclusive), as nanoseconds.
-    window_end: AtomicU64,
-    /// Whether the current window opens with a migration phase (plan and
-    /// parcel slots are valid). Set before the window-start barrier.
-    migrating: AtomicBool,
-    /// The migration plan for the current window.
-    plan: Mutex<Vec<Move>>,
-    /// Parcels in transit, one slot per plan entry; deposited by the
-    /// `from` worker before the migration barrier, taken by the `to`
-    /// worker after it.
+    /// The current window's plan, replaced by the driver before the
+    /// window-start barrier and read by every thread after it.
+    plan: Mutex<Arc<WindowPlan>>,
+    /// Parcels in transit, one slot per bundle: deposited by the `from`
+    /// worker in `Extract`, taken by the `to` worker in `Adopt`.
     parcels: Mutex<Vec<Option<BundleParcel>>>,
-    /// Whether the current window opens with a checkpoint phase (the
-    /// stamp and part slots are valid). Set before the window-start
-    /// barrier.
-    checkpoint: AtomicBool,
-    /// The simulated instant the checkpoint is stamped with (the window
-    /// start), as nanoseconds.
-    checkpoint_at: AtomicU64,
-    /// Checkpoint parts, one slot per worker shard; deposited before the
-    /// checkpoint barrier, assembled by the driver after it.
-    parts: Mutex<Vec<Option<CheckpointPart>>>,
-    /// Per-path checkpoint sections, one slot per net thread; deposited
-    /// before the net-flush barrier on checkpoint windows.
-    net_parts: Mutex<Vec<Option<Vec<PathSection>>>>,
+    /// Checkpoint parts, one slot per worker shard: deposited in `Save`,
+    /// taken by the driver in `Run`.
+    parts: Mutex<Vec<Option<WorkerPart>>>,
+    /// Per-path checkpoint sections, deposited by the net threads in
+    /// `Flush`, taken by the driver in `Run`.
+    sections: Mutex<Vec<PathSection>>,
     /// Cumulative handled-event count per bundle, stored by the bundle's
-    /// current owner at each window end and read by the driver after the
-    /// end barrier — the balancer's load signal.
+    /// current owner at the end of each `Run` and read by the driver after
+    /// the barrier — the balancer's load signal.
     counts: Vec<AtomicU64>,
-    /// Set before the final barrier release.
-    stop: AtomicBool,
-    /// Set by a worker or net thread whose window processing panicked.
-    /// `std::sync::Barrier` has no poisoning, so a panicking thread must
-    /// keep attending barriers (idle) or every other thread would block
-    /// forever; the driver checks this flag each window, shuts the run
-    /// down, and surfaces the diagnostic below.
-    panicked: AtomicBool,
-    /// The first panicking thread's diagnostic: which shard, which
+    /// Filled by the first thread whose step panicked: which shard, which
     /// window, the last event it peeked, the panic message. Net thread k
-    /// reports as shard `workers + k`.
+    /// reports as shard `workers + k`, the driver as the one after.
+    /// `std::sync::Barrier` has no poisoning, so a panicking thread must
+    /// keep attending barriers or every other thread would block forever;
+    /// once this is set every thread idles through its remaining steps,
+    /// and the driver, which checks between windows, stops the run and
+    /// surfaces the diagnostic.
     diag: Mutex<Option<ShardError>>,
 }
 
 impl Control {
-    /// Runs one phase of a thread's window unless the thread has already
-    /// failed. A panic must not abandon the barrier protocol (std barriers
-    /// do not poison; the other threads would block forever): it is
-    /// caught, the run is flagged and the diagnostic slot filled (first
-    /// failure wins) with `last_event` as the thread left it, and the
-    /// thread, now `failed`, idles at the barriers until told to stop.
-    fn guard(
-        &self,
-        failed: &mut bool,
-        shard: usize,
-        window: u64,
-        last_event: &Cell<Option<(Nanos, EventKey)>>,
-        phase: impl FnOnce(),
-    ) {
-        if *failed {
+    /// Whether some thread's step has panicked.
+    fn failed(&self) -> bool {
+        lock(&self.diag).is_some()
+    }
+
+    /// Runs one step of a thread's window unless the run has already
+    /// failed. A panic must not abandon the barrier protocol: it is caught
+    /// and the diagnostic slot filled (first failure wins) with
+    /// `last_event` as the thread left it.
+    fn guard(&self, seat: &Seat<'_>, window: u64, step: impl FnOnce()) {
+        if self.failed() {
             return;
         }
-        let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(phase)) else {
-            return;
-        };
-        *failed = true;
-        self.panicked.store(true, Ordering::Release);
-        let mut diag = lock(&self.diag);
-        if diag.is_none() {
-            *diag = Some(ShardError::WorkerPanicked {
-                shard,
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+            lock(&self.diag).get_or_insert(ShardError::WorkerPanicked {
+                shard: seat.shard,
                 window,
-                last_event: last_event.get(),
+                last_event: seat.last_event.get(),
                 message: error::panic_message(payload.as_ref()),
             });
         }
+    }
+}
+
+/// What one kind of thread contributes to a window.
+trait Party {
+    /// This thread's share of `phase`. Most threads have nothing to do in
+    /// most phases.
+    fn step(&mut self, phase: Phase, plan: &WindowPlan, seat: &Seat<'_>);
+
+    /// What is left to do once the run is over.
+    fn stop(&mut self, _seat: &Seat<'_>) {}
+}
+
+/// One thread's seat at the window barriers.
+struct Seat<'a> {
+    ctrl: &'a Control,
+    /// The shard id this thread reports failures under.
+    shard: usize,
+    /// Whether barrier waits are clocked into `stall_ns` (off with obs).
+    timing: bool,
+    /// The last event this thread peeked before handling it in the
+    /// current window — the diagnostic anchor if the handler panics.
+    last_event: Cell<Option<(Nanos, EventKey)>>,
+    /// Wall time spent waiting at barriers since the party last took it.
+    /// An output only — nothing here feeds back into simulation state.
+    stall_ns: Cell<u64>,
+}
+
+impl<'a> Seat<'a> {
+    fn new(ctrl: &'a Control, shard: usize, timing: bool) -> Self {
+        Seat {
+            ctrl,
+            shard,
+            timing,
+            last_event: Cell::new(None),
+            stall_ns: Cell::new(0),
+        }
+    }
+
+    /// The one place a thread waits for the others.
+    fn wait(&self) {
+        let from = if self.timing { wall_now_ns() } else { 0 };
+        self.ctrl.barrier.wait();
+        if self.timing {
+            let waited = wall_now_ns().saturating_sub(from);
+            self.stall_ns.set(self.stall_ns.get() + waited);
+        }
+    }
+
+    /// Attends one window, the protocol every thread follows: the start
+    /// barrier, then each phase of the published plan — `party`'s share of
+    /// it inside the panic net — followed by one barrier. Returns `false`
+    /// once the plan says stop.
+    fn attend(&self, party: &mut impl Party) -> bool {
+        self.wait();
+        let plan = Arc::clone(&lock(&self.ctrl.plan));
+        if plan.stop {
+            self.ctrl.guard(self, plan.windex, || party.stop(self));
+            return false;
+        }
+        for phase in plan.phases() {
+            self.ctrl
+                .guard(self, plan.windex, || party.step(phase, &plan, self));
+            self.wait();
+        }
+        self.last_event.set(None);
+        true
+    }
+
+    /// A worker or net thread's whole run: attend windows until the stop.
+    fn attend_all(&self, party: &mut impl Party) {
+        while self.attend(party) {}
     }
 }
 
@@ -249,11 +321,8 @@ enum Host {
         /// Simulated time the run starts from (`ZERO` for a fresh run, the
         /// snapshot's stamp after a restore).
         start: Nanos,
-        /// `snapshot::fingerprint` of `config` and `workload`, which never
-        /// change once the host exists: known after a restore (the header
-        /// was checked against it), otherwise computed by the first
-        /// checkpoint, so a run that takes none never hashes.
-        fingerprint: Option<u64>,
+        /// Checkpoint cadence, fingerprint and size hint.
+        writer: snapshot::Writer,
     },
 }
 
@@ -272,12 +341,12 @@ impl ShardedSimulation {
         ShardedSimulation(match window_of(&config) {
             None => Host::Solo(Simulation::new(config, workload)),
             Some(window) => Host::Windowed {
-                cores: Cores::new(&config, &workload, true),
+                cores: Cores::new(&config, &workload, window, true),
+                writer: snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None),
                 config,
                 workload,
                 window,
                 start: Nanos::ZERO,
-                fingerprint: None,
             },
         })
     }
@@ -296,26 +365,18 @@ impl ShardedSimulation {
             None => Host::Solo(Simulation::restore(config, workload, bytes)?),
             Some(window) => {
                 let fp = snapshot::fingerprint(&config, &workload);
-                let mut cores = Cores::new(&config, &workload, false);
+                let mut cores = Cores::new(&config, &workload, window, false);
                 let start = snapshot::restore_into(&config, bytes, fp, &mut cores)?;
                 Host::Windowed {
+                    writer: snapshot::Writer::new(config.checkpoint_every, start, Some(fp)),
                     config,
                     workload,
                     window,
                     cores,
                     start,
-                    fingerprint: Some(fp),
                 }
             }
         }))
-    }
-
-    /// The configured shard count (≥ 1).
-    pub fn shards(&self) -> usize {
-        match &self.0 {
-            Host::Solo(sim) => sim.config().shards.max(1),
-            Host::Windowed { config, .. } => config.shards,
-        }
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -380,15 +441,38 @@ impl ShardedSimulation {
                 window,
                 cores,
                 start,
-                fingerprint,
-            } => run_sharded(config, workload, window, cores, start, fingerprint, sink),
+                writer,
+            } => run_sharded(config, workload, window, cores, start, writer, sink),
         }
     }
 }
 
+/// One worker core plus everything its steps touch: its queue, arena,
+/// mailboxes and scratch buffers. Owned by its worker thread once the run
+/// starts.
+struct Worker {
+    core: WorkerCore,
+    queue: EventQueue,
+    arena: PacketArena,
+    /// Worker→net senders, one pair (by window parity) per net shard.
+    to_net: Vec<[Sender<Envelope>; 2]>,
+    /// Net→worker inboxes, one per net shard.
+    inboxes: Vec<Receiver<Envelope>>,
+    /// Scratch the inboxes drain through.
+    inbound: Vec<Envelope>,
+    /// Scratch the core hands its bottleneck-bound packets out through.
+    outbound: Vec<ToNet>,
+    /// Stateless copy of the net side's load balancer: a packet's path —
+    /// and therefore its owning net shard — is a pure function of the
+    /// packet, so both sides of the mailbox compute the same route.
+    lb: LoadBalancer,
+    /// With `wire_envelopes` on, the scratch every outbound envelope is
+    /// encoded→decoded through (the NETENV frame).
+    wire: Option<Vec<u8>>,
+}
+
 /// One net core plus everything its phases touch: its queue, arena,
-/// inbound receivers (per worker, per parity), outbound senders (per
-/// worker) and scratch buffers. Owned by its net thread once the run
+/// mailboxes and scratch buffers. Owned by its net thread once the run
 /// starts.
 struct NetSide {
     net: NetCore,
@@ -398,19 +482,27 @@ struct NetSide {
     rx: Vec<[Receiver<Envelope>; 2]>,
     /// Net→worker senders, indexed by worker.
     to_worker: Vec<Sender<Envelope>>,
+    routing: Arc<Routing>,
+    /// The `(index, end)` of the worker window whose net phase has yet to
+    /// run.
+    pending: Option<(u64, Nanos)>,
+    /// Δ, the nominal window width.
+    window: Duration,
+    /// As [`Worker::wire`], for deliveries.
+    wire: Option<Vec<u8>>,
     /// Per-window phase timings for the report's observability section.
     windows: Vec<NetWindow>,
     inbound: Vec<Envelope>,
     deliveries: Vec<Delivery>,
-    wire_buf: Vec<u8>,
 }
 
-/// Every core of a windowed run, built on the calling thread before any
-/// worker or net thread exists.
+/// Every core of a windowed run, wired to its mailboxes on the calling
+/// thread before any worker or net thread exists.
 struct Cores {
     balancer: Balancer,
+    routing: Arc<Routing>,
     /// One per worker shard.
-    workers: Vec<(WorkerCore, EventQueue, PacketArena)>,
+    workers: Vec<Worker>,
     /// One per net shard: net shard k owns the paths `gid % K == k`; every
     /// core holds the full path vector so global path ids index directly.
     sides: Vec<NetSide>,
@@ -420,9 +512,57 @@ impl Cores {
     /// `fresh` cores own their balancer-assigned bundles and hold the
     /// run's initial events; the others own nothing and hold none — every
     /// bundle complex and pending event arrives from a snapshot.
-    fn new(config: &SimulationConfig, workload: &[FlowSpec], fresh: bool) -> Self {
+    fn new(
+        config: &SimulationConfig,
+        workload: &[FlowSpec],
+        window: Duration,
+        fresh: bool,
+    ) -> Self {
         let shards = config.shards;
         let balancer = Balancer::new(config, workload, shards);
+        // Delivery routing: a flow's LP is static (its workload origin);
+        // the LP's owning worker is worker 0 for the LPs below the bundles'
+        // and follows the balancer's assignment for those.
+        let below = std::iter::repeat_n(0, LP_BUNDLE0 as usize);
+        let routing = Arc::new(Routing {
+            lp_of_flow: workload
+                .iter()
+                .map(|s| (s.id, origin_lp(s.origin)))
+                .collect(),
+            worker_of_lp: below
+                .chain(balancer.assignment().iter().copied())
+                .map(AtomicUsize::new)
+                .collect(),
+        });
+        let net_shards = config.effective_net_shards();
+        let mut sides: Vec<NetSide> = (0..net_shards)
+            .map(|k| {
+                let mut net = NetCore::with_partition(config, k, net_shards);
+                let mut queue = EventQueue::new();
+                if fresh {
+                    net.schedule_initial(&mut queue);
+                }
+                NetSide {
+                    net,
+                    queue,
+                    arena: PacketArena::with_capacity(1024),
+                    rx: Vec::with_capacity(shards),
+                    to_worker: Vec::with_capacity(shards),
+                    routing: Arc::clone(&routing),
+                    pending: None,
+                    window,
+                    wire: config.wire_envelopes.then(Vec::new),
+                    windows: Vec::new(),
+                    inbound: Vec::with_capacity(256),
+                    deliveries: Vec::with_capacity(64),
+                }
+            })
+            .collect();
+        // Mailboxes: worker→net envelopes double-buffer by window parity,
+        // one pair per (worker, net shard); net→worker deliveries use one
+        // mailbox per (net shard, worker). Every mailbox has fixed
+        // producer and consumer threads; publication is ordered by the
+        // barriers.
         let workers = (0..shards)
             .map(|index| {
                 let part = Partition {
@@ -439,32 +579,33 @@ impl Cores {
                 if fresh {
                     core.schedule_initial(&mut queue);
                 }
-                (core, queue, PacketArena::with_capacity(1024))
-            })
-            .collect();
-        let net_shards = config.effective_net_shards();
-        let sides = (0..net_shards)
-            .map(|k| {
-                let mut net = NetCore::with_partition(config, k, net_shards);
-                let mut queue = EventQueue::new();
-                if fresh {
-                    net.schedule_initial(&mut queue);
+                let mut to_net = Vec::with_capacity(net_shards);
+                let mut inboxes = Vec::with_capacity(net_shards);
+                for side in sides.iter_mut() {
+                    let (tx_even, rx_even) = mailbox::channel(MAILBOX_CAPACITY);
+                    let (tx_odd, rx_odd) = mailbox::channel(MAILBOX_CAPACITY);
+                    to_net.push([tx_even, tx_odd]);
+                    side.rx.push([rx_even, rx_odd]);
+                    let (tx, rx) = mailbox::channel(MAILBOX_CAPACITY);
+                    side.to_worker.push(tx);
+                    inboxes.push(rx);
                 }
-                NetSide {
-                    net,
+                Worker {
+                    core,
                     queue,
                     arena: PacketArena::with_capacity(1024),
-                    rx: Vec::new(),
-                    to_worker: Vec::new(),
-                    windows: Vec::new(),
+                    to_net,
+                    inboxes,
                     inbound: Vec::with_capacity(256),
-                    deliveries: Vec::with_capacity(64),
-                    wire_buf: Vec::new(),
+                    outbound: Vec::with_capacity(64),
+                    lb: balancer_for(config),
+                    wire: config.wire_envelopes.then(Vec::new),
                 }
             })
             .collect();
         Cores {
             balancer,
+            routing,
             workers,
             sides,
         }
@@ -480,8 +621,8 @@ impl RestoreHost for Cores {
         // there too: `assemble_report` sums across shards, so totals are
         // placement-independent.
         let owner = bundle.map_or(0, |b| self.balancer.assignment()[b]);
-        let (core, queue, arena) = &mut self.workers[owner];
-        (core, queue, arena)
+        let w = &mut self.workers[owner];
+        (&mut w.core, &mut w.queue, &mut w.arena)
     }
 
     fn net(&mut self, gid: usize) -> (&mut NetCore, &mut EventQueue, &mut PacketArena) {
@@ -491,89 +632,307 @@ impl RestoreHost for Cores {
     }
 }
 
-/// The net phase for one completed worker window: merge that window's
-/// envelopes (by parity), handle net events below its end, route
-/// deliveries to the current owner of each flow's LP.
-fn net_phase(
-    side: &mut NetSide,
-    windex: u64,
-    window_end: Nanos,
-    window: Duration,
-    routing: &Routing,
-    wire_on: bool,
-) {
-    let timing = side.net.obs.metrics_on();
-    let phase_start = if timing { wall_now_ns() } else { 0 };
-    let events_before = side.net.events_processed();
-    let parity = (windex % 2) as usize;
-    for rx in side.rx.iter_mut() {
-        rx[parity].drain_into(&mut side.inbound);
-        for m in side.inbound.drain(..) {
-            debug_assert!(m.at < window_end, "envelope beyond its window");
-            let pkt = side.arena.insert(m.pkt);
-            side.queue
-                .schedule(m.at, m.key, Event::ArriveBottleneck { pkt });
-        }
-    }
-    while let Some((t, _)) = side.queue.peek() {
-        if t >= window_end {
-            break;
-        }
-        let (now, event) = side.queue.pop().expect("peeked");
-        side.net.handle(
-            event,
-            now,
-            &mut side.arena,
-            &mut side.queue,
-            &mut side.deliveries,
-        );
-        for d in side.deliveries.drain(..) {
-            // Conservative lookahead: the delivery must clear the worker
-            // window running concurrently with this net phase.
-            debug_assert!(
-                d.at >= window_end + window,
-                "delivery inside a window already running"
-            );
-            let flow = side.arena[d.pkt].flow;
-            let lp = *routing.lp_of_flow.get(&flow).expect("flow has an origin");
-            let worker = routing.worker_of_lp[lp as usize].load(Ordering::Acquire);
-            let mut pkt = side.arena.remove(d.pkt);
-            if wire_on {
-                pkt = wire::roundtrip(WireDir::Delivery, d.at, d.key, pkt, &mut side.wire_buf);
+impl NetSide {
+    /// Runs the pending net phase, if there is one: merge that worker
+    /// window's envelopes (by parity), handle net events below its end,
+    /// route deliveries to the current owner of each flow's LP.
+    fn run_pending(&mut self, seat: &Seat<'_>) {
+        let Some((windex, window_end)) = self.pending.take() else {
+            return;
+        };
+        let timing = self.net.obs.metrics_on();
+        let phase_start = if timing { wall_now_ns() } else { 0 };
+        let events_before = self.net.events_processed();
+        let parity = (windex % 2) as usize;
+        for rx in self.rx.iter_mut() {
+            rx[parity].drain_into(&mut self.inbound);
+            for m in self.inbound.drain(..) {
+                debug_assert!(m.at < window_end, "envelope beyond its window");
+                let pkt = self.arena.insert(m.pkt);
+                self.queue
+                    .schedule(m.at, m.key, Event::ArriveBottleneck { pkt });
             }
-            side.to_worker[worker].send(Envelope {
-                at: d.at,
-                key: d.key,
-                pkt,
+        }
+        while let Some((t, key)) = self.queue.peek() {
+            if t >= window_end {
+                break;
+            }
+            seat.last_event.set(Some((t, key)));
+            let (now, event) = self.queue.pop().expect("peeked");
+            self.net.handle(
+                event,
+                now,
+                &mut self.arena,
+                &mut self.queue,
+                &mut self.deliveries,
+            );
+            for d in self.deliveries.drain(..) {
+                // Conservative lookahead: the delivery must clear the worker
+                // window running concurrently with this net phase.
+                debug_assert!(
+                    d.at >= window_end + self.window,
+                    "delivery inside a window already running"
+                );
+                let flow = self.arena[d.pkt].flow;
+                let lp = self.routing.lp_of_flow.get(&flow);
+                let lp = *lp.expect("flow has an origin") as usize;
+                let worker = self.routing.worker_of_lp[lp].load(Ordering::Acquire);
+                let mut pkt = self.arena.remove(d.pkt);
+                if let Some(buf) = &mut self.wire {
+                    pkt = wire::roundtrip(WireDir::Delivery, d.at, d.key, pkt, buf);
+                }
+                self.to_worker[worker].send(Envelope {
+                    at: d.at,
+                    key: d.key,
+                    pkt,
+                });
+            }
+        }
+        if timing {
+            let wall_dur_ns = wall_now_ns().saturating_sub(phase_start);
+            let events = self.net.events_processed() - events_before;
+            // The served window's start (exact except for a truncated final
+            // window, where the nominal width overstates it).
+            let start = Nanos(window_end.as_nanos().saturating_sub(self.window.as_nanos()));
+            let width_ns = window_end.saturating_since(start).as_nanos();
+            self.net.obs.host.windows += 1;
+            self.windows.push(NetWindow {
+                windex,
+                net_shard: self.net.shard() as u16,
+                wall_ns: wall_dur_ns,
+                events,
             });
+            self.net.obs.record(
+                start,
+                TraceKind::NetPhase {
+                    windex,
+                    width_ns,
+                    wall_dur_ns,
+                    events,
+                },
+            );
+            // With a streaming sink the window's records leave the process
+            // here; in-memory runs keep accumulating in the sink vec.
+            self.net.obs.flush(window_end);
         }
     }
-    if timing {
-        let wall_dur_ns = wall_now_ns().saturating_sub(phase_start);
-        let events = side.net.events_processed() - events_before;
-        // The served window's start (exact except for a truncated final
-        // window, where the nominal width overstates it).
-        let start = Nanos(window_end.as_nanos().saturating_sub(window.as_nanos()));
-        let width_ns = window_end.saturating_since(start).as_nanos();
-        side.net.obs.host.windows += 1;
-        side.windows.push(NetWindow {
-            windex,
-            net_shard: side.net.shard() as u16,
-            wall_ns: wall_dur_ns,
-            events,
-        });
-        side.net.obs.record(
-            start,
-            TraceKind::NetPhase {
-                windex,
-                width_ns,
-                wall_dur_ns,
+}
+
+impl Party for NetSide {
+    fn step(&mut self, phase: Phase, plan: &WindowPlan, seat: &Seat<'_>) {
+        match phase {
+            // The snapshot is the state at `plan.start`, so the pending
+            // phase — the previous worker window's, whose parity buffers
+            // quiesced at the barrier that ended it — cannot wait for
+            // `Run`.
+            Phase::Flush => {
+                self.run_pending(seat);
+                let sections = self
+                    .net
+                    .save_sections(&mut self.queue, &mut self.arena, plan.start);
+                lock(&seat.ctrl.sections).extend(sections);
+            }
+            Phase::Run => {
+                self.run_pending(seat);
+                self.pending = Some((plan.windex, plan.end));
+            }
+            _ => {}
+        }
+    }
+
+    /// The final worker window's phase: its deliveries land in mailboxes
+    /// nothing will drain (they are timestamped past the end of the run),
+    /// but the events below the end must be handled for the report's
+    /// counters.
+    fn stop(&mut self, seat: &Seat<'_>) {
+        self.run_pending(seat);
+    }
+}
+
+impl Worker {
+    /// Schedules every available inbound delivery (from every net shard's
+    /// mailbox) into the local queue and records how many messages were
+    /// waiting (the mailbox-depth signal) when metrics are on. Insertion
+    /// order across mailboxes is irrelevant: the queue sorts by the
+    /// canonical `(timestamp, key)` order.
+    fn drain_inbox(&mut self) {
+        let mut drained = 0;
+        for inbox in self.inboxes.iter_mut() {
+            inbox.drain_into(&mut self.inbound);
+            drained += self.inbound.len() as u64;
+            for m in self.inbound.drain(..) {
+                let pkt = self.arena.insert(m.pkt);
+                self.queue
+                    .schedule(m.at, m.key, Event::ArriveDestination { pkt });
+            }
+        }
+        if self.core.obs.metrics_on() {
+            self.core.obs.host.inbox_messages += drained;
+            self.core.obs.host.mailbox_depth.record(drained);
+        }
+    }
+
+    /// The `Run` phase: handle every local event below the window's end,
+    /// mailing bottleneck-bound packets to the net shard that owns their
+    /// path, then publish the load signal and the window's phase profile.
+    fn run_window(&mut self, plan: &WindowPlan, seat: &Seat<'_>) {
+        // Phase profiling (metrics level and up): wall time split into
+        // barrier stall vs. event processing, per window.
+        let timing = self.core.obs.metrics_on();
+        let stall_ns = seat.stall_ns.take();
+        let events_before = self.core.events_processed();
+        let busy_from = if timing { wall_now_ns() } else { 0 };
+        self.drain_inbox();
+        let parity = (plan.windex % 2) as usize;
+        let net_shards = self.to_net.len();
+        while let Some((t, key)) = self.queue.peek() {
+            if t >= plan.end {
+                break;
+            }
+            seat.last_event.set(Some((t, key)));
+            let (now, event) = self.queue.pop().expect("peeked");
+            self.core.handle(
+                event,
+                now,
+                &mut self.arena,
+                &mut self.queue,
+                &mut self.outbound,
+            );
+            for m in self.outbound.drain(..) {
+                debug_assert_eq!(m.at, now, "bottleneck entry is a zero-latency hop");
+                let mut pkt = self.arena.remove(m.pkt);
+                // The packet's path is a pure function of the packet; its
+                // owning net shard follows from the partition rule
+                // `gid % net_shards`.
+                let net_shard = self.lb.pick(&pkt) % net_shards;
+                if let Some(buf) = &mut self.wire {
+                    pkt = wire::roundtrip(WireDir::ToNet, m.at, m.key, pkt, buf);
+                }
+                self.to_net[net_shard][parity].send(Envelope {
+                    at: m.at,
+                    key: m.key,
+                    pkt,
+                });
+            }
+        }
+        // Publish the cumulative load signal for the bundles currently
+        // owned here; the driver reads it after the barrier.
+        for (b, count) in seat.ctrl.counts.iter().enumerate() {
+            if self.core.owns_bundle(b) {
+                count.store(self.core.bundle_events(b), Ordering::Release);
+            }
+        }
+        if timing {
+            let busy_ns = wall_now_ns().saturating_sub(busy_from);
+            let events = self.core.events_processed() - events_before;
+            self.core.obs.host.windows += 1;
+            self.core.obs.phases.push(WindowPhase {
+                windex: plan.windex,
+                busy_ns,
+                stall_ns,
                 events,
-            },
-        );
-        // With a streaming sink the window's records leave the process
-        // here; in-memory runs keep accumulating in the sink vec.
-        side.net.obs.flush(window_end);
+            });
+            self.core.obs.record(
+                plan.start,
+                TraceKind::WorkerWindow {
+                    windex: plan.windex,
+                    width_ns: plan.end.saturating_since(plan.start).as_nanos(),
+                    busy_ns,
+                    stall_ns,
+                    events,
+                },
+            );
+            // One window's records fit the ring by construction; the sink
+            // (or the streaming export, when configured) accumulates the
+            // run's trace window by window.
+            self.core.obs.flush(plan.end);
+        }
+    }
+}
+
+impl Party for Worker {
+    fn step(&mut self, phase: Phase, plan: &WindowPlan, seat: &Seat<'_>) {
+        let me = self.core.partition().index;
+        match phase {
+            Phase::Extract => {
+                // Drain the inboxes *before* extracting: deliveries for an
+                // outgoing bundle (routed here under the old assignment)
+                // become queue events and migrate with it.
+                self.drain_inbox();
+                for mv in plan.moves.iter().filter(|mv| mv.from == me) {
+                    let parcel =
+                        self.core
+                            .extract_bundle(mv.bundle, &mut self.queue, &mut self.arena);
+                    if self.core.obs.metrics_on() {
+                        let (pkts, bytes) = parcel.footprint();
+                        self.core.obs.host.migrations += 1;
+                        self.core.obs.host.migration_pkts += pkts;
+                        self.core.obs.host.migration_bytes += bytes;
+                        self.core.obs.record(
+                            plan.start,
+                            TraceKind::Migration {
+                                bundle: mv.bundle as u32,
+                                from: mv.from as u16,
+                                to: mv.to as u16,
+                                pkts,
+                                bytes,
+                            },
+                        );
+                    }
+                    lock(&seat.ctrl.parcels)[mv.bundle] = Some(parcel);
+                }
+            }
+            Phase::Adopt => {
+                let now = self.queue.now();
+                for mv in plan.moves.iter().filter(|mv| mv.to == me) {
+                    let parcel = lock(&seat.ctrl.parcels)[mv.bundle]
+                        .take()
+                        .expect("the source worker deposited the parcel");
+                    self.core
+                        .adopt_bundle(parcel, &mut self.queue, &mut self.arena, now)
+                        .expect("a bundle lifted off its worker installs");
+                }
+            }
+            // The net threads' turn; every delivery below the checkpoint
+            // instant is in a mailbox once it ends.
+            Phase::Flush => {}
+            Phase::Save => {
+                self.drain_inbox();
+                let part = self
+                    .core
+                    .save_part(&mut self.queue, &mut self.arena, plan.start);
+                lock(&seat.ctrl.parts)[me] = Some(part);
+            }
+            Phase::Run => self.run_window(plan, seat),
+        }
+    }
+}
+
+/// The driver's own share of a window: it hands out checkpoints.
+struct Driver<'a> {
+    config: SimulationConfig,
+    workload: Vec<FlowSpec>,
+    writer: snapshot::Writer,
+    sink: Option<&'a mut dyn FnMut(Nanos, Vec<u8>)>,
+}
+
+impl Party for Driver<'_> {
+    fn step(&mut self, phase: Phase, plan: &WindowPlan, seat: &Seat<'_>) {
+        // Every part was deposited before the barrier that ended `Save`;
+        // assembling them rides along with the workers' `Run`.
+        let ctrl = seat.ctrl;
+        if phase == Phase::Run && plan.checkpoint {
+            let blob = self.writer.write(
+                &self.config,
+                &self.workload,
+                plan.start,
+                lock(&ctrl.parts).iter_mut().filter_map(Option::take),
+                std::mem::take(&mut *lock(&ctrl.sections)),
+            );
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink(plan.start, blob);
+            }
+        }
     }
 }
 
@@ -583,254 +942,128 @@ fn run_sharded(
     window: Duration,
     cores: Cores,
     start: Nanos,
-    mut fingerprint: Option<u64>,
-    mut sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
+    writer: snapshot::Writer,
+    sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
 ) -> Result<SimReport, ShardError> {
     let Cores {
         mut balancer,
-        workers: worker_cores,
+        routing,
+        mut workers,
         mut sides,
     } = cores;
-    let shards = worker_cores.len();
+    let shards = workers.len();
     let net_shards = sides.len();
     let end = Nanos::ZERO + config.duration;
     let n_bundles = config.n_bundles();
-    let wire_on = config.wire_envelopes;
 
-    // Delivery routing: a flow's LP is static (its workload origin); the
-    // LP's owning worker follows the balancer's assignment. Shared with
-    // net threads; the window barriers order the driver's stores against
-    // the net side's loads.
-    let routing = Arc::new(Routing {
-        lp_of_flow: workload
-            .iter()
-            .map(|s| (s.id, origin_lp(s.origin)))
-            .collect(),
-        worker_of_lp: (0..LP_BUNDLE0 as usize + n_bundles)
-            .map(|_| AtomicUsize::new(0))
-            .collect(),
-    });
-    for b in 0..n_bundles {
-        routing.worker_of_lp[bundle_lp(b) as usize]
-            .store(balancer.assignment()[b], Ordering::Release);
-    }
-
-    let ctrl = Arc::new(Control {
+    let ctrl = &Control {
         barrier: Barrier::new(shards + net_shards + 1),
-        window_end: AtomicU64::new(0),
-        migrating: AtomicBool::new(false),
-        plan: Mutex::new(Vec::new()),
-        parcels: Mutex::new(Vec::new()),
-        checkpoint: AtomicBool::new(false),
-        checkpoint_at: AtomicU64::new(0),
-        parts: Mutex::new(Vec::new()),
-        net_parts: Mutex::new(Vec::new()),
+        plan: Mutex::default(),
+        parcels: Mutex::new((0..n_bundles).map(|_| None).collect()),
+        parts: Mutex::new((0..shards).map(|_| None).collect()),
+        sections: Mutex::default(),
         counts: (0..n_bundles).map(|_| AtomicU64::new(0)).collect(),
-        stop: AtomicBool::new(false),
-        panicked: AtomicBool::new(false),
         diag: Mutex::new(None),
+    };
+    let mut driver = Driver {
+        config,
+        workload,
+        writer,
+        sink,
+    };
+    std::thread::scope(|s| {
+        // Spawned in shard-id order: workers, then net threads.
+        let mut threads = Vec::with_capacity(shards + net_shards);
+        for (index, worker) in workers.iter_mut().enumerate() {
+            let timing = worker.core.obs.metrics_on();
+            let thread = std::thread::Builder::new()
+                .name(format!("bundler-shard-{index}"))
+                .spawn_scoped(s, move || Seat::new(ctrl, index, timing).attend_all(worker));
+            threads.push(thread.expect("spawn worker shard"));
+        }
+        for (k, side) in sides.iter_mut().enumerate() {
+            let thread = std::thread::Builder::new()
+                .name(format!("bundler-net-{k}"))
+                .spawn_scoped(s, move || {
+                    Seat::new(ctrl, shards + k, false).attend_all(side)
+                });
+            threads.push(thread.expect("spawn net shard"));
+        }
+        let seat = Seat::new(ctrl, shards + net_shards, false);
+        let mut plan = WindowPlan {
+            start,
+            ..WindowPlan::default()
+        };
+        loop {
+            // A checkpoint is taken at the first window start at or past
+            // the writer's target, and stamped with that start.
+            plan.end = (plan.start + window).min(end);
+            plan.stop = plan.start >= end || ctrl.failed();
+            let due = driver.writer.due().filter(|_| driver.sink.is_some());
+            plan.checkpoint = due.is_some_and(|due| plan.start >= due);
+            *lock(&ctrl.plan) = Arc::new(plan.clone());
+            if !seat.attend(&mut driver) {
+                break;
+            }
+            // Decide the moves for the *next* window boundary from the
+            // counts the workers just published, and re-point delivery
+            // routing — the next net phase must deliver to the
+            // post-migration owners.
+            ctrl.guard(&seat, plan.windex, || {
+                let counts: Vec<u64> = ctrl
+                    .counts
+                    .iter()
+                    .map(|c| c.load(Ordering::Acquire))
+                    .collect();
+                plan.moves = balancer.decide(plan.windex + 1, &counts);
+                if !plan.moves.is_empty() {
+                    // Structured Migration trace records are emitted by
+                    // the extracting workers; this is the opt-in stderr
+                    // mirror (gated on BUNDLER_SHARD_DEBUG, checked once).
+                    bundler_obs::logsink::debug_log(format_args!(
+                        "window {}: {} moves: {:?}",
+                        plan.windex + 1,
+                        plan.moves.len(),
+                        plan.moves
+                    ));
+                }
+                for mv in &plan.moves {
+                    routing.worker_of_lp[bundle_lp(mv.bundle) as usize]
+                        .store(mv.to, Ordering::Release);
+                }
+            });
+            plan.start = plan.end;
+            plan.windex += 1;
+        }
+        for (shard, thread) in threads.into_iter().enumerate() {
+            // A thread that unwound outside the panic net (or was killed).
+            if let Err(payload) = thread.join() {
+                lock(&ctrl.diag).get_or_insert(ShardError::WorkerPanicked {
+                    shard,
+                    window: plan.windex,
+                    last_event: None,
+                    message: error::panic_message(payload.as_ref()),
+                });
+            }
+        }
     });
 
-    // Mailboxes: worker→net envelopes double-buffer by window parity, one
-    // pair per (worker, net shard); net→worker deliveries use one mailbox
-    // per (net shard, worker). Every mailbox has fixed producer and
-    // consumer threads; publication is ordered by the barriers.
-    let mut handles = Vec::with_capacity(shards);
-    for (index, (core, queue, arena)) in worker_cores.into_iter().enumerate() {
-        let mut to_net: Vec<[Sender<Envelope>; 2]> = Vec::with_capacity(net_shards);
-        let mut inboxes: Vec<Receiver<Envelope>> = Vec::with_capacity(net_shards);
-        for side in sides.iter_mut() {
-            let (net_tx_a, net_rx_a) = mailbox::channel::<Envelope>(MAILBOX_CAPACITY);
-            let (net_tx_b, net_rx_b) = mailbox::channel::<Envelope>(MAILBOX_CAPACITY);
-            side.rx.push([net_rx_a, net_rx_b]);
-            to_net.push([net_tx_a, net_tx_b]);
-            let (worker_tx, worker_rx) = mailbox::channel::<Envelope>(MAILBOX_CAPACITY);
-            side.to_worker.push(worker_tx);
-            inboxes.push(worker_rx);
-        }
-        let link = WorkerLink {
-            to_net,
-            inboxes,
-            inbound: Vec::with_capacity(256),
-            lb: balancer_for(&config),
-            wire_on,
-        };
-        let ctrl = Arc::clone(&ctrl);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("bundler-shard-{index}"))
-                .spawn(move || worker_loop(core, queue, arena, ctrl, link))
-                .expect("spawn worker shard"),
-        );
-    }
-
-    // Each net thread owns its NetSide and attends the same barriers as
-    // the workers.
-    let net_handles: Vec<_> = sides
-        .into_iter()
-        .map(|side| {
-            let ctrl = Arc::clone(&ctrl);
-            let routing = Arc::clone(&routing);
-            std::thread::Builder::new()
-                .name(format!("bundler-net-{}", side.net.shard()))
-                .spawn(move || net_loop(side, ctrl, routing, window, wire_on, shards))
-                .expect("spawn net shard")
-        })
-        .collect();
-
-    // The next checkpoint target: the first interval multiple strictly
-    // after the run's start (so a restored run does not re-write the
-    // checkpoint it was restored from). Taken at the first window
-    // boundary at or past the target, stamped with that boundary.
-    let mut next_ckpt = match (config.checkpoint_every, sink.as_ref()) {
-        (Some(iv), Some(_)) if iv.as_nanos() > 0 => {
-            let iv = iv.as_nanos();
-            Some((iv, Nanos((start.as_nanos() / iv + 1) * iv)))
-        }
-        _ => None,
-    };
-
-    // Size hint for the next checkpoint's buffer: the previous one's
-    // length (successive snapshots of one run differ little).
-    let mut last_snapshot_len = 0;
-    let mut plan: Vec<Move> = Vec::new();
-    let mut window_start = start;
-    let mut windex: u64 = 0;
-    while window_start < end {
-        let window_end = (window_start + window).min(end);
-        let take_ckpt = matches!(next_ckpt, Some((_, target)) if window_start >= target);
-        if take_ckpt {
-            ctrl.checkpoint_at
-                .store(window_start.as_nanos(), Ordering::Release);
-            *lock(&ctrl.parts) = (0..shards).map(|_| None).collect();
-            *lock(&ctrl.net_parts) = (0..net_shards).map(|_| None).collect();
-        }
-        ctrl.checkpoint.store(take_ckpt, Ordering::Release);
-        ctrl.window_end
-            .store(window_end.as_nanos(), Ordering::Release);
-        let migrating = !plan.is_empty();
-        ctrl.migrating.store(migrating, Ordering::Release);
-        if migrating {
-            *lock(&ctrl.plan) = plan.clone();
-            *lock(&ctrl.parcels) = plan.iter().map(|_| None).collect();
-        }
-        ctrl.barrier.wait(); // workers begin the window
-        if migrating {
-            ctrl.barrier.wait(); // parcels deposited ↔ adopted
-        }
-        if take_ckpt {
-            // The snapshot is the state at T = window_start, so the net
-            // threads run their pending phase early (see `net_loop`; its
-            // parity buffers quiesced at the previous end barrier), before
-            // the workers serialize their partitions.
-            ctrl.barrier.wait(); // net phases flushed, net parts deposited
-            ctrl.barrier.wait(); // checkpoint parts deposited
-            if !ctrl.panicked.load(Ordering::Acquire) {
-                let sections = lock(&ctrl.net_parts)
-                    .iter_mut()
-                    .filter_map(Option::take)
-                    .flatten()
-                    .collect();
-                let mut blob = Vec::with_capacity(last_snapshot_len);
-                let fp =
-                    *fingerprint.get_or_insert_with(|| snapshot::fingerprint(&config, &workload));
-                snapshot::write_header(&mut blob, window_start, fp);
-                assemble_snapshot(
-                    &config,
-                    std::mem::take(&mut *lock(&ctrl.parts)),
-                    sections,
-                    &mut blob,
-                );
-                last_snapshot_len = blob.len();
-                if let Some(f) = sink.as_deref_mut() {
-                    f(window_start, blob);
-                }
-                // Every thread flushed its records below the checkpoint
-                // instant before depositing its part; push them to the
-                // sink's file so a crash after this boundary leaves the
-                // export a complete prefix of the restored continuation.
-                if let Some(stream) = &config.stream {
-                    stream.flush_io();
-                }
-            }
-            let iv = next_ckpt.map(|(iv, _)| iv).unwrap_or(0);
-            next_ckpt = Some((iv, Nanos((window_start.as_nanos() / iv + 1) * iv)));
-        }
-        ctrl.barrier.wait(); // workers done
-        if ctrl.panicked.load(Ordering::Acquire) {
-            break;
-        }
-        // Decide the plan for the *next* window boundary from the counts
-        // the workers just published, and re-point delivery routing — the
-        // next net phase must deliver to the post-migration owners.
-        let counts: Vec<u64> = ctrl
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect();
-        plan = balancer.decide(windex + 1, &counts);
-        if !plan.is_empty() {
-            // Structured Migration trace records are emitted by the
-            // extracting workers; this is the opt-in stderr mirror
-            // (gated on BUNDLER_SHARD_DEBUG, checked once).
-            bundler_obs::logsink::debug_log(format_args!(
-                "window {}: {} moves: {:?}",
-                windex + 1,
-                plan.len(),
-                plan
-            ));
-        }
-        for mv in &plan {
-            routing.worker_of_lp[bundle_lp(mv.bundle) as usize].store(mv.to, Ordering::Release);
-        }
-        window_start = window_end;
-        windex += 1;
-    }
-
-    ctrl.stop.store(true, Ordering::Release);
-    ctrl.barrier.wait(); // release workers + net threads into the stop check
-    let mut workers = Vec::with_capacity(shards);
-    let mut recycled = 0;
-    let mut vanished: Option<(usize, String)> = None;
-    for (shard, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(Some((core, arena))) => {
-                recycled += arena.recycled();
-                workers.push(core);
-            }
-            // The worker failed; its diagnostic is in `ctrl.diag`.
-            Ok(None) => {}
-            // The thread unwound outside the panic net (or was killed).
-            Err(payload) => vanished = Some((shard, error::panic_message(payload.as_ref()))),
-        }
-    }
-    let mut nets: Vec<NetCore> = Vec::with_capacity(net_shards);
-    let mut net_windows: Vec<NetWindow> = Vec::new();
-    for (k, h) in net_handles.into_iter().enumerate() {
-        match h.join() {
-            Ok((net, arena, windows)) => {
-                recycled += arena.recycled();
-                net_windows.extend(windows);
-                nets.push(net);
-            }
-            Err(payload) => vanished = Some((shards + k, error::panic_message(payload.as_ref()))),
-        }
-    }
     if let Some(err) = lock(&ctrl.diag).take() {
         return Err(err);
     }
-    if let Some((shard, message)) = vanished {
-        return Err(ShardError::WorkerPanicked {
-            shard,
-            window: windex,
-            last_event: None,
-            message,
-        });
-    }
-    workers.sort_by_key(|w| w.partition().index);
-    nets.sort_by_key(NetCore::shard);
+    let arenas = workers.iter().map(|w| &w.arena);
+    let recycled = arenas
+        .chain(sides.iter().map(|side| &side.arena))
+        .map(PacketArena::recycled)
+        .sum();
+    let mut net_windows: Vec<NetWindow> = sides
+        .iter_mut()
+        .flat_map(|side| std::mem::take(&mut side.windows))
+        .collect();
     net_windows.sort_by_key(|w| (w.windex, w.net_shard));
-    let mut report = assemble_report(&config, workers, nets, recycled);
+    let workers = workers.into_iter().map(|w| w.core).collect();
+    let nets = sides.into_iter().map(|side| side.net).collect();
+    let mut report = assemble_report(&driver.config, workers, nets, recycled);
     if let Some(obs) = report.obs.as_mut() {
         obs.net_phase = bundler_obs::NetPhaseProfile {
             windows: net_windows,
@@ -839,409 +1072,71 @@ fn run_sharded(
     Ok(report)
 }
 
-/// The loop a net thread runs: the phase for window W runs during worker
-/// window W+1, early on checkpoint windows, and one final time at the
-/// stop barrier.
-fn net_loop(
-    mut side: NetSide,
-    ctrl: Arc<Control>,
-    routing: Arc<Routing>,
-    window: Duration,
-    wire_on: bool,
-    workers: usize,
-) -> (NetCore, PacketArena, Vec<NetWindow>) {
-    let k = side.net.shard();
-    let mut windex: u64 = 0;
-    let mut prev: Option<(u64, Nanos)> = None;
-    let mut failed = false;
-    loop {
-        ctrl.barrier.wait(); // window start
-        let stop = ctrl.stop.load(Ordering::Acquire);
-        let window_end = Nanos(ctrl.window_end.load(Ordering::Acquire));
-        if !stop && ctrl.migrating.load(Ordering::Acquire) {
-            ctrl.barrier.wait(); // parcels deposited ↔ adopted (idle here)
-        }
-        let checkpoint = !stop && ctrl.checkpoint.load(Ordering::Acquire);
-        // The pending phase — the previous worker window's — runs now,
-        // concurrently with the window the workers just started. On a
-        // checkpoint window that is early: every net event below the
-        // checkpoint instant is processed and its deliveries published
-        // before the net-flush barrier releases the workers into their
-        // serialization. At the stop barrier it is the final worker
-        // window's: its deliveries land in mailboxes nothing will drain
-        // (they are timestamped past the end of the run), but the events
-        // below the end must be processed for the report's counters —
-        // unless the run is stopping because a thread failed.
-        failed |= stop && ctrl.panicked.load(Ordering::Acquire);
-        ctrl.guard(&mut failed, workers + k, windex, &Cell::new(None), || {
-            if let Some((pidx, pend)) = prev.take() {
-                net_phase(&mut side, pidx, pend, window, &routing, wire_on);
-            }
-            if checkpoint {
-                // One section per owned path, ascending by global path id.
-                let owned: Vec<usize> = side.net.owned_paths().to_vec();
-                let sections = owned.into_iter().map(|gid| -> PathSection {
-                    let mut buf = Vec::new();
-                    let ok =
-                        side.net
-                            .save_path_section(gid, &mut side.queue, &mut side.arena, &mut buf);
-                    assert!(
-                        ok,
-                        "checkpointing requires a snapshot-capable bottleneck queue \
-                         discipline (path {gid})"
-                    );
-                    (gid, buf)
-                });
-                let sections = sections.collect();
-                lock(&ctrl.net_parts)[k] = Some(sections);
-                // Mirror `Simulation::snapshot`: everything recorded
-                // below the checkpoint instant is on the stream before
-                // the snapshot is assembled.
-                let at = Nanos(ctrl.checkpoint_at.load(Ordering::Acquire));
-                side.net.obs.flush(at);
-            }
-        });
-        if stop {
-            if side.net.obs.metrics_on() {
-                side.net.obs.host.mailbox_spills +=
-                    side.to_worker.iter().map(Sender::spill_count).sum::<u64>();
-            }
-            return (side.net, side.arena, side.windows);
-        }
-        if checkpoint {
-            ctrl.barrier.wait(); // net phases flushed, net parts deposited
-            ctrl.barrier.wait(); // worker checkpoint parts deposited (idle)
-        }
-        prev = Some((windex, window_end));
-        windex += 1;
-        ctrl.barrier.wait(); // window end
-    }
-}
-
-/// Appends per-shard checkpoint parts plus the per-path net sections to
-/// a snapshot header in the canonical wire format — the exact bytes the
-/// single-threaded host writes at the same instant, regardless of worker
-/// or net shard count or placement: merged residue, the direct slice,
-/// bundle parcels in ascending index order, then one net section per path
-/// in ascending global path id.
-fn assemble_snapshot(
-    config: &SimulationConfig,
-    parts: Vec<Option<CheckpointPart>>,
-    mut net_sections: Vec<PathSection>,
-    out: &mut Vec<u8>,
-) {
-    let n_bundles = config.n_bundles();
-    let n_paths = config.num_paths.max(1);
-    let mut residue = WorkerResidue::default();
-    let mut direct: Option<Vec<u8>> = None;
-    let mut bundles: Vec<(usize, Vec<u8>)> = Vec::with_capacity(n_bundles);
-    for (shard, part) in parts.into_iter().enumerate() {
-        let part =
-            part.unwrap_or_else(|| panic!("worker shard {shard} deposited no checkpoint part"));
-        residue.merge(part.residue);
-        if let Some(d) = part.direct {
-            assert!(direct.is_none(), "two workers serialized the direct slice");
-            direct = Some(d);
-        }
-        bundles.extend(part.bundles);
-    }
-    residue.encode(out);
-    out.extend_from_slice(&direct.expect("shard 0 serializes the direct slice"));
-    bundles.sort_by_key(|&(b, _)| b);
-    (n_bundles as u64).encode(out);
-    for (i, (b, bytes)) in bundles.iter().enumerate() {
-        assert_eq!(i, *b, "bundle {b} was checkpointed by no worker, or by two");
-        out.extend_from_slice(bytes);
-    }
-    net_sections.sort_by_key(|&(gid, _)| gid);
-    assert_eq!(
-        net_sections.len(),
-        n_paths,
-        "every bottleneck path deposits exactly one checkpoint section"
-    );
-    for (i, (gid, bytes)) in net_sections.iter().enumerate() {
-        assert_eq!(i, *gid, "path {gid} checkpointed by no net core, or by two");
-        out.extend_from_slice(bytes);
-    }
-}
-
-/// A worker thread's connections to the net side.
-struct WorkerLink {
-    /// Worker→net senders, one pair (by window parity) per net shard.
-    to_net: Vec<[Sender<Envelope>; 2]>,
-    /// Net→worker inboxes, one per net shard.
-    inboxes: Vec<Receiver<Envelope>>,
-    /// Scratch the inboxes drain through.
-    inbound: Vec<Envelope>,
-    /// Stateless copy of the net side's load balancer: a packet's path —
-    /// and therefore its owning net shard — is a pure function of the
-    /// packet, so both sides of the mailbox compute the same route.
-    lb: LoadBalancer,
-    /// Encode→decode every outbound envelope through the NETENV frame.
-    wire_on: bool,
-}
-
-/// `Some((core, arena))` on clean shutdown; `None` when the worker failed
-/// (the diagnostic travels through `Control::diag`).
-type WorkerResult = Option<(WorkerCore, PacketArena)>;
-
-fn worker_loop(
-    mut core: WorkerCore,
-    mut queue: EventQueue,
-    mut arena: PacketArena,
-    ctrl: Arc<Control>,
-    mut link: WorkerLink,
-) -> WorkerResult {
-    let me = core.partition().index;
-    let n_bundles = ctrl.counts.len();
-    let net_shards = link.to_net.len();
-    let mut to_net: Vec<ToNet> = Vec::with_capacity(64);
-    let mut wire_buf: Vec<u8> = Vec::new();
-    let mut parity = 0usize;
-    let mut failed = false;
-    // The last event this worker peeked before handling in the current
-    // window — the diagnostic anchor if the handler panics.
-    let last_event = Cell::new(None);
-    // Phase profiling (metrics level and up): wall time split into barrier
-    // stall vs. event processing, per window. All stamps are outputs only
-    // — nothing here feeds back into simulation state.
-    let timing = core.obs.metrics_on();
-    let mut windex: u64 = 0;
-    let mut window_start_sim = Nanos::ZERO;
-    let mut wait_from = if timing { wall_now_ns() } else { 0 };
-    loop {
-        ctrl.barrier.wait(); // window start
-        let mut stall_ns = if timing {
-            wall_now_ns().saturating_sub(wait_from)
-        } else {
-            0
-        };
-        if ctrl.stop.load(Ordering::Acquire) {
-            if timing {
-                core.obs.host.mailbox_spills += link
-                    .to_net
-                    .iter()
-                    .flat_map(|pair| pair.iter())
-                    .map(Sender::spill_count)
-                    .sum::<u64>();
-            }
-            return if failed { None } else { Some((core, arena)) };
-        }
-        let migrating = ctrl.migrating.load(Ordering::Acquire);
-        // A panic must not abandon the barrier protocol (std barriers do
-        // not poison; the others would block forever) — catch it, flag
-        // the driver with a diagnostic, and idle at the barriers until
-        // told to stop.
-        if migrating {
-            ctrl.guard(&mut failed, me, windex, &last_event, || {
-                // Drain the inboxes *before* extracting: deliveries
-                // for an outgoing bundle (routed here under the old
-                // assignment) become queue events and migrate with it.
-                drain_inbox(&mut link, &mut arena, &mut queue, &mut core.obs);
-                let plan = lock(&ctrl.plan);
-                for (i, mv) in plan.iter().enumerate() {
-                    if mv.from == me {
-                        let parcel = core.extract_bundle(mv.bundle, &mut queue, &mut arena);
-                        if timing {
-                            let (pkts, bytes) = parcel.footprint();
-                            core.obs.host.migrations += 1;
-                            core.obs.host.migration_pkts += pkts;
-                            core.obs.host.migration_bytes += bytes;
-                            core.obs.record(
-                                window_start_sim,
-                                TraceKind::Migration {
-                                    bundle: mv.bundle as u32,
-                                    from: mv.from as u16,
-                                    to: mv.to as u16,
-                                    pkts,
-                                    bytes,
-                                },
-                            );
-                        }
-                        lock(&ctrl.parcels)[i] = Some(parcel);
-                    }
-                }
-            });
-            let migrate_wait = if timing { wall_now_ns() } else { 0 };
-            ctrl.barrier.wait(); // all parcels deposited
-            if timing {
-                stall_ns += wall_now_ns().saturating_sub(migrate_wait);
-            }
-            ctrl.guard(&mut failed, me, windex, &last_event, || {
-                let now = queue.now();
-                let plan = lock(&ctrl.plan);
-                for (i, mv) in plan.iter().enumerate() {
-                    if mv.to == me {
-                        let parcel = lock(&ctrl.parcels)[i]
-                            .take()
-                            .expect("the source worker deposited the parcel");
-                        core.adopt_bundle(parcel, &mut queue, &mut arena, now)
-                            .expect("a bundle lifted off its worker installs");
-                    }
-                }
-            });
-        }
-        if ctrl.checkpoint.load(Ordering::Acquire) {
-            // Net threads run their pending phases and deposit their path
-            // sections first; the drain below must see every delivery
-            // published below the checkpoint instant.
-            ctrl.barrier.wait(); // net phases flushed
-            ctrl.guard(&mut failed, me, windex, &last_event, || {
-                let at = Nanos(ctrl.checkpoint_at.load(Ordering::Acquire));
-                // Pull every delivery published before this window
-                // into the queue: the snapshot must hold *all*
-                // pending events ≥ T, including in-flight arrivals.
-                drain_inbox(&mut link, &mut arena, &mut queue, &mut core.obs);
-                let mut part = CheckpointPart {
-                    residue: core.residue(),
-                    direct: None,
-                    bundles: Vec::new(),
-                };
-                if me == 0 {
-                    let mut buf = Vec::new();
-                    core.save_direct_state(&mut queue, &mut arena, &mut buf);
-                    part.direct = Some(buf);
-                }
-                for b in 0..n_bundles {
-                    if core.owns_bundle(b) {
-                        let parcel = core.extract_bundle(b, &mut queue, &mut arena);
-                        let mut buf = Vec::new();
-                        let ok = parcel.save_state(&mut buf);
-                        core.adopt_bundle(parcel, &mut queue, &mut arena, at)
-                            .expect("a bundle lifted off this worker installs back");
-                        assert!(
-                            ok,
-                            "checkpointing requires a snapshot-capable sendbox queue \
-                             discipline (bundle {b})"
-                        );
-                        part.bundles.push((b, buf));
-                    }
-                }
-                lock(&ctrl.parts)[me] = Some(part);
-                // Mirror `Simulation::snapshot`: everything recorded
-                // before the checkpoint instant is on the stream
-                // before the snapshot is assembled.
-                core.obs.flush(at);
-            });
-            ctrl.barrier.wait(); // checkpoint parts deposited
-        }
-        let window_end = Nanos(ctrl.window_end.load(Ordering::Acquire));
-        let events_before = core.events_processed();
-        let busy_from = if timing { wall_now_ns() } else { 0 };
-        ctrl.guard(&mut failed, me, windex, &last_event, || {
-            let drained = drain_inbox(&mut link, &mut arena, &mut queue, &mut core.obs);
-            // Host-side watchdog (non-portable, like the window records):
-            // a drain close to the ring capacity means the next burst
-            // will take the mutex slow path.
-            if timing && drained > MAILBOX_CAPACITY * 3 / 4 {
-                core.obs.record(
-                    window_start_sim,
-                    TraceKind::Health {
-                        kind: HealthKind::MailboxNearSpill as u8,
-                        subject: me as u32,
-                        value: drained as u64,
-                    },
-                );
-            }
-            while let Some((t, key)) = queue.peek() {
-                if t >= window_end {
-                    break;
-                }
-                last_event.set(Some((t, key)));
-                let (now, event) = queue.pop().expect("peeked");
-                core.handle(event, now, &mut arena, &mut queue, &mut to_net);
-                for m in to_net.drain(..) {
-                    debug_assert_eq!(m.at, now, "bottleneck entry is a zero-latency hop");
-                    let mut pkt = arena.remove(m.pkt);
-                    // The packet's path is a pure function of the
-                    // packet; its owning net shard follows from the
-                    // partition rule `gid % net_shards`.
-                    let net_shard = link.lb.pick(&pkt) % net_shards;
-                    if link.wire_on {
-                        pkt = wire::roundtrip(WireDir::ToNet, m.at, m.key, pkt, &mut wire_buf);
-                    }
-                    link.to_net[net_shard][parity].send(Envelope {
-                        at: m.at,
-                        key: m.key,
-                        pkt,
-                    });
-                }
-            }
-            // Publish this window's cumulative load signal for the
-            // bundles currently owned here; the driver reads it after
-            // the end barrier.
-            for b in 0..n_bundles {
-                if core.owns_bundle(b) {
-                    ctrl.counts[b].store(core.bundle_events(b), Ordering::Release);
-                }
-            }
-        });
-        if timing && !failed {
-            let busy_ns = wall_now_ns().saturating_sub(busy_from);
-            let events = core.events_processed() - events_before;
-            let width_ns = window_end.saturating_since(window_start_sim).as_nanos();
-            core.obs.host.windows += 1;
-            core.obs.phases.push(WindowPhase {
-                windex,
-                busy_ns,
-                stall_ns,
-                events,
-            });
-            core.obs.record(
-                window_start_sim,
-                TraceKind::WorkerWindow {
-                    windex,
-                    width_ns,
-                    busy_ns,
-                    stall_ns,
-                    events,
-                },
-            );
-            // One window's records fit the ring by construction; the sink
-            // (or the streaming export, when configured) accumulates the
-            // run's trace window by window.
-            core.obs.flush(window_end);
-        }
-        window_start_sim = window_end;
-        windex += 1;
-        parity ^= 1;
-        last_event.set(None);
-        wait_from = if timing { wall_now_ns() } else { 0 };
-        ctrl.barrier.wait(); // window end
-    }
-}
-
-/// Schedules every available inbound delivery (from every net shard's
-/// mailbox) into the local queue, records how many messages were waiting
-/// (the mailbox-depth signal) when metrics are on, and returns the count.
-/// Insertion order across mailboxes is irrelevant: the queue sorts by the
-/// canonical `(timestamp, key)` order.
-fn drain_inbox(
-    link: &mut WorkerLink,
-    arena: &mut PacketArena,
-    queue: &mut EventQueue,
-    obs: &mut bundler_obs::ShardObs,
-) -> usize {
-    let mut drained = 0;
-    for inbox in link.inboxes.iter_mut() {
-        inbox.drain_into(&mut link.inbound);
-        drained += link.inbound.len();
-        for m in link.inbound.drain(..) {
-            let pkt = arena.insert(m.pkt);
-            queue.schedule(m.at, m.key, Event::ArriveDestination { pkt });
-        }
-    }
-    if obs.metrics_on() {
-        obs.host.inbox_messages += drained as u64;
-        obs.host.mailbox_depth.record(drained as u64);
-    }
-    drained
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bundler_sim::runtime::{bundle_lp, LP_NET};
+
+    /// The one place the phase sequence is stated, walked over all four
+    /// kinds of window.
+    #[test]
+    fn a_plan_names_its_phases_in_order() {
+        use Phase::*;
+        let moves = vec![Move {
+            bundle: 0,
+            from: 0,
+            to: 1,
+        }];
+        let plan = |moves: &[Move], checkpoint| WindowPlan {
+            moves: moves.to_vec(),
+            checkpoint,
+            ..WindowPlan::default()
+        };
+        let phases = |plan: WindowPlan| plan.phases().collect::<Vec<_>>();
+        assert_eq!(phases(plan(&[], false)), [Run]);
+        assert_eq!(phases(plan(&moves, false)), [Extract, Adopt, Run]);
+        assert_eq!(phases(plan(&[], true)), [Flush, Save, Run]);
+        assert_eq!(
+            phases(plan(&moves, true)),
+            [Extract, Adopt, Flush, Save, Run]
+        );
+    }
+
+    /// A net thread that panics mid-phase reports the event it had just
+    /// peeked, as a worker does: here a worker event planted in net shard
+    /// 0's queue, which `NetCore::handle` refuses.
+    #[test]
+    fn a_net_thread_panic_names_the_event_it_was_handling() {
+        let config = SimulationConfig {
+            duration: Duration::from_millis(200),
+            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            shards: 2,
+            ..Default::default()
+        };
+        let workload = vec![
+            FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0),
+            FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
+        ];
+        let window = window_of(&config).expect("two shards, 25 ms of lookahead");
+        let mut cores = Cores::new(&config, &workload, window, true);
+        let stray = (Nanos::from_millis(30), EventKey::new(bundle_lp(0), 999));
+        let tick = Event::ControlTick { bundle: 0 };
+        cores.sides[0].queue.schedule(stray.0, stray.1, tick);
+        let writer = snapshot::Writer::new(None, Nanos::ZERO, None);
+        match run_sharded(config, workload, window, cores, Nanos::ZERO, writer, None) {
+            Err(ShardError::WorkerPanicked {
+                shard,
+                last_event,
+                message,
+                ..
+            }) => {
+                assert_eq!(shard, 2, "net thread 0 reports as shard workers + 0");
+                assert_eq!(last_event, Some(stray));
+                assert!(message.contains("routed to the net core"), "{message}");
+            }
+            other => panic!("expected WorkerPanicked, got {:?}", other.map(|_| ())),
+        }
+    }
 
     /// The mailbox-merge ordering rule: envelopes from several shards'
     /// mailboxes, scheduled into the receiving queue, pop in

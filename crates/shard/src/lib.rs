@@ -25,7 +25,8 @@
 //!   — two windows — in the future, so no event can arrive in a window
 //!   already processed.
 //! * **Deterministic mailboxes.** Cross-shard messages travel through
-//!   fixed-capacity SPSC rings ([`mailbox`]) carrying `(timestamp, key,
+//!   one-producer, one-consumer mailboxes ([`mailbox`]: a mutex-guarded
+//!   `Vec`, drained only at window barriers) carrying `(timestamp, key,
 //!   packet)` envelopes and are merged by scheduling them into the
 //!   receiving shard's queue, which sorts by the same canonical order —
 //!   ties broken by `(timestamp, key)` exactly as in the single-threaded
@@ -37,7 +38,7 @@
 //! `tests/equivalence.rs`).
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod balance;
 mod driver;

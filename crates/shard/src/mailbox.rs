@@ -1,199 +1,59 @@
-//! Fixed-capacity SPSC mailboxes for cross-shard messages.
+//! Mailboxes for cross-shard messages.
 //!
 //! One mailbox connects exactly one producer shard to one consumer shard
-//! (worker → net or net → worker). The fast path is a classic
-//! single-producer/single-consumer ring over a power-of-two slot array:
-//! the producer writes a slot and publishes it with a release store of the
-//! tail; the consumer reads the slot after an acquire load and retires it
-//! with a release store of the head. No locks, no CAS, no allocation per
-//! message.
-//!
-//! The windowed driver drains mailboxes only at phase boundaries, so a
-//! burst larger than the ring capacity cannot wait for the consumer —
-//! that would deadlock against the barrier. Overflowing messages instead
-//! spill into a mutex-protected side vector. Once a ring is full it stays
-//! full for the rest of the phase (nothing drains mid-phase), so the
-//! consumer's drain order — ring first, then spill — preserves the
-//! producer's push order exactly. Order across *different* mailboxes is
-//! irrelevant by design: the receiver schedules every message into its
-//! event queue, which sorts by the canonical `(timestamp, key)` order.
+//! (worker → net or net → worker): a `Vec` behind a mutex, pushed to by
+//! the [`Sender`] and emptied by the [`Receiver`]. The windowed driver
+//! drains mailboxes only at phase boundaries, when the producer is either
+//! quiescent or filling the buffer of the other parity, so the lock is
+//! uncontended in practice and a drain returns the producer's push order
+//! exactly. A burst of any size just grows the vector — nothing blocks on
+//! the consumer (that would deadlock against the barrier) and nothing is
+//! dropped. Order across *different* mailboxes is irrelevant by design:
+//! the receiver schedules every message into its event queue, which sorts
+//! by the canonical `(timestamp, key)` order.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Locks the spill vector, recovering the data from a poisoned mutex: a
+/// Locks the message vector, recovering the data from a poisoned mutex: a
 /// panicking thread can only have poisoned it mid-`push`/`append`, both of
 /// which leave the vector structurally valid, and the run is already being
 /// shut down via the driver's panic diagnostics.
-fn lock_spill<T>(m: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+fn lock<T>(m: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One-shot notice that some mailbox overflowed its ring into the mutex
-/// slow path this process (opt-in via `BUNDLER_SHARD_DEBUG`). Harmless for
-/// correctness — the spill is lossless and order-preserving — but a sign
-/// the ring capacity is undersized for the workload's bursts.
-fn note_spill(cap: usize) {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        bundler_obs::logsink::debug_log(format_args!(
-            "mailbox ring full ({cap} slots); spilling to the mutex slow path \
-             (lossless, but consider a larger ring for this workload)"
-        ));
-    }
-}
-
-struct Ring<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
-    /// Next slot the consumer will read. Only the consumer stores it.
-    head: AtomicUsize,
-    /// Next slot the producer will write. Only the producer stores it.
-    tail: AtomicUsize,
-    /// Burst spill-over (see module docs). Uncontended in practice: the
-    /// producer locks it only when the ring is full, the consumer only at
-    /// phase boundaries.
-    spill: Mutex<Vec<T>>,
-}
-
-// SAFETY: the ring transfers `T` values between exactly two threads; all
-// slot accesses are ordered by the head/tail acquire/release pairs, and
-// the Sender/Receiver split (each !Clone, each held by one thread)
-// guarantees single-producer/single-consumer usage.
-unsafe impl<T: Send> Sync for Ring<T> {}
-unsafe impl<T: Send> Send for Ring<T> {}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        // Exclusive access here: drop any messages still in flight.
-        let head = *self.head.get_mut();
-        let tail = *self.tail.get_mut();
-        for i in head..tail {
-            let slot = self.slots[i & self.mask].get();
-            // SAFETY: slots in [head, tail) hold initialized values that
-            // no other reference can observe (we have &mut self).
-            unsafe { (*slot).assume_init_drop() };
-        }
-    }
-}
-
 /// The producer half of a mailbox.
-pub struct Sender<T> {
-    ring: Arc<Ring<T>>,
-    /// Producer-local copy of `tail` (avoids an atomic load per push).
-    tail: usize,
-    /// Producer-local lower bound on `head` (refreshed only when the ring
-    /// looks full).
-    head_cache: usize,
-    /// Messages that overflowed the ring into the mutex slow path.
-    spilled: u64,
-}
+pub struct Sender<T>(Arc<Mutex<Vec<T>>>);
 
 /// The consumer half of a mailbox.
-pub struct Receiver<T> {
-    ring: Arc<Ring<T>>,
-    /// Consumer-local copy of `head`.
-    head: usize,
-    /// Consumer-local lower bound on `tail` (refreshed when it runs out).
-    tail_cache: usize,
-}
+pub struct Receiver<T>(Arc<Mutex<Vec<T>>>);
 
-/// Creates a mailbox with the given ring capacity (rounded up to a power
-/// of two, minimum 2). Messages beyond the ring spill to the slow path;
-/// nothing is ever dropped.
+/// Creates a mailbox with room for `capacity` messages before its vector
+/// first grows.
 pub fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let cap = capacity.max(2).next_power_of_two();
-    let slots = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect::<Vec<_>>()
-        .into_boxed_slice();
-    let ring = Arc::new(Ring {
-        slots,
-        mask: cap - 1,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
-        spill: Mutex::new(Vec::new()),
-    });
-    (
-        Sender {
-            ring: Arc::clone(&ring),
-            tail: 0,
-            head_cache: 0,
-            spilled: 0,
-        },
-        Receiver {
-            ring,
-            head: 0,
-            tail_cache: 0,
-        },
-    )
+    let messages = Arc::new(Mutex::new(Vec::with_capacity(capacity)));
+    (Sender(Arc::clone(&messages)), Receiver(messages))
 }
 
 impl<T: Send> Sender<T> {
-    /// Sends a message. Lock-free while the ring has room; spills under
-    /// a mutex otherwise. Never blocks on the consumer.
+    /// Sends a message. Never blocks on the consumer.
     pub fn send(&mut self, value: T) {
-        let cap = self.ring.mask + 1;
-        if self.tail - self.head_cache == cap {
-            self.head_cache = self.ring.head.load(Ordering::Acquire);
-        }
-        if self.tail - self.head_cache == cap {
-            note_spill(cap);
-            self.spilled += 1;
-            lock_spill(&self.ring.spill).push(value);
-            return;
-        }
-        let slot = self.ring.slots[self.tail & self.ring.mask].get();
-        // SAFETY: `tail - head >= cap` was ruled out above, so this slot
-        // is unoccupied and the consumer cannot touch it until the
-        // release store below publishes it.
-        unsafe { (*slot).write(value) };
-        self.tail += 1;
-        self.ring.tail.store(self.tail, Ordering::Release);
-    }
-
-    /// Number of messages this sender pushed through the mutex slow path
-    /// (ring full). Lossless, but a sign the ring is undersized.
-    pub fn spill_count(&self) -> u64 {
-        self.spilled
+        lock(&self.0).push(value);
     }
 }
 
 impl<T: Send> Receiver<T> {
-    /// Pops the next ring message, if any.
-    fn pop_ring(&mut self) -> Option<T> {
-        if self.head == self.tail_cache {
-            self.tail_cache = self.ring.tail.load(Ordering::Acquire);
-            if self.head == self.tail_cache {
-                return None;
-            }
-        }
-        let slot = self.ring.slots[self.head & self.ring.mask].get();
-        // SAFETY: head < tail (published with release), so the slot holds
-        // an initialized value the producer will not touch again until we
-        // retire it below.
-        let value = unsafe { (*slot).assume_init_read() };
-        self.head += 1;
-        self.ring.head.store(self.head, Ordering::Release);
-        Some(value)
-    }
-
-    /// Drains every available message into `out`, ring first and spill
-    /// second — the producer's push order (see module docs).
+    /// Drains every available message into `out`, in the producer's push
+    /// order. The mailbox keeps its allocation.
     pub fn drain_into(&mut self, out: &mut Vec<T>) {
-        while let Some(v) = self.pop_ring() {
-            out.push(v);
-        }
-        let mut spill = lock_spill(&self.ring.spill);
-        out.append(&mut spill);
+        out.append(&mut lock(&self.0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn roundtrip_in_order() {
@@ -210,7 +70,7 @@ mod tests {
     }
 
     #[test]
-    fn bursts_beyond_capacity_spill_without_loss_and_keep_order() {
+    fn bursts_beyond_capacity_grow_without_loss_and_keep_order() {
         let (mut tx, mut rx) = channel::<usize>(4);
         for i in 0..100 {
             tx.send(i);
@@ -222,11 +82,10 @@ mod tests {
 
     #[test]
     fn works_across_threads_without_loss() {
-        // With the consumer draining *concurrently*, ring and spill can
-        // interleave, so only losslessness is guaranteed (the in-order
-        // contract requires a quiescent producer during the drain, which
-        // the windowed driver's barriers provide — see the phase-style
-        // tests above for the order assertions).
+        // The consumer drains *concurrently* here, which the windowed
+        // driver never does to a buffer being filled (its barriers keep
+        // the producer off it); losslessness must hold all the same. The
+        // phase-style tests above hold the order assertions.
         let (mut tx, mut rx) = channel::<u64>(64);
         let producer = std::thread::spawn(move || {
             for i in 0..10_000u64 {
@@ -245,7 +104,7 @@ mod tests {
 
     #[test]
     fn undrained_messages_are_dropped_cleanly() {
-        // Messages with a destructor left in the ring must not leak.
+        // Messages with a destructor left in the mailbox must not leak.
         let flag = Arc::new(AtomicUsize::new(0));
         struct Counted(Arc<AtomicUsize>);
         impl Drop for Counted {

@@ -1,6 +1,8 @@
 //! Property tests: the sharded runtime is bit-identical to the
 //! single-threaded engine for any seed and shard count.
 
+mod common;
+
 use bundler_shard::scenario::{run_many_sites, run_many_sites_balanced};
 use bundler_shard::ShardedSimulation;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
@@ -21,6 +23,16 @@ fn quick_scenario(seed: u64, sites: usize) -> ManySitesScenario {
         .build()
 }
 
+/// [`common::where_they_part`] for a many-sites scenario on `shards`
+/// workers under `balance`.
+fn where_they_part(scenario: &ManySitesScenario, shards: usize, balance: ShardBalance) -> String {
+    let solo = scenario.sim_config();
+    let mut sharded = solo.clone();
+    sharded.shards = shards;
+    sharded.balance = balance;
+    common::where_they_part(&solo, &sharded, &scenario.workload())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -38,8 +50,8 @@ proptest! {
             let got = SimStats::of(&sharded.sim);
             prop_assert_eq!(
                 &want, &got,
-                "shards={} diverged from the single-threaded engine (seed={})",
-                shards, seed
+                "shards={} diverged from the single-threaded engine (seed={}){}",
+                shards, seed, where_they_part(&scenario, shards, ShardBalance::RoundRobin)
             );
             prop_assert_eq!(baseline.totals(), sharded.totals());
         }
@@ -64,8 +76,8 @@ proptest! {
                 prop_assert_eq!(
                     &want, &got,
                     "balance={:?} shards={} diverged from the single-threaded \
-                     engine (seed={})",
-                    balance, shards, seed
+                     engine (seed={}){}",
+                    balance, shards, seed, where_they_part(&scenario, shards, balance)
                 );
                 prop_assert_eq!(baseline.totals(), sharded.totals());
             }

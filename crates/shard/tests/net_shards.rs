@@ -22,6 +22,8 @@
 //! engine restores into a net-sharded run (and vice versa digests match),
 //! because the snapshot's net slice is path-major and partition-invariant.
 
+mod common;
+
 use bundler_core::BundlerConfig;
 use bundler_shard::ShardedSimulation;
 use bundler_sim::edge::BundleMode;
@@ -53,11 +55,13 @@ fn assert_matrix(
         cfg.net_shards = net_shards;
         cfg.balance = balance;
         cfg.wire_envelopes = wire;
-        let got = SimStats::of(&ShardedSimulation::new(cfg, workload.to_vec()).run());
+        let got = SimStats::of(&ShardedSimulation::new(cfg.clone(), workload.to_vec()).run());
         assert_eq!(
-            want, got,
+            want,
+            got,
             "{name}: shards={shards} net_shards={net_shards} balance={balance:?} \
-             wire_envelopes={wire} diverged from the single-threaded engine"
+             wire_envelopes={wire} diverged from the single-threaded engine{}",
+            common::where_they_part(config, &cfg, workload)
         );
     }
     want

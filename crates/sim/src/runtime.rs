@@ -58,6 +58,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::fluid::FluidState;
 use crate::path::{Balancing, BottleneckPath, LoadBalancer};
 use crate::sim::SimulationConfig;
+use crate::snapshot::{PathSection, WorkerPart};
 use crate::stats::{FctRecord, SimReport, TimeSeries};
 use crate::tcp::{PingClient, TcpReceiver, TcpSender};
 use crate::workload::{FlowSpec, Origin};
@@ -1404,12 +1405,56 @@ impl WorkerCore {
         }
     }
 
+    /// This worker's part of the whole-simulation snapshot stamped `at`,
+    /// taken without disturbing the live run: its residue, the direct slice
+    /// iff it owns the direct LP, and every bundle it owns — lifted off,
+    /// serialized as a parcel and installed back — in ascending index.
+    /// `queue` must already hold every delivery published below `at`.
+    /// Ends by flushing the records below `at` to the telemetry stream, so
+    /// a restore resumes from a complete prefix (saving records nothing,
+    /// so the flush may as well come last). Panics if a sendbox queue
+    /// discipline does not support checkpointing.
+    pub fn save_part(
+        &mut self,
+        queue: &mut EventQueue,
+        arena: &mut PacketArena,
+        at: Nanos,
+    ) -> WorkerPart {
+        let mut part = WorkerPart {
+            residue: self.residue(),
+            direct: None,
+            bundles: Vec::new(),
+        };
+        if self.part.owns_direct() {
+            let mut buf = Vec::new();
+            self.save_direct_state(queue, arena, &mut buf);
+            part.direct = Some(buf);
+        }
+        for b in 0..self.n_bundles {
+            if self.owned[b] {
+                let parcel = self.extract_bundle(b, queue, arena);
+                let mut buf = Vec::new();
+                let ok = parcel.save_state(&mut buf);
+                self.adopt_bundle(parcel, queue, arena, at)
+                    .expect("a bundle lifted off this worker installs back");
+                assert!(
+                    ok,
+                    "checkpointing requires a snapshot-capable sendbox queue discipline \
+                     (bundle {b})"
+                );
+                part.bundles.push((b, buf));
+            }
+        }
+        self.obs.flush(at);
+        part
+    }
+
     /// Appends the direct cross-traffic LP's state to a snapshot stream
     /// *without* disturbing the live run: pending `LP_DIRECT` events are
     /// lifted out of `queue` in canonical order, serialized (packets cloned
     /// by value), and re-scheduled under their original ids. Only valid on
     /// the worker owning the direct LP.
-    pub fn save_direct_state(
+    fn save_direct_state(
         &mut self,
         queue: &mut EventQueue,
         arena: &mut PacketArena,
@@ -1462,9 +1507,9 @@ impl WorkerCore {
         }
     }
 
-    /// Restores the direct-LP slice written by
-    /// [`WorkerCore::save_direct_state`], inserting its packets into this
-    /// worker's `arena` and scheduling its pending events into `queue`.
+    /// Restores the direct-LP slice of a [`WorkerCore::save_part`],
+    /// inserting its packets into this worker's `arena` and scheduling its
+    /// pending events into `queue`.
     pub fn load_direct_state(
         &mut self,
         queue: &mut EventQueue,
@@ -2037,6 +2082,33 @@ impl NetCore {
         }
     }
 
+    /// One snapshot section per owned path, ascending by global id, taken
+    /// without disturbing the live run; then the records below `at` are
+    /// flushed to the telemetry stream, as [`WorkerCore::save_part`] does.
+    /// Every net event below `at` must already have been handled. Panics
+    /// if a bottleneck queue discipline does not support checkpointing.
+    pub fn save_sections(
+        &mut self,
+        queue: &mut EventQueue,
+        arena: &mut PacketArena,
+        at: Nanos,
+    ) -> Vec<PathSection> {
+        let mut sections = Vec::with_capacity(self.owned.len());
+        for i in 0..self.owned.len() {
+            let gid = self.owned[i];
+            let mut buf = Vec::new();
+            let ok = self.save_path_section(gid, queue, arena, &mut buf);
+            assert!(
+                ok,
+                "checkpointing requires a snapshot-capable bottleneck queue discipline \
+                 (path {gid})"
+            );
+            sections.push((gid, buf));
+        }
+        self.obs.flush(at);
+        sections
+    }
+
     /// Appends global path `gid`'s complete dynamic slice to a snapshot
     /// stream without disturbing the live run: the path's sequence
     /// counters, queue (packets cloned by value), fault cursor, fluid
@@ -2047,7 +2119,7 @@ impl NetCore {
     /// partitioned across net shards. Returns `false` if the path's queue
     /// discipline does not support checkpointing (bytes written so far
     /// must be discarded).
-    pub fn save_path_section(
+    fn save_path_section(
         &mut self,
         gid: usize,
         queue: &mut EventQueue,
@@ -2094,8 +2166,8 @@ impl NetCore {
         true
     }
 
-    /// Restores the slice written by [`NetCore::save_path_section`] for
-    /// global path `gid` into a freshly configured core, inserting packets
+    /// Restores one [`NetCore::save_sections`] section, global path
+    /// `gid`'s, into a freshly configured core, inserting packets
     /// into `arena` and scheduling the path's pending net events into
     /// `queue`. The restoring core need not be partitioned the way the
     /// writing one was — any core owning `gid` can adopt the section.

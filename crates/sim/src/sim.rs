@@ -23,13 +23,13 @@
 //! produce bit-identical reports for the same config and workload.
 
 use bundler_types::{Duration, FlowKey, Nanos, PacketArena, Rate};
-use serde::binary::Encode;
 
 use crate::edge::{BundleMode, MultiBundleSpec};
 use crate::event::{Event, EventQueue};
 use crate::runtime::{
     assemble_report, is_net_event, Delivery, NetCore, Partition, ToNet, WorkerCore,
 };
+use crate::snapshot::Writer;
 use crate::stats::SimReport;
 use crate::workload::{FlowSpec, Origin};
 
@@ -99,11 +99,13 @@ pub struct SimulationConfig {
     pub obs: bundler_obs::ObsLevel,
     /// When set, the hosts take a whole-simulation snapshot roughly every
     /// this much simulated time (at the exact multiple in the
-    /// single-threaded host; at the first window barrier past the multiple
-    /// in the sharded host — both stamped so restore resumes
-    /// bit-identically). Collected via [`Simulation::run_collecting`];
-    /// `None` (the default) disables checkpointing entirely. Never affects
-    /// simulation results.
+    /// single-threaded host; at the first window start at or past the
+    /// multiple in the sharded host — both stamped so restore resumes
+    /// bit-identically, both on the one cadence
+    /// [`crate::snapshot::Writer`] keeps: the next target is the first
+    /// multiple strictly after the last stamp). Collected via
+    /// [`Simulation::run_collecting`]; `None` (the default) disables
+    /// checkpointing entirely. Never affects simulation results.
     pub checkpoint_every: Option<Duration>,
     /// Deterministic fault plan injected into the run: bottleneck faults
     /// applied on the net core's canonical event stream plus control-plane
@@ -244,41 +246,32 @@ pub struct Simulation {
     to_net: Vec<ToNet>,
     /// Reusable scratch for net → worker deliveries.
     deliveries: Vec<Delivery>,
-    /// Simulated time the run starts from (`ZERO` for a fresh run, the
-    /// snapshot's stamp after a restore).
-    start: Nanos,
     /// True while every arena insert is one endhost/net creation, which
     /// makes `finalize`'s accounting cross-check exact. Checkpointing and
     /// restoring churn packets through the arena by value, so they clear
     /// it.
     arena_exact: bool,
-    /// `snapshot::fingerprint` of this run's config and workload. Both are
-    /// immutable once the simulation exists, so the value is computed at
-    /// most once: by `restore`, or by the first checkpoint — never by
-    /// `new`, so a run that takes no checkpoint never pays for it.
-    fingerprint: Option<u64>,
-    /// Length of the previous checkpoint's blob, the size hint for the
-    /// next one's buffer (successive snapshots of one run differ little).
-    last_snapshot_len: usize,
+    /// Checkpoint cadence, fingerprint and size hint.
+    writer: Writer,
 }
 
 /// The single-threaded host's cores while a snapshot is poured into them:
 /// every part of the snapshot lands on the one worker, net core, queue and
 /// arena.
-struct SoloParts {
-    worker: WorkerCore,
-    net: NetCore,
-    queue: EventQueue,
-    arena: PacketArena,
+struct SoloParts<'a> {
+    worker: &'a mut WorkerCore,
+    net: &'a mut NetCore,
+    queue: &'a mut EventQueue,
+    arena: &'a mut PacketArena,
 }
 
-impl crate::snapshot::RestoreHost for SoloParts {
+impl crate::snapshot::RestoreHost for SoloParts<'_> {
     fn worker(&mut self, _: Option<usize>) -> (&mut WorkerCore, &mut EventQueue, &mut PacketArena) {
-        (&mut self.worker, &mut self.queue, &mut self.arena)
+        (self.worker, self.queue, self.arena)
     }
 
     fn net(&mut self, _: usize) -> (&mut NetCore, &mut EventQueue, &mut PacketArena) {
-        (&mut self.net, &mut self.queue, &mut self.arena)
+        (self.net, self.queue, self.arena)
     }
 }
 
@@ -286,12 +279,24 @@ impl Simulation {
     /// Builds a simulation from a configuration and a workload (flow
     /// arrivals). Panics if a bundle configuration is invalid.
     pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
-        let mut queue = EventQueue::new();
-        let mut worker = WorkerCore::new(&config, &workload, Partition::solo());
+        Self::build(config, workload, true)
+    }
+
+    /// A `fresh` simulation owns every bundle and holds the run's initial
+    /// events. One that is not owns nothing and schedules nothing: every
+    /// bundle and pending event — future flow arrivals included — is then
+    /// to come from a snapshot.
+    fn build(config: SimulationConfig, workload: Vec<FlowSpec>, fresh: bool) -> Self {
+        let owned = vec![fresh; config.n_bundles()];
+        let mut worker = WorkerCore::with_owned(&config, &workload, Partition::solo(), owned);
         let mut net = NetCore::new(&config);
-        worker.schedule_initial(&mut queue);
-        net.schedule_initial(&mut queue);
+        let mut queue = EventQueue::new();
+        if fresh {
+            worker.schedule_initial(&mut queue);
+            net.schedule_initial(&mut queue);
+        }
         Simulation {
+            writer: Writer::new(config.checkpoint_every, Nanos::ZERO, None),
             config,
             workload,
             queue,
@@ -300,10 +305,7 @@ impl Simulation {
             net,
             to_net: Vec::with_capacity(64),
             deliveries: Vec::with_capacity(64),
-            start: Nanos::ZERO,
-            arena_exact: true,
-            fingerprint: None,
-            last_snapshot_len: 0,
+            arena_exact: fresh,
         }
     }
 
@@ -318,40 +320,16 @@ impl Simulation {
         bytes: &[u8],
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         let fp = crate::snapshot::fingerprint(&config, &workload);
-        // Start from an empty worker (it owns nothing, schedules nothing)
-        // and pour the snapshot in: every pending event — including future
-        // flow arrivals — comes from the snapshot, not `schedule_initial`.
+        let mut sim = Self::build(config, workload, false);
         let mut parts = SoloParts {
-            worker: WorkerCore::with_owned(
-                &config,
-                &workload,
-                Partition::solo(),
-                vec![false; config.n_bundles()],
-            ),
-            net: NetCore::new(&config),
-            queue: EventQueue::new(),
-            arena: PacketArena::with_capacity(1024),
+            worker: &mut sim.worker,
+            net: &mut sim.net,
+            queue: &mut sim.queue,
+            arena: &mut sim.arena,
         };
-        let at = crate::snapshot::restore_into(&config, bytes, fp, &mut parts)?;
-        Ok(Simulation {
-            config,
-            workload,
-            queue: parts.queue,
-            arena: parts.arena,
-            worker: parts.worker,
-            net: parts.net,
-            to_net: Vec::with_capacity(64),
-            deliveries: Vec::with_capacity(64),
-            start: at,
-            arena_exact: false,
-            fingerprint: Some(fp),
-            last_snapshot_len: 0,
-        })
-    }
-
-    /// The configuration this simulation was built with.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
+        let at = crate::snapshot::restore_into(&sim.config, bytes, fp, &mut parts)?;
+        sim.writer = Writer::new(sim.config.checkpoint_every, at, Some(fp));
+        Ok(sim)
     }
 
     /// The five-tuple assigned to a flow (exposed for tests).
@@ -385,19 +363,10 @@ impl Simulation {
 
     fn run_inner(mut self, mut sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>) -> SimReport {
         let end = Nanos::ZERO + self.config.duration;
-        // The next checkpoint instant: the first interval multiple strictly
-        // after the run's start (so a restored run does not re-write the
-        // checkpoint it was restored from).
-        let mut next_ckpt = match (self.config.checkpoint_every, sink.as_ref()) {
-            (Some(iv), Some(_)) if iv.as_nanos() > 0 => {
-                let iv = iv.as_nanos();
-                Some((iv, Nanos((self.start.as_nanos() / iv + 1) * iv)))
-            }
-            _ => None,
-        };
         loop {
             // Peeked only while a checkpoint is armed; otherwise pop alone.
-            if let Some((iv, at)) = next_ckpt.filter(|&(_, at)| at < end) {
+            let due = self.writer.due().filter(|&at| sink.is_some() && at < end);
+            if let Some(at) = due {
                 let Some((next, _)) = self.queue.peek() else {
                     break;
                 };
@@ -409,7 +378,6 @@ impl Simulation {
                     if let Some(sink) = sink.as_deref_mut() {
                         sink(at, blob);
                     }
-                    next_ckpt = Some((iv, at + Duration(iv)));
                     continue;
                 }
             }
@@ -457,51 +425,13 @@ impl Simulation {
     /// run continues unchanged afterwards. Panics if a configured queue
     /// discipline does not support checkpointing.
     pub fn snapshot(&mut self, at: Nanos) -> Vec<u8> {
-        // Extract/adopt below re-inserts migrated packets, so the arena's
-        // insert counter stops matching logical packet creation.
+        // Saving a bundle re-inserts its packets, so the arena's insert
+        // counter stops matching logical packet creation.
         self.arena_exact = false;
-        // Streamed telemetry: publish everything recorded strictly before
-        // the snapshot instant, so a restore resumes from a complete
-        // prefix and (crashed ∪ restored) line sets cover the full run.
-        self.worker.obs.flush(at);
-        self.net.obs.flush(at);
-        if let Some(stream) = &self.config.stream {
-            stream.flush_io();
-        }
-        let fp = *self
-            .fingerprint
-            .get_or_insert_with(|| crate::snapshot::fingerprint(&self.config, &self.workload));
-        let mut out = Vec::with_capacity(self.last_snapshot_len);
-        crate::snapshot::write_header(&mut out, at, fp);
-        self.worker.residue().encode(&mut out);
-        self.worker
-            .save_direct_state(&mut self.queue, &mut self.arena, &mut out);
-        let n = self.config.n_bundles();
-        (n as u64).encode(&mut out);
-        for b in 0..n {
-            let parcel = self
-                .worker
-                .extract_bundle(b, &mut self.queue, &mut self.arena);
-            let ok = parcel.save_state(&mut out);
-            self.worker
-                .adopt_bundle(parcel, &mut self.queue, &mut self.arena, at)
-                .expect("a bundle lifted off this worker installs back");
-            assert!(
-                ok,
-                "checkpointing requires a snapshot-capable sendbox queue discipline (bundle {b})"
-            );
-        }
-        for gid in 0..self.config.num_paths.max(1) {
-            let ok = self
-                .net
-                .save_path_section(gid, &mut self.queue, &mut self.arena, &mut out);
-            assert!(
-                ok,
-                "checkpointing requires a snapshot-capable bottleneck queue discipline (path {gid})"
-            );
-        }
-        self.last_snapshot_len = out.len();
-        out
+        let part = self.worker.save_part(&mut self.queue, &mut self.arena, at);
+        let sections = self.net.save_sections(&mut self.queue, &mut self.arena, at);
+        self.writer
+            .write(&self.config, &self.workload, at, [part], sections)
     }
 
     fn finalize(self) -> SimReport {
@@ -510,7 +440,7 @@ impl Simulation {
         // checkpoint/restore churned packets through the arena by value.
         if self.arena_exact {
             debug_assert_eq!(
-                self.worker_packets_created() + self.net.packets_created(),
+                self.worker.packets_created() + self.net.packets_created(),
                 self.arena.inserted()
             );
         }
@@ -520,10 +450,6 @@ impl Simulation {
             vec![self.net],
             self.arena.recycled(),
         )
-    }
-
-    fn worker_packets_created(&self) -> u64 {
-        self.worker.packets_created()
     }
 }
 

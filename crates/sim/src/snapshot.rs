@@ -62,8 +62,21 @@
 //! is never written: collections are serialized in canonical orders (flow
 //! id, event key, scheduler traversal order), which is what makes the bytes
 //! portable and partition-invariant.
+//!
+//! # Who writes, who reads
+//!
+//! Both walks of the layout above live here, once each, and both hosts go
+//! through them. **Writing**: every worker core contributes one
+//! [`WorkerPart`] (`WorkerCore::save_part`), every net core its
+//! [`PathSection`]s (`NetCore::save_sections`), and [`assemble`] lays the
+//! parts out in the canonical order whatever the partitioning was — the
+//! single-threaded host hands it one part and one section list, the
+//! sharded host one per thread. A host's [`Writer`] keeps what lasts from
+//! one checkpoint to the next: the cadence, the fingerprint, the size
+//! hint. **Reading**: [`restore_into`] pours the same layout into whatever
+//! cores a [`RestoreHost`] names.
 
-use bundler_types::{Nanos, PacketArena};
+use bundler_types::{Duration, Nanos, PacketArena};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::event::EventQueue;
@@ -191,13 +204,147 @@ pub fn fingerprint(config: &SimulationConfig, workload: &[FlowSpec]) -> u64 {
     fnv1a64(s.as_bytes())
 }
 
-/// Writes the snapshot header. Exposed for the sharded host, which
-/// assembles the same wire format from per-shard parts.
-pub fn write_header(out: &mut Vec<u8>, at: Nanos, fp: u64) {
+fn write_header(out: &mut Vec<u8>, at: Nanos, fp: u64) {
     out.extend_from_slice(&MAGIC);
     VERSION.encode(out);
     at.encode(out);
     fp.encode(out);
+}
+
+/// `(path global id, serialized section)` — one bottleneck path's slice of
+/// a snapshot, as written by the net core that owns the path.
+pub type PathSection = (usize, Vec<u8>);
+
+/// One worker core's serialized partition of a snapshot
+/// (`WorkerCore::save_part`).
+pub struct WorkerPart {
+    /// The worker's run-wide accumulators (fcts, counters, agent stats).
+    pub residue: WorkerResidue,
+    /// The direct-traffic slice — present exactly on the worker that owns
+    /// the direct LP.
+    pub direct: Option<Vec<u8>>,
+    /// `(bundle index, serialized parcel)` for every bundle the worker
+    /// owned when the part was taken.
+    pub bundles: Vec<(usize, Vec<u8>)>,
+}
+
+/// Appends a whole snapshot stamped `at` to `out` in the canonical wire
+/// format: header, merged residue, the direct slice, bundle parcels in
+/// ascending index, then one section per path in ascending global id. The
+/// bytes depend on the state alone — not on how many workers or net cores
+/// the parts came from, nor on which held what. Panics unless the parts
+/// cover every bundle, the direct slice and every path exactly once.
+pub fn assemble(
+    config: &SimulationConfig,
+    at: Nanos,
+    fp: u64,
+    parts: impl IntoIterator<Item = WorkerPart>,
+    mut sections: Vec<PathSection>,
+    out: &mut Vec<u8>,
+) {
+    let mut residue = WorkerResidue::default();
+    let mut direct: Option<Vec<u8>> = None;
+    let mut bundles: Vec<(usize, Vec<u8>)> = Vec::with_capacity(config.n_bundles());
+    for part in parts {
+        residue.merge(part.residue);
+        if let Some(d) = part.direct {
+            assert!(direct.is_none(), "two workers serialized the direct slice");
+            direct = Some(d);
+        }
+        bundles.extend(part.bundles);
+    }
+    write_header(out, at, fp);
+    residue.encode(out);
+    out.extend_from_slice(&direct.expect("shard 0 serializes the direct slice"));
+    bundles.sort_by_key(|&(b, _)| b);
+    (config.n_bundles() as u64).encode(out);
+    for (i, (b, bytes)) in bundles.iter().enumerate() {
+        assert_eq!(i, *b, "bundle {b} was checkpointed by no worker, or by two");
+        out.extend_from_slice(bytes);
+    }
+    sections.sort_by_key(|&(gid, _)| gid);
+    assert_eq!(
+        sections.len(),
+        config.num_paths.max(1),
+        "every bottleneck path deposits exactly one checkpoint section"
+    );
+    for (i, (gid, bytes)) in sections.iter().enumerate() {
+        assert_eq!(i, *gid, "path {gid} checkpointed by no net core, or by two");
+        out.extend_from_slice(bytes);
+    }
+}
+
+/// What a host keeps from one checkpoint to the next: when the next one is
+/// due, the fingerprint every header carries, and how big the last blob
+/// was.
+#[derive(Debug)]
+pub struct Writer {
+    /// [`fingerprint`] of the host's config and workload, which never
+    /// change once the host exists: known after a restore (the header was
+    /// checked against it), otherwise computed by the first checkpoint, so
+    /// a run that takes none never hashes.
+    fingerprint: Option<u64>,
+    /// `(interval, next target)` in nanoseconds, if there is a cadence.
+    cadence: Option<(u64, Nanos)>,
+    /// Length of the previous blob, the size hint for the next one's
+    /// buffer (successive snapshots of one run differ little).
+    last_len: usize,
+}
+
+/// The first multiple of `every` strictly after `t`.
+fn next_multiple(every: u64, t: Nanos) -> Nanos {
+    Nanos((t.as_nanos() / every + 1) * every)
+}
+
+impl Writer {
+    /// The writer of a host whose run begins at `start` and checkpoints
+    /// `every` so often ([`SimulationConfig::checkpoint_every`]): the first
+    /// target is the first multiple strictly after `start`, so a restored
+    /// run does not re-write the checkpoint it was restored from.
+    /// `fingerprint` is the restored snapshot's, `None` for a fresh run.
+    pub fn new(every: Option<Duration>, start: Nanos, fingerprint: Option<u64>) -> Self {
+        let every = every.map(|iv| iv.as_nanos()).filter(|&iv| iv > 0);
+        Writer {
+            fingerprint,
+            cadence: every.map(|iv| (iv, next_multiple(iv, start))),
+            last_len: 0,
+        }
+    }
+
+    /// The instant the next checkpoint of a collecting run is due at (the
+    /// single-threaded host stamps it exactly there, the sharded host at
+    /// its first window start at or past it); `None` without a cadence.
+    pub fn due(&self) -> Option<Nanos> {
+        self.cadence.map(|(_, next)| next)
+    }
+
+    /// [`assemble`]s the checkpoint stamped `at` and moves the cadence to
+    /// the first multiple after it. Every core flushed its records below
+    /// `at` when it saved its part; the stream's file is flushed here, so
+    /// a crash after this checkpoint is handed out leaves the export a
+    /// complete prefix of the restored continuation.
+    pub fn write(
+        &mut self,
+        config: &SimulationConfig,
+        workload: &[FlowSpec],
+        at: Nanos,
+        parts: impl IntoIterator<Item = WorkerPart>,
+        sections: Vec<PathSection>,
+    ) -> Vec<u8> {
+        let fp = *self
+            .fingerprint
+            .get_or_insert_with(|| fingerprint(config, workload));
+        let mut blob = Vec::with_capacity(self.last_len);
+        assemble(config, at, fp, parts, sections, &mut blob);
+        self.last_len = blob.len();
+        if let Some((iv, next)) = &mut self.cadence {
+            *next = next_multiple(*iv, at);
+        }
+        if let Some(stream) = &config.stream {
+            stream.flush_io();
+        }
+        blob
+    }
 }
 
 fn corrupt(e: DecodeError) -> SnapshotError {
@@ -409,5 +556,134 @@ mod tests {
             read_header(&mut r, 0),
             Err(SnapshotError::BadVersion { found: 99 })
         );
+    }
+
+    /// A five-bundle, two-path world and hand-made parts for it: bundle
+    /// `b`'s parcel is `b + 1` bytes of `b`, its worker's residue carries
+    /// one completed flow and `b + 1` events for it, and the i-th bundle of
+    /// `order` is dealt to worker `i % workers`.
+    fn world() -> SimulationConfig {
+        SimulationConfig {
+            bundles: vec![crate::edge::BundleMode::StatusQuo; 5],
+            num_paths: 2,
+            ..Default::default()
+        }
+    }
+
+    fn parts(workers: usize, order: [usize; 5]) -> Vec<WorkerPart> {
+        let mut parts: Vec<WorkerPart> = (0..workers)
+            .map(|w| WorkerPart {
+                residue: WorkerResidue::default(),
+                direct: (w == 0).then(|| b"direct".to_vec()),
+                bundles: Vec::new(),
+            })
+            .collect();
+        for (i, b) in order.into_iter().enumerate() {
+            let part = &mut parts[i % workers];
+            part.bundles.push((b, vec![b as u8; b + 1]));
+            part.residue.events_processed += b as u64 + 1;
+            part.residue.fcts.push((
+                Nanos::from_millis(10 + b as u64),
+                crate::event::EventKey::new(crate::runtime::bundle_lp(b), 1),
+                crate::stats::FctRecord {
+                    size_bytes: 1000 * b as u64,
+                    start: Nanos::ZERO,
+                    fct: Duration::from_millis(10 + b as u64),
+                    unloaded_fct: Duration::from_millis(5),
+                    bundle: Some(b),
+                },
+            ));
+            part.residue.fcts.sort_by_key(|&(t, k, _)| (t, k));
+        }
+        parts
+    }
+
+    fn sections() -> Vec<PathSection> {
+        vec![(0, vec![0xa0; 3]), (1, vec![0xa1; 3])]
+    }
+
+    fn assembled(parts: Vec<WorkerPart>, sections: Vec<PathSection>) -> Vec<u8> {
+        let mut out = Vec::new();
+        assemble(
+            &world(),
+            Nanos::from_millis(500),
+            7,
+            parts,
+            sections,
+            &mut out,
+        );
+        out
+    }
+
+    #[test]
+    fn assemble_is_blind_to_how_the_parts_were_dealt() {
+        let solo = assembled(parts(1, [0, 1, 2, 3, 4]), sections());
+        let mut r = Reader::new(&solo);
+        assert_eq!(read_header(&mut r, 7), Ok(Nanos::from_millis(500)));
+        assert!(solo.ends_with(&[0xa0, 0xa0, 0xa0, 0xa1, 0xa1, 0xa1]));
+        for (workers, order) in [
+            (1, [4, 2, 0, 3, 1]),
+            (2, [0, 1, 2, 3, 4]),
+            (2, [4, 3, 2, 1, 0]),
+            (3, [3, 0, 4, 1, 2]),
+            (3, [2, 4, 1, 0, 3]),
+        ] {
+            let mut paths = sections();
+            paths.reverse();
+            assert!(
+                assembled(parts(workers, order), paths) == solo,
+                "{workers} workers, bundles dealt {order:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was checkpointed by no worker, or by two")]
+    fn assemble_rejects_a_bundle_no_worker_deposited() {
+        let mut parts = parts(2, [0, 1, 2, 3, 4]);
+        parts[1].bundles.retain(|&(b, _)| b != 3);
+        assembled(parts, sections());
+    }
+
+    #[test]
+    #[should_panic(expected = "was checkpointed by no worker, or by two")]
+    fn assemble_rejects_a_bundle_two_workers_deposited() {
+        let mut parts = parts(2, [0, 1, 2, 3, 4]);
+        parts[0].bundles.push((3, vec![3; 4]));
+        assembled(parts, sections());
+    }
+
+    #[test]
+    #[should_panic(expected = "two workers serialized the direct slice")]
+    fn assemble_rejects_a_second_direct_slice() {
+        let mut parts = parts(2, [0, 1, 2, 3, 4]);
+        parts[1].direct = Some(b"direct".to_vec());
+        assembled(parts, sections());
+    }
+
+    #[test]
+    #[should_panic(expected = "every bottleneck path deposits exactly one checkpoint section")]
+    fn assemble_rejects_a_missing_path_section() {
+        let mut paths = sections();
+        paths.pop();
+        assembled(parts(2, [0, 1, 2, 3, 4]), paths);
+    }
+
+    #[test]
+    fn the_writer_keeps_the_cadence_strictly_ahead_of_the_last_checkpoint() {
+        let every = Some(Duration::from_millis(500));
+        assert_eq!(Writer::new(None, Nanos::ZERO, None).due(), None);
+        let zero = Some(Duration::ZERO);
+        assert_eq!(Writer::new(zero, Nanos::ZERO, None).due(), None);
+        let due = Writer::new(every, Nanos::ZERO, None).due();
+        assert_eq!(due, Some(Nanos::from_millis(500)));
+        // A run restored from the 1 s checkpoint does not re-take it.
+        let mut w = Writer::new(every, Nanos::from_secs(1), Some(7));
+        assert_eq!(w.due(), Some(Nanos::from_millis(1500)));
+        // The sharded host stamps past the target; the next target is the
+        // first multiple after the stamp, not after the old target.
+        let at = Nanos::from_millis(2010);
+        w.write(&world(), &[], at, parts(1, [0, 1, 2, 3, 4]), sections());
+        assert_eq!(w.due(), Some(Nanos::from_millis(2500)));
     }
 }

@@ -22,7 +22,7 @@
 //!   backed by the agent (`sim::scenario::many_sites`).
 //! * [`shard`] — the sharded multi-threaded simulation runtime: per-bundle
 //!   worker shards around the shared bottleneck, synchronized by
-//!   conservative time windows and deterministic SPSC mailboxes, with the
+//!   conservative time windows and barrier-drained mailboxes, with the
 //!   net phase pipelined behind the next worker window and a rate-aware
 //!   balancer that migrates whole bundle complexes between shards at
 //!   window barriers; bit-identical to the single-threaded engine for any
@@ -52,6 +52,8 @@
 //!     .run();
 //! assert!(report.completed > 0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use bundler_agent as agent;
 pub use bundler_cc as cc;

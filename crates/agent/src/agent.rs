@@ -15,8 +15,8 @@
 //! * **Telemetry**: uniform per-bundle snapshots for export.
 
 use bundler_core::feedback::{BundleId, CongestionAck};
-use bundler_core::{BundlerConfig, FnvHashMap, Sendbox, SendboxOutput, SendboxTelemetry};
-use bundler_types::{Duration, FlowKey, IpPrefix, Nanos, Packet};
+use bundler_core::{BundlerConfig, Sendbox, SendboxOutput, SendboxTelemetry};
+use bundler_types::{Duration, FlowKey, IdHashMap, IpPrefix, Nanos, Packet};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::classifier::PrefixClassifier;
@@ -206,7 +206,7 @@ pub struct SiteAgent {
     classifier: PrefixClassifier<usize>,
     bundles: Vec<ManagedBundle>,
     /// Global bundle id → slot in `bundles`.
-    slot_of: FnvHashMap<u32, usize>,
+    slot_of: IdHashMap<u32, usize>,
     /// Pending control ticks, keyed by `(global bundle id, generation)` —
     /// never by slot (slots shift when a bundle is removed) and never by
     /// id alone (the same id can be removed and adopted again; a stale
@@ -241,7 +241,7 @@ impl SiteAgent {
         SiteAgent {
             classifier: PrefixClassifier::new(),
             bundles: Vec::new(),
-            slot_of: FnvHashMap::default(),
+            slot_of: IdHashMap::default(),
             wheel: TimerWheel::new(config.tick_quantum),
             next_generation: 0,
             stats: AgentStats::default(),

@@ -68,50 +68,6 @@ impl Fnv1a {
     }
 }
 
-/// [`std::hash::Hasher`] adapter over FNV-1a, for keying hash maps off the
-/// simulator/datapath hot path without SipHash's per-lookup cost. FNV is a
-/// fine fit for the small, trusted keys these maps use (dense `FlowId`s,
-/// bundle ids); it is *not* DoS-resistant and must not key maps over
-/// attacker-controlled input.
-#[derive(Debug, Clone, Copy)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(FNV64_OFFSET)
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV64_PRIME);
-        }
-    }
-}
-
-/// [`std::hash::BuildHasher`] producing [`FnvHasher`]s.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FnvBuildHasher;
-
-impl std::hash::BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
-
-/// A `HashMap` keyed by FNV-1a instead of SipHash.
-pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
-
-/// A `HashSet` keyed by FNV-1a instead of SipHash.
-pub type FnvHashSet<T> = std::collections::HashSet<T, FnvBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,28 +95,6 @@ mod tests {
     fn small_input_changes_change_the_hash() {
         assert_ne!(fnv1a(b"packet-1"), fnv1a(b"packet-2"));
         assert_ne!(fnv1a(&[0, 0, 0, 1]), fnv1a(&[0, 0, 1, 0]));
-    }
-
-    #[test]
-    fn hasher_adapter_matches_one_shot() {
-        use std::hash::Hasher;
-        let mut h = FnvHasher::default();
-        h.write(b"foobar");
-        assert_eq!(h.finish(), fnv1a(b"foobar"));
-    }
-
-    #[test]
-    fn fnv_hash_map_works_as_a_drop_in() {
-        let mut m: FnvHashMap<u64, &str> = FnvHashMap::default();
-        for i in 0..1000u64 {
-            m.insert(i, "x");
-        }
-        assert_eq!(m.len(), 1000);
-        assert!(m.contains_key(&999));
-        assert!(!m.contains_key(&1000));
-        let mut s: FnvHashSet<u64> = FnvHashSet::default();
-        s.insert(7);
-        assert!(s.contains(&7));
     }
 
     #[test]

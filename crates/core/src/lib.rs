@@ -44,7 +44,6 @@ pub mod wheel;
 
 pub use config::BundlerConfig;
 pub use feedback::{CongestionAck, EpochSizeUpdate};
-pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet};
 pub use modes::{Mode, ModeController};
 pub use receivebox::Receivebox;
 pub use sendbox::{Sendbox, SendboxOutput, SendboxStats, SendboxTelemetry};

@@ -20,9 +20,11 @@
 //!   per-level occupancy bitmaps (one `u64` each, so finding the next
 //!   non-empty slot is a `trailing_zeros`), FIFO slot buckets, a small
 //!   sorted buffer holding only the slot currently being drained, and an
-//!   O(1) FIFO lane for "run immediately" schedules. Push and pop are O(1)
-//!   amortized instead of the O(log n) — with large element moves — of one
-//!   big binary heap over every pending event.
+//!   O(1) FIFO lane for "run immediately" entries of the unkeyed
+//!   [`CalendarQueue::schedule`] (doc-tests and property tests; the
+//!   simulator schedules keyed, which never takes it). Push and pop are
+//!   O(1) amortized instead of the O(log n) — with large element moves — of
+//!   one big binary heap over every pending event.
 //! * [`BinaryHeapQueue`] — the straightforward binary-heap implementation,
 //!   kept only as the reference the calendar queue is property-tested
 //!   against (here and in `tests/properties.rs`); nothing runs on it.
@@ -175,8 +177,8 @@ impl<T> BinaryHeapQueue<T> {
 /// drained sits in a small sorted buffer (`cur`), which is what preserves
 /// the exact `(deadline, sequence)` total order — identical to
 /// [`BinaryHeapQueue`] — while keeping per-operation cost independent of
-/// the number of pending entries. Entries scheduled at exactly the current
-/// time take a separate O(1) FIFO lane (`immediate`). Per-level occupancy
+/// the number of pending entries. Unkeyed entries scheduled at exactly the
+/// current time take a separate O(1) FIFO lane (`immediate`). Per-level occupancy
 /// bitmaps make skipping empty stretches of simulated time a couple of
 /// `trailing_zeros` instructions rather than a slot-by-slot walk.
 ///
@@ -213,8 +215,9 @@ pub struct CalendarQueue<T> {
     /// end in O(1). A sorted vec beats a binary heap here: the set is tiny
     /// (one slot's worth) and almost always filled in one batch.
     cur: Vec<Entry<T>>,
-    /// Entries scheduled at exactly the current time — the simulator's
-    /// hottest pattern (`schedule(now, …)` on every packet hop). Their
+    /// Entries the unkeyed [`CalendarQueue::schedule`] placed at exactly
+    /// the current time (its callers are doc-tests and property tests; the
+    /// simulator's every schedule is keyed and never lands here). Their
     /// `(deadline, seq)` keys are strictly increasing by construction
     /// (`now` never decreases, `seq` always does increase), so a plain
     /// FIFO holds them already sorted: O(1) push, O(1) pop.
@@ -286,8 +289,7 @@ impl<T> CalendarQueue<T> {
             item,
         };
         if at == self.now {
-            // "Run immediately": by far the most common schedule in the
-            // simulator, and trivially in order (see `immediate`).
+            // "Run immediately": trivially in order (see `immediate`).
             self.immediate.push_back(entry);
         } else {
             self.place(entry);

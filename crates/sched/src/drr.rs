@@ -6,9 +6,9 @@
 //! "ideal" fair queue used by the In-Network baseline and is exposed as a
 //! sendbox policy in its own right.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use bundler_types::{Nanos, PacketArena, PacketId};
+use bundler_types::{IdHashMap, Nanos, PacketArena, PacketId};
 
 use crate::longest::LongestTracker;
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
@@ -42,7 +42,7 @@ struct FlowQueue {
 #[derive(Debug)]
 pub struct Drr {
     config: DrrConfig,
-    flows: HashMap<u64, FlowQueue>,
+    flows: IdHashMap<u64, FlowQueue>,
     active: VecDeque<u64>,
     /// Longest-flow (by packets) key for overflow drops. Ties resolve by
     /// the larger flow digest rather than active-list position, a
@@ -58,7 +58,7 @@ impl Drr {
     pub fn new(config: DrrConfig) -> Self {
         Drr {
             config,
-            flows: HashMap::new(),
+            flows: IdHashMap::default(),
             active: VecDeque::new(),
             longest: LongestTracker::new(),
             total_pkts: 0,

@@ -7,9 +7,9 @@
 //! deployable in practice but bounds how much of the possible benefit
 //! Bundler captures (Figure 9: Bundler is within 15 % of it).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use bundler_types::{FlowId, Nanos, PacketArena, PacketId};
+use bundler_types::{FlowId, IdHashMap, Nanos, PacketArena, PacketId};
 
 use crate::longest::LongestTracker;
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
@@ -26,7 +26,7 @@ struct FlowQueue {
 pub struct FairQueue {
     quantum: u32,
     capacity_pkts: usize,
-    flows: HashMap<FlowId, FlowQueue>,
+    flows: IdHashMap<FlowId, FlowQueue>,
     active: VecDeque<FlowId>,
     /// Longest-flow (by packets) key for overflow drops. Ties resolve by
     /// the larger flow id rather than active-list position, a policy-free
@@ -43,7 +43,7 @@ impl FairQueue {
         FairQueue {
             quantum: 1514,
             capacity_pkts,
-            flows: HashMap::new(),
+            flows: IdHashMap::default(),
             active: VecDeque::new(),
             longest: LongestTracker::new(),
             total_pkts: 0,

@@ -16,14 +16,16 @@
 //! index-keyed schedulers (`Iterator::max_by_key` returns the last
 //! maximum).
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+
+use bundler_types::IdHashMap;
 
 /// Tracks the queue (bucket index or flow key) with the largest weight
 /// (packet count or byte count) under incremental updates.
 #[derive(Debug, Default)]
 pub(crate) struct LongestTracker {
     /// Current weight per key; keys with weight 0 are absent.
-    weights: HashMap<u64, u64>,
+    weights: IdHashMap<u64, u64>,
     /// Lazily maintained candidates; may contain stale entries.
     heap: BinaryHeap<(u64, u64)>,
 }
@@ -66,6 +68,7 @@ impl LongestTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn tracks_max_under_updates() {

@@ -72,7 +72,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use bundler_core::FnvHashMap;
 use bundler_obs::{wall_now_ns, NetWindow, TraceKind, WindowPhase};
 use bundler_sim::event::{Event, EventKey, EventQueue};
 use bundler_sim::path::LoadBalancer;
@@ -84,7 +83,7 @@ use bundler_sim::sim::SimulationConfig;
 use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{SimReport, Simulation};
-use bundler_types::{Duration, FlowId, Nanos, Packet, PacketArena};
+use bundler_types::{Duration, FlowId, IdHashMap, Nanos, Packet, PacketArena};
 
 use crate::balance::{Balancer, Move};
 use crate::error::{self, ShardError};
@@ -108,7 +107,7 @@ struct Envelope {
 /// separate writes from reads; the atomics make the sharing sound.
 struct Routing {
     /// A flow's LP is static: its workload origin.
-    lp_of_flow: FnvHashMap<FlowId, u16>,
+    lp_of_flow: IdHashMap<FlowId, u16>,
     /// The LP's owning worker follows the balancer's assignment.
     worker_of_lp: Vec<AtomicUsize>,
 }

@@ -28,8 +28,21 @@
 //! the out-of-band feedback messages are small `Copy` structs. A
 //! compile-time guard keeps future variants from re-bloating the enum (it
 //! used to carry whole ~100-byte `Packet`s through every heap sift).
+//!
+//! The wheel holds less still. An entry is copied at every hop from
+//! `schedule` to `pop` (bucket, cascade, sorted buffer, return value), and
+//! the only payload wider than eight bytes is `CongestionAckArrive`'s
+//! 40-byte ACK — so inside this module (and nowhere else) the queue is a
+//! `CalendarQueue<Slim>`: a 16-byte `{ tag, v }`, 32 bytes with the wheel's
+//! `(deadline, key)`, half of what an inline `Event` made it. `schedule`
+//! packs, `pop` and `extract_if` unpack, and callers only ever see whole
+//! `Event`s. The tag is the byte the snapshot codec writes for the variant,
+//! so the variants have one numbering; the one wide payload parks in a side
+//! slab the queue owns, because feedback in flight *is* queue state — it
+//! exists exactly from `schedule` to `pop`/`extract_if`, which hand it back
+//! by value, so snapshots and migration never see a slot number.
 
-use bundler_core::feedback::{CongestionAck, EpochSizeUpdate};
+use bundler_core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use bundler_core::wheel::CalendarQueue;
 use bundler_types::{Duration, FlowId, Nanos, PacketId};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
@@ -73,7 +86,7 @@ impl std::fmt::Display for EventKey {
 }
 
 /// Everything that can happen in the simulated network.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A new application flow starts at its sender. The payload indexes the
     /// simulation's workload table ([`crate::workload::FlowSpec`]s are too
@@ -303,9 +316,126 @@ const _: () = assert!(
 /// scenarios at the simulated link rates.
 const WHEEL_QUANTUM: Duration = Duration(1 << 13);
 
+/// What the wheel holds for one [`Event`] (see the module docs for why):
+/// the tag `Encode for Event` writes for the variant
+/// (`slim_tag_is_the_codec_tag` holds the two numberings together) and one
+/// word — the variant's whole payload, or for `CongestionAckArrive` the
+/// [`AckSlab`] slot its [`CongestionAck`] is parked in.
+#[derive(Debug, Clone, Copy)]
+struct Slim {
+    tag: u8,
+    v: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Slim>() == 16);
+
+/// [`Slim::tag`] of the one variant whose payload lives in the [`AckSlab`].
+const TAG_CONGESTION_ACK: u8 = 5;
+
+impl Slim {
+    /// Packs `event`, parking a congestion ACK in `acks`.
+    #[inline]
+    fn pack(event: Event, acks: &mut AckSlab) -> Slim {
+        let (tag, v) = match event {
+            Event::FlowArrival { spec } => (0, u64::from(spec)),
+            Event::ArriveBottleneck { pkt } => (1, u64::from(pkt.index())),
+            Event::PathDequeue { path } => (2, u64::from(path)),
+            Event::ArriveDestination { pkt } => (3, u64::from(pkt.index())),
+            Event::ArriveSource { pkt } => (4, u64::from(pkt.index())),
+            Event::CongestionAckArrive { ack } => (TAG_CONGESTION_ACK, u64::from(acks.park(ack))),
+            Event::EpochUpdateArrive { update } => (
+                6,
+                u64::from(update.bundle.0) << 32 | u64::from(update.epoch_size),
+            ),
+            Event::ControlTick { bundle } => (7, u64::from(bundle)),
+            Event::SendboxRelease { bundle } => (8, u64::from(bundle)),
+            Event::RtoCheck { flow } => (9, flow.0),
+            Event::Sample { lp } => (10, u64::from(lp)),
+            Event::FluidUpdate { path } => (11, u64::from(path)),
+            Event::PathSample { path } => (12, u64::from(path)),
+        };
+        Slim { tag, v }
+    }
+
+    /// The event this entry stands for, for looking at an entry that stays
+    /// queued: a parked ACK is read, not released.
+    #[inline]
+    fn unpack(self, acks: &AckSlab) -> Event {
+        // Narrowing casts undo `pack`'s widening ones.
+        let v = self.v;
+        match self.tag {
+            0 => Event::FlowArrival { spec: v as u32 },
+            1 => Event::ArriveBottleneck {
+                pkt: PacketId::from_index(v as u32),
+            },
+            2 => Event::PathDequeue { path: v as u32 },
+            3 => Event::ArriveDestination {
+                pkt: PacketId::from_index(v as u32),
+            },
+            4 => Event::ArriveSource {
+                pkt: PacketId::from_index(v as u32),
+            },
+            TAG_CONGESTION_ACK => Event::CongestionAckArrive {
+                ack: acks.slots[v as usize],
+            },
+            6 => Event::EpochUpdateArrive {
+                update: EpochSizeUpdate {
+                    bundle: BundleId((v >> 32) as u32),
+                    epoch_size: v as u32,
+                },
+            },
+            7 => Event::ControlTick { bundle: v as u32 },
+            8 => Event::SendboxRelease { bundle: v as u32 },
+            9 => Event::RtoCheck { flow: FlowId(v) },
+            10 => Event::Sample { lp: v as u16 },
+            11 => Event::FluidUpdate { path: v as u32 },
+            12 => Event::PathSample { path: v as u32 },
+            tag => unreachable!("Slim::pack mints no tag {tag}"),
+        }
+    }
+
+    /// [`Slim::unpack`] for an entry that has left the queue: frees the slot
+    /// of a parked ACK.
+    #[inline]
+    fn take(self, acks: &mut AckSlab) -> Event {
+        let event = self.unpack(acks);
+        if self.tag == TAG_CONGESTION_ACK {
+            acks.free.push(self.v as u32);
+        }
+        event
+    }
+}
+
+/// The congestion ACKs in flight, the one payload too wide for a [`Slim`].
+/// Freed slots are reused, so the slab holds at most the largest number of
+/// ACKs ever pending at once.
+#[derive(Default)]
+struct AckSlab {
+    slots: Vec<CongestionAck>,
+    free: Vec<u32>,
+}
+
+impl AckSlab {
+    #[inline]
+    fn park(&mut self, ack: CongestionAck) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = ack;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 ACKs in flight");
+                self.slots.push(ack);
+                slot
+            }
+        }
+    }
+}
+
 /// Time-ordered event queue over `(timestamp, EventKey)`.
 pub struct EventQueue {
-    inner: CalendarQueue<Event>,
+    inner: CalendarQueue<Slim>,
+    acks: AckSlab,
 }
 
 impl Default for EventQueue {
@@ -319,6 +449,7 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             inner: CalendarQueue::new(WHEEL_QUANTUM),
+            acks: AckSlab::default(),
         }
     }
 
@@ -332,7 +463,8 @@ impl EventQueue {
     /// run "immediately").
     #[inline]
     pub fn schedule(&mut self, at: Nanos, key: EventKey, event: Event) {
-        self.inner.schedule_keyed(at, key.0, event);
+        let entry = Slim::pack(event, &mut self.acks);
+        self.inner.schedule_keyed(at, key.0, entry);
     }
 
     /// The `(timestamp, key)` of the next event without popping it — how
@@ -346,7 +478,8 @@ impl EventQueue {
     /// Pops the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Nanos, Event)> {
-        self.inner.pop()
+        let (at, entry) = self.inner.pop()?;
+        Some((at, entry.take(&mut self.acks)))
     }
 
     /// Pops the maximal *run* of pending events sharing the next event's
@@ -392,13 +525,13 @@ impl EventQueue {
     /// window barrier, never how the hot path runs.
     pub fn extract_if(
         &mut self,
-        pred: impl FnMut(&Event) -> bool,
+        mut pred: impl FnMut(&Event) -> bool,
     ) -> Vec<(Nanos, EventKey, Event)> {
-        let mut out: Vec<(Nanos, EventKey, Event)> = self
-            .inner
-            .extract_if(pred)
+        let acks = &self.acks;
+        let removed = self.inner.extract_if(|entry| pred(&entry.unpack(acks)));
+        let mut out: Vec<(Nanos, EventKey, Event)> = removed
             .into_iter()
-            .map(|(at, key, event)| (at, EventKey(key), event))
+            .map(|(at, key, entry)| (at, EventKey(key), entry.take(&mut self.acks)))
             .collect();
         out.sort_unstable_by_key(|&(at, key, _)| (at, key));
         out
@@ -417,10 +550,193 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
+    use bundler_core::wheel::BinaryHeapQueue;
+    use proptest::prelude::*;
+
     use super::*;
 
     fn key(lp: u16, seq: u64) -> EventKey {
         EventKey::new(lp, seq)
+    }
+
+    /// The variant the codec numbers `tag`, its fields cut from the words.
+    fn event(tag: u8, a: u64, b: u64, c: u64, d: u64) -> Event {
+        let pkt = PacketId::from_index(a as u32);
+        match tag {
+            0 => Event::FlowArrival { spec: a as u32 },
+            1 => Event::ArriveBottleneck { pkt },
+            2 => Event::PathDequeue { path: a as u32 },
+            3 => Event::ArriveDestination { pkt },
+            4 => Event::ArriveSource { pkt },
+            5 => Event::CongestionAckArrive {
+                ack: CongestionAck {
+                    bundle: BundleId(a as u32),
+                    packet_hash: b,
+                    bytes_received: c,
+                    packets_received: d,
+                    observed_at: Nanos(a ^ d),
+                },
+            },
+            6 => Event::EpochUpdateArrive {
+                update: EpochSizeUpdate {
+                    bundle: BundleId(a as u32),
+                    epoch_size: b as u32,
+                },
+            },
+            7 => Event::ControlTick { bundle: a as u32 },
+            8 => Event::SendboxRelease { bundle: a as u32 },
+            9 => Event::RtoCheck { flow: FlowId(a) },
+            10 => Event::Sample { lp: a as u16 },
+            11 => Event::FluidUpdate { path: a as u32 },
+            12 => Event::PathSample { path: a as u32 },
+            _ => unreachable!("13 variants"),
+        }
+    }
+
+    /// A uniform word, with the two ends of the range over-represented.
+    fn word() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u8..8).prop_map(|(w, pick)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            _ => w,
+        })
+    }
+
+    fn tag_of(e: Event) -> u8 {
+        Slim::pack(e, &mut AckSlab::default()).tag
+    }
+
+    fn slab_in_use(q: &EventQueue) -> usize {
+        q.acks.slots.len() - q.acks.free.len()
+    }
+
+    #[test]
+    fn slim_tag_is_the_codec_tag() {
+        for tag in 0..13u8 {
+            let e = event(tag, 1, 2, 3, 4);
+            let mut bytes = Vec::new();
+            e.encode(&mut bytes);
+            assert_eq!(bytes[0], tag);
+            assert_eq!(tag_of(e), tag, "{e:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn unpack_inverts_pack(tag in 0u8..13, a in word(), b in word(), c in word(), d in word()) {
+            let e = event(tag, a, b, c, d);
+            let mut acks = AckSlab::default();
+            let entry = Slim::pack(e, &mut acks);
+            prop_assert_eq!(entry.unpack(&acks), e);
+        }
+    }
+
+    proptest! {
+        /// `EventQueue` against the reference heap holding whole `Event`s:
+        /// the same `(time, key, event)` comes out of every `pop`, `peek`
+        /// and `extract_if`, and no ACK slot outlives its event.
+        #[test]
+        fn queue_agrees_with_a_heap_of_whole_events(
+            ops in collection::vec((0u8..8, 0u8..13, 0u8..5, 0u64..1000, word(), 0u16..4), 1..400),
+        ) {
+            let mut q = EventQueue::new();
+            let mut heap: BinaryHeapQueue<Event> = BinaryHeapQueue::new();
+            let pop_both = |q: &mut EventQueue, heap: &mut BinaryHeapQueue<Event>| {
+                prop_assert_eq!(q.peek(), heap.peek_key().map(|(t, k)| (t, EventKey(k))));
+                let popped = q.pop();
+                prop_assert_eq!(popped, heap.pop());
+                prop_assert_eq!(q.now(), heap.now());
+                popped.is_some()
+            };
+            for (i, (op, tag, scale, r, w, lp)) in ops.into_iter().enumerate() {
+                let i = i as u64;
+                match op {
+                    // Schedule; two of the five schedule ops are always an
+                    // ACK, on top of the 1-in-13 among the rest.
+                    0..=4 => {
+                        let tag = if op < 2 { TAG_CONGESTION_ACK } else { tag };
+                        // `b` = the op index: every payload is distinct.
+                        let e = event(tag, w, i, w.rotate_left(17), !w);
+                        let now = q.now().as_nanos();
+                        let at = Nanos(match scale {
+                            0 => now,                       // same instant
+                            1 => now + r,                   // same slot
+                            2 => now + r * 10_000,          // ≤ 10 ms: low levels
+                            3 => now + r * 100_000_000,     // ≤ 100 s: high levels
+                            _ => r * 1_000,                 // absolute: often past, clamped
+                        });
+                        q.schedule(at, key(lp, i), e);
+                        heap.schedule_keyed(at, key(lp, i).0, e);
+                    }
+                    5 => {
+                        pop_both(&mut q, &mut heap);
+                    }
+                    6 => {
+                        prop_assert_eq!(q.peek(), heap.peek_key().map(|(t, k)| (t, EventKey(k))));
+                    }
+                    _ => {
+                        // Half of the pending ACKs, or every event of one
+                        // variant.
+                        let pred = |e: &Event| match e {
+                            Event::CongestionAckArrive { ack } if tag % 2 == 0 => {
+                                ack.packet_hash % 2 == r % 2
+                            }
+                            other => tag_of(*other) == tag,
+                        };
+                        let got = q.extract_if(pred);
+                        let mut want: Vec<_> = heap
+                            .extract_if(pred)
+                            .into_iter()
+                            .map(|(at, k, e)| (at, EventKey(k), e))
+                            .collect();
+                        want.sort_unstable_by_key(|&(at, k, _)| (at, k));
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(q.len(), heap.len());
+                let acks_pending = heap
+                    .extract_if(|e| matches!(e, Event::CongestionAckArrive { .. }))
+                    .into_iter()
+                    .map(|(at, k, e)| heap.schedule_keyed(at, k, e))
+                    .count();
+                prop_assert_eq!(slab_in_use(&q), acks_pending);
+            }
+            while pop_both(&mut q, &mut heap) {}
+            prop_assert_eq!(slab_in_use(&q), 0);
+        }
+    }
+
+    #[test]
+    fn ack_slots_are_reused_and_extract_if_frees_them() {
+        let ack = |i: u64| event(TAG_CONGESTION_ACK, i, i, i, i);
+        let mut q = EventQueue::new();
+        let mut next_out = 0u64;
+        for i in 0..10_000u64 {
+            q.schedule(Nanos(i * 100), key(1, i), ack(i));
+            if q.len() == 8 {
+                // Drain a varying number, so slots free out of order.
+                for _ in 0..=i % 8 {
+                    assert_eq!(q.pop(), Some((Nanos(next_out * 100), ack(next_out))));
+                    next_out += 1;
+                }
+            }
+        }
+        assert!(q.acks.slots.len() <= 8, "{} slots", q.acks.slots.len());
+
+        while q.pop().is_some() {}
+        assert_eq!(slab_in_use(&q), 0);
+        for i in 0..6u64 {
+            q.schedule(Nanos::from_secs(1), key(1, 10_000 + i), ack(i));
+        }
+        q.schedule(Nanos::from_secs(2), key(0, 1), Event::Sample { lp: 0 });
+        assert_eq!(slab_in_use(&q), 6);
+        let removed = q.extract_if(|e| matches!(e, Event::CongestionAckArrive { .. }));
+        let removed: Vec<Event> = removed.into_iter().map(|(_, _, e)| e).collect();
+        assert_eq!(removed, (0..6).map(ack).collect::<Vec<_>>());
+        assert_eq!(slab_in_use(&q), 0);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -39,7 +39,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 
-use bundler_core::FnvHashMap;
 use bundler_obs::{
     BundleObsState, CounterId, FlowSampler, GaugeId, HealthKind, HistId, ObsReport, PhaseProfile,
     ShardObs, TraceKind, DIRECT_BUNDLE,
@@ -47,7 +46,8 @@ use bundler_obs::{
 use bundler_sched::tbf::Release;
 use bundler_sched::Policy;
 use bundler_types::{
-    flow::ipv4, Duration, FlowId, FlowKey, Nanos, Packet, PacketArena, PacketId, PacketKind, Rate,
+    flow::ipv4, Duration, FlowId, FlowKey, IdHashMap, Nanos, Packet, PacketArena, PacketId,
+    PacketKind, Rate,
 };
 
 use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader};
@@ -197,7 +197,7 @@ impl FlowSlot {
 /// insert.
 #[derive(Default)]
 struct FlowTable {
-    index: FnvHashMap<FlowId, u32>,
+    index: IdHashMap<FlowId, u32>,
     slots: Vec<FlowSlot>,
     free: Vec<u32>,
 }

@@ -47,6 +47,54 @@ impl fmt::Display for FlowId {
     }
 }
 
+/// [`std::hash::Hasher`] for the workspace's integer-keyed maps
+/// ([`FlowId`]s, bundle ids, scheduler bucket keys): each integer write is
+/// one folded multiply — the 128-bit product of `state ^ v` and the golden
+/// ratio constant, low half xor high half — so every input bit reaches both
+/// the low bits `HashMap` indexes by and the top seven it tags control bytes
+/// with. Like any fixed fast hash it is *not* DoS-resistant: the keys are
+/// ids this program mints, never outside input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn fold(&mut self, v: u64) {
+        let m = u128::from(self.0 ^ v) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Anything that is not a `u32` or a `u64` (no key in the workspace)
+    /// folds eight bytes at a time, little-endian, the tail zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`] instead of SipHash.
+pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// The classic five-tuple identifying a transport connection.
 ///
 /// Bundler's datapath never keeps per-flow state keyed on this tuple (that is
@@ -182,6 +230,53 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
         assert_eq!(a.digest(), a.digest());
+    }
+
+    #[test]
+    fn id_hash_map_works_as_a_drop_in() {
+        let mut m: IdHashMap<u64, &str> = IdHashMap::default();
+        for i in 0..1000u64 {
+            m.insert(i, "x");
+        }
+        assert_eq!(m.len(), 1000);
+        assert!(m.contains_key(&999));
+        assert!(!m.contains_key(&1000));
+        let mut by_flow: IdHashMap<FlowId, u32> = IdHashMap::default();
+        by_flow.insert(FlowId(u64::MAX), 7);
+        assert_eq!(by_flow.get(&FlowId(u64::MAX)), Some(&7));
+        assert_eq!(by_flow.get(&FlowId(0)), None);
+    }
+
+    #[test]
+    fn id_hasher_spreads_the_ids_the_scenarios_mint() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+
+        // `HashMap` picks the bucket from the low bits of the hash and tags
+        // the control byte with the top seven: both must see every id bit.
+        // Scenario flow ids are `site × 1 000 000 + i`.
+        let many_sites = (0..48u64).flat_map(|site| (0..5_000).map(move |i| site * 1_000_000 + i));
+        let one_site = (0..500_000u64).map(|i| 1_000_000 + i);
+        let sets: [(&str, Vec<u64>); 2] = [
+            ("48 sites x 5 000", many_sites.collect()),
+            ("1 site x 500 000", one_site.collect()),
+        ];
+        let build = std::hash::BuildHasherDefault::<IdHasher>::default();
+        for (name, ids) in sets {
+            let hashes: Vec<u64> = ids.iter().map(|&id| build.hash_one(FlowId(id))).collect();
+            for (what, bits, shift) in [("low 16", 16u32, 0u32), ("top 7", 7, 57)] {
+                let bins = f64::from(1u32 << bits);
+                // What throwing `n` balls into `bins` bins uniformly fills.
+                let ideal = bins * (1.0 - (1.0 - 1.0 / bins).powf(ids.len() as f64));
+                let mask = (1u64 << bits) - 1;
+                let seen: HashSet<u64> = hashes.iter().map(|h| (h >> shift) & mask).collect();
+                assert!(
+                    seen.len() as f64 >= 0.9 * ideal,
+                    "{name}: {what} bits take {} values, an ideal hash {ideal:.0}",
+                    seen.len()
+                );
+            }
+        }
     }
 
     #[test]

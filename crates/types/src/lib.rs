@@ -19,7 +19,7 @@ pub mod time;
 
 pub use crate::bytes::ByteCount;
 pub use arena::{PacketArena, PacketId};
-pub use flow::{ipv4, FlowId, FlowKey, Protocol};
+pub use flow::{ipv4, FlowId, FlowKey, IdHashMap, IdHasher, Protocol};
 pub use packet::{Packet, PacketKind, TrafficClass};
 pub use prefix::IpPrefix;
 pub use rate::Rate;

@@ -237,9 +237,10 @@ impl Scheduler for Drr {
         self.total_pkts = usize::decode(r)?;
         self.total_bytes = u64::decode(r)?;
         self.stats = Decode::decode(r)?;
-        let pkts: usize = self.flows.values().map(|fq| fq.queue.len()).sum();
-        if pkts != self.total_pkts {
-            return Err(r.error("drr packet total does not match flow queues"));
+        if crate::queued(self.flows.values().map(|f| &f.queue))
+            != (self.total_pkts, self.total_bytes)
+        {
+            return Err(r.error("drr totals do not match the flow queues"));
         }
         Ok(())
     }

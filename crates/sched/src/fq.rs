@@ -151,9 +151,12 @@ impl Scheduler for FairQueue {
     }
 
     fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut PacketId)) {
-        // Map traversal order is arbitrary but stable while the scheduler
-        // is not mutated, which is all the two-pass id rewrite needs.
-        for fq in self.flows.values_mut() {
+        // Active-list order, never map order: a freshly built restorer's
+        // map iterates differently from the instance that saved, so only
+        // this order pairs queued packets with their refs positionally.
+        // Every non-empty flow is on the active list.
+        for key in &self.active {
+            let fq = self.flows.get_mut(key).expect("active flow exists");
             for p in fq.queue.iter_mut() {
                 f(&mut p.id);
             }
@@ -217,6 +220,14 @@ impl Scheduler for FairQueue {
         self.total_pkts = usize::decode(r)?;
         self.total_bytes = u64::decode(r)?;
         self.stats = Decode::decode(r)?;
+        // The active list is the packet walk: it must reach every queued
+        // packet exactly once, and the totals must count exactly those.
+        let totals = (self.total_pkts, self.total_bytes);
+        if crate::queued(self.flows.values().map(|f| &f.queue)) != totals
+            || crate::queued(self.active.iter().map(|id| &self.flows[id].queue)) != totals
+        {
+            return Err(r.error("fq totals do not match the active flow queues"));
+        }
         Ok(())
     }
 }
@@ -278,6 +289,16 @@ mod tests {
             }
         }
         assert!(pos.unwrap() <= 2);
+    }
+
+    #[test]
+    fn restore_rejects_totals_the_flows_do_not_hold() {
+        let mut a = PacketArena::new();
+        let mut fq = FairQueue::new(1000);
+        for i in 0..6 {
+            enq(&mut fq, &mut a, pkt(i % 3, 500));
+        }
+        crate::assert_rejects_patched_totals(&fq, || Box::new(FairQueue::new(1000)));
     }
 
     #[test]

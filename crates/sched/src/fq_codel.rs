@@ -365,6 +365,11 @@ impl Scheduler for FqCodel {
         self.total_pkts = usize::decode(r)?;
         self.total_bytes = u64::decode(r)?;
         self.stats = Decode::decode(r)?;
+        if crate::queued(self.buckets.iter().map(|b| &b.queue))
+            != (self.total_pkts, self.total_bytes)
+        {
+            return Err(r.error("fq_codel totals do not match the bucket queues"));
+        }
         Ok(())
     }
 }
@@ -553,6 +558,16 @@ mod tests {
         });
         let mut r = serde::binary::Reader::new(&bytes);
         assert!(other.load_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_totals_the_buckets_do_not_hold() {
+        let mut a = PacketArena::new();
+        let mut s = FqCodel::with_defaults();
+        for i in 0..6 {
+            enq(&mut s, &mut a, pkt(i % 3, 500), Nanos::ZERO);
+        }
+        crate::assert_rejects_patched_totals(&s, || Box::new(FqCodel::with_defaults()));
     }
 
     #[test]

@@ -25,6 +25,8 @@ pub mod prio;
 pub mod sfq;
 pub mod tbf;
 
+use std::collections::VecDeque;
+
 use bundler_types::{Nanos, PacketArena, PacketId};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
@@ -152,6 +154,16 @@ pub trait Scheduler: Send {
     }
 }
 
+/// Packets and bytes held in `queues`: what a decoded scheduler's
+/// `total_pkts`/`total_bytes` must equal, or the first dequeue underflows
+/// them.
+fn queued<'a>(queues: impl IntoIterator<Item = &'a VecDeque<PktRef>>) -> (usize, u64) {
+    queues.into_iter().fold((0, 0), |(pkts, bytes), q| {
+        let size = q.iter().fold(0u64, |b, p| b.saturating_add(p.size.into()));
+        (pkts + q.len(), bytes.saturating_add(size))
+    })
+}
+
 impl Encode for PktRef {
     fn encode(&self, out: &mut Vec<u8>) {
         // The arena id is host-local: a restore re-inserts the packets and
@@ -258,6 +270,22 @@ impl std::fmt::Display for Policy {
             Policy::StrictPriority => "prio",
         };
         write!(f, "{s}")
+    }
+}
+
+/// Saves `s`, then patches its `total_pkts` and, separately, its
+/// `total_bytes` — the two counters just before the closing
+/// [`SchedStats`] — and requires a fresh scheduler to refuse each.
+#[cfg(test)]
+fn assert_rejects_patched_totals(s: &dyn Scheduler, fresh: impl Fn() -> Box<dyn Scheduler>) {
+    let mut bytes = Vec::new();
+    assert!(s.save_state(&mut bytes));
+    let stats = serde::binary::encode_to_vec(&s.stats()).len();
+    for at in [bytes.len() - stats - 16, bytes.len() - stats - 8] {
+        let mut patched = bytes.clone();
+        patched[at] ^= 1;
+        let loaded = fresh().load_state(&mut Reader::new(&patched));
+        assert!(loaded.is_err(), "{}: total at byte {at} patched", s.name());
     }
 }
 

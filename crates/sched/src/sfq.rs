@@ -278,6 +278,11 @@ impl Scheduler for Sfq {
         self.total_pkts = usize::decode(r)?;
         self.total_bytes = u64::decode(r)?;
         self.stats = Decode::decode(r)?;
+        if crate::queued(self.buckets.iter().map(|b| &b.queue))
+            != (self.total_pkts, self.total_bytes)
+        {
+            return Err(r.error("sfq totals do not match the bucket queues"));
+        }
         Ok(())
     }
 }
@@ -450,6 +455,16 @@ mod tests {
         assert_eq!(obs.aqm_drops, 2, "overflow drops export");
         assert_eq!(obs.drop_entries, 0, "SFQ has no AQM drop state");
         assert!(s.take_obs().is_none(), "take drains the export");
+    }
+
+    #[test]
+    fn restore_rejects_totals_the_buckets_do_not_hold() {
+        let mut a = PacketArena::new();
+        let mut s = Sfq::with_defaults();
+        for i in 0..6 {
+            enq(&mut s, &mut a, pkt(i % 3, 500));
+        }
+        crate::assert_rejects_patched_totals(&s, || Box::new(Sfq::with_defaults()));
     }
 
     #[test]

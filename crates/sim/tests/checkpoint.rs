@@ -4,9 +4,12 @@
 //! deterministic; and the replay harness must reproduce the run under full
 //! observability.
 
+use bundler_cc::{BundleAlg, EndhostAlg};
 use bundler_obs::stream::{self, StreamSink};
 use bundler_obs::{FlowTrace, ObsLevel};
+use bundler_sched::Policy;
 use bundler_sim::fault::{FaultKind, FaultPlan};
+use bundler_sim::scenario::fct::{FctScenario, SendboxMode};
 use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::workload::FlowSpec;
@@ -34,6 +37,15 @@ fn setup(seed: u64, faults: Option<FaultPlan>) -> (SimulationConfig, Vec<FlowSpe
 
 fn digest(config: &SimulationConfig, workload: &[FlowSpec]) -> SimStats {
     SimStats::of(&Simulation::new(config.clone(), workload.to_vec()).run())
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
 }
 
 #[test]
@@ -235,14 +247,6 @@ fn snapshot_wire_format_is_stable() {
         3,
         "snapshot::VERSION changed — re-pin this test's golden hash for the new format"
     );
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    }
     let config = SimulationConfig {
         duration: Duration::from_secs(1),
         checkpoint_every: Some(Duration::from_millis(250)),
@@ -351,4 +355,178 @@ fn restore_is_total_over_truncated_and_overwritten_snapshots() {
             patched[at..at + 8].copy_from_slice(&blob[at..at + 8]);
         }
     }
+}
+
+/// One world of the checkpoint matrix: what it covers, how to build it, and
+/// the `(len, FNV-1a)` of its middle checkpoint.
+struct World {
+    name: &'static str,
+    build: fn() -> (SimulationConfig, Vec<FlowSpec>),
+    pin: (usize, u64),
+}
+
+/// A Figure 9 request world on one bundle, three seconds long, or — `big` —
+/// the size at which queued packets and their refs paired up differently in
+/// a restored FairQueue when its walk followed map order: 4 000 requests,
+/// four bulk flows and 120 Mbit/s offered for eight seconds.
+fn fct(mode: SendboxMode, alg: EndhostAlg, big: bool) -> (SimulationConfig, Vec<FlowSpec>) {
+    let (requests, bulk, load, secs) = if big {
+        (4_000, 4, 120, 8)
+    } else {
+        (400, 2, 90, 3)
+    };
+    let sc = FctScenario::builder()
+        .requests(requests)
+        .background_bulk_flows(bulk)
+        .offered_load(Rate::from_mbps(load))
+        .mode(mode)
+        .endhost_alg(alg)
+        .seed(9)
+        .build();
+    let mut config = sc.sim_config();
+    config.duration = Duration::from_secs(secs);
+    (config, sc.workload())
+}
+
+fn worlds() -> Vec<World> {
+    use EndhostAlg::{Cubic, FixedWindow, NewReno, Vegas};
+    use SendboxMode::{BundlerAlg, BundlerPolicy, InNetwork};
+    vec![
+        World {
+            name: "bundler fifo (nimbus, cubic)",
+            build: || fct(BundlerPolicy(Policy::Fifo), Cubic, false),
+            pin: (278_961, 0xe83e_ee11_da0c_97e7),
+        },
+        World {
+            name: "bundler sfq",
+            build: || fct(BundlerPolicy(Policy::Sfq), Cubic, false),
+            pin: (287_584, 0x5ff3_b53d_fc26_b0b5),
+        },
+        World {
+            name: "bundler fq_codel",
+            build: || fct(BundlerPolicy(Policy::FqCodel), Cubic, false),
+            pin: (245_318, 0x634f_e2e8_e2b7_3841),
+        },
+        World {
+            name: "bundler fq",
+            build: || fct(BundlerPolicy(Policy::FairQueue), Cubic, true),
+            pin: (1_279_357, 0xdd5c_c1d1_a9af_e138),
+        },
+        World {
+            name: "bundler drr",
+            build: || fct(BundlerPolicy(Policy::Drr), Cubic, false),
+            pin: (284_601, 0xb4d8_a6e0_c882_59a4),
+        },
+        World {
+            name: "in-network fq",
+            build: || fct(InNetwork, Cubic, true),
+            pin: (1_228_563, 0x0679_57f5_a9ef_c409),
+        },
+        World {
+            name: "bundle cc copa",
+            build: || fct(BundlerAlg(BundleAlg::Copa), Cubic, false),
+            pin: (218_159, 0xa0e9_dbc9_90d3_0d1e),
+        },
+        World {
+            name: "bundle cc bbr",
+            build: || fct(BundlerAlg(BundleAlg::Bbr), Cubic, false),
+            pin: (280_645, 0x2c60_cb1c_f577_5f64),
+        },
+        World {
+            name: "endhost newreno",
+            build: || fct(BundlerPolicy(Policy::Sfq), NewReno, false),
+            pin: (280_726, 0xfd4f_05c2_ea88_9121),
+        },
+        World {
+            name: "endhost vegas",
+            build: || fct(BundlerPolicy(Policy::Sfq), Vegas, false),
+            pin: (193_956, 0xf1c1_ad45_d2ef_c208),
+        },
+        World {
+            name: "endhost fixed window",
+            build: || fct(BundlerPolicy(Policy::Sfq), FixedWindow(40), false),
+            pin: (145_301, 0x592b_6cea_9e82_bc59),
+        },
+        World {
+            name: "agent many_sites + faults",
+            build: || {
+                let sc = scenario(37);
+                let duration = sc.sim_config().duration;
+                setup(37, Some(FaultPlan::generate(37, duration, 1)))
+            },
+            pin: (139_602, 0xc91d_a043_320d_8521),
+        },
+        World {
+            name: "metro fluid",
+            build: || {
+                use bundler_sim::fluid::CrossTrafficTier;
+                use bundler_sim::scenario::metro::MetroScenario;
+                let sc = MetroScenario::builder()
+                    .sites(2)
+                    .users_per_site(100)
+                    .requests_per_site(4)
+                    .bottleneck(Rate::from_mbps(40))
+                    .drain(Duration::from_secs(2))
+                    .tier(CrossTrafficTier::Fluid)
+                    .seed(37)
+                    .build();
+                let mut config = sc.sim_config();
+                config.num_paths = 2;
+                config.path_delay_spread = Duration::from_millis(5);
+                (config, sc.workload())
+            },
+            pin: (233_199, 0x6c0d_7f2c_72fb_f7ea),
+        },
+        World {
+            name: "flow trace",
+            build: || {
+                let (mut config, workload) = fct(BundlerPolicy(Policy::Sfq), Cubic, false);
+                config.obs = ObsLevel::Full;
+                config.flow_trace = Some(FlowTrace::all(9));
+                (config, workload)
+            },
+            pin: (287_741, 0x767e_a259_be90_b0e5),
+        },
+    ]
+}
+
+/// Every checkpoint layout, pinned: each world of [`worlds`] restores at
+/// every checkpoint (debug builds restore every third) to the uninterrupted
+/// run's `SimStats`, and its middle checkpoint has the pinned length and
+/// FNV-1a hash — so a layout change anywhere in the codec shows here, not
+/// only in the two goldens.
+#[test]
+fn checkpoint_matrix_restores_every_world_and_pins_its_bytes() {
+    let stride = if cfg!(debug_assertions) { 3 } else { 1 };
+    let mut failures = Vec::new();
+    for world in worlds() {
+        let (mut config, workload) = (world.build)();
+        config.checkpoint_every = Some(Duration::from_millis(500));
+        let mut ckpts = Vec::new();
+        let baseline = SimStats::of(
+            &Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts),
+        );
+        assert!(
+            ckpts.len() >= 3,
+            "{}: {} checkpoints",
+            world.name,
+            ckpts.len()
+        );
+        let mid = &ckpts[ckpts.len() / 2].1;
+        let pin = (mid.len(), fnv1a64(mid));
+        if pin != world.pin {
+            failures.push(format!(
+                "{}: middle checkpoint is ({}, {:#x})",
+                world.name, pin.0, pin.1
+            ));
+        }
+        for (at, bytes) in ckpts.iter().step_by(stride) {
+            let sim = Simulation::restore(config.clone(), workload.clone(), bytes)
+                .unwrap_or_else(|e| panic!("{}: restore at {at:?}: {e}", world.name));
+            if SimStats::of(&sim.run()) != baseline {
+                failures.push(format!("{}: restore at {at:?} diverged", world.name));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -17,7 +17,7 @@
 use bundler_core::feedback::{BundleId, CongestionAck};
 use bundler_core::{BundlerConfig, Sendbox, SendboxOutput, SendboxTelemetry};
 use bundler_types::{Duration, FlowKey, IdHashMap, IpPrefix, Nanos, Packet};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::classifier::PrefixClassifier;
 use crate::telemetry::{AgentTelemetry, BundleTelemetry};
@@ -70,29 +70,9 @@ impl std::ops::AddAssign for AgentStats {
     }
 }
 
-impl Encode for AgentStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.packets_classified.encode(out);
-        self.packets_unclassified.encode(out);
-        self.acks_delivered.encode(out);
-        self.acks_unknown.encode(out);
-        self.ticks_run.encode(out);
-        self.advances.encode(out);
-    }
-}
-
-impl Decode for AgentStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(AgentStats {
-            packets_classified: u64::decode(r)?,
-            packets_unclassified: u64::decode(r)?,
-            acks_delivered: u64::decode(r)?,
-            acks_unknown: u64::decode(r)?,
-            ticks_run: u64::decode(r)?,
-            advances: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value AgentStats {
+    packets_classified, packets_unclassified, acks_delivered, acks_unknown, ticks_run, advances,
+});
 
 /// The result of one due control tick.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -177,33 +177,11 @@ impl BundleCc for Bbr {
     fn name(&self) -> &'static str {
         "bbr"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.max_bw.save_state(out);
-        self.min_rtt.save_state(out);
-        self.phase.encode(out);
-        self.full_bw.encode(out);
-        self.full_bw_rounds.encode(out);
-        self.cycle_index.encode(out);
-        self.cycle_start.encode(out);
-        self.last_rate.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.max_bw.load_state(r)?;
-        self.min_rtt.load_state(r)?;
-        self.phase = Phase::decode(r)?;
-        self.full_bw = Rate::decode(r)?;
-        self.full_bw_rounds = u32::decode(r)?;
-        self.cycle_index = usize::decode(r)?;
-        if self.cycle_index >= PROBE_GAINS.len() {
-            return Err(r.error("bbr cycle index out of range"));
-        }
-        self.cycle_start = Nanos::decode(r)?;
-        self.last_rate = Rate::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state Bbr {
+    max_bw, min_rtt, phase, full_bw, full_bw_rounds, cycle_index, cycle_start, last_rate,
+} check |bbr| bbr.cycle_index < PROBE_GAINS.len(), "bbr cycle index out of range");
 
 /// Window-based BBR model for simulated endhosts.
 #[derive(Debug)]
@@ -322,33 +300,11 @@ impl WindowCc for BbrWindow {
     fn name(&self) -> &'static str {
         "bbr"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.max_bw.save_state(out);
-        self.min_rtt.save_state(out);
-        self.phase.encode(out);
-        self.full_bw.encode(out);
-        self.full_bw_rounds.encode(out);
-        self.cycle_index.encode(out);
-        self.cycle_start.encode(out);
-        self.cwnd.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.max_bw.load_state(r)?;
-        self.min_rtt.load_state(r)?;
-        self.phase = Phase::decode(r)?;
-        self.full_bw = f64::decode(r)?;
-        self.full_bw_rounds = u32::decode(r)?;
-        self.cycle_index = usize::decode(r)?;
-        if self.cycle_index >= PROBE_GAINS.len() {
-            return Err(r.error("bbr cycle index out of range"));
-        }
-        self.cycle_start = Nanos::decode(r)?;
-        self.cwnd = u64::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state BbrWindow {
+    max_bw, min_rtt, phase, full_bw, full_bw_rounds, cycle_index, cycle_start, cwnd,
+} check |bbr| bbr.cycle_index < PROBE_GAINS.len(), "bbr cycle index out of range");
 
 #[cfg(test)]
 mod tests {

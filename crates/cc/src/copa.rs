@@ -253,32 +253,12 @@ impl BundleCc for Copa {
     fn name(&self) -> &'static str {
         "copa"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.cwnd_bytes.encode(out);
-        self.velocity.encode(out);
-        self.direction.encode(out);
-        self.same_direction_count.encode(out);
-        self.last_velocity_update.encode(out);
-        self.min_rtt.save_state(out);
-        self.standing_rtt.save_state(out);
-        self.last_rate.encode(out);
-        self.last_update.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cwnd_bytes = f64::decode(r)?;
-        self.velocity = f64::decode(r)?;
-        self.direction = Decode::decode(r)?;
-        self.same_direction_count = u32::decode(r)?;
-        self.last_velocity_update = Decode::decode(r)?;
-        self.min_rtt.load_state(r)?;
-        self.standing_rtt.load_state(r)?;
-        self.last_rate = Rate::decode(r)?;
-        self.last_update = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state Copa {
+    cwnd_bytes, velocity, direction, same_direction_count, last_velocity_update, min_rtt,
+    standing_rtt, last_rate, last_update,
+});
 
 #[cfg(test)]
 mod tests {

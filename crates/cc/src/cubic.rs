@@ -7,7 +7,6 @@
 //! avoidance.
 
 use bundler_types::Nanos;
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::{AckEvent, LossEvent, WindowCc};
 
@@ -115,26 +114,9 @@ impl WindowCc for Cubic {
     fn name(&self) -> &'static str {
         "cubic"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.cwnd.encode(out);
-        self.ssthresh.encode(out);
-        self.w_max.encode(out);
-        self.epoch_start.encode(out);
-        self.k.encode(out);
-        self.in_recovery_until.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cwnd = f64::decode(r)?;
-        self.ssthresh = f64::decode(r)?;
-        self.w_max = f64::decode(r)?;
-        self.epoch_start = Decode::decode(r)?;
-        self.k = f64::decode(r)?;
-        self.in_recovery_until = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state Cubic { cwnd, ssthresh, w_max, epoch_start, k, in_recovery_until });
 
 #[cfg(test)]
 mod tests {

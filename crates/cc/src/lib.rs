@@ -29,7 +29,7 @@ pub mod vegas;
 pub mod windowed;
 
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 /// One round of congestion signals measured over (roughly) an RTT.
 ///
@@ -61,31 +61,9 @@ impl Measurement {
     }
 }
 
-impl Encode for Measurement {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.now.encode(out);
-        self.rtt.encode(out);
-        self.min_rtt.encode(out);
-        self.send_rate.encode(out);
-        self.recv_rate.encode(out);
-        self.acked_bytes.encode(out);
-        self.lost_samples.encode(out);
-    }
-}
-
-impl Decode for Measurement {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Measurement {
-            now: Nanos::decode(r)?,
-            rtt: Duration::decode(r)?,
-            min_rtt: Duration::decode(r)?,
-            send_rate: Rate::decode(r)?,
-            recv_rate: Rate::decode(r)?,
-            acked_bytes: u64::decode(r)?,
-            lost_samples: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value Measurement {
+    now, rtt, min_rtt, send_rate, recv_rate, acked_bytes, lost_samples,
+});
 
 /// A rate update produced by a bundle congestion controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,8 +79,11 @@ pub struct RateUpdate {
 /// outputs a pacing rate.
 ///
 /// Implementations must be deterministic functions of the measurement stream
-/// so that simulation runs are reproducible.
-pub trait BundleCc: Send {
+/// so that simulation runs are reproducible. Their [`State`] is the dynamic
+/// part only — bounds, filter windows and gains are configuration: restore
+/// builds the controller from the same [`BundleAlg`] first, then loads it,
+/// so simulation checkpoints resume bit-identically.
+pub trait BundleCc: Send + State {
     /// Called roughly once per 10 ms (the paper's control interval) with the
     /// latest measurement; returns the new pacing rate.
     fn on_measurement(&mut self, m: &Measurement) -> RateUpdate;
@@ -117,17 +98,6 @@ pub trait BundleCc: Send {
 
     /// Human-readable algorithm name.
     fn name(&self) -> &'static str;
-
-    /// Appends the controller's dynamic state to a snapshot byte stream.
-    /// Configuration (bounds, filter windows, gains) is not written: restore
-    /// constructs the controller from the same [`BundleAlg`] first, then
-    /// calls [`BundleCc::load_state`]. Every controller must support this so
-    /// simulation checkpoints resume bit-identically.
-    fn save_state(&self, out: &mut Vec<u8>);
-
-    /// Restores state written by [`BundleCc::save_state`] into a freshly
-    /// built controller of the same algorithm and configuration.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError>;
 }
 
 /// Signals delivered to a window-based (endhost) congestion controller for
@@ -158,8 +128,10 @@ pub struct LossEvent {
     pub is_timeout: bool,
 }
 
-/// A window-based congestion controller, as run by endhost TCP senders.
-pub trait WindowCc: Send {
+/// A window-based congestion controller, as run by endhost TCP senders. Its
+/// [`State`] leaves out configuration (MSS, constants): restore builds the
+/// controller from the same [`EndhostAlg`] first, then loads it.
+pub trait WindowCc: Send + State {
     /// Congestion window in bytes.
     fn cwnd(&self) -> u64;
 
@@ -176,16 +148,26 @@ pub trait WindowCc: Send {
 
     /// Human-readable algorithm name.
     fn name(&self) -> &'static str;
+}
 
-    /// Appends the controller's dynamic state to a snapshot byte stream.
-    /// Configuration (MSS, constants) is not written: restore constructs the
-    /// controller from the same [`EndhostAlg`] first, then calls
-    /// [`WindowCc::load_state`].
-    fn save_state(&self, out: &mut Vec<u8>);
+impl State for Box<dyn BundleCc> {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        (**self).save_state(out)
+    }
 
-    /// Restores state written by [`WindowCc::save_state`] into a freshly
-    /// built controller of the same algorithm and configuration.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError>;
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        (**self).load_state(r)
+    }
+}
+
+impl State for Box<dyn WindowCc> {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        (**self).save_state(out)
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        (**self).load_state(r)
+    }
 }
 
 /// Endhost congestion-control algorithm selector used by the simulator and
@@ -310,6 +292,8 @@ struct FixedWindow {
     cwnd: u64,
 }
 
+serde::layout!(state FixedWindow { cwnd });
+
 impl WindowCc for FixedWindow {
     fn cwnd(&self) -> u64 {
         self.cwnd
@@ -318,13 +302,6 @@ impl WindowCc for FixedWindow {
     fn on_loss(&mut self, _ev: &LossEvent) {}
     fn name(&self) -> &'static str {
         "fixed"
-    }
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.cwnd.encode(out);
-    }
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cwnd = u64::decode(r)?;
-        Ok(())
     }
 }
 

@@ -281,27 +281,6 @@ impl ElasticityDetector {
         self.last_fft_ratio
     }
 
-    /// Appends the detector's dynamic state to a snapshot byte stream (the
-    /// configuration is not written; restore constructs the detector with
-    /// the same [`ElasticityConfig`] first).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.cross_samples.encode(out);
-        self.mu_filter.save_state(out);
-        self.total_samples.encode(out);
-        self.last_fft_ratio.encode(out);
-        self.last_verdict.encode(out);
-    }
-
-    /// Restores state written by [`ElasticityDetector::save_state`].
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cross_samples = Decode::decode(r)?;
-        self.mu_filter.load_state(r)?;
-        self.total_samples = u64::decode(r)?;
-        self.last_fft_ratio = f64::decode(r)?;
-        self.last_verdict = CrossTrafficVerdict::decode(r)?;
-        Ok(())
-    }
-
     /// Decision based on spectral energy at the pulse frequency.
     fn fft_verdict(&mut self) -> CrossTrafficVerdict {
         if self.cross_samples.len() < self.config.fft_window {
@@ -365,6 +344,12 @@ impl ElasticityDetector {
         }
     }
 }
+
+// The configuration is not written: restore builds the detector with the
+// same `ElasticityConfig` first.
+serde::layout!(state ElasticityDetector {
+    cross_samples, mu_filter, total_samples, last_fft_ratio, last_verdict,
+});
 
 /// Configuration for the [`Nimbus`] BasicDelay rate controller.
 #[derive(Debug, Clone, Copy)]
@@ -480,18 +465,9 @@ impl BundleCc for Nimbus {
     fn name(&self) -> &'static str {
         "nimbus"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.mu_filter.save_state(out);
-        self.last_rate.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.mu_filter.load_state(r)?;
-        self.last_rate = Rate::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state Nimbus { mu_filter, last_rate });
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,6 @@
 //! remain").
 
 use bundler_types::Nanos;
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::{AckEvent, LossEvent, WindowCc};
 
@@ -77,20 +76,9 @@ impl WindowCc for NewReno {
     fn name(&self) -> &'static str {
         "newreno"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.cwnd.encode(out);
-        self.ssthresh.encode(out);
-        self.in_recovery_until.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cwnd = f64::decode(r)?;
-        self.ssthresh = f64::decode(r)?;
-        self.in_recovery_until = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state NewReno { cwnd, ssthresh, in_recovery_until });
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,6 @@
 //! delay-controlling scheme that competes poorly with loss-based flows,
 //! which motivates Bundler's cross-traffic detection.
 
-use serde::binary::{Decode, DecodeError, Encode, Reader};
-
 use crate::{AckEvent, LossEvent, WindowCc};
 
 /// Vegas congestion controller.
@@ -86,18 +84,9 @@ impl WindowCc for Vegas {
     fn name(&self) -> &'static str {
         "vegas"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.cwnd.encode(out);
-        self.ssthresh.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cwnd = f64::decode(r)?;
-        self.ssthresh = f64::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state Vegas { cwnd, ssthresh });
 
 #[cfg(test)]
 mod tests {

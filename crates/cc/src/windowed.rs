@@ -6,7 +6,7 @@
 //! insert and query are amortized O(1).
 
 use bundler_types::{Duration, Nanos};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{Decode, Encode};
 use std::collections::VecDeque;
 
 /// A windowed extremum filter.
@@ -102,20 +102,8 @@ impl<T: PartialOrd + Copy> WindowedFilter<T> {
     }
 }
 
-impl<T: PartialOrd + Copy + Encode + Decode> WindowedFilter<T> {
-    /// Appends the filter's samples to a snapshot byte stream. The window
-    /// length and extremum direction are configuration, not state.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.samples.encode(out);
-    }
-
-    /// Restores samples written by [`WindowedFilter::save_state`] into a
-    /// filter constructed with the same window and direction.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.samples = Decode::decode(r)?;
-        Ok(())
-    }
-}
+// The window length and extremum direction are configuration.
+serde::layout!(state WindowedFilter<T> where [T: Encode + Decode] { samples });
 
 /// An exponentially weighted moving average with configurable gain.
 #[derive(Debug, Clone, Copy)]
@@ -150,19 +138,10 @@ impl Ewma {
     pub fn reset(&mut self) {
         self.value = None;
     }
-
-    /// Appends the smoothed value to a snapshot byte stream (the gain is
-    /// configuration).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.value.encode(out);
-    }
-
-    /// Restores the smoothed value written by [`Ewma::save_state`].
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.value = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+// The gain is configuration.
+serde::layout!(state Ewma { value });
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,6 @@
 //! lost epoch-size update cannot desynchronize the two boxes.
 
 use bundler_types::{Duration, Packet, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::fnv::Fnv1a;
 
@@ -73,25 +72,7 @@ pub struct BoundaryRecord {
     pub packets_sent: u64,
 }
 
-impl Encode for BoundaryRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.hash.encode(out);
-        self.sent_at.encode(out);
-        self.bytes_sent.encode(out);
-        self.packets_sent.encode(out);
-    }
-}
-
-impl Decode for BoundaryRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BoundaryRecord {
-            hash: u64::decode(r)?,
-            sent_at: Decode::decode(r)?,
-            bytes_sent: u64::decode(r)?,
-            packets_sent: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value BoundaryRecord { hash, sent_at, bytes_sent, packets_sent });
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,6 @@
 //! byte/packet counters, which is all the sendbox needs to compute RTT and
 //! receive rate.
 
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
 
 use bundler_types::Nanos;
@@ -88,55 +87,11 @@ impl CongestionAck {
     }
 }
 
-impl Encode for BundleId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for BundleId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BundleId(u32::decode(r)?))
-    }
-}
-
-impl Encode for CongestionAck {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.bundle.encode(out);
-        self.packet_hash.encode(out);
-        self.bytes_received.encode(out);
-        self.packets_received.encode(out);
-        self.observed_at.encode(out);
-    }
-}
-
-impl Decode for CongestionAck {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(CongestionAck {
-            bundle: BundleId::decode(r)?,
-            packet_hash: u64::decode(r)?,
-            bytes_received: u64::decode(r)?,
-            packets_received: u64::decode(r)?,
-            observed_at: Nanos::decode(r)?,
-        })
-    }
-}
-
-impl Encode for EpochSizeUpdate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.bundle.encode(out);
-        self.epoch_size.encode(out);
-    }
-}
-
-impl Decode for EpochSizeUpdate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EpochSizeUpdate {
-            bundle: BundleId::decode(r)?,
-            epoch_size: u32::decode(r)?,
-        })
-    }
-}
+serde::layout!(value BundleId { 0 });
+serde::layout!(value CongestionAck {
+    bundle, packet_hash, bytes_received, packets_received, observed_at,
+});
+serde::layout!(value EpochSizeUpdate { bundle, epoch_size });
 
 impl EpochSizeUpdate {
     /// Serializes to a compact fixed-layout byte vector.

@@ -22,7 +22,6 @@ use std::collections::VecDeque;
 
 use bundler_cc::Measurement;
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::epoch::BoundaryRecord;
 use crate::feedback::CongestionAck;
@@ -70,27 +69,7 @@ pub struct EpochSample {
     pub acked_bytes: u64,
 }
 
-impl Encode for EpochSample {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at.encode(out);
-        self.rtt.encode(out);
-        self.send_rate.encode(out);
-        self.recv_rate.encode(out);
-        self.acked_bytes.encode(out);
-    }
-}
-
-impl Decode for EpochSample {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EpochSample {
-            at: Nanos::decode(r)?,
-            rtt: Duration::decode(r)?,
-            send_rate: Decode::decode(r)?,
-            recv_rate: Decode::decode(r)?,
-            acked_bytes: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value EpochSample { at, rtt, send_rate, recv_rate, acked_bytes });
 
 /// Counters describing measurement-plane health.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,29 +88,9 @@ pub struct MeasurementStats {
     pub records_expired: u64,
 }
 
-impl Encode for MeasurementStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.boundaries_recorded.encode(out);
-        self.acks_matched.encode(out);
-        self.acks_unmatched.encode(out);
-        self.in_order.encode(out);
-        self.out_of_order.encode(out);
-        self.records_expired.encode(out);
-    }
-}
-
-impl Decode for MeasurementStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(MeasurementStats {
-            boundaries_recorded: u64::decode(r)?,
-            acks_matched: u64::decode(r)?,
-            acks_unmatched: u64::decode(r)?,
-            in_order: u64::decode(r)?,
-            out_of_order: u64::decode(r)?,
-            records_expired: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value MeasurementStats {
+    boundaries_recorded, acks_matched, acks_unmatched, in_order, out_of_order, records_expired,
+});
 
 /// The sendbox-side measurement engine.
 #[derive(Debug)]
@@ -384,34 +343,14 @@ impl MeasurementEngine {
     pub fn reset_window(&mut self) {
         self.samples.clear();
     }
-
-    /// Serializes the engine's dynamic state (everything except the
-    /// construction-time constants `max_outstanding` and `window`).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.outstanding.encode(out);
-        self.last_acked_send.encode(out);
-        self.last_acked_recv.encode(out);
-        self.last_acked_sent_at.encode(out);
-        self.samples.encode(out);
-        self.min_rtt.encode(out);
-        self.last_ack_at.encode(out);
-        self.stats.encode(out);
-    }
-
-    /// Restores state saved by [`MeasurementEngine::save_state`] into a
-    /// freshly constructed engine.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.outstanding = Decode::decode(r)?;
-        self.last_acked_send = Decode::decode(r)?;
-        self.last_acked_recv = Decode::decode(r)?;
-        self.last_acked_sent_at = Decode::decode(r)?;
-        self.samples = Decode::decode(r)?;
-        self.min_rtt = Decode::decode(r)?;
-        self.last_ack_at = Decode::decode(r)?;
-        self.stats = MeasurementStats::decode(r)?;
-        Ok(())
-    }
 }
+
+// Everything but the construction-time constants `max_outstanding` and
+// `window`.
+serde::layout!(state MeasurementEngine {
+    outstanding, last_acked_send, last_acked_recv, last_acked_sent_at, samples, min_rtt,
+    last_ack_at, stats,
+});
 
 #[cfg(test)]
 mod tests {

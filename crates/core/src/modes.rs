@@ -311,39 +311,6 @@ impl ModeController {
         self.current_rate
     }
 
-    /// Serializes the controller's full dynamic state, including the boxed
-    /// congestion controller's (via [`BundleCc::save_state`]).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.cc.save_state(out);
-        self.detector.save_state(out);
-        self.pi.save_state(out);
-        self.multipath.save_state(out);
-        self.mode.encode(out);
-        self.mu_filter.save_state(out);
-        self.elastic_since.encode(out);
-        self.inelastic_since.encode(out);
-        self.current_rate.encode(out);
-        self.transitions.encode(out);
-        self.degraded.encode(out);
-    }
-
-    /// Restores state saved by [`ModeController::save_state`] into a
-    /// controller freshly built from the same configuration.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cc.load_state(r)?;
-        self.detector.load_state(r)?;
-        self.pi.load_state(r)?;
-        self.multipath.load_state(r)?;
-        self.mode = Mode::decode(r)?;
-        self.mu_filter.load_state(r)?;
-        self.elastic_since = Decode::decode(r)?;
-        self.inelastic_since = Decode::decode(r)?;
-        self.current_rate = Rate::decode(r)?;
-        self.transitions = Decode::decode(r)?;
-        self.degraded = bool::decode(r)?;
-        Ok(())
-    }
-
     fn track_verdict(&mut self, verdict: CrossTrafficVerdict, now: Nanos) {
         match verdict {
             CrossTrafficVerdict::Elastic => {
@@ -367,6 +334,13 @@ impl ModeController {
         }
     }
 }
+
+// The configuration is not written: restore builds the controller — and its
+// boxed congestion controller — from the same configuration first.
+serde::layout!(state ModeController {
+    cc, detector, pi, multipath, mode, mu_filter, elastic_since, inelastic_since, current_rate,
+    transitions, degraded,
+});
 
 #[cfg(test)]
 mod tests {

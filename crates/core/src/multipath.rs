@@ -13,7 +13,6 @@
 use std::collections::VecDeque;
 
 use bundler_types::Nanos;
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::measurement::AckOrdering;
 
@@ -114,27 +113,12 @@ impl MultipathDetector {
     pub fn samples(&self) -> u64 {
         self.total_seen
     }
-
-    /// Serializes the detector's dynamic state (the config is rebuilt at
-    /// construction time).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.recent.encode(out);
-        self.out_of_order_in_window.encode(out);
-        self.total_seen.encode(out);
-        self.total_out_of_order.encode(out);
-        self.last_update.encode(out);
-    }
-
-    /// Restores state saved by [`MultipathDetector::save_state`].
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.recent = Decode::decode(r)?;
-        self.out_of_order_in_window = Decode::decode(r)?;
-        self.total_seen = u64::decode(r)?;
-        self.total_out_of_order = u64::decode(r)?;
-        self.last_update = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+// The config is rebuilt at construction time.
+serde::layout!(state MultipathDetector {
+    recent, out_of_order_in_window, total_seen, total_out_of_order, last_update,
+});
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,6 @@
 //! rate decreases to let it build.
 
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Configuration of the pass-through queue controller.
 #[derive(Debug, Clone, Copy)]
@@ -117,23 +116,10 @@ impl PiController {
         self.last_update = Some(now);
         self.rate
     }
-
-    /// Serializes the controller's dynamic state (the config is rebuilt at
-    /// construction time).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.rate.encode(out);
-        self.last_queue_delay.encode(out);
-        self.last_update.encode(out);
-    }
-
-    /// Restores state saved by [`PiController::save_state`].
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.rate = Rate::decode(r)?;
-        self.last_queue_delay = Decode::decode(r)?;
-        self.last_update = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+// The config is rebuilt at construction time.
+serde::layout!(state PiController { rate, last_queue_delay, last_update });
 
 #[cfg(test)]
 mod tests {

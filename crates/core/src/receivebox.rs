@@ -7,7 +7,6 @@
 //! state whatsoever.
 
 use bundler_types::{Nanos, Packet};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::epoch::{epoch_hash, is_boundary};
 use crate::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
@@ -25,25 +24,7 @@ pub struct ReceiveboxStats {
     pub epoch_updates: u64,
 }
 
-impl Encode for ReceiveboxStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.packets.encode(out);
-        self.bytes.encode(out);
-        self.acks_sent.encode(out);
-        self.epoch_updates.encode(out);
-    }
-}
-
-impl Decode for ReceiveboxStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ReceiveboxStats {
-            packets: u64::decode(r)?,
-            bytes: u64::decode(r)?,
-            acks_sent: u64::decode(r)?,
-            epoch_updates: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value ReceiveboxStats { packets, bytes, acks_sent, epoch_updates });
 
 /// The receivebox for one bundle.
 #[derive(Debug)]
@@ -121,25 +102,11 @@ impl Receivebox {
         self.epoch_size = update.epoch_size;
         self.stats.epoch_updates += 1;
     }
-
-    /// Serializes the receivebox's dynamic state (the bundle id is rebuilt
-    /// at construction time).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.epoch_size.encode(out);
-        self.stats.encode(out);
-    }
-
-    /// Restores state saved by [`Receivebox::save_state`].
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        let epoch_size = u32::decode(r)?;
-        if !epoch_size.is_power_of_two() {
-            return Err(r.error("receivebox epoch size not a power of two"));
-        }
-        self.epoch_size = epoch_size;
-        self.stats = ReceiveboxStats::decode(r)?;
-        Ok(())
-    }
 }
+
+// The bundle id is configuration.
+serde::layout!(state Receivebox { epoch_size, stats } check |rb| rb.epoch_size.is_power_of_two(),
+    "receivebox epoch size not a power of two");
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,6 @@
 use bundler_cc::windowed::Ewma;
 use bundler_cc::Measurement;
 use bundler_types::{Duration, Nanos, Packet, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::config::BundlerConfig;
 use crate::epoch::{self, BoundaryRecord};
@@ -54,31 +53,9 @@ pub struct SendboxStats {
     pub feedback_timeouts: u64,
 }
 
-impl Encode for SendboxStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.packets_sent.encode(out);
-        self.bytes_sent.encode(out);
-        self.boundaries.encode(out);
-        self.acks_received.encode(out);
-        self.ticks.encode(out);
-        self.epoch_changes.encode(out);
-        self.feedback_timeouts.encode(out);
-    }
-}
-
-impl Decode for SendboxStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SendboxStats {
-            packets_sent: u64::decode(r)?,
-            bytes_sent: u64::decode(r)?,
-            boundaries: u64::decode(r)?,
-            acks_received: u64::decode(r)?,
-            ticks: u64::decode(r)?,
-            epoch_changes: u64::decode(r)?,
-            feedback_timeouts: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value SendboxStats {
+    packets_sent, bytes_sent, boundaries, acks_received, ticks, epoch_changes, feedback_timeouts,
+});
 
 impl std::ops::AddAssign for SendboxStats {
     fn add_assign(&mut self, rhs: SendboxStats) {
@@ -346,34 +323,6 @@ impl Sendbox {
         }
     }
 
-    /// Serializes the sendbox's full control-plane state (measurement
-    /// engine, mode controller with its congestion controller, epoch-size
-    /// control and counters). The `config` and `bundle` id are not included:
-    /// restore rebuilds the sendbox from the same configuration via
-    /// [`Sendbox::new`] and then calls [`Sendbox::load_state`].
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.engine.save_state(out);
-        self.modes.save_state(out);
-        self.epoch_size.encode(out);
-        self.avg_packet_size.save_state(out);
-        self.stats.encode(out);
-        self.last_feedback_timeout_at.encode(out);
-        self.last_measurement.encode(out);
-    }
-
-    /// Restores state saved by [`Sendbox::save_state`] into a sendbox
-    /// freshly built with the same configuration.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.engine.load_state(r)?;
-        self.modes.load_state(r)?;
-        self.epoch_size = u32::decode(r)?;
-        self.avg_packet_size.load_state(r)?;
-        self.stats = SendboxStats::decode(r)?;
-        self.last_feedback_timeout_at = Decode::decode(r)?;
-        self.last_measurement = Decode::decode(r)?;
-        Ok(())
-    }
-
     fn maybe_update_epoch_size(&mut self, rate: Rate) -> Option<EpochSizeUpdate> {
         let min_rtt = self.engine.min_rtt()?;
         let avg_pkt = self.avg_packet_size.get().unwrap_or(1500.0).max(64.0) as u64;
@@ -396,11 +345,18 @@ impl Sendbox {
     }
 }
 
+// The `config` and `bundle` id are not written: restore rebuilds the sendbox
+// from the same configuration with `Sendbox::new`, then loads this.
+serde::layout!(state Sendbox {
+    engine, modes, epoch_size, avg_packet_size, stats, last_feedback_timeout_at, last_measurement,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::receivebox::Receivebox;
     use bundler_types::{flow::ipv4, FlowId, FlowKey};
+    use serde::binary::State;
 
     fn config() -> BundlerConfig {
         BundlerConfig::default()

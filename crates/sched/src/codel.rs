@@ -96,37 +96,6 @@ impl CodelState {
         self.dropping
     }
 
-    /// Appends the machine's dynamic state to a snapshot stream. `target`
-    /// and `interval` are configuration, re-established at construction.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use serde::binary::Encode;
-        self.first_above_time.encode(out);
-        self.dropping.encode(out);
-        self.drop_next.encode(out);
-        self.count.encode(out);
-        self.last_count.encode(out);
-        self.total_drops.encode(out);
-        self.drop_entries.encode(out);
-        self.drop_exits.encode(out);
-    }
-
-    /// Restores state written by [`CodelState::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        self.first_above_time = Decode::decode(r)?;
-        self.dropping = bool::decode(r)?;
-        self.drop_next = Nanos::decode(r)?;
-        self.count = u32::decode(r)?;
-        self.last_count = u32::decode(r)?;
-        self.total_drops = u64::decode(r)?;
-        self.drop_entries = u64::decode(r)?;
-        self.drop_exits = u64::decode(r)?;
-        Ok(())
-    }
-
     fn control_law(&self, t: Nanos) -> Nanos {
         // interval / sqrt(count)
         let denom = (self.count.max(1) as f64).sqrt();
@@ -186,6 +155,12 @@ impl CodelState {
         }
     }
 }
+
+// `target` and `interval` are configuration, re-established at construction.
+serde::layout!(state CodelState {
+    first_above_time, dropping, drop_next, count, last_count, total_drops, drop_entries,
+    drop_exits,
+});
 
 /// A CoDel-managed drop-tail FIFO.
 #[derive(Debug)]
@@ -297,33 +272,15 @@ impl Scheduler for Codel {
             *obs
         })
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        self.queue.encode(out);
-        self.bytes.encode(out);
-        self.state.save_state(out);
-        self.stats.encode(out);
-        true
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        self.queue = Decode::decode(r)?;
-        self.bytes = u64::decode(r)?;
-        self.state.load_state(r)?;
-        self.stats = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state Codel { queue, bytes, state, stats });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet};
+    use serde::binary::State;
 
     fn pkt(size: u32) -> Packet {
         Packet::data(
@@ -484,7 +441,7 @@ mod tests {
         assert!(q.aqm_drops() > 0, "want drop state in the snapshot");
 
         let mut bytes = Vec::new();
-        assert!(q.save_state(&mut bytes));
+        q.save_state(&mut bytes);
         // Packets by value in traversal order, as the path layer does.
         let mut pkts = Vec::new();
         q.for_each_pkt_mut(&mut |id| pkts.push(a[*id].clone()));
@@ -499,7 +456,7 @@ mod tests {
         assert!(next.next().is_none(), "restore consumed all packets");
 
         let mut resaved = Vec::new();
-        assert!(q2.save_state(&mut resaved));
+        q2.save_state(&mut resaved);
         assert_eq!(bytes, resaved, "restore must be lossless");
         assert_eq!(q.len_packets(), q2.len_packets());
         assert_eq!(q.len_bytes(), q2.len_bytes());

@@ -9,6 +9,7 @@
 use std::collections::VecDeque;
 
 use bundler_types::{IdHashMap, Nanos, PacketArena, PacketId};
+use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader, State};
 
 use crate::longest::LongestTracker;
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
@@ -37,6 +38,8 @@ struct FlowQueue {
     bytes: u64,
     deficit: i64,
 }
+
+serde::layout!(value FlowQueue { queue, bytes, deficit });
 
 /// Deficit Round Robin scheduler with exact per-flow queues.
 #[derive(Debug)]
@@ -181,62 +184,39 @@ impl Scheduler for Drr {
     fn name(&self) -> &'static str {
         "drr"
     }
+}
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        // Flows are written in active-list order — the canonical traversal —
-        // so map iteration order never leaks into the byte stream. The
-        // active list itself is implied by that order. Stale empty map
-        // entries (left behind by overflow drops) carry no state and are
-        // deliberately not written.
+// Flows go out in active-list order — the canonical traversal — so map
+// iteration order never leaks into the byte stream, and the active list is
+// implied by that order. Stale empty map entries (left behind by overflow
+// drops) carry no state and are not written.
+impl State for Drr {
+    fn save_state(&self, out: &mut Vec<u8>) {
         self.active.len().encode(out);
         for key in &self.active {
-            let fq = &self.flows[key];
             key.encode(out);
-            fq.queue.encode(out);
-            fq.bytes.encode(out);
-            fq.deficit.encode(out);
+            self.flows[key].encode(out);
         }
-        self.total_pkts.encode(out);
-        self.total_bytes.encode(out);
-        self.stats.encode(out);
-        true
+        (self.total_pkts, self.total_bytes, self.stats).encode(out);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        let n = serde::binary::decode_len(r, "drr flow count")?;
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let n = decode_len(r, "drr flow count")?;
         self.flows.clear();
         self.active.clear();
         self.longest = LongestTracker::new();
         for _ in 0..n {
-            let key = u64::decode(r)?;
-            let queue: VecDeque<PktRef> = Decode::decode(r)?;
-            if queue.is_empty() {
+            let (key, fq) = <(u64, FlowQueue)>::decode(r)?;
+            if fq.queue.is_empty() {
                 return Err(r.error("drr active flow has no packets"));
             }
-            let bytes = u64::decode(r)?;
-            let deficit = i64::decode(r)?;
-            self.longest.set(key, queue.len() as u64);
+            self.longest.set(key, fq.queue.len() as u64);
             self.active.push_back(key);
-            let prev = self.flows.insert(
-                key,
-                FlowQueue {
-                    queue,
-                    bytes,
-                    deficit,
-                },
-            );
-            if prev.is_some() {
+            if self.flows.insert(key, fq).is_some() {
                 return Err(r.error("drr duplicate flow key"));
             }
         }
-        self.total_pkts = usize::decode(r)?;
-        self.total_bytes = u64::decode(r)?;
-        self.stats = Decode::decode(r)?;
+        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
         if crate::queued(self.flows.values().map(|f| &f.queue))
             != (self.total_pkts, self.total_bytes)
         {
@@ -355,7 +335,7 @@ mod tests {
         }
 
         let mut bytes = Vec::new();
-        assert!(d.save_state(&mut bytes));
+        d.save_state(&mut bytes);
         let mut pkts = Vec::new();
         d.for_each_pkt_mut(&mut |id| pkts.push(a[*id].clone()));
 
@@ -369,7 +349,7 @@ mod tests {
         assert!(next.next().is_none());
 
         let mut resaved = Vec::new();
-        assert!(d2.save_state(&mut resaved));
+        d2.save_state(&mut resaved);
         assert_eq!(bytes, resaved, "restore must be lossless");
         assert_eq!(d.backlogged_flows(), d2.backlogged_flows());
         // Identical drain: same (flow, size) sequence from both instances.
@@ -397,7 +377,7 @@ mod tests {
         let mut d = Drr::new(DrrConfig::default());
         enq(&mut d, &mut a, pkt(0, 500));
         let mut bytes = Vec::new();
-        assert!(d.save_state(&mut bytes));
+        d.save_state(&mut bytes);
         bytes.truncate(bytes.len() - 1);
         let mut d2 = Drr::new(DrrConfig::default());
         let mut r = serde::binary::Reader::new(&bytes);

@@ -120,26 +120,9 @@ impl Scheduler for DropTailFifo {
     fn name(&self) -> &'static str {
         "fifo"
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        self.queue.encode(out);
-        self.bytes.encode(out);
-        self.stats.encode(out);
-        true
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        self.queue = Decode::decode(r)?;
-        self.bytes = u64::decode(r)?;
-        self.stats = Decode::decode(r)?;
-        Ok(())
-    }
 }
+
+serde::layout!(state DropTailFifo { queue, bytes, stats });
 
 #[cfg(test)]
 mod tests {

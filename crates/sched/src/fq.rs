@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use bundler_types::{FlowId, IdHashMap, Nanos, PacketArena, PacketId};
+use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader, State};
 
 use crate::longest::LongestTracker;
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
@@ -20,6 +21,8 @@ struct FlowQueue {
     bytes: u64,
     deficit: i64,
 }
+
+serde::layout!(value FlowQueue { queue, bytes, deficit });
 
 /// Ideal per-flow fair queueing scheduler.
 #[derive(Debug)]
@@ -166,60 +169,37 @@ impl Scheduler for FairQueue {
     fn name(&self) -> &'static str {
         "fq"
     }
+}
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        // Flow queues sort by flow id so the byte stream is canonical — the
-        // map's iteration order must not leak into the snapshot.
+// Flow queues sort by flow id so the byte stream is canonical — the map's
+// iteration order must not leak into the snapshot. The round-robin order is
+// state, serialized as flow ids.
+impl State for FairQueue {
+    fn save_state(&self, out: &mut Vec<u8>) {
         let mut ids: Vec<FlowId> = self.flows.keys().copied().collect();
         ids.sort_unstable();
         ids.len().encode(out);
         for id in &ids {
-            let fq = &self.flows[id];
             id.encode(out);
-            fq.queue.encode(out);
-            fq.bytes.encode(out);
-            fq.deficit.encode(out);
+            self.flows[id].encode(out);
         }
-        // The round-robin order is state; serialize it by flow id.
         self.active.encode(out);
-        self.total_pkts.encode(out);
-        self.total_bytes.encode(out);
-        self.stats.encode(out);
-        true
+        (self.total_pkts, self.total_bytes, self.stats).encode(out);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        let n = serde::binary::decode_len(r, "fq flow count")?;
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let n = decode_len(r, "fq flow count")?;
         self.flows.clear();
         for _ in 0..n {
-            let id = FlowId::decode(r)?;
-            let queue: VecDeque<PktRef> = Decode::decode(r)?;
-            let bytes = u64::decode(r)?;
-            let deficit = i64::decode(r)?;
-            self.longest.set(id.0, queue.len() as u64);
-            self.flows.insert(
-                id,
-                FlowQueue {
-                    queue,
-                    bytes,
-                    deficit,
-                },
-            );
+            let (id, fq) = <(FlowId, FlowQueue)>::decode(r)?;
+            self.longest.set(id.0, fq.queue.len() as u64);
+            self.flows.insert(id, fq);
         }
         self.active = Decode::decode(r)?;
-        for id in &self.active {
-            if !self.flows.contains_key(id) {
-                return Err(r.error("fq active flow unknown"));
-            }
+        if !self.active.iter().all(|id| self.flows.contains_key(id)) {
+            return Err(r.error("fq active flow unknown"));
         }
-        self.total_pkts = usize::decode(r)?;
-        self.total_bytes = u64::decode(r)?;
-        self.stats = Decode::decode(r)?;
+        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
         // The active list is the packet walk: it must reach every queued
         // packet exactly once, and the totals must count exactly those.
         let totals = (self.total_pkts, self.total_bytes);

@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use bundler_types::{Duration, Nanos, PacketArena, PacketId};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::codel::{CodelState, CodelVerdict};
 use crate::longest::LongestTracker;
@@ -56,11 +57,31 @@ struct Bucket {
     membership: Membership,
 }
 
+// The CoDel target and interval are configuration.
+serde::layout!(state Bucket { queue, bytes, deficit, codel, membership });
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Membership {
     None,
     New,
     Old,
+}
+
+impl Encode for Membership {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u8).encode(out);
+    }
+}
+
+impl Decode for Membership {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(Membership::None),
+            1 => Ok(Membership::New),
+            2 => Ok(Membership::Old),
+            _ => Err(r.error("fq_codel bad membership tag")),
+        }
+    }
 }
 
 /// FQ-CoDel scheduler.
@@ -304,67 +325,43 @@ impl Scheduler for FqCodel {
             *obs
         })
     }
+}
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        // The bucket array is fixed-size configuration; encode the count so
-        // a restore into a differently sized instance fails loudly instead
-        // of silently re-hashing flows into different buckets.
+// The bucket array is fixed-size configuration; its length goes out anyway
+// so a restore into a differently sized instance fails loudly instead of
+// silently re-hashing flows into different buckets.
+impl State for FqCodel {
+    fn save_state(&self, out: &mut Vec<u8>) {
         self.buckets.len().encode(out);
         for b in &self.buckets {
-            b.queue.encode(out);
-            b.bytes.encode(out);
-            b.deficit.encode(out);
-            b.codel.save_state(out);
-            let membership: u8 = match b.membership {
-                Membership::None => 0,
-                Membership::New => 1,
-                Membership::Old => 2,
-            };
-            membership.encode(out);
+            b.save_state(out);
         }
         self.new_flows.encode(out);
         self.old_flows.encode(out);
-        self.total_pkts.encode(out);
-        self.total_bytes.encode(out);
-        self.stats.encode(out);
-        true
+        (self.total_pkts, self.total_bytes, self.stats).encode(out);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        let n = usize::decode(r)?;
-        if n != self.buckets.len() {
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        if usize::decode(r)? != self.buckets.len() {
             return Err(r.error("fq_codel bucket count mismatch"));
         }
-        for i in 0..n {
-            let b = &mut self.buckets[i];
-            b.queue = Decode::decode(r)?;
-            b.bytes = u64::decode(r)?;
-            b.deficit = i64::decode(r)?;
-            b.codel.load_state(r)?;
-            b.membership = match u8::decode(r)? {
-                0 => Membership::None,
-                1 => Membership::New,
-                2 => Membership::Old,
-                _ => return Err(r.error("fq_codel bad membership tag")),
-            };
+        for (i, b) in self.buckets.iter_mut().enumerate() {
+            b.load_state(r)?;
             // Longest tracking is by bytes for this policy.
             self.longest.set(i as u64, b.bytes);
         }
         self.new_flows = Decode::decode(r)?;
         self.old_flows = Decode::decode(r)?;
-        for &idx in self.new_flows.iter().chain(self.old_flows.iter()) {
-            if idx >= n {
-                return Err(r.error("fq_codel flow-list bucket out of range"));
-            }
+        let n = self.buckets.len();
+        if self
+            .new_flows
+            .iter()
+            .chain(&self.old_flows)
+            .any(|&idx| idx >= n)
+        {
+            return Err(r.error("fq_codel flow-list bucket out of range"));
         }
-        self.total_pkts = usize::decode(r)?;
-        self.total_bytes = u64::decode(r)?;
-        self.stats = Decode::decode(r)?;
+        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
         if crate::queued(self.buckets.iter().map(|b| &b.queue))
             != (self.total_pkts, self.total_bytes)
         {
@@ -505,7 +502,7 @@ mod tests {
         assert!(s.aqm_drops() > 0, "want drop state in the snapshot");
 
         let mut bytes = Vec::new();
-        assert!(s.save_state(&mut bytes));
+        s.save_state(&mut bytes);
         let mut pkts = Vec::new();
         s.for_each_pkt_mut(&mut |id| pkts.push(a[*id].clone()));
 
@@ -519,7 +516,7 @@ mod tests {
         assert!(next.next().is_none());
 
         let mut resaved = Vec::new();
-        assert!(s2.save_state(&mut resaved));
+        s2.save_state(&mut resaved);
         assert_eq!(bytes, resaved, "restore must be lossless");
         // Identical drain: same (flow, size) sequence and drop counts.
         loop {
@@ -551,7 +548,7 @@ mod tests {
         });
         enq(&mut s, &mut a, pkt(0, 500), Nanos::ZERO);
         let mut bytes = Vec::new();
-        assert!(s.save_state(&mut bytes));
+        s.save_state(&mut bytes);
         let mut other = FqCodel::new(FqCodelConfig {
             buckets: 32,
             ..Default::default()

@@ -28,7 +28,7 @@ pub mod tbf;
 use std::collections::VecDeque;
 
 use bundler_types::{Nanos, PacketArena, PacketId};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 /// Outcome of handing a packet to a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,13 @@ pub struct SchedStats {
 /// to the arena directly (reported through [`SchedStats::dropped`]).
 /// Enqueue-time drops instead hand the victim's id back via
 /// [`Enqueued::Dropped`]; the caller frees it.
-pub trait Scheduler: Send {
+///
+/// A scheduler's [`State`] — queued packet refs, per-queue bookkeeping,
+/// counters — loads into a freshly built scheduler of the same policy and
+/// configuration. Queued packet ids are placeholders in it: like migration,
+/// restore rewrites them via [`Scheduler::for_each_pkt_mut`]. Observability
+/// exports ([`Scheduler::take_obs`]) are host-local and not part of it.
+pub trait Scheduler: Send + State {
     /// Offers a packet to the scheduler.
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: Nanos) -> Enqueued;
 
@@ -133,24 +139,15 @@ pub trait Scheduler: Send {
     fn take_obs(&mut self) -> Option<bundler_obs::SchedObs> {
         None
     }
+}
 
-    /// Appends the scheduler's dynamic state — queued packet refs, per-queue
-    /// bookkeeping, counters — to a snapshot byte stream, returning `true`
-    /// if the scheduler supports checkpointing. Queued packet ids are
-    /// serialized verbatim; like migration, restore rewrites them via
-    /// [`Scheduler::for_each_pkt_mut`], so their values are placeholders.
-    /// Observability exports ([`Scheduler::take_obs`]) are host-local and
-    /// deliberately excluded. Default: unsupported (`false`, writes
-    /// nothing).
-    fn save_state(&self, _out: &mut Vec<u8>) -> bool {
-        false
+impl State for Box<dyn Scheduler> {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        (**self).save_state(out)
     }
 
-    /// Restores dynamic state written by [`Scheduler::save_state`] into a
-    /// freshly constructed scheduler of the same policy and configuration.
-    /// Default: errors (unsupported).
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        Err(r.error("scheduler does not support checkpointing"))
+        (**self).load_state(r)
     }
 }
 
@@ -185,25 +182,7 @@ impl Decode for PktRef {
     }
 }
 
-impl Encode for SchedStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.enqueued.encode(out);
-        self.dequeued.encode(out);
-        self.dropped.encode(out);
-        self.dropped_bytes.encode(out);
-    }
-}
-
-impl Decode for SchedStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SchedStats {
-            enqueued: u64::decode(r)?,
-            dequeued: u64::decode(r)?,
-            dropped: u64::decode(r)?,
-            dropped_bytes: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value SchedStats { enqueued, dequeued, dropped, dropped_bytes });
 
 /// The scheduling policies Bundler experiments select between, used by the
 /// simulator and the experiment harness to construct a scheduler.
@@ -279,7 +258,7 @@ impl std::fmt::Display for Policy {
 #[cfg(test)]
 fn assert_rejects_patched_totals(s: &dyn Scheduler, fresh: impl Fn() -> Box<dyn Scheduler>) {
     let mut bytes = Vec::new();
-    assert!(s.save_state(&mut bytes));
+    s.save_state(&mut bytes);
     let stats = serde::binary::encode_to_vec(&s.stats()).len();
     for at in [bytes.len() - stats - 16, bytes.len() - stats - 8] {
         let mut patched = bytes.clone();

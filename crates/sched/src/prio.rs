@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 
 use bundler_types::{Nanos, PacketArena, PacketId, TrafficClass};
+use serde::binary::{DecodeError, Reader, State};
 
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
@@ -111,6 +112,20 @@ impl Scheduler for StrictPriority {
 
     fn name(&self) -> &'static str {
         "prio"
+    }
+}
+
+/// Strict priority has no snapshot layout.
+impl State for StrictPriority {
+    /// # Panics
+    ///
+    /// Always: a run that checkpoints must pick a snapshot-capable policy.
+    fn save_state(&self, _out: &mut Vec<u8>) {
+        panic!("checkpointing requires a snapshot-capable queue discipline, and prio is not one");
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        Err(r.error("scheduler does not support checkpointing"))
     }
 }
 

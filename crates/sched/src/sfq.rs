@@ -9,6 +9,7 @@
 use std::collections::VecDeque;
 
 use bundler_types::{Nanos, PacketArena, PacketId};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::longest::LongestTracker;
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
@@ -47,6 +48,8 @@ struct Bucket {
     /// Remaining byte allowance in the current round (DRR-style deficit).
     deficit: i64,
 }
+
+serde::layout!(value Bucket { queue, bytes, deficit });
 
 /// Stochastic Fairness Queueing scheduler.
 #[derive(Debug)]
@@ -230,54 +233,32 @@ impl Scheduler for Sfq {
             *obs
         })
     }
+}
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        // Bucket count is config, re-established at construction; encode it
-        // anyway so a mismatched restore fails loudly instead of silently
-        // re-hashing flows into different buckets.
-        self.buckets.len().encode(out);
-        for b in &self.buckets {
-            b.queue.encode(out);
-            b.bytes.encode(out);
-            b.deficit.encode(out);
-        }
+// The bucket count is config, re-established at construction; it goes out
+// anyway, as the bucket vector's length, so a mismatched restore fails
+// loudly instead of silently re-hashing flows into different buckets.
+impl State for Sfq {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        self.buckets.encode(out);
         self.active.encode(out);
-        self.total_pkts.encode(out);
-        self.total_bytes.encode(out);
-        self.stats.encode(out);
-        true
+        (self.total_pkts, self.total_bytes, self.stats).encode(out);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        use serde::binary::Decode;
-        let n = usize::decode(r)?;
-        if n != self.buckets.len() {
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let buckets = Vec::<Bucket>::decode(r)?;
+        if buckets.len() != self.buckets.len() {
             return Err(r.error("sfq bucket count mismatch"));
         }
-        for i in 0..n {
-            let queue: std::collections::VecDeque<PktRef> = Decode::decode(r)?;
-            let bytes = u64::decode(r)?;
-            let deficit = i64::decode(r)?;
-            self.longest.set(i as u64, queue.len() as u64);
-            self.buckets[i] = Bucket {
-                queue,
-                bytes,
-                deficit,
-            };
+        self.buckets = buckets;
+        for (i, b) in self.buckets.iter().enumerate() {
+            self.longest.set(i as u64, b.queue.len() as u64);
         }
         self.active = Decode::decode(r)?;
-        for &idx in &self.active {
-            if idx >= n {
-                return Err(r.error("sfq active bucket out of range"));
-            }
+        if self.active.iter().any(|&idx| idx >= self.buckets.len()) {
+            return Err(r.error("sfq active bucket out of range"));
         }
-        self.total_pkts = usize::decode(r)?;
-        self.total_bytes = u64::decode(r)?;
-        self.stats = Decode::decode(r)?;
+        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
         if crate::queued(self.buckets.iter().map(|b| &b.queue))
             != (self.total_pkts, self.total_bytes)
         {

@@ -222,47 +222,11 @@ impl Tbf {
     }
 }
 
-impl serde::binary::Encode for TokenBucket {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rate.encode(out);
-        self.burst_bytes.encode(out);
-        self.tokens.encode(out);
-        self.last_refill.encode(out);
-    }
-}
+serde::layout!(value TokenBucket { rate, burst_bytes, tokens, last_refill });
 
-impl serde::binary::Decode for TokenBucket {
-    fn decode(r: &mut serde::binary::Reader<'_>) -> Result<Self, serde::binary::DecodeError> {
-        Ok(TokenBucket {
-            rate: Rate::decode(r)?,
-            burst_bytes: f64::decode(r)?,
-            tokens: f64::decode(r)?,
-            last_refill: Nanos::decode(r)?,
-        })
-    }
-}
-
-impl Tbf {
-    /// Appends the shaper's dynamic state (token balance and inner-scheduler
-    /// queues) to a snapshot stream. Returns `false` — with the stream left
-    /// part-written, so callers must treat that as fatal — if the inner
-    /// scheduling policy does not support checkpointing.
-    pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use serde::binary::Encode;
-        self.bucket.encode(out);
-        self.inner.save_state(out)
-    }
-
-    /// Restores state written by [`Tbf::save_state`] into a freshly
-    /// constructed shaper with the same inner policy and configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut serde::binary::Reader<'_>,
-    ) -> Result<(), serde::binary::DecodeError> {
-        self.bucket = serde::binary::Decode::decode(r)?;
-        self.inner.load_state(r)
-    }
-}
+// The token balance and the inner scheduler's queues; the inner policy and
+// its configuration are rebuilt before a restore loads this.
+serde::layout!(state Tbf { bucket, inner });
 
 /// Result of [`Tbf::try_dequeue`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -315,9 +315,9 @@ fn classic_edge_checkpoints_restore_and_match_solo() {
 
 #[test]
 fn worker_panic_surfaces_a_typed_diagnostic() {
-    // StrictPriority does not support checkpointing (the last scheduler
-    // without `save_state` — PR 8 implemented CoDel/DRR/FQ-CoDel), so the
-    // worker's checkpoint phase panics mid-run. The driver must shut the
+    // StrictPriority has no snapshot layout (the last scheduler without
+    // one — its `save_state` panics), so the worker's checkpoint phase
+    // panics mid-run. The driver must shut the
     // run down cleanly and return the shard/window diagnostic — never hang
     // at a barrier.
     let (mut config, wl) = setup(7, None);

@@ -17,7 +17,7 @@ use bundler_core::{BundlerConfig, Mode, Receivebox, Sendbox, SendboxOutput};
 use bundler_sched::tbf::{Release, Tbf};
 use bundler_sched::Enqueued;
 use bundler_types::{IpPrefix, Nanos, Packet, PacketArena, PacketId, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::sim::SimulationConfig;
 use crate::stats::TimeSeries;
@@ -174,46 +174,17 @@ impl Bundle {
     pub fn take_obs(&mut self) -> Option<bundler_obs::SchedObs> {
         self.tbf.take_obs()
     }
-
-    /// Serializes the bundle's complete dynamic state: datapath, control
-    /// plane if the bundle holds it, receivebox, telemetry. Queued packet
-    /// ids go out as-is, so the caller must have rewritten them to ordinals
-    /// (via `Tbf::for_each_pkt_mut`) and must carry the packets themselves
-    /// separately. Fails (returns `false`, stream part-written) if the
-    /// scheduler policy does not support checkpointing.
-    pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        if !self.tbf.save_state(out) {
-            return false;
-        }
-        if let Some(control) = &self.control {
-            control.save_state(out);
-        }
-        self.receivebox.save_state(out);
-        self.release_scheduled.encode(out);
-        self.queue_delay_ms.encode(out);
-        self.mode_timeline.encode(out);
-        self.last_mode.encode(out);
-        true
-    }
-
-    /// Overwrites a freshly configured bundle's dynamic state with bytes
-    /// written by [`Bundle::save_state`] for a bundle of the same kind
-    /// (holding its control plane or not). Queued packet ids come back as
-    /// the ordinals the saver wrote; the caller re-homes them into its
-    /// arena.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.tbf.load_state(r)?;
-        if let Some(control) = &mut self.control {
-            control.load_state(r)?;
-        }
-        self.receivebox.load_state(r)?;
-        self.release_scheduled = bool::decode(r)?;
-        self.queue_delay_ms = TimeSeries::decode(r)?;
-        self.mode_timeline = Vec::<(Nanos, String)>::decode(r)?;
-        self.last_mode = Mode::decode(r)?;
-        Ok(())
-    }
 }
+
+// The bundle's complete dynamic state: datapath, control plane if the bundle
+// holds it, receivebox, telemetry. Queued packet ids go out as-is, so the
+// saver must have rewritten them to ordinals (via `Tbf::for_each_pkt_mut`)
+// and carries the packets themselves separately; a loader re-homes the
+// ordinals into its arena.
+serde::layout!(state Bundle {
+    tbf, control (if_built), receivebox, release_scheduled, queue_delay_ms, mode_timeline,
+    last_mode,
+});
 
 /// One bundle of an agent edge: the destination prefixes it serves and its
 /// Bundler configuration.
@@ -451,12 +422,11 @@ impl DetachedEdge {
     /// agent-held one — then the state. The tags and each tag's field order
     /// are the `BNDLSNAP` v3 format; tag 2 interleaves the two halves the
     /// way the format always has (agent part, index, then the [`Bundle`]).
-    /// Same packet-id contract as [`Bundle::save_state`], whose `false`
-    /// this passes on.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) -> bool {
+    /// Same packet-id contract as the [`Bundle`]'s own state.
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         let Some(bundle) = &self.bundle else {
             0u8.encode(out);
-            return true;
+            return;
         };
         match &self.agent {
             None => 1u8.encode(out),
@@ -466,7 +436,7 @@ impl DetachedEdge {
                 bundle.index.encode(out);
             }
         }
-        bundle.save_state(out)
+        bundle.save_state(out);
     }
 
     /// Reverses [`DetachedEdge::save_state`] for bundle `b`, rebuilding the

@@ -273,37 +273,8 @@ impl Decode for FaultKind {
     }
 }
 
-impl Encode for FaultEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at.encode(out);
-        self.kind.encode(out);
-    }
-}
-
-impl Decode for FaultEvent {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FaultEvent {
-            at: Nanos::decode(r)?,
-            kind: FaultKind::decode(r)?,
-        })
-    }
-}
-
-impl Encode for FaultPlan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.entries.encode(out);
-        self.blackouts.encode(out);
-    }
-}
-
-impl Decode for FaultPlan {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FaultPlan {
-            entries: Vec::decode(r)?,
-            blackouts: Vec::decode(r)?,
-        })
-    }
-}
+serde::layout!(value FaultEvent { at, kind });
+serde::layout!(value FaultPlan { entries, blackouts });
 
 #[cfg(test)]
 mod tests {

@@ -203,6 +203,8 @@ struct AggState {
     last_decrease: Nanos,
 }
 
+serde::layout!(value AggState { rate, last_decrease });
+
 /// Dynamic per-path state of the fluid tier.
 #[derive(Debug, Clone)]
 struct PathFluid {
@@ -462,8 +464,7 @@ impl FluidState {
             .filter(|(spec, _)| spec.path as usize == gid);
         (on_path.clone().count() as u64).encode(out);
         for (_, a) in on_path {
-            a.rate.encode(out);
-            a.last_decrease.encode(out);
+            a.encode(out);
         }
         pf.backlog.encode(out);
         pf.last_level.encode(out);
@@ -491,8 +492,7 @@ impl FluidState {
             if spec.path as usize != gid {
                 continue;
             }
-            a.rate = f64::decode(r)?;
-            a.last_decrease = Nanos::decode(r)?;
+            *a = AggState::decode(r)?;
         }
         let pf = &mut self.paths[gid];
         pf.backlog = f64::decode(r)?;

@@ -12,7 +12,7 @@
 use bundler_sched::fifo::DropTailFifo;
 use bundler_sched::{Enqueued, Scheduler};
 use bundler_types::{Duration, Nanos, Packet, PacketArena, PacketId, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::stats::TimeSeries;
 
@@ -197,16 +197,13 @@ impl BottleneckPath {
 
     /// Appends the path's dynamic state — scheduler bookkeeping, queued
     /// packets *by value*, link/accounting state — to a snapshot stream.
-    /// Returns `false` (writing nothing useful) if the queue discipline
-    /// does not support checkpointing. The configured geometry (delay,
-    /// discipline) is not written: restore rebuilds it from the same
-    /// [`crate::sim::SimulationConfig`] and loads this state into it. The
-    /// rate *is* written because capacity faults change it at runtime.
-    pub fn save_state(&mut self, arena: &PacketArena, out: &mut Vec<u8>) -> bool {
+    /// The configured geometry (delay, discipline) is not written: restore
+    /// rebuilds it from the same [`crate::sim::SimulationConfig`] and loads
+    /// this state into it. The rate *is* written because capacity faults
+    /// change it at runtime.
+    pub fn save_state(&mut self, arena: &PacketArena, out: &mut Vec<u8>) {
         self.rate.encode(out);
-        if !self.queue.save_state(out) {
-            return false;
-        }
+        self.queue.save_state(out);
         // Queued packets by value, in the scheduler's canonical traversal
         // order — the same order restore re-inserts them, so the
         // placeholder ids inside the scheduler state pair up exactly.
@@ -221,7 +218,6 @@ impl BottleneckPath {
         self.drops.encode(out);
         self.bytes_delivered.encode(out);
         self.queue_delay_ms.encode(out);
-        true
     }
 
     /// Restores state written by [`BottleneckPath::save_state`] into a

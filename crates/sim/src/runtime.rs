@@ -136,25 +136,7 @@ struct FlowState {
     recorded: bool,
 }
 
-impl FlowState {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.sender.save_state(out);
-        self.receiver.save_state(out);
-        self.origin.encode(out);
-        self.size_bytes.encode(out);
-        self.recorded.encode(out);
-    }
-
-    fn from_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FlowState {
-            sender: TcpSender::from_state(r)?,
-            receiver: TcpReceiver::from_state(r)?,
-            origin: Origin::decode(r)?,
-            size_bytes: u64::decode(r)?,
-            recorded: bool::decode(r)?,
-        })
-    }
-}
+serde::layout!(value FlowState { sender, receiver, origin, size_bytes, recorded });
 
 /// What one slot of a [`FlowTable`] holds.
 // The large variant is the common one — nearly every slot is a TCP flow —
@@ -1434,14 +1416,9 @@ impl WorkerCore {
             if self.owned[b] {
                 let parcel = self.extract_bundle(b, queue, arena);
                 let mut buf = Vec::new();
-                let ok = parcel.save_state(&mut buf);
+                parcel.save_state(&mut buf);
                 self.adopt_bundle(parcel, queue, arena, at)
                     .expect("a bundle lifted off this worker installs back");
-                assert!(
-                    ok,
-                    "checkpointing requires a snapshot-capable sendbox queue discipline \
-                     (bundle {b})"
-                );
                 part.bundles.push((b, buf));
             }
         }
@@ -1469,11 +1446,7 @@ impl WorkerCore {
             FlowSlot::Tcp(f) if f.origin == Origin::Direct => Some(f),
             _ => None,
         });
-        (flows.len() as u64).encode(out);
-        for (id, f) in flows {
-            id.encode(out);
-            f.save_state(out);
-        }
+        flows.encode(out);
         let pings = self.flows.sorted(|slot| match slot {
             FlowSlot::Ping {
                 origin: Origin::Direct,
@@ -1481,17 +1454,7 @@ impl WorkerCore {
             } => Some(client),
             _ => None,
         });
-        (pings.len() as u64).encode(out);
-        for (id, client) in pings {
-            id.encode(out);
-            match client {
-                Some(p) => {
-                    true.encode(out);
-                    p.save_state(out);
-                }
-                None => false.encode(out),
-            }
-        }
+        pings.encode(out);
         self.seqs[LP_DIRECT as usize].encode(out);
         self.lp_events[LP_DIRECT as usize].encode(out);
         self.cross_delivered.encode(out);
@@ -1517,22 +1480,14 @@ impl WorkerCore {
         r: &mut Reader<'_>,
     ) -> Result<(), DecodeError> {
         load_pending(queue, arena, r, "missing direct event packet")?;
-        let n = u64::decode(r)? as usize;
-        for _ in 0..n {
-            let id = FlowId::decode(r)?;
-            let flow = FlowSlot::Tcp(FlowState::from_state(r)?);
-            if !self.flows.insert(id, flow) {
+        for _ in 0..decode_len(r, "direct flow count")? {
+            let (id, flow) = <(FlowId, FlowState)>::decode(r)?;
+            if !self.flows.insert(id, FlowSlot::Tcp(flow)) {
                 return Err(r.error("direct slice names a flow id twice"));
             }
         }
-        let n = u64::decode(r)? as usize;
-        for _ in 0..n {
-            let id = FlowId::decode(r)?;
-            let client = if bool::decode(r)? {
-                Some(PingClient::from_state(r)?)
-            } else {
-                None
-            };
+        for _ in 0..decode_len(r, "direct ping count")? {
+            let (id, client) = <(FlowId, Option<PingClient>)>::decode(r)?;
             let origin = Origin::Direct;
             if !self.flows.insert(id, FlowSlot::Ping { origin, client }) {
                 return Err(r.error("direct slice names a flow id twice"));
@@ -1585,25 +1540,7 @@ impl WorkerResidue {
     }
 }
 
-impl Encode for WorkerResidue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.events_processed.encode(out);
-        self.packets_created.encode(out);
-        self.fcts.encode(out);
-        self.agent_stats.encode(out);
-    }
-}
-
-impl Decode for WorkerResidue {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(WorkerResidue {
-            events_processed: u64::decode(r)?,
-            packets_created: u64::decode(r)?,
-            fcts: Vec::decode(r)?,
-            agent_stats: Option::decode(r)?,
-        })
-    }
-}
+serde::layout!(value WorkerResidue { events_processed, packets_created, fcts, agent_stats });
 
 /// One bundle's complete complex in transit between two [`WorkerCore`]s:
 /// pending events (packets lifted out of the source arena and carried by
@@ -1675,40 +1612,21 @@ impl BundleParcel {
     }
 
     /// Serializes the parcel — a bundle complex already lifted off its
-    /// worker, so everything is by value and in canonical order. Returns
-    /// `false` if the edge's queue discipline does not support
-    /// checkpointing (the bytes written so far must be discarded).
-    pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        self.bundle.encode(out);
-        self.seq.encode(out);
-        self.lp_events.encode(out);
-        self.delivered.encode(out);
+    /// worker, so everything is by value and in canonical order.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        (self.bundle, self.seq, self.lp_events, self.delivered).encode(out);
         save_pending(&self.events, self.event_pkts.iter(), out);
-        if !self.edge.save_state(out) {
-            return false;
-        }
+        self.edge.save_state(out);
         self.edge_pkts.encode(out);
-        (self.flows.len() as u64).encode(out);
-        for (id, f) in &self.flows {
-            id.encode(out);
-            f.save_state(out);
-        }
-        (self.pings.len() as u64).encode(out);
-        for (id, ping, origin) in &self.pings {
-            id.encode(out);
-            match ping {
-                Some(p) => {
-                    true.encode(out);
-                    p.save_state(out);
-                }
-                None => false.encode(out),
-            }
-            origin.encode(out);
-        }
-        self.throughput.encode(out);
-        self.pacing.encode(out);
-        self.rtt_estimate.encode(out);
-        self.recv_rate.encode(out);
+        self.flows.encode(out);
+        self.pings.encode(out);
+        (
+            &self.throughput,
+            &self.pacing,
+            &self.rtt_estimate,
+            &self.recv_rate,
+        )
+            .encode(out);
         match &self.obs {
             Some(state) if !state.is_empty() => {
                 1u8.encode(out);
@@ -1716,7 +1634,6 @@ impl BundleParcel {
             }
             _ => 0u8.encode(out),
         }
-        true
     }
 
     /// Reconstructs a parcel from bytes written by
@@ -1728,46 +1645,22 @@ impl BundleParcel {
         config: &SimulationConfig,
         r: &mut Reader<'_>,
     ) -> Result<BundleParcel, DecodeError> {
-        let bundle = usize::decode(r)?;
-        let seq = u64::decode(r)?;
-        let lp_events = u64::decode(r)?;
-        let delivered = u64::decode(r)?;
+        let (bundle, seq, lp_events, delivered) = Decode::decode(r)?;
         let events = Vec::<Pending>::decode(r)?;
         let event_pkts = Vec::<Packet>::decode(r)?;
         let edge = DetachedEdge::from_state(config, bundle, r)?;
         let edge_pkts = Vec::<Packet>::decode(r)?;
+        let flows = Vec::<(FlowId, FlowState)>::decode(r)?;
+        let pings = Vec::<(FlowId, Option<PingClient>, Origin)>::decode(r)?;
         // A parcel written by a run names each flow once; bytes that name
         // one twice (as two flows, two pings or one of each) would alias a
         // table slot on adoption.
         let mut seen = HashSet::new();
-        let n = decode_len(r, "parcel flow count")?;
-        let mut flows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = FlowId::decode(r)?;
-            if !seen.insert(id) {
-                return Err(r.error("parcel names a flow id twice"));
-            }
-            flows.push((id, FlowState::from_state(r)?));
+        let ids = flows.iter().map(|f| f.0).chain(pings.iter().map(|p| p.0));
+        if !ids.into_iter().all(|id| seen.insert(id)) {
+            return Err(r.error("parcel names a flow id twice"));
         }
-        let n = decode_len(r, "parcel ping count")?;
-        let mut pings = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = FlowId::decode(r)?;
-            if !seen.insert(id) {
-                return Err(r.error("parcel names a flow id twice"));
-            }
-            let ping = if bool::decode(r)? {
-                Some(PingClient::from_state(r)?)
-            } else {
-                None
-            };
-            let origin = Origin::decode(r)?;
-            pings.push((id, ping, origin));
-        }
-        let throughput = TimeSeries::decode(r)?;
-        let pacing = TimeSeries::decode(r)?;
-        let rtt_estimate = TimeSeries::decode(r)?;
-        let recv_rate = TimeSeries::decode(r)?;
+        let (throughput, pacing, rtt_estimate, recv_rate) = Decode::decode(r)?;
         let obs = match u8::decode(r)? {
             0 => None,
             1 => Some(decode_bundle_obs(r)?),
@@ -2085,8 +1978,7 @@ impl NetCore {
     /// One snapshot section per owned path, ascending by global id, taken
     /// without disturbing the live run; then the records below `at` are
     /// flushed to the telemetry stream, as [`WorkerCore::save_part`] does.
-    /// Every net event below `at` must already have been handled. Panics
-    /// if a bottleneck queue discipline does not support checkpointing.
+    /// Every net event below `at` must already have been handled.
     pub fn save_sections(
         &mut self,
         queue: &mut EventQueue,
@@ -2097,12 +1989,7 @@ impl NetCore {
         for i in 0..self.owned.len() {
             let gid = self.owned[i];
             let mut buf = Vec::new();
-            let ok = self.save_path_section(gid, queue, arena, &mut buf);
-            assert!(
-                ok,
-                "checkpointing requires a snapshot-capable bottleneck queue discipline \
-                 (path {gid})"
-            );
+            self.save_path_section(gid, queue, arena, &mut buf);
             sections.push((gid, buf));
         }
         self.obs.flush(at);
@@ -2116,23 +2003,19 @@ impl NetCore {
     /// order and re-scheduled under their original ids. Because every
     /// field is per-path, the concatenation of all paths' sections in
     /// global id order is byte-identical no matter how paths were
-    /// partitioned across net shards. Returns `false` if the path's queue
-    /// discipline does not support checkpointing (bytes written so far
-    /// must be discarded).
+    /// partitioned across net shards.
     fn save_path_section(
         &mut self,
         gid: usize,
         queue: &mut EventQueue,
         arena: &mut PacketArena,
         out: &mut Vec<u8>,
-    ) -> bool {
+    ) {
         debug_assert!(self.owns_path(gid));
         self.path_seqs[gid].encode(out);
         self.events_handled[gid].encode(out);
         self.packets_minted[gid].encode(out);
-        if !self.paths[gid].save_state(arena, out) {
-            return false;
-        }
+        self.paths[gid].save_state(arena, out);
         (self.faults.cursor[gid] as u64).encode(out);
         self.faults.link_down[gid].encode(out);
         self.faults.burst_loss[gid].encode(out);
@@ -2163,7 +2046,6 @@ impl NetCore {
         save_pending_in_place(queue, arena, out, |e| {
             is_net_event(e) && self.net_event_path(e, arena) == gid
         });
-        true
     }
 
     /// Restores one [`NetCore::save_sections`] section, global path

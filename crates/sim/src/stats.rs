@@ -6,7 +6,6 @@ use bundler_agent::AgentStats;
 use bundler_core::sendbox::SendboxStats;
 use bundler_core::SendboxTelemetry;
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Record of one completed request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,27 +23,7 @@ pub struct FctRecord {
     pub bundle: Option<usize>,
 }
 
-impl Encode for FctRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.size_bytes.encode(out);
-        self.start.encode(out);
-        self.fct.encode(out);
-        self.unloaded_fct.encode(out);
-        self.bundle.encode(out);
-    }
-}
-
-impl Decode for FctRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FctRecord {
-            size_bytes: u64::decode(r)?,
-            start: Nanos::decode(r)?,
-            fct: Duration::decode(r)?,
-            unloaded_fct: Duration::decode(r)?,
-            bundle: Option::<usize>::decode(r)?,
-        })
-    }
-}
+serde::layout!(value FctRecord { size_bytes, start, fct, unloaded_fct, bundle });
 
 impl FctRecord {
     /// Slowdown: completion time divided by the unloaded completion time.
@@ -124,19 +103,7 @@ pub struct TimeSeries {
     pub samples: Vec<(Nanos, f64)>,
 }
 
-impl Encode for TimeSeries {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.samples.encode(out);
-    }
-}
-
-impl Decode for TimeSeries {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TimeSeries {
-            samples: Vec::<(Nanos, f64)>::decode(r)?,
-        })
-    }
-}
+serde::layout!(value TimeSeries { samples });
 
 impl TimeSeries {
     /// Creates an empty series.

@@ -19,7 +19,6 @@ use bundler_cc::{AckEvent, EndhostAlg, LossEvent, WindowCc};
 use bundler_types::{
     Duration, FlowId, FlowKey, Nanos, Packet, PacketArena, PacketId, TrafficClass,
 };
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Maximum segment size used by the simulated endhosts (bytes of payload).
 pub const MSS: u64 = 1460;
@@ -39,25 +38,7 @@ struct Segment {
     retransmitted: bool,
 }
 
-impl Encode for Segment {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seq.encode(out);
-        self.len.encode(out);
-        self.sent_at.encode(out);
-        self.retransmitted.encode(out);
-    }
-}
-
-impl Decode for Segment {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Segment {
-            seq: u64::decode(r)?,
-            len: u32::decode(r)?,
-            sent_at: Nanos::decode(r)?,
-            retransmitted: bool::decode(r)?,
-        })
-    }
-}
+serde::layout!(value Segment { seq, len, sent_at, retransmitted });
 
 /// The in-flight segment window, ordered by sequence number.
 ///
@@ -70,6 +51,8 @@ impl Decode for Segment {
 struct InflightWindow {
     segs: VecDeque<Segment>,
 }
+
+serde::layout!(value InflightWindow { segs });
 
 impl InflightWindow {
     fn is_empty(&self) -> bool {
@@ -471,68 +454,6 @@ impl TcpSender {
         self.rto = (srtt + self.rttvar * 4).max(MIN_RTO).min(MAX_RTO);
     }
 
-    /// Serializes the sender's complete state, including identity and
-    /// configuration, so a checkpoint can rebuild it without consulting the
-    /// workload table.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.key.encode(out);
-        self.class.encode(out);
-        self.size_bytes.encode(out);
-        self.alg.encode(out);
-        self.started.encode(out);
-        self.completed.encode(out);
-        self.next_seq.encode(out);
-        self.snd_una.encode(out);
-        self.inflight.segs.encode(out);
-        self.bytes_in_flight.encode(out);
-        self.dup_acks.encode(out);
-        self.recovery_point.encode(out);
-        self.highest_sacked.encode(out);
-        self.repair_next.encode(out);
-        self.srtt.encode(out);
-        self.rttvar.encode(out);
-        self.min_rtt.encode(out);
-        self.rto.encode(out);
-        self.rto_backoff.encode(out);
-        self.last_activity.encode(out);
-        self.ip_id_counter.encode(out);
-        self.packets_sent.encode(out);
-        self.retransmits.encode(out);
-        self.cc.save_state(out);
-    }
-
-    /// Rebuilds a sender from bytes written by [`TcpSender::save_state`].
-    pub fn from_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let id = FlowId::decode(r)?;
-        let key = FlowKey::decode(r)?;
-        let class = TrafficClass::decode(r)?;
-        let size_bytes = u64::decode(r)?;
-        let alg = EndhostAlg::decode(r)?;
-        let mut s = TcpSender::new(id, key, size_bytes, alg, class, Nanos::ZERO);
-        s.started = Nanos::decode(r)?;
-        s.completed = Option::<Nanos>::decode(r)?;
-        s.next_seq = u64::decode(r)?;
-        s.snd_una = u64::decode(r)?;
-        s.inflight.segs = VecDeque::<Segment>::decode(r)?;
-        s.bytes_in_flight = u64::decode(r)?;
-        s.dup_acks = u32::decode(r)?;
-        s.recovery_point = Option::<u64>::decode(r)?;
-        s.highest_sacked = u64::decode(r)?;
-        s.repair_next = u64::decode(r)?;
-        s.srtt = Option::<Duration>::decode(r)?;
-        s.rttvar = Duration::decode(r)?;
-        s.min_rtt = Duration::decode(r)?;
-        s.rto = Duration::decode(r)?;
-        s.rto_backoff = u32::decode(r)?;
-        s.last_activity = Nanos::decode(r)?;
-        s.ip_id_counter = u16::decode(r)?;
-        s.packets_sent = u64::decode(r)?;
-        s.retransmits = u64::decode(r)?;
-        s.cc.load_state(r)?;
-        Ok(s)
-    }
-
     /// Periodic retransmission-timeout check. Returns the time at which the
     /// next check should run (if any data is outstanding), appending any
     /// packets to transmit now to `out`.
@@ -576,6 +497,18 @@ impl TcpSender {
         }
     }
 }
+
+// The whole sender, identity and configuration included, so a checkpoint
+// rebuilds it without consulting the workload table: the identity decodes
+// first, builds a sender (and its controller from `alg`), and the rest loads
+// into that.
+serde::layout!(value TcpSender {
+    id, key, class, size_bytes, alg;
+    new TcpSender::new(id, key, size_bytes, alg, class, Nanos::ZERO);
+    started, completed, next_seq, snd_una, inflight, bytes_in_flight, dup_acks, recovery_point,
+    highest_sacked, repair_next, srtt, rttvar, min_rtt, rto, rto_backoff, last_activity,
+    ip_id_counter, packets_sent, retransmits, cc,
+});
 
 /// Receiver-side reassembly state for one flow: produces cumulative ACKs.
 #[derive(Debug, Default)]
@@ -634,23 +567,9 @@ impl TcpReceiver {
         }
         self.recv_next
     }
-
-    /// Serializes the receiver's state.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.recv_next.encode(out);
-        self.out_of_order.encode(out);
-        self.bytes_received.encode(out);
-    }
-
-    /// Rebuilds a receiver from bytes written by [`TcpReceiver::save_state`].
-    pub fn from_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TcpReceiver {
-            recv_next: u64::decode(r)?,
-            out_of_order: BTreeMap::<u64, u32>::decode(r)?,
-            bytes_received: u64::decode(r)?,
-        })
-    }
 }
+
+serde::layout!(value TcpReceiver { recv_next, out_of_order, bytes_received });
 
 /// A closed-loop request/response client: it keeps exactly one small request
 /// outstanding and records the response latency of each exchange. This
@@ -723,31 +642,9 @@ impl PingClient {
     pub fn completed(&self) -> usize {
         self.rtts.len()
     }
-
-    /// Serializes the client's complete state, including identity.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.key.encode(out);
-        self.payload.encode(out);
-        self.rtts.encode(out);
-        self.outstanding.encode(out);
-        self.seq.encode(out);
-        self.ip_id.encode(out);
-    }
-
-    /// Rebuilds a client from bytes written by [`PingClient::save_state`].
-    pub fn from_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PingClient {
-            id: FlowId::decode(r)?,
-            key: FlowKey::decode(r)?,
-            payload: u32::decode(r)?,
-            rtts: Vec::<Duration>::decode(r)?,
-            outstanding: Option::<(u64, Nanos)>::decode(r)?,
-            seq: u64::decode(r)?,
-            ip_id: u16::decode(r)?,
-        })
-    }
 }
+
+serde::layout!(value PingClient { id, key, payload, rtts, outstanding, seq, ip_id });
 
 impl TcpSender {
     /// Test-only detailed state dump.
@@ -773,6 +670,7 @@ impl TcpSender {
 mod tests {
     use super::*;
     use bundler_types::flow::ipv4;
+    use serde::binary::{decode_all, encode_to_vec};
 
     fn key() -> FlowKey {
         FlowKey::tcp(ipv4(10, 0, 0, 1), 40_000, ipv4(10, 1, 0, 1), 80)
@@ -998,9 +896,8 @@ mod tests {
                 let (seq, len) = segs[i];
                 r.on_data(seq, len);
                 proptest::prop_assert_eq!(r.highest_received(), scan(&r));
-                let mut bytes = Vec::new();
-                r.save_state(&mut bytes);
-                let back = TcpReceiver::from_state(&mut Reader::new(&bytes)).expect("round trip");
+                let bytes = encode_to_vec(&r);
+                let back: TcpReceiver = decode_all(&bytes).expect("round trip");
                 proptest::prop_assert_eq!(back.highest_received(), scan(&r));
             }
         }

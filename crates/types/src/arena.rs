@@ -23,6 +23,9 @@ use crate::packet::Packet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(u32);
 
+// Declared here rather than in `codec` because the field is private.
+serde::layout!(value PacketId { 0 });
+
 impl PacketId {
     /// The raw slot index (exposed for diagnostics only).
     pub fn index(self) -> u32 {

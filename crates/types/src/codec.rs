@@ -6,72 +6,15 @@
 
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
-use crate::arena::PacketId;
 use crate::flow::{FlowId, FlowKey, Protocol};
 use crate::packet::{Packet, PacketKind, TrafficClass};
 use crate::prefix::IpPrefix;
-use crate::rate::Rate;
 use crate::time::{Duration, Nanos};
 
-impl Encode for Nanos {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for Nanos {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Nanos(u64::decode(r)?))
-    }
-}
-
-impl Encode for Duration {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for Duration {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Duration(u64::decode(r)?))
-    }
-}
-
-impl Encode for Rate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_bps().encode(out);
-    }
-}
-
-impl Decode for Rate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Rate::from_bps(u64::decode(r)?))
-    }
-}
-
-impl Encode for FlowId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for FlowId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FlowId(u64::decode(r)?))
-    }
-}
-
-impl Encode for PacketId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index().encode(out);
-    }
-}
-
-impl Decode for PacketId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PacketId::from_index(u32::decode(r)?))
-    }
-}
+serde::layout!(value Nanos { 0 });
+serde::layout!(value Duration { 0 });
+serde::layout!(value FlowId { 0 });
+serde::layout!(value TrafficClass { 0 });
 
 impl Encode for Protocol {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -92,27 +35,7 @@ impl Decode for Protocol {
     }
 }
 
-impl Encode for FlowKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.src_ip.encode(out);
-        self.dst_ip.encode(out);
-        self.src_port.encode(out);
-        self.dst_port.encode(out);
-        self.protocol.encode(out);
-    }
-}
-
-impl Decode for FlowKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FlowKey {
-            src_ip: u32::decode(r)?,
-            dst_ip: u32::decode(r)?,
-            src_port: u16::decode(r)?,
-            dst_port: u16::decode(r)?,
-            protocol: Protocol::decode(r)?,
-        })
-    }
-}
+serde::layout!(value FlowKey { src_ip, dst_ip, src_port, dst_port, protocol });
 
 impl Encode for PacketKind {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -137,55 +60,10 @@ impl Decode for PacketKind {
     }
 }
 
-impl Encode for TrafficClass {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for TrafficClass {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TrafficClass(u8::decode(r)?))
-    }
-}
-
-impl Encode for Packet {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.flow.encode(out);
-        self.key.encode(out);
-        self.kind.encode(out);
-        self.ip_id.encode(out);
-        self.seq.encode(out);
-        self.size.encode(out);
-        self.payload.encode(out);
-        self.class.encode(out);
-        self.sent_at.encode(out);
-        self.enqueued_at.encode(out);
-        self.retransmit.encode(out);
-        self.ecn_ce.encode(out);
-        self.sack_highest.encode(out);
-    }
-}
-
-impl Decode for Packet {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Packet {
-            flow: FlowId::decode(r)?,
-            key: FlowKey::decode(r)?,
-            kind: PacketKind::decode(r)?,
-            ip_id: u16::decode(r)?,
-            seq: u64::decode(r)?,
-            size: u32::decode(r)?,
-            payload: u32::decode(r)?,
-            class: TrafficClass::decode(r)?,
-            sent_at: Nanos::decode(r)?,
-            enqueued_at: Nanos::decode(r)?,
-            retransmit: bool::decode(r)?,
-            ecn_ce: bool::decode(r)?,
-            sack_highest: u64::decode(r)?,
-        })
-    }
-}
+serde::layout!(value Packet {
+    flow, key, kind, ip_id, seq, size, payload, class, sent_at, enqueued_at, retransmit, ecn_ce,
+    sack_highest,
+});
 
 impl Encode for IpPrefix {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -205,7 +83,9 @@ impl Decode for IpPrefix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PacketId;
     use crate::flow::ipv4;
+    use crate::rate::Rate;
     use serde::binary::{decode_all, encode_to_vec};
 
     #[test]

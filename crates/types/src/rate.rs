@@ -19,6 +19,9 @@ use crate::time::Duration;
 )]
 pub struct Rate(u64);
 
+// Declared here rather than in `codec` because the field is private.
+serde::layout!(value Rate { 0 });
+
 impl Rate {
     /// The zero rate.
     pub const ZERO: Rate = Rate(0);

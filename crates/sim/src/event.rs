@@ -36,11 +36,12 @@
 //! `CalendarQueue<Slim>`: a 16-byte `{ tag, v }`, 32 bytes with the wheel's
 //! `(deadline, key)`, half of what an inline `Event` made it. `schedule`
 //! packs, `pop` and `extract_if` unpack, and callers only ever see whole
-//! `Event`s. The tag is the byte the snapshot codec writes for the variant,
-//! so the variants have one numbering; the one wide payload parks in a side
-//! slab the queue owns, because feedback in flight *is* queue state — it
-//! exists exactly from `schedule` to `pop`/`extract_if`, which hand it back
-//! by value, so snapshots and migration never see a slot number.
+//! `Event`s. The tag is the byte the snapshot codec writes for the variant
+//! (one table, `event_tags!`, numbers the variants for both), and the one
+//! wide payload parks in a side slab the queue owns, because feedback in
+//! flight *is* queue state — it exists exactly from `schedule` to
+//! `pop`/`extract_if`, which hand it back by value, so snapshots and
+//! migration never see a slot number.
 
 use bundler_core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use bundler_core::wheel::CalendarQueue;
@@ -178,122 +179,72 @@ pub enum Event {
     },
 }
 
-impl Encode for EventKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
+serde::layout!(value EventKey { 0 });
 
-impl Decode for EventKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EventKey(u64::decode(r)?))
-    }
-}
-
-impl Encode for Event {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Event::FlowArrival { spec } => {
-                0u8.encode(out);
-                spec.encode(out);
-            }
-            Event::ArriveBottleneck { pkt } => {
-                1u8.encode(out);
-                pkt.encode(out);
-            }
-            Event::PathDequeue { path } => {
-                2u8.encode(out);
-                path.encode(out);
-            }
-            Event::ArriveDestination { pkt } => {
-                3u8.encode(out);
-                pkt.encode(out);
-            }
-            Event::ArriveSource { pkt } => {
-                4u8.encode(out);
-                pkt.encode(out);
-            }
-            Event::CongestionAckArrive { ack } => {
-                5u8.encode(out);
-                ack.encode(out);
-            }
-            Event::EpochUpdateArrive { update } => {
-                6u8.encode(out);
-                update.encode(out);
-            }
-            Event::ControlTick { bundle } => {
-                7u8.encode(out);
-                bundle.encode(out);
-            }
-            Event::SendboxRelease { bundle } => {
-                8u8.encode(out);
-                bundle.encode(out);
-            }
-            Event::RtoCheck { flow } => {
-                9u8.encode(out);
-                flow.encode(out);
-            }
-            Event::Sample { lp } => {
-                10u8.encode(out);
-                lp.encode(out);
-            }
-            Event::FluidUpdate { path } => {
-                11u8.encode(out);
-                path.encode(out);
-            }
-            Event::PathSample { path } => {
-                12u8.encode(out);
-                path.encode(out);
+/// Writes the variant numbering once: each row is a variant's tag — the
+/// byte the snapshot codec writes first, and the one [`Slim`] carries — its
+/// variant and its one field. `Encode`, `Decode`, [`Slim::pack`] and
+/// [`Slim::unpack`] all come from these rows.
+macro_rules! event_tags {
+    ($($tag:literal => $variant:ident { $field:ident: $ty:ty },)*) => {
+        impl Encode for Event {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Event::$variant { $field } => {
+                        out.push($tag);
+                        $field.encode(out);
+                    })*
+                }
             }
         }
-    }
+
+        impl Decode for Event {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match u8::decode(r)? {
+                    $($tag => Event::$variant { $field: <$ty>::decode(r)? },)*
+                    _ => return Err(r.error("unknown event tag")),
+                })
+            }
+        }
+
+        impl Slim {
+            /// Packs `event`, parking a congestion ACK in `acks`. Inlined
+            /// into `schedule`, whose callers name the variant, so the
+            /// match folds to one constant tag at every call site.
+            #[inline]
+            fn pack(event: Event, acks: &mut AckSlab) -> Slim {
+                match event {
+                    $(Event::$variant { $field } => Slim { tag: $tag, v: $field.to_word(acks) },)*
+                }
+            }
+
+            /// The event this entry stands for, for looking at an entry
+            /// that stays queued: a parked ACK is read, not released.
+            #[inline]
+            fn unpack(self, acks: &AckSlab) -> Event {
+                match self.tag {
+                    $($tag => Event::$variant { $field: Word::from_word(self.v, acks) },)*
+                    tag => unreachable!("Slim::pack mints no tag {tag}"),
+                }
+            }
+        }
+    };
 }
 
-impl Decode for Event {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => Event::FlowArrival {
-                spec: u32::decode(r)?,
-            },
-            1 => Event::ArriveBottleneck {
-                pkt: PacketId::decode(r)?,
-            },
-            2 => Event::PathDequeue {
-                path: u32::decode(r)?,
-            },
-            3 => Event::ArriveDestination {
-                pkt: PacketId::decode(r)?,
-            },
-            4 => Event::ArriveSource {
-                pkt: PacketId::decode(r)?,
-            },
-            5 => Event::CongestionAckArrive {
-                ack: CongestionAck::decode(r)?,
-            },
-            6 => Event::EpochUpdateArrive {
-                update: EpochSizeUpdate::decode(r)?,
-            },
-            7 => Event::ControlTick {
-                bundle: u32::decode(r)?,
-            },
-            8 => Event::SendboxRelease {
-                bundle: u32::decode(r)?,
-            },
-            9 => Event::RtoCheck {
-                flow: FlowId::decode(r)?,
-            },
-            10 => Event::Sample {
-                lp: u16::decode(r)?,
-            },
-            11 => Event::FluidUpdate {
-                path: u32::decode(r)?,
-            },
-            12 => Event::PathSample {
-                path: u32::decode(r)?,
-            },
-            _ => return Err(r.error("unknown event tag")),
-        })
-    }
+event_tags! {
+    0 => FlowArrival { spec: u32 },
+    1 => ArriveBottleneck { pkt: PacketId },
+    2 => PathDequeue { path: u32 },
+    3 => ArriveDestination { pkt: PacketId },
+    4 => ArriveSource { pkt: PacketId },
+    5 => CongestionAckArrive { ack: CongestionAck },
+    6 => EpochUpdateArrive { update: EpochSizeUpdate },
+    7 => ControlTick { bundle: u32 },
+    8 => SendboxRelease { bundle: u32 },
+    9 => RtoCheck { flow: FlowId },
+    10 => Sample { lp: u16 },
+    11 => FluidUpdate { path: u32 },
+    12 => PathSample { path: u32 },
 }
 
 /// Hard ceiling on the event size: the largest variant is
@@ -317,10 +268,10 @@ const _: () = assert!(
 const WHEEL_QUANTUM: Duration = Duration(1 << 13);
 
 /// What the wheel holds for one [`Event`] (see the module docs for why):
-/// the tag `Encode for Event` writes for the variant
-/// (`slim_tag_is_the_codec_tag` holds the two numberings together) and one
-/// word — the variant's whole payload, or for `CongestionAckArrive` the
-/// [`AckSlab`] slot its [`CongestionAck`] is parked in.
+/// the variant's tag from the `event_tags!` table, which the snapshot codec
+/// writes too, and one [`Word`] — the variant's whole payload, or for
+/// `CongestionAckArrive` the [`AckSlab`] slot its [`CongestionAck`] is
+/// parked in.
 #[derive(Debug, Clone, Copy)]
 struct Slim {
     tag: u8,
@@ -329,80 +280,93 @@ struct Slim {
 
 const _: () = assert!(std::mem::size_of::<Slim>() == 16);
 
-/// [`Slim::tag`] of the one variant whose payload lives in the [`AckSlab`].
-const TAG_CONGESTION_ACK: u8 = 5;
-
 impl Slim {
-    /// Packs `event`, parking a congestion ACK in `acks`.
-    #[inline]
-    fn pack(event: Event, acks: &mut AckSlab) -> Slim {
-        let (tag, v) = match event {
-            Event::FlowArrival { spec } => (0, u64::from(spec)),
-            Event::ArriveBottleneck { pkt } => (1, u64::from(pkt.index())),
-            Event::PathDequeue { path } => (2, u64::from(path)),
-            Event::ArriveDestination { pkt } => (3, u64::from(pkt.index())),
-            Event::ArriveSource { pkt } => (4, u64::from(pkt.index())),
-            Event::CongestionAckArrive { ack } => (TAG_CONGESTION_ACK, u64::from(acks.park(ack))),
-            Event::EpochUpdateArrive { update } => (
-                6,
-                u64::from(update.bundle.0) << 32 | u64::from(update.epoch_size),
-            ),
-            Event::ControlTick { bundle } => (7, u64::from(bundle)),
-            Event::SendboxRelease { bundle } => (8, u64::from(bundle)),
-            Event::RtoCheck { flow } => (9, flow.0),
-            Event::Sample { lp } => (10, u64::from(lp)),
-            Event::FluidUpdate { path } => (11, u64::from(path)),
-            Event::PathSample { path } => (12, u64::from(path)),
-        };
-        Slim { tag, v }
-    }
-
-    /// The event this entry stands for, for looking at an entry that stays
-    /// queued: a parked ACK is read, not released.
-    #[inline]
-    fn unpack(self, acks: &AckSlab) -> Event {
-        // Narrowing casts undo `pack`'s widening ones.
-        let v = self.v;
-        match self.tag {
-            0 => Event::FlowArrival { spec: v as u32 },
-            1 => Event::ArriveBottleneck {
-                pkt: PacketId::from_index(v as u32),
-            },
-            2 => Event::PathDequeue { path: v as u32 },
-            3 => Event::ArriveDestination {
-                pkt: PacketId::from_index(v as u32),
-            },
-            4 => Event::ArriveSource {
-                pkt: PacketId::from_index(v as u32),
-            },
-            TAG_CONGESTION_ACK => Event::CongestionAckArrive {
-                ack: acks.slots[v as usize],
-            },
-            6 => Event::EpochUpdateArrive {
-                update: EpochSizeUpdate {
-                    bundle: BundleId((v >> 32) as u32),
-                    epoch_size: v as u32,
-                },
-            },
-            7 => Event::ControlTick { bundle: v as u32 },
-            8 => Event::SendboxRelease { bundle: v as u32 },
-            9 => Event::RtoCheck { flow: FlowId(v) },
-            10 => Event::Sample { lp: v as u16 },
-            11 => Event::FluidUpdate { path: v as u32 },
-            12 => Event::PathSample { path: v as u32 },
-            tag => unreachable!("Slim::pack mints no tag {tag}"),
-        }
-    }
-
     /// [`Slim::unpack`] for an entry that has left the queue: frees the slot
     /// of a parked ACK.
     #[inline]
     fn take(self, acks: &mut AckSlab) -> Event {
         let event = self.unpack(acks);
-        if self.tag == TAG_CONGESTION_ACK {
+        if let Event::CongestionAckArrive { .. } = event {
             acks.free.push(self.v as u32);
         }
         event
+    }
+}
+
+/// How a variant's one field rides in [`Slim::v`]: the whole value, or —
+/// for the one payload wider than a word — its [`AckSlab`] slot. The
+/// narrowing casts in `from_word` undo `to_word`'s widening ones.
+trait Word {
+    fn to_word(self, acks: &mut AckSlab) -> u64;
+    fn from_word(v: u64, acks: &AckSlab) -> Self;
+}
+
+impl Word for u16 {
+    #[inline]
+    fn to_word(self, _: &mut AckSlab) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn from_word(v: u64, _: &AckSlab) -> Self {
+        v as u16
+    }
+}
+
+impl Word for u32 {
+    #[inline]
+    fn to_word(self, _: &mut AckSlab) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn from_word(v: u64, _: &AckSlab) -> Self {
+        v as u32
+    }
+}
+
+impl Word for PacketId {
+    #[inline]
+    fn to_word(self, _: &mut AckSlab) -> u64 {
+        u64::from(self.index())
+    }
+    #[inline]
+    fn from_word(v: u64, _: &AckSlab) -> Self {
+        PacketId::from_index(v as u32)
+    }
+}
+
+impl Word for FlowId {
+    #[inline]
+    fn to_word(self, _: &mut AckSlab) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn from_word(v: u64, _: &AckSlab) -> Self {
+        FlowId(v)
+    }
+}
+
+impl Word for EpochSizeUpdate {
+    #[inline]
+    fn to_word(self, _: &mut AckSlab) -> u64 {
+        u64::from(self.bundle.0) << 32 | u64::from(self.epoch_size)
+    }
+    #[inline]
+    fn from_word(v: u64, _: &AckSlab) -> Self {
+        EpochSizeUpdate {
+            bundle: BundleId((v >> 32) as u32),
+            epoch_size: v as u32,
+        }
+    }
+}
+
+impl Word for CongestionAck {
+    #[inline]
+    fn to_word(self, acks: &mut AckSlab) -> u64 {
+        u64::from(acks.park(self))
+    }
+    #[inline]
+    fn from_word(v: u64, acks: &AckSlab) -> Self {
+        acks.slots[v as usize]
     }
 }
 
@@ -554,6 +518,10 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    /// The codec tag of `CongestionAckArrive`, the variant parked in the
+    /// slab.
+    const TAG_CONGESTION_ACK: u8 = 5;
 
     fn key(lp: u16, seq: u64) -> EventKey {
         EventKey::new(lp, seq)

@@ -183,8 +183,8 @@ serde::layout!(value EventKey { 0 });
 
 /// Writes the variant numbering once: each row is a variant's tag — the
 /// byte the snapshot codec writes first, and the one [`Slim`] carries — its
-/// variant and its one field. `Encode`, `Decode`, [`Slim::pack`] and
-/// [`Slim::unpack`] all come from these rows.
+/// variant and its one field. `Encode`, `Decode`, [`Slim::pack`],
+/// [`Slim::unpack`] and [`Slim::take`] all come from these rows.
 macro_rules! event_tags {
     ($($tag:literal => $variant:ident { $field:ident: $ty:ty },)*) => {
         impl Encode for Event {
@@ -227,7 +227,27 @@ macro_rules! event_tags {
                     tag => unreachable!("Slim::pack mints no tag {tag}"),
                 }
             }
+
+            /// [`Slim::unpack`] for an entry that has left the queue: frees
+            /// the slot of a parked ACK.
+            #[inline]
+            fn take(self, acks: &mut AckSlab) -> Event {
+                let event = self.unpack(acks);
+                if self.tag == TAG_PARKED {
+                    acks.free.push(self.v as u32);
+                }
+                event
+            }
         }
+
+        /// The tag of the one variant whose field parks in the [`AckSlab`].
+        const TAG_PARKED: u8 = {
+            let mut tag = u8::MAX;
+            $(if <$ty as Word>::PARKED {
+                tag = $tag;
+            })*
+            tag
+        };
     };
 }
 
@@ -280,23 +300,13 @@ struct Slim {
 
 const _: () = assert!(std::mem::size_of::<Slim>() == 16);
 
-impl Slim {
-    /// [`Slim::unpack`] for an entry that has left the queue: frees the slot
-    /// of a parked ACK.
-    #[inline]
-    fn take(self, acks: &mut AckSlab) -> Event {
-        let event = self.unpack(acks);
-        if let Event::CongestionAckArrive { .. } = event {
-            acks.free.push(self.v as u32);
-        }
-        event
-    }
-}
-
 /// How a variant's one field rides in [`Slim::v`]: the whole value, or —
 /// for the one payload wider than a word — its [`AckSlab`] slot. The
 /// narrowing casts in `from_word` undo `to_word`'s widening ones.
 trait Word {
+    /// Whether the word is an [`AckSlab`] slot the value is parked in.
+    const PARKED: bool = false;
+
     fn to_word(self, acks: &mut AckSlab) -> u64;
     fn from_word(v: u64, acks: &AckSlab) -> Self;
 }
@@ -360,6 +370,8 @@ impl Word for EpochSizeUpdate {
 }
 
 impl Word for CongestionAck {
+    const PARKED: bool = true;
+
     #[inline]
     fn to_word(self, acks: &mut AckSlab) -> u64 {
         u64::from(acks.park(self))
@@ -519,10 +531,6 @@ mod tests {
 
     use super::*;
 
-    /// The codec tag of `CongestionAckArrive`, the variant parked in the
-    /// slab.
-    const TAG_CONGESTION_ACK: u8 = 5;
-
     fn key(lp: u16, seq: u64) -> EventKey {
         EventKey::new(lp, seq)
     }
@@ -624,7 +632,7 @@ mod tests {
                     // Schedule; two of the five schedule ops are always an
                     // ACK, on top of the 1-in-13 among the rest.
                     0..=4 => {
-                        let tag = if op < 2 { TAG_CONGESTION_ACK } else { tag };
+                        let tag = if op < 2 { TAG_PARKED } else { tag };
                         // `b` = the op index: every payload is distinct.
                         let e = event(tag, w, i, w.rotate_left(17), !w);
                         let now = q.now().as_nanos();
@@ -678,7 +686,7 @@ mod tests {
 
     #[test]
     fn ack_slots_are_reused_and_extract_if_frees_them() {
-        let ack = |i: u64| event(TAG_CONGESTION_ACK, i, i, i, i);
+        let ack = |i: u64| event(TAG_PARKED, i, i, i, i);
         let mut q = EventQueue::new();
         let mut next_out = 0u64;
         for i in 0..10_000u64 {

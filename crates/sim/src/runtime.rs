@@ -1620,13 +1620,10 @@ impl BundleParcel {
         self.edge_pkts.encode(out);
         self.flows.encode(out);
         self.pings.encode(out);
-        (
-            &self.throughput,
-            &self.pacing,
-            &self.rtt_estimate,
-            &self.recv_rate,
-        )
-            .encode(out);
+        self.throughput.encode(out);
+        self.pacing.encode(out);
+        self.rtt_estimate.encode(out);
+        self.recv_rate.encode(out);
         match &self.obs {
             Some(state) if !state.is_empty() => {
                 1u8.encode(out);
@@ -1656,8 +1653,8 @@ impl BundleParcel {
         // one twice (as two flows, two pings or one of each) would alias a
         // table slot on adoption.
         let mut seen = HashSet::new();
-        let ids = flows.iter().map(|f| f.0).chain(pings.iter().map(|p| p.0));
-        if !ids.into_iter().all(|id| seen.insert(id)) {
+        let mut ids = flows.iter().map(|f| f.0).chain(pings.iter().map(|p| p.0));
+        if !ids.all(|id| seen.insert(id)) {
             return Err(r.error("parcel names a flow id twice"));
         }
         let (throughput, pacing, rtt_estimate, recv_rate) = Decode::decode(r)?;

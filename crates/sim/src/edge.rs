@@ -177,10 +177,9 @@ impl Bundle {
 }
 
 // The bundle's complete dynamic state: datapath, control plane if the bundle
-// holds it, receivebox, telemetry. Queued packet ids go out as-is, so the
-// saver must have rewritten them to ordinals (via `Tbf::for_each_pkt_mut`)
-// and carries the packets themselves separately; a loader re-homes the
-// ordinals into its arena.
+// holds it, receivebox, telemetry. The queued packets themselves are not in
+// it: the saver carries them separately in `Tbf::for_each_pkt_mut` order, and
+// a loader re-homes the refs into its arena in that order.
 serde::layout!(state Bundle {
     tbf, control (if_built), receivebox, release_scheduled, queue_delay_ms, mode_timeline,
     last_mode,

@@ -17,7 +17,6 @@
 use bundler_core::feedback::{BundleId, CongestionAck};
 use bundler_core::{BundlerConfig, Sendbox, SendboxOutput, SendboxTelemetry};
 use bundler_types::{Duration, FlowKey, IdHashMap, IpPrefix, Nanos, Packet};
-use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::classifier::PrefixClassifier;
 use crate::telemetry::{AgentTelemetry, BundleTelemetry};
@@ -95,63 +94,8 @@ struct ManagedBundle {
     /// Incarnation counter: bumped every time this id is (re-)installed,
     /// so wheel entries from a *previous* incarnation (left behind by
     /// [`SiteAgent::remove_bundle`]) are dead on arrival instead of
-    /// doubling the tick train when the same id is adopted again.
+    /// doubling the tick train when the same id is added again.
     generation: u64,
-}
-
-/// A bundle lifted out of one agent, ready to be installed in another with
-/// its control-plane state — rate, RTT estimate, epoch tracking, counters —
-/// intact. Produced by [`SiteAgent::remove_bundle`], consumed by
-/// [`SiteAgent::adopt_bundle`]; the sharded simulation runtime uses the
-/// pair to migrate a bundle between shards at a window barrier.
-#[derive(Debug)]
-pub struct DetachedBundle {
-    control: Sendbox,
-    prefixes: Vec<IpPrefix>,
-    id: BundleId,
-}
-
-impl DetachedBundle {
-    /// The bundle's site-wide identity.
-    pub fn id(&self) -> BundleId {
-        self.id
-    }
-
-    /// Read access to the detached control plane.
-    pub fn control(&self) -> &Sendbox {
-        &self.control
-    }
-
-    /// The destination prefixes routed to this bundle.
-    pub fn prefixes(&self) -> &[IpPrefix] {
-        &self.prefixes
-    }
-
-    /// Serializes the detached bundle — identity, routed prefixes, and the
-    /// full control-plane state — for a simulation snapshot. The Bundler
-    /// configuration is NOT included; [`DetachedBundle::from_state`] rebuilds
-    /// the control plane from the same configuration.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.prefixes.encode(out);
-        self.control.save_state(out);
-    }
-
-    /// Reconstructs a detached bundle from bytes written by
-    /// [`DetachedBundle::save_state`], rebuilding the control plane from
-    /// `config` and then restoring its dynamic state.
-    pub fn from_state(config: BundlerConfig, r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let id = BundleId::decode(r)?;
-        let prefixes: Vec<IpPrefix> = Decode::decode(r)?;
-        let mut control =
-            Sendbox::new(id, config).map_err(|_| r.error("invalid bundler config"))?;
-        control.load_state(r)?;
-        Ok(DetachedBundle {
-            control,
-            prefixes,
-            id,
-        })
-    }
 }
 
 /// A site-edge agent managing one [`Sendbox`] control plane per remote
@@ -250,7 +194,7 @@ impl SiteAgent {
     }
 
     /// Overwrites the agent's counters. Used by snapshot restore, which
-    /// rebuilds the agent by re-adopting bundles and must then reinstate the
+    /// rebuilds the agent by re-adding bundles and must then reinstate the
     /// lifetime counters recorded at checkpoint time.
     pub fn restore_stats(&mut self, stats: AgentStats) {
         self.stats = stats;
@@ -318,12 +262,16 @@ impl SiteAgent {
         Ok(id)
     }
 
-    /// Detaches a bundle (by global id) from this agent: its prefixes leave
-    /// the classifier, its pending control tick is cancelled, and its live
-    /// control plane is returned for [`SiteAgent::adopt_bundle`] on another
-    /// agent. Returns `None` for an unmanaged id.
-    pub fn remove_bundle(&mut self, bundle: usize) -> Option<DetachedBundle> {
-        let slot = self.slot(bundle)?;
+    /// Drops a bundle (by global id) from this agent: its prefixes leave
+    /// the classifier and its pending control tick is cancelled. Returns
+    /// `false` for an unmanaged id. A host that moves a bundle to another
+    /// agent saves its [`SiteAgent::sendbox`] state first, then adds it
+    /// there under the same id and loads that state into
+    /// [`SiteAgent::sendbox_mut`].
+    pub fn remove_bundle(&mut self, bundle: usize) -> bool {
+        let Some(slot) = self.slot(bundle) else {
+            return false;
+        };
         let b = self.bundles.remove(slot);
         self.slot_of.remove(&b.id.0);
         for s in self.slot_of.values_mut() {
@@ -334,46 +282,7 @@ impl SiteAgent {
         for p in &b.prefixes {
             self.classifier.remove(*p);
         }
-        Some(DetachedBundle {
-            control: b.control,
-            prefixes: b.prefixes,
-            id: b.id,
-        })
-    }
-
-    /// Installs a bundle detached from another agent, preserving its
-    /// control-plane state. Validates exactly what
-    /// [`SiteAgent::add_bundle_with_id`] validates (unused id, unrouted
-    /// prefixes) and schedules the bundle's next wheel tick one
-    /// `control_interval` after `now` — hosts that drive ticks from their
-    /// own event loop (via [`SiteAgent::tick_bundle`]) carry the tick train
-    /// across the move themselves and never consult the wheel.
-    pub fn adopt_bundle(&mut self, detached: DetachedBundle, now: Nanos) -> Result<(), String> {
-        if self.slot_of.contains_key(&detached.id.0) {
-            return Err(format!("bundle id {} is already managed", detached.id.0));
-        }
-        for p in &detached.prefixes {
-            if let Some(&owner) = self.classifier.get(*p) {
-                return Err(format!("prefix {p} is already routed to bundle {owner}"));
-            }
-        }
-        let slot = self.bundles.len();
-        for p in &detached.prefixes {
-            self.classifier.insert(*p, detached.id.0 as usize);
-        }
-        self.slot_of.insert(detached.id.0, slot);
-        let interval = detached.control.config().control_interval;
-        self.next_generation += 1;
-        let generation = self.next_generation;
-        self.wheel
-            .schedule(now + interval, (detached.id.0 as usize, generation));
-        self.bundles.push(ManagedBundle {
-            control: detached.control,
-            prefixes: detached.prefixes,
-            id: detached.id,
-            generation,
-        });
-        Ok(())
+        true
     }
 
     /// The slot of a global bundle id, if this agent manages it.
@@ -491,6 +400,14 @@ impl SiteAgent {
         self.slot(bundle)
             .and_then(|s| self.bundles.get(s))
             .map(|b| &b.control)
+    }
+
+    /// Mutable access to a bundle's control plane (by global id): how a
+    /// host restores a saved control-plane state into a bundle it has just
+    /// added.
+    pub fn sendbox_mut(&mut self, bundle: usize) -> Option<&mut Sendbox> {
+        let slot = self.slot(bundle)?;
+        self.bundles.get_mut(slot).map(|b| &mut b.control)
     }
 
     /// The prefixes routed to a bundle (by global id).
@@ -648,22 +565,25 @@ mod tests {
 
     #[test]
     fn remove_and_readopt_keeps_a_single_tick_train() {
-        // A bundle detached and adopted back into the *same* agent (the
-        // shortest round trip a migrating bundle can make) must not end up
-        // with two wheel tick trains: the pre-removal entry is a stale
-        // incarnation and must die silently when it fires.
+        // A bundle removed and added back into the *same* agent under its
+        // id (the shortest round trip a migrating bundle can make) must not
+        // end up with two wheel tick trains: the pre-removal entry is a
+        // stale incarnation and must die silently when it fires.
         let mut agent = agent_with_sites(2);
-        let detached = agent.remove_bundle(0).expect("managed");
+        assert!(agent.remove_bundle(0), "managed");
+        assert!(!agent.remove_bundle(0), "already gone");
         assert!(agent.sendbox(0).is_none());
         assert_eq!(agent.classify_dst(ipv4(10, 1, 0, 7)), None, "route gone");
+        let (config, now) = (BundlerConfig::default(), Nanos::from_millis(3));
         agent
-            .adopt_bundle(detached, Nanos::from_millis(3))
-            .expect("clean re-adopt");
-        assert!(agent.sendbox(0).is_some());
+            .add_bundle_with_id(&[prefix(0)], config, BundleId(0), now)
+            .expect("clean re-add");
+        assert!(agent.sendbox_mut(0).is_some());
         assert_eq!(agent.classify_dst(ipv4(10, 1, 0, 7)), Some(0));
         // Over 400 ms at the default 10 ms interval, bundle 0 must tick
         // exactly as often as the never-removed bundle 1 (its grid is
-        // re-anchored at adoption, so allow the one-tick phase offset).
+        // re-anchored when it is added back, so allow the one-tick phase
+        // offset).
         let mut ticks = [0u32; 2];
         for ms in 1..=400u64 {
             for t in agent.advance(Nanos::from_millis(ms), |_| 0) {
@@ -673,7 +593,7 @@ mod tests {
         assert_eq!(ticks[1], 40);
         assert!(
             (39..=40).contains(&ticks[0]),
-            "re-adopted bundle must keep ONE tick train, got {} ticks",
+            "re-added bundle must keep ONE tick train, got {} ticks",
             ticks[0]
         );
     }

@@ -28,7 +28,7 @@ pub mod classifier;
 pub mod telemetry;
 pub mod wheel;
 
-pub use agent::{AgentConfig, AgentStats, BundleTick, DetachedBundle, SiteAgent};
+pub use agent::{AgentConfig, AgentStats, BundleTick, SiteAgent};
 pub use classifier::PrefixClassifier;
 pub use telemetry::{AgentTelemetry, BundleTelemetry};
 pub use wheel::TimerWheel;

@@ -106,10 +106,10 @@ pub struct FlowSpan {
 pub type FlowSpanTable = BTreeMap<u64, FlowSpan>;
 
 /// Everything observability accumulates *per bundle*: in-flight flow spans
-/// and health-monitor state. Lives beside the bundle on its owning shard,
-/// travels inside `BundleParcel` when the bundle migrates, and is encoded
-/// into snapshots so a restored run finishes its flows with the same
-/// records a straight-through run would produce.
+/// and health-monitor state. Lives beside the bundle on its owning shard and
+/// is encoded into the bundle's snapshot section — the form in which the
+/// bundle also migrates — so a restored or migrated bundle finishes its
+/// flows with the same records a straight-through run would produce.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BundleObsState {
     /// In-flight sampled flows.
@@ -119,8 +119,8 @@ pub struct BundleObsState {
 }
 
 impl BundleObsState {
-    /// True if there is nothing worth carrying (lets parcels skip the
-    /// section).
+    /// True if there is nothing worth carrying (lets a snapshot section
+    /// write a `0` presence flag instead).
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty() && self.health == HealthState::default()
     }

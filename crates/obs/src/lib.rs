@@ -233,8 +233,8 @@ impl ShardObs {
         self.bundle_obs.entry(bundle).or_default()
     }
 
-    /// Lifts a bundle's accumulator out for migration (into
-    /// `BundleParcel`) or snapshot encoding.
+    /// Lifts a bundle's accumulator out of this shard (a migrating
+    /// bundle leaves with it in its snapshot section).
     pub fn take_bundle_obs(&mut self, bundle: usize) -> Option<BundleObsState> {
         self.bundle_obs.remove(&bundle)
     }

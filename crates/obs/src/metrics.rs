@@ -172,9 +172,9 @@ impl MetricsShard {
 pub struct HostMetrics {
     /// Bundle migrations performed (counted at the source shard).
     pub migrations: u64,
-    /// Packets carried inside migration parcels.
+    /// Packets carried inside migrating bundles' sections.
     pub migration_pkts: u64,
-    /// Packet payload bytes carried inside migration parcels.
+    /// Packet payload bytes carried inside migrating bundles' sections.
     pub migration_bytes: u64,
     /// Conservative windows executed by this shard.
     pub windows: u64,
@@ -208,9 +208,11 @@ impl HostMetrics {
 /// drop-state transitions, previously scheduler-private.
 ///
 /// Lives *inside* the scheduler (behind `Scheduler::set_obs` /
-/// `Scheduler::take_obs`), so when a bundle migrates between shards its
-/// half-built histogram travels with the sendbox datapath and the final
-/// owner exports the complete, partition-invariant series.
+/// `Scheduler::take_obs`) and is in no snapshot. A shard that drops a
+/// migrating bundle folds the sojourn histogram into its own registry and
+/// the loading shard re-arms a fresh one; the drop counters are read off
+/// the scheduler's own (snapshotted) state by whichever shard takes the
+/// export last. The merged series is partition-invariant either way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedObs {
     /// Sojourn time of each *delivered* packet through the scheduler, ns.

@@ -86,9 +86,9 @@ pub enum TraceKind {
         from: u16,
         /// Destination shard.
         to: u16,
-        /// Packets carried in the parcel.
+        /// Packets carried in the bundle's section.
         pkts: u64,
-        /// Packet payload bytes carried in the parcel.
+        /// Packet payload bytes carried in the bundle's section.
         bytes: u64,
     },
     /// One worker shard's conservative window (span).

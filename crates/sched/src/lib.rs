@@ -120,17 +120,16 @@ pub trait Scheduler: Send + State {
     /// Visits every queued packet id exactly once, allowing the caller to
     /// rewrite ids in place. The traversal must not change the scheduler's
     /// structure or state, and repeated calls on an unmodified scheduler
-    /// must visit packets in the same order — the sharded simulator relies
-    /// on this to re-home a sendbox's queued packets when a bundle migrates
-    /// between per-shard [`PacketArena`]s (ids are collected in one pass
-    /// and rewritten in a second).
+    /// must visit packets in the same order — the simulator relies on this
+    /// to save a queue's packets by value after its [`State`] and, on
+    /// loading, to rewrite the placeholder ids to the packets' new
+    /// [`PacketArena`] slots in the same order.
     fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut PacketId));
 
     /// Enables (or disables) observability export. When enabled, AQM-aware
     /// schedulers record per-packet sojourn times and drop-state
     /// transitions into a [`bundler_obs::SchedObs`] carried *inside* the
-    /// scheduler — so the half-built export migrates with the sendbox
-    /// datapath when a bundle moves between shards. Default: no-op, for
+    /// scheduler. Enabling starts a fresh export. Default: no-op, for
     /// schedulers with nothing beyond [`SchedStats`] to export.
     fn set_obs(&mut self, _on: bool) {}
 

@@ -207,16 +207,16 @@ impl Tbf {
     }
 
     /// Takes the inner scheduler's observability export, if recording was
-    /// enabled (see [`Scheduler::take_obs`]). The export lives inside the
-    /// scheduler so it migrates between shards with the datapath.
+    /// enabled (see [`Scheduler::take_obs`]).
     pub fn take_obs(&mut self) -> Option<bundler_obs::SchedObs> {
         self.inner.take_obs()
     }
 
     /// Visits every queued packet id (see
-    /// [`Scheduler::for_each_pkt_mut`]): the migration hook that lets a
-    /// sendbox datapath move between packet arenas with its queue state —
-    /// scheduler structure, deficits, CoDel state, token balance — intact.
+    /// [`Scheduler::for_each_pkt_mut`]): the hook that lets a sendbox
+    /// datapath be saved with its queued packets and loaded into another
+    /// packet arena with its queue state — scheduler structure, deficits,
+    /// CoDel state, token balance — intact.
     pub fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut bundler_types::PacketId)) {
         self.inner.for_each_pkt_mut(f);
     }

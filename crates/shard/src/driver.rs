@@ -17,15 +17,18 @@
 //!
 //! **`Extract`** (windows the balancer re-packs, see [`crate::balance`]).
 //! Each worker drains its inboxes — deliveries routed to it under the old
-//! assignment become queue events and travel with their bundle — lifts
-//! every bundle it is losing off its core and deposits the
-//! [`BundleParcel`]. The barrier that ends the phase is the rendezvous:
-//! every parcel is in its slot.
+//! assignment become queue events and travel with their bundle — then, for
+//! every bundle it is losing, writes the bundle's snapshot section
+//! (`WorkerCore::save_bundle`, the very bytes a checkpoint holds), drops
+//! the bundle from its core (`WorkerCore::drop_bundle`) and deposits the
+//! bytes. The barrier that ends the phase is the rendezvous: every section
+//! is in its slot.
 //!
-//! **`Adopt`** (same windows). Each worker installs the parcels addressed
-//! to it. Re-partitioning happens only here, between barriers, and event
-//! order is canonical, so *any* migration schedule is bit-identical to the
-//! single-threaded engine (property-tested in `tests/equivalence.rs`).
+//! **`Adopt`** (same windows). Each worker loads the sections addressed to
+//! it (`WorkerCore::load_bundle`, the restore path). Re-partitioning
+//! happens only here, between barriers, and event order is canonical, so
+//! *any* migration schedule is bit-identical to the single-threaded engine
+//! (property-tested in `tests/equivalence.rs`).
 //!
 //! **`Flush`** (checkpoint windows: with
 //! `SimulationConfig::checkpoint_every` set and a collecting run, the
@@ -37,7 +40,7 @@
 //! **`Save`** (same windows). Each worker drains its inboxes — the
 //! snapshot must hold every pending event ≥ `T`, in-flight arrivals
 //! included — and serializes its part: residue, the direct slice on shard
-//! 0, one parcel per owned bundle.
+//! 0, one section per owned bundle.
 //!
 //! **`Run`** (every window). Each worker drains its inboxes (deliveries
 //! produced in earlier windows, all timestamped ≥ T) and handles its local
@@ -76,14 +79,15 @@ use bundler_obs::{wall_now_ns, NetWindow, TraceKind, WindowPhase};
 use bundler_sim::event::{Event, EventKey, EventQueue};
 use bundler_sim::path::LoadBalancer;
 use bundler_sim::runtime::{
-    assemble_report, balancer_for, bundle_lp, origin_lp, BundleParcel, Delivery, NetCore,
-    Partition, ToNet, WorkerCore, LP_BUNDLE0,
+    assemble_report, balancer_for, bundle_lp, origin_lp, Delivery, NetCore, Partition, ToNet,
+    WorkerCore, LP_BUNDLE0,
 };
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{SimReport, Simulation};
 use bundler_types::{Duration, FlowId, IdHashMap, Nanos, Packet, PacketArena};
+use serde::binary::Reader;
 
 use crate::balance::{Balancer, Move};
 use crate::error::{self, ShardError};
@@ -172,9 +176,10 @@ struct Control {
     /// The current window's plan, replaced by the driver before the
     /// window-start barrier and read by every thread after it.
     plan: Mutex<Arc<WindowPlan>>,
-    /// Parcels in transit, one slot per bundle: deposited by the `from`
-    /// worker in `Extract`, taken by the `to` worker in `Adopt`.
-    parcels: Mutex<Vec<Option<BundleParcel>>>,
+    /// Bundles in transit as their snapshot sections, one slot per
+    /// bundle: deposited by the `from` worker in `Extract`, taken by the
+    /// `to` worker in `Adopt`.
+    parcels: Mutex<Vec<Option<Vec<u8>>>>,
     /// Checkpoint parts, one slot per worker shard: deposited in `Save`,
     /// taken by the driver in `Run`.
     parts: Mutex<Vec<Option<WorkerPart>>>,
@@ -728,7 +733,7 @@ impl Party for NetSide {
                 self.run_pending(seat);
                 let sections = self
                     .net
-                    .save_sections(&mut self.queue, &mut self.arena, plan.start);
+                    .save_sections(&mut self.queue, &self.arena, plan.start);
                 lock(&seat.ctrl.sections).extend(sections);
             }
             Phase::Run => {
@@ -859,15 +864,15 @@ impl Party for Worker {
                 // become queue events and migrate with it.
                 self.drain_inbox();
                 for mv in plan.moves.iter().filter(|mv| mv.from == me) {
-                    let parcel =
-                        self.core
-                            .extract_bundle(mv.bundle, &mut self.queue, &mut self.arena);
-                    if self.core.obs.metrics_on() {
-                        let (pkts, bytes) = parcel.footprint();
-                        self.core.obs.host.migrations += 1;
-                        self.core.obs.host.migration_pkts += pkts;
-                        self.core.obs.host.migration_bytes += bytes;
-                        self.core.obs.record(
+                    let (core, queue) = (&mut self.core, &mut self.queue);
+                    let mut section = Vec::new();
+                    core.save_bundle(mv.bundle, queue, &self.arena, &mut section);
+                    let (pkts, bytes) = core.drop_bundle(mv.bundle, queue, &mut self.arena);
+                    if core.obs.metrics_on() {
+                        core.obs.host.migrations += 1;
+                        core.obs.host.migration_pkts += pkts;
+                        core.obs.host.migration_bytes += bytes;
+                        core.obs.record(
                             plan.start,
                             TraceKind::Migration {
                                 bundle: mv.bundle as u32,
@@ -878,18 +883,19 @@ impl Party for Worker {
                             },
                         );
                     }
-                    lock(&seat.ctrl.parcels)[mv.bundle] = Some(parcel);
+                    lock(&seat.ctrl.parcels)[mv.bundle] = Some(section);
                 }
             }
             Phase::Adopt => {
                 let now = self.queue.now();
                 for mv in plan.moves.iter().filter(|mv| mv.to == me) {
-                    let parcel = lock(&seat.ctrl.parcels)[mv.bundle]
+                    let section = lock(&seat.ctrl.parcels)[mv.bundle]
                         .take()
-                        .expect("the source worker deposited the parcel");
+                        .expect("the source worker deposited the section");
+                    let r = &mut Reader::new(&section);
                     self.core
-                        .adopt_bundle(parcel, &mut self.queue, &mut self.arena, now)
-                        .expect("a bundle lifted off its worker installs");
+                        .load_bundle(mv.bundle, &mut self.queue, &mut self.arena, r, now)
+                        .expect("a section its own run wrote loads");
                 }
             }
             // The net threads' turn; every delivery below the checkpoint
@@ -899,7 +905,7 @@ impl Party for Worker {
                 self.drain_inbox();
                 let part = self
                     .core
-                    .save_part(&mut self.queue, &mut self.arena, plan.start);
+                    .save_part(&mut self.queue, &self.arena, plan.start);
                 lock(&seat.ctrl.parts)[me] = Some(part);
             }
             Phase::Run => self.run_window(plan, seat),

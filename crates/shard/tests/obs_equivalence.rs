@@ -139,8 +139,10 @@ fn hot_bundle_trace_contains_windows_migrations_and_rate_tracks() {
 }
 
 /// Sojourn/drop-state export from inside the schedulers survives
-/// migration: the per-bundle CoDel observability travels with the
-/// datapath, so the sharded totals match the single-threaded ones.
+/// migration: the worker that drops a bundle folds its sojourns, the one
+/// that loads it re-arms the export, and the drop counters come off the
+/// scheduler state the section carries — so the sharded totals match the
+/// single-threaded ones.
 #[test]
 fn sched_obs_travels_with_migrating_bundles() {
     let scenario = HotBundleScenario::builder()

@@ -11,7 +11,7 @@
 //! flow's origin, or a longest-prefix match on its destination) and *who
 //! holds the bundle's [`Sendbox`]* (the [`Bundle`] itself, or the agent).
 
-use bundler_agent::{AgentStats, DetachedBundle, SiteAgent};
+use bundler_agent::{AgentStats, SiteAgent};
 use bundler_core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use bundler_core::{BundlerConfig, Mode, Receivebox, Sendbox, SendboxOutput};
 use bundler_sched::tbf::{Release, Tbf};
@@ -169,8 +169,8 @@ impl Bundle {
     }
 
     /// Takes the datapath's observability export, if recording was
-    /// enabled. The export lives inside the scheduler, so it migrates with
-    /// the bundle and is complete wherever the bundle finished the run.
+    /// enabled. The export is host-local — it is in no snapshot — so the
+    /// worker that drops the bundle or finishes the run with it takes it.
     pub fn take_obs(&mut self) -> Option<bundler_obs::SchedObs> {
         self.tbf.take_obs()
     }
@@ -178,8 +178,9 @@ impl Bundle {
 
 // The bundle's complete dynamic state: datapath, control plane if the bundle
 // holds it, receivebox, telemetry. The queued packets themselves are not in
-// it: the saver carries them separately in `Tbf::for_each_pkt_mut` order, and
-// a loader re-homes the refs into its arena in that order.
+// it: `Edge::save_bundle` writes them right after it, by value in
+// `Tbf::for_each_pkt_mut` order, and `Edge::load_bundle` re-homes the refs
+// into its arena in that order.
 serde::layout!(state Bundle {
     tbf, control (if_built), receivebox, release_scheduled, queue_delay_ms, mode_timeline,
     last_mode,
@@ -194,17 +195,6 @@ pub struct MultiBundleSpec {
     pub prefixes: Vec<IpPrefix>,
     /// The bundle's Bundler configuration.
     pub config: BundlerConfig,
-}
-
-/// A bundle's sendbox edge state in transit between two [`Edge`]s, or to
-/// and from snapshot bytes.
-pub(crate) struct DetachedEdge {
-    /// The bundle's edge state, if a sendbox is deployed for it. A
-    /// status-quo bundle has none (its flows and telemetry still migrate).
-    pub(crate) bundle: Option<Bundle>,
-    /// At an agent edge, the control plane and prefixes the [`SiteAgent`]
-    /// hands over.
-    agent: Option<DetachedBundle>,
 }
 
 /// One worker's partition of the source site's sendbox edge: the
@@ -364,8 +354,9 @@ impl Edge {
     }
 
     /// Enables or disables observability export on every deployed bundle's
-    /// datapath. Adopted bundles carry their own flag inside the migrated
-    /// scheduler, so this only needs to run at construction.
+    /// datapath, at construction. A bundle loaded later is armed on its
+    /// own (`WorkerCore::load_bundle`): re-arming this way would clear the
+    /// others' exports.
     pub(crate) fn set_obs(&mut self, on: bool) {
         for b in self.bundles.iter_mut().flatten() {
             b.set_obs(on);
@@ -378,109 +369,119 @@ impl Edge {
     }
 
     /// Overwrites the agent's lifetime counters (snapshot restore rebuilds
-    /// the agent by re-adopting bundles, then reinstates them).
+    /// the agent by re-adding bundles, then reinstates them).
     pub(crate) fn restore_agent_stats(&mut self, stats: AgentStats) {
         if let Some(agent) = &mut self.agent {
             agent.restore_stats(stats);
         }
     }
 
-    /// Lifts bundle `b` out of this edge with all of its live state —
-    /// token-bucket datapath (queued packets included), control plane,
-    /// receivebox, telemetry series — for [`Edge::adopt`] on another edge.
-    /// The caller re-homes the datapath's queued packets between arenas via
-    /// `Tbf::for_each_pkt_mut`.
-    pub(crate) fn extract(&mut self, b: usize) -> DetachedEdge {
-        DetachedEdge {
-            bundle: self.bundles[b].take(),
-            agent: self.agent.as_mut().and_then(|a| a.remove_bundle(b)),
+    /// Removes bundle `b` from this edge — at an agent edge its control
+    /// plane and prefixes too — and returns its [`Bundle`], if a sendbox
+    /// was deployed for it. The packets it queues are still in the arena.
+    pub(crate) fn remove(&mut self, b: usize) -> Option<Bundle> {
+        if let Some(agent) = &mut self.agent {
+            agent.remove_bundle(b);
         }
+        self.bundles[b].take()
     }
 
-    /// Installs bundle `b`'s edge state extracted from another edge (or
-    /// decoded from a snapshot), preserving every piece of it. `now` only
-    /// re-anchors the agent's tick wheel. Fails if the agent already
-    /// manages the id or one of its prefixes.
-    pub(crate) fn adopt(
-        &mut self,
-        b: usize,
-        detached: DetachedEdge,
-        now: Nanos,
-    ) -> Result<(), String> {
-        if let (Some(agent), Some(part)) = (self.agent.as_mut(), detached.agent) {
-            agent.adopt_bundle(part, now)?;
-        }
-        self.bundles[b] = detached.bundle;
-        Ok(())
-    }
-}
-
-impl DetachedEdge {
-    /// Appends the edge state to a snapshot stream: a tag — `0` no
+    /// Appends bundle `b`'s edge state to a snapshot stream: a tag — `0` no
     /// sendbox, `1` a [`Bundle`] holding its control plane, `2` an
-    /// agent-held one — then the state. The tags and each tag's field order
-    /// are the `BNDLSNAP` v3 format; tag 2 interleaves the two halves the
-    /// way the format always has (agent part, index, then the [`Bundle`]).
-    /// Same packet-id contract as the [`Bundle`]'s own state.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        let Some(bundle) = &self.bundle else {
-            0u8.encode(out);
-            return;
-        };
-        match &self.agent {
-            None => 1u8.encode(out),
-            Some(part) => {
-                2u8.encode(out);
-                part.save_state(out);
-                bundle.index.encode(out);
+    /// agent-held one — then the state, then the packets the datapath
+    /// queues, by value. The tags and each tag's field order are the
+    /// `BNDLSNAP` v3 format; tag 2 interleaves the agent's part (id,
+    /// prefixes, control plane), the index and the [`Bundle`] the way the
+    /// format always has.
+    pub(crate) fn save_bundle(&mut self, b: usize, arena: &PacketArena, out: &mut Vec<u8>) {
+        let mut queued = Vec::new();
+        if let Some(bundle) = &mut self.bundles[b] {
+            match &self.agent {
+                None => 1u8.encode(out),
+                Some(agent) => {
+                    let held = "the agent manages every deployed bundle";
+                    2u8.encode(out);
+                    BundleId(b as u32).encode(out);
+                    agent.prefixes(b).expect(held).encode(out);
+                    agent.sendbox(b).expect(held).save_state(out);
+                    bundle.index.encode(out);
+                }
             }
+            bundle.save_state(out);
+            bundle.tbf.for_each_pkt_mut(&mut |id| queued.push(*id));
+        } else {
+            0u8.encode(out);
         }
-        bundle.save_state(out);
+        queued.len().encode(out);
+        for id in queued {
+            arena[id].encode(out);
+        }
     }
 
-    /// Reverses [`DetachedEdge::save_state`] for bundle `b`, rebuilding the
-    /// edge state from the *restoring* config (the snapshot fingerprint
-    /// guarantees it matches the writing one) and rejecting a tag the
-    /// config does not deploy.
-    pub(crate) fn from_state(
+    /// Reverses [`Edge::save_bundle`] into this edge, which must not hold
+    /// bundle `b`: the state is rebuilt from the *restoring* config (the
+    /// snapshot fingerprint guarantees it matches the writing one) and the
+    /// queued packets land in `arena`. `now` only anchors the agent's tick
+    /// wheel. Rejects a tag the config does not deploy, an agent part that
+    /// is not bundle `b`'s or whose id or prefix the agent already manages,
+    /// and packets that do not pair up with the queue.
+    pub(crate) fn load_bundle(
+        &mut self,
         config: &SimulationConfig,
         b: usize,
+        arena: &mut PacketArena,
         r: &mut Reader<'_>,
-    ) -> Result<Self, DecodeError> {
-        let (mut bundle, agent) = match u8::decode(r)? {
-            0 => {
-                return Ok(DetachedEdge {
-                    bundle: None,
-                    agent: None,
-                })
-            }
+        now: Nanos,
+    ) -> Result<(), DecodeError> {
+        let mut bundle = match u8::decode(r)? {
+            0 => None,
             1 => match config.bundles.get(b) {
-                Some(BundleMode::Bundler(cfg)) if config.multi_bundle.is_none() => {
+                Some(BundleMode::Bundler(cfg)) if self.agent.is_none() => {
                     let bundle = Bundle::new(b, *cfg, Nanos::ZERO);
-                    (bundle.map_err(|_| r.error("invalid bundler config"))?, None)
+                    Some(bundle.map_err(|_| r.error("invalid bundler config"))?)
                 }
                 _ => return Err(r.error("snapshot deploys a sendbox the config does not")),
             },
             2 => {
-                let Some(spec) = config.multi_bundle.as_ref().and_then(|m| m.specs.get(b)) else {
+                let spec = config.multi_bundle.as_ref().and_then(|m| m.specs.get(b));
+                let (Some(agent), Some(spec)) = (&mut self.agent, spec) else {
                     return Err(r.error("snapshot has an agent bundle the config lacks"));
                 };
-                let part = DetachedBundle::from_state(spec.config, r)?;
-                // Both halves install under the parcel's index, which the
-                // restore walk has checked against the config.
-                if usize::decode(r)? != b || part.id() != BundleId(b as u32) {
-                    return Err(r.error("agent bundle is not the one its parcel names"));
+                let id = BundleId::decode(r)?;
+                let prefixes = Vec::<IpPrefix>::decode(r)?;
+                let mismatch = "agent bundle is not the one its section names";
+                if id != BundleId(b as u32) {
+                    return Err(r.error(mismatch));
                 }
-                let bundle = Bundle::without_control(b, &spec.config, Nanos::ZERO);
-                (bundle, Some(part))
+                agent
+                    .add_bundle_with_id(&prefixes, spec.config, id, now)
+                    .map_err(|_| r.error("agent bundle does not install in the agent"))?;
+                let control = agent.sendbox_mut(b).expect("added above");
+                control.load_state(r)?;
+                if usize::decode(r)? != b {
+                    return Err(r.error(mismatch));
+                }
+                Some(Bundle::without_control(b, &spec.config, Nanos::ZERO))
             }
-            _ => return Err(r.error("unknown edge parcel tag")),
+            _ => return Err(r.error("unknown edge tag")),
         };
-        bundle.load_state(r)?;
-        Ok(DetachedEdge {
-            bundle: Some(bundle),
-            agent,
-        })
+        let mut paired = true;
+        if let Some(bundle) = &mut bundle {
+            bundle.load_state(r)?;
+            let mut pkts = Vec::<Packet>::decode(r)?.into_iter();
+            bundle.tbf.for_each_pkt_mut(&mut |id| match pkts.next() {
+                Some(pkt) => *id = arena.insert(pkt),
+                None => paired = false,
+            });
+            paired &= pkts.next().is_none();
+        } else {
+            paired = usize::decode(r)? == 0;
+        }
+        if !paired {
+            return Err(r.error("queued packets do not pair up with the sendbox queue"));
+        }
+        self.bundles[b] = bundle;
+        Ok(())
     }
 }
 

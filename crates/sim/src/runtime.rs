@@ -31,17 +31,17 @@
 //! the event's flow to a slot and passes the origin it found on to the
 //! routing below it. Every walk of the table that reaches a snapshot or the
 //! report goes in ascending `FlowId`, never in hash order. State leaves a
-//! core in two shapes only: a [`BundleParcel`] (a whole bundle complex by
-//! value — migration, and the bundle slice of a snapshot) and the
-//! pending-events-plus-packets layout of `save_pending`, which the direct
-//! slice, every parcel and every path section share.
+//! core only as snapshot bytes: a whole bundle complex as its section
+//! ([`WorkerCore::save_bundle`] / [`WorkerCore::load_bundle`]), for a
+//! checkpoint and a migration alike, beside the direct slice and the path
+//! sections; all of them share the pending-events-plus-packets layout of
+//! `save_pending_in_place`.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
 
 use bundler_obs::{
     BundleObsState, CounterId, FlowSampler, GaugeId, HealthKind, HistId, ObsReport, PhaseProfile,
-    ShardObs, TraceKind, DIRECT_BUNDLE,
+    SchedObs, ShardObs, TraceKind, DIRECT_BUNDLE,
 };
 use bundler_sched::tbf::Release;
 use bundler_sched::Policy;
@@ -52,7 +52,7 @@ use bundler_types::{
 
 use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader};
 
-use crate::edge::{DetachedEdge, Edge};
+use crate::edge::Edge;
 use crate::event::{Event, EventKey, EventQueue};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fluid::FluidState;
@@ -175,8 +175,7 @@ impl FlowSlot {
 /// a direct table because ids are not dense — the multi-site scenarios
 /// number flows `site × 1 000 000 + i`. A completed flow keeps its slot
 /// (late ACKs and the RTO poll still resolve it); slots are only freed when
-/// a bundle's flows leave with its parcel, and are reused by the next
-/// insert.
+/// a bundle is dropped from the worker, and are reused by the next insert.
 #[derive(Default)]
 struct FlowTable {
     index: IdHashMap<FlowId, u32>,
@@ -207,8 +206,8 @@ impl FlowTable {
 
     /// Registers `id`, replacing whatever it named before (two workload
     /// specs with one id: the later arrival wins, as with a map insert).
-    /// Returns whether the id was new — a snapshot written by a run never
-    /// names a flow twice, so the decoders treat `false` as corrupt bytes.
+    /// Returns whether the id was new (snapshot sections go through
+    /// [`FlowTable::load`], which refuses an id that is not).
     fn insert(&mut self, id: FlowId, state: FlowSlot) -> bool {
         match self.index.entry(id) {
             Entry::Occupied(held) => {
@@ -229,6 +228,27 @@ impl FlowTable {
                 vacant.insert(slot);
                 true
             }
+        }
+    }
+
+    /// Registers a flow decoded from a snapshot section. A run never names
+    /// a flow twice, so an id already registered is corrupt bytes: `twice`
+    /// when the entry has the new one's origin (the section being loaded
+    /// named it before), otherwise a flow some other section holds.
+    fn load(
+        &mut self,
+        id: FlowId,
+        state: FlowSlot,
+        r: &Reader<'_>,
+        twice: &'static str,
+    ) -> Result<(), DecodeError> {
+        match self.slot_of(id).map(|slot| self.slots[slot].origin()) {
+            None => {
+                self.insert(id, state);
+                Ok(())
+            }
+            Some(held) if held == state.origin() => Err(r.error(twice)),
+            Some(_) => Err(r.error("flow is already held by this worker")),
         }
     }
 
@@ -318,8 +338,8 @@ pub struct WorkerCore {
     config: SimulationConfig,
     part: Partition,
     /// Which bundles this worker currently owns. Starts as the partition's
-    /// static assignment; [`WorkerCore::extract_bundle`] /
-    /// [`WorkerCore::adopt_bundle`] move entries at window barriers when
+    /// static assignment; [`WorkerCore::drop_bundle`] /
+    /// [`WorkerCore::load_bundle`] move entries at window barriers when
     /// the sharded driver rebalances.
     owned: Vec<bool>,
     n_bundles: usize,
@@ -1224,135 +1244,170 @@ impl WorkerCore {
         }
     }
 
-    /// Lifts bundle `bundle`'s entire complex off this worker: its pending
-    /// events (with their packets moved out of `arena`), its sendbox edge
-    /// state, its flows' TCP endhosts and ping clients, its LP sequence and
-    /// load counters, and its telemetry series. Safe only at a window
-    /// barrier — between windows no event for the bundle is in flight
-    /// anywhere except this worker's queue and inbox (the caller drains the
-    /// inbox into the queue first), and results are partition-invariant by
-    /// construction, so *when* and *where* the bundle lands cannot change
-    /// the simulation (property-tested in `bundler-shard`).
-    pub fn extract_bundle(
+    /// Appends bundle `bundle`'s snapshot section to `out` without
+    /// disturbing the live run: its LP sequence and load counters, its
+    /// pending events (packets cloned by value), its sendbox edge state
+    /// with the queued packets, its flows' TCP endhosts and ping clients,
+    /// its telemetry series and in-flight observability state. This is the
+    /// one form in which a bundle leaves a worker: a checkpoint keeps the
+    /// bytes; a migration follows them with [`WorkerCore::drop_bundle`]
+    /// here and [`WorkerCore::load_bundle`] on the other worker. Safe only
+    /// at a window barrier or between two events of the single-threaded
+    /// host — then no event for the bundle is in flight anywhere except
+    /// `queue` (the caller drains its inbox into it first). Panics if the
+    /// sendbox queue discipline does not support checkpointing.
+    pub fn save_bundle(
+        &mut self,
+        bundle: usize,
+        queue: &mut EventQueue,
+        arena: &PacketArena,
+        out: &mut Vec<u8>,
+    ) {
+        assert!(
+            self.owned[bundle],
+            "saving bundle {bundle}, which this worker does not own"
+        );
+        let lp = bundle_lp(bundle);
+        let (seq, events) = (self.seqs[lp as usize], self.lp_events[lp as usize]);
+        (bundle, seq, events, self.bundle_delivered[bundle]).encode(out);
+        save_pending_in_place(queue, arena, out, |e| {
+            !is_net_event(e) && self.event_lp(e, arena) == lp
+        });
+        self.edge.save_bundle(bundle, arena, out);
+        // The bundle's flows, then its pings, each in ascending id.
+        let mine = Origin::Bundle(bundle);
+        let flows = self.flows.sorted(|slot| match slot {
+            FlowSlot::Tcp(f) if f.origin == mine => Some(f),
+            _ => None,
+        });
+        flows.encode(out);
+        let pings = self.flows.sorted(|slot| match slot {
+            FlowSlot::Ping { origin, client } if *origin == mine => Some((client, origin)),
+            _ => None,
+        });
+        pings.encode(out);
+        self.bundle_throughput_mbps[bundle].encode(out);
+        self.bundle_pacing_rate_mbps[bundle].encode(out);
+        self.bundle_rtt_estimate_ms[bundle].encode(out);
+        self.bundle_recv_rate_estimate_mbps[bundle].encode(out);
+        save_obs_state(self.obs.bundle_obs.get(&bundle), out);
+    }
+
+    /// Removes everything bundle `bundle` holds on this worker — pending
+    /// events, sendbox edge state, flows and pings, counters, telemetry —
+    /// freeing the packets of its events and queue back to `arena`, and
+    /// returns how many packets and payload bytes that was. The sendbox's
+    /// in-scheduler sojourn histogram is in no snapshot, so it folds into
+    /// this worker's metrics here (its drop counters are read off the
+    /// scheduler state, which travels in the section). Same barrier rule as
+    /// [`WorkerCore::save_bundle`].
+    pub fn drop_bundle(
         &mut self,
         bundle: usize,
         queue: &mut EventQueue,
         arena: &mut PacketArena,
-    ) -> BundleParcel {
+    ) -> (u64, u64) {
         assert!(
             self.owned[bundle],
-            "extracting bundle {bundle}, which this worker does not own"
+            "dropping bundle {bundle}, which this worker does not own"
         );
-        self.owned[bundle] = false;
         let lp = bundle_lp(bundle);
-        // Pending events targeted at the bundle's LP, in canonical
-        // (timestamp, key) order; the same order rewrites packet ids on
-        // adoption, so the two passes pair up exactly.
         let mut events = queue.extract_if(|e| !is_net_event(e) && self.event_lp(e, arena) == lp);
-        let event_pkts = events
-            .iter_mut()
-            .filter_map(|(_, _, e)| event_pkt_mut(e))
-            .map(|id| arena.remove(*id))
-            .collect();
-        let mut edge = self.edge.extract(bundle);
-        let mut edge_pkts = Vec::new();
-        if let Some(b) = &mut edge.bundle {
-            b.tbf
-                .for_each_pkt_mut(&mut |id| edge_pkts.push(arena.remove(*id)));
+        let (mut pkts, mut bytes) = (0, 0);
+        let mut free = |id: PacketId| {
+            pkts += 1;
+            bytes += arena[id].size as u64;
+            arena.free(id);
+        };
+        for id in events.iter_mut().filter_map(|(_, _, e)| event_pkt_mut(e)) {
+            free(*id);
         }
-        // The bundle's flows and pings, each list in ascending id — the
-        // order the parcel's snapshot bytes list them in.
-        let (mut flows, mut pings) = (Vec::new(), Vec::new());
-        let ids = self
-            .flows
-            .sorted(|slot| (slot.origin() == Origin::Bundle(bundle)).then_some(()));
-        for (id, ()) in ids {
-            match self.flows.remove(id).expect("listed above") {
-                FlowSlot::Tcp(f) => flows.push((id, f)),
-                FlowSlot::Ping { origin, client } => pings.push((id, client, origin)),
-                FlowSlot::Free => unreachable!("no id resolves to a free slot"),
+        if let Some(mut b) = self.edge.remove(bundle) {
+            b.tbf.for_each_pkt_mut(&mut |id| free(*id));
+            if let Some(sched) = b.take_obs() {
+                let sojourn = SchedObs {
+                    sojourn: sched.sojourn,
+                    ..SchedObs::default()
+                };
+                sojourn.merge_into(&mut self.obs.metrics);
             }
         }
-        BundleParcel {
-            bundle,
-            seq: std::mem::take(&mut self.seqs[lp as usize]),
-            lp_events: std::mem::take(&mut self.lp_events[lp as usize]),
-            delivered: std::mem::take(&mut self.bundle_delivered[bundle]),
-            events,
-            event_pkts,
-            edge,
-            edge_pkts,
-            flows,
-            pings,
-            throughput: std::mem::take(&mut self.bundle_throughput_mbps[bundle]),
-            pacing: std::mem::take(&mut self.bundle_pacing_rate_mbps[bundle]),
-            rtt_estimate: std::mem::take(&mut self.bundle_rtt_estimate_ms[bundle]),
-            recv_rate: std::mem::take(&mut self.bundle_recv_rate_estimate_mbps[bundle]),
-            obs: self.obs.take_bundle_obs(bundle),
+        let mine = Origin::Bundle(bundle);
+        for (id, ()) in self
+            .flows
+            .sorted(|slot| (slot.origin() == mine).then_some(()))
+        {
+            self.flows.remove(id);
         }
+        self.owned[bundle] = false;
+        self.seqs[lp as usize] = 0;
+        self.lp_events[lp as usize] = 0;
+        self.bundle_delivered[bundle] = 0;
+        self.bundle_throughput_mbps[bundle] = TimeSeries::new();
+        self.bundle_pacing_rate_mbps[bundle] = TimeSeries::new();
+        self.bundle_rtt_estimate_ms[bundle] = TimeSeries::new();
+        self.bundle_recv_rate_estimate_mbps[bundle] = TimeSeries::new();
+        self.obs.take_bundle_obs(bundle);
+        (pkts, bytes)
     }
 
-    /// Installs a bundle complex extracted from another worker, rewriting
-    /// every migrated packet into this worker's `arena` and scheduling the
-    /// bundle's pending events into `queue` under their original
+    /// Installs bundle `bundle`'s section, as [`WorkerCore::save_bundle`]
+    /// wrote it on any worker of this run or of the run a snapshot came
+    /// from, into this worker, which must not hold the bundle: packets land
+    /// in `arena`, pending events in `queue` under their original
     /// `(timestamp, key)` — the canonical order guarantees the merged
-    /// stream is exactly what the single-threaded engine would run. `now`
-    /// is the current window start (only used to re-anchor the agent's
-    /// tick wheel, which event-driven hosts never consult).
+    /// stream is exactly what the single-threaded engine would run — and
+    /// the sendbox's in-scheduler export is armed if metrics are on. `now`
+    /// only anchors an agent's tick wheel, which event-driven hosts never
+    /// consult.
     ///
-    /// A parcel lifted off a worker by [`WorkerCore::extract_bundle`]
-    /// always installs. One decoded from snapshot bytes may name an id or
-    /// prefix the agent edge already manages, or a flow id this worker
-    /// already holds; that is the `Err`, and the worker is then
-    /// half-updated and must be dropped.
-    pub fn adopt_bundle(
+    /// Bytes that are not bundle `bundle`'s section, or that name a flow
+    /// this worker already holds or an agent id or prefix it already
+    /// manages, are the `Err`; the worker is then half-updated and must be
+    /// dropped.
+    pub fn load_bundle(
         &mut self,
-        parcel: BundleParcel,
+        bundle: usize,
         queue: &mut EventQueue,
         arena: &mut PacketArena,
+        r: &mut Reader<'_>,
         now: Nanos,
-    ) -> Result<(), String> {
-        let bundle = parcel.bundle;
+    ) -> Result<(), DecodeError> {
         assert!(
             !self.owned[bundle],
-            "adopting bundle {bundle}, which this worker already owns"
+            "loading bundle {bundle}, which this worker already owns"
         );
+        let lp = bundle_lp(bundle) as usize;
+        let (found, seq, events, delivered) = <(usize, u64, u64, u64)>::decode(r)?;
+        if found != bundle {
+            return Err(r.error("bundle sections out of order"));
+        }
         self.owned[bundle] = true;
-        let lp = bundle_lp(bundle);
-        self.seqs[lp as usize] = parcel.seq;
-        self.lp_events[lp as usize] = parcel.lp_events;
-        self.bundle_delivered[bundle] = parcel.delivered;
-        self.bundle_throughput_mbps[bundle] = parcel.throughput;
-        self.bundle_pacing_rate_mbps[bundle] = parcel.pacing;
-        self.bundle_rtt_estimate_ms[bundle] = parcel.rtt_estimate;
-        self.bundle_recv_rate_estimate_mbps[bundle] = parcel.recv_rate;
-        let mut edge = parcel.edge;
-        let mut edge_pkts = parcel.edge_pkts.into_iter();
-        if let Some(b) = &mut edge.bundle {
-            b.tbf.for_each_pkt_mut(&mut |id| {
-                *id = arena.insert(edge_pkts.next().expect("one packet per queued id"));
-            });
+        self.seqs[lp] = seq;
+        self.lp_events[lp] = events;
+        self.bundle_delivered[bundle] = delivered;
+        load_pending(queue, arena, r, "missing bundle event packet")?;
+        self.edge.load_bundle(&self.config, bundle, arena, r, now)?;
+        if let Some(b) = self.edge.bundle_mut(bundle) {
+            b.set_obs(self.obs.metrics_on());
         }
-        debug_assert!(edge_pkts.next().is_none(), "datapath packet count moved");
-        self.edge.adopt(bundle, edge, now)?;
-        schedule_pending(parcel.events, parcel.event_pkts, queue, arena);
-        // A restore adopts into a worker that reserved nothing for the
-        // bundle; size the table for the whole parcel at once.
-        self.flows.reserve(parcel.flows.len() + parcel.pings.len());
-        let flows = parcel
-            .flows
-            .into_iter()
-            .map(|(id, f)| (id, FlowSlot::Tcp(f)));
-        let pings = parcel
-            .pings
-            .into_iter()
-            .map(|(id, client, origin)| (id, FlowSlot::Ping { origin, client }));
-        for (id, slot) in flows.chain(pings) {
-            if !self.flows.insert(id, slot) {
-                return Err(format!("flow {} is already held by this worker", id.0));
-            }
+        let twice = "bundle section names a flow id twice";
+        let n = decode_len(r, "bundle flow count")?;
+        self.flows.reserve(n);
+        for _ in 0..n {
+            let (id, flow) = <(FlowId, FlowState)>::decode(r)?;
+            self.flows.load(id, FlowSlot::Tcp(flow), r, twice)?;
         }
-        if let Some(state) = parcel.obs {
+        for _ in 0..decode_len(r, "bundle ping count")? {
+            let (id, client, origin) = Decode::decode(r)?;
+            self.flows
+                .load(id, FlowSlot::Ping { origin, client }, r, twice)?;
+        }
+        self.bundle_throughput_mbps[bundle] = TimeSeries::decode(r)?;
+        self.bundle_pacing_rate_mbps[bundle] = TimeSeries::decode(r)?;
+        self.bundle_rtt_estimate_ms[bundle] = TimeSeries::decode(r)?;
+        self.bundle_recv_rate_estimate_mbps[bundle] = TimeSeries::decode(r)?;
+        if let Some(state) = load_obs_state(r)? {
             self.obs.put_bundle_obs(bundle, state);
         }
         Ok(())
@@ -1389,8 +1444,8 @@ impl WorkerCore {
 
     /// This worker's part of the whole-simulation snapshot stamped `at`,
     /// taken without disturbing the live run: its residue, the direct slice
-    /// iff it owns the direct LP, and every bundle it owns — lifted off,
-    /// serialized as a parcel and installed back — in ascending index.
+    /// iff it owns the direct LP, and the section of every bundle it owns
+    /// ([`WorkerCore::save_bundle`]) in ascending index.
     /// `queue` must already hold every delivery published below `at`.
     /// Ends by flushing the records below `at` to the telemetry stream, so
     /// a restore resumes from a complete prefix (saving records nothing,
@@ -1399,7 +1454,7 @@ impl WorkerCore {
     pub fn save_part(
         &mut self,
         queue: &mut EventQueue,
-        arena: &mut PacketArena,
+        arena: &PacketArena,
         at: Nanos,
     ) -> WorkerPart {
         let mut part = WorkerPart {
@@ -1414,11 +1469,8 @@ impl WorkerCore {
         }
         for b in 0..self.n_bundles {
             if self.owned[b] {
-                let parcel = self.extract_bundle(b, queue, arena);
                 let mut buf = Vec::new();
-                parcel.save_state(&mut buf);
-                self.adopt_bundle(parcel, queue, arena, at)
-                    .expect("a bundle lifted off this worker installs back");
+                self.save_bundle(b, queue, arena, &mut buf);
                 part.bundles.push((b, buf));
             }
         }
@@ -1431,12 +1483,7 @@ impl WorkerCore {
     /// lifted out of `queue` in canonical order, serialized (packets cloned
     /// by value), and re-scheduled under their original ids. Only valid on
     /// the worker owning the direct LP.
-    fn save_direct_state(
-        &mut self,
-        queue: &mut EventQueue,
-        arena: &mut PacketArena,
-        out: &mut Vec<u8>,
-    ) {
+    fn save_direct_state(&self, queue: &mut EventQueue, arena: &PacketArena, out: &mut Vec<u8>) {
         debug_assert!(self.part.owns_direct());
         save_pending_in_place(queue, arena, out, |e| {
             !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT
@@ -1461,13 +1508,7 @@ impl WorkerCore {
         self.cross_throughput_mbps.encode(out);
         // Direct flows never migrate, so their in-flight flow spans live
         // under the synthetic DIRECT_BUNDLE key on this worker.
-        match self.obs.bundle_obs.get(&DIRECT_BUNDLE) {
-            Some(state) if !state.is_empty() => {
-                1u8.encode(out);
-                encode_bundle_obs(state, out);
-            }
-            _ => 0u8.encode(out),
-        }
+        save_obs_state(self.obs.bundle_obs.get(&DIRECT_BUNDLE), out);
     }
 
     /// Restores the direct-LP slice of a [`WorkerCore::save_part`],
@@ -1480,30 +1521,23 @@ impl WorkerCore {
         r: &mut Reader<'_>,
     ) -> Result<(), DecodeError> {
         load_pending(queue, arena, r, "missing direct event packet")?;
+        let twice = "direct slice names a flow id twice";
         for _ in 0..decode_len(r, "direct flow count")? {
             let (id, flow) = <(FlowId, FlowState)>::decode(r)?;
-            if !self.flows.insert(id, FlowSlot::Tcp(flow)) {
-                return Err(r.error("direct slice names a flow id twice"));
-            }
+            self.flows.load(id, FlowSlot::Tcp(flow), r, twice)?;
         }
         for _ in 0..decode_len(r, "direct ping count")? {
             let (id, client) = <(FlowId, Option<PingClient>)>::decode(r)?;
             let origin = Origin::Direct;
-            if !self.flows.insert(id, FlowSlot::Ping { origin, client }) {
-                return Err(r.error("direct slice names a flow id twice"));
-            }
+            self.flows
+                .load(id, FlowSlot::Ping { origin, client }, r, twice)?;
         }
         self.seqs[LP_DIRECT as usize] = u64::decode(r)?;
         self.lp_events[LP_DIRECT as usize] = u64::decode(r)?;
         self.cross_delivered = u64::decode(r)?;
         self.cross_throughput_mbps = TimeSeries::decode(r)?;
-        match u8::decode(r)? {
-            0 => {}
-            1 => {
-                let state = decode_bundle_obs(r)?;
-                self.obs.put_bundle_obs(DIRECT_BUNDLE, state);
-            }
-            _ => return Err(r.error("unknown direct-obs presence tag")),
+        if let Some(state) = load_obs_state(r)? {
+            self.obs.put_bundle_obs(DIRECT_BUNDLE, state);
         }
         Ok(())
     }
@@ -1542,151 +1576,16 @@ impl WorkerResidue {
 
 serde::layout!(value WorkerResidue { events_processed, packets_created, fcts, agent_stats });
 
-/// One bundle's complete complex in transit between two [`WorkerCore`]s:
-/// pending events (packets lifted out of the source arena and carried by
-/// value), the sendbox edge state, TCP endhosts and ping clients, the LP's
-/// sequence/load counters and accumulated telemetry. Produced by
-/// [`WorkerCore::extract_bundle`], consumed by
-/// [`WorkerCore::adopt_bundle`]; opaque to the sharded driver, which only
-/// ferries it across the migration barrier.
-pub struct BundleParcel {
-    bundle: usize,
-    /// The bundle LP's schedule-sequence counter — the key stream must
-    /// continue exactly where it left off or canonical order would fork.
-    seq: u64,
-    /// The bundle LP's cumulative handled-event count (the load signal).
-    lp_events: u64,
-    /// Delivered-bytes accumulator for the next throughput sample.
-    delivered: u64,
-    /// Pending events in canonical order; packet ids are stale until
-    /// adoption rewrites them against `event_pkts`.
-    events: Vec<Pending>,
-    /// One packet per packet-bearing entry of `events`, in the same order.
-    event_pkts: Vec<Packet>,
-    edge: DetachedEdge,
-    /// The sendbox datapath's queued packets, in the edge's traversal
-    /// order.
-    edge_pkts: Vec<Packet>,
-    flows: Vec<(FlowId, FlowState)>,
-    pings: Vec<(FlowId, Option<PingClient>, Origin)>,
-    throughput: TimeSeries,
-    pacing: TimeSeries,
-    rtt_estimate: TimeSeries,
-    recv_rate: TimeSeries,
-    /// Per-bundle observability state (in-flight flow spans, health-monitor
-    /// readings), so traced flows keep their accumulators and monitors keep
-    /// their streaks across migration.
-    obs: Option<BundleObsState>,
-}
-
-impl BundleParcel {
-    /// The global index of the bundle in transit.
-    pub fn bundle(&self) -> usize {
-        self.bundle
-    }
-
-    /// Packets and wire bytes carried by this parcel (queued datapath
-    /// packets plus packet-bearing pending events) — the migration cost
-    /// signal the observability layer reports per move.
-    pub fn footprint(&self) -> (u64, u64) {
-        let pkts = (self.event_pkts.len() + self.edge_pkts.len()) as u64;
-        let bytes: u64 = self
-            .event_pkts
-            .iter()
-            .chain(self.edge_pkts.iter())
-            .map(|p| p.size as u64)
-            .sum();
-        (pkts, bytes)
-    }
-
-    /// Whether the parcel carries exactly one packet per packet-bearing
-    /// pending event and per id queued at its edge — what
-    /// [`WorkerCore::adopt_bundle`] relies on. True of every extracted
-    /// parcel; one decoded from snapshot bytes must be checked.
-    pub(crate) fn packets_pair_up(&mut self) -> bool {
-        let mut queued = 0;
-        if let Some(b) = &mut self.edge.bundle {
-            b.tbf.for_each_pkt_mut(&mut |_| queued += 1);
-        }
-        packet_events(&self.events) == self.event_pkts.len() && queued == self.edge_pkts.len()
-    }
-
-    /// Serializes the parcel — a bundle complex already lifted off its
-    /// worker, so everything is by value and in canonical order.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        (self.bundle, self.seq, self.lp_events, self.delivered).encode(out);
-        save_pending(&self.events, self.event_pkts.iter(), out);
-        self.edge.save_state(out);
-        self.edge_pkts.encode(out);
-        self.flows.encode(out);
-        self.pings.encode(out);
-        self.throughput.encode(out);
-        self.pacing.encode(out);
-        self.rtt_estimate.encode(out);
-        self.recv_rate.encode(out);
-        match &self.obs {
-            Some(state) if !state.is_empty() => {
-                1u8.encode(out);
-                encode_bundle_obs(state, out);
-            }
-            _ => 0u8.encode(out),
-        }
-    }
-
-    /// Reconstructs a parcel from bytes written by
-    /// [`BundleParcel::save_state`]. The edge is rebuilt from the *restoring*
-    /// config's bundle mode (the snapshot fingerprint guarantees it matches
-    /// the writing one); adopt the result into a worker with
-    /// [`WorkerCore::adopt_bundle`].
-    pub fn from_state(
-        config: &SimulationConfig,
-        r: &mut Reader<'_>,
-    ) -> Result<BundleParcel, DecodeError> {
-        let (bundle, seq, lp_events, delivered) = Decode::decode(r)?;
-        let events = Vec::<Pending>::decode(r)?;
-        let event_pkts = Vec::<Packet>::decode(r)?;
-        let edge = DetachedEdge::from_state(config, bundle, r)?;
-        let edge_pkts = Vec::<Packet>::decode(r)?;
-        let flows = Vec::<(FlowId, FlowState)>::decode(r)?;
-        let pings = Vec::<(FlowId, Option<PingClient>, Origin)>::decode(r)?;
-        // A parcel written by a run names each flow once; bytes that name
-        // one twice (as two flows, two pings or one of each) would alias a
-        // table slot on adoption.
-        let mut seen = HashSet::new();
-        let mut ids = flows.iter().map(|f| f.0).chain(pings.iter().map(|p| p.0));
-        if !ids.all(|id| seen.insert(id)) {
-            return Err(r.error("parcel names a flow id twice"));
-        }
-        let (throughput, pacing, rtt_estimate, recv_rate) = Decode::decode(r)?;
-        let obs = match u8::decode(r)? {
-            0 => None,
-            1 => Some(decode_bundle_obs(r)?),
-            _ => return Err(r.error("unknown bundle-obs presence tag")),
-        };
-        Ok(BundleParcel {
-            bundle,
-            seq,
-            lp_events,
-            delivered,
-            events,
-            event_pkts,
-            edge,
-            edge_pkts,
-            flows,
-            pings,
-            throughput,
-            pacing,
-            rtt_estimate,
-            recv_rate,
-            obs,
-        })
-    }
-}
-
-/// Serializes a bundle's observability state (flow-span accumulators in
-/// `BTreeMap` order, then the health-monitor readings). Lives here rather
-/// than in `bundler-obs` so the obs crate stays serde-free.
-fn encode_bundle_obs(state: &BundleObsState, out: &mut Vec<u8>) {
+/// Appends a section's in-flight observability state (flow-span
+/// accumulators in `BTreeMap` order, then the health-monitor readings)
+/// behind a one-byte presence flag, `0` when there is none to carry. Lives
+/// here rather than in `bundler-obs` so the obs crate stays serde-free.
+fn save_obs_state(state: Option<&BundleObsState>, out: &mut Vec<u8>) {
+    let Some(state) = state.filter(|state| !state.is_empty()) else {
+        0u8.encode(out);
+        return;
+    };
+    1u8.encode(out);
     (state.spans.len() as u64).encode(out);
     for (flow, span) in &state.spans {
         flow.encode(out);
@@ -1703,8 +1602,13 @@ fn encode_bundle_obs(state: &BundleObsState, out: &mut Vec<u8>) {
     h.primed.encode(out);
 }
 
-/// Reverses [`encode_bundle_obs`].
-fn decode_bundle_obs(r: &mut Reader<'_>) -> Result<BundleObsState, DecodeError> {
+/// Reverses [`save_obs_state`].
+fn load_obs_state(r: &mut Reader<'_>) -> Result<Option<BundleObsState>, DecodeError> {
+    match u8::decode(r)? {
+        0 => return Ok(None),
+        1 => {}
+        _ => return Err(r.error("unknown obs presence tag")),
+    }
     let mut state = BundleObsState::default();
     let n = u64::decode(r)? as usize;
     for _ in 0..n {
@@ -1722,7 +1626,7 @@ fn decode_bundle_obs(r: &mut Reader<'_>) -> Result<BundleObsState, DecodeError> 
     state.health.last_packets_sent = u64::decode(r)?;
     state.health.last_mode_changes = u64::decode(r)?;
     state.health.primed = bool::decode(r)?;
-    Ok(state)
+    Ok(Some(state))
 }
 
 /// Drains one release burst from a sendbox datapath: up to 64 packets per
@@ -1979,7 +1883,7 @@ impl NetCore {
     pub fn save_sections(
         &mut self,
         queue: &mut EventQueue,
-        arena: &mut PacketArena,
+        arena: &PacketArena,
         at: Nanos,
     ) -> Vec<PathSection> {
         let mut sections = Vec::with_capacity(self.owned.len());
@@ -2005,7 +1909,7 @@ impl NetCore {
         &mut self,
         gid: usize,
         queue: &mut EventQueue,
-        arena: &mut PacketArena,
+        arena: &PacketArena,
         out: &mut Vec<u8>,
     ) {
         debug_assert!(self.owns_path(gid));
@@ -2406,87 +2310,46 @@ fn event_pkt_mut(event: &mut Event) -> Option<&mut PacketId> {
     }
 }
 
-/// Appends pending events and the packets they carry — the one layout the
-/// direct slice, every bundle parcel and every path section share: the
-/// event list with every arena id zeroed, then `pkts` (one per
-/// packet-bearing event, in event order) behind a `u64` count. The ids are
-/// host-local slot indices (a restore rewrites them from the packet values
-/// carried alongside), so leaving them in would make snapshot bytes depend
-/// on arena allocation order — which differs between the single-threaded
-/// and sharded hosts. Zeroing them keeps the bytes partition-invariant.
-fn save_pending<'a>(
-    events: &[Pending],
-    pkts: impl ExactSizeIterator<Item = &'a Packet>,
-    out: &mut Vec<u8>,
-) {
-    let canon: Vec<Pending> = events
-        .iter()
-        .map(|&(at, key, mut event)| {
-            if let Some(pkt) = event_pkt_mut(&mut event) {
-                *pkt = PacketId::from_index(0);
-            }
-            (at, key, event)
-        })
-        .collect();
-    canon.encode(out);
-    (pkts.len() as u64).encode(out);
-    for p in pkts {
-        p.encode(out);
-    }
-}
-
-/// [`save_pending`] for the events `select` picks out of a live queue,
-/// *without* disturbing the run: they are lifted out in canonical order,
-/// serialized (packets cloned by value out of `arena`) and re-scheduled
-/// under their original ids.
+/// Appends the pending events `select` picks out of a live queue, and the
+/// packets they carry, *without* disturbing the run — the one layout the
+/// direct slice, every bundle section and every path section share: the
+/// event list with every arena id zeroed, then the packets (cloned by value
+/// out of `arena`, one per packet-bearing event, in event order) behind a
+/// `u64` count. The events are lifted out in canonical order and
+/// re-scheduled under their original keys. The ids are host-local slot
+/// indices (a restore rewrites them from the packet values carried
+/// alongside), so leaving them in would make snapshot bytes depend on arena
+/// allocation order — which differs between the single-threaded and
+/// sharded hosts. Zeroing them keeps the bytes partition-invariant.
 fn save_pending_in_place(
     queue: &mut EventQueue,
     arena: &PacketArena,
     out: &mut Vec<u8>,
     select: impl Fn(&Event) -> bool,
 ) {
-    let mut events = queue.extract_if(select);
-    let ids: Vec<PacketId> = events
-        .iter_mut()
-        .filter_map(|(_, _, e)| event_pkt_mut(e).copied())
+    let events = queue.extract_if(select);
+    let mut pkts = Vec::new();
+    let canon: Vec<Pending> = events
+        .iter()
+        .map(|&(at, key, mut event)| {
+            if let Some(pkt) = event_pkt_mut(&mut event) {
+                pkts.push(&arena[*pkt]);
+                *pkt = PacketId::from_index(0);
+            }
+            (at, key, event)
+        })
         .collect();
-    save_pending(&events, ids.iter().map(|&id| &arena[id]), out);
+    canon.encode(out);
+    pkts.encode(out);
     for (at, key, event) in events {
         queue.schedule(at, key, event);
     }
 }
 
-/// How many packets a pending-event list needs carried alongside it.
-fn packet_events(events: &[Pending]) -> usize {
-    events
-        .iter()
-        .filter(|&&(_, _, mut e)| event_pkt_mut(&mut e).is_some())
-        .count()
-}
-
-/// Schedules pending events into `queue`, moving the packet of each
-/// packet-bearing one into `arena` and rewriting the event's id to the new
-/// slot. `pkts` holds exactly [`packet_events`] packets: true of anything
-/// lifted off a live core, checked at decode for snapshot bytes.
-fn schedule_pending(
-    events: Vec<Pending>,
-    pkts: Vec<Packet>,
-    queue: &mut EventQueue,
-    arena: &mut PacketArena,
-) {
-    let mut pkts = pkts.into_iter();
-    for (at, key, mut event) in events {
-        if let Some(pkt) = event_pkt_mut(&mut event) {
-            *pkt = arena.insert(pkts.next().expect("one packet per packet event"));
-        }
-        queue.schedule(at, key, event);
-    }
-    debug_assert!(pkts.next().is_none(), "event packet count moved");
-}
-
-/// Reverses [`save_pending`] straight into `queue` and `arena`; `missing`
-/// words the typed error for a packet list that does not pair up with the
-/// events.
+/// Reverses [`save_pending_in_place`] straight into `queue` and `arena`,
+/// moving each packet into `arena` and rewriting its event's id to the new
+/// slot; `missing` words the typed error for a packet list that does not
+/// pair up with the events.
 fn load_pending(
     queue: &mut EventQueue,
     arena: &mut PacketArena,
@@ -2494,11 +2357,17 @@ fn load_pending(
     missing: &'static str,
 ) -> Result<(), DecodeError> {
     let events = Vec::<Pending>::decode(r)?;
-    let pkts = Vec::<Packet>::decode(r)?;
-    if packet_events(&events) != pkts.len() {
+    let mut pkts = Vec::<Packet>::decode(r)?.into_iter();
+    let carried = |&&(_, _, mut e): &&Pending| event_pkt_mut(&mut e).is_some();
+    if events.iter().filter(carried).count() != pkts.len() {
         return Err(r.error(missing));
     }
-    schedule_pending(events, pkts, queue, arena);
+    for (at, key, mut event) in events {
+        if let Some(pkt) = event_pkt_mut(&mut event) {
+            *pkt = arena.insert(pkts.next().expect("counted above"));
+        }
+        queue.schedule(at, key, event);
+    }
     Ok(())
 }
 
@@ -2855,8 +2724,10 @@ mod tests {
     #[test]
     fn rotating_a_bundle_reuses_its_slots() {
         // What `ShardBalance::Rotate` does to a bundle at every barrier,
-        // 1 000 times over: the freed slots are taken again on adoption, so
-        // neither the slab nor the free list grows.
+        // 1 000 times over: its section is saved, the bundle dropped and the
+        // section loaded. The freed slots are taken again on loading, so
+        // neither the slab nor the free list grows, and the loaded bundle
+        // saves the very bytes it was loaded from.
         let config = SimulationConfig {
             bundles: vec![
                 BundleMode::Bundler(BundlerConfig::default()),
@@ -2887,16 +2758,33 @@ mod tests {
             core.handle(event, t, &mut arena, &mut queue, &mut to_net);
         }
         assert_eq!(core.flows.index.len(), workload.len());
-        let slots = core.flows.slots.len();
+        let (slots, live) = (core.flows.slots.len(), arena.live());
+        let mut section = Vec::new();
+        core.save_bundle(0, &mut queue, &arena, &mut section);
+        let (mut pkts, mut resaved) = (0, Vec::new());
         for cycle in 0..1000 {
-            let parcel = core.extract_bundle(0, &mut queue, &mut arena);
+            pkts = core.drop_bundle(0, &mut queue, &mut arena).0;
             assert_eq!(core.flows.free.len(), 21, "bundle 0's flows and ping left");
-            core.adopt_bundle(parcel, &mut queue, &mut arena, now)
-                .expect("a parcel lifted off this worker installs back");
+            assert_eq!(arena.live() as u64, live as u64 - pkts, "its packets freed");
+            let r = &mut Reader::new(&section);
+            core.load_bundle(0, &mut queue, &mut arena, r, now)
+                .expect("a bundle's own section loads");
+            assert!(
+                r.is_empty(),
+                "cycle {cycle}: the section is read to its end"
+            );
             assert_eq!(core.flows.slots.len(), slots, "cycle {cycle}");
             assert!(core.flows.free.is_empty(), "cycle {cycle}");
             assert_eq!(core.flows.index.len(), workload.len());
+            assert_eq!(arena.live(), live, "cycle {cycle}");
+            resaved.clear();
+            core.save_bundle(0, &mut queue, &arena, &mut resaved);
+            assert!(
+                resaved == section,
+                "cycle {cycle}: the loaded bundle saves other bytes"
+            );
         }
+        assert!(pkts > 0, "the bundle moves with packets in flight");
     }
 
     #[test]
@@ -2927,8 +2815,8 @@ mod tests {
         assert!(restore(blob).is_ok(), "the intact snapshot restores");
         for (keep, renamed, what) in [
             (1, 2, "direct slice names a flow id twice"),
-            (3, 4, "parcel names a flow id twice"),
-            (3, 5, "parcel names a flow id twice"),
+            (3, 4, "bundle section names a flow id twice"),
+            (3, 5, "bundle section names a flow id twice"),
             (1, 3, "already held by this worker"),
         ] {
             let (keep, renamed) = (id(keep).to_le_bytes(), id(renamed).to_le_bytes());

@@ -247,9 +247,9 @@ pub struct Simulation {
     /// Reusable scratch for net → worker deliveries.
     deliveries: Vec<Delivery>,
     /// True while every arena insert is one endhost/net creation, which
-    /// makes `finalize`'s accounting cross-check exact. Checkpointing and
-    /// restoring churn packets through the arena by value, so they clear
-    /// it.
+    /// makes `finalize`'s accounting cross-check exact. A restore inserts
+    /// the snapshot's packets by value, so it clears this; checkpoints
+    /// only read the arena.
     arena_exact: bool,
     /// Checkpoint cadence, fingerprint and size hint.
     writer: Writer,
@@ -425,19 +425,16 @@ impl Simulation {
     /// run continues unchanged afterwards. Panics if a configured queue
     /// discipline does not support checkpointing.
     pub fn snapshot(&mut self, at: Nanos) -> Vec<u8> {
-        // Saving a bundle re-inserts its packets, so the arena's insert
-        // counter stops matching logical packet creation.
-        self.arena_exact = false;
-        let part = self.worker.save_part(&mut self.queue, &mut self.arena, at);
-        let sections = self.net.save_sections(&mut self.queue, &mut self.arena, at);
+        let part = self.worker.save_part(&mut self.queue, &self.arena, at);
+        let sections = self.net.save_sections(&mut self.queue, &self.arena, at);
         self.writer
             .write(&self.config, &self.workload, at, [part], sections)
     }
 
     fn finalize(self) -> SimReport {
         // In the single-arena host every creation is one insert, so the
-        // logical counters must agree with the arena's — unless a
-        // checkpoint/restore churned packets through the arena by value.
+        // logical counters must agree with the arena's — unless a restore
+        // inserted the snapshot's packets.
         if self.arena_exact {
             debug_assert_eq!(
                 self.worker.packets_created() + self.net.packets_created(),

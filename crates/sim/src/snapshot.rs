@@ -21,7 +21,7 @@
 //! fingerprint  u64       FNV-1a over the result-affecting config + workload
 //! residue      WorkerResidue   merged run-wide accumulators (fcts, counters)
 //! direct       direct-traffic slice (flows, pings, pending LP_DIRECT events)
-//! bundles      u64 count, then one BundleParcel per bundle, ascending index
+//! bundles      u64 count, then one bundle section per bundle, ascending index
 //! net          one path section per bottleneck path, ascending global id
 //! ```
 //!
@@ -45,7 +45,7 @@
 //! above.
 //!
 //! Version 2 (PR 9) appended a one-byte presence flag to the direct slice
-//! and to every `BundleParcel`: `1` is followed by the in-flight
+//! and to every bundle section: `1` is followed by the in-flight
 //! observability state (sampled flow spans mid-lifecycle + health-monitor
 //! readings) so flow tracing and watchdogs survive checkpoint/restore;
 //! `0` means none. The flag is `0` whenever tracing is off, and the whole
@@ -75,12 +75,18 @@
 //! one checkpoint to the next: the cadence, the fingerprint, the size
 //! hint. **Reading**: [`restore_into`] pours the same layout into whatever
 //! cores a [`RestoreHost`] names.
+//!
+//! A bundle's section is written by `WorkerCore::save_bundle` and read by
+//! `WorkerCore::load_bundle` and nowhere else — and those two are also how
+//! the sharded host migrates a bundle between workers (save, drop, load), so
+//! a checkpoint, a restore and a migration move one bundle through the same
+//! bytes.
 
 use bundler_types::{Duration, Nanos, PacketArena};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::event::EventQueue;
-use crate::runtime::{BundleParcel, NetCore, WorkerCore, WorkerResidue};
+use crate::runtime::{NetCore, WorkerCore, WorkerResidue};
 use crate::sim::SimulationConfig;
 use crate::workload::FlowSpec;
 
@@ -223,13 +229,13 @@ pub struct WorkerPart {
     /// The direct-traffic slice — present exactly on the worker that owns
     /// the direct LP.
     pub direct: Option<Vec<u8>>,
-    /// `(bundle index, serialized parcel)` for every bundle the worker
-    /// owned when the part was taken.
+    /// `(bundle index, section)` for every bundle the worker owned when
+    /// the part was taken.
     pub bundles: Vec<(usize, Vec<u8>)>,
 }
 
 /// Appends a whole snapshot stamped `at` to `out` in the canonical wire
-/// format: header, merged residue, the direct slice, bundle parcels in
+/// format: header, merged residue, the direct slice, bundle sections in
 /// ascending index, then one section per path in ascending global id. The
 /// bytes depend on the state alone — not on how many workers or net cores
 /// the parts came from, nor on which held what. Panics unless the parts
@@ -405,7 +411,7 @@ pub trait RestoreHost {
 /// bundle, nothing scheduled) and returns the instant it was taken at.
 /// `fp` is [`fingerprint`] of the restoring `config` and workload. The one
 /// walk of the wire format both hosts restore through: header, residue,
-/// direct slice, bundle parcels in ascending index, one section per path in
+/// direct slice, bundle sections in ascending index, one section per path in
 /// ascending global id, nothing after. Bytes that do not decode to that
 /// return [`SnapshotError::Corrupt`]; the cores are then half-filled and
 /// must be dropped.
@@ -429,21 +435,9 @@ pub fn restore_into(
         )));
     }
     for b in 0..n_bundles {
-        let mut parcel = BundleParcel::from_state(config, r).map_err(corrupt)?;
-        if parcel.bundle() != b {
-            return Err(SnapshotError::Corrupt(format!(
-                "bundle parcels out of order: found {} at position {b}",
-                parcel.bundle()
-            )));
-        }
-        if !parcel.packets_pair_up() {
-            return Err(SnapshotError::Corrupt(format!(
-                "bundle {b} carries a different number of packets than its events and queue name"
-            )));
-        }
         let (core, queue, arena) = host.worker(Some(b));
-        core.adopt_bundle(parcel, queue, arena, at)
-            .map_err(|e| SnapshotError::Corrupt(format!("bundle {b} does not install: {e}")))?;
+        core.load_bundle(b, queue, arena, r, at)
+            .map_err(|e| SnapshotError::Corrupt(format!("bundle {b}: {e}")))?;
     }
     for gid in 0..config.num_paths.max(1) {
         let (net, queue, arena) = host.net(gid);
@@ -559,7 +553,7 @@ mod tests {
     }
 
     /// A five-bundle, two-path world and hand-made parts for it: bundle
-    /// `b`'s parcel is `b + 1` bytes of `b`, its worker's residue carries
+    /// `b`'s section is `b + 1` bytes of `b`, its worker's residue carries
     /// one completed flow and `b + 1` events for it, and the i-th bundle of
     /// `order` is dealt to worker `i % workers`.
     fn world() -> SimulationConfig {

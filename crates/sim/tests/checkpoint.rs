@@ -530,3 +530,42 @@ fn checkpoint_matrix_restores_every_world_and_pins_its_bytes() {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// A restored run records what an uninterrupted one does. Every packet the
+/// sendbox releases is one `SendboxSojournNs` sample, and one
+/// `SchedSojournNs` sample from the scheduler inside it — whose export a
+/// loaded bundle re-arms — so in every report the two counts agree.
+#[test]
+fn restored_runs_record_in_scheduler_metrics() {
+    use bundler_obs::HistId;
+    let (mut config, workload) = fct(
+        SendboxMode::BundlerPolicy(Policy::Sfq),
+        EndhostAlg::Cubic,
+        false,
+    );
+    config.obs = ObsLevel::Metrics;
+    config.checkpoint_every = Some(Duration::from_millis(500));
+    let counts = |report: &bundler_sim::SimReport| {
+        let metrics = &report.obs.as_ref().expect("metrics on").metrics;
+        let count = |id| metrics.hist(id).count();
+        (
+            count(HistId::SchedSojournNs),
+            count(HistId::SendboxSojournNs),
+        )
+    };
+    let mut ckpts = Vec::new();
+    let run = Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts);
+    let (sched, sendbox) = counts(&run);
+    assert!(sendbox > 0, "the sendbox releases packets");
+    assert_eq!(sched, sendbox, "uninterrupted run");
+    assert!(ckpts.len() >= 3, "{} checkpoints", ckpts.len());
+    for (at, bytes) in &ckpts {
+        let sim = Simulation::restore(config.clone(), workload.clone(), bytes).expect("restore");
+        let (sched, sendbox) = counts(&sim.run());
+        assert!(
+            sendbox > 0,
+            "restore at {at:?}: the sendbox releases packets"
+        );
+        assert_eq!(sched, sendbox, "restore at {at:?}");
+    }
+}

@@ -1,5 +1,5 @@
 //! The site agent: N bundle control planes behind one classifier and one
-//! timer wheel.
+//! tick queue.
 //!
 //! The paper's sendbox manages a single site pair; a deployed site edge
 //! manages one bundle per remote site. The agent owns the *control planes*
@@ -9,25 +9,25 @@
 //!
 //! * **Classification**: a longest-prefix-match table from destination
 //!   prefixes to bundles, consulted once per packet.
-//! * **Tick batching**: a hierarchical timer wheel fires each bundle's
-//!   control tick at its own cadence; one [`SiteAgent::advance`] call ticks
-//!   exactly the due bundles, not all N.
+//! * **Tick batching**: a [`CalendarQueue`] fires each bundle's control
+//!   tick at its own cadence; one [`SiteAgent::advance`] call ticks exactly
+//!   the due bundles, not all N.
 //! * **Telemetry**: uniform per-bundle snapshots for export.
 
 use bundler_core::feedback::{BundleId, CongestionAck};
-use bundler_core::{BundlerConfig, Sendbox, SendboxOutput, SendboxTelemetry};
+use bundler_core::{BundlerConfig, CalendarQueue, Sendbox, SendboxOutput, SendboxTelemetry};
 use bundler_types::{Duration, FlowKey, IdHashMap, IpPrefix, Nanos, Packet};
 
 use crate::classifier::PrefixClassifier;
 use crate::telemetry::{AgentTelemetry, BundleTelemetry};
-use crate::wheel::TimerWheel;
 
 /// Agent-wide tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct AgentConfig {
-    /// Finest slot width of the tick wheel. Control ticks quantize to this,
-    /// so it should be well below the smallest `control_interval` in use
-    /// (the default 1 ms is a tenth of the paper's 10 ms interval).
+    /// Finest slot width of the tick queue, rounded down to a power of two
+    /// of nanoseconds. It only sizes the queue's buckets: every control
+    /// tick fires at its exact deadline. The default 1 ms is a tenth of the
+    /// paper's 10 ms interval.
     pub tick_quantum: Duration,
 }
 
@@ -92,7 +92,7 @@ struct ManagedBundle {
     /// index instead (via [`SiteAgent::add_bundle_with_id`]).
     id: BundleId,
     /// Incarnation counter: bumped every time this id is (re-)installed,
-    /// so wheel entries from a *previous* incarnation (left behind by
+    /// so tick entries from a *previous* incarnation (left behind by
     /// [`SiteAgent::remove_bundle`]) are dead on arrival instead of
     /// doubling the tick train when the same id is added again.
     generation: u64,
@@ -121,7 +121,7 @@ struct ManagedBundle {
 /// // Packets pick their bundle by longest-prefix match on the destination.
 /// assert_eq!(agent.classify_dst(ipv4(10, 1, 1, 9)), Some(1));
 /// assert_eq!(agent.classify_dst(ipv4(8, 8, 8, 8)), None);
-/// // Each bundle's control plane ticks on its own cadence off the wheel.
+/// // Each bundle's control plane ticks on its own cadence off the tick queue.
 /// let due = agent.advance(Nanos::from_millis(10), |_bundle| 0);
 /// assert_eq!(due.len(), 2);
 /// ```
@@ -131,13 +131,14 @@ pub struct SiteAgent {
     bundles: Vec<ManagedBundle>,
     /// Global bundle id → slot in `bundles`.
     slot_of: IdHashMap<u32, usize>,
-    /// Pending control ticks, keyed by `(global bundle id, generation)` —
-    /// never by slot (slots shift when a bundle is removed) and never by
+    /// Pending control ticks as `(deadline, global bundle id, generation)`
+    /// — never by slot (slots shift when a bundle is removed) and never by
     /// id alone (the same id can be removed and adopted again; a stale
     /// entry from the previous incarnation must not fire). An entry whose
     /// id is gone or whose generation is old is skipped on expiry, so
-    /// removal doubles as tick cancellation.
-    wheel: TimerWheel<(usize, u64)>,
+    /// removal doubles as tick cancellation. Each entry carries its own
+    /// deadline because the queue clamps one scheduled behind its clock.
+    ticks: CalendarQueue<(Nanos, usize, u64)>,
     /// Next incarnation number handed to an installed bundle.
     next_generation: u64,
     stats: AgentStats,
@@ -148,7 +149,7 @@ impl std::fmt::Debug for SiteAgent {
         f.debug_struct("SiteAgent")
             .field("bundles", &self.bundles.len())
             .field("prefixes", &self.classifier.len())
-            .field("pending_ticks", &self.wheel.pending())
+            .field("pending_ticks", &self.ticks.len())
             .finish()
     }
 }
@@ -166,7 +167,7 @@ impl SiteAgent {
             classifier: PrefixClassifier::new(),
             bundles: Vec::new(),
             slot_of: IdHashMap::default(),
-            wheel: TimerWheel::new(config.tick_quantum),
+            ticks: CalendarQueue::new(config.tick_quantum),
             next_generation: 0,
             stats: AgentStats::default(),
             config,
@@ -257,8 +258,9 @@ impl SiteAgent {
             generation,
         });
         self.slot_of.insert(id.0, slot);
-        self.wheel
-            .schedule(now + config.control_interval, (id.0 as usize, generation));
+        let deadline = now + config.control_interval;
+        self.ticks
+            .schedule(deadline, (deadline, id.0 as usize, generation));
         Ok(id)
     }
 
@@ -333,7 +335,7 @@ impl SiteAgent {
         }
     }
 
-    /// Runs one bundle's control tick immediately (outside the wheel),
+    /// Runs one bundle's control tick immediately (outside the tick queue),
     /// given its datapath queue occupancy. This is the entry point for
     /// hosts that drive ticks from their own event loop — the sharded
     /// simulator schedules one `ControlTick` event per bundle so tick
@@ -351,10 +353,11 @@ impl SiteAgent {
         Some(output)
     }
 
-    /// Advances the tick wheel to `now` and runs the control tick of every
-    /// due bundle — O(due bundles), not O(managed bundles). Each ticked
+    /// Runs the control tick of every bundle due by `now` — O(due bundles),
+    /// not O(managed bundles) — in (deadline, schedule order). Each ticked
     /// bundle's next tick is scheduled one `control_interval` after its
-    /// *deadline*, so tick trains stay on their own drift-free grids.
+    /// *deadline*, so tick trains stay on their own drift-free grids; a
+    /// tick re-armed at or before `now` fires at the next call.
     ///
     /// `queue_bytes(bundle)` must report the current occupancy of that
     /// bundle's datapath queue (the pass-through PI controller needs it).
@@ -365,9 +368,17 @@ impl SiteAgent {
         mut queue_bytes: impl FnMut(usize) -> u64,
     ) -> Vec<BundleTick> {
         self.stats.advances += 1;
-        let due = self.wheel.advance(now);
+        let mut due = Vec::new();
+        while self.ticks.peek_key().is_some_and(|(at, _)| at <= now) {
+            due.push(self.ticks.pop().expect("peeked").1);
+        }
+        // The queue pops in (clamped deadline, schedule order). Entries of
+        // one deadline are clamped in schedule order to a clock that never
+        // goes back, so they pop in schedule order, and a stable sort on
+        // the carried deadline yields (deadline, schedule order).
+        due.sort_by_key(|&(deadline, _, _)| deadline);
         let mut out = Vec::with_capacity(due.len());
-        for (deadline, (bundle, generation)) in due {
+        for (deadline, bundle, generation) in due {
             // A stale entry — removed bundle, or an earlier incarnation of
             // a re-adopted id — is a cancelled tick.
             let Some(&slot) = self.slot_of.get(&(bundle as u32)) else {
@@ -378,10 +389,8 @@ impl SiteAgent {
                 continue;
             }
             let output = b.control.on_tick(queue_bytes(bundle), now);
-            self.wheel.schedule(
-                deadline + b.control.config().control_interval,
-                (bundle, generation),
-            );
+            let next = deadline + b.control.config().control_interval;
+            self.ticks.schedule(next, (next, bundle, generation));
             self.stats.ticks_run += 1;
             out.push(BundleTick { bundle, output });
         }
@@ -390,9 +399,13 @@ impl SiteAgent {
 
     /// The earliest scheduled control-tick deadline, if any bundles exist.
     /// Event-driven hosts use this to decide when to call
-    /// [`SiteAgent::advance`] next.
-    pub fn next_tick_at(&self) -> Option<Nanos> {
-        self.wheel.next_due()
+    /// [`SiteAgent::advance`] next. Exact unless a tick is already
+    /// overdue — scheduled behind the last tick that fired — in which case
+    /// it reads that tick's time instead: no later than the last
+    /// `advance`, so a host calls `advance` at once either way. Takes
+    /// `&mut self` because the queue may refill its front to see it.
+    pub fn next_tick_at(&mut self) -> Option<Nanos> {
+        self.ticks.peek_key().map(|(at, _)| at)
     }
 
     /// Read access to a bundle's control plane (by global id).
@@ -564,10 +577,57 @@ mod tests {
     }
 
     #[test]
+    fn bundle_added_behind_the_clock_ticks_on_next_advance() {
+        // Bundle 0 ticks the agent's clock up to 50 ms; bundle 1 is then
+        // added as of 35 ms, so its first deadline (45 ms) is already past.
+        let mut agent = agent_with_sites(1);
+        for ms in 1..=50u64 {
+            agent.advance(Nanos::from_millis(ms), |_| 0);
+        }
+        agent
+            .add_bundle(
+                &[prefix(1)],
+                BundlerConfig::default(),
+                Nanos::from_millis(35),
+            )
+            .unwrap();
+        assert!(
+            agent.next_tick_at() <= Some(Nanos::from_millis(50)),
+            "due now"
+        );
+        let ticked = |agent: &mut SiteAgent, ms| -> Vec<usize> {
+            let due = agent.advance(Nanos::from_millis(ms), |_| 0);
+            due.iter().map(|t| t.bundle).collect()
+        };
+        assert_eq!(ticked(&mut agent, 51), vec![1]);
+        // From there it stays on its own 10 ms grid: 55, 65, ... ms.
+        assert_eq!(agent.next_tick_at(), Some(Nanos::from_millis(55)));
+        assert_eq!(ticked(&mut agent, 55), vec![1]);
+        assert_eq!(ticked(&mut agent, 60), vec![0]);
+        assert_eq!(agent.next_tick_at(), Some(Nanos::from_millis(65)));
+    }
+
+    #[test]
+    fn odd_advance_cadence_keeps_ticks_drift_free() {
+        // Every tick is re-armed one interval after its *deadline*, not
+        // after the advance that fired it.
+        let mut agent = agent_with_sites(1);
+        let mut now = Nanos::ZERO;
+        let mut ticks = 0;
+        for _ in 0..100 {
+            now += Duration::from_micros(3_700);
+            ticks += agent.advance(now, |_| 0).len();
+        }
+        assert_eq!(now, Nanos::from_millis(370));
+        assert_eq!(ticks, 37, "one tick per 10 ms deadline up to 370 ms");
+        assert_eq!(agent.next_tick_at(), Some(Nanos::from_millis(380)));
+    }
+
+    #[test]
     fn remove_and_readopt_keeps_a_single_tick_train() {
         // A bundle removed and added back into the *same* agent under its
         // id (the shortest round trip a migrating bundle can make) must not
-        // end up with two wheel tick trains: the pre-removal entry is a
+        // end up with two tick trains: the pre-removal entry is a
         // stale incarnation and must die silently when it fires.
         let mut agent = agent_with_sites(2);
         assert!(agent.remove_bundle(0), "managed");

@@ -8,9 +8,10 @@
 //! * [`classifier`] — a longest-prefix-match table mapping each packet's
 //!   destination address to its bundle, consulted once per packet on the
 //!   forwarding fast path.
-//! * [`wheel`] — a hierarchical timer wheel that batches the per-bundle
-//!   control ticks, making an agent tick O(due bundles) instead of O(all
-//!   bundles).
+//! * **tick batching** — the per-bundle control ticks wait in one
+//!   [`CalendarQueue`](bundler_core::CalendarQueue), the structure the
+//!   simulator's event loop runs on, so an agent tick is O(due bundles)
+//!   instead of O(all bundles).
 //! * [`telemetry`] — uniform per-bundle snapshots (rate, mode, RTT, epoch
 //!   and counter state) for export.
 //!
@@ -26,9 +27,7 @@
 pub mod agent;
 pub mod classifier;
 pub mod telemetry;
-pub mod wheel;
 
 pub use agent::{AgentConfig, AgentStats, BundleTick, SiteAgent};
 pub use classifier::PrefixClassifier;
 pub use telemetry::{AgentTelemetry, BundleTelemetry};
-pub use wheel::TimerWheel;

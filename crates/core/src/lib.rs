@@ -22,10 +22,9 @@
 //! * [`sendbox`] — the sendbox control plane tying everything together.
 //! * [`receivebox`] — the receivebox datapath observer.
 //! * [`config`] — tunables, with the paper's defaults.
-//! * [`wheel`] — shared timer/event-queue cores: the hierarchical
-//!   [`TimerWheel`] (batch ticks, used by the site
-//!   agent) and the [`CalendarQueue`] (pop-one
-//!   calendar queue driving the simulator's event loop).
+//! * [`wheel`] — the [`CalendarQueue`], the hierarchical timer wheel that
+//!   drives the simulator's event loop and the site agent's control ticks,
+//!   and the [`BinaryHeapQueue`] it is tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,4 +46,4 @@ pub use feedback::{CongestionAck, EpochSizeUpdate};
 pub use modes::{Mode, ModeController};
 pub use receivebox::Receivebox;
 pub use sendbox::{Sendbox, SendboxOutput, SendboxStats, SendboxTelemetry};
-pub use wheel::{BinaryHeapQueue, CalendarQueue, TimerWheel};
+pub use wheel::{BinaryHeapQueue, CalendarQueue};

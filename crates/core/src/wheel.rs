@@ -1,6 +1,6 @@
-//! Shared timer/event-queue cores over [`Nanos`] deadlines.
+//! Time-ordered queues over [`Nanos`] deadlines.
 //!
-//! Three structures live here, all keyed by `(deadline, sequence)` so
+//! Two structures live here, both keyed by `(deadline, sequence)` so
 //! expiry order is fully deterministic. The sequence is either assigned
 //! internally (schedule order, via [`CalendarQueue::schedule`] /
 //! [`BinaryHeapQueue::schedule`]) or supplied by the caller
@@ -10,21 +10,17 @@
 //! merge order of events is identical no matter how processes are
 //! partitioned across threads:
 //!
-//! * [`TimerWheel`] — the hierarchical timer wheel the site agent uses to
-//!   batch per-bundle control ticks: `advance(now)` returns *every* timer
-//!   due by `now` (Varghese & Lauck's hashed hierarchical wheels). It was
-//!   born in `bundler-agent` and moved here so the simulator's event engine
-//!   can share the approach.
-//! * [`CalendarQueue`] — the same hierarchy generalized into a *pop-one*
-//!   priority queue for discrete-event simulation: 64-slot levels with
-//!   per-level occupancy bitmaps (one `u64` each, so finding the next
-//!   non-empty slot is a `trailing_zeros`), FIFO slot buckets, a small
-//!   sorted buffer holding only the slot currently being drained, and an
-//!   O(1) FIFO lane for "run immediately" entries of the unkeyed
-//!   [`CalendarQueue::schedule`] (doc-tests and property tests; the
-//!   simulator schedules keyed, which never takes it). Push and pop are
-//!   O(1) amortized instead of the O(log n) — with large element moves — of
-//!   one big binary heap over every pending event.
+//! * [`CalendarQueue`] — a hierarchical timer wheel (Varghese & Lauck's
+//!   hashed hierarchical wheels) run as a *pop-one* priority queue. It runs
+//!   every simulator event, keyed, and the site agent's per-bundle control
+//!   ticks, unkeyed. 64-slot levels with per-level occupancy bitmaps (one
+//!   `u64` each, so finding the next non-empty slot is a
+//!   `trailing_zeros`), FIFO slot buckets, a small sorted buffer holding
+//!   only the slot currently being drained, and an O(1) FIFO lane for "run
+//!   immediately" entries of the unkeyed [`CalendarQueue::schedule`] (keyed
+//!   schedules never take it). Push and pop are O(1) amortized instead of
+//!   the O(log n) — with large element moves — of one big binary heap over
+//!   every pending event.
 //! * [`BinaryHeapQueue`] — the straightforward binary-heap implementation,
 //!   kept only as the reference the calendar queue is property-tested
 //!   against (here and in `tests/properties.rs`); nothing runs on it.
@@ -38,12 +34,9 @@ use bundler_types::{Duration, Nanos};
 const SLOTS: usize = 64;
 /// log2(SLOTS).
 const SLOT_BITS: u32 = 6;
-/// Number of levels. With a ~1 µs quantum the calendar queue spans
-/// 64^6 µs ≈ 19 hours before touching its overflow list; the agent wheel's
-/// 4 levels at 1 ms span ≈ 4.6 hours, re-cascading beyond.
-const LEVELS: usize = 4;
-/// Levels of the calendar queue (deeper: it must never alias, so far
-/// deadlines beyond the span go to an explicit overflow list instead).
+/// Levels of the calendar queue. With a ~1 µs quantum it spans 64^6 µs ≈
+/// 19 hours; it must never alias, so deadlines beyond the span go to an
+/// explicit overflow list instead.
 const CQ_LEVELS: usize = 6;
 
 #[derive(Debug, Clone)]
@@ -216,8 +209,9 @@ pub struct CalendarQueue<T> {
     /// (one slot's worth) and almost always filled in one batch.
     cur: Vec<Entry<T>>,
     /// Entries the unkeyed [`CalendarQueue::schedule`] placed at exactly
-    /// the current time (its callers are doc-tests and property tests; the
-    /// simulator's every schedule is keyed and never lands here). Their
+    /// the current time (the site agent's control ticks, doc-tests and
+    /// property tests; the simulator's every schedule is keyed and never
+    /// lands here). Their
     /// `(deadline, seq)` keys are strictly increasing by construction
     /// (`now` never decreases, `seq` always does increase), so a plain
     /// FIFO holds them already sorted: O(1) push, O(1) pop.
@@ -600,363 +594,9 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// TimerWheel — batch-advance wheel (moved verbatim from bundler-agent).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Level<T> {
-    slots: Vec<Vec<Entry<T>>>,
-}
-
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
-}
-
-/// A hierarchical timer wheel over [`Nanos`] deadlines.
-///
-/// Deadlines land in a slot of the finest level that spans them; the cursor
-/// walks level-0 slots and, on wrap, cascades the next coarser slot down.
-/// Expiry order is deterministic: due timers fire ordered by (deadline,
-/// schedule sequence).
-#[derive(Debug, Clone)]
-pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
-    /// One occupancy bit per slot, per level — the calendar queue's trick,
-    /// ported here so [`TimerWheel::next_due`] skips empty slots with
-    /// `trailing_zeros` instead of walking all `LEVELS × SLOTS` of them.
-    occupied: [u64; LEVELS],
-    /// Width of a level-0 slot.
-    quantum: Duration,
-    /// The tick (level-0 slot count since time zero) the cursor has
-    /// processed up to, exclusive.
-    tick: u64,
-    /// Timers scheduled at or before the cursor, fired on the next advance.
-    overdue: Vec<Entry<T>>,
-    pending: usize,
-    seq: u64,
-}
-
-impl<T> TimerWheel<T> {
-    /// Creates a wheel whose finest slot width is `quantum` (must be
-    /// non-zero); timers expire with up to one quantum of slack.
-    pub fn new(quantum: Duration) -> Self {
-        assert!(!quantum.is_zero(), "timer wheel quantum must be positive");
-        TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            occupied: [0; LEVELS],
-            quantum,
-            tick: 0,
-            overdue: Vec::new(),
-            pending: 0,
-            seq: 0,
-        }
-    }
-
-    /// The finest slot width.
-    pub fn quantum(&self) -> Duration {
-        self.quantum
-    }
-
-    /// Number of scheduled timers that have not fired yet.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// True if no timers are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// The time the cursor has processed up to (start of the current slot).
-    fn cursor_time(&self) -> Nanos {
-        Nanos(self.tick.saturating_mul(self.quantum.as_nanos()))
-    }
-
-    fn slot_width(&self, level: usize) -> u64 {
-        self.quantum
-            .as_nanos()
-            .saturating_mul((SLOTS as u64).saturating_pow(level as u32))
-    }
-
-    /// Schedules `item` to fire at `deadline`. Deadlines at or before the
-    /// cursor fire on the next [`TimerWheel::advance`].
-    pub fn schedule(&mut self, deadline: Nanos, item: T) {
-        self.seq += 1;
-        let entry = Entry {
-            deadline,
-            seq: self.seq,
-            item,
-        };
-        self.pending += 1;
-        self.place(entry);
-    }
-
-    fn place(&mut self, entry: Entry<T>) {
-        let cursor = self.cursor_time();
-        if entry.deadline <= cursor {
-            self.overdue.push(entry);
-            return;
-        }
-        let delta = entry.deadline.saturating_since(cursor).as_nanos();
-        for level in 0..LEVELS {
-            let width = self.slot_width(level);
-            let span = width.saturating_mul(SLOTS as u64);
-            if delta < span || level == LEVELS - 1 {
-                let slot = (entry.deadline.as_nanos() / width) as usize % SLOTS;
-                self.levels[level].slots[slot].push(entry);
-                self.occupied[level] |= 1 << slot;
-                return;
-            }
-        }
-        unreachable!("last level accepts every delta");
-    }
-
-    /// Advances the cursor to `now` and returns every timer with
-    /// `deadline <= now`, ordered by (deadline, schedule order).
-    ///
-    /// Cost: O(level-0 slots stepped + timers due), with cascades from
-    /// coarser levels amortized over their spans — independent of the
-    /// number of timers parked further in the future.
-    pub fn advance(&mut self, now: Nanos) -> Vec<(Nanos, T)> {
-        let mut due = std::mem::take(&mut self.overdue);
-        let target_tick = now.as_nanos() / self.quantum.as_nanos();
-        while self.tick <= target_tick {
-            let slot = (self.tick % SLOTS as u64) as usize;
-            // On wrap into a new level-i window, cascade that window's
-            // parent slot down first — its entries may belong to the very
-            // slot the cursor is entering.
-            if slot == 0 {
-                for level in 1..LEVELS {
-                    let parent_slot =
-                        ((self.tick / (SLOTS as u64).pow(level as u32)) % SLOTS as u64) as usize;
-                    let entries = std::mem::take(&mut self.levels[level].slots[parent_slot]);
-                    self.occupied[level] &= !(1 << parent_slot);
-                    for e in entries {
-                        self.place(e);
-                    }
-                    // Only continue cascading if this level also wrapped.
-                    if parent_slot != 0 {
-                        break;
-                    }
-                }
-            }
-            // Collect the level-0 slot the cursor is entering.
-            due.append(&mut self.levels[0].slots[slot]);
-            self.occupied[0] &= !(1 << slot);
-            self.tick += 1;
-            // Fast-forward across empty stretches. If every remaining timer
-            // has already been collected, nothing can fire before `now`:
-            // jump straight to the target. Otherwise, if level 0 is empty,
-            // nothing can fire before the next wrap cascades a coarser slot
-            // down: jump to the wrap boundary (but never past one).
-            if self.pending == due.len() + self.overdue.len() {
-                self.tick = target_tick + 1;
-            } else if self.overdue.is_empty()
-                && !self.tick.is_multiple_of(SLOTS as u64)
-                && self.all_level0_empty()
-            {
-                let next_wrap = (self.tick / SLOTS as u64 + 1) * SLOTS as u64;
-                self.tick = next_wrap.min(target_tick + 1);
-            }
-        }
-        // Entries parked by short-circuited cascades can still be early.
-        due.append(&mut self.overdue);
-        let (mut ripe, unripe): (Vec<_>, Vec<_>) = due.into_iter().partition(|e| e.deadline <= now);
-        for e in unripe {
-            self.place(e);
-        }
-        ripe.sort_by_key(|e| (e.deadline, e.seq));
-        self.pending -= ripe.len();
-        ripe.into_iter().map(|e| (e.deadline, e.item)).collect()
-    }
-
-    fn all_level0_empty(&self) -> bool {
-        self.occupied[0] == 0
-    }
-
-    /// The earliest pending deadline, if any.
-    ///
-    /// Uses the per-level occupancy bitmaps so only *occupied* slots are
-    /// visited. Level 0 is fully resolved from its bitmap: its entries sit
-    /// within one rotation of the cursor, so cyclic slot order is deadline
-    /// order and only the first occupied slot ahead of the cursor needs its
-    /// entries examined. Coarser levels can hold wrapped (next-rotation)
-    /// entries that alias onto low slot indices, so every occupied slot
-    /// there is scanned — but with a quantum well below the control
-    /// interval, timers overwhelmingly live in level 0 and the common cost
-    /// is O(levels + one slot's entries) instead of O(LEVELS × SLOTS +
-    /// pending).
-    pub fn next_due(&self) -> Option<Nanos> {
-        let mut min: Option<Nanos> = None;
-        let mut consider = |d: Nanos| match min {
-            Some(m) if m <= d => {}
-            _ => min = Some(d),
-        };
-        for e in &self.overdue {
-            consider(e.deadline);
-        }
-        if self.occupied[0] != 0 {
-            // First occupied level-0 slot in cyclic order from the cursor:
-            // rotate the bitmap so the cursor's slot is bit 0, take the
-            // lowest set bit.
-            let c0 = (self.tick % SLOTS as u64) as u32;
-            let ahead = self.occupied[0].rotate_right(c0);
-            let slot = (c0 as u64 + ahead.trailing_zeros() as u64) % SLOTS as u64;
-            for e in &self.levels[0].slots[slot as usize] {
-                consider(e.deadline);
-            }
-        }
-        for level in 1..LEVELS {
-            let mut bits = self.occupied[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for e in &self.levels[level].slots[slot] {
-                    consider(e.deadline);
-                }
-            }
-        }
-        min
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // ---------------- TimerWheel (moved with the implementation) ----------
-
-    fn wheel() -> TimerWheel<u32> {
-        TimerWheel::new(Duration::from_millis(1))
-    }
-
-    #[test]
-    fn fires_in_deadline_order_with_slack_bounded_by_quantum() {
-        let mut w = wheel();
-        w.schedule(Nanos::from_millis(30), 3);
-        w.schedule(Nanos::from_millis(10), 1);
-        w.schedule(Nanos::from_millis(20), 2);
-        assert_eq!(w.pending(), 3);
-        assert_eq!(w.advance(Nanos::from_millis(9)), vec![]);
-        assert_eq!(
-            w.advance(Nanos::from_millis(10)),
-            vec![(Nanos::from_millis(10), 1)]
-        );
-        let rest = w.advance(Nanos::from_millis(100));
-        assert_eq!(
-            rest,
-            vec![(Nanos::from_millis(20), 2), (Nanos::from_millis(30), 3)]
-        );
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn ties_fire_in_schedule_order() {
-        let mut w = wheel();
-        for i in 0..10u32 {
-            w.schedule(Nanos::from_millis(5), i);
-        }
-        let fired: Vec<u32> = w
-            .advance(Nanos::from_millis(5))
-            .into_iter()
-            .map(|(_, i)| i)
-            .collect();
-        assert_eq!(fired, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn overdue_schedules_fire_on_next_advance() {
-        let mut w = wheel();
-        w.advance(Nanos::from_millis(50));
-        w.schedule(Nanos::from_millis(10), 9);
-        assert_eq!(w.next_due(), Some(Nanos::from_millis(10)));
-        assert_eq!(
-            w.advance(Nanos::from_millis(50)),
-            vec![(Nanos::from_millis(10), 9)]
-        );
-    }
-
-    #[test]
-    fn distant_deadlines_cascade_correctly() {
-        let mut w = wheel();
-        // Beyond level 0 (64 ms), level 1 (4.096 s) and level 2 (262 s).
-        for &ms in &[100u64, 5_000, 300_000, 20_000_000] {
-            w.schedule(Nanos::from_millis(ms), ms as u32);
-        }
-        assert_eq!(w.advance(Nanos::from_millis(99)), vec![]);
-        assert_eq!(
-            w.advance(Nanos::from_millis(100)),
-            vec![(Nanos::from_millis(100), 100)]
-        );
-        assert_eq!(w.advance(Nanos::from_millis(4_999)), vec![]);
-        assert_eq!(
-            w.advance(Nanos::from_millis(5_000)),
-            vec![(Nanos::from_millis(5_000), 5_000)]
-        );
-        assert_eq!(
-            w.advance(Nanos::from_millis(300_000)),
-            vec![(Nanos::from_millis(300_000), 300_000)]
-        );
-        assert_eq!(
-            w.advance(Nanos::from_millis(20_000_000)),
-            vec![(Nanos::from_millis(20_000_000), 20_000_000)]
-        );
-        assert!(w.is_empty());
-        assert_eq!(w.next_due(), None);
-    }
-
-    #[test]
-    fn periodic_reschedule_is_drift_free() {
-        // The agent's usage pattern: every fired timer is rescheduled one
-        // interval after its *deadline* (not its fire time).
-        let mut w = wheel();
-        let interval = Duration::from_millis(10);
-        w.schedule(Nanos::ZERO + interval, 0u32);
-        let mut fired = Vec::new();
-        let mut now = Nanos::ZERO;
-        for _ in 0..100 {
-            now += Duration::from_micros(3_700); // odd advance cadence
-            for (deadline, item) in w.advance(now) {
-                fired.push(deadline);
-                w.schedule(deadline + interval, item);
-            }
-        }
-        let expect: Vec<Nanos> = (1..=fired.len() as u64)
-            .map(|i| Nanos(i * 10_000_000))
-            .collect();
-        assert_eq!(fired, expect, "deadlines must stay on the exact 10 ms grid");
-        assert!(
-            fired.len() >= 35,
-            "~37 intervals fit in 370 ms, got {}",
-            fired.len()
-        );
-    }
-
-    #[test]
-    fn many_timers_sparse_due_set() {
-        // O(due) behaviour is a perf property, but at least verify
-        // correctness with many parked timers and a tiny due set.
-        let mut w = wheel();
-        for i in 0..1000u32 {
-            w.schedule(Nanos::from_millis(10 + (i as u64 % 50) * 20), i);
-        }
-        let due = w.advance(Nanos::from_millis(10));
-        assert_eq!(due.len(), 20, "only the 10 ms cohort fires");
-        assert!(due.iter().all(|&(d, _)| d == Nanos::from_millis(10)));
-        assert_eq!(w.pending(), 980);
-        assert_eq!(w.next_due(), Some(Nanos::from_millis(30)));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum must be positive")]
-    fn zero_quantum_is_rejected() {
-        let _ = TimerWheel::<u32>::new(Duration::ZERO);
-    }
 
     // ---------------- CalendarQueue ---------------------------------------
 
@@ -1163,26 +803,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Nanos(1_000), 1)));
         assert_eq!(q.peek_key(), None);
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn next_due_uses_bitmaps_across_levels_and_wraps() {
-        let mut w = wheel();
-        assert_eq!(w.next_due(), None);
-        // Entries at level 0 (near), level 1+ (far), and overdue.
-        w.schedule(Nanos::from_millis(300), 1u32); // level 1
-        assert_eq!(w.next_due(), Some(Nanos::from_millis(300)));
-        w.schedule(Nanos::from_millis(12), 2); // level 0
-        assert_eq!(w.next_due(), Some(Nanos::from_millis(12)));
-        // Advance past the near timer; the far one is the next due again.
-        let fired = w.advance(Nanos::from_millis(20));
-        assert_eq!(fired, vec![(Nanos::from_millis(12), 2)]);
-        assert_eq!(w.next_due(), Some(Nanos::from_millis(300)));
-        // Overdue entries are considered too.
-        w.schedule(Nanos::from_millis(1), 3);
-        assert_eq!(w.next_due(), Some(Nanos::from_millis(1)));
-        w.advance(Nanos::from_millis(400));
-        assert_eq!(w.next_due(), None);
     }
 
     // ---------------- BinaryHeapQueue -------------------------------------

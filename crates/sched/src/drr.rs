@@ -6,12 +6,10 @@
 //! "ideal" fair queue used by the In-Network baseline and is exposed as a
 //! sendbox policy in its own right.
 
-use std::collections::VecDeque;
-
 use bundler_types::{IdHashMap, Nanos, PacketArena, PacketId};
 use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader, State};
 
-use crate::longest::LongestTracker;
+use crate::rr::{FlowQueue, RoundRobin};
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
 /// Configuration for [`Drr`].
@@ -32,153 +30,57 @@ impl Default for DrrConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct FlowQueue {
-    queue: VecDeque<PktRef>,
-    bytes: u64,
-    deficit: i64,
-}
-
-serde::layout!(value FlowQueue { queue, bytes, deficit });
-
 /// Deficit Round Robin scheduler with exact per-flow queues.
 #[derive(Debug)]
 pub struct Drr {
-    config: DrrConfig,
-    flows: IdHashMap<u64, FlowQueue>,
-    active: VecDeque<u64>,
-    /// Longest-flow (by packets) key for overflow drops. Ties resolve by
-    /// the larger flow digest rather than active-list position, a
-    /// policy-free choice that stays deterministic.
-    longest: LongestTracker,
-    total_pkts: usize,
-    total_bytes: u64,
-    stats: SchedStats,
+    /// Deficit round robin over the flows, keyed by five-tuple digest.
+    rr: RoundRobin<IdHashMap<u64, FlowQueue>>,
 }
 
 impl Drr {
     /// Creates a DRR scheduler.
     pub fn new(config: DrrConfig) -> Self {
         Drr {
-            config,
-            flows: IdHashMap::default(),
-            active: VecDeque::new(),
-            longest: LongestTracker::new(),
-            total_pkts: 0,
-            total_bytes: 0,
-            stats: SchedStats::default(),
+            rr: RoundRobin::new(
+                IdHashMap::default(),
+                config.quantum_bytes,
+                config.total_capacity_pkts,
+            ),
         }
     }
 
     /// Number of distinct flows currently backlogged.
     pub fn backlogged_flows(&self) -> usize {
-        self.active.len()
-    }
-
-    fn drop_from_longest(&mut self) -> Option<PktRef> {
-        let longest = self.longest.longest()?;
-        let fq = self.flows.get_mut(&longest)?;
-        let p = fq.queue.pop_back()?;
-        fq.bytes -= p.size as u64;
-        self.total_pkts -= 1;
-        self.total_bytes -= p.size as u64;
-        self.longest.set(longest, fq.queue.len() as u64);
-        if fq.queue.is_empty() {
-            self.active.retain(|&k| k != longest);
-        }
-        Some(p)
+        self.rr.active.len()
     }
 }
 
 impl Scheduler for Drr {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: Nanos) -> Enqueued {
-        let (key, size) = {
-            let p = arena.get_mut(pkt);
-            p.enqueued_at = now;
-            (p.key.digest(), p.size)
-        };
-        let fq = self.flows.entry(key).or_default();
-        let newly_active = fq.queue.is_empty();
-        fq.bytes += size as u64;
-        fq.queue.push_back(PktRef { id: pkt, size });
-        let occupancy = fq.queue.len() as u64;
-        self.total_pkts += 1;
-        self.total_bytes += size as u64;
-        self.stats.enqueued += 1;
-        if newly_active {
-            fq.deficit = self.config.quantum_bytes as i64;
-            self.active.push_back(key);
-        }
-        self.longest.set(key, occupancy);
-        if self.total_pkts > self.config.total_capacity_pkts {
-            if let Some(dropped) = self.drop_from_longest() {
-                self.stats.dropped += 1;
-                self.stats.dropped_bytes += dropped.size as u64;
-                return Enqueued::Dropped(dropped.id);
-            }
-        }
-        Enqueued::Queued
+        let p = arena.get_mut(pkt);
+        p.enqueued_at = now;
+        let (key, size) = (p.key.digest(), p.size);
+        self.rr.enqueue(key, PktRef { id: pkt, size })
     }
 
     fn dequeue(&mut self, _arena: &mut PacketArena, _now: Nanos) -> Option<PacketId> {
-        let mut rotations = 0usize;
-        let max_rotations = self.active.len().saturating_mul(2).max(2);
-        while let Some(&key) = self.active.front() {
-            rotations += 1;
-            if rotations > max_rotations && self.total_pkts > 0 {
-                break;
-            }
-            let fq = self.flows.get_mut(&key).expect("active flow exists");
-            match fq.queue.front() {
-                None => {
-                    self.active.pop_front();
-                }
-                Some(head) if fq.deficit >= head.size as i64 => {
-                    let p = fq.queue.pop_front().expect("head exists");
-                    fq.deficit -= p.size as i64;
-                    fq.bytes -= p.size as u64;
-                    self.total_pkts -= 1;
-                    self.total_bytes -= p.size as u64;
-                    self.longest.set(key, fq.queue.len() as u64);
-                    if fq.queue.is_empty() {
-                        self.active.pop_front();
-                        self.flows.remove(&key);
-                    }
-                    self.stats.dequeued += 1;
-                    return Some(p.id);
-                }
-                Some(_) => {
-                    fq.deficit += self.config.quantum_bytes as i64;
-                    self.active.rotate_left(1);
-                }
-            }
-        }
-        None
+        self.rr.dequeue().map(|p| p.id)
     }
 
     fn len_packets(&self) -> usize {
-        self.total_pkts
+        self.rr.total_pkts
     }
 
     fn len_bytes(&self) -> u64 {
-        self.total_bytes
+        self.rr.total_bytes
     }
 
     fn stats(&self) -> SchedStats {
-        self.stats
+        self.rr.stats
     }
 
     fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut PacketId)) {
-        // Active-list order, never map order: the traversal must be the
-        // same on the instance that saved a snapshot and the freshly built
-        // one restoring it, so queued packets pair up positionally. Every
-        // non-empty flow is on the active list.
-        for key in &self.active {
-            let fq = self.flows.get_mut(key).expect("active flow exists");
-            for p in fq.queue.iter_mut() {
-                f(&mut p.id);
-            }
-        }
+        self.rr.for_each_active_pkt_mut(f);
     }
 
     fn name(&self) -> &'static str {
@@ -192,37 +94,30 @@ impl Scheduler for Drr {
 // drops) carry no state and are not written.
 impl State for Drr {
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.active.len().encode(out);
-        for key in &self.active {
+        self.rr.active.len().encode(out);
+        for key in &self.rr.active {
             key.encode(out);
-            self.flows[key].encode(out);
+            self.rr.queues[key].encode(out);
         }
-        (self.total_pkts, self.total_bytes, self.stats).encode(out);
+        self.rr.save_totals(out);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         let n = decode_len(r, "drr flow count")?;
-        self.flows.clear();
-        self.active.clear();
-        self.longest = LongestTracker::new();
+        self.rr.queues.clear();
+        self.rr.active.clear();
         for _ in 0..n {
             let (key, fq) = <(u64, FlowQueue)>::decode(r)?;
             if fq.queue.is_empty() {
                 return Err(r.error("drr active flow has no packets"));
             }
-            self.longest.set(key, fq.queue.len() as u64);
-            self.active.push_back(key);
-            if self.flows.insert(key, fq).is_some() {
+            self.rr.active.push_back(key);
+            if self.rr.queues.insert(key, fq).is_some() {
                 return Err(r.error("drr duplicate flow key"));
             }
         }
-        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
-        if crate::queued(self.flows.values().map(|f| &f.queue))
-            != (self.total_pkts, self.total_bytes)
-        {
-            return Err(r.error("drr totals do not match the flow queues"));
-        }
-        Ok(())
+        self.rr
+            .load_totals(r, "drr totals do not match the flow queues")
     }
 }
 
@@ -301,7 +196,7 @@ mod tests {
         assert_eq!(d.backlogged_flows(), 1);
         d.dequeue(&mut a, Nanos::ZERO);
         assert_eq!(d.backlogged_flows(), 0);
-        assert!(d.flows.is_empty(), "idle flow queues must be removed");
+        assert!(d.rr.queues.is_empty(), "idle flow queues must be removed");
     }
 
     #[test]

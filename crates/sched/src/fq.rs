@@ -7,163 +7,59 @@
 //! deployable in practice but bounds how much of the possible benefit
 //! Bundler captures (Figure 9: Bundler is within 15 % of it).
 
-use std::collections::VecDeque;
-
-use bundler_types::{FlowId, IdHashMap, Nanos, PacketArena, PacketId};
+use bundler_types::{IdHashMap, Nanos, PacketArena, PacketId};
 use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader, State};
 
-use crate::longest::LongestTracker;
+use crate::rr::{FlowQueue, RoundRobin};
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
-
-#[derive(Debug, Default)]
-struct FlowQueue {
-    queue: VecDeque<PktRef>,
-    bytes: u64,
-    deficit: i64,
-}
-
-serde::layout!(value FlowQueue { queue, bytes, deficit });
 
 /// Ideal per-flow fair queueing scheduler.
 #[derive(Debug)]
 pub struct FairQueue {
-    quantum: u32,
-    capacity_pkts: usize,
-    flows: IdHashMap<FlowId, FlowQueue>,
-    active: VecDeque<FlowId>,
-    /// Longest-flow (by packets) key for overflow drops. Ties resolve by
-    /// the larger flow id rather than active-list position, a policy-free
-    /// choice that stays deterministic.
-    longest: LongestTracker,
-    total_pkts: usize,
-    total_bytes: u64,
-    stats: SchedStats,
+    /// Deficit round robin over the flows, keyed by flow id.
+    rr: RoundRobin<IdHashMap<u64, FlowQueue>>,
 }
 
 impl FairQueue {
     /// Creates a fair queue with the given total packet capacity.
     pub fn new(capacity_pkts: usize) -> Self {
         FairQueue {
-            quantum: 1514,
-            capacity_pkts,
-            flows: IdHashMap::default(),
-            active: VecDeque::new(),
-            longest: LongestTracker::new(),
-            total_pkts: 0,
-            total_bytes: 0,
-            stats: SchedStats::default(),
+            rr: RoundRobin::new(IdHashMap::default(), 1514, capacity_pkts),
         }
     }
 
     /// Number of distinct backlogged flows.
     pub fn backlogged_flows(&self) -> usize {
-        self.active.len()
-    }
-
-    fn drop_from_longest(&mut self) -> Option<PktRef> {
-        let longest = FlowId(self.longest.longest()?);
-        let fq = self.flows.get_mut(&longest)?;
-        let p = fq.queue.pop_back()?;
-        fq.bytes -= p.size as u64;
-        self.total_pkts -= 1;
-        self.total_bytes -= p.size as u64;
-        self.longest.set(longest.0, fq.queue.len() as u64);
-        if fq.queue.is_empty() {
-            self.active.retain(|&k| k != longest);
-        }
-        Some(p)
+        self.rr.active.len()
     }
 }
 
 impl Scheduler for FairQueue {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: Nanos) -> Enqueued {
-        let (key, size) = {
-            let p = arena.get_mut(pkt);
-            p.enqueued_at = now;
-            (p.flow, p.size)
-        };
-        let fq = self.flows.entry(key).or_default();
-        let newly_active = fq.queue.is_empty();
-        fq.bytes += size as u64;
-        fq.queue.push_back(PktRef { id: pkt, size });
-        let occupancy = fq.queue.len() as u64;
-        self.total_pkts += 1;
-        self.total_bytes += size as u64;
-        self.stats.enqueued += 1;
-        if newly_active {
-            fq.deficit = self.quantum as i64;
-            self.active.push_back(key);
-        }
-        self.longest.set(key.0, occupancy);
-        if self.total_pkts > self.capacity_pkts {
-            if let Some(dropped) = self.drop_from_longest() {
-                self.stats.dropped += 1;
-                self.stats.dropped_bytes += dropped.size as u64;
-                return Enqueued::Dropped(dropped.id);
-            }
-        }
-        Enqueued::Queued
+        let p = arena.get_mut(pkt);
+        p.enqueued_at = now;
+        let (key, size) = (p.flow.0, p.size);
+        self.rr.enqueue(key, PktRef { id: pkt, size })
     }
 
     fn dequeue(&mut self, _arena: &mut PacketArena, _now: Nanos) -> Option<PacketId> {
-        let mut rotations = 0usize;
-        let max_rotations = self.active.len().saturating_mul(2).max(2);
-        while let Some(&key) = self.active.front() {
-            rotations += 1;
-            if rotations > max_rotations && self.total_pkts > 0 {
-                break;
-            }
-            let fq = self.flows.get_mut(&key).expect("active flow exists");
-            match fq.queue.front() {
-                None => {
-                    self.active.pop_front();
-                }
-                Some(head) if fq.deficit >= head.size as i64 => {
-                    let p = fq.queue.pop_front().expect("head exists");
-                    fq.deficit -= p.size as i64;
-                    fq.bytes -= p.size as u64;
-                    self.total_pkts -= 1;
-                    self.total_bytes -= p.size as u64;
-                    self.longest.set(key.0, fq.queue.len() as u64);
-                    if fq.queue.is_empty() {
-                        self.active.pop_front();
-                        self.flows.remove(&key);
-                    }
-                    self.stats.dequeued += 1;
-                    return Some(p.id);
-                }
-                Some(_) => {
-                    fq.deficit += self.quantum as i64;
-                    self.active.rotate_left(1);
-                }
-            }
-        }
-        None
+        self.rr.dequeue().map(|p| p.id)
     }
 
     fn len_packets(&self) -> usize {
-        self.total_pkts
+        self.rr.total_pkts
     }
 
     fn len_bytes(&self) -> u64 {
-        self.total_bytes
+        self.rr.total_bytes
     }
 
     fn stats(&self) -> SchedStats {
-        self.stats
+        self.rr.stats
     }
 
     fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut PacketId)) {
-        // Active-list order, never map order: a freshly built restorer's
-        // map iterates differently from the instance that saved, so only
-        // this order pairs queued packets with their refs positionally.
-        // Every non-empty flow is on the active list.
-        for key in &self.active {
-            let fq = self.flows.get_mut(key).expect("active flow exists");
-            for p in fq.queue.iter_mut() {
-                f(&mut p.id);
-            }
-        }
+        self.rr.for_each_active_pkt_mut(f);
     }
 
     fn name(&self) -> &'static str {
@@ -176,46 +72,34 @@ impl Scheduler for FairQueue {
 // state, serialized as flow ids.
 impl State for FairQueue {
     fn save_state(&self, out: &mut Vec<u8>) {
-        let mut ids: Vec<FlowId> = self.flows.keys().copied().collect();
+        let mut ids: Vec<u64> = self.rr.queues.keys().copied().collect();
         ids.sort_unstable();
         ids.len().encode(out);
         for id in &ids {
             id.encode(out);
-            self.flows[id].encode(out);
+            self.rr.queues[id].encode(out);
         }
-        self.active.encode(out);
-        (self.total_pkts, self.total_bytes, self.stats).encode(out);
+        self.rr.active.encode(out);
+        self.rr.save_totals(out);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         let n = decode_len(r, "fq flow count")?;
-        self.flows.clear();
+        self.rr.queues.clear();
         for _ in 0..n {
-            let (id, fq) = <(FlowId, FlowQueue)>::decode(r)?;
-            self.longest.set(id.0, fq.queue.len() as u64);
-            self.flows.insert(id, fq);
+            let (id, fq) = <(u64, FlowQueue)>::decode(r)?;
+            self.rr.queues.insert(id, fq);
         }
-        self.active = Decode::decode(r)?;
-        if !self.active.iter().all(|id| self.flows.contains_key(id)) {
-            return Err(r.error("fq active flow unknown"));
-        }
-        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
-        // The active list is the packet walk: it must reach every queued
-        // packet exactly once, and the totals must count exactly those.
-        let totals = (self.total_pkts, self.total_bytes);
-        if crate::queued(self.flows.values().map(|f| &f.queue)) != totals
-            || crate::queued(self.active.iter().map(|id| &self.flows[id].queue)) != totals
-        {
-            return Err(r.error("fq totals do not match the active flow queues"));
-        }
-        Ok(())
+        self.rr.active = Decode::decode(r)?;
+        self.rr
+            .load_totals(r, "fq totals do not match the active flow queues")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bundler_types::{flow::ipv4, FlowKey, Packet};
+    use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet};
 
     fn pkt(flow: u64, size: u32) -> Packet {
         Packet::data(

@@ -137,11 +137,6 @@ impl FqCodel {
         self.buckets.iter().map(|b| b.codel.total_drops).sum()
     }
 
-    fn bucket_of(&self, digest: u64) -> usize {
-        let h = digest ^ self.config.hash_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % self.config.buckets as u64) as usize
-    }
-
     fn drop_from_longest(&mut self) -> Option<PktRef> {
         let longest = self.longest.longest()? as usize;
         let b = &mut self.buckets[longest];
@@ -241,7 +236,7 @@ impl Scheduler for FqCodel {
             p.enqueued_at = now;
             (p.size, p.key.digest())
         };
-        let idx = self.bucket_of(digest);
+        let idx = crate::sfq::bucket_of(digest, self.config.hash_seed, self.config.buckets);
         let bucket = &mut self.buckets[idx];
         bucket.bytes += size as u64;
         bucket.queue.push_back(PktRef { id: pkt, size });

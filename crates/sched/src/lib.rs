@@ -22,6 +22,7 @@ pub mod fq;
 pub mod fq_codel;
 mod longest;
 pub mod prio;
+mod rr;
 pub mod sfq;
 pub mod tbf;
 

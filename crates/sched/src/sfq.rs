@@ -6,12 +6,10 @@
 //! behind long flows' queues, which is where most of Bundler's FCT
 //! improvement comes from (Figure 9).
 
-use std::collections::VecDeque;
-
 use bundler_types::{Nanos, PacketArena, PacketId};
 use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
-use crate::longest::LongestTracker;
+use crate::rr::{FlowQueue, RoundRobin};
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
 /// Configuration for [`Sfq`].
@@ -41,28 +39,19 @@ impl Default for SfqConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct Bucket {
-    queue: VecDeque<PktRef>,
-    bytes: u64,
-    /// Remaining byte allowance in the current round (DRR-style deficit).
-    deficit: i64,
+/// The bucket of `buckets` a five-tuple digest hashes to under
+/// `hash_seed` — SFQ's, and FQ-CoDel's too.
+pub(crate) fn bucket_of(digest: u64, hash_seed: u64, buckets: usize) -> usize {
+    let h = digest ^ hash_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h % buckets as u64) as usize
 }
-
-serde::layout!(value Bucket { queue, bytes, deficit });
 
 /// Stochastic Fairness Queueing scheduler.
 #[derive(Debug)]
 pub struct Sfq {
     config: SfqConfig,
-    buckets: Vec<Bucket>,
-    /// Round-robin list of currently backlogged bucket indices.
-    active: VecDeque<usize>,
-    /// Longest-bucket index for overflow drops, O(log) instead of a scan.
-    longest: LongestTracker,
-    total_pkts: usize,
-    total_bytes: u64,
-    stats: SchedStats,
+    /// Deficit round robin over the hash buckets, keyed by bucket index.
+    rr: RoundRobin<Vec<FlowQueue>>,
     /// Sojourn recording, boxed so the disabled (default) case costs one
     /// pointer. SFQ has no AQM drop state; only overflow drops export.
     obs: Option<Box<bundler_obs::SchedObs>>,
@@ -72,15 +61,10 @@ impl Sfq {
     /// Creates an SFQ scheduler with the given configuration.
     pub fn new(config: SfqConfig) -> Self {
         assert!(config.buckets > 0, "SFQ needs at least one bucket");
-        let buckets = (0..config.buckets).map(|_| Bucket::default()).collect();
+        let buckets = (0..config.buckets).map(|_| FlowQueue::default()).collect();
         Sfq {
             config,
-            buckets,
-            active: VecDeque::new(),
-            longest: LongestTracker::new(),
-            total_pkts: 0,
-            total_bytes: 0,
-            stats: SchedStats::default(),
+            rr: RoundRobin::new(buckets, config.quantum_bytes, config.total_capacity_pkts),
             obs: None,
         }
     }
@@ -97,122 +81,42 @@ impl Sfq {
 
     /// Number of currently backlogged buckets.
     pub fn backlogged_buckets(&self) -> usize {
-        self.active.len()
-    }
-
-    fn bucket_of(&self, digest: u64) -> usize {
-        let h = digest ^ self.config.hash_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % self.config.buckets as u64) as usize
-    }
-
-    fn drop_from_longest(&mut self) -> Option<PktRef> {
-        let longest = self.longest.longest()? as usize;
-        let bucket = &mut self.buckets[longest];
-        // Drop from the tail of the longest queue, as Linux SFQ does.
-        let p = bucket.queue.pop_back()?;
-        bucket.bytes -= p.size as u64;
-        self.total_pkts -= 1;
-        self.total_bytes -= p.size as u64;
-        self.longest.set(longest as u64, bucket.queue.len() as u64);
-        if bucket.queue.is_empty() {
-            self.active.retain(|&i| i != longest);
-        }
-        Some(p)
+        self.rr.active.len()
     }
 }
 
 impl Scheduler for Sfq {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: Nanos) -> Enqueued {
-        let (size, digest) = {
-            let p = arena.get_mut(pkt);
-            p.enqueued_at = now;
-            (p.size, p.key.digest())
-        };
-        let idx = self.bucket_of(digest);
-        let newly_active = self.buckets[idx].queue.is_empty();
-        self.buckets[idx].bytes += size as u64;
-        self.total_bytes += size as u64;
-        self.total_pkts += 1;
-        self.buckets[idx].queue.push_back(PktRef { id: pkt, size });
-        self.longest
-            .set(idx as u64, self.buckets[idx].queue.len() as u64);
-        self.stats.enqueued += 1;
-        if newly_active {
-            // A bucket entering the active list starts a fresh round.
-            self.buckets[idx].deficit = self.config.quantum_bytes as i64;
-            self.active.push_back(idx);
-        }
-
-        if self.total_pkts > self.config.total_capacity_pkts {
-            if let Some(dropped) = self.drop_from_longest() {
-                self.stats.dropped += 1;
-                self.stats.dropped_bytes += dropped.size as u64;
-                return Enqueued::Dropped(dropped.id);
-            }
-        }
-        Enqueued::Queued
+        let p = arena.get_mut(pkt);
+        p.enqueued_at = now;
+        let (digest, size) = (p.key.digest(), p.size);
+        let bucket = bucket_of(digest, self.config.hash_seed, self.config.buckets);
+        self.rr.enqueue(bucket as u64, PktRef { id: pkt, size })
     }
 
     fn dequeue(&mut self, arena: &mut PacketArena, now: Nanos) -> Option<PacketId> {
-        // Deficit round robin across active buckets: a bucket sends while it
-        // has deficit, then moves to the back of the list with a fresh
-        // quantum.
-        let mut visits = 0;
-        let max_visits = self.active.len().saturating_mul(2).max(2);
-        while let Some(&idx) = self.active.front() {
-            visits += 1;
-            if visits > max_visits && self.total_pkts > 0 {
-                // Defensive bound; with positive quanta this should never be
-                // hit, but a scheduling bug must not hang the datapath.
-                break;
-            }
-            let bucket = &mut self.buckets[idx];
-            match bucket.queue.front() {
-                None => {
-                    self.active.pop_front();
-                }
-                Some(head) if bucket.deficit >= head.size as i64 => {
-                    let p = bucket.queue.pop_front().expect("head exists");
-                    bucket.deficit -= p.size as i64;
-                    bucket.bytes -= p.size as u64;
-                    self.total_pkts -= 1;
-                    self.total_bytes -= p.size as u64;
-                    let remaining = bucket.queue.len() as u64;
-                    self.longest.set(idx as u64, remaining);
-                    if remaining == 0 {
-                        self.active.pop_front();
-                    }
-                    self.stats.dequeued += 1;
-                    if let Some(obs) = self.obs.as_deref_mut() {
-                        let sojourn = now.saturating_since(arena[p.id].enqueued_at);
-                        obs.sojourn.record(sojourn.as_nanos());
-                    }
-                    return Some(p.id);
-                }
-                Some(_) => {
-                    // Out of deficit: rotate to the back with a new quantum.
-                    bucket.deficit += self.config.quantum_bytes as i64;
-                    self.active.rotate_left(1);
-                }
-            }
+        let p = self.rr.dequeue()?;
+        if let Some(obs) = self.obs.as_deref_mut() {
+            let sojourn = now.saturating_since(arena[p.id].enqueued_at);
+            obs.sojourn.record(sojourn.as_nanos());
         }
-        None
+        Some(p.id)
     }
 
     fn len_packets(&self) -> usize {
-        self.total_pkts
+        self.rr.total_pkts
     }
 
     fn len_bytes(&self) -> u64 {
-        self.total_bytes
+        self.rr.total_bytes
     }
 
     fn stats(&self) -> SchedStats {
-        self.stats
+        self.rr.stats
     }
 
     fn for_each_pkt_mut(&mut self, f: &mut dyn FnMut(&mut PacketId)) {
-        for bucket in self.buckets.iter_mut() {
+        for bucket in self.rr.queues.iter_mut() {
             for p in bucket.queue.iter_mut() {
                 f(&mut p.id);
             }
@@ -229,7 +133,7 @@ impl Scheduler for Sfq {
 
     fn take_obs(&mut self) -> Option<bundler_obs::SchedObs> {
         self.obs.take().map(|mut obs| {
-            obs.aqm_drops = self.stats.dropped;
+            obs.aqm_drops = self.rr.stats.dropped;
             *obs
         })
     }
@@ -240,31 +144,20 @@ impl Scheduler for Sfq {
 // loudly instead of silently re-hashing flows into different buckets.
 impl State for Sfq {
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.buckets.encode(out);
-        self.active.encode(out);
-        (self.total_pkts, self.total_bytes, self.stats).encode(out);
+        self.rr.queues.encode(out);
+        self.rr.active.encode(out);
+        self.rr.save_totals(out);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        let buckets = Vec::<Bucket>::decode(r)?;
-        if buckets.len() != self.buckets.len() {
+        let buckets = Vec::<FlowQueue>::decode(r)?;
+        if buckets.len() != self.rr.queues.len() {
             return Err(r.error("sfq bucket count mismatch"));
         }
-        self.buckets = buckets;
-        for (i, b) in self.buckets.iter().enumerate() {
-            self.longest.set(i as u64, b.queue.len() as u64);
-        }
-        self.active = Decode::decode(r)?;
-        if self.active.iter().any(|&idx| idx >= self.buckets.len()) {
-            return Err(r.error("sfq active bucket out of range"));
-        }
-        (self.total_pkts, self.total_bytes, self.stats) = Decode::decode(r)?;
-        if crate::queued(self.buckets.iter().map(|b| &b.queue))
-            != (self.total_pkts, self.total_bytes)
-        {
-            return Err(r.error("sfq totals do not match the bucket queues"));
-        }
-        Ok(())
+        self.rr.queues = buckets;
+        self.rr.active = Decode::decode(r)?;
+        self.rr
+            .load_totals(r, "sfq totals do not match the bucket queues")
     }
 }
 

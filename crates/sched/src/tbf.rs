@@ -146,12 +146,11 @@ impl Tbf {
         if self.inner.is_empty() {
             return Release::Empty;
         }
-        // We need the head packet's size before committing to dequeue it; the
-        // Scheduler trait has no peek (not all qdiscs can cheaply peek the
-        // packet the *scheduler* would pick next), so dequeue optimistically
-        // and re-enqueue... Instead, conservatively gate on one MTU's worth of
-        // tokens: dequeue when we can cover the largest possible packet or
-        // when the available tokens cover the actual packet once known.
+        // The Scheduler trait has no peek (not every qdisc can cheaply name
+        // the packet it would pick next), so the head packet's size is
+        // unknown until it is dequeued. Gate on an estimate instead — one
+        // MTU, or the whole backlog if that is smaller — and correct the
+        // token balance by the real size once the packet is out.
         let pkt_estimate = 1514u64.min(self.inner.len_bytes().max(1));
         if self.bucket.try_consume(pkt_estimate, now) {
             match self.inner.dequeue(arena, now) {

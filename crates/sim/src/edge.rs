@@ -19,6 +19,7 @@ use bundler_sched::Enqueued;
 use bundler_types::{IpPrefix, Nanos, Packet, PacketArena, PacketId, Rate};
 use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
+use crate::path::{load_queued, save_queued};
 use crate::sim::SimulationConfig;
 use crate::stats::TimeSeries;
 use crate::workload::Origin;
@@ -323,7 +324,7 @@ impl Edge {
     /// datapath's queue occupancy, its new pacing rate is applied to the
     /// token bucket, the mode timeline is updated, and any epoch-size
     /// update to deliver is returned. One `ControlTick` event per bundle
-    /// drives this in canonical per-LP order, so an agent's timer wheel is
+    /// drives this in canonical per-LP order, so an agent's tick queue is
     /// never consulted.
     pub(crate) fn tick(&mut self, b: usize, now: Nanos) -> Option<EpochSizeUpdate> {
         let bundle = self.bundles[b].as_mut().expect("ticking a deployed bundle");
@@ -394,8 +395,7 @@ impl Edge {
     /// prefixes, control plane), the index and the [`Bundle`] the way the
     /// format always has.
     pub(crate) fn save_bundle(&mut self, b: usize, arena: &PacketArena, out: &mut Vec<u8>) {
-        let mut queued = Vec::new();
-        if let Some(bundle) = &mut self.bundles[b] {
+        if let Some(bundle) = &self.bundles[b] {
             match &self.agent {
                 None => 1u8.encode(out),
                 Some(agent) => {
@@ -408,21 +408,22 @@ impl Edge {
                 }
             }
             bundle.save_state(out);
-            bundle.tbf.for_each_pkt_mut(&mut |id| queued.push(*id));
         } else {
             0u8.encode(out);
         }
-        queued.len().encode(out);
-        for id in queued {
-            arena[id].encode(out);
-        }
+        // Without a sendbox the walk visits nothing: an empty queue.
+        save_queued(arena, out, |f| {
+            if let Some(bundle) = &mut self.bundles[b] {
+                bundle.tbf.for_each_pkt_mut(f);
+            }
+        });
     }
 
     /// Reverses [`Edge::save_bundle`] into this edge, which must not hold
     /// bundle `b`: the state is rebuilt from the *restoring* config (the
     /// snapshot fingerprint guarantees it matches the writing one) and the
     /// queued packets land in `arena`. `now` only anchors the agent's tick
-    /// wheel. Rejects a tag the config does not deploy, an agent part that
+    /// queue. Rejects a tag the config does not deploy, an agent part that
     /// is not bundle `b`'s or whose id or prefix the agent already manages,
     /// and packets that do not pair up with the queue.
     pub(crate) fn load_bundle(
@@ -465,21 +466,14 @@ impl Edge {
             }
             _ => return Err(r.error("unknown edge tag")),
         };
-        let mut paired = true;
         if let Some(bundle) = &mut bundle {
             bundle.load_state(r)?;
-            let mut pkts = Vec::<Packet>::decode(r)?.into_iter();
-            bundle.tbf.for_each_pkt_mut(&mut |id| match pkts.next() {
-                Some(pkt) => *id = arena.insert(pkt),
-                None => paired = false,
-            });
-            paired &= pkts.next().is_none();
-        } else {
-            paired = usize::decode(r)? == 0;
         }
-        if !paired {
-            return Err(r.error("queued packets do not pair up with the sendbox queue"));
-        }
+        load_queued(arena, r, |f| {
+            if let Some(bundle) = &mut bundle {
+                bundle.tbf.for_each_pkt_mut(f);
+            }
+        })?;
         self.bundles[b] = bundle;
         Ok(())
     }

@@ -204,15 +204,7 @@ impl BottleneckPath {
     pub fn save_state(&mut self, arena: &PacketArena, out: &mut Vec<u8>) {
         self.rate.encode(out);
         self.queue.save_state(out);
-        // Queued packets by value, in the scheduler's canonical traversal
-        // order — the same order restore re-inserts them, so the
-        // placeholder ids inside the scheduler state pair up exactly.
-        let mut ids: Vec<PacketId> = Vec::with_capacity(self.queue.len_packets());
-        self.queue.for_each_pkt_mut(&mut |id| ids.push(*id));
-        (ids.len() as u64).encode(out);
-        for id in ids {
-            arena[id].encode(out);
-        }
+        save_queued(arena, out, |f| self.queue.for_each_pkt_mut(f));
         self.busy_until.encode(out);
         self.dequeue_scheduled.encode(out);
         self.drops.encode(out);
@@ -229,20 +221,7 @@ impl BottleneckPath {
     ) -> Result<(), DecodeError> {
         self.rate = Rate::decode(r)?;
         self.queue.load_state(r)?;
-        let n = u64::decode(r)? as usize;
-        if n != self.queue.len_packets() {
-            return Err(r.error("queued-packet count does not match scheduler state"));
-        }
-        let mut pkts = Vec::with_capacity(n);
-        for _ in 0..n {
-            pkts.push(Packet::decode(r)?);
-        }
-        let mut next = pkts.into_iter();
-        self.queue.for_each_pkt_mut(&mut |id| {
-            if let Some(p) = next.next() {
-                *id = arena.insert(p);
-            }
-        });
+        load_queued(arena, r, |f| self.queue.for_each_pkt_mut(f))?;
         self.busy_until = Nanos::decode(r)?;
         self.dequeue_scheduled = bool::decode(r)?;
         self.drops = u64::decode(r)?;
@@ -250,6 +229,41 @@ impl BottleneckPath {
         self.queue_delay_ms = TimeSeries::decode(r)?;
         Ok(())
     }
+}
+
+/// Appends the packets a queue holds, by value, in the order `walk` visits
+/// their ids, behind a `u64` count: how a path section and a bundle's edge
+/// state carry their queues. `walk` is the queue's
+/// [`Scheduler::for_each_pkt_mut`]; a queue that does not exist walks
+/// nothing.
+pub(crate) fn save_queued(
+    arena: &PacketArena,
+    out: &mut Vec<u8>,
+    walk: impl FnOnce(&mut dyn FnMut(&mut PacketId)),
+) {
+    let mut pkts = Vec::new();
+    walk(&mut |id| pkts.push(&arena[*id]));
+    pkts.encode(out);
+}
+
+/// Reverses [`save_queued`]: inserts the packets into `arena` and rewrites
+/// the placeholder ids `walk` visits to their new slots, in order. Packets
+/// left over, or ids left without one, are the `Err`.
+pub(crate) fn load_queued(
+    arena: &mut PacketArena,
+    r: &mut Reader<'_>,
+    walk: impl FnOnce(&mut dyn FnMut(&mut PacketId)),
+) -> Result<(), DecodeError> {
+    let mut pkts = Vec::<Packet>::decode(r)?.into_iter();
+    let mut paired = true;
+    walk(&mut |id| match pkts.next() {
+        Some(pkt) => *id = arena.insert(pkt),
+        None => paired = false,
+    });
+    if !paired || pkts.next().is_some() {
+        return Err(r.error("queued packets do not pair up with the queue"));
+    }
+    Ok(())
 }
 
 /// How flows are assigned to bottleneck sub-paths.

@@ -1358,7 +1358,7 @@ impl WorkerCore {
     /// `(timestamp, key)` — the canonical order guarantees the merged
     /// stream is exactly what the single-threaded engine would run — and
     /// the sendbox's in-scheduler export is armed if metrics are on. `now`
-    /// only anchors an agent's tick wheel, which event-driven hosts never
+    /// only anchors an agent's tick queue, which event-driven hosts never
     /// consult.
     ///
     /// Bytes that are not bundle `bundle`'s section, or that name a flow

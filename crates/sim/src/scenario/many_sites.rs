@@ -5,8 +5,8 @@
 //! would run it — K remote sites, each announcing a destination prefix,
 //! each with its own heavy-tailed request workload plus a backlogged bulk
 //! flow, all sharing one bottleneck uplink. Packets reach their bundle via
-//! longest-prefix match and every bundle's control loop is ticked from the
-//! agent's timer wheel.
+//! longest-prefix match and every bundle's control loop ticks through the
+//! agent, one `ControlTick` event per bundle.
 //!
 //! The run is a deterministic function of its seed, like every scenario.
 
@@ -307,7 +307,7 @@ mod tests {
         assert_eq!(report.totals(), expect);
         // Cross-checks against independent accounting: the agent classified
         // every packet the sendboxes forwarded (plus any still queued), and
-        // ticks ran through the wheel.
+        // ticks ran through the agent.
         let stats = report.agent_stats;
         assert!(stats.packets_classified >= expect.packets_sent);
         assert_eq!(stats.packets_unclassified, 0, "all sim traffic is bundled");

@@ -159,7 +159,7 @@ pub enum ShardBalance {
 /// Configuration of an agent-managed source edge.
 #[derive(Debug, Clone)]
 pub struct MultiBundleMode {
-    /// Agent-wide tunables (tick-wheel quantum).
+    /// Agent-wide tunables (tick-queue quantum).
     pub agent: bundler_agent::AgentConfig,
     /// One bundle per remote site: its prefixes and Bundler configuration.
     pub specs: Vec<MultiBundleSpec>,

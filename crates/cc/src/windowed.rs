@@ -37,11 +37,6 @@ impl<T: PartialOrd + Copy> WindowedFilter<T> {
         }
     }
 
-    /// Changes the window length (existing samples are re-expired lazily).
-    pub fn set_window(&mut self, window: Duration) {
-        self.window = window;
-    }
-
     fn dominates(&self, a: T, b: T) -> bool {
         if self.keep_max {
             a >= b

@@ -6,19 +6,15 @@
 //! byte/packet counters, which is all the sendbox needs to compute RTT and
 //! receive rate.
 
-use serde::{Deserialize, Serialize};
-
 use bundler_types::Nanos;
 
 /// Identifier of a sendbox–receivebox pair's unidirectional bundle.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BundleId(pub u32);
 
 /// Congestion ACK sent by the receivebox when it observes an epoch boundary
 /// packet (paper Figure 8, step 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CongestionAck {
     /// Which bundle this feedback belongs to.
     pub bundle: BundleId,
@@ -38,7 +34,7 @@ pub struct CongestionAck {
 
 /// Epoch-size update sent by the sendbox when it re-computes the sampling
 /// period (paper Figure 8, step 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochSizeUpdate {
     /// Which bundle this update applies to.
     pub bundle: BundleId,

@@ -338,11 +338,6 @@ impl MeasurementEngine {
             lost_samples: 0,
         })
     }
-
-    /// Clears transient state (used when the bundle goes idle).
-    pub fn reset_window(&mut self) {
-        self.samples.clear();
-    }
 }
 
 // Everything but the construction-time constants `max_outstanding` and

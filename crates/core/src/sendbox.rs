@@ -209,11 +209,6 @@ impl Sendbox {
         self.stats
     }
 
-    /// Access to the measurement engine's counters.
-    pub fn measurement_stats(&self) -> crate::measurement::MeasurementStats {
-        self.engine.stats()
-    }
-
     /// Takes a point-in-time telemetry snapshot of this bundle's control
     /// plane. Cheap (a handful of copies), so an agent can snapshot every
     /// bundle it manages at export time.

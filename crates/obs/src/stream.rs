@@ -11,7 +11,8 @@
 //! ```
 //!
 //! * `at` — sim-time ns; `shard` — producing shard ([`crate::NET_SHARD`]
-//!   = 65535 for the net side); `seq` — per-shard push counter.
+//!   = 65535 for the net side); `seq` — per-shard push counter. The `"k"`
+//!   tag and the fields after it are the kind's row in `trace_kinds!`.
 //! * Wall-clock stamps are deliberately **not** exported on a record's
 //!   envelope (host-side span kinds carry their wall-derived payload
 //!   fields), so two runs of the same simulation stream the same portable
@@ -186,30 +187,8 @@ impl StreamSink {
     }
 }
 
-/// Stable lowercase tag per record kind.
-fn kind_tag(kind: &TraceKind) -> &'static str {
-    match kind {
-        TraceKind::Enqueue { .. } => "enq",
-        TraceKind::Dequeue { .. } => "deq",
-        TraceKind::Drop { .. } => "drop",
-        TraceKind::ModeChange { .. } => "mode",
-        TraceKind::RateChange { .. } => "rate",
-        TraceKind::Epoch { .. } => "epoch",
-        TraceKind::Migration { .. } => "migrate",
-        TraceKind::WorkerWindow { .. } => "window",
-        TraceKind::NetPhase { .. } => "netphase",
-        TraceKind::FluidLevel { .. } => "fluid",
-        TraceKind::FlowAdmit { .. } => "flow_admit",
-        TraceKind::FlowSendbox { .. } => "flow_sendbox",
-        TraceKind::FlowBottleneck { .. } => "flow_bn",
-        TraceKind::FlowEnd { .. } => "flow_end",
-        TraceKind::Health { .. } => "health",
-        TraceKind::FluidAgg { .. } => "fluid_agg",
-    }
-}
-
 /// Appends `v` in decimal.
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
     loop {
@@ -223,136 +202,19 @@ fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Appends `,"name":value` — the key bytes are one literal per call site.
-macro_rules! field {
-    ($out:expr, $name:literal, $v:expr) => {{
-        $out.extend_from_slice(concat!(",\"", $name, "\":").as_bytes());
-        push_u64($out, $v as u64);
-    }};
-}
-
 /// Appends one record's line (no trailing newline). Pure byte pushes: no
 /// formatter, no allocation beyond `out`'s own growth.
 fn render_line_into(out: &mut Vec<u8>, rec: &TraceRecord, seq: u64) {
     out.extend_from_slice(b"{\"at\":");
     push_u64(out, rec.at.as_nanos());
-    field!(out, "shard", rec.shard);
-    field!(out, "seq", seq);
+    out.extend_from_slice(b",\"shard\":");
+    push_u64(out, rec.shard as u64);
+    out.extend_from_slice(b",\"seq\":");
+    push_u64(out, seq);
     out.extend_from_slice(b",\"k\":\"");
-    out.extend_from_slice(kind_tag(&rec.kind).as_bytes());
+    out.extend_from_slice(rec.kind.tag().as_bytes());
     out.push(b'"');
-    match rec.kind {
-        TraceKind::Enqueue { bundle } => field!(out, "bundle", bundle),
-        TraceKind::Dequeue { bundle, sojourn_ns } => {
-            field!(out, "bundle", bundle);
-            field!(out, "sojourn_ns", sojourn_ns);
-        }
-        TraceKind::Drop { bundle } => field!(out, "bundle", bundle),
-        TraceKind::ModeChange { bundle, mode } => {
-            field!(out, "bundle", bundle);
-            field!(out, "mode", mode);
-        }
-        TraceKind::RateChange { bundle, rate_bps } => {
-            field!(out, "bundle", bundle);
-            field!(out, "rate_bps", rate_bps);
-        }
-        TraceKind::Epoch { bundle, size_pkts } => {
-            field!(out, "bundle", bundle);
-            field!(out, "size_pkts", size_pkts);
-        }
-        TraceKind::Migration {
-            bundle,
-            from,
-            to,
-            pkts,
-            bytes,
-        } => {
-            field!(out, "bundle", bundle);
-            field!(out, "from", from);
-            field!(out, "to", to);
-            field!(out, "pkts", pkts);
-            field!(out, "bytes", bytes);
-        }
-        TraceKind::WorkerWindow {
-            windex,
-            width_ns,
-            busy_ns,
-            stall_ns,
-            events,
-        } => {
-            field!(out, "windex", windex);
-            field!(out, "width_ns", width_ns);
-            field!(out, "busy_ns", busy_ns);
-            field!(out, "stall_ns", stall_ns);
-            field!(out, "events", events);
-        }
-        TraceKind::NetPhase {
-            windex,
-            width_ns,
-            wall_dur_ns,
-            events,
-        } => {
-            field!(out, "windex", windex);
-            field!(out, "width_ns", width_ns);
-            field!(out, "wall_dur_ns", wall_dur_ns);
-            field!(out, "events", events);
-        }
-        TraceKind::FluidLevel {
-            path,
-            backlog_bytes,
-            rate_bps,
-        } => {
-            field!(out, "path", path);
-            field!(out, "backlog_bytes", backlog_bytes);
-            field!(out, "rate_bps", rate_bps);
-        }
-        TraceKind::FlowAdmit {
-            flow,
-            bundle,
-            size_bytes,
-        } => {
-            field!(out, "flow", flow);
-            field!(out, "bundle", bundle);
-            field!(out, "size_bytes", size_bytes);
-        }
-        TraceKind::FlowSendbox { flow, sojourn_ns } => {
-            field!(out, "flow", flow);
-            field!(out, "sojourn_ns", sojourn_ns);
-        }
-        TraceKind::FlowBottleneck { flow, sojourn_ns } => {
-            field!(out, "flow", flow);
-            field!(out, "sojourn_ns", sojourn_ns);
-        }
-        TraceKind::FlowEnd {
-            flow,
-            fct_ns,
-            sendbox_ns,
-            slowdown_milli,
-        } => {
-            field!(out, "flow", flow);
-            field!(out, "fct_ns", fct_ns);
-            field!(out, "sendbox_ns", sendbox_ns);
-            field!(out, "slowdown_milli", slowdown_milli);
-        }
-        TraceKind::Health {
-            kind,
-            subject,
-            value,
-        } => {
-            field!(out, "kind", kind);
-            field!(out, "subject", subject);
-            field!(out, "value", value);
-        }
-        TraceKind::FluidAgg {
-            agg,
-            path,
-            rate_bps,
-        } => {
-            field!(out, "agg", agg);
-            field!(out, "path", path);
-            field!(out, "rate_bps", rate_bps);
-        }
-    }
+    rec.kind.render_fields(out);
     out.push(b'}');
 }
 
@@ -410,10 +272,6 @@ impl Fields<'_> {
             .iter()
             .position(|k| *k == name.as_bytes())?;
         Some(self.vals[i])
-    }
-
-    fn get_as<T: TryFrom<u64>>(&self, name: &str) -> Option<T> {
-        T::try_from(self.get(name)?).ok()
     }
 }
 
@@ -495,87 +353,9 @@ fn scan(line: &[u8]) -> Option<Fields<'_>> {
 pub fn parse_line(line: &str) -> Option<StreamedRecord> {
     let f = scan(line.as_bytes())?;
     let at = Nanos(f.get("at")?);
-    let shard = f.get_as("shard")?;
+    let shard = u16::try_from(f.get("shard")?).ok()?;
     let seq = f.get("seq")?;
-    let kind = match f.tag? {
-        b"enq" => TraceKind::Enqueue {
-            bundle: f.get_as("bundle")?,
-        },
-        b"deq" => TraceKind::Dequeue {
-            bundle: f.get_as("bundle")?,
-            sojourn_ns: f.get("sojourn_ns")?,
-        },
-        b"drop" => TraceKind::Drop {
-            bundle: f.get_as("bundle")?,
-        },
-        b"mode" => TraceKind::ModeChange {
-            bundle: f.get_as("bundle")?,
-            mode: f.get_as("mode")?,
-        },
-        b"rate" => TraceKind::RateChange {
-            bundle: f.get_as("bundle")?,
-            rate_bps: f.get("rate_bps")?,
-        },
-        b"epoch" => TraceKind::Epoch {
-            bundle: f.get_as("bundle")?,
-            size_pkts: f.get("size_pkts")?,
-        },
-        b"migrate" => TraceKind::Migration {
-            bundle: f.get_as("bundle")?,
-            from: f.get_as("from")?,
-            to: f.get_as("to")?,
-            pkts: f.get("pkts")?,
-            bytes: f.get("bytes")?,
-        },
-        b"window" => TraceKind::WorkerWindow {
-            windex: f.get("windex")?,
-            width_ns: f.get("width_ns")?,
-            busy_ns: f.get("busy_ns")?,
-            stall_ns: f.get("stall_ns")?,
-            events: f.get("events")?,
-        },
-        b"netphase" => TraceKind::NetPhase {
-            windex: f.get("windex")?,
-            width_ns: f.get("width_ns")?,
-            wall_dur_ns: f.get("wall_dur_ns")?,
-            events: f.get("events")?,
-        },
-        b"fluid" => TraceKind::FluidLevel {
-            path: f.get_as("path")?,
-            backlog_bytes: f.get("backlog_bytes")?,
-            rate_bps: f.get("rate_bps")?,
-        },
-        b"flow_admit" => TraceKind::FlowAdmit {
-            flow: f.get("flow")?,
-            bundle: f.get_as("bundle")?,
-            size_bytes: f.get("size_bytes")?,
-        },
-        b"flow_sendbox" => TraceKind::FlowSendbox {
-            flow: f.get("flow")?,
-            sojourn_ns: f.get("sojourn_ns")?,
-        },
-        b"flow_bn" => TraceKind::FlowBottleneck {
-            flow: f.get("flow")?,
-            sojourn_ns: f.get("sojourn_ns")?,
-        },
-        b"flow_end" => TraceKind::FlowEnd {
-            flow: f.get("flow")?,
-            fct_ns: f.get("fct_ns")?,
-            sendbox_ns: f.get("sendbox_ns")?,
-            slowdown_milli: f.get("slowdown_milli")?,
-        },
-        b"health" => TraceKind::Health {
-            kind: f.get_as("kind")?,
-            subject: f.get_as("subject")?,
-            value: f.get("value")?,
-        },
-        b"fluid_agg" => TraceKind::FluidAgg {
-            agg: f.get_as("agg")?,
-            path: f.get_as("path")?,
-            rate_bps: f.get("rate_bps")?,
-        },
-        _ => return None,
-    };
+    let kind = TraceKind::parse(f.tag?, |name| f.get(name))?;
     Some(StreamedRecord {
         seq,
         rec: TraceRecord {
@@ -608,9 +388,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kind_round_trips_through_the_line_protocol() {
-        let kinds = vec![
+    /// One record of every kind, each field a distinct small value.
+    fn one_of_each() -> Vec<TraceKind> {
+        vec![
             TraceKind::Enqueue { bundle: 1 },
             TraceKind::Dequeue {
                 bundle: 2,
@@ -680,8 +460,12 @@ mod tests {
                 path: 38,
                 rate_bps: 39,
             },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_the_line_protocol() {
+        for (i, kind) in one_of_each().into_iter().enumerate() {
             let r = rec(1000 + i as u64, i as u16, kind);
             let line = render_line(&r, i as u64);
             assert!(!line.contains("777"), "wall stamp leaked: {line}");
@@ -690,6 +474,45 @@ mod tests {
             assert_eq!(parsed.rec.at, r.at);
             assert_eq!(parsed.rec.shard, r.shard);
             assert_eq!(parsed.rec.kind, r.kind);
+        }
+    }
+
+    /// Each narrow field of each kind takes its type's maximum and rejects
+    /// the next value: the table's field types are the line's widths.
+    #[test]
+    fn narrow_fields_reject_values_past_their_width() {
+        let narrow = [
+            ("enq", "bundle", 32),
+            ("deq", "bundle", 32),
+            ("drop", "bundle", 32),
+            ("mode", "bundle", 32),
+            ("mode", "mode", 8),
+            ("rate", "bundle", 32),
+            ("epoch", "bundle", 32),
+            ("migrate", "bundle", 32),
+            ("migrate", "from", 16),
+            ("migrate", "to", 16),
+            ("fluid", "path", 32),
+            ("flow_admit", "bundle", 32),
+            ("health", "kind", 8),
+            ("health", "subject", 32),
+            ("fluid_agg", "agg", 32),
+            ("fluid_agg", "path", 32),
+        ];
+        let lines: Vec<String> = one_of_each()
+            .into_iter()
+            .map(|kind| render_line(&rec(1, 0, kind), 0))
+            .collect();
+        for (tag, field, bits) in narrow {
+            let tagged = format!("\"k\":\"{tag}\"");
+            let line = lines.iter().find(|l| l.contains(&tagged)).unwrap();
+            let key = format!(",\"{field}\":");
+            let start = line.find(&key).unwrap() + key.len();
+            let end = start + line[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            let with = |v: u64| format!("{}{v}{}", &line[..start], &line[end..]);
+            let max = (1u64 << bits) - 1;
+            assert!(parse_line(&with(max)).is_some(), "{tag}.{field} = {max}");
+            assert_eq!(parse_line(&with(max + 1)), None, "{tag}.{field} = 2^{bits}");
         }
     }
 
@@ -827,13 +650,84 @@ mod tests {
 
     /// The codec as it stood before the one-pass rewrite, kept verbatim as
     /// the reference the property tests below compare against: a
-    /// `write!`-based renderer and a `find`-per-field parser.
+    /// `write!`-based renderer and a `find`-per-field parser, with its own
+    /// tag table and the hand-written portable key the `trace_kinds!` table
+    /// replaced.
     mod oracle {
         use std::fmt::Write as _;
 
-        use super::super::{kind_tag, StreamedRecord};
+        use super::super::StreamedRecord;
         use crate::trace::{TraceKind, TraceRecord};
         use bundler_types::Nanos;
+
+        fn kind_tag(kind: &TraceKind) -> &'static str {
+            match kind {
+                TraceKind::Enqueue { .. } => "enq",
+                TraceKind::Dequeue { .. } => "deq",
+                TraceKind::Drop { .. } => "drop",
+                TraceKind::ModeChange { .. } => "mode",
+                TraceKind::RateChange { .. } => "rate",
+                TraceKind::Epoch { .. } => "epoch",
+                TraceKind::Migration { .. } => "migrate",
+                TraceKind::WorkerWindow { .. } => "window",
+                TraceKind::NetPhase { .. } => "netphase",
+                TraceKind::FluidLevel { .. } => "fluid",
+                TraceKind::FlowAdmit { .. } => "flow_admit",
+                TraceKind::FlowSendbox { .. } => "flow_sendbox",
+                TraceKind::FlowBottleneck { .. } => "flow_bn",
+                TraceKind::FlowEnd { .. } => "flow_end",
+                TraceKind::Health { .. } => "health",
+                TraceKind::FluidAgg { .. } => "fluid_agg",
+            }
+        }
+
+        pub fn portable_key(rec: &TraceRecord) -> (u64, u8, u64, u64, u64) {
+            let at = rec.at.as_nanos();
+            match rec.kind {
+                TraceKind::Enqueue { bundle } => (at, 0, bundle as u64, 0, 0),
+                TraceKind::Dequeue { bundle, sojourn_ns } => (at, 1, bundle as u64, sojourn_ns, 0),
+                TraceKind::Drop { bundle } => (at, 2, bundle as u64, 0, 0),
+                TraceKind::ModeChange { bundle, mode } => (at, 3, bundle as u64, mode as u64, 0),
+                TraceKind::RateChange { bundle, rate_bps } => (at, 4, bundle as u64, rate_bps, 0),
+                TraceKind::Epoch { bundle, size_pkts } => (at, 5, bundle as u64, size_pkts, 0),
+                TraceKind::Migration {
+                    bundle,
+                    pkts,
+                    bytes,
+                    ..
+                } => (at, 6, bundle as u64, pkts, bytes),
+                TraceKind::WorkerWindow { windex, events, .. } => (at, 7, windex, events, 0),
+                TraceKind::NetPhase { windex, events, .. } => (at, 8, windex, events, 0),
+                TraceKind::FluidLevel {
+                    path,
+                    backlog_bytes,
+                    rate_bps,
+                } => (at, 9, path as u64, backlog_bytes, rate_bps),
+                TraceKind::FlowAdmit {
+                    flow,
+                    bundle,
+                    size_bytes,
+                } => (at, 10, flow, bundle as u64, size_bytes),
+                TraceKind::FlowSendbox { flow, sojourn_ns } => (at, 11, flow, sojourn_ns, 0),
+                TraceKind::FlowBottleneck { flow, sojourn_ns } => (at, 12, flow, sojourn_ns, 0),
+                TraceKind::FlowEnd {
+                    flow,
+                    fct_ns,
+                    sendbox_ns,
+                    ..
+                } => (at, 13, flow, fct_ns, sendbox_ns),
+                TraceKind::Health {
+                    kind,
+                    subject,
+                    value,
+                } => (at, 14, kind as u64, subject as u64, value),
+                TraceKind::FluidAgg {
+                    agg,
+                    path,
+                    rate_bps,
+                } => (at, 15, ((agg as u64) << 32) | path as u64, rate_bps, 0),
+            }
+        }
 
         pub fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
             let _ = write!(
@@ -1213,6 +1107,30 @@ mod tests {
             let widened = format!("{},\"zz_unknown\":{extra}{}", &line[..at], &line[at..]);
             prop_assert_eq!(parse_line(&widened), parse_line(&line), "{}", widened);
             prop_assert_eq!(parse_line(&widened), oracle::parse_line(&widened));
+        }
+
+        /// The table's portable key equates and orders records exactly as
+        /// the hand-written key it replaced. (`FluidAgg` keys `(agg, path,
+        /// rate_bps)` where the old key packed `agg << 32 | path`; both
+        /// fields are `u32`, so the order is the same.) Twins that differ
+        /// only in what the key masks out make equal keys common.
+        #[test]
+        fn portable_key_matches_the_reference(
+            drawn in collection::vec(record_strategy(), 1..24),
+            twins in collection::vec((0usize..24, any::<u64>(), any::<u16>()), 0..12),
+        ) {
+            let mut recs: Vec<TraceRecord> = drawn.into_iter().map(|(r, _)| r).collect();
+            for (i, wall_ns, shard) in twins {
+                let r = recs[i % recs.len()];
+                recs.push(TraceRecord { wall_ns, shard, ..r });
+            }
+            for a in &recs {
+                for b in &recs {
+                    let new = a.portable_key().cmp(&b.portable_key());
+                    let old = oracle::portable_key(a).cmp(&oracle::portable_key(b));
+                    prop_assert_eq!(new, old, "{:?} vs {:?}", a, b);
+                }
+            }
         }
 
         /// A line cut at any byte — what a crash mid-write leaves behind —

@@ -15,6 +15,8 @@
 
 use bundler_types::Nanos;
 
+use crate::stream::push_u64;
+
 /// One-shot notice that some trace ring overflowed this process (opt-in
 /// via `BUNDLER_SHARD_DEBUG`). Dropped records only thin the trace — the
 /// simulation itself is unaffected — but a diff against a truncated trace
@@ -35,51 +37,127 @@ pub const RING_CAPACITY: usize = 1 << 16;
 /// Default per-shard sink capacity.
 pub const SINK_CAPACITY: usize = 1 << 20;
 
-/// What happened. Every variant is `Copy` and allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
+/// Generates, from the one table of record kinds below, the [`TraceKind`]
+/// enum, each kind's stream tag, the line protocol's field renderer and
+/// parser (`crate::stream`) and the kind half of [`TraceRecord::portable_key`].
+macro_rules! trace_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $num:literal $tag:literal $kind:ident {
+            $( $(#[$fdoc:meta])* $field:ident: $ty:ty, )*
+        } key($($key:ident),*);
+    )*) => {
+        /// What happened. Every variant is `Copy` and allocation-free.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceKind {
+            $( $(#[$doc])* $kind { $( $(#[$fdoc])* $field: $ty, )* }, )*
+        }
+
+        impl TraceKind {
+            /// The kind's stable lowercase tag, the stream line's `"k"`.
+            pub(crate) fn tag(&self) -> &'static str {
+                match self {
+                    $( TraceKind::$kind { .. } => $tag, )*
+                }
+            }
+
+            /// Appends `,"name":value` per field, in declared order: one
+            /// byte literal per field and no formatter.
+            pub(crate) fn render_fields(&self, out: &mut Vec<u8>) {
+                match *self {
+                    $( TraceKind::$kind { $($field),* } => {
+                        $(
+                            out.extend_from_slice(
+                                concat!(",\"", stringify!($field), "\":").as_bytes(),
+                            );
+                            push_u64(out, $field as u64);
+                        )*
+                    } )*
+                }
+            }
+
+            /// The kind tagged `tag`, its fields read through `get`. `None`
+            /// for an unknown tag, a missing field, or a value too wide for
+            /// its field.
+            pub(crate) fn parse(
+                tag: &[u8],
+                get: impl Fn(&str) -> Option<u64>,
+            ) -> Option<TraceKind> {
+                Some(match tag {
+                    $( t if t == $tag.as_bytes() => TraceKind::$kind {
+                        $( $field: TryFrom::try_from(get(stringify!($field))?).ok()?, )*
+                    }, )*
+                    _ => return None,
+                })
+            }
+
+            /// The kind's number and its up-to-three key fields, zero-padded.
+            fn key(&self) -> (u8, u64, u64, u64) {
+                match *self {
+                    $( TraceKind::$kind { $($key,)* .. } => {
+                        let [a, b, c, ..] = [$($key as u64,)* 0, 0, 0];
+                        ($num, a, b, c)
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+// One row per kind: its docs, its number in the portable key, its stream
+// tag, the variant with each field's doc and type, and `key(..)` — the
+// fields, in order, that enter the portable key. A new kind is one row here
+// plus its mapping in `crate::perfetto` if it should show there, and an arm
+// in `TraceRecord::is_portable` if it describes the host, not the network.
+trace_kinds! {
     /// A packet entered a sendbox scheduler.
-    Enqueue {
+    0 "enq" Enqueue {
         /// Bundle index.
         bundle: u32,
-    },
+    } key(bundle);
+
     /// A packet was released by a sendbox after `sojourn_ns` queued.
-    Dequeue {
+    1 "deq" Dequeue {
         /// Bundle index.
         bundle: u32,
         /// Sendbox sojourn time, ns.
         sojourn_ns: u64,
-    },
+    } key(bundle, sojourn_ns);
+
     /// A packet was dropped at a sendbox.
-    Drop {
+    2 "drop" Drop {
         /// Bundle index.
         bundle: u32,
-    },
+    } key(bundle);
+
     /// The bundle's mode state machine changed state.
-    ModeChange {
+    3 "mode" ModeChange {
         /// Bundle index.
         bundle: u32,
         /// New mode, as `Mode as u8` (0 = delay-control, 1 = pass-through,
         /// 2 = disabled).
         mode: u8,
-    },
+    } key(bundle, mode);
+
     /// A control tick set the bundle's pacing rate (emitted every tick, so
     /// rate tracks survive bundle migration without cached state).
-    RateChange {
+    4 "rate" RateChange {
         /// Bundle index.
         bundle: u32,
         /// New pacing rate, bits/sec.
         rate_bps: u64,
-    },
+    } key(bundle, rate_bps);
+
     /// An epoch boundary update left the sendbox toward the receivebox.
-    Epoch {
+    5 "epoch" Epoch {
         /// Bundle index.
         bundle: u32,
         /// New epoch size, in packets (always a power of two).
         size_pkts: u64,
-    },
+    } key(bundle, size_pkts);
+
     /// A bundle complex migrated between shards at a window barrier.
-    Migration {
+    6 "migrate" Migration {
         /// Bundle index.
         bundle: u32,
         /// Source shard.
@@ -90,9 +168,10 @@ pub enum TraceKind {
         pkts: u64,
         /// Packet payload bytes carried in the bundle's section.
         bytes: u64,
-    },
+    } key(bundle, pkts, bytes);
+
     /// One worker shard's conservative window (span).
-    WorkerWindow {
+    7 "window" WorkerWindow {
         /// Window index.
         windex: u64,
         /// Sim-time width of the window, ns.
@@ -103,9 +182,10 @@ pub enum TraceKind {
         stall_ns: u64,
         /// Events handled in the window.
         events: u64,
-    },
+    } key(windex, events);
+
     /// One driver net phase (span, shared bottleneck).
-    NetPhase {
+    8 "netphase" NetPhase {
         /// Window index the phase served.
         windex: u64,
         /// Sim-time width of the window, ns.
@@ -114,21 +194,23 @@ pub enum TraceKind {
         wall_dur_ns: u64,
         /// Net events handled.
         events: u64,
-    },
+    } key(windex, events);
+
     /// The fluid cross-traffic tier's queue level on one bottleneck
     /// sub-path, recorded at each integration step (counter track in the
     /// Chrome trace).
-    FluidLevel {
+    9 "fluid" FluidLevel {
         /// Bottleneck sub-path index.
         path: u32,
         /// Fluid backlog sharing the path's buffer, bytes.
         backlog_bytes: u64,
         /// Capacity the tier is draining from the path, bits/sec.
         rate_bps: u64,
-    },
+    } key(path, backlog_bytes, rate_bps);
+
     /// A sampled flow was admitted and classified at the site edge (the
     /// root span of the flow's lifecycle).
-    FlowAdmit {
+    10 "flow_admit" FlowAdmit {
         /// Flow id.
         flow: u64,
         /// Bundle the flow was classified to (`u32::MAX` for direct
@@ -136,28 +218,31 @@ pub enum TraceKind {
         bundle: u32,
         /// Flow size in bytes, from the workload spec.
         size_bytes: u64,
-    },
+    } key(flow, bundle, size_bytes);
+
     /// A sampled flow's packet left the sendbox after queueing
     /// `sojourn_ns` (the flow's sendbox span, one record per packet).
-    FlowSendbox {
+    11 "flow_sendbox" FlowSendbox {
         /// Flow id.
         flow: u64,
         /// Sendbox sojourn of this packet, ns.
         sojourn_ns: u64,
-    },
+    } key(flow, sojourn_ns);
+
     /// A sampled flow's packet left the shared bottleneck queue after
     /// `sojourn_ns` (the flow's bottleneck span, recorded by the net side).
-    FlowBottleneck {
+    12 "flow_bn" FlowBottleneck {
         /// Flow id.
         flow: u64,
         /// Bottleneck-queue sojourn of this packet, ns.
         sojourn_ns: u64,
-    },
+    } key(flow, sojourn_ns);
+
     /// A sampled flow completed: its last byte was acknowledged back at
     /// the source. Carries the sendbox totals accumulated while the flow
     /// was in flight, so the delay decomposition survives ring overflow of
     /// the per-packet records.
-    FlowEnd {
+    13 "flow_end" FlowEnd {
         /// Flow id.
         flow: u64,
         /// Flow completion time, ns.
@@ -166,26 +251,28 @@ pub enum TraceKind {
         sendbox_ns: u64,
         /// FCT slowdown in milli-units (1000 = 1.0x).
         slowdown_milli: u64,
-    },
+    } key(flow, fct_ns, sendbox_ns);
+
     /// An online health monitor fired (see [`crate::health::HealthKind`]).
-    Health {
+    14 "health" Health {
         /// `HealthKind as u8`.
         kind: u8,
         /// What the event is about: bundle index, aggregate index or shard.
         subject: u32,
         /// Kind-specific magnitude (backlog bytes, flap count, rate…).
         value: u64,
-    },
+    } key(kind, subject, value);
+
     /// One fluid cross-traffic aggregate's state at an integration step
     /// (per-aggregate counter track in the Chrome trace).
-    FluidAgg {
+    15 "fluid_agg" FluidAgg {
         /// Aggregate index within the fluid tier.
         agg: u32,
         /// Bottleneck sub-path the aggregate loads.
         path: u32,
         /// The aggregate's current AIMD rate, bits/sec.
         rate_bps: u64,
-    },
+    } key(agg, path, rate_bps);
 }
 
 /// One trace record: sim-time, wall-time, origin shard, payload.
@@ -207,51 +294,8 @@ impl TraceRecord {
     /// payload fields that are a function of the simulation alone. Wall
     /// times, shard placement and wall-derived span fields are masked out.
     pub fn portable_key(&self) -> (u64, u8, u64, u64, u64) {
-        let at = self.at.as_nanos();
-        match self.kind {
-            TraceKind::Enqueue { bundle } => (at, 0, bundle as u64, 0, 0),
-            TraceKind::Dequeue { bundle, sojourn_ns } => (at, 1, bundle as u64, sojourn_ns, 0),
-            TraceKind::Drop { bundle } => (at, 2, bundle as u64, 0, 0),
-            TraceKind::ModeChange { bundle, mode } => (at, 3, bundle as u64, mode as u64, 0),
-            TraceKind::RateChange { bundle, rate_bps } => (at, 4, bundle as u64, rate_bps, 0),
-            TraceKind::Epoch { bundle, size_pkts } => (at, 5, bundle as u64, size_pkts, 0),
-            TraceKind::Migration {
-                bundle,
-                pkts,
-                bytes,
-                ..
-            } => (at, 6, bundle as u64, pkts, bytes),
-            TraceKind::WorkerWindow { windex, events, .. } => (at, 7, windex, events, 0),
-            TraceKind::NetPhase { windex, events, .. } => (at, 8, windex, events, 0),
-            TraceKind::FluidLevel {
-                path,
-                backlog_bytes,
-                rate_bps,
-            } => (at, 9, path as u64, backlog_bytes, rate_bps),
-            TraceKind::FlowAdmit {
-                flow,
-                bundle,
-                size_bytes,
-            } => (at, 10, flow, bundle as u64, size_bytes),
-            TraceKind::FlowSendbox { flow, sojourn_ns } => (at, 11, flow, sojourn_ns, 0),
-            TraceKind::FlowBottleneck { flow, sojourn_ns } => (at, 12, flow, sojourn_ns, 0),
-            TraceKind::FlowEnd {
-                flow,
-                fct_ns,
-                sendbox_ns,
-                ..
-            } => (at, 13, flow, fct_ns, sendbox_ns),
-            TraceKind::Health {
-                kind,
-                subject,
-                value,
-            } => (at, 14, kind as u64, subject as u64, value),
-            TraceKind::FluidAgg {
-                agg,
-                path,
-                rate_bps,
-            } => (at, 15, ((agg as u64) << 32) | path as u64, rate_bps, 0),
-        }
+        let (kind, a, b, c) = self.kind.key();
+        (self.at.as_nanos(), kind, a, b, c)
     }
 
     /// True for the per-event datapath records that trace simulated

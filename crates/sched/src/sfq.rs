@@ -73,16 +73,6 @@ impl Sfq {
     pub fn with_defaults() -> Self {
         Self::new(SfqConfig::default())
     }
-
-    /// Number of hash buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.config.buckets
-    }
-
-    /// Number of currently backlogged buckets.
-    pub fn backlogged_buckets(&self) -> usize {
-        self.rr.active.len()
-    }
 }
 
 impl Scheduler for Sfq {

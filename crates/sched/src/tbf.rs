@@ -53,12 +53,6 @@ impl TokenBucket {
         self.rate = rate;
     }
 
-    /// Updates the burst size, clamping current tokens into the new bound.
-    pub fn set_burst(&mut self, burst_bytes: u64) {
-        self.burst_bytes = burst_bytes as f64;
-        self.tokens = self.tokens.min(self.burst_bytes);
-    }
-
     fn refill(&mut self, now: Nanos) {
         let elapsed = now.saturating_since(self.last_refill);
         if !elapsed.is_zero() {
@@ -237,16 +231,6 @@ pub enum Release {
     Wait(Duration),
     /// Nothing is queued.
     Empty,
-}
-
-impl Release {
-    /// Returns the released packet id, if any.
-    pub fn into_packet(self) -> Option<PacketId> {
-        match self {
-            Release::Packet(p) => Some(p),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

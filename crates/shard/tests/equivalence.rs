@@ -215,6 +215,105 @@ fn cross_shard_prefix_shadowing_is_rejected() {
     let _ = ShardedSimulation::new(config, workload).run();
 }
 
+/// A four-site agent world whose classification graph has both kinds of
+/// co-location edge. Bundle `b`'s flows go to `10.1.b.x` and direct flows
+/// to `10.3.0.x` (`runtime::flow_key`), so:
+/// * site 0's `10.1.0.0/16` also covers site 1's destinations (site 1
+///   announces only `10.9.1.0/24`): bundles 0 and 1 form one group;
+/// * site 2 also announces `10.3.0.0/16`, so the four direct flows
+///   classify into bundle 2 and pin its group to shard 0.
+///
+/// Bundle 2's flows and the direct ones finish late (about 6 s in), so the
+/// run is 10 s long.
+fn colocated_world() -> (SimulationConfig, Vec<FlowSpec>) {
+    use bundler_agent::AgentConfig;
+    use bundler_core::BundlerConfig;
+    use bundler_sim::edge::MultiBundleSpec;
+    use bundler_sim::sim::MultiBundleMode;
+    use bundler_types::{flow::ipv4, IpPrefix};
+
+    let site = |prefixes: &[(u32, u8)]| MultiBundleSpec {
+        prefixes: prefixes
+            .iter()
+            .map(|&(addr, len)| IpPrefix::new(addr, len).unwrap())
+            .collect(),
+        config: BundlerConfig::default(),
+    };
+    let specs = vec![
+        site(&[(ipv4(10, 1, 0, 0), 16)]),
+        site(&[(ipv4(10, 9, 1, 0), 24)]),
+        site(&[(ipv4(10, 1, 2, 0), 24), (ipv4(10, 3, 0, 0), 16)]),
+        site(&[(ipv4(10, 1, 3, 0), 24)]),
+    ];
+    let config = SimulationConfig {
+        duration: Duration::from_secs(10),
+        bottleneck_rate: Rate::from_mbps(48),
+        multi_bundle: Some(MultiBundleMode {
+            agent: AgentConfig::default(),
+            specs,
+        }),
+        bundles: Vec::new(),
+        ..Default::default()
+    };
+    let mut workload = Vec::new();
+    for b in 0..4u64 {
+        for i in 0..3u64 {
+            let id = 1 + b * 3 + i;
+            let start = Nanos::from_millis(20 * i + 7 * b);
+            workload.push(FlowSpec::bundled(
+                id,
+                150_000 + 50_000 * i,
+                start,
+                b as usize,
+            ));
+        }
+    }
+    for i in 0..4u64 {
+        workload.push(FlowSpec::direct(
+            100 + i,
+            120_000,
+            Nanos::from_millis(15 * i),
+        ));
+    }
+    (config, workload)
+}
+
+/// The adaptive modes move whole co-location groups (and keep the pinned
+/// one on shard 0), so the world above reproduces the solo engine exactly.
+#[test]
+fn colocation_groups_survive_rate_and_rotate() {
+    let (config, workload) = colocated_world();
+    let want = SimStats::of(&Simulation::new(config.clone(), workload.clone()).run());
+    assert_eq!(
+        (want.completed, want.unfinished),
+        (16, 0),
+        "every flow must finish"
+    );
+    for shards in [2usize, 3] {
+        for balance in [ShardBalance::Rate, ShardBalance::Rotate] {
+            let mut cfg = config.clone();
+            cfg.shards = shards;
+            cfg.balance = balance;
+            let got = SimStats::of(&ShardedSimulation::new(cfg, workload.clone()).run());
+            assert_eq!(
+                want, got,
+                "co-location groups diverged at shards={shards} balance={balance:?}"
+            );
+        }
+    }
+}
+
+/// Round-robin placement cannot honour the group {0, 1}: bundle 1 lands on
+/// shard 1 while its flows classify into bundle 0 on shard 0.
+#[test]
+#[should_panic(expected = "cannot be partitioned")]
+fn colocation_groups_reject_round_robin() {
+    let (mut config, workload) = colocated_world();
+    config.shards = 2;
+    config.balance = ShardBalance::RoundRobin;
+    let _ = ShardedSimulation::new(config, workload).run();
+}
+
 /// The classic (non-agent) edge with direct cross traffic, a ping flow and
 /// multiple bottleneck sub-paths exercises every event type through the
 /// sharded host.

@@ -128,12 +128,6 @@ impl FluidAggregate {
         self
     }
 
-    /// Overrides the rate the aggregate starts at.
-    pub fn with_initial_rate(mut self, rate: Rate) -> Self {
-        self.initial_rate = rate;
-        self
-    }
-
     /// The AIMD rate floor in bytes/sec: one MSS per RTT per flow, the
     /// least a window-based sender can offer.
     pub fn floor_rate(&self) -> f64 {

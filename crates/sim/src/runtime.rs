@@ -1827,11 +1827,6 @@ impl NetCore {
         gid % self.net_shards == self.shard
     }
 
-    /// The global path ids this core owns, ascending.
-    pub fn owned_paths(&self) -> &[usize] {
-        &self.owned
-    }
-
     /// This core's net-shard index.
     pub fn shard(&self) -> usize {
         self.shard

@@ -106,18 +106,16 @@ impl CrossTrafficTimeline {
             Some(0),
             0,
         );
-        // Phase 2: one backlogged (buffer-filling) cross flow.
+        // Phase 2: one buffer-filling cross flow. A flow cannot be stopped
+        // mid-simulation, so instead it is given a finite size (below)
+        // that ends it with phase 2.
         specs.push(FlowSpec::direct(
             next_id,
             FlowSpec::BACKLOGGED,
             Nanos::ZERO + p1_end,
         ));
         next_id += 1;
-        // Phase 3: the backlogged flow stops (we model this by giving it a
-        // finite size equal to one phase of full-rate transfer is not
-        // possible mid-simulation, so instead the backlogged flow is sized
-        // to finish right at the end of phase 2) and request-driven cross
-        // traffic starts.
+        // Phase 3: request-driven cross traffic starts.
         let (cross_specs, _) = request_workload(
             &mut rng,
             &dist,
@@ -129,8 +127,8 @@ impl CrossTrafficTimeline {
         );
         specs.extend(cross_specs);
 
-        // Replace the infinite backlogged flow with one sized to occupy
-        // phase 2 only (roughly its fair share of the phase).
+        // The phase-2 flow's size: 0.6 × line rate × one phase, roughly
+        // what it moves at its share of the bottleneck during phase 2.
         let phase2_bytes =
             (self.bottleneck.as_bytes_per_sec() * self.phase.as_secs_f64() * 0.6) as u64;
         for s in specs.iter_mut() {

@@ -5,7 +5,7 @@
 use bundler_agent::AgentStats;
 use bundler_core::sendbox::SendboxStats;
 use bundler_core::SendboxTelemetry;
-use bundler_types::{Duration, Nanos, Rate};
+use bundler_types::{Duration, Nanos};
 
 /// Record of one completed request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -367,15 +367,6 @@ impl SimReport {
             .collect()
     }
 
-    /// FCTs (milliseconds) of completed bundled requests in a size class.
-    pub fn fcts_in_class_ms(&self, class: SizeClass) -> Vec<f64> {
-        self.fcts
-            .iter()
-            .filter(|r| r.bundle.is_some() && SizeClass::of(r.size_bytes) == class)
-            .map(|r| r.fct.as_millis_f64())
-            .collect()
-    }
-
     /// Median slowdown over all completed bundled requests.
     pub fn median_slowdown(&self) -> Option<f64> {
         let mut s = self.slowdowns();
@@ -392,11 +383,6 @@ impl SimReport {
     pub fn mean_bundle_throughput_mbps(&self, bundle: usize) -> Option<f64> {
         let ts = self.bundle_throughput_mbps.get(bundle)?;
         ts.mean_between(Nanos::ZERO, Nanos::MAX)
-    }
-
-    /// Total delivered goodput as a rate over `horizon`.
-    pub fn delivered_rate(&self, horizon: Duration) -> Rate {
-        Rate::from_bytes_over(self.bytes_delivered, horizon)
     }
 }
 

@@ -59,10 +59,6 @@ impl InflightWindow {
         self.segs.is_empty()
     }
 
-    fn len(&self) -> usize {
-        self.segs.len()
-    }
-
     fn front_mut(&mut self) -> Option<&mut Segment> {
         self.segs.front_mut()
     }
@@ -645,26 +641,6 @@ impl PingClient {
 }
 
 serde::layout!(value PingClient { id, key, payload, rtts, outstanding, seq, ip_id });
-
-impl TcpSender {
-    /// Test-only detailed state dump.
-    #[doc(hidden)]
-    pub fn debug_detail(&self, receiver: &TcpReceiver) -> String {
-        format!(
-            "snd_una={} next_seq={} inflight_first={:?} inflight_n={} dup_acks={} recovery={:?} highest_sacked={} recv_next={} rto_backoff={} last_activity={}",
-            self.snd_una,
-            self.next_seq,
-            self.inflight.front().map(|s| s.seq),
-            self.inflight.len(),
-            self.dup_acks,
-            self.recovery_point,
-            self.highest_sacked,
-            receiver.recv_next(),
-            self.rto_backoff,
-            self.last_activity,
-        )
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -274,11 +274,6 @@ impl PoissonArrivals {
         }
     }
 
-    /// Creates a generator with an explicit mean inter-arrival gap.
-    pub fn with_mean_gap(mean_gap: Duration) -> Self {
-        PoissonArrivals { mean_gap }
-    }
-
     /// Mean gap between arrivals.
     pub fn mean_gap(&self) -> Duration {
         self.mean_gap

@@ -2,10 +2,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Transport protocol carried by a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Transmission Control Protocol.
     Tcp,
@@ -36,9 +34,7 @@ impl fmt::Display for Protocol {
 ///
 /// Flows also carry a [`FlowKey`] (the five-tuple visible on the wire); the
 /// `FlowId` is a dense integer used by workload generation and statistics.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {
@@ -101,7 +97,7 @@ pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHashe
 /// one of the paper's design goals), but schedulers such as SFQ and FQ-CoDel
 /// hash it to pick a queue, and the epoch-boundary hash includes the
 /// destination address and port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: u32,

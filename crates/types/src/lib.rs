@@ -2,14 +2,13 @@
 //!
 //! This crate deliberately has no knowledge of the simulator, the scheduler
 //! implementations or the congestion-control algorithms: it only defines the
-//! vocabulary they all speak — packets and their headers, flow keys, time
-//! ([`Nanos`]) and rate ([`Rate`]) units, and byte counters.
+//! vocabulary they all speak — packets and their headers, flow keys, and
+//! time ([`Nanos`]) and rate ([`Rate`]) units.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod bytes;
 pub mod codec;
 pub mod flow;
 pub mod packet;
@@ -17,7 +16,6 @@ pub mod prefix;
 pub mod rate;
 pub mod time;
 
-pub use crate::bytes::ByteCount;
 pub use arena::{PacketArena, PacketId};
 pub use flow::{ipv4, FlowId, FlowKey, IdHashMap, IdHasher, Protocol};
 pub use packet::{Packet, PacketKind, TrafficClass};

@@ -8,13 +8,11 @@
 //! subset of this struct exactly as the paper's prototype hashes the IPv4
 //! ID + destination address + destination port.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::{FlowId, FlowKey};
 use crate::time::Nanos;
 
 /// What role a packet plays in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// Application data on the forward path.
     Data,
@@ -27,7 +25,7 @@ pub enum PacketKind {
 }
 
 /// Operator-assigned traffic class, used by the strict-priority scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TrafficClass(pub u8);
 
 impl TrafficClass {
@@ -46,7 +44,7 @@ impl Default for TrafficClass {
 }
 
 /// A modelled packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Dense simulator-assigned identifier of the flow this packet belongs to.
     pub flow: FlowId,

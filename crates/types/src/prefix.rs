@@ -9,8 +9,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An IPv4 address prefix: a network address and a mask length.
 ///
 /// The network address is stored in canonical form — bits below the mask
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// // Host bits are canonicalized away.
 /// assert_eq!(IpPrefix::new(ipv4(10, 1, 3, 99), 24).unwrap(), site);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IpPrefix {
     addr: u32,
     len: u8,

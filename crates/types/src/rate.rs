@@ -3,8 +3,6 @@
 use core::fmt;
 use core::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Duration;
 
 /// A data rate in bits per second.
@@ -14,9 +12,7 @@ use crate::time::Duration;
 /// module estimates send and receive rates from congestion ACKs. Keeping the
 /// unit in the type avoids the bits-vs-bytes and per-second-vs-per-ms
 /// confusion endemic to this kind of code.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Rate(u64);
 
 // Declared here rather than in `codec` because the field is private.

@@ -76,17 +76,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use bundler_obs::{wall_now_ns, NetWindow, TraceKind, WindowPhase};
+use bundler_sim::directory::FlowDirectory;
 use bundler_sim::event::{Event, EventKey, EventQueue};
 use bundler_sim::path::LoadBalancer;
 use bundler_sim::runtime::{
-    assemble_report, balancer_for, bundle_lp, origin_lp, Delivery, NetCore, Partition, ToNet,
-    WorkerCore, LP_BUNDLE0,
+    assemble_report, balancer_for, bundle_lp, Delivery, NetCore, Partition, ToNet, WorkerCore,
+    LP_BUNDLE0,
 };
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{SimReport, Simulation};
-use bundler_types::{Duration, FlowId, IdHashMap, Nanos, Packet, PacketArena};
+use bundler_types::{Duration, Nanos, Packet, PacketArena};
 use serde::binary::Reader;
 
 use crate::balance::{Balancer, Move};
@@ -110,8 +111,9 @@ struct Envelope {
 /// and the net threads (readers, during net phases). The window barriers
 /// separate writes from reads; the atomics make the sharing sound.
 struct Routing {
-    /// A flow's LP is static: its workload origin.
-    lp_of_flow: IdHashMap<FlowId, u16>,
+    /// A flow's LP is static: its workload origin, as the run's directory
+    /// (the one its worker cores share) names it.
+    directory: Arc<FlowDirectory>,
     /// The LP's owning worker follows the balancer's assignment.
     worker_of_lp: Vec<AtomicUsize>,
 }
@@ -341,6 +343,7 @@ fn window_of(config: &SimulationConfig) -> Option<Duration> {
 
 impl ShardedSimulation {
     /// Builds a sharded simulation from a configuration and workload.
+    /// Panics, naming the id, if two specs of the workload share a flow id.
     pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
         ShardedSimulation(match window_of(&config) {
             None => Host::Solo(Simulation::new(config, workload)),
@@ -528,11 +531,9 @@ impl Cores {
         // the LP's owning worker is worker 0 for the LPs below the bundles'
         // and follows the balancer's assignment for those.
         let below = std::iter::repeat_n(0, LP_BUNDLE0 as usize);
+        let directory = Arc::new(FlowDirectory::new(workload));
         let routing = Arc::new(Routing {
-            lp_of_flow: workload
-                .iter()
-                .map(|s| (s.id, origin_lp(s.origin)))
-                .collect(),
+            directory: Arc::clone(&directory),
             worker_of_lp: below
                 .chain(balancer.assignment().iter().copied())
                 .map(AtomicUsize::new)
@@ -578,7 +579,8 @@ impl Cores {
                     .iter()
                     .map(|&owner| fresh && owner == index)
                     .collect();
-                let mut core = WorkerCore::with_owned(config, workload, part, owned);
+                let directory = Arc::clone(&directory);
+                let mut core = WorkerCore::with_owned(config, workload, directory, part, owned);
                 let mut queue = EventQueue::new();
                 if fresh {
                     core.schedule_initial(&mut queue);
@@ -678,8 +680,8 @@ impl NetSide {
                     "delivery inside a window already running"
                 );
                 let flow = self.arena[d.pkt].flow;
-                let lp = self.routing.lp_of_flow.get(&flow);
-                let lp = *lp.expect("flow has an origin") as usize;
+                let lp = self.routing.directory.lp_of(flow);
+                let lp = lp.expect("flow has an origin") as usize;
                 let worker = self.routing.worker_of_lp[lp].load(Ordering::Acquire);
                 let mut pkt = self.arena.remove(d.pkt);
                 if let Some(buf) = &mut self.wire {
@@ -1105,6 +1107,21 @@ mod tests {
             phases(plan(&moves, true)),
             [Extract, Adopt, Flush, Save, Run]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "two workload specs share flow id 2")]
+    fn a_workload_naming_one_id_twice_panics() {
+        let config = SimulationConfig {
+            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            shards: 2,
+            ..Default::default()
+        };
+        let workload = vec![
+            FlowSpec::bundled(2, 50_000, Nanos::ZERO, 0),
+            FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
+        ];
+        ShardedSimulation::new(config, workload);
     }
 
     /// A net thread that panics mid-phase reports the event it had just

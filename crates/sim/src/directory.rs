@@ -1,0 +1,216 @@
+//! The flow directory: every flow id a workload names, built once before a
+//! run and read by every core of it.
+//!
+//! Each id of the workload gets a dense *position* (its rank among the
+//! workload's ids, so ascending positions are ascending ids) and the LP its
+//! spec's origin names. Ids are stored as maximal runs of consecutive
+//! values, so a lookup is one binary search over the run starts plus one
+//! subtraction: the Fig. 9 request stream (`0..n`) is one run, and the
+//! multi-site scenarios (`site × 1 000 000 + i`, then the reserved offsets)
+//! are a few runs per site. Arbitrary sparse ids are runs of one, and the
+//! same search is then a plain binary search over the ids — one code path
+//! for every id set.
+
+use bundler_types::FlowId;
+
+use crate::runtime::origin_lp;
+use crate::workload::FlowSpec;
+
+/// `len` consecutive ids from `first`, at positions `pos..pos + len`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first: u64,
+    pos: u32,
+    len: u32,
+}
+
+/// Every flow id of a workload, by position, with the LP its spec names.
+/// Immutable once built; the single-threaded engine's worker, and the
+/// sharded host's workers and net threads, share one.
+#[derive(Debug)]
+pub struct FlowDirectory {
+    /// Ascending by `first`; no two runs touch, so each is maximal.
+    runs: Vec<Run>,
+    /// The LP of the spec at each position.
+    lps: Vec<u16>,
+}
+
+impl FlowDirectory {
+    /// Builds the directory of `workload`'s ids, in any order. Panics,
+    /// naming the id, if two specs share one: every lookup of it would
+    /// hand one flow's state to the other's packets.
+    pub fn new(workload: &[FlowSpec]) -> Self {
+        let mut ids: Vec<(u64, u16)> = workload
+            .iter()
+            .map(|spec| (spec.id.0, origin_lp(spec.origin)))
+            .collect();
+        ids.sort_unstable_by_key(|&(id, _)| id);
+        let mut runs: Vec<Run> = Vec::new();
+        for (pos, &(id, _)) in ids.iter().enumerate() {
+            let pos = u32::try_from(pos).expect("fewer than 2^32 flows");
+            // `id` repeats the last id so far, extends its run or starts
+            // one; past the first arm the last id is below `id`, so its
+            // successor cannot overflow.
+            match runs.last_mut() {
+                Some(run) if run.first + u64::from(run.len - 1) == id => {
+                    panic!("two workload specs share flow id {id}")
+                }
+                Some(run) if run.first + u64::from(run.len) == id => run.len += 1,
+                _ => runs.push(Run {
+                    first: id,
+                    pos,
+                    len: 1,
+                }),
+            }
+        }
+        FlowDirectory {
+            runs,
+            lps: ids.into_iter().map(|(_, lp)| lp).collect(),
+        }
+    }
+
+    /// How many ids the workload names.
+    pub fn len(&self) -> usize {
+        self.lps.len()
+    }
+
+    /// True if the workload names no flow.
+    pub fn is_empty(&self) -> bool {
+        self.lps.is_empty()
+    }
+
+    /// The position of `id`, or `None` if the workload does not name it.
+    #[inline]
+    pub fn position(&self, id: FlowId) -> Option<usize> {
+        let r = self.runs.partition_point(|run| run.first <= id.0);
+        let run = self.runs[r.checked_sub(1)?];
+        let offset = id.0 - run.first;
+        (offset < u64::from(run.len)).then(|| run.pos as usize + offset as usize)
+    }
+
+    /// The LP of the flow at `pos`.
+    #[inline]
+    pub fn lp_at(&self, pos: usize) -> u16 {
+        self.lps[pos]
+    }
+
+    /// The LP of flow `id`, or `None` if the workload does not name it.
+    #[inline]
+    pub fn lp_of(&self, id: FlowId) -> Option<u16> {
+        self.position(id).map(|pos| self.lp_at(pos))
+    }
+
+    /// Every `(position, id)` in ascending order of both.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, FlowId)> + '_ {
+        self.runs.iter().flat_map(|run| {
+            (0..run.len).map(move |d| ((run.pos + d) as usize, FlowId(run.first + u64::from(d))))
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use bundler_types::Nanos;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::runtime::lp_origin;
+
+    fn spec(id: u64, pick: u8) -> FlowSpec {
+        match pick % 4 {
+            0 => FlowSpec::direct(id, 1, Nanos::ZERO),
+            b => FlowSpec::bundled(id, 1, Nanos::ZERO, b as usize - 1),
+        }
+    }
+
+    /// A workload of distinct ids in a scrambled order: dense `0..dense`,
+    /// per-site requests with the reserved offsets of the multi-site
+    /// scenarios (`+ 500 000 + u`, `+ 900 000 + j`), isolated singletons,
+    /// and the two ends of the id space.
+    fn workload(dense: u64, sites: u64, requests: u64, singles: &[u64], ends: u8) -> Vec<u64> {
+        let mut ids: Vec<u64> = (0..dense).collect();
+        for site in 0..sites {
+            let base = 2_000_000 + site * 1_000_000;
+            ids.extend((0..requests).map(|i| base + i));
+            ids.extend((0..site % 3).map(|u| base + 500_000 + u));
+            ids.extend((0..=site % 2).map(|j| base + 900_000 + j));
+        }
+        ids.extend(singles.iter().map(|s| (1 << 40) | (s << 3)));
+        if ends & 1 != 0 {
+            ids.push(0);
+        }
+        if ends & 2 != 0 {
+            ids.push(u64::MAX);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        // Unsorted input: the directory must not rely on the order.
+        let third = ids.len() / 3;
+        ids.reverse();
+        ids.rotate_left(third);
+        ids
+    }
+
+    proptest! {
+        #[test]
+        fn directory_agrees_with_a_btree_map(
+            (dense, sites, requests, ends) in (0u64..40, 0u64..4, 0u64..12, 0u8..4),
+            singles in collection::vec(0u64..64, 0..6),
+            picks in collection::vec(any::<u8>(), 1..8),
+        ) {
+            let ids = workload(dense, sites, requests, &singles, ends);
+            let specs: Vec<FlowSpec> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| spec(id, picks[i % picks.len()]))
+                .collect();
+            let dir = FlowDirectory::new(&specs);
+            let oracle: BTreeMap<u64, u16> =
+                specs.iter().map(|s| (s.id.0, origin_lp(s.origin))).collect();
+            prop_assert_eq!(dir.len(), oracle.len());
+            // Every member sits at its rank, with its spec's LP.
+            for (rank, (&id, &lp)) in oracle.iter().enumerate() {
+                prop_assert_eq!(dir.position(FlowId(id)), Some(rank));
+                prop_assert_eq!(dir.lp_of(FlowId(id)), Some(lp));
+                prop_assert_eq!(origin_lp(lp_origin(lp)), lp);
+            }
+            // Ids before, between and after the runs are refused.
+            for &id in oracle.keys() {
+                for probe in [id.wrapping_sub(1), id.wrapping_add(1), id ^ (1 << 50)] {
+                    prop_assert_eq!(dir.position(FlowId(probe)).is_some(), oracle.contains_key(&probe));
+                }
+            }
+            // The walk is ascending in position and id alike.
+            let walked: Vec<(usize, u64)> = dir.iter().map(|(pos, id)| (pos, id.0)).collect();
+            let expected: Vec<(usize, u64)> = oracle.keys().copied().enumerate().collect();
+            prop_assert_eq!(walked, expected);
+        }
+    }
+
+    #[test]
+    fn an_empty_workload_names_nothing() {
+        let dir = FlowDirectory::new(&[]);
+        assert!(dir.is_empty());
+        assert_eq!(dir.position(FlowId(0)), None);
+        assert_eq!(dir.iter().count(), 0);
+    }
+
+    #[test]
+    fn the_fig9_stream_is_one_run_and_a_site_two() {
+        let dense: Vec<FlowSpec> = (0..1000).map(|i| spec(i, 0)).collect();
+        assert_eq!(FlowDirectory::new(&dense).runs.len(), 1);
+        let site: Vec<FlowSpec> = (0..100)
+            .map(|i| spec(3_000_000 + i, 1))
+            .chain((0..2).map(|j| spec(3_900_000 + j, 1)))
+            .collect();
+        assert_eq!(FlowDirectory::new(&site).runs.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "two workload specs share flow id 7")]
+    fn two_specs_sharing_an_id_are_refused() {
+        FlowDirectory::new(&[spec(7, 0), spec(8, 1), spec(7, 2)]);
+    }
+}

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod directory;
 pub mod edge;
 pub mod event;
 pub mod fault;

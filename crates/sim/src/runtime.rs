@@ -26,18 +26,18 @@
 //! A worker holds its bundles' sendbox state in one `Edge`; whether a
 //! `SiteAgent` classifies packets and holds the control planes is the
 //! edge's business, so every handler here is written once. Its flows and
-//! pings live in one `FlowTable` — a slab of per-flow state behind one
-//! compact id index — which a handler consults once per event: it resolves
-//! the event's flow to a slot and passes the origin it found on to the
-//! routing below it. Every walk of the table that reaches a snapshot or the
-//! report goes in ascending `FlowId`, never in hash order. State leaves a
+//! pings live in one `FlowTable` — a slab of per-flow state indexed by the
+//! positions of the run's [`FlowDirectory`] — which a handler consults once
+//! per event: it resolves the event's flow to a slot and LP and passes the
+//! origin on to the routing below it. Every walk of the table that reaches
+//! a snapshot or the report goes in ascending `FlowId`. State leaves a
 //! core only as snapshot bytes: a whole bundle complex as its section
 //! ([`WorkerCore::save_bundle`] / [`WorkerCore::load_bundle`]), for a
 //! checkpoint and a migration alike, beside the direct slice and the path
 //! sections; all of them share the pending-events-plus-packets layout of
 //! `save_pending_in_place`.
 
-use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 use bundler_obs::{
     BundleObsState, CounterId, FlowSampler, GaugeId, HealthKind, HistId, ObsReport, PhaseProfile,
@@ -46,12 +46,12 @@ use bundler_obs::{
 use bundler_sched::tbf::Release;
 use bundler_sched::Policy;
 use bundler_types::{
-    flow::ipv4, Duration, FlowId, FlowKey, IdHashMap, Nanos, Packet, PacketArena, PacketId,
-    PacketKind, Rate,
+    flow::ipv4, Duration, FlowId, FlowKey, Nanos, Packet, PacketArena, PacketId, PacketKind, Rate,
 };
 
 use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader};
 
+use crate::directory::FlowDirectory;
 use crate::edge::Edge;
 use crate::event::{Event, EventKey, EventQueue};
 use crate::fault::{FaultKind, FaultPlan};
@@ -88,6 +88,17 @@ pub fn origin_lp(origin: Origin) -> u16 {
     match origin {
         Origin::Bundle(b) => bundle_lp(b),
         Origin::Direct => LP_DIRECT,
+    }
+}
+
+/// The origin whose flows an LP owns: the inverse of [`origin_lp`] on the
+/// site-side LPs.
+#[inline]
+pub(crate) fn lp_origin(lp: u16) -> Origin {
+    if lp == LP_DIRECT {
+        Origin::Direct
+    } else {
+        Origin::Bundle(usize::from(lp - LP_BUNDLE0))
     }
 }
 
@@ -169,72 +180,84 @@ impl FlowSlot {
 }
 
 /// Every flow and ping a worker knows, by [`FlowId`]: the per-flow state
-/// sits in a slab, and one compact hash index (16-byte entries) maps an id
-/// to its slot. A handler hashes its flow id once ([`FlowTable::slot_of`])
-/// and works on the slot from then on. The index is a hash map rather than
-/// a direct table because ids are not dense — the multi-site scenarios
-/// number flows `site × 1 000 000 + i`. A completed flow keeps its slot
+/// sits in a slab, and `index` holds the slab slot of each position of the
+/// run's [`FlowDirectory`] (`VACANT` where this worker holds no flow). A
+/// handler resolves its flow id once ([`FlowTable::resolve`]: one search
+/// over the directory's runs, then one load each for the LP and the slot)
+/// and works on the slot from then on. A completed flow keeps its slot
 /// (late ACKs and the RTO poll still resolve it); slots are only freed when
 /// a bundle is dropped from the worker, and are reused by the next insert.
-#[derive(Default)]
 struct FlowTable {
-    index: IdHashMap<FlowId, u32>,
+    directory: Arc<FlowDirectory>,
+    index: Vec<u32>,
     slots: Vec<FlowSlot>,
     free: Vec<u32>,
 }
 
+/// A [`FlowTable::index`] entry naming no slot.
+const VACANT: u32 = u32::MAX;
+
 impl FlowTable {
-    /// Makes room for `additional` more flows without filling anything in.
-    fn reserve(&mut self, additional: usize) {
-        self.index.reserve(additional);
-        self.slots
-            .reserve(additional.saturating_sub(self.free.len()));
-    }
-
-    /// The slot `id` lives in — the one hash lookup of an event.
-    #[inline]
-    fn slot_of(&self, id: FlowId) -> Option<usize> {
-        self.index.get(&id).map(|&slot| slot as usize)
-    }
-
-    /// The origin of the flow in `slot`; an id the worker does not know
-    /// (`None`) is attributed to direct cross traffic.
-    #[inline]
-    fn origin_at(&self, slot: Option<usize>) -> Origin {
-        slot.map_or(Origin::Direct, |slot| self.slots[slot].origin())
-    }
-
-    /// Registers `id`, replacing whatever it named before (two workload
-    /// specs with one id: the later arrival wins, as with a map insert).
-    /// Returns whether the id was new (snapshot sections go through
-    /// [`FlowTable::load`], which refuses an id that is not).
-    fn insert(&mut self, id: FlowId, state: FlowSlot) -> bool {
-        match self.index.entry(id) {
-            Entry::Occupied(held) => {
-                self.slots[*held.get() as usize] = state;
-                false
-            }
-            Entry::Vacant(vacant) => {
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        self.slots[slot as usize] = state;
-                        slot
-                    }
-                    None => {
-                        self.slots.push(state);
-                        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 flows")
-                    }
-                };
-                vacant.insert(slot);
-                true
-            }
+    /// An empty table over `directory`, with slab room for `capacity` flows
+    /// reserved but not filled.
+    fn new(directory: Arc<FlowDirectory>, capacity: usize) -> Self {
+        FlowTable {
+            index: vec![VACANT; directory.len()],
+            directory,
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
         }
+    }
+
+    /// The slot of the flow at directory position `pos`, if this worker
+    /// holds it.
+    #[inline]
+    fn slot_at(&self, pos: usize) -> Option<usize> {
+        let slot = self.index[pos];
+        (slot != VACANT).then_some(slot as usize)
+    }
+
+    /// The slot `id` lives in, if this worker holds it, and the LP its
+    /// workload spec names — [`LP_DIRECT`] for an id the workload does not
+    /// name. The one lookup of an event; it reads no flow state.
+    #[inline]
+    fn resolve(&self, id: FlowId) -> (Option<usize>, u16) {
+        match self.directory.position(id) {
+            Some(pos) => (self.slot_at(pos), self.directory.lp_at(pos)),
+            None => (None, LP_DIRECT),
+        }
+    }
+
+    /// Registers `id`, replacing whatever it named before. Returns whether
+    /// the id was new; an id the workload does not name is refused
+    /// (`None`) and registers nothing. Snapshot sections go through
+    /// [`FlowTable::load`], which refuses an id that is not new.
+    fn insert(&mut self, id: FlowId, state: FlowSlot) -> Option<bool> {
+        let pos = self.directory.position(id)?;
+        if let Some(held) = self.slot_at(pos) {
+            self.slots[held] = state;
+            return Some(false);
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = state;
+                slot
+            }
+            None => {
+                self.slots.push(state);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 flows")
+            }
+        };
+        self.index[pos] = slot;
+        Some(true)
     }
 
     /// Registers a flow decoded from a snapshot section. A run never names
     /// a flow twice, so an id already registered is corrupt bytes: `twice`
     /// when the entry has the new one's origin (the section being loaded
-    /// named it before), otherwise a flow some other section holds.
+    /// named it before), otherwise a flow some other section holds. So is
+    /// an id the workload does not name, or one whose decoded origin is not
+    /// its spec's.
     fn load(
         &mut self,
         id: FlowId,
@@ -242,40 +265,44 @@ impl FlowTable {
         r: &Reader<'_>,
         twice: &'static str,
     ) -> Result<(), DecodeError> {
-        match self.slot_of(id).map(|slot| self.slots[slot].origin()) {
-            None => {
-                self.insert(id, state);
-                Ok(())
-            }
-            Some(held) if held == state.origin() => Err(r.error(twice)),
-            Some(_) => Err(r.error("flow is already held by this worker")),
+        let Some(pos) = self.directory.position(id) else {
+            return Err(r.error("flow id is not in the workload"));
+        };
+        if let Some(held) = self.slot_at(pos) {
+            return Err(if self.slots[held].origin() == state.origin() {
+                r.error(twice)
+            } else {
+                r.error("flow is already held by this worker")
+            });
         }
+        if lp_origin(self.directory.lp_at(pos)) != state.origin() {
+            return Err(r.error("flow origin differs from its workload spec"));
+        }
+        self.insert(id, state);
+        Ok(())
     }
 
     /// Unregisters `id`, freeing its slot for reuse.
     fn remove(&mut self, id: FlowId) -> Option<FlowSlot> {
-        let slot = self.index.remove(&id)?;
-        self.free.push(slot);
-        Some(std::mem::replace(
-            &mut self.slots[slot as usize],
-            FlowSlot::Free,
-        ))
+        let pos = self.directory.position(id)?;
+        let slot = self.slot_at(pos)?;
+        self.index[pos] = VACANT;
+        self.free.push(slot as u32);
+        Some(std::mem::replace(&mut self.slots[slot], FlowSlot::Free))
     }
 
     /// What `pick` selects from each registered flow, in ascending
     /// [`FlowId`] order — the order every snapshot section and the report
-    /// list flows in, so neither depends on hash-map iteration.
+    /// list flows in. Directory positions ascend with the ids, so this is
+    /// a walk of the index, with no sort.
     fn sorted<'a, T>(
         &'a self,
         mut pick: impl FnMut(&'a FlowSlot) -> Option<T>,
     ) -> Vec<(FlowId, T)> {
-        let mut picked: Vec<(FlowId, T)> = self
-            .index
+        self.directory
             .iter()
-            .filter_map(|(&id, &slot)| Some((id, pick(&self.slots[slot as usize])?)))
-            .collect();
-        picked.sort_unstable_by_key(|&(id, _)| id);
-        picked
+            .filter_map(|(pos, id)| Some((id, pick(&self.slots[self.slot_at(pos)?])?)))
+            .collect()
     }
 }
 
@@ -394,12 +421,14 @@ pub struct WorkerCore {
 impl WorkerCore {
     /// Builds the worker owning partition `part` of the configured edge
     /// (the static round-robin assignment). Panics if a bundle
-    /// configuration is invalid (checked identically on every worker).
+    /// configuration is invalid (checked identically on every worker) or
+    /// if two specs share a flow id.
     pub fn new(config: &SimulationConfig, workload: &[FlowSpec], part: Partition) -> Self {
         let owned = (0..config.n_bundles())
             .map(|b| part.owns_bundle(b))
             .collect();
-        Self::with_owned(config, workload, part, owned)
+        let directory = Arc::new(FlowDirectory::new(workload));
+        Self::with_owned(config, workload, directory, part, owned)
     }
 
     /// Builds the worker with an explicit initial bundle-ownership vector
@@ -407,10 +436,12 @@ impl WorkerCore {
     /// non-round-robin partition, e.g. one that keeps classification
     /// co-location groups together before the rate-aware balancer has any
     /// measurements. `part` still fixes the worker's index and count (and
-    /// therefore ownership of the direct cross-traffic LP).
+    /// therefore ownership of the direct cross-traffic LP). `directory` is
+    /// `workload`'s, shared by every core of the run.
     pub fn with_owned(
         config: &SimulationConfig,
         workload: &[FlowSpec],
+        directory: Arc<FlowDirectory>,
         part: Partition,
         owned: Vec<bool>,
     ) -> Self {
@@ -428,14 +459,24 @@ impl WorkerCore {
             // bundle and never needs re-arming on adoption.
             edge.set_obs(true);
         }
-        let mut core = WorkerCore {
+        // Slab room for every flow `schedule_initial` will admit, reserved
+        // but not filled: slots are written as the arrivals fire, so
+        // construction pays for no flow state.
+        let admitted = workload
+            .iter()
+            .filter(|spec| match spec.origin {
+                Origin::Bundle(b) => owned.get(b) == Some(&true),
+                Origin::Direct => part.owns_direct(),
+            })
+            .count();
+        WorkerCore {
             config: config.clone(),
             part,
             owned,
             n_bundles,
             specs: workload.to_vec(),
             edge,
-            flows: FlowTable::default(),
+            flows: FlowTable::new(directory, admitted),
             seqs: vec![0; LP_BUNDLE0 as usize + n_bundles],
             lp_events: vec![0; LP_BUNDLE0 as usize + n_bundles],
             forward_delay,
@@ -454,21 +495,7 @@ impl WorkerCore {
             events_processed: 0,
             packets_created: 0,
             obs,
-        };
-        // Room for every flow `schedule_initial` will admit, reserved but
-        // not filled: slots are written as the arrivals fire, so
-        // construction pays for no flow state and the table never rehashes
-        // mid-run.
-        let admitted = core
-            .specs
-            .iter()
-            .filter(|spec| match spec.origin {
-                Origin::Bundle(b) => core.owns_bundle(b),
-                Origin::Direct => part.owns_direct(),
-            })
-            .count();
-        core.flows.reserve(admitted);
-        core
+        }
     }
 
     /// The partition this worker was built with (static index and worker
@@ -533,19 +560,17 @@ impl WorkerCore {
 
     /// The LP owning a flow (for events routed by flow id).
     fn flow_lp(&self, flow: FlowId) -> u16 {
-        origin_lp(self.flows.origin_at(self.flows.slot_of(flow)))
+        self.flows.resolve(flow).1
     }
 
-    /// Resolves the flow an event is about — the event's one hash lookup —
-    /// to its table slot, workload origin and LP, and attributes the event
-    /// to that LP.
+    /// Resolves the flow an event is about — the event's one directory
+    /// lookup — to its table slot, workload origin and LP, and attributes
+    /// the event to that LP.
     #[inline]
     fn resolve(&mut self, flow: FlowId) -> (Option<usize>, Origin, u16) {
-        let slot = self.flows.slot_of(flow);
-        let origin = self.flows.origin_at(slot);
-        let lp = origin_lp(origin);
+        let (slot, lp) = self.flows.resolve(flow);
         self.note_event(lp);
-        (slot, origin, lp)
+        (slot, lp_origin(lp), lp)
     }
 
     /// Schedules this worker's initial events: flow arrivals for owned
@@ -1392,9 +1417,7 @@ impl WorkerCore {
             b.set_obs(self.obs.metrics_on());
         }
         let twice = "bundle section names a flow id twice";
-        let n = decode_len(r, "bundle flow count")?;
-        self.flows.reserve(n);
-        for _ in 0..n {
+        for _ in 0..decode_len(r, "bundle flow count")? {
             let (id, flow) = <(FlowId, FlowState)>::decode(r)?;
             self.flows.load(id, FlowSlot::Tcp(flow), r, twice)?;
         }
@@ -2630,14 +2653,6 @@ mod tests {
             self.pings.remove(&id);
             self.ping_origin.remove(&id);
         }
-
-        fn origin_of(&self, id: FlowId) -> Origin {
-            self.flows
-                .get(&id)
-                .map(|f| f.0)
-                .or_else(|| self.ping_origin.get(&id).copied())
-                .unwrap_or(Origin::Direct)
-        }
     }
 
     /// Sparse ids, the way the multi-site scenarios number flows.
@@ -2655,23 +2670,44 @@ mod tests {
     proptest! {
         #[test]
         fn flow_table_agrees_with_the_three_maps_it_replaced(
-            ops in collection::vec((0u8..4, 0u64..3, 0u64..6, 0u8..3, 1u32..1000), 1..120),
+            (sites, per_site) in (1u64..4, 1u64..7),
+            picks in collection::vec(0u8..3, 1..8),
+            ops in collection::vec((0u8..4, 0u64..5, 0u64..8, 1u32..1000), 1..120),
         ) {
-            let mut table = FlowTable::default();
+            // The universe: `per_site` ids at each of `sites` sites, each
+            // with the origin its spec names. Ops also name ids beyond it.
+            let universe: Vec<FlowSpec> = (0..sites)
+                .flat_map(|site| (0..per_site).map(move |i| flow_id(site, i)))
+                .enumerate()
+                .map(|(k, id)| FlowSpec {
+                    origin: origin(picks[k % picks.len()]),
+                    ..FlowSpec::direct(id.0, 1, Nanos::ZERO)
+                })
+                .collect();
+            let spec_origin: HashMap<FlowId, Origin> =
+                universe.iter().map(|s| (s.id, s.origin)).collect();
+            let mut table = FlowTable::new(Arc::new(FlowDirectory::new(&universe)), 0);
             let mut model = ThreeMaps::default();
-            for (op, site, i, pick, tag) in ops {
-                let (id, origin) = (flow_id(site, i), origin(pick));
+            for (op, site, i, tag) in ops {
+                let id = flow_id(site, i);
+                let Some(&origin) = spec_origin.get(&id) else {
+                    // An id outside the universe is refused and never held.
+                    prop_assert_eq!(table.insert(id, tcp(id, Origin::Direct, 1)), None);
+                    prop_assert!(table.remove(id).is_none());
+                    prop_assert_eq!(table.resolve(id), (None, LP_DIRECT));
+                    continue;
+                };
                 let held = model.holds(id);
                 match op {
                     0 => {
-                        prop_assert_eq!(table.insert(id, tcp(id, origin, tag as u64)), !held);
+                        prop_assert_eq!(table.insert(id, tcp(id, origin, tag as u64)), Some(!held));
                         model.remove(id);
                         model.flows.insert(id, (origin, tag as u64));
                     }
                     1 => {
                         // Every third ping is the client-less kind.
                         let tag = (tag % 3 != 0).then_some(tag);
-                        prop_assert_eq!(table.insert(id, ping(id, origin, tag)), !held);
+                        prop_assert_eq!(table.insert(id, ping(id, origin, tag)), Some(!held));
                         model.remove(id);
                         model.ping_origin.insert(id, origin);
                         if let Some(tag) = tag {
@@ -2683,11 +2719,12 @@ mod tests {
                         model.remove(id);
                     }
                 }
-                // Every id of the universe resolves as the maps would.
-                for id in (0..3).flat_map(|site| (0..6).map(move |i| flow_id(site, i))) {
-                    let slot = table.slot_of(id);
+                // Every id of the universe resolves as the maps would, with
+                // the LP its spec names whether or not it is held.
+                for (&id, &origin) in &spec_origin {
+                    let (slot, lp) = table.resolve(id);
                     prop_assert_eq!(slot.is_some(), model.holds(id));
-                    prop_assert_eq!(table.origin_at(slot), model.origin_of(id));
+                    prop_assert_eq!(lp, origin_lp(origin));
                     match slot.map(|slot| &table.slots[slot]) {
                         Some(FlowSlot::Tcp(f)) => {
                             prop_assert_eq!(Some(&(f.origin, f.size_bytes)), model.flows.get(&id));
@@ -2708,7 +2745,8 @@ mod tests {
                 expected.sort();
                 prop_assert_eq!(walked, expected);
                 // Each slot is indexed or on the free list, never both.
-                prop_assert_eq!(table.index.len() + table.free.len(), table.slots.len());
+                let indexed = table.index.iter().filter(|&&slot| slot != VACANT).count();
+                prop_assert_eq!(indexed + table.free.len(), table.slots.len());
                 for &slot in &table.free {
                     prop_assert!(matches!(table.slots[slot as usize], FlowSlot::Free));
                 }
@@ -2802,6 +2840,8 @@ mod tests {
             FlowSpec::bundled(id(3), FlowSpec::BACKLOGGED, Nanos::ZERO, 0),
             FlowSpec::bundled(id(4), FlowSpec::BACKLOGGED, Nanos::ZERO, 0),
             FlowSpec::bundled(id(5), 40, Nanos::ZERO, 0).as_ping(),
+            // Not admitted before the checkpoint, so no section holds it.
+            FlowSpec::direct(id(6), FlowSpec::BACKLOGGED, Nanos::from_millis(900)),
         ];
         let mut ckpts = Vec::new();
         Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts);
@@ -2813,6 +2853,9 @@ mod tests {
             (3, 4, "bundle section names a flow id twice"),
             (3, 5, "bundle section names a flow id twice"),
             (1, 3, "already held by this worker"),
+            // Id 7 is in no spec; id 6 is a direct flow's, not a bundle's.
+            (7, 2, "flow id is not in the workload"),
+            (6, 3, "flow origin differs from its workload spec"),
         ] {
             let (keep, renamed) = (id(keep).to_le_bytes(), id(renamed).to_le_bytes());
             let mut patched = blob.clone();

@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::edge::MultiBundleSpec;
-use crate::scenario::many_sites::{ManySitesReport, ManySitesScenario};
+use crate::scenario::many_sites::{ManySitesReport, ManySitesScenario, BULK_IDS, SITE_IDS};
 use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
 use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
 
@@ -62,7 +62,11 @@ impl HotBundleBuilder {
     }
 
     /// Requests generated per *cold* site; the hot site gets the sum of
-    /// all cold sites' requests, i.e. ~50 % of the total.
+    /// all cold sites' requests, i.e. ~50 % of the total. [`build`] bounds
+    /// it so the hot site's stay at most 900 000 (the ids above are the
+    /// bulk flows'): 19 148 per cold site at 48 sites.
+    ///
+    /// [`build`]: HotBundleBuilder::build
     pub fn requests_per_cold_site(mut self, n: usize) -> Self {
         self.requests_per_cold_site = n;
         self
@@ -107,7 +111,11 @@ impl HotBundleBuilder {
     }
 
     /// Finalizes the builder.
-    pub fn build(self) -> HotBundleScenario {
+    pub fn build(mut self) -> HotBundleScenario {
+        let cold_sites = self.sites - 1;
+        self.requests_per_cold_site = self
+            .requests_per_cold_site
+            .min(BULK_IDS as usize / cold_sites);
         HotBundleScenario { builder: self }
     }
 }
@@ -157,7 +165,7 @@ impl HotBundleScenario {
                 (b.requests_per_cold_site, b.offered_load_per_cold_site)
             };
             let arrivals = PoissonArrivals::for_load(load, &b.dist);
-            let base_id = (site as u64) * 1_000_000;
+            let base_id = (site as u64) * SITE_IDS;
             let mut t = Nanos::ZERO;
             for i in 0..requests {
                 t += arrivals.next_gap(&mut rng);
@@ -171,7 +179,7 @@ impl HotBundleScenario {
             };
             for j in 0..bulk {
                 specs.push(FlowSpec::bundled(
-                    base_id + 900_000 + j as u64,
+                    base_id + BULK_IDS + j as u64,
                     FlowSpec::BACKLOGGED,
                     Nanos::from_millis((site * 20 + j * 50) as u64),
                     site,
@@ -242,6 +250,18 @@ mod tests {
             .drain(Duration::from_secs(4))
             .seed(5)
             .build()
+    }
+
+    #[test]
+    fn ids_stay_unique_at_the_request_bound() {
+        let scenario = HotBundleScenario::builder()
+            .requests_per_cold_site(usize::MAX)
+            .sites(48)
+            .build();
+        assert_eq!(scenario.hot_requests(), 19_148 * 47);
+        let workload = scenario.workload();
+        let directory = crate::directory::FlowDirectory::new(&workload);
+        assert_eq!(directory.len(), workload.len());
     }
 
     #[test]

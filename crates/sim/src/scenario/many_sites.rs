@@ -22,6 +22,15 @@ use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
 use crate::stats::SimReport;
 use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
 
+/// Flow ids of site `s` are `s × SITE_IDS + i`, in every multi-site
+/// scenario. A site's requests count `i` up from 0 and stay below the first
+/// offset its scenario reserves, so no two flows share an id.
+pub(crate) const SITE_IDS: u64 = 1_000_000;
+/// A site's packet-tier background users (`metro`) start here.
+pub(crate) const USER_IDS: u64 = 500_000;
+/// A site's backlogged bulk flows start here.
+pub(crate) const BULK_IDS: u64 = 900_000;
+
 /// Builder for [`ManySitesScenario`].
 #[derive(Debug, Clone)]
 pub struct ManySitesBuilder {
@@ -62,9 +71,10 @@ impl ManySitesBuilder {
         self
     }
 
-    /// Requests generated per site.
+    /// Requests generated per site, at most 900 000 (the ids above are
+    /// the bulk flows').
     pub fn requests_per_site(mut self, n: usize) -> Self {
-        self.requests_per_site = n;
+        self.requests_per_site = n.min(BULK_IDS as usize);
         self
     }
 
@@ -93,9 +103,10 @@ impl ManySitesBuilder {
     }
 
     /// Backlogged bulk flows per site (keep ≥ 1 so every bundle carries
-    /// traffic for the whole run and its control loop stays exercised).
+    /// traffic for the whole run and its control loop stays exercised), at
+    /// most 100 000 (the ids above are the next site's).
     pub fn bulk_flows_per_site(mut self, n: usize) -> Self {
-        self.bulk_flows_per_site = n;
+        self.bulk_flows_per_site = n.min((SITE_IDS - BULK_IDS) as usize);
         self
     }
 
@@ -195,7 +206,7 @@ impl ManySitesScenario {
         for site in 0..b.sites {
             // Per-site RNG: adding a site never perturbs the others.
             let mut rng = SmallRng::seed_from_u64(b.seed ^ (site as u64).wrapping_mul(0x9e37));
-            let base_id = (site as u64) * 1_000_000;
+            let base_id = (site as u64) * SITE_IDS;
             let mut t = Nanos::ZERO;
             for i in 0..b.requests_per_site {
                 t += arrivals.next_gap(&mut rng);
@@ -204,7 +215,7 @@ impl ManySitesScenario {
             }
             for j in 0..b.bulk_flows_per_site {
                 specs.push(FlowSpec::bundled(
-                    base_id + 900_000 + j as u64,
+                    base_id + BULK_IDS + j as u64,
                     FlowSpec::BACKLOGGED,
                     Nanos::from_millis((site * 20 + j * 50) as u64),
                     site,
@@ -264,6 +275,19 @@ mod tests {
             .drain(Duration::from_secs(6))
             .seed(3)
             .build()
+    }
+
+    #[test]
+    fn ids_stay_unique_at_the_request_bound() {
+        let workload = ManySitesScenario::builder()
+            .sites(2)
+            .requests_per_site(usize::MAX)
+            .bulk_flows_per_site(usize::MAX)
+            .build()
+            .workload();
+        assert_eq!(workload.len(), 2 * (900_000 + 100_000));
+        let directory = crate::directory::FlowDirectory::new(&workload);
+        assert_eq!(directory.len(), workload.len());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::edge::MultiBundleSpec;
 use crate::fluid::{CrossTrafficTier, FluidAggregate, FluidCrossTraffic};
-use crate::scenario::many_sites::ManySitesScenario;
+use crate::scenario::many_sites::{ManySitesScenario, BULK_IDS, SITE_IDS, USER_IDS};
 use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
 use crate::stats::SimReport;
 use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
@@ -86,7 +86,10 @@ impl MetroBuilder {
     /// Background users per site. In the packet tier each user is a
     /// backlogged endhost pair; in the fluid tier the whole per-site
     /// population becomes a handful of rate aggregates, so this can be
-    /// raised by orders of magnitude at near-constant cost.
+    /// raised by orders of magnitude at near-constant cost. The packet tier
+    /// numbers users below the site's bulk flow, so it holds at most
+    /// 400 000 per site; past that two flows share an id, and
+    /// `Simulation::new` panics naming it.
     pub fn users_per_site(mut self, n: usize) -> Self {
         self.users_per_site = n;
         self
@@ -98,9 +101,10 @@ impl MetroBuilder {
         self
     }
 
-    /// Foreground requests generated per site.
+    /// Foreground requests generated per site, at most 500 000 (the ids
+    /// above are the packet-tier users' and the bulk flow's).
     pub fn requests_per_site(mut self, n: usize) -> Self {
-        self.requests_per_site = n;
+        self.requests_per_site = n.min(USER_IDS as usize);
         self
     }
 
@@ -248,7 +252,7 @@ impl MetroScenario {
         let mut specs = Vec::new();
         for site in 0..b.sites {
             let mut rng = SmallRng::seed_from_u64(b.seed ^ (site as u64).wrapping_mul(0x9e37));
-            let base_id = (site as u64) * 1_000_000;
+            let base_id = (site as u64) * SITE_IDS;
             let mut t = Nanos::ZERO;
             for i in 0..b.requests_per_site {
                 t += arrivals.next_gap(&mut rng);
@@ -256,7 +260,7 @@ impl MetroScenario {
                 specs.push(FlowSpec::bundled(base_id + i as u64, size, t, site));
             }
             specs.push(FlowSpec::bundled(
-                base_id + 900_000,
+                base_id + BULK_IDS,
                 FlowSpec::BACKLOGGED,
                 Nanos::from_millis((site * 20) as u64),
                 site,
@@ -267,7 +271,7 @@ impl MetroScenario {
                     // the packet tier's slow start does not synchronize.
                     let start = Nanos::from_micros(rng.gen_range(0..1_000_000));
                     specs.push(FlowSpec::direct(
-                        base_id + 500_000 + u as u64,
+                        base_id + USER_IDS + u as u64,
                         FlowSpec::BACKLOGGED,
                         start,
                     ));
@@ -338,6 +342,20 @@ mod tests {
             .tier(tier)
             .seed(7)
             .build()
+    }
+
+    #[test]
+    fn ids_stay_unique_at_the_request_bound() {
+        let workload = MetroScenario::builder()
+            .sites(2)
+            .requests_per_site(usize::MAX)
+            .users_per_site(400_000)
+            .tier(CrossTrafficTier::Packet)
+            .build()
+            .workload();
+        assert_eq!(workload.len(), 2 * (500_000 + 400_000 + 1));
+        let directory = crate::directory::FlowDirectory::new(&workload);
+        assert_eq!(directory.len(), workload.len());
     }
 
     #[test]

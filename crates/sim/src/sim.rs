@@ -22,8 +22,11 @@
 //! Because event order is canonical (see [`crate::event`]), both hosts
 //! produce bit-identical reports for the same config and workload.
 
+use std::sync::Arc;
+
 use bundler_types::{Duration, FlowKey, Nanos, PacketArena, Rate};
 
+use crate::directory::FlowDirectory;
 use crate::edge::{BundleMode, MultiBundleSpec};
 use crate::event::{Event, EventQueue};
 use crate::runtime::{
@@ -277,7 +280,8 @@ impl crate::snapshot::RestoreHost for SoloParts<'_> {
 
 impl Simulation {
     /// Builds a simulation from a configuration and a workload (flow
-    /// arrivals). Panics if a bundle configuration is invalid.
+    /// arrivals). Panics if a bundle configuration is invalid, or, naming
+    /// the id, if two specs of the workload share a flow id.
     pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
         Self::build(config, workload, true)
     }
@@ -288,7 +292,9 @@ impl Simulation {
     /// to come from a snapshot.
     fn build(config: SimulationConfig, workload: Vec<FlowSpec>, fresh: bool) -> Self {
         let owned = vec![fresh; config.n_bundles()];
-        let mut worker = WorkerCore::with_owned(&config, &workload, Partition::solo(), owned);
+        let directory = Arc::new(FlowDirectory::new(&workload));
+        let mut worker =
+            WorkerCore::with_owned(&config, &workload, directory, Partition::solo(), owned);
         let mut net = NetCore::new(&config);
         let mut queue = EventQueue::new();
         if fresh {
@@ -484,6 +490,16 @@ mod tests {
         let fct = report.fcts[0].fct;
         assert!(fct >= Duration::from_secs(2), "fct {fct} suspiciously fast");
         assert!(fct <= Duration::from_secs(10), "fct {fct} too slow");
+    }
+
+    #[test]
+    #[should_panic(expected = "two workload specs share flow id 1")]
+    fn a_workload_naming_one_id_twice_panics() {
+        let workload = vec![
+            FlowSpec::bundled(1, 6_000, Nanos::ZERO, 0),
+            FlowSpec::direct(1, 6_000, Nanos::from_millis(5)),
+        ];
+        Simulation::new(single_flow_config(false), workload);
     }
 
     #[test]

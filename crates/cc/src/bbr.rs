@@ -13,7 +13,6 @@
 //! loss-agnostic operation.
 
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::windowed::WindowedFilter;
 use crate::{AckEvent, BundleCc, LossEvent, Measurement, RateUpdate, WindowCc};
@@ -32,27 +31,7 @@ enum Phase {
     ProbeBw,
 }
 
-impl Encode for Phase {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            Phase::Startup => 0,
-            Phase::Drain => 1,
-            Phase::ProbeBw => 2,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for Phase {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Phase::Startup),
-            1 => Ok(Phase::Drain),
-            2 => Ok(Phase::ProbeBw),
-            _ => Err(r.error("invalid bbr phase tag")),
-        }
-    }
-}
+serde::layout!(enum Phase { 0 => Startup, 1 => Drain, 2 => ProbeBw });
 
 /// Rate-based BBR for bundle control at the sendbox.
 #[derive(Debug)]

@@ -15,7 +15,6 @@
 //! required here).
 
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::windowed::WindowedFilter;
 use crate::{BundleCc, Measurement, RateUpdate};
@@ -55,25 +54,7 @@ enum Direction {
     Down,
 }
 
-impl Encode for Direction {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            Direction::Up => 0,
-            Direction::Down => 1,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for Direction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Direction::Up),
-            1 => Ok(Direction::Down),
-            _ => Err(r.error("invalid copa direction tag")),
-        }
-    }
-}
+serde::layout!(enum Direction { 0 => Up, 1 => Down });
 
 /// Copa congestion controller operating on a traffic bundle.
 #[derive(Debug)]

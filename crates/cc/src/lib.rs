@@ -29,7 +29,7 @@ pub mod vegas;
 pub mod windowed;
 
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader, State};
+use serde::binary::{DecodeError, Reader, State};
 
 /// One round of congestion signals measured over (roughly) an RTT.
 ///
@@ -204,33 +204,13 @@ impl EndhostAlg {
     }
 }
 
-impl Encode for EndhostAlg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            EndhostAlg::Cubic => 0u8.encode(out),
-            EndhostAlg::NewReno => 1u8.encode(out),
-            EndhostAlg::Bbr => 2u8.encode(out),
-            EndhostAlg::Vegas => 3u8.encode(out),
-            EndhostAlg::FixedWindow(pkts) => {
-                4u8.encode(out);
-                pkts.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for EndhostAlg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(EndhostAlg::Cubic),
-            1 => Ok(EndhostAlg::NewReno),
-            2 => Ok(EndhostAlg::Bbr),
-            3 => Ok(EndhostAlg::Vegas),
-            4 => Ok(EndhostAlg::FixedWindow(u64::decode(r)?)),
-            _ => Err(r.error("unknown endhost algorithm tag")),
-        }
-    }
-}
+serde::layout!(enum EndhostAlg {
+    0 => Cubic,
+    1 => NewReno,
+    2 => Bbr,
+    3 => Vegas,
+    4 => FixedWindow(pkts),
+});
 
 impl std::fmt::Display for EndhostAlg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -25,7 +25,6 @@
 use std::collections::VecDeque;
 
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::fft::peak_to_band_ratio;
 use crate::windowed::WindowedFilter;
@@ -104,25 +103,7 @@ pub enum CrossTrafficVerdict {
     Elastic,
 }
 
-impl Encode for CrossTrafficVerdict {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            CrossTrafficVerdict::Inelastic => 0,
-            CrossTrafficVerdict::Elastic => 1,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for CrossTrafficVerdict {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(CrossTrafficVerdict::Inelastic),
-            1 => Ok(CrossTrafficVerdict::Elastic),
-            _ => Err(r.error("invalid cross-traffic verdict tag")),
-        }
-    }
-}
+serde::layout!(enum CrossTrafficVerdict { 0 => Inelastic, 1 => Elastic });
 
 /// Configuration for [`ElasticityDetector`].
 #[derive(Debug, Clone, Copy)]

@@ -21,7 +21,6 @@ use bundler_cc::nimbus::{CrossTrafficVerdict, ElasticityConfig, ElasticityDetect
 use bundler_cc::windowed::WindowedFilter;
 use bundler_cc::{BundleCc, Measurement};
 use bundler_types::{Duration, Nanos, Rate};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::config::BundlerConfig;
 use crate::measurement::AckOrdering;
@@ -40,27 +39,7 @@ pub enum Mode {
     Disabled,
 }
 
-impl Encode for Mode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            Mode::DelayControl => 0,
-            Mode::PassThrough => 1,
-            Mode::Disabled => 2,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for Mode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Mode::DelayControl),
-            1 => Ok(Mode::PassThrough),
-            2 => Ok(Mode::Disabled),
-            _ => Err(r.error("invalid mode tag")),
-        }
-    }
-}
+serde::layout!(enum Mode { 0 => DelayControl, 1 => PassThrough, 2 => Disabled });
 
 impl std::fmt::Display for Mode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

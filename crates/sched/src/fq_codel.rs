@@ -67,22 +67,7 @@ enum Membership {
     Old,
 }
 
-impl Encode for Membership {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u8).encode(out);
-    }
-}
-
-impl Decode for Membership {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Membership::None),
-            1 => Ok(Membership::New),
-            2 => Ok(Membership::Old),
-            _ => Err(r.error("fq_codel bad membership tag")),
-        }
-    }
-}
+serde::layout!(enum Membership { 0 => None, 1 => New, 2 => Old });
 
 /// FQ-CoDel scheduler.
 #[derive(Debug)]

@@ -8,7 +8,6 @@
 use std::collections::VecDeque;
 
 use bundler_types::{Nanos, PacketArena, PacketId, TrafficClass};
-use serde::binary::{DecodeError, Reader, State};
 
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
@@ -115,24 +114,18 @@ impl Scheduler for StrictPriority {
     }
 }
 
-/// Strict priority has no snapshot layout.
-impl State for StrictPriority {
-    /// # Panics
-    ///
-    /// Always: a run that checkpoints must pick a snapshot-capable policy.
-    fn save_state(&self, _out: &mut Vec<u8>) {
-        panic!("checkpointing requires a snapshot-capable queue discipline, and prio is not one");
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        Err(r.error("scheduler does not support checkpointing"))
-    }
-}
+// The capacity is configuration; the class count goes out as the queue
+// vector's length, and a restore refuses any other.
+serde::layout!(state StrictPriority { queues, total_pkts, total_bytes, stats }
+    check |s| s.queues.len() == NUM_CLASSES
+        && crate::queued(&s.queues) == (s.total_pkts, s.total_bytes),
+    "prio class count or totals do not match the class queues");
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet};
+    use serde::binary::{Encode, Reader, State};
 
     fn pkt(flow: u64, class: TrafficClass) -> Packet {
         Packet::data(
@@ -213,5 +206,71 @@ mod tests {
         s.dequeue(&mut a, Nanos::ZERO);
         assert!(s.is_empty());
         assert_eq!(s.len_bytes(), 0);
+    }
+
+    /// Packets in several classes, one of them partly drained.
+    fn backlogged(a: &mut PacketArena) -> StrictPriority {
+        let mut s = StrictPriority::new(100);
+        for (i, class) in [
+            TrafficClass::HIGH,
+            TrafficClass::BULK,
+            TrafficClass::BEST_EFFORT,
+        ]
+        .into_iter()
+        .cycle()
+        .take(9)
+        .enumerate()
+        {
+            enq(&mut s, a, pkt(i as u64, class));
+        }
+        let id = s.dequeue(a, Nanos::ZERO).unwrap();
+        a.free(id);
+        s
+    }
+
+    #[test]
+    fn state_round_trips_and_drains_identically() {
+        let mut a = PacketArena::new();
+        let mut s = backlogged(&mut a);
+        let mut bytes = Vec::new();
+        s.save_state(&mut bytes);
+        let mut pkts = Vec::new();
+        s.for_each_pkt_mut(&mut |id| pkts.push(a[*id].clone()));
+
+        let mut a2 = PacketArena::new();
+        let mut s2 = StrictPriority::new(100);
+        let mut r = Reader::new(&bytes);
+        s2.load_state(&mut r).expect("restore");
+        assert!(r.is_empty(), "trailing bytes after restore");
+        let mut next = pkts.into_iter();
+        s2.for_each_pkt_mut(&mut |id| *id = a2.insert(next.next().expect("packet for each ref")));
+        let mut resaved = Vec::new();
+        s2.save_state(&mut resaved);
+        assert_eq!(bytes, resaved, "restore must be lossless");
+        let drain = |s: &mut StrictPriority, a: &mut PacketArena| -> Vec<u64> {
+            std::iter::from_fn(|| s.dequeue(a, Nanos::ZERO).map(|id| a[id].flow.0)).collect()
+        };
+        assert_eq!(drain(&mut s, &mut a), drain(&mut s2, &mut a2));
+    }
+
+    #[test]
+    fn restore_rejects_totals_the_classes_do_not_hold() {
+        let mut a = PacketArena::new();
+        let s = backlogged(&mut a);
+        crate::assert_rejects_patched_totals(&s, || Box::new(StrictPriority::new(100)));
+    }
+
+    #[test]
+    fn restore_rejects_another_class_count() {
+        let mut bytes = Vec::new();
+        vec![VecDeque::<PktRef>::new(); NUM_CLASSES - 1].encode(&mut bytes);
+        (0usize, 0u64, SchedStats::default()).encode(&mut bytes);
+        let err = StrictPriority::new(100)
+            .load_state(&mut Reader::new(&bytes))
+            .unwrap_err();
+        assert_eq!(
+            err.what,
+            "prio class count or totals do not match the class queues"
+        );
     }
 }

@@ -1160,6 +1160,66 @@ mod tests {
         }
     }
 
+    /// A worker that panics inside a checkpoint's `Save` phase ends the
+    /// run with the typed diagnostic, emits no checkpoint, and never
+    /// hangs. The trigger is a delivery planted in worker 0's queue for a
+    /// packet its arena does not hold, stamped after the first checkpoint:
+    /// it is still pending when that checkpoint saves the queue.
+    #[test]
+    fn a_worker_panic_while_saving_a_checkpoint_is_typed() {
+        let every = Duration::from_millis(50);
+        let config = SimulationConfig {
+            duration: Duration::from_millis(200),
+            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            shards: 2,
+            checkpoint_every: Some(every),
+            ..Default::default()
+        };
+        let workload = vec![
+            FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0),
+            FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
+        ];
+        let window = window_of(&config).expect("two shards, 25 ms of lookahead");
+        let mut cores = Cores::new(&config, &workload, window, true);
+        let stray = Event::ArriveDestination {
+            pkt: bundler_types::PacketId::from_index(u32::MAX),
+        };
+        let key = EventKey::new(bundle_lp(0), 999);
+        cores.workers[0]
+            .queue
+            .schedule(Nanos::from_millis(80), key, stray);
+        let writer = snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None);
+        let mut emitted = 0;
+        let mut sink = |_: Nanos, _: Vec<u8>| emitted += 1;
+        match run_sharded(
+            config,
+            workload,
+            window,
+            cores,
+            Nanos::ZERO,
+            writer,
+            Some(&mut sink),
+        ) {
+            Err(ShardError::WorkerPanicked {
+                shard,
+                window: windex,
+                last_event,
+                message,
+            }) => {
+                assert_eq!(shard, 0);
+                assert_eq!(
+                    windex,
+                    every.as_nanos() / window.as_nanos(),
+                    "the first checkpoint's window"
+                );
+                assert_eq!(last_event, None, "outside event processing");
+                assert!(message.contains("index out of bounds"), "{message}");
+            }
+            other => panic!("expected WorkerPanicked, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(emitted, 0, "a failed run emits no checkpoint");
+    }
+
     /// The mailbox-merge ordering rule: envelopes from several shards'
     /// mailboxes, scheduled into the receiving queue, pop in
     /// `(timestamp, key)` order — ties on the timestamp break by the

@@ -4,10 +4,11 @@
 //! faults plus a list of control-plane blackout intervals. Plans are pure
 //! data: expanded once (from a seed or by hand) before the run starts and
 //! never mutated, so the same plan produces the same faults at the same
-//! simulated instants on every host — single-threaded or sharded — and
-//! round-trips through checkpoints unchanged (the cursor state that tracks
-//! *how far* the plan has been applied lives in `NetCore` and is part of
-//! the snapshot).
+//! simulated instants on every host — single-threaded or sharded. A plan
+//! is configuration: a snapshot pins it only through the config
+//! fingerprint, and a restore takes it from the restoring configuration
+//! (the cursor state that tracks *how far* the plan has been applied
+//! lives in `NetCore` and is part of the snapshot).
 //!
 //! Two delivery sites consume a plan, both of them shard-invariant:
 //!
@@ -27,7 +28,6 @@
 use bundler_types::{Duration, Nanos};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// One scheduled bottleneck fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,68 +214,6 @@ fn rng_range(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
     }
 }
 
-impl Encode for FaultKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            FaultKind::LinkDown { path } => {
-                0u8.encode(out);
-                path.encode(out);
-            }
-            FaultKind::LinkUp { path } => {
-                1u8.encode(out);
-                path.encode(out);
-            }
-            FaultKind::CapacityScale { path, permille } => {
-                2u8.encode(out);
-                path.encode(out);
-                permille.encode(out);
-            }
-            FaultKind::BurstLoss { count } => {
-                3u8.encode(out);
-                count.encode(out);
-            }
-            FaultKind::Duplicate { count } => {
-                4u8.encode(out);
-                count.encode(out);
-            }
-            FaultKind::Reorder { count } => {
-                5u8.encode(out);
-                count.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for FaultKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => FaultKind::LinkDown {
-                path: u32::decode(r)?,
-            },
-            1 => FaultKind::LinkUp {
-                path: u32::decode(r)?,
-            },
-            2 => FaultKind::CapacityScale {
-                path: u32::decode(r)?,
-                permille: u32::decode(r)?,
-            },
-            3 => FaultKind::BurstLoss {
-                count: u32::decode(r)?,
-            },
-            4 => FaultKind::Duplicate {
-                count: u32::decode(r)?,
-            },
-            5 => FaultKind::Reorder {
-                count: u32::decode(r)?,
-            },
-            _ => return Err(r.error("unknown fault kind tag")),
-        })
-    }
-}
-
-serde::layout!(value FaultEvent { at, kind });
-serde::layout!(value FaultPlan { entries, blackouts });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,16 +248,5 @@ mod tests {
         let _ = FaultPlan::none()
             .with_blackout(Nanos::from_millis(100), Duration::from_millis(50))
             .with_blackout(Nanos::from_millis(120), Duration::from_millis(5));
-    }
-
-    #[test]
-    fn plan_codec_round_trips() {
-        let plan = FaultPlan::generate(7, Duration::from_secs(5), 2);
-        let mut bytes = Vec::new();
-        plan.encode(&mut bytes);
-        let mut r = Reader::new(&bytes);
-        let back = FaultPlan::decode(&mut r).expect("decode");
-        assert_eq!(plan, back);
-        assert!(r.is_empty());
     }
 }

@@ -49,7 +49,7 @@ use bundler_types::{
     flow::ipv4, Duration, FlowId, FlowKey, Nanos, Packet, PacketArena, PacketId, PacketKind, Rate,
 };
 
-use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader};
+use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader, State};
 
 use crate::directory::FlowDirectory;
 use crate::edge::Edge;
@@ -1279,8 +1279,7 @@ impl WorkerCore {
     /// here and [`WorkerCore::load_bundle`] on the other worker. Safe only
     /// at a window barrier or between two events of the single-threaded
     /// host — then no event for the bundle is in flight anywhere except
-    /// `queue` (the caller drains its inbox into it first). Panics if the
-    /// sendbox queue discipline does not support checkpointing.
+    /// `queue` (the caller drains its inbox into it first).
     pub fn save_bundle(
         &mut self,
         bundle: usize,
@@ -1472,8 +1471,7 @@ impl WorkerCore {
     /// `queue` must already hold every delivery published below `at`.
     /// Ends by flushing the records below `at` to the telemetry stream, so
     /// a restore resumes from a complete prefix (saving records nothing,
-    /// so the flush may as well come last). Panics if a sendbox queue
-    /// discipline does not support checkpointing.
+    /// so the flush may as well come last).
     pub fn save_part(
         &mut self,
         queue: &mut EventQueue,
@@ -1734,10 +1732,12 @@ pub struct NetCore {
     /// Per-path packets created *by the net core itself* — duplication
     /// faults mint copies here rather than at an endhost.
     packets_minted: Vec<u64>,
-    /// Fault-injection cursor state (which plan entries have fired, what
-    /// is pending), tracked per path so fault application is a pure
-    /// function of the path's own event stream.
-    faults: NetFaults,
+    /// The fault plan: immutable configuration.
+    fault_plan: FaultPlan,
+    /// Per-path fault state (which plan entries have fired, what is
+    /// pending), so fault application is a pure function of the path's
+    /// own event stream.
+    faults: Vec<PathFaults>,
     /// The fluid cross-traffic tier, when configured. Lives here because
     /// its integration points are net events: each path's `FluidUpdate`
     /// stream reads and writes only that path's fluid state, so capacity
@@ -1754,29 +1754,32 @@ pub struct NetCore {
     pub obs: ShardObs,
 }
 
-/// The dynamic half of fault injection: the plan is immutable config;
-/// each path walks its **own** cursor over it, applying link/capacity
-/// entries addressed to it and folding every packet-level burst into its
-/// own counters. For `num_paths = 1` this is exactly the historical
-/// single-cursor semantics; for multipath it makes fault application
-/// independent of how arrivals interleave across paths, which is what
-/// lets paths live on different net shards. Part of the snapshot.
-struct NetFaults {
-    plan: FaultPlan,
-    /// Per-path index of the first plan entry not yet applied.
-    cursor: Vec<usize>,
-    /// Per-path "interface down" flags toggled by link flaps.
-    link_down: Vec<bool>,
-    /// Per-path remaining arrivals to drop (burst loss).
-    burst_loss: Vec<u32>,
-    /// Per-path remaining arrivals to duplicate.
-    duplicate: Vec<u32>,
-    /// Per-path remaining adjacent arrival pairs to swap.
-    reorder: Vec<u32>,
-    /// Per-path one-slot reorder buffers: a held packet is released
-    /// behind the next arrival on the same path.
-    held: Vec<Option<PacketId>>,
+/// The dynamic half of fault injection on one path: the plan is
+/// immutable config; each path walks its **own** cursor over it, applying
+/// link/capacity entries addressed to it and folding every packet-level
+/// burst into its own counters. For `num_paths = 1` this is exactly the
+/// historical single-cursor semantics; for multipath it makes fault
+/// application independent of how arrivals interleave across paths, which
+/// is what lets paths live on different net shards. Part of the snapshot.
+#[derive(Clone, Default)]
+struct PathFaults {
+    /// Index of the first plan entry not yet applied.
+    cursor: usize,
+    /// "Interface down", toggled by link flaps.
+    link_down: bool,
+    /// Remaining arrivals to drop (burst loss).
+    burst_loss: u32,
+    /// Remaining arrivals to duplicate.
+    duplicate: u32,
+    /// Remaining adjacent arrival pairs to swap.
+    reorder: u32,
+    /// One-slot reorder buffer: a held packet is released behind the next
+    /// arrival. A packet travels by value, so the layout leaves it to the
+    /// path section.
+    held: Option<PacketId>,
 }
+
+serde::layout!(state PathFaults { cursor, link_down, burst_loss, duplicate, reorder });
 
 impl NetCore {
     /// Builds the bottleneck from the simulation configuration, owning
@@ -1829,15 +1832,8 @@ impl NetCore {
             events_handled: vec![0; n],
             base_path_rate: per_path_rate,
             packets_minted: vec![0; n],
-            faults: NetFaults {
-                plan: config.faults.clone().unwrap_or_default(),
-                cursor: vec![0; n],
-                link_down: vec![false; n],
-                burst_loss: vec![0; n],
-                duplicate: vec![0; n],
-                reorder: vec![0; n],
-                held: vec![None; n],
-            },
+            fault_plan: config.faults.clone().unwrap_or_default(),
+            faults: vec![PathFaults::default(); n],
             fluid,
             fluid_seqs: vec![0; n],
             obs,
@@ -1935,12 +1931,8 @@ impl NetCore {
         self.events_handled[gid].encode(out);
         self.packets_minted[gid].encode(out);
         self.paths[gid].save_state(arena, out);
-        (self.faults.cursor[gid] as u64).encode(out);
-        self.faults.link_down[gid].encode(out);
-        self.faults.burst_loss[gid].encode(out);
-        self.faults.duplicate[gid].encode(out);
-        self.faults.reorder[gid].encode(out);
-        match self.faults.held[gid] {
+        self.faults[gid].save_state(out);
+        match self.faults[gid].held {
             Some(id) => {
                 true.encode(out);
                 arena[id].encode(out);
@@ -1984,12 +1976,8 @@ impl NetCore {
         self.events_handled[gid] = u64::decode(r)?;
         self.packets_minted[gid] = u64::decode(r)?;
         self.paths[gid].load_state(arena, r)?;
-        self.faults.cursor[gid] = u64::decode(r)? as usize;
-        self.faults.link_down[gid] = bool::decode(r)?;
-        self.faults.burst_loss[gid] = u32::decode(r)?;
-        self.faults.duplicate[gid] = u32::decode(r)?;
-        self.faults.reorder[gid] = u32::decode(r)?;
-        self.faults.held[gid] = if bool::decode(r)? {
+        self.faults[gid].load_state(r)?;
+        self.faults[gid].held = if bool::decode(r)? {
             Some(arena.insert(Packet::decode(r)?))
         } else {
             None
@@ -2119,21 +2107,21 @@ impl NetCore {
     /// addressed to other paths advance the cursor without effect;
     /// packet-level bursts fold into this path's own counters.
     fn apply_due_faults_for(&mut self, gid: usize, now: Nanos) {
-        while let Some(e) = self.faults.plan.entries.get(self.faults.cursor[gid]) {
+        while let Some(e) = self.fault_plan.entries.get(self.faults[gid].cursor) {
             if e.at > now {
                 break;
             }
             let kind = e.kind;
-            self.faults.cursor[gid] += 1;
+            self.faults[gid].cursor += 1;
             match kind {
                 FaultKind::LinkDown { path } => {
                     if path as usize == gid {
-                        self.faults.link_down[gid] = true;
+                        self.faults[gid].link_down = true;
                     }
                 }
                 FaultKind::LinkUp { path } => {
                     if path as usize == gid {
-                        self.faults.link_down[gid] = false;
+                        self.faults[gid].link_down = false;
                     }
                 }
                 FaultKind::CapacityScale { path, permille } => {
@@ -2142,9 +2130,9 @@ impl NetCore {
                         self.paths[gid].set_rate(Rate::from_bps(bps.max(1)));
                     }
                 }
-                FaultKind::BurstLoss { count } => self.faults.burst_loss[gid] += count,
-                FaultKind::Duplicate { count } => self.faults.duplicate[gid] += count,
-                FaultKind::Reorder { count } => self.faults.reorder[gid] += count,
+                FaultKind::BurstLoss { count } => self.faults[gid].burst_loss += count,
+                FaultKind::Duplicate { count } => self.faults[gid].duplicate += count,
+                FaultKind::Reorder { count } => self.faults[gid].reorder += count,
             }
         }
     }
@@ -2166,29 +2154,29 @@ impl NetCore {
         debug_assert!(self.owns_path(gid), "packet routed to the wrong net shard");
         self.events_handled[gid] += 1;
         self.apply_due_faults_for(gid, now);
-        if self.faults.burst_loss[gid] > 0 {
+        if self.faults[gid].burst_loss > 0 {
             // Injected loss upstream of the bottleneck: the packet
             // vanishes without touching any queue.
-            self.faults.burst_loss[gid] -= 1;
+            self.faults[gid].burst_loss -= 1;
             arena.free(pkt);
             return;
         }
-        if self.faults.reorder[gid] > 0 {
-            match self.faults.held[gid].take() {
+        if self.faults[gid].reorder > 0 {
+            match self.faults[gid].held.take() {
                 None => {
-                    self.faults.held[gid] = Some(pkt);
+                    self.faults[gid].held = Some(pkt);
                     return;
                 }
                 Some(held) => {
-                    self.faults.reorder[gid] -= 1;
+                    self.faults[gid].reorder -= 1;
                     self.admit(pkt, gid, now, arena, queue);
                     self.admit(held, gid, now, arena, queue);
                     return;
                 }
             }
         }
-        if self.faults.duplicate[gid] > 0 {
-            self.faults.duplicate[gid] -= 1;
+        if self.faults[gid].duplicate > 0 {
+            self.faults[gid].duplicate -= 1;
             let copy = arena[pkt].clone();
             let dup = arena.insert(copy);
             self.packets_minted[gid] += 1;
@@ -2210,7 +2198,7 @@ impl NetCore {
         arena: &mut PacketArena,
         queue: &mut EventQueue,
     ) {
-        if self.faults.link_down[gid] {
+        if self.faults[gid].link_down {
             self.paths[gid].drops += 1;
             arena.free(pkt);
             return;

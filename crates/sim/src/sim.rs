@@ -428,8 +428,7 @@ impl Simulation {
     /// before `at` has been processed and none at or after it has — which
     /// is exactly the situation between two event pops (the checkpoint loop
     /// in [`Simulation::run_collecting`] enforces it). Non-destructive: the
-    /// run continues unchanged afterwards. Panics if a configured queue
-    /// discipline does not support checkpointing.
+    /// run continues unchanged afterwards.
     pub fn snapshot(&mut self, at: Nanos) -> Vec<u8> {
         let part = self.worker.save_part(&mut self.queue, &self.arena, at);
         let sections = self.net.save_sections(&mut self.queue, &self.arena, at);

@@ -12,7 +12,6 @@ use bundler_cc::EndhostAlg;
 use bundler_types::{Duration, FlowId, Nanos, Rate, TrafficClass};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Where a flow's packets enter the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,27 +24,7 @@ pub enum Origin {
     Direct,
 }
 
-impl Encode for Origin {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Origin::Bundle(b) => {
-                0u8.encode(out);
-                b.encode(out);
-            }
-            Origin::Direct => 1u8.encode(out),
-        }
-    }
-}
-
-impl Decode for Origin {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Origin::Bundle(usize::decode(r)?)),
-            1 => Ok(Origin::Direct),
-            _ => Err(r.error("unknown flow origin tag")),
-        }
-    }
-}
+serde::layout!(enum Origin { 0 => Bundle(b), 1 => Direct });
 
 /// Specification of one application flow, produced by the workload
 /// generator and consumed by the simulator when its arrival event fires.

@@ -370,6 +370,17 @@ struct World {
 /// a restored FairQueue when its walk followed map order: 4 000 requests,
 /// four bulk flows and 120 Mbit/s offered for eight seconds.
 fn fct(mode: SendboxMode, alg: EndhostAlg, big: bool) -> (SimulationConfig, Vec<FlowSpec>) {
+    fct_marked(mode, alg, big, 0.0)
+}
+
+/// [`fct`] with a `high` fraction of the requests in the high-priority
+/// class, beside the best-effort requests and the bulk flows.
+fn fct_marked(
+    mode: SendboxMode,
+    alg: EndhostAlg,
+    big: bool,
+    high: f64,
+) -> (SimulationConfig, Vec<FlowSpec>) {
     let (requests, bulk, load, secs) = if big {
         (4_000, 4, 120, 8)
     } else {
@@ -381,6 +392,7 @@ fn fct(mode: SendboxMode, alg: EndhostAlg, big: bool) -> (SimulationConfig, Vec<
         .offered_load(Rate::from_mbps(load))
         .mode(mode)
         .endhost_alg(alg)
+        .high_priority_fraction(high)
         .seed(9)
         .build();
     let mut config = sc.sim_config();
@@ -416,6 +428,11 @@ fn worlds() -> Vec<World> {
             name: "bundler drr",
             build: || fct(BundlerPolicy(Policy::Drr), Cubic, false),
             pin: (284_601, 0xb4d8_a6e0_c882_59a4),
+        },
+        World {
+            name: "bundler prio",
+            build: || fct_marked(BundlerPolicy(Policy::StrictPriority), Cubic, false, 0.25),
+            pin: (456_806, 0xecdf_5d86_4f9e_19d7),
         },
         World {
             name: "in-network fq",

@@ -16,49 +16,11 @@ serde::layout!(value Duration { 0 });
 serde::layout!(value FlowId { 0 });
 serde::layout!(value TrafficClass { 0 });
 
-impl Encode for Protocol {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Protocol::Tcp => 0,
-            Protocol::Udp => 1,
-        });
-    }
-}
-
-impl Decode for Protocol {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Protocol::Tcp),
-            1 => Ok(Protocol::Udp),
-            _ => Err(r.error("protocol tag")),
-        }
-    }
-}
+serde::layout!(enum Protocol { 0 => Tcp, 1 => Udp });
 
 serde::layout!(value FlowKey { src_ip, dst_ip, src_port, dst_port, protocol });
 
-impl Encode for PacketKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            PacketKind::Data => 0,
-            PacketKind::Ack => 1,
-            PacketKind::CongestionAck => 2,
-            PacketKind::EpochUpdate => 3,
-        });
-    }
-}
-
-impl Decode for PacketKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(PacketKind::Data),
-            1 => Ok(PacketKind::Ack),
-            2 => Ok(PacketKind::CongestionAck),
-            3 => Ok(PacketKind::EpochUpdate),
-            _ => Err(r.error("packet kind tag")),
-        }
-    }
-}
+serde::layout!(enum PacketKind { 0 => Data, 1 => Ack, 2 => CongestionAck, 3 => EpochUpdate });
 
 serde::layout!(value Packet {
     flow, key, kind, ip_id, seq, size, payload, class, sent_at, enqueued_at, retransmit, ecn_ce,

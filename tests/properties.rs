@@ -1,16 +1,21 @@
 //! Property-based tests over the core data structures and invariants.
 
 use bundler::agent::PrefixClassifier;
+use bundler::cc::nimbus::CrossTrafficVerdict;
+use bundler::cc::EndhostAlg;
 use bundler::core::epoch::{epoch_hash, is_boundary, target_epoch_size};
 use bundler::core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
+use bundler::core::modes::Mode;
 use bundler::core::wheel::{BinaryHeapQueue, CalendarQueue};
 use bundler::sched::Policy;
 use bundler::sim::stats::quantile;
-use bundler::sim::workload::FlowSizeDist;
+use bundler::sim::workload::{FlowSizeDist, Origin};
 use bundler::types::{
-    flow::ipv4, Duration, FlowId, FlowKey, IpPrefix, Nanos, Packet, PacketArena, Rate,
+    flow::ipv4, Duration, FlowId, FlowKey, IpPrefix, Nanos, Packet, PacketArena, PacketKind,
+    Protocol, Rate,
 };
 use proptest::prelude::*;
+use serde::binary::{encode_to_vec, Decode, Encode, Reader};
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
     (any::<u16>(), any::<u16>(), 1u32..1460, any::<u64>(), 0u8..4).prop_map(
@@ -210,4 +215,34 @@ proptest! {
             prop_assert_eq!(table.classify(&key).copied(), expect);
         }
     }
+}
+
+/// Feeds `T`'s decoder every first byte, each followed by the same payload:
+/// tags `0..rows` decode, and what they decode re-encodes to exactly the
+/// bytes it consumed; every other tag is refused as unknown, by name.
+fn assert_tags_are_total<T: Encode + Decode>(rows: u8) {
+    let name = std::any::type_name::<T>().rsplit("::").next().unwrap();
+    let mut decoded = Vec::new();
+    for tag in 0..=u8::MAX {
+        let bytes = [tag, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a];
+        let mut r = Reader::new(&bytes);
+        match T::decode(&mut r) {
+            Ok(v) => {
+                assert_eq!(encode_to_vec(&v), bytes[..r.position()], "{name} tag {tag}");
+                decoded.push(tag);
+            }
+            Err(e) => assert_eq!(e.what, format!("unknown {name} tag")),
+        }
+    }
+    assert_eq!(decoded, (0..rows).collect::<Vec<_>>(), "{name} rows");
+}
+
+#[test]
+fn enum_decoders_are_total_over_the_tag_byte() {
+    assert_tags_are_total::<Protocol>(2);
+    assert_tags_are_total::<PacketKind>(4);
+    assert_tags_are_total::<Mode>(3);
+    assert_tags_are_total::<CrossTrafficVerdict>(2);
+    assert_tags_are_total::<Origin>(2);
+    assert_tags_are_total::<EndhostAlg>(5);
 }

@@ -261,19 +261,11 @@ fn classic_world() -> (SimulationConfig, Vec<FlowSpec>) {
 
 #[test]
 fn classic_edge_checkpoints_restore_and_match_solo() {
-    // The checkpoint stamped 2 s, reduced to an FNV-1a hash: the exact
+    // The checkpoint stamped 2 s, reduced to `snapshot::digest`: the exact
     // bytes of status-quo parcels and `Bundle::save_state`. If this fails
     // the snapshot layout changed — follow the steps on
     // `snapshot_wire_format_is_stable` in `crates/sim/tests/checkpoint.rs`.
     const GOLDEN_AT_2S: (usize, u64) = (35_933, 0x88e1_5bc8_17d4_3e3a);
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    }
 
     let (config, wl) = classic_world();
     let mut solo = Vec::new();
@@ -283,7 +275,10 @@ fn classic_edge_checkpoints_restore_and_match_solo() {
         .iter()
         .find(|(at, _)| *at == bundler_types::Nanos::from_secs(2))
         .expect("a checkpoint stamped 2 s");
-    assert_eq!((blob.len(), fnv1a64(blob)), GOLDEN_AT_2S);
+    assert_eq!(
+        (blob.len(), bundler_sim::snapshot::digest(blob)),
+        GOLDEN_AT_2S
+    );
 
     for (at, blob) in &solo {
         let report = Simulation::restore(config.clone(), wl.clone(), blob)

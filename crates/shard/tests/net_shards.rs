@@ -326,14 +326,6 @@ fn randomized_soak_is_net_shard_invariant() {
 #[test]
 fn single_path_digest_is_pinned() {
     const GOLDEN_DIGEST: u64 = 0x5f3a_eb81_ccb7_2197;
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    }
     let config = SimulationConfig {
         duration: Duration::from_secs(2),
         bottleneck_rate: Rate::from_mbps(24),
@@ -352,7 +344,7 @@ fn single_path_digest_is_pinned() {
     ];
     let want = SimStats::of(&Simulation::new(config.clone(), workload.clone()).run());
     assert!(want.completed > 0);
-    let digest = fnv1a64(format!("{want:?}").as_bytes());
+    let digest = bundler_sim::snapshot::digest(format!("{want:?}").as_bytes());
     assert_eq!(
         digest, GOLDEN_DIGEST,
         "the num_paths = 1 digest moved — the balancer refactor (or a later \

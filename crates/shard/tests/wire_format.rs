@@ -205,8 +205,8 @@ fn frames_concatenate_into_a_stream() {
 }
 
 /// Golden byte-layout test for `NETENV` version 1: the header bytes are
-/// checked field by field and the whole frame is pinned as an FNV-1a
-/// hash. If this fails, the envelope layout changed: bump
+/// checked field by field and the whole frame is pinned as its
+/// `snapshot::digest`. If this fails, the envelope layout changed: bump
 /// [`WIRE_VERSION`], update the layout table in `crates/shard/src/wire.rs`
 /// and `ARCHITECTURE.md`, and re-pin. Never re-pin without the version
 /// bump — captured streams would decode as garbage.
@@ -218,14 +218,6 @@ fn wire_format_is_stable() {
         WIRE_VERSION, 1,
         "WIRE_VERSION changed — re-pin this test's golden hash for the new format"
     );
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    }
     let mut pkt = Packet::data(
         FlowId(7),
         FlowKey::tcp(0x0a01_0001, 4321, 0x0a02_0001, 443),
@@ -247,7 +239,7 @@ fn wire_format_is_stable() {
 
     // The whole frame, pinned.
     assert_eq!(
-        (bytes.len(), fnv1a64(&bytes)),
+        (bytes.len(), bundler_sim::snapshot::digest(&bytes)),
         (GOLDEN_LEN, GOLDEN_HASH),
         "the envelope byte layout changed without a WIRE_VERSION bump \
          (see this test's doc comment for the required steps)"

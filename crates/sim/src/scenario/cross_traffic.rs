@@ -22,7 +22,10 @@ use crate::sim::{Simulation, SimulationConfig};
 use crate::stats::{quantile, SimReport};
 use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
 
-fn request_workload(
+/// Poisson request arrivals at `load` from `from` until `until`, bundled
+/// into `bundle` (direct if `None`), ids counting up from `first_id`.
+/// Returns the specs and the next free id.
+pub(super) fn request_workload(
     rng: &mut SmallRng,
     dist: &FlowSizeDist,
     load: Rate,

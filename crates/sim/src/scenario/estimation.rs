@@ -16,9 +16,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::edge::BundleMode;
+use crate::scenario::cross_traffic::request_workload;
 use crate::sim::{Simulation, SimulationConfig};
 use crate::stats::quantile;
-use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
+use crate::workload::{FlowSizeDist, FlowSpec};
 
 /// One sweep point's error samples.
 #[derive(Debug, Clone)]
@@ -89,18 +90,15 @@ impl EstimationScenario {
         // Offered load at ~85 % of capacity from the heavy-tailed
         // distribution, so the estimates are exercised across queue
         // occupancies.
-        let dist = FlowSizeDist::caida_like();
-        let load = rate.mul_f64(0.85);
-        let arrivals = PoissonArrivals::for_load(load, &dist);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut specs = Vec::new();
-        let mut t = Nanos::ZERO;
-        let mut id = 0u64;
-        while t < Nanos::ZERO + self.duration {
-            t += arrivals.next_gap(&mut rng);
-            specs.push(FlowSpec::bundled(id, dist.sample(&mut rng), t, 0));
-            id += 1;
-        }
+        let (mut specs, id) = request_workload(
+            &mut SmallRng::seed_from_u64(seed),
+            &FlowSizeDist::caida_like(),
+            rate.mul_f64(0.85),
+            Duration::ZERO,
+            self.duration,
+            Some(0),
+            0,
+        );
         // One long-running flow keeps the link busy so there is always
         // traffic to measure.
         specs.push(FlowSpec::bundled(id, FlowSpec::BACKLOGGED, Nanos::ZERO, 0));

@@ -12,16 +12,11 @@
 //!
 //! The run is a deterministic function of its seed, like every scenario.
 
-use bundler_agent::AgentConfig;
-use bundler_core::BundlerConfig;
-use bundler_types::{Duration, IpPrefix, Nanos, Rate};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use bundler_types::{Duration, Rate};
 
-use crate::edge::MultiBundleSpec;
-use crate::scenario::many_sites::{ManySitesReport, ManySitesScenario, BULK_IDS, SITE_IDS};
-use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
-use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
+use crate::scenario::many_sites::{self, ManySitesReport, BULK_IDS};
+use crate::sim::{Simulation, SimulationConfig};
+use crate::workload::{FlowSizeDist, FlowSpec};
 
 /// Builder for [`HotBundleScenario`].
 #[derive(Debug, Clone)]
@@ -134,12 +129,6 @@ impl HotBundleScenario {
         HotBundleBuilder::default()
     }
 
-    /// The prefix site `s` announces (`10.1.s.0/24` — shared with
-    /// [`ManySitesScenario`] so the simulator's site addressing holds).
-    pub fn site_prefix(site: usize) -> IpPrefix {
-        ManySitesScenario::site_prefix(site)
-    }
-
     /// Requests the hot site receives: the sum of every cold site's.
     fn hot_requests(&self) -> usize {
         self.builder.requests_per_cold_site * (self.builder.sites - 1)
@@ -152,39 +141,21 @@ impl HotBundleScenario {
     /// the total bulk flows. Deterministic in the seed.
     pub fn workload(&self) -> Vec<FlowSpec> {
         let b = &self.builder;
+        let cold_sites = b.sites - 1;
         let mut specs = Vec::new();
         for site in 0..b.sites {
-            // Per-site RNG: adding a site never perturbs the others.
-            let mut rng = SmallRng::seed_from_u64(b.seed ^ (site as u64).wrapping_mul(0x9e37));
-            let (requests, load) = if site == 0 {
+            let (requests, load, bulk) = if site == 0 {
+                let load = b.offered_load_per_cold_site.as_bps() * cold_sites as u64;
                 (
                     self.hot_requests(),
-                    Rate::from_bps(b.offered_load_per_cold_site.as_bps() * (b.sites - 1) as u64),
+                    Rate::from_bps(load),
+                    cold_sites.div_ceil(2),
                 )
             } else {
-                (b.requests_per_cold_site, b.offered_load_per_cold_site)
+                (b.requests_per_cold_site, b.offered_load_per_cold_site, 1)
             };
-            let arrivals = PoissonArrivals::for_load(load, &b.dist);
-            let base_id = (site as u64) * SITE_IDS;
-            let mut t = Nanos::ZERO;
-            for i in 0..requests {
-                t += arrivals.next_gap(&mut rng);
-                let size = b.dist.sample(&mut rng);
-                specs.push(FlowSpec::bundled(base_id + i as u64, size, t, site));
-            }
-            let bulk = if site == 0 {
-                (b.sites - 1).div_ceil(2)
-            } else {
-                1
-            };
-            for j in 0..bulk {
-                specs.push(FlowSpec::bundled(
-                    base_id + BULK_IDS + j as u64,
-                    FlowSpec::BACKLOGGED,
-                    Nanos::from_millis((site * 20 + j * 50) as u64),
-                    site,
-                ));
-            }
+            let mut rng = many_sites::rng(b.seed, site);
+            many_sites::push(&mut specs, &mut rng, site, &b.dist, load, requests, bulk);
         }
         specs
     }
@@ -206,30 +177,15 @@ impl HotBundleScenario {
     pub fn sim_config(&self) -> SimulationConfig {
         let b = &self.builder;
         let fair_share = Rate::from_bps(b.bottleneck.as_bps() / b.sites.max(1) as u64);
-        let specs: Vec<MultiBundleSpec> = (0..b.sites)
-            .map(|site| MultiBundleSpec {
-                prefixes: vec![Self::site_prefix(site)],
-                config: BundlerConfig {
-                    initial_rate: fair_share,
-                    ..Default::default()
-                },
-            })
-            .collect();
-        let span = PoissonArrivals::for_load(b.offered_load_per_cold_site, &b.dist)
-            .mean_gap()
-            .mul_f64(b.requests_per_cold_site as f64);
-        SimulationConfig {
-            duration: span + b.drain,
+        let (load, requests) = (b.offered_load_per_cold_site, b.requests_per_cold_site);
+        let base = SimulationConfig {
+            duration: many_sites::span(load, &b.dist, requests) + b.drain,
             bottleneck_rate: b.bottleneck,
             rtt: b.rtt,
-            bundles: Vec::new(),
-            multi_bundle: Some(MultiBundleMode {
-                agent: AgentConfig::default(),
-                specs,
-            }),
             obs: b.obs,
             ..Default::default()
-        }
+        };
+        many_sites::agent_edge(b.sites, fair_share, base)
     }
 
     /// Runs the experiment single-threaded.

@@ -22,6 +22,10 @@ use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
 use crate::stats::SimReport;
 use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
 
+// The per-site world the three multi-site scenarios (`many_sites`,
+// `hot_bundle`, `metro`) share: how a site's flows are numbered, seeded,
+// staggered and bundled.
+
 /// Flow ids of site `s` are `s × SITE_IDS + i`, in every multi-site
 /// scenario. A site's requests count `i` up from 0 and stay below the first
 /// offset its scenario reserves, so no two flows share an id.
@@ -30,6 +34,77 @@ pub(crate) const SITE_IDS: u64 = 1_000_000;
 pub(crate) const USER_IDS: u64 = 500_000;
 /// A site's backlogged bulk flows start here.
 pub(crate) const BULK_IDS: u64 = 900_000;
+
+/// Site `site`'s RNG: one stream per site, so adding a site never perturbs
+/// the others.
+pub(crate) fn rng(seed: u64, site: usize) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ (site as u64).wrapping_mul(0x9e37))
+}
+
+/// Appends site `site`'s flows to `specs`: `requests` Poisson arrivals at
+/// `load` with sizes from `dist`, ids counting up from the site's first,
+/// then `bulk` backlogged flows from [`BULK_IDS`], flow `j` starting at
+/// `20·site + 50·j` ms.
+pub(crate) fn push(
+    specs: &mut Vec<FlowSpec>,
+    rng: &mut SmallRng,
+    site: usize,
+    dist: &FlowSizeDist,
+    load: Rate,
+    requests: usize,
+    bulk: usize,
+) {
+    let arrivals = PoissonArrivals::for_load(load, dist);
+    let base_id = site as u64 * SITE_IDS;
+    let mut t = Nanos::ZERO;
+    for i in 0..requests {
+        t += arrivals.next_gap(rng);
+        let size = dist.sample(rng);
+        specs.push(FlowSpec::bundled(base_id + i as u64, size, t, site));
+    }
+    for j in 0..bulk {
+        specs.push(FlowSpec::bundled(
+            base_id + BULK_IDS + j as u64,
+            FlowSpec::BACKLOGGED,
+            Nanos::from_millis((site * 20 + j * 50) as u64),
+            site,
+        ));
+    }
+}
+
+/// The mean time `requests` arrivals at `load` span.
+pub(crate) fn span(load: Rate, dist: &FlowSizeDist, requests: usize) -> Duration {
+    PoissonArrivals::for_load(load, dist)
+        .mean_gap()
+        .mul_f64(requests as f64)
+}
+
+/// `base` behind an agent edge with one bundle per site, site `s`
+/// announcing [`ManySitesScenario::site_prefix`]`(s)` and starting at
+/// `initial_rate`.
+pub(crate) fn agent_edge(
+    sites: usize,
+    initial_rate: Rate,
+    base: SimulationConfig,
+) -> SimulationConfig {
+    let specs = (0..sites)
+        .map(|site| MultiBundleSpec {
+            prefixes: vec![ManySitesScenario::site_prefix(site)],
+            config: BundlerConfig {
+                initial_rate,
+                ..Default::default()
+            },
+        })
+        .collect();
+    SimulationConfig {
+        bundles: Vec::new(),
+        multi_bundle: Some(MultiBundleMode {
+            agent: AgentConfig::default(),
+            specs,
+        }),
+        ..base
+    }
+}
 
 /// Builder for [`ManySitesScenario`].
 #[derive(Debug, Clone)]
@@ -201,26 +276,17 @@ impl ManySitesScenario {
     /// Deterministic in the seed.
     pub fn workload(&self) -> Vec<FlowSpec> {
         let b = &self.builder;
-        let arrivals = PoissonArrivals::for_load(b.offered_load_per_site, &b.dist);
         let mut specs = Vec::new();
         for site in 0..b.sites {
-            // Per-site RNG: adding a site never perturbs the others.
-            let mut rng = SmallRng::seed_from_u64(b.seed ^ (site as u64).wrapping_mul(0x9e37));
-            let base_id = (site as u64) * SITE_IDS;
-            let mut t = Nanos::ZERO;
-            for i in 0..b.requests_per_site {
-                t += arrivals.next_gap(&mut rng);
-                let size = b.dist.sample(&mut rng);
-                specs.push(FlowSpec::bundled(base_id + i as u64, size, t, site));
-            }
-            for j in 0..b.bulk_flows_per_site {
-                specs.push(FlowSpec::bundled(
-                    base_id + BULK_IDS + j as u64,
-                    FlowSpec::BACKLOGGED,
-                    Nanos::from_millis((site * 20 + j * 50) as u64),
-                    site,
-                ));
-            }
+            push(
+                &mut specs,
+                &mut rng(b.seed, site),
+                site,
+                &b.dist,
+                b.offered_load_per_site,
+                b.requests_per_site,
+                b.bulk_flows_per_site,
+            );
         }
         specs
     }
@@ -230,30 +296,14 @@ impl ManySitesScenario {
     pub fn sim_config(&self) -> SimulationConfig {
         let b = &self.builder;
         let fair_share = Rate::from_bps(b.bottleneck.as_bps() / b.sites.max(1) as u64);
-        let specs: Vec<MultiBundleSpec> = (0..b.sites)
-            .map(|site| MultiBundleSpec {
-                prefixes: vec![Self::site_prefix(site)],
-                config: BundlerConfig {
-                    initial_rate: fair_share,
-                    ..Default::default()
-                },
-            })
-            .collect();
-        let span = PoissonArrivals::for_load(b.offered_load_per_site, &b.dist)
-            .mean_gap()
-            .mul_f64(b.requests_per_site as f64);
-        SimulationConfig {
-            duration: span + b.drain,
+        let base = SimulationConfig {
+            duration: span(b.offered_load_per_site, &b.dist, b.requests_per_site) + b.drain,
             bottleneck_rate: b.bottleneck,
             rtt: b.rtt,
-            bundles: Vec::new(),
-            multi_bundle: Some(MultiBundleMode {
-                agent: AgentConfig::default(),
-                specs,
-            }),
             obs: b.obs,
             ..Default::default()
-        }
+        };
+        agent_edge(b.sites, fair_share, base)
     }
 
     /// Runs the experiment.

@@ -25,18 +25,14 @@
 //! workloads lives in `crates/sim/tests/fluid.rs`. Like every scenario, a
 //! run is a deterministic function of its seed.
 
-use bundler_agent::AgentConfig;
-use bundler_core::BundlerConfig;
 use bundler_types::{Duration, Nanos, Rate};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::edge::MultiBundleSpec;
 use crate::fluid::{CrossTrafficTier, FluidAggregate, FluidCrossTraffic};
-use crate::scenario::many_sites::{ManySitesScenario, BULK_IDS, SITE_IDS, USER_IDS};
-use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
+use crate::scenario::many_sites::{self, BULK_IDS, SITE_IDS, USER_IDS};
+use crate::sim::{Simulation, SimulationConfig};
 use crate::stats::SimReport;
-use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
+use crate::workload::{FlowSizeDist, FlowSpec};
 
 /// Builder for [`MetroScenario`].
 #[derive(Debug, Clone)]
@@ -87,9 +83,10 @@ impl MetroBuilder {
     /// backlogged endhost pair; in the fluid tier the whole per-site
     /// population becomes a handful of rate aggregates, so this can be
     /// raised by orders of magnitude at near-constant cost. The packet tier
-    /// numbers users below the site's bulk flow, so it holds at most
-    /// 400 000 per site; past that two flows share an id, and
-    /// `Simulation::new` panics naming it.
+    /// numbers users below the site's bulk flow, so [`build`] bounds it to
+    /// 400 000 per site; the fluid tier is unbounded.
+    ///
+    /// [`build`]: MetroBuilder::build
     pub fn users_per_site(mut self, n: usize) -> Self {
         self.users_per_site = n;
         self
@@ -151,8 +148,12 @@ impl MetroBuilder {
         self
     }
 
-    /// Finalizes the builder.
-    pub fn build(self) -> MetroScenario {
+    /// Finalizes the builder, bounding packet-tier users to the ids below
+    /// the site's bulk flow.
+    pub fn build(mut self) -> MetroScenario {
+        if self.tier == CrossTrafficTier::Packet {
+            self.users_per_site = self.users_per_site.min((BULK_IDS - USER_IDS) as usize);
+        }
         MetroScenario { builder: self }
     }
 }
@@ -193,9 +194,7 @@ impl MetroScenario {
     /// Simulated time spanned by the foreground request arrivals.
     fn span(&self) -> Duration {
         let b = &self.builder;
-        PoissonArrivals::for_load(b.offered_load_per_site, &b.dist)
-            .mean_gap()
-            .mul_f64(b.requests_per_site as f64)
+        many_sites::span(b.offered_load_per_site, &b.dist, b.requests_per_site)
     }
 
     /// The fluid aggregates standing for the background population:
@@ -209,10 +208,8 @@ impl MetroScenario {
         let run = (self.span() + b.drain).as_nanos();
         let mut aggs = Vec::with_capacity(b.sites * 3);
         for site in 0..b.sites {
-            // Per-site RNG, same construction as the foreground workload:
-            // adding a site never perturbs the others.
-            let mut rng =
-                SmallRng::seed_from_u64(b.seed ^ 0xfeed ^ (site as u64).wrapping_mul(0x9e37));
+            // A per-site stream of its own, apart from the foreground's.
+            let mut rng = many_sites::rng(b.seed ^ 0xfeed, site);
             let users = b.users_per_site as u64;
             let base = users * 60 / 100;
             let peak = users * 25 / 100;
@@ -248,30 +245,18 @@ impl MetroScenario {
     /// starts. Deterministic in the seed.
     pub fn workload(&self) -> Vec<FlowSpec> {
         let b = &self.builder;
-        let arrivals = PoissonArrivals::for_load(b.offered_load_per_site, &b.dist);
         let mut specs = Vec::new();
         for site in 0..b.sites {
-            let mut rng = SmallRng::seed_from_u64(b.seed ^ (site as u64).wrapping_mul(0x9e37));
-            let base_id = (site as u64) * SITE_IDS;
-            let mut t = Nanos::ZERO;
-            for i in 0..b.requests_per_site {
-                t += arrivals.next_gap(&mut rng);
-                let size = b.dist.sample(&mut rng);
-                specs.push(FlowSpec::bundled(base_id + i as u64, size, t, site));
-            }
-            specs.push(FlowSpec::bundled(
-                base_id + BULK_IDS,
-                FlowSpec::BACKLOGGED,
-                Nanos::from_millis((site * 20) as u64),
-                site,
-            ));
-            if self.builder.tier == CrossTrafficTier::Packet {
+            let mut rng = many_sites::rng(b.seed, site);
+            let (load, requests) = (b.offered_load_per_site, b.requests_per_site);
+            many_sites::push(&mut specs, &mut rng, site, &b.dist, load, requests, 1);
+            if b.tier == CrossTrafficTier::Packet {
                 for u in 0..b.users_per_site {
                     // Stagger the background ramp over the first second so
                     // the packet tier's slow start does not synchronize.
                     let start = Nanos::from_micros(rng.gen_range(0..1_000_000));
                     specs.push(FlowSpec::direct(
-                        base_id + USER_IDS + u as u64,
+                        site as u64 * SITE_IDS + USER_IDS + u as u64,
                         FlowSpec::BACKLOGGED,
                         start,
                     ));
@@ -287,15 +272,6 @@ impl MetroScenario {
     pub fn sim_config(&self) -> SimulationConfig {
         let b = &self.builder;
         let fair_share = Rate::from_bps(b.bottleneck.as_bps() / (2 * b.sites.max(1)) as u64);
-        let specs: Vec<MultiBundleSpec> = (0..b.sites)
-            .map(|site| MultiBundleSpec {
-                prefixes: vec![ManySitesScenario::site_prefix(site)],
-                config: BundlerConfig {
-                    initial_rate: fair_share,
-                    ..Default::default()
-                },
-            })
-            .collect();
         let cross_traffic = match b.tier {
             CrossTrafficTier::Packet => None,
             CrossTrafficTier::Fluid => Some(
@@ -303,19 +279,15 @@ impl MetroScenario {
                     .with_update_interval(b.fluid_update_interval),
             ),
         };
-        SimulationConfig {
+        let base = SimulationConfig {
             duration: self.span() + b.drain,
             bottleneck_rate: b.bottleneck,
             rtt: b.rtt,
-            bundles: Vec::new(),
-            multi_bundle: Some(MultiBundleMode {
-                agent: AgentConfig::default(),
-                specs,
-            }),
             obs: b.obs,
             cross_traffic,
             ..Default::default()
-        }
+        };
+        many_sites::agent_edge(b.sites, fair_share, base)
     }
 
     /// Runs the experiment.
@@ -349,7 +321,7 @@ mod tests {
         let workload = MetroScenario::builder()
             .sites(2)
             .requests_per_site(usize::MAX)
-            .users_per_site(400_000)
+            .users_per_site(usize::MAX)
             .tier(CrossTrafficTier::Packet)
             .build()
             .workload();

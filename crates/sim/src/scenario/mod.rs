@@ -11,7 +11,7 @@
 //! | [`multipath`] | Figure 7 & §7.6 — out-of-order fraction under imbalanced paths |
 //! | [`fct`] | Figures 9, 14, 15 and the §7.2/§7.4 tables — FCT/slowdown comparisons |
 //! | [`cross_traffic`] | Figures 10–13 — behaviour under cross traffic and competing bundles |
-//! | [`many_sites`] | Beyond the paper: one site edge driving K bundles through the `bundler-agent` control plane |
+//! | [`many_sites`] | Beyond the paper: one site edge driving K bundles through the `bundler-agent` control plane; also the per-site world (flow ids, site RNG, requests and staggered bulk flows, fair-share agent edge) that `hot_bundle` and `metro` build on |
 //! | [`hot_bundle`] | Beyond the paper: heavy-tailed site-pair load — one bundle carries ~50 % of flows (the sharded runtime's balancing workload) |
 //! | [`metro`] | Beyond the paper: metro-scale background load, packet- or fluid-tier (`CrossTrafficTier` knob) |
 

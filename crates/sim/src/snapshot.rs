@@ -18,7 +18,7 @@
 //! magic        [u8; 8]   = b"BNDLSNAP"
 //! version      u32       = 3
 //! at           u64       simulated time T in nanoseconds
-//! fingerprint  u64       FNV-1a over the result-affecting config + workload
+//! fingerprint  u64       `digest` of the result-affecting config + workload
 //! residue      WorkerResidue   merged run-wide accumulators (fcts, counters)
 //! direct       direct-traffic slice (flows, pings, pending LP_DIRECT events)
 //! bundles      u64 count, then one bundle section per bundle, ascending index
@@ -139,8 +139,11 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit over a byte string.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The 64-bit digest every snapshot fingerprint, checkpoint pin and printed
+/// run digest is taken with: FNV-1a's loop and offset basis, but the prime
+/// `0x1_0000_01b3`, not FNV's `0x100_0000_01b3` (`bundler_core::fnv`).
+/// Frozen: another prime would move every snapshot header and every pin.
+pub fn digest(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -207,7 +210,7 @@ pub fn fingerprint(config: &SimulationConfig, workload: &[FlowSpec]) -> u64 {
         use std::fmt::Write;
         let _ = write!(s, "|{ct:?}");
     }
-    fnv1a64(s.as_bytes())
+    digest(s.as_bytes())
 }
 
 fn write_header(out: &mut Vec<u8>, at: Nanos, fp: u64) {

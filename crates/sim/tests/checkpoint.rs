@@ -39,15 +39,6 @@ fn digest(config: &SimulationConfig, workload: &[FlowSpec]) -> SimStats {
     SimStats::of(&Simulation::new(config.clone(), workload.to_vec()).run())
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn restore_at_every_checkpoint_is_bit_identical() {
     let (config, workload) = setup(7, None);
@@ -233,7 +224,7 @@ fn streamed_export_resumes_across_checkpoint_restore_under_faults() {
 }
 
 /// Golden wire-format test: the exact bytes of a version-3 snapshot for a
-/// pinned config and workload, reduced to an FNV-1a hash. If this fails,
+/// pinned config and workload, reduced to `snapshot::digest`. If this fails,
 /// the snapshot byte layout changed: bump `snapshot::VERSION`, update the
 /// wire-format notes in `ARCHITECTURE.md` and `crates/sim/src/snapshot.rs`,
 /// and re-pin `GOLDEN_HASH` below. Never "fix" this test by re-pinning
@@ -261,7 +252,7 @@ fn snapshot_wire_format_is_stable() {
     let (at, blob) = &ckpts[0];
     assert_eq!(*at, Nanos::from_millis(250));
     assert_eq!(
-        (blob.len(), fnv1a64(blob)),
+        (blob.len(), snapshot::digest(blob)),
         (GOLDEN_LEN, GOLDEN_HASH),
         "the snapshot byte layout changed without a snapshot::VERSION bump \
          (see this test's doc comment for the required steps)"
@@ -358,7 +349,7 @@ fn restore_is_total_over_truncated_and_overwritten_snapshots() {
 }
 
 /// One world of the checkpoint matrix: what it covers, how to build it, and
-/// the `(len, FNV-1a)` of its middle checkpoint.
+/// the `(len, snapshot::digest)` of its middle checkpoint.
 struct World {
     name: &'static str,
     build: fn() -> (SimulationConfig, Vec<FlowSpec>),
@@ -510,7 +501,7 @@ fn worlds() -> Vec<World> {
 /// Every checkpoint layout, pinned: each world of [`worlds`] restores at
 /// every checkpoint (debug builds restore every third) to the uninterrupted
 /// run's `SimStats`, and its middle checkpoint has the pinned length and
-/// FNV-1a hash — so a layout change anywhere in the codec shows here, not
+/// `snapshot::digest` — so a layout change anywhere in the codec shows here, not
 /// only in the two goldens.
 #[test]
 fn checkpoint_matrix_restores_every_world_and_pins_its_bytes() {
@@ -530,7 +521,7 @@ fn checkpoint_matrix_restores_every_world_and_pins_its_bytes() {
             ckpts.len()
         );
         let mid = &ckpts[ckpts.len() / 2].1;
-        let pin = (mid.len(), fnv1a64(mid));
+        let pin = (mid.len(), snapshot::digest(mid));
         if pin != world.pin {
             failures.push(format!(
                 "{}: middle checkpoint is ({}, {:#x})",

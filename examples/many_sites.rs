@@ -127,16 +127,6 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// FNV-1a 64-bit: the digest printed for CI's crash-recovery comparison.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 fn main() {
     let cli = parse_cli();
     let sites = 8;
@@ -230,7 +220,7 @@ fn main() {
     // CI compares this line between an uninterrupted and a restored run.
     println!(
         "digest: {:#018x}",
-        fnv1a64(format!("{:?}", SimStats::of(&report.sim)).as_bytes())
+        bundler::sim::snapshot::digest(format!("{:?}", SimStats::of(&report.sim)).as_bytes())
     );
 
     if let Some(obs) = report.sim.obs.as_deref() {

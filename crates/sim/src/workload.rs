@@ -307,6 +307,30 @@ mod tests {
     }
 
     #[test]
+    fn built_in_means_are_pinned() {
+        // Every generator's arrival rate divides by these: a moved bit
+        // moves every workload built from the table.
+        let caida = FlowSizeDist::caida_like();
+        assert_eq!(caida.mean_bytes().to_bits(), 0x40b0_6b12_ee63_1f8a);
+        let short = FlowSizeDist::short_flows_only();
+        assert_eq!(short.mean_bytes().to_bits(), 0x40c0_7d9b_7026_02c9);
+    }
+
+    #[test]
+    fn a_table_integrates_to_the_same_bits_however_it_is_built() {
+        for make in [FlowSizeDist::caida_like, FlowSizeDist::short_flows_only] {
+            let dist = make();
+            let before = dist.clone();
+            let mean = dist.mean_bytes().to_bits();
+            let after = dist.clone();
+            let custom = FlowSizeDist::new(dist.points.clone()).unwrap();
+            assert_eq!(before.mean_bytes().to_bits(), mean);
+            assert_eq!(after.mean_bytes().to_bits(), mean);
+            assert_eq!(custom.mean_bytes().to_bits(), mean);
+        }
+    }
+
+    #[test]
     fn invalid_distributions_rejected() {
         assert!(FlowSizeDist::new(vec![]).is_err());
         assert!(FlowSizeDist::new(vec![(100, 0.5), (50, 1.0)]).is_err());

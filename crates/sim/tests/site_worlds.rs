@@ -1,10 +1,12 @@
-//! Pins the three multi-site generators: each case's configuration and
-//! workload fingerprint and its spec count. The generators share one
-//! per-site world (id layout, site RNG, request loop, bulk stagger and
-//! agent edge), so a moved pin here is a behaviour change in every world
-//! built on them, not something to re-pin.
+//! Pins four generators: each case's configuration and workload
+//! fingerprint and its spec count. The three multi-site generators share
+//! one per-site world (id layout, site RNG, request loop, bulk stagger and
+//! agent edge), and every generator here draws its request sizes from the
+//! built-in size distribution, so a moved pin here is a behaviour change in
+//! every world built on them, not something to re-pin.
 
 use bundler_sim::fluid::CrossTrafficTier;
+use bundler_sim::scenario::fct::{FctScenario, SendboxMode};
 use bundler_sim::scenario::hot_bundle::HotBundleScenario;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::scenario::metro::MetroScenario;
@@ -15,6 +17,27 @@ use bundler_types::{Duration, Rate};
 
 fn pin(config: &SimulationConfig, workload: &[FlowSpec]) -> (u64, usize) {
     (snapshot::fingerprint(config, workload), workload.len())
+}
+
+#[test]
+fn fig9_world_is_pinned() {
+    let sc = |mode| {
+        FctScenario::builder()
+            .requests(2_000)
+            .seed(15)
+            .mode(mode)
+            .build()
+    };
+    let sfq = sc(SendboxMode::BundlerSfq);
+    assert_eq!(
+        pin(&sfq.sim_config(), &sfq.workload()),
+        (0x8ad7_67c2_2d4e_9167, 2_000)
+    );
+    let quo = sc(SendboxMode::StatusQuo);
+    assert_eq!(
+        pin(&quo.sim_config(), &quo.workload()),
+        (0xe851_4c30_c888_f03d, 2_000)
+    );
 }
 
 #[test]

@@ -81,7 +81,13 @@ pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 impl SharedBuf {
     /// The bytes written so far, as UTF-8.
     pub fn contents(&self) -> String {
-        String::from_utf8_lossy(&lock(&self.0)).into_owned()
+        let bytes = lock(&self.0);
+        // The strict check is a word-at-a-time scan; the lossy walk only
+        // runs for bytes that need a replacement character.
+        match std::str::from_utf8(&bytes) {
+            Ok(text) => text.to_owned(),
+            Err(_) => String::from_utf8_lossy(&bytes).into_owned(),
+        }
     }
 }
 

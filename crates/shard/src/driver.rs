@@ -320,7 +320,6 @@ enum Host {
     Solo(Simulation),
     Windowed {
         config: SimulationConfig,
-        workload: Vec<FlowSpec>,
         /// Δ = ½ lookahead.
         window: Duration,
         cores: Cores,
@@ -348,10 +347,9 @@ impl ShardedSimulation {
         ShardedSimulation(match window_of(&config) {
             None => Host::Solo(Simulation::new(config, workload)),
             Some(window) => Host::Windowed {
-                cores: Cores::new(&config, &workload, window, true),
+                cores: Cores::new(&config, workload, window, true),
                 writer: snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None),
                 config,
-                workload,
                 window,
                 start: Nanos::ZERO,
             },
@@ -372,12 +370,11 @@ impl ShardedSimulation {
             None => Host::Solo(Simulation::restore(config, workload, bytes)?),
             Some(window) => {
                 let fp = snapshot::fingerprint(&config, &workload);
-                let mut cores = Cores::new(&config, &workload, window, false);
+                let mut cores = Cores::new(&config, workload, window, false);
                 let start = snapshot::restore_into(&config, bytes, fp, &mut cores)?;
                 Host::Windowed {
                     writer: snapshot::Writer::new(config.checkpoint_every, start, Some(fp)),
                     config,
-                    workload,
                     window,
                     cores,
                     start,
@@ -444,12 +441,11 @@ impl ShardedSimulation {
             }),
             Host::Windowed {
                 config,
-                workload,
                 window,
                 cores,
                 start,
                 writer,
-            } => run_sharded(config, workload, window, cores, start, writer, sink),
+            } => run_sharded(config, window, cores, start, writer, sink),
         }
     }
 }
@@ -521,17 +517,17 @@ impl Cores {
     /// bundle complex and pending event arrives from a snapshot.
     fn new(
         config: &SimulationConfig,
-        workload: &[FlowSpec],
+        workload: Vec<FlowSpec>,
         window: Duration,
         fresh: bool,
     ) -> Self {
         let shards = config.shards;
-        let balancer = Balancer::new(config, workload, shards);
+        let directory = Arc::new(FlowDirectory::new(workload));
+        let balancer = Balancer::new(config, directory.specs(), shards);
         // Delivery routing: a flow's LP is static (its workload origin);
         // the LP's owning worker is worker 0 for the LPs below the bundles'
         // and follows the balancer's assignment for those.
         let below = std::iter::repeat_n(0, LP_BUNDLE0 as usize);
-        let directory = Arc::new(FlowDirectory::new(workload));
         let routing = Arc::new(Routing {
             directory: Arc::clone(&directory),
             worker_of_lp: below
@@ -580,7 +576,7 @@ impl Cores {
                     .map(|&owner| fresh && owner == index)
                     .collect();
                 let directory = Arc::clone(&directory);
-                let mut core = WorkerCore::with_owned(config, workload, directory, part, owned);
+                let mut core = WorkerCore::with_owned(config, directory, part, owned);
                 let mut queue = EventQueue::new();
                 if fresh {
                     core.schedule_initial(&mut queue);
@@ -918,7 +914,9 @@ impl Party for Worker {
 /// The driver's own share of a window: it hands out checkpoints.
 struct Driver<'a> {
     config: SimulationConfig,
-    workload: Vec<FlowSpec>,
+    /// The run's directory, for the workload every checkpoint's
+    /// fingerprint covers.
+    directory: Arc<FlowDirectory>,
     writer: snapshot::Writer,
     sink: Option<&'a mut dyn FnMut(Nanos, Vec<u8>)>,
 }
@@ -931,7 +929,7 @@ impl Party for Driver<'_> {
         if phase == Phase::Run && plan.checkpoint {
             let blob = self.writer.write(
                 &self.config,
-                &self.workload,
+                self.directory.specs(),
                 plan.start,
                 lock(&ctrl.parts).iter_mut().filter_map(Option::take),
                 std::mem::take(&mut *lock(&ctrl.sections)),
@@ -945,7 +943,6 @@ impl Party for Driver<'_> {
 
 fn run_sharded(
     config: SimulationConfig,
-    workload: Vec<FlowSpec>,
     window: Duration,
     cores: Cores,
     start: Nanos,
@@ -974,7 +971,7 @@ fn run_sharded(
     };
     let mut driver = Driver {
         config,
-        workload,
+        directory: Arc::clone(&routing.directory),
         writer,
         sink,
     };
@@ -1140,12 +1137,12 @@ mod tests {
             FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
         ];
         let window = window_of(&config).expect("two shards, 25 ms of lookahead");
-        let mut cores = Cores::new(&config, &workload, window, true);
+        let mut cores = Cores::new(&config, workload, window, true);
         let stray = (Nanos::from_millis(30), EventKey::new(bundle_lp(0), 999));
         let tick = Event::ControlTick { bundle: 0 };
         cores.sides[0].queue.schedule(stray.0, stray.1, tick);
         let writer = snapshot::Writer::new(None, Nanos::ZERO, None);
-        match run_sharded(config, workload, window, cores, Nanos::ZERO, writer, None) {
+        match run_sharded(config, window, cores, Nanos::ZERO, writer, None) {
             Err(ShardError::WorkerPanicked {
                 shard,
                 last_event,
@@ -1180,7 +1177,7 @@ mod tests {
             FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
         ];
         let window = window_of(&config).expect("two shards, 25 ms of lookahead");
-        let mut cores = Cores::new(&config, &workload, window, true);
+        let mut cores = Cores::new(&config, workload, window, true);
         let stray = Event::ArriveDestination {
             pkt: bundler_types::PacketId::from_index(u32::MAX),
         };
@@ -1191,15 +1188,7 @@ mod tests {
         let writer = snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None);
         let mut emitted = 0;
         let mut sink = |_: Nanos, _: Vec<u8>| emitted += 1;
-        match run_sharded(
-            config,
-            workload,
-            window,
-            cores,
-            Nanos::ZERO,
-            writer,
-            Some(&mut sink),
-        ) {
+        match run_sharded(config, window, cores, Nanos::ZERO, writer, Some(&mut sink)) {
             Err(ShardError::WorkerPanicked {
                 shard,
                 window: windex,

@@ -1,5 +1,9 @@
-//! The flow directory: every flow id a workload names, built once before a
-//! run and read by every core of it.
+//! The flow directory: a run's workload and every flow id it names, built
+//! once before the run and read by every core of it.
+//!
+//! The directory owns the run's one copy of the specs, in workload order
+//! (an `Event::FlowArrival` names its spec by that index); the snapshot
+//! fingerprint and the sharded balancer read them here too.
 //!
 //! Each id of the workload gets a dense *position* (its rank among the
 //! workload's ids, so ascending positions are ascending ids) and the LP its
@@ -24,11 +28,13 @@ struct Run {
     len: u32,
 }
 
-/// Every flow id of a workload, by position, with the LP its spec names.
-/// Immutable once built; the single-threaded engine's worker, and the
-/// sharded host's workers and net threads, share one.
+/// A workload's specs, and every flow id of it by position with the LP its
+/// spec names. Immutable once built; the single-threaded engine's worker,
+/// and the sharded host's workers and net threads, share one.
 #[derive(Debug)]
 pub struct FlowDirectory {
+    /// The workload, in the order it was given.
+    specs: Vec<FlowSpec>,
     /// Ascending by `first`; no two runs touch, so each is maximal.
     runs: Vec<Run>,
     /// The LP of the spec at each position.
@@ -36,10 +42,10 @@ pub struct FlowDirectory {
 }
 
 impl FlowDirectory {
-    /// Builds the directory of `workload`'s ids, in any order. Panics,
-    /// naming the id, if two specs share one: every lookup of it would
-    /// hand one flow's state to the other's packets.
-    pub fn new(workload: &[FlowSpec]) -> Self {
+    /// Builds the directory of `workload`'s ids, in any order, keeping the
+    /// workload. Panics, naming the id, if two specs share one: every
+    /// lookup of it would hand one flow's state to the other's packets.
+    pub fn new(workload: Vec<FlowSpec>) -> Self {
         let mut ids: Vec<(u64, u16)> = workload
             .iter()
             .map(|spec| (spec.id.0, origin_lp(spec.origin)))
@@ -64,9 +70,15 @@ impl FlowDirectory {
             }
         }
         FlowDirectory {
+            specs: workload,
             runs,
             lps: ids.into_iter().map(|(_, lp)| lp).collect(),
         }
+    }
+
+    /// The workload, in the order it was given.
+    pub fn specs(&self) -> &[FlowSpec] {
+        &self.specs
     }
 
     /// How many ids the workload names.
@@ -166,9 +178,10 @@ mod tests {
                 .enumerate()
                 .map(|(i, &id)| spec(id, picks[i % picks.len()]))
                 .collect();
-            let dir = FlowDirectory::new(&specs);
             let oracle: BTreeMap<u64, u16> =
                 specs.iter().map(|s| (s.id.0, origin_lp(s.origin))).collect();
+            let dir = FlowDirectory::new(specs.clone());
+            prop_assert_eq!(dir.specs(), &specs[..]);
             prop_assert_eq!(dir.len(), oracle.len());
             // Every member sits at its rank, with its spec's LP.
             for (rank, (&id, &lp)) in oracle.iter().enumerate() {
@@ -191,7 +204,7 @@ mod tests {
 
     #[test]
     fn an_empty_workload_names_nothing() {
-        let dir = FlowDirectory::new(&[]);
+        let dir = FlowDirectory::new(Vec::new());
         assert!(dir.is_empty());
         assert_eq!(dir.position(FlowId(0)), None);
         assert_eq!(dir.iter().count(), 0);
@@ -200,17 +213,17 @@ mod tests {
     #[test]
     fn the_fig9_stream_is_one_run_and_a_site_two() {
         let dense: Vec<FlowSpec> = (0..1000).map(|i| spec(i, 0)).collect();
-        assert_eq!(FlowDirectory::new(&dense).runs.len(), 1);
+        assert_eq!(FlowDirectory::new(dense).runs.len(), 1);
         let site: Vec<FlowSpec> = (0..100)
             .map(|i| spec(3_000_000 + i, 1))
             .chain((0..2).map(|j| spec(3_900_000 + j, 1)))
             .collect();
-        assert_eq!(FlowDirectory::new(&site).runs.len(), 2);
+        assert_eq!(FlowDirectory::new(site).runs.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "two workload specs share flow id 7")]
     fn two_specs_sharing_an_id_are_refused() {
-        FlowDirectory::new(&[spec(7, 0), spec(8, 1), spec(7, 2)]);
+        FlowDirectory::new(vec![spec(7, 0), spec(8, 1), spec(7, 2)]);
     }
 }

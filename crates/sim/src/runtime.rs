@@ -370,12 +370,12 @@ pub struct WorkerCore {
     /// the sharded driver rebalances.
     owned: Vec<bool>,
     n_bundles: usize,
-    /// The full workload table; `Event::FlowArrival` indexes into it. Only
-    /// arrivals for owned LPs are scheduled.
-    specs: Vec<FlowSpec>,
     /// The owned partition of the site's sendbox edge.
     edge: Edge,
     /// Every flow and ping of the owned LPs, entered at its `FlowArrival`.
+    /// Its directory holds the full workload table, which
+    /// `Event::FlowArrival` indexes into; only arrivals for owned LPs are
+    /// scheduled.
     flows: FlowTable,
     /// Per-LP schedule sequence counters, indexed by LP id.
     seqs: Vec<u64>,
@@ -423,12 +423,12 @@ impl WorkerCore {
     /// (the static round-robin assignment). Panics if a bundle
     /// configuration is invalid (checked identically on every worker) or
     /// if two specs share a flow id.
-    pub fn new(config: &SimulationConfig, workload: &[FlowSpec], part: Partition) -> Self {
+    pub fn new(config: &SimulationConfig, workload: Vec<FlowSpec>, part: Partition) -> Self {
         let owned = (0..config.n_bundles())
             .map(|b| part.owns_bundle(b))
             .collect();
         let directory = Arc::new(FlowDirectory::new(workload));
-        Self::with_owned(config, workload, directory, part, owned)
+        Self::with_owned(config, directory, part, owned)
     }
 
     /// Builds the worker with an explicit initial bundle-ownership vector
@@ -436,11 +436,10 @@ impl WorkerCore {
     /// non-round-robin partition, e.g. one that keeps classification
     /// co-location groups together before the rate-aware balancer has any
     /// measurements. `part` still fixes the worker's index and count (and
-    /// therefore ownership of the direct cross-traffic LP). `directory` is
-    /// `workload`'s, shared by every core of the run.
+    /// therefore ownership of the direct cross-traffic LP). `directory`
+    /// holds the run's workload and is shared by every core of the run.
     pub fn with_owned(
         config: &SimulationConfig,
-        workload: &[FlowSpec],
         directory: Arc<FlowDirectory>,
         part: Partition,
         owned: Vec<bool>,
@@ -462,7 +461,8 @@ impl WorkerCore {
         // Slab room for every flow `schedule_initial` will admit, reserved
         // but not filled: slots are written as the arrivals fire, so
         // construction pays for no flow state.
-        let admitted = workload
+        let admitted = directory
+            .specs()
             .iter()
             .filter(|spec| match spec.origin {
                 Origin::Bundle(b) => owned.get(b) == Some(&true),
@@ -474,7 +474,6 @@ impl WorkerCore {
             part,
             owned,
             n_bundles,
-            specs: workload.to_vec(),
             edge,
             flows: FlowTable::new(directory, admitted),
             seqs: vec![0; LP_BUNDLE0 as usize + n_bundles],
@@ -563,6 +562,16 @@ impl WorkerCore {
         self.flows.resolve(flow).1
     }
 
+    /// The workload spec an `Event::FlowArrival` names.
+    fn spec(&self, index: u32) -> FlowSpec {
+        self.workload()[index as usize]
+    }
+
+    /// The run's workload, held by its flow directory.
+    pub(crate) fn workload(&self) -> &[FlowSpec] {
+        self.flows.directory.specs()
+    }
+
     /// Resolves the flow an event is about — the event's one directory
     /// lookup — to its table slot, workload origin and LP, and attributes
     /// the event to that LP.
@@ -579,13 +588,14 @@ impl WorkerCore {
     /// are identical for every partitioning because each stream only
     /// depends on the workload and config.
     pub fn schedule_initial(&mut self, queue: &mut EventQueue) {
-        for i in 0..self.specs.len() {
-            let lp = origin_lp(self.specs[i].origin);
+        let directory = Arc::clone(&self.flows.directory);
+        for (i, spec) in directory.specs().iter().enumerate() {
+            let lp = origin_lp(spec.origin);
             if !self.owns_lp(lp) {
                 continue;
             }
-            let (start, key) = (self.specs[i].start, self.key_for(lp));
-            queue.schedule(start, key, Event::FlowArrival { spec: i as u32 });
+            let key = self.key_for(lp);
+            queue.schedule(spec.start, key, Event::FlowArrival { spec: i as u32 });
         }
         for b in 0..self.n_bundles {
             if !self.owned[b] {
@@ -702,7 +712,7 @@ impl WorkerCore {
         queue: &mut EventQueue,
         to_net: &mut Vec<ToNet>,
     ) {
-        let spec = self.specs[spec_index as usize].clone();
+        let spec = self.spec(spec_index);
         let lp = origin_lp(spec.origin);
         self.note_event(lp);
         let key = flow_key(spec.id.0, spec.origin);
@@ -1249,7 +1259,7 @@ impl WorkerCore {
     /// through the flow table, so this must run while it is intact.
     fn event_lp(&self, event: &Event, arena: &PacketArena) -> u16 {
         match *event {
-            Event::FlowArrival { spec } => origin_lp(self.specs[spec as usize].origin),
+            Event::FlowArrival { spec } => origin_lp(self.spec(spec).origin),
             Event::ArriveDestination { pkt } | Event::ArriveSource { pkt } => {
                 self.flow_lp(arena[pkt].flow)
             }
@@ -2674,7 +2684,7 @@ mod tests {
                 .collect();
             let spec_origin: HashMap<FlowId, Origin> =
                 universe.iter().map(|s| (s.id, s.origin)).collect();
-            let mut table = FlowTable::new(Arc::new(FlowDirectory::new(&universe)), 0);
+            let mut table = FlowTable::new(Arc::new(FlowDirectory::new(universe)), 0);
             let mut model = ThreeMaps::default();
             for (op, site, i, tag) in ops {
                 let id = flow_id(site, i);
@@ -2768,7 +2778,7 @@ mod tests {
             .collect();
         workload.push(FlowSpec::bundled(flow_id(0, 90).0, 40, Nanos::ZERO, 0).as_ping());
         workload.push(FlowSpec::direct(flow_id(2, 0).0, 50_000, Nanos::ZERO));
-        let mut core = WorkerCore::new(&config, &workload, Partition::solo());
+        let mut core = WorkerCore::new(&config, workload.clone(), Partition::solo());
         let (mut queue, mut arena) = (EventQueue::new(), PacketArena::new());
         core.schedule_initial(&mut queue);
         // Admit every flow (nothing reaches the bottleneck: no net core).

@@ -216,8 +216,8 @@ mod tests {
             .build();
         assert_eq!(scenario.hot_requests(), 19_148 * 47);
         let workload = scenario.workload();
-        let directory = crate::directory::FlowDirectory::new(&workload);
-        assert_eq!(directory.len(), workload.len());
+        let n = workload.len();
+        assert_eq!(crate::directory::FlowDirectory::new(workload).len(), n);
     }
 
     #[test]

@@ -336,8 +336,8 @@ mod tests {
             .build()
             .workload();
         assert_eq!(workload.len(), 2 * (900_000 + 100_000));
-        let directory = crate::directory::FlowDirectory::new(&workload);
-        assert_eq!(directory.len(), workload.len());
+        let n = workload.len();
+        assert_eq!(crate::directory::FlowDirectory::new(workload).len(), n);
     }
 
     #[test]

@@ -326,8 +326,8 @@ mod tests {
             .build()
             .workload();
         assert_eq!(workload.len(), 2 * (500_000 + 400_000 + 1));
-        let directory = crate::directory::FlowDirectory::new(&workload);
-        assert_eq!(directory.len(), workload.len());
+        let n = workload.len();
+        assert_eq!(crate::directory::FlowDirectory::new(workload).len(), n);
     }
 
     #[test]

@@ -237,9 +237,6 @@ impl SimulationConfig {
 /// The single-threaded simulator host.
 pub struct Simulation {
     config: SimulationConfig,
-    /// The workload the run was built from (kept for snapshot
-    /// fingerprinting).
-    workload: Vec<FlowSpec>,
     queue: EventQueue,
     /// Every in-flight packet; events and queues reference it by id.
     arena: PacketArena,
@@ -292,9 +289,8 @@ impl Simulation {
     /// to come from a snapshot.
     fn build(config: SimulationConfig, workload: Vec<FlowSpec>, fresh: bool) -> Self {
         let owned = vec![fresh; config.n_bundles()];
-        let directory = Arc::new(FlowDirectory::new(&workload));
-        let mut worker =
-            WorkerCore::with_owned(&config, &workload, directory, Partition::solo(), owned);
+        let directory = Arc::new(FlowDirectory::new(workload));
+        let mut worker = WorkerCore::with_owned(&config, directory, Partition::solo(), owned);
         let mut net = NetCore::new(&config);
         let mut queue = EventQueue::new();
         if fresh {
@@ -304,7 +300,6 @@ impl Simulation {
         Simulation {
             writer: Writer::new(config.checkpoint_every, Nanos::ZERO, None),
             config,
-            workload,
             queue,
             arena: PacketArena::with_capacity(1024),
             worker,
@@ -433,7 +428,7 @@ impl Simulation {
         let part = self.worker.save_part(&mut self.queue, &self.arena, at);
         let sections = self.net.save_sections(&mut self.queue, &self.arena, at);
         self.writer
-            .write(&self.config, &self.workload, at, [part], sections)
+            .write(&self.config, self.worker.workload(), at, [part], sections)
     }
 
     fn finalize(self) -> SimReport {

@@ -8,6 +8,8 @@
 //! so [`FlowSizeDist::caida_like`] is a synthetic empirical CDF with the
 //! same reported shape; DESIGN.md records this substitution.
 
+use std::sync::{LazyLock, OnceLock};
+
 use bundler_cc::EndhostAlg;
 use bundler_types::{Duration, FlowId, Nanos, Rate, TrafficClass};
 use rand::rngs::SmallRng;
@@ -28,7 +30,7 @@ serde::layout!(enum Origin { 0 => Bundle(b), 1 => Direct });
 
 /// Specification of one application flow, produced by the workload
 /// generator and consumed by the simulator when its arrival event fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Dense flow identifier.
     pub id: FlowId,
@@ -103,13 +105,18 @@ impl FlowSpec {
 }
 
 /// An empirical flow-size distribution: a piecewise-constant inverse CDF.
+///
+/// The built-in tables ([`FlowSizeDist::caida_like`],
+/// [`FlowSizeDist::short_flows_only`]) are integrated once per process: each
+/// call returns a clone of one static table whose mean is already known. A
+/// table from [`FlowSizeDist::new`] integrates its mean on first use.
 #[derive(Debug, Clone)]
 pub struct FlowSizeDist {
     /// (size_bytes, cumulative_probability), strictly increasing in both.
     points: Vec<(u64, f64)>,
     /// [`FlowSizeDist::mean_bytes`], integrated on first use: `points`
-    /// never change, and a scenario asks once per site.
-    mean: std::sync::OnceLock<f64>,
+    /// never change, and a clone carries the value.
+    mean: OnceLock<f64>,
 }
 
 impl FlowSizeDist {
@@ -122,7 +129,9 @@ impl FlowSizeDist {
         let mut prev_p = 0.0;
         let mut prev_s = 0;
         for &(s, p) in &points {
-            if p <= prev_p || s <= prev_s {
+            // A NaN probability compares false with everything, so
+            // `p <= prev_p` alone would let it through.
+            if p.is_nan() || p <= prev_p || s <= prev_s {
                 return Err(format!(
                     "points must be strictly increasing, got ({s}, {p})"
                 ));
@@ -135,48 +144,62 @@ impl FlowSizeDist {
         }
         Ok(FlowSizeDist {
             points,
-            mean: std::sync::OnceLock::new(),
+            mean: OnceLock::new(),
         })
     }
 
     /// The synthetic CAIDA-like request-size distribution described in §7.1:
     /// heavily skewed towards small requests with a tail of multi-megabyte
-    /// transfers up to 100 MB.
+    /// transfers up to 100 MB. A clone of one table per process, whose mean
+    /// is integrated once, on first use.
     pub fn caida_like() -> Self {
-        FlowSizeDist::new(vec![
-            (150, 0.20),
-            (300, 0.40),
-            (600, 0.55),
-            (1_200, 0.68),
-            (2_500, 0.80),
-            (5_000, 0.90),
-            (7_500, 0.95),
-            (10_000, 0.976),
-            (30_000, 0.990),
-            (100_000, 0.9965),
-            (300_000, 0.99875),
-            (1_000_000, 0.99960),
-            (5_000_000, 0.99998),
-            (20_000_000, 0.999993),
-            (50_000_000, 0.999998),
-            (100_000_000, 1.0),
-        ])
-        .expect("static distribution is valid")
+        static TABLE: LazyLock<FlowSizeDist> = LazyLock::new(|| {
+            FlowSizeDist::built_in(vec![
+                (150, 0.20),
+                (300, 0.40),
+                (600, 0.55),
+                (1_200, 0.68),
+                (2_500, 0.80),
+                (5_000, 0.90),
+                (7_500, 0.95),
+                (10_000, 0.976),
+                (30_000, 0.990),
+                (100_000, 0.9965),
+                (300_000, 0.99875),
+                (1_000_000, 0.99960),
+                (5_000_000, 0.99998),
+                (20_000_000, 0.999993),
+                (50_000_000, 0.999998),
+                (100_000_000, 1.0),
+            ])
+        });
+        TABLE.clone()
     }
 
     /// A distribution of exclusively short flows (≤ a few MB), used for the
-    /// "mix of flow sizes" cross-traffic experiment (Figure 11).
+    /// "mix of flow sizes" cross-traffic experiment (Figure 11). Built once
+    /// per process, like [`FlowSizeDist::caida_like`].
     pub fn short_flows_only() -> Self {
-        FlowSizeDist::new(vec![
-            (300, 0.35),
-            (1_000, 0.60),
-            (5_000, 0.85),
-            (10_000, 0.95),
-            (100_000, 0.99),
-            (1_000_000, 0.999),
-            (3_000_000, 1.0),
-        ])
-        .expect("static distribution is valid")
+        static TABLE: LazyLock<FlowSizeDist> = LazyLock::new(|| {
+            FlowSizeDist::built_in(vec![
+                (300, 0.35),
+                (1_000, 0.60),
+                (5_000, 0.85),
+                (10_000, 0.95),
+                (100_000, 0.99),
+                (1_000_000, 0.999),
+                (3_000_000, 1.0),
+            ])
+        });
+        TABLE.clone()
+    }
+
+    /// A built-in table with its mean already integrated, so every clone
+    /// carries the value.
+    fn built_in(points: Vec<(u64, f64)>) -> Self {
+        let dist = FlowSizeDist::new(points).expect("static distribution is valid");
+        dist.mean_bytes();
+        dist
     }
 
     /// Samples one flow size.
@@ -336,6 +359,9 @@ mod tests {
         assert!(FlowSizeDist::new(vec![(100, 0.5), (50, 1.0)]).is_err());
         assert!(FlowSizeDist::new(vec![(100, 0.5), (200, 0.4)]).is_err());
         assert!(FlowSizeDist::new(vec![(100, 0.5), (200, 0.9)]).is_err());
+        assert!(FlowSizeDist::new(vec![(100, 0.5), (200, f64::NAN), (300, 1.0)]).is_err());
+        assert!(FlowSizeDist::new(vec![(100, f64::NAN)]).is_err());
+        assert!(FlowSizeDist::new(vec![(100, f64::NAN), (200, 1.0)]).is_err());
     }
 
     #[test]

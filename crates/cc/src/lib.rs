@@ -240,16 +240,12 @@ impl BundleAlg {
     pub fn build(self, initial_rate: Rate) -> Box<dyn BundleCc> {
         match self {
             BundleAlg::Copa => Box::new(copa::Copa::new(copa::CopaConfig::default(), initial_rate)),
-            BundleAlg::NimbusBasicDelay => {
-                // When BasicDelay runs under Bundler's mode controller, the
-                // controller superimposes the Nimbus probe pulses itself, so
-                // the algorithm's own pulsing is disabled here.
-                let config = nimbus::NimbusConfig {
-                    enable_pulses: false,
-                    ..Default::default()
-                };
-                Box::new(nimbus::Nimbus::new(config, initial_rate))
-            }
+            // Bundler's mode controller superimposes the Nimbus probe
+            // pulses on whatever rate BasicDelay computes.
+            BundleAlg::NimbusBasicDelay => Box::new(nimbus::Nimbus::new(
+                nimbus::NimbusConfig::default(),
+                initial_rate,
+            )),
             BundleAlg::Bbr => Box::new(bbr::Bbr::new(initial_rate)),
         }
     }

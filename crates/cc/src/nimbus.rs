@@ -345,10 +345,6 @@ pub struct NimbusConfig {
     pub min_rate: Rate,
     /// Upper bound on the computed rate.
     pub max_rate: Rate,
-    /// The pulse generator settings.
-    pub pulser: Pulser,
-    /// Whether to superimpose pulses on the output rate.
-    pub enable_pulses: bool,
 }
 
 impl Default for NimbusConfig {
@@ -359,8 +355,6 @@ impl Default for NimbusConfig {
             target_floor: Duration::from_millis(3),
             min_rate: Rate::from_kbps(100),
             max_rate: Rate::from_gbps(20),
-            pulser: Pulser::default(),
-            enable_pulses: true,
         }
     }
 }
@@ -369,7 +363,9 @@ impl Default for NimbusConfig {
 ///
 /// `rate ← recv_rate + α·μ·(d_target − d_q)/d_target`: when the queueing
 /// delay `d_q` is below target the controller probes above the receive rate;
-/// when above target it backs off proportionally.
+/// when above target it backs off proportionally. It emits that rate
+/// unpulsed: under Bundler the mode controller superimposes the probe
+/// pulses ([`Pulser`]).
 #[derive(Debug)]
 pub struct Nimbus {
     config: NimbusConfig,
@@ -412,15 +408,9 @@ impl BundleCc for Nimbus {
         // relative to the feedback delay of one RTT; otherwise the controller
         // slams between zero and 2µ instead of settling at the target.
         let err = (target - dq) / m.min_rtt.as_secs_f64().max(1e-3);
-        let base = m.recv_rate.as_bps() as f64 + self.config.alpha * mu.as_bps() as f64 * err;
-        let base =
-            Rate::from_bps(base.max(0.0) as u64).clamp(self.config.min_rate, self.config.max_rate);
-        let rate = if self.config.enable_pulses {
-            self.config.pulser.apply(base, m.now, mu)
-        } else {
-            base
-        };
-        let rate = rate.clamp(self.config.min_rate, self.config.max_rate);
+        let rate = m.recv_rate.as_bps() as f64 + self.config.alpha * mu.as_bps() as f64 * err;
+        let rate =
+            Rate::from_bps(rate.max(0.0) as u64).clamp(self.config.min_rate, self.config.max_rate);
         self.last_rate = rate;
         RateUpdate {
             rate,
@@ -517,13 +507,7 @@ mod tests {
 
     #[test]
     fn basic_delay_backs_off_when_queue_large() {
-        let mut nimbus = Nimbus::new(
-            NimbusConfig {
-                enable_pulses: false,
-                ..Default::default()
-            },
-            Rate::from_mbps(96),
-        );
+        let mut nimbus = Nimbus::new(NimbusConfig::default(), Rate::from_mbps(96));
         // Warm the μ estimate.
         nimbus.on_measurement(&m(0, 50.0, 50, 96.0, 96.0));
         // 40 ms of queueing on a 50 ms path: far above the 5 ms target.

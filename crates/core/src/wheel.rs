@@ -15,10 +15,9 @@
 //!   every simulator event, keyed, and the site agent's per-bundle control
 //!   ticks, unkeyed. 64-slot levels with per-level occupancy bitmaps (one
 //!   `u64` each, so finding the next non-empty slot is a
-//!   `trailing_zeros`), FIFO slot buckets, a small sorted buffer holding
-//!   only the slot currently being drained, and an O(1) FIFO lane for "run
-//!   immediately" entries of the unkeyed [`CalendarQueue::schedule`] (keyed
-//!   schedules never take it). Push and pop are O(1) amortized instead of
+//!   `trailing_zeros`), FIFO slot buckets and a small sorted buffer holding
+//!   only the slot currently being drained. Push and pop are O(1) amortized
+//!   instead of
 //!   the O(log n) — with large element moves — of one big binary heap over
 //!   every pending event.
 //! * [`BinaryHeapQueue`] — the straightforward binary-heap implementation,
@@ -170,9 +169,7 @@ impl<T> BinaryHeapQueue<T> {
 /// drained sits in a small sorted buffer (`cur`), which is what preserves
 /// the exact `(deadline, sequence)` total order — identical to
 /// [`BinaryHeapQueue`] — while keeping per-operation cost independent of
-/// the number of pending entries. Unkeyed entries scheduled at exactly the
-/// current time take a separate O(1) FIFO lane (`immediate`). Per-level occupancy
-/// bitmaps make skipping empty stretches of simulated time a couple of
+/// the number of pending entries. Per-level occupancy bitmaps make skipping empty stretches of simulated time a couple of
 /// `trailing_zeros` instructions rather than a slot-by-slot walk.
 ///
 /// # Example
@@ -208,14 +205,6 @@ pub struct CalendarQueue<T> {
     /// end in O(1). A sorted vec beats a binary heap here: the set is tiny
     /// (one slot's worth) and almost always filled in one batch.
     cur: Vec<Entry<T>>,
-    /// Entries the unkeyed [`CalendarQueue::schedule`] placed at exactly
-    /// the current time (the site agent's control ticks, doc-tests and
-    /// property tests; the simulator's every schedule is keyed and never
-    /// lands here). Their
-    /// `(deadline, seq)` keys are strictly increasing by construction
-    /// (`now` never decreases, `seq` always does increase), so a plain
-    /// FIFO holds them already sorted: O(1) push, O(1) pop.
-    immediate: std::collections::VecDeque<Entry<T>>,
     pending: usize,
     seq: u64,
     now: Nanos,
@@ -238,7 +227,6 @@ impl<T> CalendarQueue<T> {
             shift,
             cursor: 0,
             cur: Vec::new(),
-            immediate: std::collections::VecDeque::new(),
             pending: 0,
             seq: 0,
             now: Nanos::ZERO,
@@ -277,26 +265,18 @@ impl<T> CalendarQueue<T> {
         let at = at.max(self.now);
         self.seq += 1;
         self.pending += 1;
-        let entry = Entry {
+        self.place(Entry {
             deadline: at,
             seq: self.seq,
             item,
-        };
-        if at == self.now {
-            // "Run immediately": trivially in order (see `immediate`).
-            self.immediate.push_back(entry);
-        } else {
-            self.place(entry);
-        }
+        });
     }
 
     /// Schedules `item` at absolute time `at` under a caller-supplied tie
     /// key: entries pop in `(deadline, key)` order, exactly as
     /// [`BinaryHeapQueue::schedule_keyed`] would order them. Keys must be
-    /// unique; they need not be monotonic, so keyed entries cannot take the
-    /// `immediate` FIFO lane (whose order relies on monotonic keys) and go
-    /// through slot placement instead. Times in the past are clamped to the
-    /// current time.
+    /// unique; they need not be monotonic. Times in the past are clamped to
+    /// the current time.
     #[inline]
     pub fn schedule_keyed(&mut self, at: Nanos, key: u64, item: T) {
         let at = at.max(self.now);
@@ -316,20 +296,14 @@ impl<T> CalendarQueue<T> {
         if !self.ensure_front() {
             return None;
         }
-        match (self.immediate.front(), self.cur.last()) {
-            (Some(i), Some(c)) => Some((i.deadline, i.seq).min((c.deadline, c.seq))),
-            (Some(i), None) => Some((i.deadline, i.seq)),
-            (None, Some(c)) => Some((c.deadline, c.seq)),
-            (None, None) => unreachable!("ensure_front returned true"),
-        }
+        self.cur.last().map(|c| (c.deadline, c.seq))
     }
 
-    /// Makes the earliest entry visible at `immediate`'s head or `cur`'s
-    /// tail, refilling from the wheel if needed. Returns false when the
-    /// queue is empty.
+    /// Makes the earliest entry visible at `cur`'s tail, refilling from the
+    /// wheel if needed. Returns false when the queue is empty.
     #[inline]
     fn ensure_front(&mut self) -> bool {
-        if self.immediate.front().is_none() && self.cur.last().is_none() {
+        if self.cur.is_empty() {
             if self.pending == 0 {
                 return false;
             }
@@ -547,9 +521,6 @@ impl<T> CalendarQueue<T> {
         }
         sift(&mut self.cur, &mut pred, &mut out);
         sift(&mut self.overflow, &mut pred, &mut out);
-        let mut immediate: Vec<Entry<T>> = self.immediate.drain(..).collect();
-        sift(&mut immediate, &mut pred, &mut out);
-        self.immediate.extend(immediate);
         for level in 0..CQ_LEVELS {
             for slot in 0..SLOTS {
                 let idx = level * SLOTS + slot;
@@ -573,20 +544,7 @@ impl<T> CalendarQueue<T> {
         if !self.ensure_front() {
             return None;
         }
-        // The next entry is the smaller of the two sorted front runners:
-        // `immediate`'s head (oldest at-now entry) and `cur`'s tail
-        // (earliest drained-slot entry).
-        let from_immediate = match (self.immediate.front(), self.cur.last()) {
-            (Some(i), Some(c)) => (i.deadline, i.seq) < (c.deadline, c.seq),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("ensure_front returned true"),
-        };
-        let e = if from_immediate {
-            self.immediate.pop_front().expect("checked above")
-        } else {
-            self.cur.pop().expect("refill yields at least one entry")
-        };
+        let e = self.cur.pop().expect("refill yields at least one entry");
         self.pending -= 1;
         debug_assert!(e.deadline >= self.now, "time went backwards");
         self.now = e.deadline;
@@ -721,13 +679,13 @@ mod tests {
 
     #[test]
     fn extract_if_lifts_matches_and_leaves_the_rest_intact() {
-        // Entries land in every region: immediate lane (at `now`), the
-        // current slot, near slots, far levels and the overflow list —
+        // Entries land in every region: at `now`, the current slot, near
+        // slots, far levels and the overflow list —
         // extraction must find them all and must not disturb the rest.
         let mut q = cq();
         let mut r = BinaryHeapQueue::new();
         let times: Vec<u64> = vec![
-            0, // immediate (scheduled at now)
+            0, // scheduled at now
             900,
             50_000,
             3_000_000,
@@ -767,8 +725,7 @@ mod tests {
 
     #[test]
     fn keyed_schedules_order_by_key_not_insertion() {
-        // Keys arrive out of order — including at the current instant,
-        // where the auto-seq path would have used the FIFO lane.
+        // Keys arrive out of order, including at the current instant.
         let mut q = cq();
         let mut r = BinaryHeapQueue::new();
         for (at, key, v) in [

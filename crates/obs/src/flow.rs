@@ -6,9 +6,10 @@
 //! Determinism contract: the sampling decision is a pure function of the
 //! flow id and the configured seed, so every shard (and the net side)
 //! independently agrees on which flows are traced without exchanging any
-//! state. Per-flow accumulators ([`FlowSpanTable`]) are keyed by bundle and
-//! travel with the bundle when it migrates, so the [`TraceKind::FlowEnd`]
-//! record is identical wherever the flow happens to finish.
+//! state. Per-flow accumulators ([`FlowSpanTable`]) live in the record of
+//! the flow's logical process and travel with it when a bundle migrates, so
+//! the [`TraceKind::FlowEnd`] record is identical wherever the flow happens
+//! to finish.
 //!
 //! [`TraceKind::FlowEnd`]: crate::trace::TraceKind::FlowEnd
 
@@ -18,10 +19,6 @@ use bundler_types::Nanos;
 
 use crate::health::HealthState;
 use crate::trace::{TraceKind, TraceRecord};
-
-/// Bundle key used for flows that bypass every bundle (direct traffic).
-/// Direct flows never migrate, so this entry stays on its owning shard.
-pub const DIRECT_BUNDLE: usize = usize::MAX;
 
 /// Flow-span tracing configuration: which flows the deterministic sampler
 /// picks. Carried on `SimulationConfig::flow_trace`; `None` disables flow
@@ -101,15 +98,16 @@ pub struct FlowSpan {
     pub sendbox_ns: u64,
 }
 
-/// In-flight sampled flows of one bundle, keyed by flow id. A `BTreeMap`
+/// In-flight sampled flows of one logical process, keyed by flow id. A `BTreeMap`
 /// keeps encoding order deterministic for snapshots.
 pub type FlowSpanTable = BTreeMap<u64, FlowSpan>;
 
-/// Everything observability accumulates *per bundle*: in-flight flow spans
-/// and health-monitor state. Lives beside the bundle on its owning shard and
-/// is encoded into the bundle's snapshot section — the form in which the
-/// bundle also migrates — so a restored or migrated bundle finishes its
-/// flows with the same records a straight-through run would produce.
+/// Everything observability accumulates *per site-side logical process* (a
+/// bundle complex, or the direct cross traffic): in-flight flow spans and
+/// health-monitor state. Lives in the LP's record on its owning shard and
+/// is encoded into the LP's snapshot section — the form in which a bundle
+/// also migrates — so a restored or migrated bundle finishes its flows
+/// with the same records a straight-through run would produce.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BundleObsState {
     /// In-flight sampled flows.
@@ -131,8 +129,7 @@ impl BundleObsState {
 pub struct FlowDecomp {
     /// Flow id.
     pub flow: u64,
-    /// Bundle the flow was classified to ([`DIRECT_BUNDLE`] as u32 max for
-    /// direct traffic).
+    /// Bundle the flow was classified to (`u32::MAX` for direct traffic).
     pub bundle: u32,
     /// When the flow was admitted.
     pub admitted_at: Nanos,

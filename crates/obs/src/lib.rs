@@ -31,15 +31,12 @@ pub mod phase;
 pub mod stream;
 pub mod trace;
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use bundler_types::Nanos;
 
-pub use flow::{
-    decompose, BundleObsState, FlowDecomp, FlowSampler, FlowSpan, FlowTrace, DIRECT_BUNDLE,
-};
+pub use flow::{decompose, BundleObsState, FlowDecomp, FlowSampler, FlowSpan, FlowTrace};
 pub use health::{HealthKind, HealthState};
 pub use hist::LogLinearHist;
 pub use metrics::{CounterId, GaugeId, HistId, HostMetrics, MetricsShard, SchedObs};
@@ -152,10 +149,6 @@ pub struct ShardObs {
     pub seq: u64,
     /// Render buffer reused by every stream flush of this shard.
     line_buf: Vec<u8>,
-    /// Per-bundle flow-span accumulators and health-monitor state, keyed
-    /// by global bundle index ([`flow::DIRECT_BUNDLE`] for direct
-    /// traffic). Entries migrate with their bundle.
-    pub bundle_obs: BTreeMap<usize, BundleObsState>,
     /// Edge-trigger state for the fluid-collapse monitor (net side only):
     /// whether each aggregate was at its floor rate at the last check.
     pub fluid_floor: Vec<bool>,
@@ -175,7 +168,6 @@ impl ShardObs {
             stream: None,
             seq: 0,
             line_buf: Vec::new(),
-            bundle_obs: BTreeMap::new(),
             fluid_floor: Vec::new(),
         }
     }
@@ -225,25 +217,6 @@ impl ShardObs {
     #[inline]
     pub fn flow_sampled(&self, flow: u64) -> bool {
         self.level.trace_on() && self.sampler.as_ref().is_some_and(|s| s.picks(flow))
-    }
-
-    /// Mutable access to a bundle's flow-span/health accumulator, creating
-    /// it on first use.
-    pub fn bundle_obs_mut(&mut self, bundle: usize) -> &mut BundleObsState {
-        self.bundle_obs.entry(bundle).or_default()
-    }
-
-    /// Lifts a bundle's accumulator out of this shard (a migrating
-    /// bundle leaves with it in its snapshot section).
-    pub fn take_bundle_obs(&mut self, bundle: usize) -> Option<BundleObsState> {
-        self.bundle_obs.remove(&bundle)
-    }
-
-    /// Installs a migrated/restored bundle accumulator.
-    pub fn put_bundle_obs(&mut self, bundle: usize, state: BundleObsState) {
-        if !state.is_empty() {
-            self.bundle_obs.insert(bundle, state);
-        }
     }
 
     /// Barrier flush. With a stream attached, serializes the ring's

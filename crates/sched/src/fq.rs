@@ -162,7 +162,7 @@ mod tests {
         for i in 0..6 {
             enq(&mut fq, &mut a, pkt(i % 3, 500));
         }
-        crate::assert_rejects_patched_totals(&fq, || Box::new(FairQueue::new(1000)));
+        crate::tests::assert_rejects_patched_totals(&fq, || Box::new(FairQueue::new(1000)));
     }
 
     #[test]

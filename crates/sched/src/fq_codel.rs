@@ -544,7 +544,7 @@ mod tests {
         for i in 0..6 {
             enq(&mut s, &mut a, pkt(i % 3, 500), Nanos::ZERO);
         }
-        crate::assert_rejects_patched_totals(&s, || Box::new(FqCodel::with_defaults()));
+        crate::tests::assert_rejects_patched_totals(&s, || Box::new(FqCodel::with_defaults()));
     }
 
     #[test]

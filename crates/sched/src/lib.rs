@@ -252,26 +252,28 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// Saves `s`, then patches its `total_pkts` and, separately, its
-/// `total_bytes` — the two counters just before the closing
-/// [`SchedStats`] — and requires a fresh scheduler to refuse each.
-#[cfg(test)]
-fn assert_rejects_patched_totals(s: &dyn Scheduler, fresh: impl Fn() -> Box<dyn Scheduler>) {
-    let mut bytes = Vec::new();
-    s.save_state(&mut bytes);
-    let stats = serde::binary::encode_to_vec(&s.stats()).len();
-    for at in [bytes.len() - stats - 16, bytes.len() - stats - 8] {
-        let mut patched = bytes.clone();
-        patched[at] ^= 1;
-        let loaded = fresh().load_state(&mut Reader::new(&patched));
-        assert!(loaded.is_err(), "{}: total at byte {at} patched", s.name());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet};
+
+    /// Saves `s`, then patches its `total_pkts` and, separately, its
+    /// `total_bytes` — the two counters just before the closing
+    /// [`SchedStats`] — and requires a fresh scheduler to refuse each.
+    pub(crate) fn assert_rejects_patched_totals(
+        s: &dyn Scheduler,
+        fresh: impl Fn() -> Box<dyn Scheduler>,
+    ) {
+        let mut bytes = Vec::new();
+        s.save_state(&mut bytes);
+        let stats = serde::binary::encode_to_vec(&s.stats()).len();
+        for at in [bytes.len() - stats - 16, bytes.len() - stats - 8] {
+            let mut patched = bytes.clone();
+            patched[at] ^= 1;
+            let loaded = fresh().load_state(&mut Reader::new(&patched));
+            assert!(loaded.is_err(), "{}: total at byte {at} patched", s.name());
+        }
+    }
 
     fn pkt(flow: u64) -> Packet {
         Packet::data(

@@ -257,7 +257,7 @@ mod tests {
     fn restore_rejects_totals_the_classes_do_not_hold() {
         let mut a = PacketArena::new();
         let s = backlogged(&mut a);
-        crate::assert_rejects_patched_totals(&s, || Box::new(StrictPriority::new(100)));
+        crate::tests::assert_rejects_patched_totals(&s, || Box::new(StrictPriority::new(100)));
     }
 
     #[test]

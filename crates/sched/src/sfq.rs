@@ -328,7 +328,7 @@ mod tests {
         for i in 0..6 {
             enq(&mut s, &mut a, pkt(i % 3, 500));
         }
-        crate::assert_rejects_patched_totals(&s, || Box::new(Sfq::with_defaults()));
+        crate::tests::assert_rejects_patched_totals(&s, || Box::new(Sfq::with_defaults()));
     }
 
     #[test]

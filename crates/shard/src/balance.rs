@@ -23,11 +23,11 @@
 //! into bundle `c`, the two bundles must share a shard — so the balancer
 //! moves *whole groups* (the union-find closure of such edges), and a
 //! group classified-to by direct cross traffic is pinned to shard 0, where
-//! the direct LP lives. [`ShardBalance::RoundRobin`] cannot honour groups
-//! (its placement is fixed), so it keeps PR 4's behaviour: reject such
-//! workloads loudly rather than silently diverge.
+//! the direct LP lives. Every mode starts from the same placement — group
+//! leader modulo the shard count, pinned groups on shard 0 — which is plain
+//! `bundle % shards` when every group is a singleton (every built-in
+//! world); [`ShardBalance::RoundRobin`] keeps it for the whole run.
 
-use bundler_sim::runtime::Partition;
 use bundler_sim::sim::{ShardBalance, SimulationConfig};
 use bundler_sim::workload::{FlowSpec, Origin};
 use bundler_types::Nanos;
@@ -75,9 +75,7 @@ pub struct Balancer {
 }
 
 impl Balancer {
-    /// Computes co-location groups and the initial assignment. Panics (in
-    /// round-robin mode) on workloads whose classification graph cannot be
-    /// partitioned by `bundle % shards` — exactly PR 4's validation.
+    /// Computes co-location groups and the initial assignment.
     pub fn new(config: &SimulationConfig, workload: &[FlowSpec], shards: usize) -> Balancer {
         let n = config.n_bundles();
         let mut parent: Vec<usize> = (0..n).collect();
@@ -119,21 +117,14 @@ impl Balancer {
                 }
             }
         }
-        let assignment: Vec<usize> = match mode_of(config) {
-            ShardBalance::RoundRobin => {
-                validate_round_robin(config, workload, shards);
-                (0..n).map(|b| b % shards).collect()
-            }
-            // Adaptive modes start from round-robin over group leaders:
-            // identical to plain round-robin when every group is a
-            // singleton (all built-in scenarios), and group-respecting
-            // otherwise.
-            ShardBalance::Rate | ShardBalance::Rotate => (0..n)
-                .map(|b| if pinned[b] { 0 } else { leader[b] % shards })
-                .collect(),
-        };
+        // Round-robin over group leaders: identical to plain round-robin
+        // when every group is a singleton (all built-in scenarios), and
+        // group-respecting otherwise.
+        let assignment: Vec<usize> = (0..n)
+            .map(|b| if pinned[b] { 0 } else { leader[b] % shards })
+            .collect();
         Balancer {
-            mode: mode_of(config),
+            mode: config.balance,
             shards,
             leader,
             pinned,
@@ -241,10 +232,6 @@ impl Balancer {
     }
 }
 
-fn mode_of(config: &SimulationConfig) -> ShardBalance {
-    config.balance
-}
-
 /// The max shard load if `weights` run under `assignment`.
 fn makespan(assignment: &[usize], weights: &[u64], shards: usize) -> u64 {
     let mut load = vec![0u64; shards];
@@ -295,45 +282,6 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
         // Smaller root wins so leaders are stable under union order.
         let (lo, hi) = (ra.min(rb), ra.max(rb));
         parent[hi] = lo;
-    }
-}
-
-/// Round-robin partitioning is sound only if every flow's destination
-/// classifies (on the *full* prefix table) to a bundle living on the
-/// flow's own shard — then each shard's partial table agrees with the
-/// full one for the packets it sees. Site addressing guarantees this for
-/// every built-in scenario; an adversarial config where one bundle's
-/// more-specific prefix shadows another site's address space would
-/// diverge *silently* from the single-threaded engine, so it is rejected
-/// here instead. (The adaptive modes don't need this: they migrate whole
-/// co-location groups.)
-fn validate_round_robin(config: &SimulationConfig, workload: &[FlowSpec], shards: usize) {
-    let Some(mode) = &config.multi_bundle else {
-        // Classic mode routes by flow origin, never by prefix: any
-        // partition is sound.
-        return;
-    };
-    let mut full = bundler_agent::SiteAgent::new(mode.agent);
-    for spec in &mode.specs {
-        full.add_bundle(&spec.prefixes, spec.config, Nanos::ZERO)
-            .expect("invalid multi-bundle specs");
-    }
-    for spec in workload {
-        let key = bundler_sim::runtime::flow_key(spec.id.0, spec.origin);
-        if let Some(c) = full.classify(&key) {
-            let flow_worker =
-                Partition::worker_of_lp(shards, bundler_sim::runtime::origin_lp(spec.origin));
-            let class_worker =
-                Partition::worker_of_lp(shards, bundler_sim::runtime::origin_lp(Origin::Bundle(c)));
-            assert_eq!(
-                flow_worker, class_worker,
-                "workload cannot be partitioned across {shards} shards: flow {} \
-                 (origin {:?}) classifies to bundle {c} on another shard — its \
-                 sendbox state would diverge from the single-threaded engine \
-                 (use ShardBalance::Rate, which co-locates such bundles)",
-                spec.id.0, spec.origin,
-            );
-        }
     }
 }
 

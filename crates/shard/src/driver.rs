@@ -32,7 +32,8 @@
 //!
 //! **`Flush`** (checkpoint windows: with
 //! `SimulationConfig::checkpoint_every` set and a collecting run, the
-//! first window start `T` at or past each interval multiple). The net
+//! window starting at each interval multiple `T` — the window before it
+//! ends early at `T` when `T` falls inside it). The net
 //! threads run their pending net phase early, so every net event below `T`
 //! is handled and its deliveries published, then serialize one section per
 //! owned path.
@@ -401,9 +402,8 @@ impl ShardedSimulation {
 
     /// Runs to completion, pushing a `(time, bytes)` whole-simulation
     /// snapshot into `sink` at every
-    /// [`SimulationConfig::checkpoint_every`] boundary (the exact
-    /// interval multiple solo; the first window barrier at or past it
-    /// when sharded). Panics on worker failure; see
+    /// [`SimulationConfig::checkpoint_every`] multiple, stamped exactly
+    /// there on either host. Panics on worker failure; see
     /// [`try_run_collecting`](ShardedSimulation::try_run_collecting).
     pub fn run_collecting(self, sink: &mut Vec<(Nanos, Vec<u8>)>) -> SimReport {
         self.try_run_collecting(sink)
@@ -486,10 +486,10 @@ struct NetSide {
     /// Net→worker senders, indexed by worker.
     to_worker: Vec<Sender<Envelope>>,
     routing: Arc<Routing>,
-    /// The `(index, end)` of the worker window whose net phase has yet to
-    /// run.
-    pending: Option<(u64, Nanos)>,
-    /// Δ, the nominal window width.
+    /// The `(index, start, end)` of the worker window whose net phase has
+    /// yet to run.
+    pending: Option<(u64, Nanos, Nanos)>,
+    /// Δ, the widest a window can be.
     window: Duration,
     /// As [`Worker::wire`], for deliveries.
     wire: Option<Vec<u8>>,
@@ -639,7 +639,7 @@ impl NetSide {
     /// window's envelopes (by parity), handle net events below its end,
     /// route deliveries to the current owner of each flow's LP.
     fn run_pending(&mut self, seat: &Seat<'_>) {
-        let Some((windex, window_end)) = self.pending.take() else {
+        let Some((windex, start, window_end)) = self.pending.take() else {
             return;
         };
         let timing = self.net.obs.metrics_on();
@@ -693,9 +693,6 @@ impl NetSide {
         if timing {
             let wall_dur_ns = wall_now_ns().saturating_sub(phase_start);
             let events = self.net.events_processed() - events_before;
-            // The served window's start (exact except for a truncated final
-            // window, where the nominal width overstates it).
-            let start = Nanos(window_end.as_nanos().saturating_sub(self.window.as_nanos()));
             let width_ns = window_end.saturating_since(start).as_nanos();
             self.net.obs.host.windows += 1;
             self.windows.push(NetWindow {
@@ -736,7 +733,7 @@ impl Party for NetSide {
             }
             Phase::Run => {
                 self.run_pending(seat);
-                self.pending = Some((plan.windex, plan.end));
+                self.pending = Some((plan.windex, plan.start, plan.end));
             }
             _ => {}
         }
@@ -999,12 +996,16 @@ fn run_sharded(
             ..WindowPlan::default()
         };
         loop {
-            // A checkpoint is taken at the first window start at or past
-            // the writer's target, and stamped with that start.
-            plan.end = (plan.start + window).min(end);
-            plan.stop = plan.start >= end || ctrl.failed();
+            // A window ends early at the writer's next target, so the
+            // window after it opens there and takes the checkpoint, stamped
+            // at the exact multiple as the single-threaded host stamps it.
+            // A shorter window keeps the lookahead argument: every window
+            // is at most Δ wide.
             let due = driver.writer.due().filter(|_| driver.sink.is_some());
             plan.checkpoint = due.is_some_and(|due| plan.start >= due);
+            let cut = due.filter(|&due| due > plan.start).unwrap_or(end);
+            plan.end = (plan.start + window).min(end).min(cut);
+            plan.stop = plan.start >= end || ctrl.failed();
             *lock(&ctrl.plan) = Arc::new(plan.clone());
             if !seat.attend(&mut driver) {
                 break;

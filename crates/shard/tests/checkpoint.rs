@@ -26,9 +26,8 @@ fn scenario(seed: u64) -> ManySitesScenario {
         .build()
 }
 
-/// Checkpoint cadence divisible by the sharded window (rtt 50 ms →
-/// lookahead 25 ms → pipelined window 12.5 ms), so solo and sharded runs
-/// stamp checkpoints at identical instants.
+/// Checkpoint cadence 500 ms at rtt 50 ms (lookahead 25 ms, pipelined
+/// window 12.5 ms).
 fn setup(seed: u64, faults: Option<FaultPlan>) -> (SimulationConfig, Vec<FlowSpec>) {
     let sc = scenario(seed);
     let mut config = sc.sim_config();
@@ -61,6 +60,35 @@ fn sharded_checkpoints_are_byte_identical_to_solo() {
                 "snapshot bytes at {at_a:?} differ between solo and {shards} shards"
             );
         }
+    }
+}
+
+/// A cadence that is not a multiple of the 12.5 ms window: the sharded
+/// host ends a window early at each multiple of 330 ms, so it stamps its
+/// checkpoints where the single-threaded host does and writes the same
+/// bytes, over two bottleneck paths on two net shards.
+#[test]
+fn checkpoints_off_the_window_grid_match_solo() {
+    let (mut config, wl) = setup(5, None);
+    config.checkpoint_every = Some(Duration::from_millis(330));
+    config.num_paths = 2;
+    let mut solo = Vec::new();
+    let solo_report = Simulation::new(config.clone(), wl.clone()).run_collecting(&mut solo);
+    assert!(solo.len() >= 3, "expected several checkpoints");
+    config.shards = 2;
+    config.net_shards = 2;
+    let mut got = Vec::new();
+    let report = ShardedSimulation::new(config, wl).run_collecting(&mut got);
+    assert_eq!(SimStats::of(&solo_report), SimStats::of(&report));
+    let stamps = |ckpts: &[(bundler_types::Nanos, Vec<u8>)]| {
+        ckpts
+            .iter()
+            .map(|(at, _)| at.as_nanos())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(stamps(&solo), stamps(&got), "checkpoint instants");
+    for ((at, a), (_, b)) in solo.iter().zip(&got) {
+        assert!(a == b, "snapshot bytes at {at:?} differ between the hosts");
     }
 }
 

@@ -172,12 +172,11 @@ fn fluid_cross_traffic_is_shard_count_invariant() {
 }
 
 /// A prefix table where one bundle's more-specific prefix shadows another
-/// site's address space cannot be partitioned (a shard's partial table
-/// would classify differently than the full one): the driver must reject
-/// it loudly instead of silently diverging.
+/// site's address space puts the two bundles in one co-location group, so
+/// round-robin placement keeps them on one shard and the run matches the
+/// single-threaded engine.
 #[test]
-#[should_panic(expected = "cannot be partitioned")]
-fn cross_shard_prefix_shadowing_is_rejected() {
+fn cross_shard_prefix_shadowing_matches_solo_under_round_robin() {
     use bundler_agent::AgentConfig;
     use bundler_core::BundlerConfig;
     use bundler_sim::edge::MultiBundleSpec;
@@ -206,13 +205,21 @@ fn cross_shard_prefix_shadowing_is_rejected() {
             specs,
         }),
         bundles: Vec::new(),
-        shards: 2,
         ..Default::default()
     };
     // Flow 10 of bundle 0 lands on dst 10.1.0.131 — inside the shadowed
-    // /25 owned by bundle 1 on the other shard.
+    // /25 owned by bundle 1, which `bundle % shards` would put on the
+    // other shard.
     let workload = vec![FlowSpec::bundled(10, 50_000, Nanos::ZERO, 0)];
-    let _ = ShardedSimulation::new(config, workload).run();
+    let want = SimStats::of(&Simulation::new(config.clone(), workload.clone()).run());
+    assert_eq!(want.completed, 1, "the flow must finish");
+    let sharded = SimulationConfig {
+        shards: 2,
+        balance: ShardBalance::RoundRobin,
+        ..config
+    };
+    let got = SimStats::of(&ShardedSimulation::new(sharded, workload).run());
+    assert_eq!(want, got, "round-robin placement split a co-location group");
 }
 
 /// A four-site agent world whose classification graph has both kinds of
@@ -278,8 +285,9 @@ fn colocated_world() -> (SimulationConfig, Vec<FlowSpec>) {
     (config, workload)
 }
 
-/// The adaptive modes move whole co-location groups (and keep the pinned
-/// one on shard 0), so the world above reproduces the solo engine exactly.
+/// Every mode places whole co-location groups (and keeps the pinned one
+/// on shard 0), and the adaptive modes move them whole, so the world above
+/// reproduces the solo engine exactly.
 #[test]
 fn colocation_groups_survive_rate_and_rotate() {
     let (config, workload) = colocated_world();
@@ -290,7 +298,11 @@ fn colocation_groups_survive_rate_and_rotate() {
         "every flow must finish"
     );
     for shards in [2usize, 3] {
-        for balance in [ShardBalance::Rate, ShardBalance::Rotate] {
+        for balance in [
+            ShardBalance::RoundRobin,
+            ShardBalance::Rate,
+            ShardBalance::Rotate,
+        ] {
             let mut cfg = config.clone();
             cfg.shards = shards;
             cfg.balance = balance;
@@ -301,17 +313,6 @@ fn colocation_groups_survive_rate_and_rotate() {
             );
         }
     }
-}
-
-/// Round-robin placement cannot honour the group {0, 1}: bundle 1 lands on
-/// shard 1 while its flows classify into bundle 0 on shard 0.
-#[test]
-#[should_panic(expected = "cannot be partitioned")]
-fn colocation_groups_reject_round_robin() {
-    let (mut config, workload) = colocated_world();
-    config.shards = 2;
-    config.balance = ShardBalance::RoundRobin;
-    let _ = ShardedSimulation::new(config, workload).run();
 }
 
 /// The classic (non-agent) edge with direct cross traffic, a ping flow and

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use bundler_obs::{
     BundleObsState, CounterId, FlowSampler, GaugeId, HealthKind, HistId, ObsReport, PhaseProfile,
-    SchedObs, ShardObs, TraceKind, DIRECT_BUNDLE,
+    SchedObs, ShardObs, TraceKind,
 };
 use bundler_sched::tbf::Release;
 use bundler_sched::Policy;
@@ -91,15 +91,18 @@ pub fn origin_lp(origin: Origin) -> u16 {
     }
 }
 
+/// The bundle whose complex an LP is, `None` for the direct LP: the inverse
+/// of [`bundle_lp`].
+#[inline]
+fn lp_bundle(lp: u16) -> Option<usize> {
+    lp.checked_sub(LP_BUNDLE0).map(usize::from)
+}
+
 /// The origin whose flows an LP owns: the inverse of [`origin_lp`] on the
 /// site-side LPs.
 #[inline]
 pub(crate) fn lp_origin(lp: u16) -> Origin {
-    if lp == LP_DIRECT {
-        Origin::Direct
-    } else {
-        Origin::Bundle(usize::from(lp - LP_BUNDLE0))
-    }
+    lp_bundle(lp).map_or(Origin::Direct, Origin::Bundle)
 }
 
 /// The stable byte encoding of a control mode used by
@@ -348,27 +351,49 @@ impl Partition {
     pub fn owns_direct(&self) -> bool {
         self.index == 0
     }
-
-    /// The worker index owning the given LP (never `LP_NET`).
-    pub fn worker_of_lp(workers: usize, lp: u16) -> usize {
-        debug_assert_ne!(lp, LP_NET);
-        if lp == LP_DIRECT {
-            0
-        } else {
-            (lp - LP_BUNDLE0) as usize % workers
-        }
-    }
 }
+
+/// One site-side LP's state on the worker that owns it — a bundle complex
+/// or the direct cross traffic — besides its flows (in the worker's
+/// `FlowTable`) and its sendbox (in the `Edge`). A worker owns the LP
+/// exactly when it holds the record: a checkpoint writes it, a migration
+/// or a restore moves it as a whole, and dropping the LP clears it.
+#[derive(Default)]
+struct SiteLp {
+    /// Schedule sequence counter: the LP's canonical key stream.
+    seq: u64,
+    /// Events handled on the LP's behalf: the measured load signal the
+    /// rate-aware balancer packs bundles by. Attributed where the handler
+    /// has already resolved the LP, so counting adds no lookups to the hot
+    /// path; migrates with the LP so rates stay cumulative.
+    events: u64,
+    /// Delivered payload bytes since the last sample.
+    delivered: u64,
+    /// Delivered throughput, one point per sample.
+    throughput_mbps: TimeSeries,
+    /// The sendbox's pacing rate and its control plane's RTT and
+    /// receive-rate estimates, one point per sample. They stay empty for
+    /// the direct LP, which has no sendbox.
+    pacing_rate_mbps: TimeSeries,
+    rtt_estimate_ms: TimeSeries,
+    recv_rate_estimate_mbps: TimeSeries,
+    /// In-flight flow spans and health-monitor readings.
+    obs: BundleObsState,
+}
+
+/// What a [`SiteLp`] lookup panics with: every event a worker handles is of
+/// an LP it owns.
+const NOT_OWNED: &str = "an LP this worker does not own";
 
 /// One shard's worth of site-side simulation state.
 pub struct WorkerCore {
     config: SimulationConfig,
     part: Partition,
-    /// Which bundles this worker currently owns. Starts as the partition's
-    /// static assignment; [`WorkerCore::drop_bundle`] /
-    /// [`WorkerCore::load_bundle`] move entries at window barriers when
-    /// the sharded driver rebalances.
-    owned: Vec<bool>,
+    /// The site-side LPs this worker owns, indexed by LP id (`LP_NET` is
+    /// never held). Starts as the static assignment the worker was built
+    /// with; [`WorkerCore::drop_bundle`] / [`WorkerCore::load_bundle`] move
+    /// bundle LPs at window barriers when the sharded driver rebalances.
+    lps: Vec<Option<SiteLp>>,
     n_bundles: usize,
     /// The owned partition of the site's sendbox edge.
     edge: Edge,
@@ -377,29 +402,12 @@ pub struct WorkerCore {
     /// `Event::FlowArrival` indexes into; only arrivals for owned LPs are
     /// scheduled.
     flows: FlowTable,
-    /// Per-LP schedule sequence counters, indexed by LP id.
-    seqs: Vec<u64>,
-    /// Events handled per LP, indexed by LP id: the measured load signal
-    /// the rate-aware balancer packs bundles by. Attributed where the
-    /// handler has already resolved the LP, so counting adds no lookups to
-    /// the hot path; migrates with the bundle so rates stay cumulative.
-    lp_events: Vec<u64>,
     forward_delay: Duration,
     reverse_delay: Duration,
-    /// Delivered payload bytes per bundle since the last sample.
-    bundle_delivered: Vec<u64>,
-    /// Delivered payload bytes of direct (cross) traffic since the last
-    /// sample.
-    cross_delivered: u64,
     /// Completed-flow records tagged with the (time, key) of the ACK event
     /// that completed them, so per-worker lists merge into the canonical
     /// global order.
     fcts: Vec<(Nanos, EventKey, FctRecord)>,
-    bundle_throughput_mbps: Vec<TimeSeries>,
-    bundle_pacing_rate_mbps: Vec<TimeSeries>,
-    bundle_rtt_estimate_ms: Vec<TimeSeries>,
-    bundle_recv_rate_estimate_mbps: Vec<TimeSeries>,
-    cross_throughput_mbps: TimeSeries,
     /// Reusable scratch for endhost output (ids of packets to route).
     pkt_buf: Vec<PacketId>,
     /// Reusable scratch for sendbox release bursts.
@@ -469,25 +477,21 @@ impl WorkerCore {
                 Origin::Direct => part.owns_direct(),
             })
             .count();
+        let lps = [false, part.owns_direct()]
+            .into_iter()
+            .chain(owned)
+            .map(|own| own.then(SiteLp::default))
+            .collect();
         WorkerCore {
             config: config.clone(),
             part,
-            owned,
+            lps,
             n_bundles,
             edge,
             flows: FlowTable::new(directory, admitted),
-            seqs: vec![0; LP_BUNDLE0 as usize + n_bundles],
-            lp_events: vec![0; LP_BUNDLE0 as usize + n_bundles],
             forward_delay,
             reverse_delay,
-            bundle_delivered: vec![0; n_bundles],
-            cross_delivered: 0,
             fcts: Vec::new(),
-            bundle_throughput_mbps: vec![TimeSeries::new(); n_bundles],
-            bundle_pacing_rate_mbps: vec![TimeSeries::new(); n_bundles],
-            bundle_rtt_estimate_ms: vec![TimeSeries::new(); n_bundles],
-            bundle_recv_rate_estimate_mbps: vec![TimeSeries::new(); n_bundles],
-            cross_throughput_mbps: TimeSeries::new(),
             pkt_buf: Vec::with_capacity(64),
             release_buf: Vec::with_capacity(64),
             health_buf: Vec::new(),
@@ -505,7 +509,7 @@ impl WorkerCore {
 
     /// True if this worker currently owns bundle `b`.
     pub fn owns_bundle(&self, b: usize) -> bool {
-        self.owned.get(b).copied().unwrap_or(false)
+        b < self.n_bundles && self.owns_lp(bundle_lp(b))
     }
 
     /// Events this core has handled.
@@ -517,7 +521,9 @@ impl WorkerCore {
     /// migrations — the count travels with the bundle). The sharded
     /// driver's rate-aware balancer packs bundles by deltas of this.
     pub fn bundle_events(&self, b: usize) -> u64 {
-        self.lp_events[bundle_lp(b) as usize]
+        self.lps[bundle_lp(b) as usize]
+            .as_ref()
+            .map_or(0, |site| site.events)
     }
 
     /// Packets this core's endhosts have created.
@@ -525,27 +531,29 @@ impl WorkerCore {
         self.packets_created
     }
 
-    /// True if this worker owns the given non-net LP.
+    /// True if this worker owns the given site-side LP.
     fn owns_lp(&self, lp: u16) -> bool {
-        if lp == LP_DIRECT {
-            self.part.owns_direct()
-        } else {
-            self.owned[(lp - LP_BUNDLE0) as usize]
-        }
+        self.lps[lp as usize].is_some()
+    }
+
+    /// The record of `lp`, which this worker owns.
+    #[inline]
+    fn site(&mut self, lp: u16) -> &mut SiteLp {
+        self.lps[lp as usize].as_mut().expect(NOT_OWNED)
     }
 
     /// The next canonical key for a schedule made by `lp`.
     #[inline]
     fn key_for(&mut self, lp: u16) -> EventKey {
-        let seq = &mut self.seqs[lp as usize];
-        *seq += 1;
-        EventKey::new(lp, *seq)
+        let site = self.site(lp);
+        site.seq += 1;
+        EventKey::new(lp, site.seq)
     }
 
     /// Attributes one handled event to `lp` for the load measurement.
     #[inline]
     fn note_event(&mut self, lp: u16) {
-        self.lp_events[lp as usize] += 1;
+        self.site(lp).events += 1;
     }
 
     /// True if the fault plan blacks out control-plane feedback at `now`.
@@ -598,7 +606,7 @@ impl WorkerCore {
             queue.schedule(spec.start, key, Event::FlowArrival { spec: i as u32 });
         }
         for b in 0..self.n_bundles {
-            if !self.owned[b] {
+            if !self.owns_bundle(b) {
                 continue;
             }
             if let Some(interval) = self.edge.control(b).map(|c| c.config().control_interval) {
@@ -610,19 +618,11 @@ impl WorkerCore {
                 );
             }
         }
-        let sample = self.config.sample_interval;
-        if self.part.owns_direct() {
-            let key = self.key_for(LP_DIRECT);
-            queue.schedule(Nanos::ZERO + sample, key, Event::Sample { lp: LP_DIRECT });
-        }
-        for b in 0..self.n_bundles {
-            if self.owned[b] {
-                let key = self.key_for(bundle_lp(b));
-                queue.schedule(
-                    Nanos::ZERO + sample,
-                    key,
-                    Event::Sample { lp: bundle_lp(b) },
-                );
+        let at = Nanos::ZERO + self.config.sample_interval;
+        for lp in LP_DIRECT..self.lps.len() as u16 {
+            if self.owns_lp(lp) {
+                let key = self.key_for(lp);
+                queue.schedule(at, key, Event::Sample { lp });
             }
         }
     }
@@ -738,21 +738,22 @@ impl WorkerCore {
         }
         if self.obs.flow_sampled(spec.id.0) {
             // Admission anchors the flow's span: record the classification
-            // and open the per-bundle accumulator the lifecycle hooks feed.
+            // and open the accumulator the lifecycle hooks feed, in the
+            // flow's LP.
             self.obs.metrics.add(CounterId::FlowsSampled, 1);
-            let (bundle_key, bundle_u32) = match spec.origin {
-                Origin::Bundle(b) => (b, b as u32),
-                Origin::Direct => (DIRECT_BUNDLE, u32::MAX),
+            let bundle = match spec.origin {
+                Origin::Bundle(b) => b as u32,
+                Origin::Direct => u32::MAX,
             };
             self.obs.record(
                 now,
                 TraceKind::FlowAdmit {
                     flow: spec.id.0,
-                    bundle: bundle_u32,
+                    bundle,
                     size_bytes: spec.size_bytes,
                 },
             );
-            self.obs.bundle_obs_mut(bundle_key).spans.insert(
+            self.site(lp).obs.spans.insert(
                 spec.id.0,
                 bundler_obs::FlowSpan {
                     admitted_at: now,
@@ -847,6 +848,7 @@ impl WorkerCore {
         };
         let (slot, origin, lp) = self.resolve(flow_id);
 
+        self.site(lp).delivered += payload as u64;
         // The receivebox observes every bundled data packet arriving at the
         // destination site (each bundle's remote site has its own).
         if let Origin::Bundle(b) = origin {
@@ -858,11 +860,6 @@ impl WorkerCore {
                     Event::CongestionAckArrive { ack },
                 );
             }
-            if let Some(acc) = self.bundle_delivered.get_mut(b) {
-                *acc += payload as u64;
-            }
-        } else {
-            self.cross_delivered += payload as u64;
         }
 
         // Application processing.
@@ -962,8 +959,8 @@ impl WorkerCore {
                     // Close the span: fold the accumulated sendbox sojourn
                     // into the one FlowEnd record and drop the accumulator.
                     let span = self
+                        .site(lp)
                         .obs
-                        .bundle_obs_mut(bundle.unwrap_or(DIRECT_BUNDLE))
                         .spans
                         .remove(&flow_id.0)
                         .unwrap_or_default();
@@ -1131,10 +1128,10 @@ impl WorkerCore {
                             sojourn_ns: sojourn.as_nanos(),
                         },
                     );
-                    // Accumulate into the flow's span (kept per bundle so
-                    // it migrates with the bundle complex). A released
-                    // packet's flow was admitted on this same bundle.
-                    if let Some(span) = self.obs.bundle_obs_mut(bundle).spans.get_mut(&flow) {
+                    // Accumulate into the flow's span (kept in its LP's
+                    // record, so it migrates with the bundle complex). A
+                    // released packet's flow was admitted on this bundle.
+                    if let Some(span) = self.site(lp).obs.spans.get_mut(&flow) {
                         span.pkts += 1;
                         span.sendbox_ns += sojourn.as_nanos();
                     }
@@ -1185,65 +1182,52 @@ impl WorkerCore {
 
     fn on_sample(&mut self, lp: u16, now: Nanos, queue: &mut EventQueue) {
         let interval = self.config.sample_interval.as_secs_f64();
-        if lp == LP_DIRECT {
-            let cross_mbps = (self.cross_delivered as f64 * 8.0) / interval / 1e6;
-            self.cross_throughput_mbps.push(now, cross_mbps);
-            self.cross_delivered = 0;
-        } else {
-            let b = (lp - LP_BUNDLE0) as usize;
-            let acc = &mut self.bundle_delivered[b];
-            let mbps = (*acc as f64 * 8.0) / interval / 1e6;
-            self.bundle_throughput_mbps[b].push(now, mbps);
-            *acc = 0;
-            if let Some(bundle) = self.edge.bundle_mut(b) {
-                bundle.sample_queue_delay(now);
-                self.bundle_pacing_rate_mbps[b].push(now, bundle.rate().as_mbps_f64());
-                if let Some(m) = self.edge.control(b).and_then(|c| c.last_measurement()) {
-                    self.bundle_rtt_estimate_ms[b].push(now, m.rtt.as_millis_f64());
-                    self.bundle_recv_rate_estimate_mbps[b].push(now, m.recv_rate.as_mbps_f64());
-                }
+        let site = self.lps[lp as usize].as_mut().expect(NOT_OWNED);
+        let mbps = (site.delivered as f64 * 8.0) / interval / 1e6;
+        site.throughput_mbps.push(now, mbps);
+        site.delivered = 0;
+        // The sendbox readings: the direct LP has no bundle, so no sendbox.
+        let bundle = lp_bundle(lp);
+        if let Some(sendbox) = bundle.and_then(|b| self.edge.bundle_mut(b)) {
+            sendbox.sample_queue_delay(now);
+            site.pacing_rate_mbps
+                .push(now, sendbox.rate().as_mbps_f64());
+            if let Some(m) = bundle.and_then(|b| self.edge.control(b)?.last_measurement()) {
+                site.rtt_estimate_ms.push(now, m.rtt.as_millis_f64());
+                site.recv_rate_estimate_mbps
+                    .push(now, m.recv_rate.as_mbps_f64());
             }
         }
         if self.obs.metrics_on() {
-            if lp != LP_DIRECT {
-                // Bundle health monitors: pure functions of this sample's
-                // readings vs the previous sample's (state migrates with
-                // the bundle), evaluated on the canonical sample stream so
-                // verdicts are identical for any shard count.
-                let b = (lp - LP_BUNDLE0) as usize;
-                let readings = self
-                    .edge
-                    .bundle(b)
-                    .zip(self.edge.control(b))
-                    .map(|(bundle, c)| {
-                        (
-                            bundle.queue_bytes(),
-                            c.stats().packets_sent,
-                            bundle.mode_timeline.len().saturating_sub(1) as u64,
-                        )
-                    });
-                if let Some((backlog, sent, mode_changes)) = readings {
-                    let mut verdicts = std::mem::take(&mut self.health_buf);
-                    verdicts.clear();
-                    self.obs.bundle_obs_mut(b).health.check_bundle(
-                        backlog,
-                        sent,
-                        mode_changes,
-                        &mut verdicts,
+            // Bundle health monitors: pure functions of this sample's
+            // readings vs the previous sample's (state migrates with the
+            // bundle), evaluated on the canonical sample stream so verdicts
+            // are identical for any shard count.
+            let readings = bundle.and_then(|b| {
+                let sendbox = self.edge.bundle(b)?;
+                let sent = self.edge.control(b)?.stats().packets_sent;
+                let mode_changes = sendbox.mode_timeline.len().saturating_sub(1) as u64;
+                Some((b, sendbox.queue_bytes(), sent, mode_changes))
+            });
+            if let Some((b, backlog, sent, mode_changes)) = readings {
+                let mut verdicts = std::mem::take(&mut self.health_buf);
+                verdicts.clear();
+                self.site(lp)
+                    .obs
+                    .health
+                    .check_bundle(backlog, sent, mode_changes, &mut verdicts);
+                for &(kind, value) in &verdicts {
+                    self.obs.metrics.add(CounterId::HealthEvents, 1);
+                    self.obs.record(
+                        now,
+                        TraceKind::Health {
+                            kind: kind as u8,
+                            subject: b as u32,
+                            value,
+                        },
                     );
-                    for &(kind, value) in &verdicts {
-                        self.obs.metrics.add(CounterId::HealthEvents, 1);
-                        self.obs.record(
-                            now,
-                            TraceKind::Health {
-                                kind: kind as u8,
-                                subject: b as u32,
-                                value,
-                            },
-                        );
-                    }
-                    self.health_buf = verdicts;
                 }
+                self.health_buf = verdicts;
             }
             // In the single-threaded host the sample stream doubles as the
             // telemetry flush beat; the sharded driver flushes at every
@@ -1297,13 +1281,11 @@ impl WorkerCore {
         arena: &PacketArena,
         out: &mut Vec<u8>,
     ) {
-        assert!(
-            self.owned[bundle],
-            "saving bundle {bundle}, which this worker does not own"
-        );
         let lp = bundle_lp(bundle);
-        let (seq, events) = (self.seqs[lp as usize], self.lp_events[lp as usize]);
-        (bundle, seq, events, self.bundle_delivered[bundle]).encode(out);
+        let Some(site) = &self.lps[lp as usize] else {
+            panic!("saving bundle {bundle}, which this worker does not own");
+        };
+        (bundle, site.seq, site.events, site.delivered).encode(out);
         save_pending_in_place(queue, arena, out, |e| {
             !is_net_event(e) && self.event_lp(e, arena) == lp
         });
@@ -1320,11 +1302,11 @@ impl WorkerCore {
             _ => None,
         });
         pings.encode(out);
-        self.bundle_throughput_mbps[bundle].encode(out);
-        self.bundle_pacing_rate_mbps[bundle].encode(out);
-        self.bundle_rtt_estimate_ms[bundle].encode(out);
-        self.bundle_recv_rate_estimate_mbps[bundle].encode(out);
-        save_obs_state(self.obs.bundle_obs.get(&bundle), out);
+        site.throughput_mbps.encode(out);
+        site.pacing_rate_mbps.encode(out);
+        site.rtt_estimate_ms.encode(out);
+        site.recv_rate_estimate_mbps.encode(out);
+        save_obs_state(&site.obs, out);
     }
 
     /// Removes everything bundle `bundle` holds on this worker — pending
@@ -1342,7 +1324,7 @@ impl WorkerCore {
         arena: &mut PacketArena,
     ) -> (u64, u64) {
         assert!(
-            self.owned[bundle],
+            self.owns_bundle(bundle),
             "dropping bundle {bundle}, which this worker does not own"
         );
         let lp = bundle_lp(bundle);
@@ -1373,15 +1355,7 @@ impl WorkerCore {
         {
             self.flows.remove(id);
         }
-        self.owned[bundle] = false;
-        self.seqs[lp as usize] = 0;
-        self.lp_events[lp as usize] = 0;
-        self.bundle_delivered[bundle] = 0;
-        self.bundle_throughput_mbps[bundle] = TimeSeries::new();
-        self.bundle_pacing_rate_mbps[bundle] = TimeSeries::new();
-        self.bundle_rtt_estimate_ms[bundle] = TimeSeries::new();
-        self.bundle_recv_rate_estimate_mbps[bundle] = TimeSeries::new();
-        self.obs.take_bundle_obs(bundle);
+        self.lps[lp as usize] = None;
         (pkts, bytes)
     }
 
@@ -1408,18 +1382,13 @@ impl WorkerCore {
         now: Nanos,
     ) -> Result<(), DecodeError> {
         assert!(
-            !self.owned[bundle],
+            !self.owns_bundle(bundle),
             "loading bundle {bundle}, which this worker already owns"
         );
-        let lp = bundle_lp(bundle) as usize;
         let (found, seq, events, delivered) = <(usize, u64, u64, u64)>::decode(r)?;
         if found != bundle {
             return Err(r.error("bundle sections out of order"));
         }
-        self.owned[bundle] = true;
-        self.seqs[lp] = seq;
-        self.lp_events[lp] = events;
-        self.bundle_delivered[bundle] = delivered;
         load_pending(queue, arena, r, "missing bundle event packet")?;
         self.edge.load_bundle(&self.config, bundle, arena, r, now)?;
         if let Some(b) = self.edge.bundle_mut(bundle) {
@@ -1435,13 +1404,16 @@ impl WorkerCore {
             self.flows
                 .load(id, FlowSlot::Ping { origin, client }, r, twice)?;
         }
-        self.bundle_throughput_mbps[bundle] = TimeSeries::decode(r)?;
-        self.bundle_pacing_rate_mbps[bundle] = TimeSeries::decode(r)?;
-        self.bundle_rtt_estimate_ms[bundle] = TimeSeries::decode(r)?;
-        self.bundle_recv_rate_estimate_mbps[bundle] = TimeSeries::decode(r)?;
-        if let Some(state) = load_obs_state(r)? {
-            self.obs.put_bundle_obs(bundle, state);
-        }
+        self.lps[bundle_lp(bundle) as usize] = Some(SiteLp {
+            seq,
+            events,
+            delivered,
+            throughput_mbps: TimeSeries::decode(r)?,
+            pacing_rate_mbps: TimeSeries::decode(r)?,
+            rtt_estimate_ms: TimeSeries::decode(r)?,
+            recv_rate_estimate_mbps: TimeSeries::decode(r)?,
+            obs: load_obs_state(r)?,
+        });
         Ok(())
     }
 
@@ -1493,13 +1465,13 @@ impl WorkerCore {
             direct: None,
             bundles: Vec::new(),
         };
-        if self.part.owns_direct() {
+        if self.owns_lp(LP_DIRECT) {
             let mut buf = Vec::new();
             self.save_direct_state(queue, arena, &mut buf);
             part.direct = Some(buf);
         }
         for b in 0..self.n_bundles {
-            if self.owned[b] {
+            if self.owns_bundle(b) {
                 let mut buf = Vec::new();
                 self.save_bundle(b, queue, arena, &mut buf);
                 part.bundles.push((b, buf));
@@ -1515,7 +1487,7 @@ impl WorkerCore {
     /// by value), and re-scheduled under their original ids. Only valid on
     /// the worker owning the direct LP.
     fn save_direct_state(&self, queue: &mut EventQueue, arena: &PacketArena, out: &mut Vec<u8>) {
-        debug_assert!(self.part.owns_direct());
+        let site = self.lps[LP_DIRECT as usize].as_ref().expect(NOT_OWNED);
         save_pending_in_place(queue, arena, out, |e| {
             !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT
         });
@@ -1533,13 +1505,11 @@ impl WorkerCore {
             _ => None,
         });
         pings.encode(out);
-        self.seqs[LP_DIRECT as usize].encode(out);
-        self.lp_events[LP_DIRECT as usize].encode(out);
-        self.cross_delivered.encode(out);
-        self.cross_throughput_mbps.encode(out);
-        // Direct flows never migrate, so their in-flight flow spans live
-        // under the synthetic DIRECT_BUNDLE key on this worker.
-        save_obs_state(self.obs.bundle_obs.get(&DIRECT_BUNDLE), out);
+        site.seq.encode(out);
+        site.events.encode(out);
+        site.delivered.encode(out);
+        site.throughput_mbps.encode(out);
+        save_obs_state(&site.obs, out);
     }
 
     /// Restores the direct-LP slice of a [`WorkerCore::save_part`],
@@ -1563,13 +1533,14 @@ impl WorkerCore {
             self.flows
                 .load(id, FlowSlot::Ping { origin, client }, r, twice)?;
         }
-        self.seqs[LP_DIRECT as usize] = u64::decode(r)?;
-        self.lp_events[LP_DIRECT as usize] = u64::decode(r)?;
-        self.cross_delivered = u64::decode(r)?;
-        self.cross_throughput_mbps = TimeSeries::decode(r)?;
-        if let Some(state) = load_obs_state(r)? {
-            self.obs.put_bundle_obs(DIRECT_BUNDLE, state);
-        }
+        self.lps[LP_DIRECT as usize] = Some(SiteLp {
+            seq: u64::decode(r)?,
+            events: u64::decode(r)?,
+            delivered: u64::decode(r)?,
+            throughput_mbps: TimeSeries::decode(r)?,
+            obs: load_obs_state(r)?,
+            ..SiteLp::default()
+        });
         Ok(())
     }
 }
@@ -1607,15 +1578,15 @@ impl WorkerResidue {
 
 serde::layout!(value WorkerResidue { events_processed, packets_created, fcts, agent_stats });
 
-/// Appends a section's in-flight observability state (flow-span
-/// accumulators in `BTreeMap` order, then the health-monitor readings)
-/// behind a one-byte presence flag, `0` when there is none to carry. Lives
-/// here rather than in `bundler-obs` so the obs crate stays serde-free.
-fn save_obs_state(state: Option<&BundleObsState>, out: &mut Vec<u8>) {
-    let Some(state) = state.filter(|state| !state.is_empty()) else {
+/// Appends an LP's in-flight observability state (flow-span accumulators
+/// in `BTreeMap` order, then the health-monitor readings) behind a one-byte
+/// presence flag, `0` when there is nothing to carry. Lives here rather
+/// than in `bundler-obs` so the obs crate stays serde-free.
+fn save_obs_state(state: &BundleObsState, out: &mut Vec<u8>) {
+    if state.is_empty() {
         0u8.encode(out);
         return;
-    };
+    }
     1u8.encode(out);
     (state.spans.len() as u64).encode(out);
     for (flow, span) in &state.spans {
@@ -1634,13 +1605,13 @@ fn save_obs_state(state: Option<&BundleObsState>, out: &mut Vec<u8>) {
 }
 
 /// Reverses [`save_obs_state`].
-fn load_obs_state(r: &mut Reader<'_>) -> Result<Option<BundleObsState>, DecodeError> {
+fn load_obs_state(r: &mut Reader<'_>) -> Result<BundleObsState, DecodeError> {
+    let mut state = BundleObsState::default();
     match u8::decode(r)? {
-        0 => return Ok(None),
+        0 => return Ok(state),
         1 => {}
         _ => return Err(r.error("unknown obs presence tag")),
     }
-    let mut state = BundleObsState::default();
     let n = u64::decode(r)? as usize;
     for _ in 0..n {
         let flow = u64::decode(r)?;
@@ -1657,7 +1628,7 @@ fn load_obs_state(r: &mut Reader<'_>) -> Result<Option<BundleObsState>, DecodeEr
     state.health.last_packets_sent = u64::decode(r)?;
     state.health.last_mode_changes = u64::decode(r)?;
     state.health.primed = bool::decode(r)?;
-    Ok(Some(state))
+    Ok(state)
 }
 
 /// Drains one release burst from a sendbox datapath: up to 64 packets per
@@ -1714,49 +1685,32 @@ pub fn balancer_for(config: &SimulationConfig) -> LoadBalancer {
 /// One `NetCore` instance hosts a *partition* of the global path set: the
 /// single-threaded engine's core owns every path; in the sharded host net
 /// shard `k` owns `{gid : gid % net_shards == k}` (every path when
-/// `net_shards = 1`). Every per-path accumulator is indexed by the
-/// **global** path id and every event key is drawn from the owning path's
-/// private sequence stream (`(gid << PATH_SEQ_SHIFT) | seq`), so the union
-/// of all shards' outputs is bit-identical to one core owning everything —
-/// the invariant the cross-shard differential matrix in
-/// `crates/shard/tests` pins.
+/// `net_shards = 1`). Its paths' records are indexed by the **global**
+/// path id and every event key is drawn from the owning path's private
+/// sequence stream (`(gid << PATH_SEQ_SHIFT) | seq`), so the union of all
+/// shards' outputs is bit-identical to one core owning everything — the
+/// invariant the cross-shard differential matrix in `crates/shard/tests`
+/// pins.
 pub struct NetCore {
-    paths: Vec<BottleneckPath>,
-    /// Global path ids this core owns, ascending. Paths outside the set
-    /// are still constructed (so global indexing and the lookahead
-    /// computation work unchanged) but never receive events here.
-    owned: Vec<usize>,
+    /// Every path of the run, by global id. Paths this core does not own
+    /// are still constructed (so global indexing works unchanged) but never
+    /// receive events here.
+    paths: Vec<PathLp>,
     /// This core's net-shard index and the run's net-shard count.
     shard: usize,
     net_shards: usize,
     lb: LoadBalancer,
-    /// Per-path schedule-sequence counters (the low half of the key
-    /// packing above).
-    path_seqs: Vec<u64>,
     sample_interval: Duration,
-    /// Per-path handled-event counts, summed into the report.
-    events_handled: Vec<u64>,
     /// The configured per-path rate, kept so capacity-scale faults can
     /// compute (and restore) absolute rates deterministically.
     base_path_rate: Rate,
-    /// Per-path packets created *by the net core itself* — duplication
-    /// faults mint copies here rather than at an endhost.
-    packets_minted: Vec<u64>,
     /// The fault plan: immutable configuration.
     fault_plan: FaultPlan,
-    /// Per-path fault state (which plan entries have fired, what is
-    /// pending), so fault application is a pure function of the path's
-    /// own event stream.
-    faults: Vec<PathFaults>,
     /// The fluid cross-traffic tier, when configured. Lives here because
     /// its integration points are net events: each path's `FluidUpdate`
     /// stream reads and writes only that path's fluid state, so capacity
     /// faults perturb it identically for any partitioning.
     fluid: Option<FluidState>,
-    /// Per-path [`LP_FLUID`] sequence counters (separate from the net
-    /// LP's so the packet-event key stream is untouched when the tier is
-    /// off).
-    fluid_seqs: Vec<u64>,
     /// Observability state for the bottleneck side (shard id
     /// [`bundler_obs::NET_SHARD`], or the id below it for net shard `k`).
     /// Public so the sharded driver can stamp net-phase spans and drain
@@ -1791,6 +1745,28 @@ struct PathFaults {
 
 serde::layout!(state PathFaults { cursor, link_down, burst_loss, duplicate, reorder });
 
+/// One bottleneck path's logical process: the path and everything the net
+/// core keeps for it. Every handler touches exactly one record, which is
+/// what lets the paths live on different net shards; a path section
+/// writes one record.
+struct PathLp {
+    path: BottleneckPath,
+    /// Schedule-sequence counter (the low half of the key packing above).
+    seq: u64,
+    /// The path's [`LP_FLUID`] sequence counter, separate from `seq` so
+    /// the packet-event key stream is untouched when the tier is off.
+    fluid_seq: u64,
+    /// Events handled, summed into the report.
+    events: u64,
+    /// Packets created *by the net core itself* — duplication faults mint
+    /// copies here rather than at an endhost.
+    minted: u64,
+    /// Fault state (which plan entries have fired, what is pending), so
+    /// fault application is a pure function of the path's own event
+    /// stream.
+    faults: PathFaults,
+}
+
 impl NetCore {
     /// Builds the bottleneck from the simulation configuration, owning
     /// every path.
@@ -1807,17 +1783,26 @@ impl NetCore {
         let per_path_rate = Rate::from_bps(config.bottleneck_rate.as_bps() / n as u64);
         let buffer = config.effective_buffer_pkts();
         let forward_delay = config.lookahead();
-        let mut paths = Vec::new();
-        for i in 0..n {
-            let extra = Duration(config.path_delay_spread.as_nanos() * i as u64);
-            let delay = forward_delay + extra;
-            let path = if config.in_network_fq {
-                BottleneckPath::with_queue(per_path_rate, delay, Policy::FairQueue.build(buffer))
-            } else {
-                BottleneckPath::drop_tail(per_path_rate, delay, buffer)
-            };
-            paths.push(path);
-        }
+        let paths = (0..n)
+            .map(|i| {
+                let extra = Duration(config.path_delay_spread.as_nanos() * i as u64);
+                let delay = forward_delay + extra;
+                let path = if config.in_network_fq {
+                    let queue = Policy::FairQueue.build(buffer);
+                    BottleneckPath::with_queue(per_path_rate, delay, queue)
+                } else {
+                    BottleneckPath::drop_tail(per_path_rate, delay, buffer)
+                };
+                PathLp {
+                    path,
+                    seq: 0,
+                    fluid_seq: 0,
+                    events: 0,
+                    minted: 0,
+                    faults: PathFaults::default(),
+                }
+            })
+            .collect();
         let fluid = config
             .cross_traffic
             .as_ref()
@@ -1833,19 +1818,13 @@ impl NetCore {
         }
         NetCore {
             paths,
-            owned: (0..n).filter(|gid| gid % net_shards == shard).collect(),
             shard,
             net_shards,
             lb: balancer_for(config),
-            path_seqs: vec![0; n],
             sample_interval: config.sample_interval,
-            events_handled: vec![0; n],
             base_path_rate: per_path_rate,
-            packets_minted: vec![0; n],
             fault_plan: config.faults.clone().unwrap_or_default(),
-            faults: vec![PathFaults::default(); n],
             fluid,
-            fluid_seqs: vec![0; n],
             obs,
         }
     }
@@ -1856,6 +1835,11 @@ impl NetCore {
         gid % self.net_shards == self.shard
     }
 
+    /// The global ids of the paths this core owns, ascending.
+    fn owned_paths(&self) -> std::iter::StepBy<std::ops::Range<usize>> {
+        (self.shard..self.paths.len()).step_by(self.net_shards)
+    }
+
     /// This core's net-shard index.
     pub fn shard(&self) -> usize {
         self.shard
@@ -1863,28 +1847,28 @@ impl NetCore {
 
     /// Events this core has handled (across its owned paths).
     pub fn events_processed(&self) -> u64 {
-        self.events_handled.iter().sum()
+        self.paths.iter().map(|p| p.events).sum()
     }
 
     /// Packets minted by the net core itself (duplication faults).
     pub fn packets_created(&self) -> u64 {
-        self.packets_minted.iter().sum()
+        self.paths.iter().map(|p| p.minted).sum()
     }
 
     #[inline]
     fn key_for(&mut self, gid: usize) -> EventKey {
-        self.path_seqs[gid] += 1;
-        let seq = self.path_seqs[gid];
-        debug_assert!(seq < 1 << PATH_SEQ_SHIFT, "path sequence space exhausted");
-        EventKey::new(LP_NET, ((gid as u64) << PATH_SEQ_SHIFT) | seq)
+        let seq = &mut self.paths[gid].seq;
+        *seq += 1;
+        debug_assert!(*seq < 1 << PATH_SEQ_SHIFT, "path sequence space exhausted");
+        EventKey::new(LP_NET, ((gid as u64) << PATH_SEQ_SHIFT) | *seq)
     }
 
     #[inline]
     fn fluid_key_for(&mut self, gid: usize) -> EventKey {
-        self.fluid_seqs[gid] += 1;
-        let seq = self.fluid_seqs[gid];
-        debug_assert!(seq < 1 << PATH_SEQ_SHIFT, "fluid sequence space exhausted");
-        EventKey::new(LP_FLUID, ((gid as u64) << PATH_SEQ_SHIFT) | seq)
+        let seq = &mut self.paths[gid].fluid_seq;
+        *seq += 1;
+        debug_assert!(*seq < 1 << PATH_SEQ_SHIFT, "fluid sequence space exhausted");
+        EventKey::new(LP_FLUID, ((gid as u64) << PATH_SEQ_SHIFT) | *seq)
     }
 
     /// The global path a pending net event belongs to. `ArriveBottleneck`
@@ -1910,9 +1894,8 @@ impl NetCore {
         arena: &PacketArena,
         at: Nanos,
     ) -> Vec<PathSection> {
-        let mut sections = Vec::with_capacity(self.owned.len());
-        for i in 0..self.owned.len() {
-            let gid = self.owned[i];
+        let mut sections = Vec::new();
+        for gid in self.owned_paths() {
             let mut buf = Vec::new();
             self.save_path_section(gid, queue, arena, &mut buf);
             sections.push((gid, buf));
@@ -1937,12 +1920,11 @@ impl NetCore {
         out: &mut Vec<u8>,
     ) {
         debug_assert!(self.owns_path(gid));
-        self.path_seqs[gid].encode(out);
-        self.events_handled[gid].encode(out);
-        self.packets_minted[gid].encode(out);
-        self.paths[gid].save_state(arena, out);
-        self.faults[gid].save_state(out);
-        match self.faults[gid].held {
+        let p = &mut self.paths[gid];
+        (p.seq, p.events, p.minted).encode(out);
+        p.path.save_state(arena, out);
+        p.faults.save_state(out);
+        match p.faults.held {
             Some(id) => {
                 true.encode(out);
                 arena[id].encode(out);
@@ -1956,7 +1938,7 @@ impl NetCore {
         // path ride along, so a resumed run does not re-fire (or miss) a
         // collapse event the interrupted run already decided.
         if let Some(fluid) = &self.fluid {
-            self.fluid_seqs[gid].encode(out);
+            p.fluid_seq.encode(out);
             fluid.save_path_state(gid, out);
             for i in 0..fluid.num_aggregates() {
                 if fluid.aggregate_path(i) as usize == gid {
@@ -1982,20 +1964,19 @@ impl NetCore {
         r: &mut Reader<'_>,
     ) -> Result<(), DecodeError> {
         debug_assert!(self.owns_path(gid));
-        self.path_seqs[gid] = u64::decode(r)?;
-        self.events_handled[gid] = u64::decode(r)?;
-        self.packets_minted[gid] = u64::decode(r)?;
-        self.paths[gid].load_state(arena, r)?;
-        self.faults[gid].load_state(r)?;
-        self.faults[gid].held = if bool::decode(r)? {
+        let p = &mut self.paths[gid];
+        (p.seq, p.events, p.minted) = Decode::decode(r)?;
+        p.path.load_state(arena, r)?;
+        p.faults.load_state(r)?;
+        p.faults.held = if bool::decode(r)? {
             Some(arena.insert(Packet::decode(r)?))
         } else {
             None
         };
         if let Some(fluid) = &mut self.fluid {
-            self.fluid_seqs[gid] = u64::decode(r)?;
+            p.fluid_seq = u64::decode(r)?;
             fluid.load_path_state(gid, r)?;
-            fluid.reapply_path(gid, &mut self.paths[gid]);
+            fluid.reapply_path(gid, &mut p.path);
             for i in 0..fluid.num_aggregates() {
                 if fluid.aggregate_path(i) as usize == gid {
                     self.obs.fluid_floor[i] = bool::decode(r)?;
@@ -2013,8 +1994,7 @@ impl NetCore {
             .fluid
             .as_ref()
             .map(|f| Nanos::ZERO + f.update_interval());
-        for i in 0..self.owned.len() {
-            let gid = self.owned[i];
+        for gid in self.owned_paths() {
             let (at, key) = (Nanos::ZERO + self.sample_interval, self.key_for(gid));
             queue.schedule(at, key, Event::PathSample { path: gid as u32 });
             if let Some(at) = fluid_at {
@@ -2050,12 +2030,12 @@ impl NetCore {
     /// One integration step of the fluid cross-traffic tier on path `gid`.
     fn on_fluid_update(&mut self, gid: usize, now: Nanos, queue: &mut EventQueue) {
         debug_assert!(self.owns_path(gid));
-        self.events_handled[gid] += 1;
+        self.paths[gid].events += 1;
         self.apply_due_faults_for(gid, now);
         let Some(fluid) = &mut self.fluid else {
             unreachable!("FluidUpdate without a configured fluid tier");
         };
-        fluid.update_path(now, gid, &mut self.paths[gid]);
+        fluid.update_path(now, gid, &mut self.paths[gid].path);
         let interval = fluid.update_interval();
         if self.obs.metrics_on() {
             self.obs.metrics.add(CounterId::FluidUpdates, 1);
@@ -2066,7 +2046,7 @@ impl NetCore {
                 let kind = TraceKind::FluidLevel {
                     path: gid as u32,
                     backlog_bytes: fluid.backlog_bytes(gid),
-                    rate_bps: self.paths[gid].fluid_drain_bps(),
+                    rate_bps: self.paths[gid].path.fluid_drain_bps(),
                 };
                 self.obs.record(now, kind);
                 for i in 0..fluid.num_aggregates() {
@@ -2117,32 +2097,32 @@ impl NetCore {
     /// addressed to other paths advance the cursor without effect;
     /// packet-level bursts fold into this path's own counters.
     fn apply_due_faults_for(&mut self, gid: usize, now: Nanos) {
-        while let Some(e) = self.fault_plan.entries.get(self.faults[gid].cursor) {
+        let p = &mut self.paths[gid];
+        while let Some(e) = self.fault_plan.entries.get(p.faults.cursor) {
             if e.at > now {
                 break;
             }
-            let kind = e.kind;
-            self.faults[gid].cursor += 1;
-            match kind {
+            p.faults.cursor += 1;
+            match e.kind {
                 FaultKind::LinkDown { path } => {
                     if path as usize == gid {
-                        self.faults[gid].link_down = true;
+                        p.faults.link_down = true;
                     }
                 }
                 FaultKind::LinkUp { path } => {
                     if path as usize == gid {
-                        self.faults[gid].link_down = false;
+                        p.faults.link_down = false;
                     }
                 }
                 FaultKind::CapacityScale { path, permille } => {
                     if path as usize == gid {
                         let bps = self.base_path_rate.as_bps() * permille as u64 / 1000;
-                        self.paths[gid].set_rate(Rate::from_bps(bps.max(1)));
+                        p.path.set_rate(Rate::from_bps(bps.max(1)));
                     }
                 }
-                FaultKind::BurstLoss { count } => self.faults[gid].burst_loss += count,
-                FaultKind::Duplicate { count } => self.faults[gid].duplicate += count,
-                FaultKind::Reorder { count } => self.faults[gid].reorder += count,
+                FaultKind::BurstLoss { count } => p.faults.burst_loss += count,
+                FaultKind::Duplicate { count } => p.faults.duplicate += count,
+                FaultKind::Reorder { count } => p.faults.reorder += count,
             }
         }
     }
@@ -2162,34 +2142,35 @@ impl NetCore {
     ) {
         let gid = self.lb.pick(&arena[pkt]);
         debug_assert!(self.owns_path(gid), "packet routed to the wrong net shard");
-        self.events_handled[gid] += 1;
+        self.paths[gid].events += 1;
         self.apply_due_faults_for(gid, now);
-        if self.faults[gid].burst_loss > 0 {
+        let faults = &mut self.paths[gid].faults;
+        if faults.burst_loss > 0 {
             // Injected loss upstream of the bottleneck: the packet
             // vanishes without touching any queue.
-            self.faults[gid].burst_loss -= 1;
+            faults.burst_loss -= 1;
             arena.free(pkt);
             return;
         }
-        if self.faults[gid].reorder > 0 {
-            match self.faults[gid].held.take() {
+        if faults.reorder > 0 {
+            match faults.held.take() {
                 None => {
-                    self.faults[gid].held = Some(pkt);
+                    faults.held = Some(pkt);
                     return;
                 }
                 Some(held) => {
-                    self.faults[gid].reorder -= 1;
+                    faults.reorder -= 1;
                     self.admit(pkt, gid, now, arena, queue);
                     self.admit(held, gid, now, arena, queue);
                     return;
                 }
             }
         }
-        if self.faults[gid].duplicate > 0 {
-            self.faults[gid].duplicate -= 1;
+        if faults.duplicate > 0 {
+            faults.duplicate -= 1;
             let copy = arena[pkt].clone();
             let dup = arena.insert(copy);
-            self.packets_minted[gid] += 1;
+            self.paths[gid].minted += 1;
             self.admit(pkt, gid, now, arena, queue);
             self.admit(dup, gid, now, arena, queue);
             return;
@@ -2208,18 +2189,19 @@ impl NetCore {
         arena: &mut PacketArena,
         queue: &mut EventQueue,
     ) {
-        if self.faults[gid].link_down {
-            self.paths[gid].drops += 1;
+        let p = &mut self.paths[gid];
+        if p.faults.link_down {
+            p.path.drops += 1;
             arena.free(pkt);
             return;
         }
-        if self.paths[gid].enqueue(pkt, arena, now) {
+        if p.path.enqueue(pkt, arena, now) {
             self.kick_path(gid, now, queue);
         }
     }
 
     fn kick_path(&mut self, path: usize, now: Nanos, queue: &mut EventQueue) {
-        let p = &mut self.paths[path];
+        let p = &mut self.paths[path].path;
         if p.dequeue_scheduled || p.queue_len() == 0 {
             return;
         }
@@ -2238,10 +2220,11 @@ impl NetCore {
         deliveries: &mut Vec<Delivery>,
     ) {
         debug_assert!(self.owns_path(path));
-        self.events_handled[path] += 1;
+        self.paths[path].events += 1;
         self.apply_due_faults_for(path, now);
-        self.paths[path].dequeue_scheduled = false;
-        if let Some((pkt, delivered_at, link_free)) = self.paths[path].try_transmit(arena, now) {
+        self.paths[path].path.dequeue_scheduled = false;
+        if let Some((pkt, delivered_at, link_free)) = self.paths[path].path.try_transmit(arena, now)
+        {
             if self.obs.trace_on() {
                 let flow = arena[pkt].flow.0;
                 if self.obs.flow_sampled(flow) {
@@ -2263,15 +2246,15 @@ impl NetCore {
                 key,
                 pkt,
             });
-            if self.paths[path].queue_len() > 0 {
-                self.paths[path].dequeue_scheduled = true;
+            if self.paths[path].path.queue_len() > 0 {
+                self.paths[path].path.dequeue_scheduled = true;
                 let key = self.key_for(path);
                 queue.schedule(link_free, key, Event::PathDequeue { path: path as u32 });
             }
-        } else if self.paths[path].queue_len() > 0 {
+        } else if self.paths[path].path.queue_len() > 0 {
             // Link was still busy: try again when it frees up.
-            let at = self.paths[path].busy_until();
-            self.paths[path].dequeue_scheduled = true;
+            let at = self.paths[path].path.busy_until();
+            self.paths[path].path.dequeue_scheduled = true;
             let key = self.key_for(path);
             queue.schedule(at, key, Event::PathDequeue { path: path as u32 });
         }
@@ -2283,11 +2266,11 @@ impl NetCore {
     /// nothing here needs to see the other paths.
     fn on_path_sample(&mut self, gid: usize, now: Nanos, queue: &mut EventQueue) {
         debug_assert!(self.owns_path(gid));
-        self.events_handled[gid] += 1;
+        self.paths[gid].events += 1;
         self.apply_due_faults_for(gid, now);
-        self.paths[gid].sample_queue_delay(now);
+        self.paths[gid].path.sample_queue_delay(now);
         if self.obs.metrics_on() {
-            let queue_delay_ms = self.paths[gid].queue_delay().as_millis_f64();
+            let queue_delay_ms = self.paths[gid].path.queue_delay().as_millis_f64();
             self.obs.metrics.observe(
                 HistId::BottleneckQueueDelayUs,
                 (queue_delay_ms * 1000.0) as u64,
@@ -2439,15 +2422,18 @@ pub fn assemble_report(
             .count();
         report.events_processed += w.events_processed;
         report.packets_created += w.packets_created;
+        if let Some(site) = &mut w.lps[LP_DIRECT as usize] {
+            report.cross_throughput_mbps = std::mem::take(&mut site.throughput_mbps);
+        }
         for b in 0..n_bundles {
-            if !w.owned[b] {
+            let Some(site) = &mut w.lps[bundle_lp(b) as usize] else {
                 continue;
-            }
-            report.bundle_throughput_mbps[b] = std::mem::take(&mut w.bundle_throughput_mbps[b]);
-            report.bundle_pacing_rate_mbps[b] = std::mem::take(&mut w.bundle_pacing_rate_mbps[b]);
-            report.bundle_rtt_estimate_ms[b] = std::mem::take(&mut w.bundle_rtt_estimate_ms[b]);
+            };
+            report.bundle_throughput_mbps[b] = std::mem::take(&mut site.throughput_mbps);
+            report.bundle_pacing_rate_mbps[b] = std::mem::take(&mut site.pacing_rate_mbps);
+            report.bundle_rtt_estimate_ms[b] = std::mem::take(&mut site.rtt_estimate_ms);
             report.bundle_recv_rate_estimate_mbps[b] =
-                std::mem::take(&mut w.bundle_recv_rate_estimate_mbps[b]);
+                std::mem::take(&mut site.recv_rate_estimate_mbps);
             if let Some(control) = w.edge.control(b) {
                 report.out_of_order_fraction[b] = control.out_of_order_fraction();
             }
@@ -2455,9 +2441,6 @@ pub fn assemble_report(
                 report.sendbox_queue_delay_ms[b] = bundle.queue_delay_ms.clone();
                 report.mode_timeline[b] = bundle.mode_timeline.clone();
             }
-        }
-        if w.part.owns_direct() {
-            report.cross_throughput_mbps = std::mem::take(&mut w.cross_throughput_mbps);
         }
         if let Some(agent) = w.edge.agent() {
             telemetry_rows.extend(agent.snapshots().bundles);
@@ -2489,9 +2472,9 @@ pub fn assemble_report(
     for net in &nets {
         report.events_processed += net.events_processed();
         report.packets_created += net.packets_created();
-        for &gid in &net.owned {
-            report.bottleneck_drops += net.paths[gid].drops;
-            report.bytes_delivered += net.paths[gid].bytes_delivered;
+        for gid in net.owned_paths() {
+            report.bottleneck_drops += net.paths[gid].path.drops;
+            report.bytes_delivered += net.paths[gid].path.bytes_delivered;
         }
     }
     // Aggregate bottleneck queue delay: walk the paths in global id order
@@ -2504,7 +2487,7 @@ pub fn assemble_report(
                 .iter()
                 .find(|n| n.owns_path(gid))
                 .expect("every path has an owning net core");
-            &net.paths[gid].queue_delay_ms
+            &net.paths[gid].path.queue_delay_ms
         })
         .collect();
     let mut merged = TimeSeries::new();
@@ -2550,7 +2533,7 @@ pub fn assemble_report(
             // metrics. Migrated bundles carried theirs along, so the fold
             // happens exactly once wherever the bundle ended up.
             for b in 0..n_bundles {
-                if !w.owned[b] {
+                if !w.owns_bundle(b) {
                     continue;
                 }
                 if let Some(sched) = w.edge.bundle_mut(b).and_then(|bundle| bundle.take_obs()) {

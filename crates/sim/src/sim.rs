@@ -100,13 +100,13 @@ pub struct SimulationConfig {
     /// level ever changes a simulation result: the output rides on
     /// [`SimReport::obs`], which `SimStats` digests exclude.
     pub obs: bundler_obs::ObsLevel,
-    /// When set, the hosts take a whole-simulation snapshot roughly every
-    /// this much simulated time (at the exact multiple in the
-    /// single-threaded host; at the first window start at or past the
-    /// multiple in the sharded host — both stamped so restore resumes
-    /// bit-identically, both on the one cadence
-    /// [`crate::snapshot::Writer`] keeps: the next target is the first
-    /// multiple strictly after the last stamp). Collected via
+    /// When set, the hosts take a whole-simulation snapshot at every
+    /// multiple of this much simulated time, stamped exactly there (the
+    /// sharded host ends a window early at a multiple that falls inside
+    /// it), so both hosts write the same bytes at the same instants and a
+    /// restore resumes bit-identically. [`crate::snapshot::Writer`] keeps
+    /// the cadence: the next target is the first multiple strictly after
+    /// the last stamp. Collected via
     /// [`Simulation::run_collecting`]; `None` (the default) disables
     /// checkpointing entirely. Never affects simulation results.
     pub checkpoint_every: Option<Duration>,
@@ -143,7 +143,9 @@ pub struct SimulationConfig {
 /// affects wall-clock only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBalance {
-    /// Static round-robin (`bundle % shards`) — PR 4's partition. A heavy
+    /// Static round-robin over classification co-location groups (group
+    /// leader `% shards`, groups classified-to by direct traffic on shard
+    /// 0) — `bundle % shards` when every group is a singleton. A heavy
     /// bundle serializes its shard while the others idle at the barrier.
     #[default]
     RoundRobin,

@@ -320,9 +320,8 @@ impl Writer {
         }
     }
 
-    /// The instant the next checkpoint of a collecting run is due at (the
-    /// single-threaded host stamps it exactly there, the sharded host at
-    /// its first window start at or past it); `None` without a cadence.
+    /// The instant the next checkpoint of a collecting run is due at, and
+    /// stamped at, on either host; `None` without a cadence.
     pub fn due(&self) -> Option<Nanos> {
         self.cadence.map(|(_, next)| next)
     }

@@ -17,9 +17,8 @@
 //!   `u64` each, so finding the next non-empty slot is a
 //!   `trailing_zeros`), FIFO slot buckets and a small sorted buffer holding
 //!   only the slot currently being drained. Push and pop are O(1) amortized
-//!   instead of
-//!   the O(log n) — with large element moves — of one big binary heap over
-//!   every pending event.
+//!   instead of the O(log n) — with large element moves — of one big binary
+//!   heap over every pending event.
 //! * [`BinaryHeapQueue`] — the straightforward binary-heap implementation,
 //!   kept only as the reference the calendar queue is property-tested
 //!   against (here and in `tests/properties.rs`); nothing runs on it.
@@ -169,8 +168,9 @@ impl<T> BinaryHeapQueue<T> {
 /// drained sits in a small sorted buffer (`cur`), which is what preserves
 /// the exact `(deadline, sequence)` total order — identical to
 /// [`BinaryHeapQueue`] — while keeping per-operation cost independent of
-/// the number of pending entries. Per-level occupancy bitmaps make skipping empty stretches of simulated time a couple of
-/// `trailing_zeros` instructions rather than a slot-by-slot walk.
+/// the number of pending entries. Per-level occupancy bitmaps make
+/// skipping empty stretches of simulated time a couple of `trailing_zeros`
+/// instructions rather than a slot-by-slot walk.
 ///
 /// # Example
 ///
@@ -680,8 +680,8 @@ mod tests {
     #[test]
     fn extract_if_lifts_matches_and_leaves_the_rest_intact() {
         // Entries land in every region: at `now`, the current slot, near
-        // slots, far levels and the overflow list —
-        // extraction must find them all and must not disturb the rest.
+        // slots, far levels and the overflow list — extraction must find
+        // them all and must not disturb the rest.
         let mut q = cq();
         let mut r = BinaryHeapQueue::new();
         let times: Vec<u64> = vec![

@@ -381,9 +381,15 @@ struct SiteLp {
     obs: BundleObsState,
 }
 
-/// What a [`SiteLp`] lookup panics with: every event a worker handles is of
-/// an LP it owns.
-const NOT_OWNED: &str = "an LP this worker does not own";
+/// What a [`SiteLp`] lookup does for an LP the worker does not own: every
+/// event a worker handles is of an LP it owns, so this is a bug. Cold and
+/// out of line, so a lookup on the per-event path stays a load and a test
+/// (`fct_quo` ran 3 % slower with the panic inlined at each lookup).
+#[cold]
+#[inline(never)]
+fn not_owned(lp: u16) -> ! {
+    panic!("LP {lp}, which this worker does not own")
+}
 
 /// One shard's worth of site-side simulation state.
 pub struct WorkerCore {
@@ -539,7 +545,10 @@ impl WorkerCore {
     /// The record of `lp`, which this worker owns.
     #[inline]
     fn site(&mut self, lp: u16) -> &mut SiteLp {
-        self.lps[lp as usize].as_mut().expect(NOT_OWNED)
+        match &mut self.lps[lp as usize] {
+            Some(site) => site,
+            None => not_owned(lp),
+        }
     }
 
     /// The next canonical key for a schedule made by `lp`.
@@ -1182,7 +1191,9 @@ impl WorkerCore {
 
     fn on_sample(&mut self, lp: u16, now: Nanos, queue: &mut EventQueue) {
         let interval = self.config.sample_interval.as_secs_f64();
-        let site = self.lps[lp as usize].as_mut().expect(NOT_OWNED);
+        let Some(site) = &mut self.lps[lp as usize] else {
+            not_owned(lp)
+        };
         let mbps = (site.delivered as f64 * 8.0) / interval / 1e6;
         site.throughput_mbps.push(now, mbps);
         site.delivered = 0;
@@ -1487,7 +1498,9 @@ impl WorkerCore {
     /// by value), and re-scheduled under their original ids. Only valid on
     /// the worker owning the direct LP.
     fn save_direct_state(&self, queue: &mut EventQueue, arena: &PacketArena, out: &mut Vec<u8>) {
-        let site = self.lps[LP_DIRECT as usize].as_ref().expect(NOT_OWNED);
+        let Some(site) = &self.lps[LP_DIRECT as usize] else {
+            not_owned(LP_DIRECT)
+        };
         save_pending_in_place(queue, arena, out, |e| {
             !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT
         });

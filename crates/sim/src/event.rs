@@ -452,10 +452,8 @@ impl EventQueue {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
-    // Always inlined: in the solo loop the unpacking of the event's variant
-    // then folds into the dispatch on it. Left to the heuristics, the call
-    // stayed out of line once the wheel's pop got smaller, and the
-    // benchmark's `fct_quo` ran 15 % slower (release build, 2-vCPU x86-64).
+    // Inlined so the solo loop folds the unpacking into its dispatch: left
+    // out of line, `fct_quo` ran 15 % slower (release, 2-vCPU x86-64).
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(Nanos, Event)> {
         let (at, entry) = self.inner.pop()?;

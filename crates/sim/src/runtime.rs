@@ -381,10 +381,8 @@ struct SiteLp {
     obs: BundleObsState,
 }
 
-/// What a [`SiteLp`] lookup does for an LP the worker does not own: every
-/// event a worker handles is of an LP it owns, so this is a bug. Cold and
-/// out of line, so a lookup on the per-event path stays a load and a test
-/// (`fct_quo` ran 3 % slower with the panic inlined at each lookup).
+/// A [`SiteLp`] lookup of an LP this worker does not own: a bug. Out of
+/// line, as an inlined panic at every lookup cost `fct_quo` 3 %.
 #[cold]
 #[inline(never)]
 fn not_owned(lp: u16) -> ! {
@@ -400,7 +398,6 @@ pub struct WorkerCore {
     /// with; [`WorkerCore::drop_bundle`] / [`WorkerCore::load_bundle`] move
     /// bundle LPs at window barriers when the sharded driver rebalances.
     lps: Vec<Option<SiteLp>>,
-    n_bundles: usize,
     /// The owned partition of the site's sendbox edge.
     edge: Edge,
     /// Every flow and ping of the owned LPs, entered at its `FlowArrival`.
@@ -460,8 +457,7 @@ impl WorkerCore {
     ) -> Self {
         let forward_delay = config.lookahead();
         let reverse_delay = config.rtt - forward_delay;
-        let n_bundles = config.n_bundles();
-        debug_assert_eq!(owned.len(), n_bundles);
+        debug_assert_eq!(owned.len(), config.n_bundles());
         let mut edge = Edge::new(config, &owned).expect("invalid bundle configuration");
         let mut obs = ShardObs::new(config.obs, part.index as u16);
         obs.sampler = config.flow_trace.map(FlowSampler::new);
@@ -492,7 +488,6 @@ impl WorkerCore {
             config: config.clone(),
             part,
             lps,
-            n_bundles,
             edge,
             flows: FlowTable::new(directory, admitted),
             forward_delay,
@@ -515,7 +510,8 @@ impl WorkerCore {
 
     /// True if this worker currently owns bundle `b`.
     pub fn owns_bundle(&self, b: usize) -> bool {
-        b < self.n_bundles && self.owns_lp(bundle_lp(b))
+        let lp = usize::from(LP_BUNDLE0) + b;
+        self.lps.get(lp).is_some_and(Option::is_some)
     }
 
     /// Events this core has handled.
@@ -600,10 +596,10 @@ impl WorkerCore {
     }
 
     /// Schedules this worker's initial events: flow arrivals for owned
-    /// LPs (workload order), then control ticks for owned deployed
-    /// bundles, then per-LP samples. The per-LP key streams this produces
-    /// are identical for every partitioning because each stream only
-    /// depends on the workload and config.
+    /// LPs (workload order), then each owned LP's first control tick (a
+    /// bundle with a deployed sendbox) and first sample. The per-LP key
+    /// streams this produces are identical for every partitioning because
+    /// each stream only depends on the workload and config.
     pub fn schedule_initial(&mut self, queue: &mut EventQueue) {
         let directory = Arc::clone(&self.flows.directory);
         for (i, spec) in directory.specs().iter().enumerate() {
@@ -614,25 +610,19 @@ impl WorkerCore {
             let key = self.key_for(lp);
             queue.schedule(spec.start, key, Event::FlowArrival { spec: i as u32 });
         }
-        for b in 0..self.n_bundles {
-            if !self.owns_bundle(b) {
+        let sample = Nanos::ZERO + self.config.sample_interval;
+        for lp in LP_DIRECT..self.lps.len() as u16 {
+            if !self.owns_lp(lp) {
                 continue;
             }
-            if let Some(interval) = self.edge.control(b).map(|c| c.config().control_interval) {
-                let key = self.key_for(bundle_lp(b));
-                queue.schedule(
-                    Nanos::ZERO + interval,
-                    key,
-                    Event::ControlTick { bundle: b as u32 },
-                );
-            }
-        }
-        let at = Nanos::ZERO + self.config.sample_interval;
-        for lp in LP_DIRECT..self.lps.len() as u16 {
-            if self.owns_lp(lp) {
+            let control = lp_bundle(lp).and_then(|b| Some((b, self.edge.control(b)?)));
+            if let Some((b, control)) = control {
+                let at = Nanos::ZERO + control.config().control_interval;
                 let key = self.key_for(lp);
-                queue.schedule(at, key, Event::Sample { lp });
+                queue.schedule(at, key, Event::ControlTick { bundle: b as u32 });
             }
+            let key = self.key_for(lp);
+            queue.schedule(sample, key, Event::Sample { lp });
         }
     }
 
@@ -1481,7 +1471,7 @@ impl WorkerCore {
             self.save_direct_state(queue, arena, &mut buf);
             part.direct = Some(buf);
         }
-        for b in 0..self.n_bundles {
+        for b in 0..self.config.n_bundles() {
             if self.owns_bundle(b) {
                 let mut buf = Vec::new();
                 self.save_bundle(b, queue, arena, &mut buf);

@@ -16,12 +16,8 @@ use bundler_types::Nanos;
 /// canonical merged order. Meta lines (`{"meta":...}`) and malformed lines
 /// are skipped, matching the stream module's contract.
 pub fn load_records(text: &str) -> Vec<TraceRecord> {
-    // Record lines average about 90 bytes: this seldom regrows, and the
-    // capacity a stream does not fill is never touched.
-    let mut parsed: Vec<stream::StreamedRecord> = Vec::with_capacity(text.len() / 64);
-    parsed.extend(text.lines().filter_map(stream::parse_line));
-    stream::sort_canonical(&mut parsed);
-    parsed.into_iter().map(|r| r.rec).collect()
+    // Collected in place: the records shrink into the buffer `read` filled.
+    stream::read(text).into_iter().map(|r| r.rec).collect()
 }
 
 /// One point of an FCT-slowdown CDF: `(percentile, slowdown)`.

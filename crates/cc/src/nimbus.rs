@@ -231,6 +231,12 @@ impl ElasticityDetector {
         }
 
         let z = self.cross_rate(m.send_rate, m.recv_rate);
+        debug_assert!(
+            self.cross_samples
+                .back()
+                .is_none_or(|&(t, _, _)| t <= m.now),
+            "cross-traffic samples arrive in time order"
+        );
         self.cross_samples
             .push_back((m.now, z.as_bps() as f64, m.queue_delay()));
         while self.cross_samples.len() > self.config.fft_window {
@@ -299,23 +305,27 @@ impl ElasticityDetector {
             .saturating_since(Nanos::ZERO)
             .as_nanos()
             .saturating_sub(self.config.persistence_window.as_nanos());
-        let recent: Vec<(f64, Duration)> = self
+        // Sample times never decrease (see `update`), so the window is a
+        // suffix: walk back from the newest sample. Minima do not depend
+        // on the order they are taken in.
+        let (mut n, mut min_z, mut min_queue_delay) = (0usize, f64::INFINITY, Duration::MAX);
+        for &(_, z, dq) in self
             .cross_samples
             .iter()
-            .filter(|&&(t, _, _)| t.as_nanos() >= window_start)
-            .map(|&(_, z, dq)| (z, dq))
-            .collect();
+            .rev()
+            .take_while(|&&(t, _, _)| t.as_nanos() >= window_start)
+        {
+            n += 1;
+            min_z = min_z.min(z);
+            min_queue_delay = min_queue_delay.min(dq);
+        }
         // Require the window to be reasonably full before declaring.
         let expected = (self.config.persistence_window.as_nanos()
             / self.config.sample_interval.as_nanos().max(1)) as usize;
-        if recent.len() < expected / 2 {
+        if n < expected / 2 {
             return self.last_verdict;
         }
-        let min_frac = recent.iter().map(|&(z, _)| z).fold(f64::INFINITY, f64::min) / mu;
-        let min_queue_delay = recent
-            .iter()
-            .map(|&(_, dq)| dq)
-            .fold(Duration::MAX, |a, b| a.min(b));
+        let min_frac = min_z / mu;
         if min_frac > self.config.persistence_min_frac
             && min_queue_delay >= self.config.persistence_min_queue_delay
         {

@@ -118,6 +118,45 @@ pub struct MeasurementEngine {
     stats: MeasurementStats,
 }
 
+/// The running sums [`MeasurementEngine::measurement`] averages, folded in
+/// one pass over the samples. Each float sum starts from `-0.0` and adds in
+/// sample order, exactly as `Iterator::sum` does, so the averages are the
+/// same bits as summing collected lists.
+struct Window {
+    n: usize,
+    rtt_s: f64,
+    /// `(count, sum)` of the samples' send and receive rates, bits/sec.
+    send: (usize, f64),
+    recv: (usize, f64),
+    acked_bytes: u64,
+}
+
+impl Default for Window {
+    fn default() -> Self {
+        Window {
+            n: 0,
+            rtt_s: -0.0,
+            send: (0, -0.0),
+            recv: (0, -0.0),
+            acked_bytes: 0,
+        }
+    }
+}
+
+impl Window {
+    fn add(&mut self, s: &EpochSample) {
+        self.n += 1;
+        self.rtt_s += s.rtt.as_secs_f64();
+        if let Some(r) = s.send_rate {
+            self.send = (self.send.0 + 1, self.send.1 + r.as_bps() as f64);
+        }
+        if let Some(r) = s.recv_rate {
+            self.recv = (self.recv.0 + 1, self.recv.1 + r.as_bps() as f64);
+        }
+        self.acked_bytes += s.acked_bytes;
+    }
+}
+
 impl Default for MeasurementEngine {
     fn default() -> Self {
         Self::new()
@@ -283,50 +322,34 @@ impl MeasurementEngine {
                 break;
             }
         }
-        let recent: Vec<&EpochSample> = self
-            .samples
-            .iter()
-            .filter(|s| now.saturating_since(s.at) <= window)
-            .collect();
-        let use_samples: Vec<&EpochSample> = if recent.is_empty() {
+        let mut agg = Window::default();
+        for s in self.samples.iter() {
+            if now.saturating_since(s.at) <= window {
+                agg.add(s);
+            }
+        }
+        if agg.n == 0 {
             // Fall back to the most recent sample so the controller is not
             // starved on long-RTT paths.
-            self.samples.iter().rev().take(1).collect()
-        } else {
-            recent
-        };
-        if use_samples.is_empty() {
-            return None;
+            agg.add(self.samples.back()?);
         }
 
-        let n = use_samples.len() as f64;
-        let rtt = Duration::from_secs_f64(
-            use_samples.iter().map(|s| s.rtt.as_secs_f64()).sum::<f64>() / n,
-        );
-        let send_rates: Vec<f64> = use_samples
-            .iter()
-            .filter_map(|s| s.send_rate)
-            .map(|r| r.as_bps() as f64)
-            .collect();
-        let recv_rates: Vec<f64> = use_samples
-            .iter()
-            .filter_map(|s| s.recv_rate)
-            .map(|r| r.as_bps() as f64)
-            .collect();
-        if recv_rates.is_empty() && send_rates.is_empty() {
+        let rtt = Duration::from_secs_f64(agg.rtt_s / agg.n as f64);
+        if agg.recv.0 == 0 && agg.send.0 == 0 {
             return None;
         }
-        let send_rate = if send_rates.is_empty() {
+        let mean = |(n, sum): (usize, f64)| Rate::from_bps((sum / n as f64) as u64);
+        let send_rate = if agg.send.0 == 0 {
             Rate::ZERO
         } else {
-            Rate::from_bps((send_rates.iter().sum::<f64>() / send_rates.len() as f64) as u64)
+            mean(agg.send)
         };
-        let recv_rate = if recv_rates.is_empty() {
+        let recv_rate = if agg.recv.0 == 0 {
             send_rate
         } else {
-            Rate::from_bps((recv_rates.iter().sum::<f64>() / recv_rates.len() as f64) as u64)
+            mean(agg.recv)
         };
-        let acked_bytes: u64 = use_samples.iter().map(|s| s.acked_bytes).sum();
+        let acked_bytes = agg.acked_bytes;
 
         Some(Measurement {
             now,

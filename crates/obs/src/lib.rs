@@ -273,7 +273,7 @@ impl ObsReport {
     /// Per-shard sequence numbers are reconstructed in iteration order —
     /// the merged trace is a stable sort by sim-time over per-shard push
     /// order, so this is byte-identical to the same run's streamed lines
-    /// after [`stream::sort_canonical`].
+    /// as [`stream::read`] orders them.
     pub fn to_jsonl(&self) -> String {
         stream::render_lines(&self.trace)
     }

@@ -15,7 +15,7 @@
 
 use bundler_types::Nanos;
 
-use crate::stream::push_u64;
+use crate::stream::{push_u64, scan_u64};
 
 /// One-shot notice that some trace ring overflowed this process (opt-in
 /// via `BUNDLER_SHARD_DEBUG`). Dropped records only thin the trace — the
@@ -38,8 +38,9 @@ pub const RING_CAPACITY: usize = 1 << 16;
 pub const SINK_CAPACITY: usize = 1 << 20;
 
 /// Generates, from the one table of record kinds below, the [`TraceKind`]
-/// enum, each kind's stream tag, the line protocol's field renderer and
-/// parser (`crate::stream`) and the kind half of [`TraceRecord::portable_key`].
+/// enum, each kind's stream tag, the line protocol's field renderer, its
+/// general parser and its fast path for canonical lines (`crate::stream`),
+/// and the kind half of [`TraceRecord::portable_key`].
 macro_rules! trace_kinds {
     ($(
         $(#[$doc:meta])*
@@ -89,6 +90,35 @@ macro_rules! trace_kinds {
                     }, )*
                     _ => return None,
                 })
+            }
+
+            /// The kind tagged `tag`, read from its fields exactly as
+            /// [`TraceKind::render_fields`] writes them, starting at
+            /// `line[i]`: each field's literal `,"name":` and then its
+            /// digits, in declared order. Returns the kind and the index
+            /// past its last field; `None` for anything else, which the
+            /// general parser then reads.
+            #[inline]
+            pub(crate) fn parse_canonical(
+                tag: &[u8],
+                line: &[u8],
+                mut i: usize,
+            ) -> Option<(TraceKind, usize)> {
+                let kind = match tag {
+                    $( t if t == $tag.as_bytes() => TraceKind::$kind {
+                        $( $field: {
+                            let key = concat!(",\"", stringify!($field), "\":").as_bytes();
+                            if line.get(i..i + key.len())? != key {
+                                return None;
+                            }
+                            let (v, next) = scan_u64(line, i + key.len())?;
+                            i = next;
+                            TryFrom::try_from(v).ok()?
+                        }, )*
+                    }, )*
+                    _ => return None,
+                };
+                Some((kind, i))
             }
 
             /// The kind's number and its up-to-three key fields, zero-padded.

@@ -34,13 +34,6 @@ fn traced_many_sites(seed: u64) -> (SimulationConfig, Vec<FlowSpec>) {
     (config, sc.workload())
 }
 
-/// Parses a streamed export back into canonically-ordered records.
-fn parse_stream(text: &str) -> Vec<StreamedRecord> {
-    let mut recs: Vec<StreamedRecord> = text.lines().filter_map(stream::parse_line).collect();
-    stream::sort_canonical(&mut recs);
-    recs
-}
-
 /// The portable identity of a record for cross-shard-count comparison:
 /// shard and seq are placement-dependent, `(at, kind)` is not.
 fn portable_keys(recs: &[StreamedRecord]) -> Vec<(u64, String)> {
@@ -81,7 +74,7 @@ fn streamed_export_is_byte_identical_to_in_memory_jsonl() {
     );
 
     let mut sorted = String::new();
-    for r in parse_stream(&buf.contents()) {
+    for r in stream::read(&buf.contents()) {
         sorted.push_str(&stream::render_line(&r.rec, r.seq));
         sorted.push('\n');
     }
@@ -140,7 +133,7 @@ fn flow_spans_survive_migration_under_rotate() {
             SimStats::of(&report),
             "tracing+streaming at shards={shards} perturbed the run"
         );
-        let got = portable_keys(&parse_stream(&buf.contents()));
+        let got = portable_keys(&stream::read(&buf.contents()));
         assert_eq!(
             want, got,
             "portable records diverged at shards={shards} under Rotate"

@@ -14,6 +14,12 @@
 //! are a few runs per site. Arbitrary sparse ids are runs of one, and the
 //! same search is then a plain binary search over the ids — one code path
 //! for every id set.
+//!
+//! Each LP also gets the list of its own positions, ascending, built once
+//! here, so a snapshot section walks only its LP's flows, not the whole
+//! directory. The list is kept as ranges of consecutive positions: a
+//! multi-site workload's ids come in per-site blocks, so an LP is a few
+//! ranges and the lists cost next to nothing to build or hold.
 
 use bundler_types::FlowId;
 
@@ -39,6 +45,11 @@ pub struct FlowDirectory {
     runs: Vec<Run>,
     /// The LP of the spec at each position.
     lps: Vec<u16>,
+    /// Every position, as maximal ranges `(first, count)` of consecutive
+    /// positions of one LP, grouped by LP and ascending within each group:
+    /// LP `lp`'s ranges are `lp_ranges[lp_starts[lp]..lp_starts[lp + 1]]`.
+    lp_ranges: Vec<(u32, u32)>,
+    lp_starts: Vec<u32>,
 }
 
 impl FlowDirectory {
@@ -69,10 +80,36 @@ impl FlowDirectory {
                 }),
             }
         }
+        let lps: Vec<u16> = ids.into_iter().map(|(_, lp)| lp).collect();
+        // The ranges in position order, then a counting sort of them by LP:
+        // stable, so each LP's ranges stay ascending.
+        let mut ranges: Vec<(u16, u32, u32)> = Vec::new();
+        for (pos, &lp) in lps.iter().enumerate() {
+            match ranges.last_mut() {
+                Some((last, _, count)) if *last == lp => *count += 1,
+                _ => ranges.push((lp, pos as u32, 1)),
+            }
+        }
+        let n_lps = lps.iter().max().map_or(0, |&lp| usize::from(lp) + 1);
+        let mut lp_starts = vec![0u32; n_lps + 1];
+        for &(lp, ..) in &ranges {
+            lp_starts[usize::from(lp) + 1] += 1;
+        }
+        for lp in 0..n_lps {
+            lp_starts[lp + 1] += lp_starts[lp];
+        }
+        let mut next = lp_starts.clone();
+        let mut lp_ranges = vec![(0, 0); ranges.len()];
+        for (lp, first, count) in ranges {
+            lp_ranges[next[usize::from(lp)] as usize] = (first, count);
+            next[usize::from(lp)] += 1;
+        }
         FlowDirectory {
             specs: workload,
             runs,
-            lps: ids.into_iter().map(|(_, lp)| lp).collect(),
+            lps,
+            lp_ranges,
+            lp_starts,
         }
     }
 
@@ -118,6 +155,28 @@ impl FlowDirectory {
             (0..run.len).map(move |d| ((run.pos + d) as usize, FlowId(run.first + u64::from(d))))
         })
     }
+
+    /// Every `(position, id)` of LP `lp`'s flows, in ascending order of
+    /// both: a walk of the LP's own positions, with a cursor over the runs
+    /// that only moves forward.
+    pub fn iter_lp(&self, lp: u16) -> impl Iterator<Item = (usize, FlowId)> + '_ {
+        let lp = usize::from(lp);
+        let ranges = match (self.lp_starts.get(lp), self.lp_starts.get(lp + 1)) {
+            (Some(&start), Some(&end)) => &self.lp_ranges[start as usize..end as usize],
+            _ => &[],
+        };
+        let mut r = 0;
+        let positions = ranges
+            .iter()
+            .flat_map(|&(first, count)| first..first + count);
+        positions.map(move |pos| {
+            while self.runs[r].pos + self.runs[r].len <= pos {
+                r += 1;
+            }
+            let run = self.runs[r];
+            (pos as usize, FlowId(run.first + u64::from(pos - run.pos)))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -128,7 +187,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::runtime::lp_origin;
+    use crate::runtime::{lp_origin, LP_BUNDLE0};
 
     fn spec(id: u64, pick: u8) -> FlowSpec {
         match pick % 4 {
@@ -200,6 +259,39 @@ mod tests {
             let expected: Vec<(usize, u64)> = oracle.keys().copied().enumerate().collect();
             prop_assert_eq!(walked, expected);
         }
+
+        /// The per-LP walks partition the whole walk: each is ascending,
+        /// names only its LP's flows, and together they list every
+        /// `(position, id)` exactly once.
+        #[test]
+        fn per_lp_walks_partition_the_directory(
+            (dense, sites, requests, ends) in (0u64..40, 0u64..4, 0u64..12, 0u8..4),
+            singles in collection::vec(0u64..64, 0..6),
+            picks in collection::vec(any::<u8>(), 1..8),
+        ) {
+            let ids = workload(dense, sites, requests, &singles, ends);
+            let specs: Vec<FlowSpec> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| spec(id, picks[i % picks.len()]))
+                .collect();
+            let dir = FlowDirectory::new(specs);
+            let mut union: Vec<(usize, FlowId)> = Vec::new();
+            // Two LPs past the largest one used: an LP with no flows walks
+            // nothing.
+            for lp in 0..=LP_BUNDLE0 + 4 {
+                let walk: Vec<(usize, FlowId)> = dir.iter_lp(lp).collect();
+                prop_assert!(walk.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
+                for &(pos, id) in &walk {
+                    prop_assert_eq!(dir.lp_at(pos), lp);
+                    prop_assert_eq!(dir.position(id), Some(pos));
+                }
+                union.extend(walk);
+            }
+            union.sort_unstable();
+            let whole: Vec<(usize, FlowId)> = dir.iter().collect();
+            prop_assert_eq!(union, whole);
+        }
     }
 
     #[test]
@@ -213,12 +305,14 @@ mod tests {
     #[test]
     fn the_fig9_stream_is_one_run_and_a_site_two() {
         let dense: Vec<FlowSpec> = (0..1000).map(|i| spec(i, 0)).collect();
-        assert_eq!(FlowDirectory::new(dense).runs.len(), 1);
+        let dense = FlowDirectory::new(dense);
+        assert_eq!((dense.runs.len(), dense.lp_ranges.len()), (1, 1));
         let site: Vec<FlowSpec> = (0..100)
             .map(|i| spec(3_000_000 + i, 1))
             .chain((0..2).map(|j| spec(3_900_000 + j, 1)))
             .collect();
-        assert_eq!(FlowDirectory::new(site).runs.len(), 2);
+        let site = FlowDirectory::new(site);
+        assert_eq!((site.runs.len(), site.lp_ranges.len()), (2, 1));
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! ([`WorkerCore::save_bundle`] / [`WorkerCore::load_bundle`]), for a
 //! checkpoint and a migration alike, beside the direct slice and the path
 //! sections; all of them share the pending-events-plus-packets layout of
-//! `save_pending_in_place`.
+//! `save_pending`. A checkpoint lifts a core's pending events out of its
+//! queue once and groups them by LP (`Lifted`), and each LP's section
+//! walks only that LP's flows ([`FlowDirectory::iter_lp`]).
 
 use std::sync::Arc;
 
@@ -294,16 +296,19 @@ impl FlowTable {
         Some(std::mem::replace(&mut self.slots[slot], FlowSlot::Free))
     }
 
-    /// What `pick` selects from each registered flow, in ascending
-    /// [`FlowId`] order — the order every snapshot section and the report
-    /// list flows in. Directory positions ascend with the ids, so this is
-    /// a walk of the index, with no sort.
+    /// What `pick` selects from each registered flow of LP `lp`, in
+    /// ascending [`FlowId`] order — the order every snapshot section and
+    /// the report list flows in. A walk of the LP's own directory
+    /// positions, which ascend with the ids, so there is no sort; every
+    /// flow it visits has the LP's origin, since flows enter the table
+    /// from their workload spec and [`FlowTable::load`] refuses any other.
     fn sorted<'a, T>(
         &'a self,
+        lp: u16,
         mut pick: impl FnMut(&'a FlowSlot) -> Option<T>,
     ) -> Vec<(FlowId, T)> {
         self.directory
-            .iter()
+            .iter_lp(lp)
             .filter_map(|(pos, id)| Some((id, pick(&self.slots[self.slot_at(pos)?])?)))
             .collect()
     }
@@ -379,6 +384,10 @@ struct SiteLp {
     recv_rate_estimate_mbps: TimeSeries,
     /// In-flight flow spans and health-monitor readings.
     obs: BundleObsState,
+    /// Length of the LP's previous snapshot section, the size hint for
+    /// the next one's buffer (successive sections differ little). In no
+    /// snapshot itself.
+    section_len: usize,
 }
 
 /// A [`SiteLp`] lookup of an LP this worker does not own: a bug. Out of
@@ -1284,23 +1293,40 @@ impl WorkerCore {
         out: &mut Vec<u8>,
     ) {
         let lp = bundle_lp(bundle);
+        let lifted = Lifted::lift(
+            queue,
+            |e| !is_net_event(e) && self.event_lp(e, arena) == lp,
+            1,
+            |_| 0,
+        );
+        self.write_bundle(bundle, lifted.bucket(0), arena, out);
+        lifted.restore(queue);
+    }
+
+    /// Appends bundle `bundle`'s section, given its pending events in
+    /// canonical order: the body of [`WorkerCore::save_bundle`].
+    fn write_bundle<'a>(
+        &mut self,
+        bundle: usize,
+        events: impl ExactSizeIterator<Item = &'a Pending> + Clone,
+        arena: &PacketArena,
+        out: &mut Vec<u8>,
+    ) {
+        let lp = bundle_lp(bundle);
         let Some(site) = &self.lps[lp as usize] else {
             panic!("saving bundle {bundle}, which this worker does not own");
         };
         (bundle, site.seq, site.events, site.delivered).encode(out);
-        save_pending_in_place(queue, arena, out, |e| {
-            !is_net_event(e) && self.event_lp(e, arena) == lp
-        });
+        save_pending(events, arena, out);
         self.edge.save_bundle(bundle, arena, out);
         // The bundle's flows, then its pings, each in ascending id.
-        let mine = Origin::Bundle(bundle);
-        let flows = self.flows.sorted(|slot| match slot {
-            FlowSlot::Tcp(f) if f.origin == mine => Some(f),
+        let flows = self.flows.sorted(lp, |slot| match slot {
+            FlowSlot::Tcp(f) => Some(f),
             _ => None,
         });
         flows.encode(out);
-        let pings = self.flows.sorted(|slot| match slot {
-            FlowSlot::Ping { origin, client } if *origin == mine => Some((client, origin)),
+        let pings = self.flows.sorted(lp, |slot| match slot {
+            FlowSlot::Ping { origin, client } => Some((client, origin)),
             _ => None,
         });
         pings.encode(out);
@@ -1350,11 +1376,7 @@ impl WorkerCore {
                 sojourn.merge_into(&mut self.obs.metrics);
             }
         }
-        let mine = Origin::Bundle(bundle);
-        for (id, ()) in self
-            .flows
-            .sorted(|slot| (slot.origin() == mine).then_some(()))
-        {
+        for (id, ()) in self.flows.sorted(lp, |_| Some(())) {
             self.flows.remove(id);
         }
         self.lps[lp as usize] = None;
@@ -1415,6 +1437,7 @@ impl WorkerCore {
             rtt_estimate_ms: TimeSeries::decode(r)?,
             recv_rate_estimate_mbps: TimeSeries::decode(r)?,
             obs: load_obs_state(r)?,
+            section_len: 0,
         });
         Ok(())
     }
@@ -1467,45 +1490,55 @@ impl WorkerCore {
             direct: None,
             bundles: Vec::new(),
         };
+        // One lift for every owned LP, grouped by LP in canonical order.
+        let lifted = Lifted::lift(
+            queue,
+            |e| !is_net_event(e),
+            self.lps.len(),
+            |e| usize::from(self.event_lp(e, arena)),
+        );
         if self.owns_lp(LP_DIRECT) {
-            let mut buf = Vec::new();
-            self.save_direct_state(queue, arena, &mut buf);
+            let mut buf = Vec::with_capacity(self.site(LP_DIRECT).section_len);
+            self.write_direct(lifted.bucket(usize::from(LP_DIRECT)), arena, &mut buf);
+            self.site(LP_DIRECT).section_len = buf.len();
             part.direct = Some(buf);
         }
         for b in 0..self.config.n_bundles() {
             if self.owns_bundle(b) {
-                let mut buf = Vec::new();
-                self.save_bundle(b, queue, arena, &mut buf);
+                let lp = bundle_lp(b);
+                let mut buf = Vec::with_capacity(self.site(lp).section_len);
+                self.write_bundle(b, lifted.bucket(usize::from(lp)), arena, &mut buf);
+                self.site(lp).section_len = buf.len();
                 part.bundles.push((b, buf));
             }
         }
+        lifted.restore(queue);
         self.obs.flush(at);
         part
     }
 
-    /// Appends the direct cross-traffic LP's state to a snapshot stream
-    /// *without* disturbing the live run: pending `LP_DIRECT` events are
-    /// lifted out of `queue` in canonical order, serialized (packets cloned
-    /// by value), and re-scheduled under their original ids. Only valid on
-    /// the worker owning the direct LP.
-    fn save_direct_state(&self, queue: &mut EventQueue, arena: &PacketArena, out: &mut Vec<u8>) {
+    /// Appends the direct cross-traffic LP's state to a snapshot stream,
+    /// given its pending events in canonical order (serialized with their
+    /// packets cloned by value). Only valid on the worker owning the
+    /// direct LP.
+    fn write_direct<'a>(
+        &mut self,
+        events: impl ExactSizeIterator<Item = &'a Pending> + Clone,
+        arena: &PacketArena,
+        out: &mut Vec<u8>,
+    ) {
         let Some(site) = &self.lps[LP_DIRECT as usize] else {
             not_owned(LP_DIRECT)
         };
-        save_pending_in_place(queue, arena, out, |e| {
-            !is_net_event(e) && self.event_lp(e, arena) == LP_DIRECT
-        });
+        save_pending(events, arena, out);
         // Direct flows, then direct pings, each in ascending id.
-        let flows = self.flows.sorted(|slot| match slot {
-            FlowSlot::Tcp(f) if f.origin == Origin::Direct => Some(f),
+        let flows = self.flows.sorted(LP_DIRECT, |slot| match slot {
+            FlowSlot::Tcp(f) => Some(f),
             _ => None,
         });
         flows.encode(out);
-        let pings = self.flows.sorted(|slot| match slot {
-            FlowSlot::Ping {
-                origin: Origin::Direct,
-                client,
-            } => Some(client),
+        let pings = self.flows.sorted(LP_DIRECT, |slot| match slot {
+            FlowSlot::Ping { client, .. } => Some(client),
             _ => None,
         });
         pings.encode(out);
@@ -1769,6 +1802,9 @@ struct PathLp {
     /// fault application is a pure function of the path's own event
     /// stream.
     faults: PathFaults,
+    /// Length of the path's previous snapshot section, the size hint for
+    /// the next one's buffer. In no snapshot itself.
+    section_len: usize,
 }
 
 impl NetCore {
@@ -1804,6 +1840,7 @@ impl NetCore {
                     events: 0,
                     minted: 0,
                     faults: PathFaults::default(),
+                    section_len: 0,
                 }
             })
             .collect();
@@ -1898,28 +1935,33 @@ impl NetCore {
         arena: &PacketArena,
         at: Nanos,
     ) -> Vec<PathSection> {
+        // One lift for every owned path, grouped by path in canonical order.
+        let lifted = Lifted::lift(queue, is_net_event, self.paths.len(), |e| {
+            self.net_event_path(e, arena)
+        });
         let mut sections = Vec::new();
         for gid in self.owned_paths() {
-            let mut buf = Vec::new();
-            self.save_path_section(gid, queue, arena, &mut buf);
+            let mut buf = Vec::with_capacity(self.paths[gid].section_len);
+            self.write_path_section(gid, lifted.bucket(gid), arena, &mut buf);
+            self.paths[gid].section_len = buf.len();
             sections.push((gid, buf));
         }
+        lifted.restore(queue);
         self.obs.flush(at);
         sections
     }
 
     /// Appends global path `gid`'s complete dynamic slice to a snapshot
-    /// stream without disturbing the live run: the path's sequence
-    /// counters, queue (packets cloned by value), fault cursor, fluid
-    /// state, and its pending net events lifted from `queue` in canonical
-    /// order and re-scheduled under their original ids. Because every
-    /// field is per-path, the concatenation of all paths' sections in
-    /// global id order is byte-identical no matter how paths were
-    /// partitioned across net shards.
-    fn save_path_section(
+    /// stream, given its pending net events in canonical order: the path's
+    /// sequence counters, queue (packets cloned by value), fault cursor,
+    /// fluid state, and those events. Because every field is per-path, the
+    /// concatenation of all paths' sections in global id order is
+    /// byte-identical no matter how paths were partitioned across net
+    /// shards.
+    fn write_path_section<'a>(
         &mut self,
         gid: usize,
-        queue: &mut EventQueue,
+        events: impl ExactSizeIterator<Item = &'a Pending> + Clone,
         arena: &PacketArena,
         out: &mut Vec<u8>,
     ) {
@@ -1950,9 +1992,7 @@ impl NetCore {
                 }
             }
         }
-        save_pending_in_place(queue, arena, out, |e| {
-            is_net_event(e) && self.net_event_path(e, arena) == gid
-        });
+        save_pending(events, arena, out);
     }
 
     /// Restores one [`NetCore::save_sections`] section, global path
@@ -2313,43 +2353,97 @@ fn event_pkt_mut(event: &mut Event) -> Option<&mut PacketId> {
     }
 }
 
-/// Appends the pending events `select` picks out of a live queue, and the
-/// packets they carry, *without* disturbing the run — the one layout the
-/// direct slice, every bundle section and every path section share: the
-/// event list with every arena id zeroed, then the packets (cloned by value
-/// out of `arena`, one per packet-bearing event, in event order) behind a
-/// `u64` count. The events are lifted out in canonical order and
-/// re-scheduled under their original keys. The ids are host-local slot
+/// Pending events lifted out of a live queue in one pass, in canonical
+/// order, and grouped into buckets (a worker's LPs, a net core's paths)
+/// without moving them: a snapshot reads each bucket as its section's
+/// event list, then [`Lifted::restore`] puts every event back under its
+/// original key, so the run goes on undisturbed.
+struct Lifted {
+    events: Vec<Pending>,
+    /// Indices into `events`, grouped by bucket and canonical within each:
+    /// bucket `b`'s are `order[starts[b]..starts[b + 1]]`.
+    order: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl Lifted {
+    /// Lifts every event `select` picks out of `queue` and files it under
+    /// `bucket(event)`, one of `buckets`: one pass over the queue, then a
+    /// counting sort of the indices, which keeps each bucket canonical.
+    fn lift(
+        queue: &mut EventQueue,
+        select: impl Fn(&Event) -> bool,
+        buckets: usize,
+        bucket: impl Fn(&Event) -> usize,
+    ) -> Self {
+        let events = queue.extract_if(select);
+        let of: Vec<u32> = events.iter().map(|(_, _, e)| bucket(e) as u32).collect();
+        let mut starts = vec![0u32; buckets + 1];
+        for &b in &of {
+            starts[b as usize + 1] += 1;
+        }
+        for b in 0..buckets {
+            starts[b + 1] += starts[b];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; events.len()];
+        for (i, &b) in of.iter().enumerate() {
+            order[next[b as usize] as usize] = i as u32;
+            next[b as usize] += 1;
+        }
+        Lifted {
+            events,
+            order,
+            starts,
+        }
+    }
+
+    /// Bucket `b`'s events, in canonical order.
+    fn bucket(&self, b: usize) -> impl ExactSizeIterator<Item = &Pending> + Clone {
+        let range = self.starts[b] as usize..self.starts[b + 1] as usize;
+        self.order[range].iter().map(|&i| &self.events[i as usize])
+    }
+
+    /// Re-schedules every lifted event under its original key.
+    fn restore(self, queue: &mut EventQueue) {
+        for (at, key, event) in self.events {
+            queue.schedule(at, key, event);
+        }
+    }
+}
+
+/// Appends pending events, given in canonical order, and the packets they
+/// carry — the one layout the direct slice, every bundle section and every
+/// path section share: the event list with every arena id zeroed, then the
+/// packets (cloned by value out of `arena`, one per packet-bearing event,
+/// in event order) behind a `u64` count. The ids are host-local slot
 /// indices (a restore rewrites them from the packet values carried
 /// alongside), so leaving them in would make snapshot bytes depend on arena
 /// allocation order — which differs between the single-threaded and
 /// sharded hosts. Zeroing them keeps the bytes partition-invariant.
-fn save_pending_in_place(
-    queue: &mut EventQueue,
+fn save_pending<'a>(
+    events: impl ExactSizeIterator<Item = &'a Pending> + Clone,
     arena: &PacketArena,
     out: &mut Vec<u8>,
-    select: impl Fn(&Event) -> bool,
 ) {
-    let events = queue.extract_if(select);
-    let mut pkts = Vec::new();
-    let canon: Vec<Pending> = events
-        .iter()
-        .map(|&(at, key, mut event)| {
-            if let Some(pkt) = event_pkt_mut(&mut event) {
-                pkts.push(&arena[*pkt]);
-                *pkt = PacketId::from_index(0);
-            }
-            (at, key, event)
-        })
-        .collect();
-    canon.encode(out);
+    events.len().encode(out);
+    let mut pkts = 0usize;
+    for &(at, key, mut event) in events.clone() {
+        if let Some(pkt) = event_pkt_mut(&mut event) {
+            *pkt = PacketId::from_index(0);
+            pkts += 1;
+        }
+        (at, key, event).encode(out);
+    }
     pkts.encode(out);
-    for (at, key, event) in events {
-        queue.schedule(at, key, event);
+    for &(_, _, mut event) in events {
+        if let Some(&mut pkt) = event_pkt_mut(&mut event) {
+            arena[pkt].encode(out);
+        }
     }
 }
 
-/// Reverses [`save_pending_in_place`] straight into `queue` and `arena`,
+/// Reverses [`save_pending`] straight into `queue` and `arena`,
 /// moving each packet into `arena` and rewriting its event's id to the new
 /// slot; `missing` words the typed error for a packet list that does not
 /// pair up with the events.
@@ -2451,16 +2545,17 @@ pub fn assemble_report(
             *agent_stats_total.get_or_insert_with(Default::default) += agent.stats();
         }
         // Ping RTT series, merged per bundle in flow-id order so the
-        // result is independent of hash-map iteration and partitioning.
-        let pings = w.flows.sorted(|slot| match slot {
-            FlowSlot::Ping {
-                origin: Origin::Bundle(b),
-                client: Some(ping),
-            } => Some((*b, ping)),
-            _ => None,
-        });
-        for (_, (b, ping)) in pings {
-            report.ping_rtts_ms[b].extend(ping.rtts.iter().map(|d| d.as_millis_f64()));
+        // result is independent of partitioning.
+        for (b, rtts) in report.ping_rtts_ms.iter_mut().enumerate() {
+            let pings = w.flows.sorted(bundle_lp(b), |slot| match slot {
+                FlowSlot::Ping {
+                    client: Some(ping), ..
+                } => Some(ping),
+                _ => None,
+            });
+            for (_, ping) in pings {
+                rtts.extend(ping.rtts.iter().map(|d| d.as_millis_f64()));
+            }
         }
     }
 
@@ -2723,12 +2818,21 @@ mod tests {
                         None => {}
                     }
                 }
-                // The ordered walk lists exactly the registered ids, ascending.
-                let walked: Vec<FlowId> = table.sorted(|_| Some(())).into_iter().map(|e| e.0).collect();
-                let mut expected: Vec<FlowId> =
-                    model.flows.keys().chain(model.ping_origin.keys()).copied().collect();
-                expected.sort();
-                prop_assert_eq!(walked, expected);
+                // Each LP's ordered walk lists exactly the registered ids of
+                // its origin, ascending.
+                let lps: std::collections::BTreeSet<u16> =
+                    spec_origin.values().map(|&o| origin_lp(o)).collect();
+                for lp in lps {
+                    let walked: Vec<FlowId> =
+                        table.sorted(lp, |_| Some(())).into_iter().map(|e| e.0).collect();
+                    let mut expected: Vec<FlowId> = spec_origin
+                        .iter()
+                        .filter(|&(id, &o)| origin_lp(o) == lp && model.holds(*id))
+                        .map(|(&id, _)| id)
+                        .collect();
+                    expected.sort();
+                    prop_assert_eq!(walked, expected);
+                }
                 // Each slot is indexed or on the free list, never both.
                 let indexed = table.index.iter().filter(|&&slot| slot != VACANT).count();
                 prop_assert_eq!(indexed + table.free.len(), table.slots.len());

@@ -116,6 +116,31 @@ fn snapshots_are_deterministic() {
     }
 }
 
+/// Taking a snapshot leaves the run exactly as it found it: every lifted
+/// event goes back under its key and every buffer is a copy. So two
+/// back-to-back snapshots at the same instant are the same bytes — with and
+/// without a fault plan, and for a restored run, whose snapshot at the
+/// checkpoint's instant is that checkpoint.
+#[test]
+fn back_to_back_snapshots_at_one_instant_are_identical() {
+    let sc = scenario(23);
+    let plan = FaultPlan::generate(23, sc.sim_config().duration, sc.sim_config().num_paths);
+    for (seed, faults) in [(17, None), (23, Some(plan))] {
+        let (config, workload) = setup(seed, faults);
+        let mut ckpts = Vec::new();
+        Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts);
+        assert!(ckpts.len() >= 3, "expected several checkpoints");
+        for (at, blob) in [&ckpts[1], &ckpts[ckpts.len() / 2]] {
+            let mut sim = Simulation::restore(config.clone(), workload.clone(), blob)
+                .unwrap_or_else(|e| panic!("restore at {at:?}: {e}"));
+            let first = sim.snapshot(*at);
+            let second = sim.snapshot(*at);
+            assert!(first == second, "seed {seed}: snapshots at {at:?} differ");
+            assert!(&first == blob, "seed {seed}: re-snapshot at {at:?} differs");
+        }
+    }
+}
+
 #[test]
 fn replay_reruns_the_tail_with_full_observability() {
     let (config, workload) = setup(19, None);
@@ -173,13 +198,11 @@ fn streamed_export_resumes_across_checkpoint_restore_under_faults() {
 
     // Keys in canonical stream order. Seq numbers restart when a restored
     // run re-opens its stream, so the comparison is on `(at, shard, kind)`
-    // — which still pins the order, because `sort_canonical` is stable and
-    // per-shard push order is deterministic.
+    // — which still pins the order, because `stream::read` orders records
+    // as a stable sort would and per-shard push order is deterministic.
     let keys = |text: &str| -> Vec<(u64, u16, String)> {
-        let mut recs: Vec<stream::StreamedRecord> =
-            text.lines().filter_map(stream::parse_line).collect();
-        stream::sort_canonical(&mut recs);
-        recs.iter()
+        stream::read(text)
+            .iter()
             .map(|r| {
                 (
                     r.rec.at.as_nanos(),

@@ -102,8 +102,7 @@ fn traced_pass(cli: &Cli) {
         // export back through the same parser obs_query uses.
         Some(path) => {
             let text = std::fs::read_to_string(path).expect("read stream-out");
-            let mut recs: Vec<_> = text.lines().filter_map(stream::parse_line).collect();
-            stream::sort_canonical(&mut recs);
+            let recs = stream::read(&text);
             decompose(&recs.iter().map(|r| r.rec).collect::<Vec<_>>())
         }
         None => obs.flow_decompositions(),

@@ -388,6 +388,55 @@ mod tests {
         }
     }
 
+    /// Pins each endhost controller's saved state, `(len, FNV-1a)`, after a
+    /// fixed script of slow start, a fast-retransmit loss, congestion
+    /// avoidance and a timeout: a moved pin is a checkpoint layout change.
+    #[test]
+    fn endhost_state_bytes_are_pinned() {
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+            })
+        }
+        let pins = [
+            (EndhostAlg::Cubic, (34, 0xbaa8_984b_ba53_ef70)),
+            (EndhostAlg::NewReno, (17, 0x0801_3c83_30d8_6c37)),
+            (EndhostAlg::Bbr, (309, 0xce71_6454_2c48_921a)),
+            (EndhostAlg::Vegas, (16, 0xf6a2_dd9a_8969_f35a)),
+            (EndhostAlg::FixedWindow(450), (8, 0x1aba_5319_8631_8321)),
+        ];
+        for (alg, pin) in pins {
+            let mut cc = alg.build(1460);
+            let ack = |ms: u64, rtt_ms: u64| AckEvent {
+                now: Nanos::from_millis(ms),
+                acked_bytes: 1460,
+                rtt_sample: Some(Duration::from_millis(rtt_ms)),
+                min_rtt: Duration::from_millis(50),
+                inflight_bytes: 20 * 1460,
+            };
+            for i in 0..30u64 {
+                cc.on_ack(&ack(i * 5, 50 + i % 7));
+            }
+            cc.on_loss(&LossEvent {
+                now: Nanos::from_millis(160),
+                lost_bytes: 1460,
+                is_timeout: false,
+            });
+            for i in 0..40u64 {
+                cc.on_ack(&ack(250 + i * 5, 55 + i % 5));
+            }
+            cc.on_loss(&LossEvent {
+                now: Nanos::from_millis(1_500),
+                lost_bytes: 1460,
+                is_timeout: true,
+            });
+            cc.on_ack(&ack(1_700, 60));
+            let mut buf = Vec::new();
+            cc.save_state(&mut buf);
+            assert_eq!((buf.len(), fnv1a(&buf)), pin, "{alg}: saved state moved");
+        }
+    }
+
     #[test]
     fn bundle_state_round_trips() {
         for alg in [BundleAlg::Copa, BundleAlg::NimbusBasicDelay, BundleAlg::Bbr] {

@@ -99,27 +99,49 @@ mod tests {
         assert_eq!(t.longest(), Some(8));
     }
 
-    #[test]
-    fn matches_a_naive_scan_under_churn() {
-        // Deterministic pseudo-random churn cross-checked against a direct
-        // max scan.
+    /// Deterministic pseudo-random churn over `keys` keys, cross-checked
+    /// against a direct max scan every `check_every` updates. Returns how
+    /// many times `set` rebuilt the heap (the one way a push leaves the
+    /// heap no longer than before).
+    fn churn_against_a_naive_scan(keys: u64, steps: usize, check_every: usize) -> usize {
         let mut t = LongestTracker::new();
         let mut naive: HashMap<u64, u64> = HashMap::new();
         let mut state = 0x9e37_79b9u64;
-        for _ in 0..10_000 {
+        let mut rebuilds = 0;
+        for step in 0..steps {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            let key = state % 32;
+            let key = state % keys;
             let weight = (state >> 8) % 16;
+            let before = t.heap.len();
             t.set(key, weight);
+            if weight != 0 && t.heap.len() <= before {
+                rebuilds += 1;
+            }
             if weight == 0 {
                 naive.remove(&key);
             } else {
                 naive.insert(key, weight);
             }
-            let expect = naive.iter().map(|(&k, &w)| (w, k)).max().map(|(_, k)| k);
-            assert_eq!(t.longest(), expect);
+            if step % check_every == 0 {
+                let expect = naive.iter().map(|(&k, &w)| (w, k)).max().map(|(_, k)| k);
+                assert_eq!(t.longest(), expect);
+            }
         }
+        rebuilds
+    }
+
+    #[test]
+    fn matches_a_naive_scan_under_churn() {
+        churn_against_a_naive_scan(32, 10_000, 1);
+    }
+
+    #[test]
+    fn matches_a_naive_scan_across_thousands_of_rebuilds() {
+        // At most two live keys keep the rebuild threshold at 72 entries;
+        // sparse lookups leave the stale entries to pile up between them.
+        let rebuilds = churn_against_a_naive_scan(2, 300_000, 16);
+        assert!(rebuilds >= 1_000, "only {rebuilds} rebuilds");
     }
 }

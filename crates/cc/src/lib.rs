@@ -9,8 +9,10 @@
 //!   the buffer-filling cross-traffic detector.
 //! * **Window-based controllers for simulated endhosts** ([`cubic::Cubic`],
 //!   [`reno::NewReno`], [`vegas::Vegas`], and BBR again): they implement the
-//!   [`WindowCc`] trait the simulator's TCP senders drive with per-ACK and
-//!   per-loss callbacks.
+//!   [`WindowCc`] trait with per-ACK and per-loss callbacks. The
+//!   simulator's TCP senders hold one [`EndhostCc`] by value, the enum
+//!   [`EndhostAlg::build`] returns, which dispatches to the algorithm with
+//!   a `match` instead of through a per-flow boxed trait object.
 //!
 //! Keeping both in one crate mirrors the paper's observation that the
 //! sendbox simply reuses *existing* congestion control algorithms — the same
@@ -160,16 +162,6 @@ impl State for Box<dyn BundleCc> {
     }
 }
 
-impl State for Box<dyn WindowCc> {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        (**self).save_state(out)
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        (**self).load_state(r)
-    }
-}
-
 /// Endhost congestion-control algorithm selector used by the simulator and
 /// experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,18 +181,93 @@ pub enum EndhostAlg {
 impl EndhostAlg {
     /// Instantiates the window-based controller, given the connection's MSS
     /// in bytes.
-    pub fn build(self, mss: u64) -> Box<dyn WindowCc> {
+    pub fn build(self, mss: u64) -> EndhostCc {
         match self {
-            EndhostAlg::Cubic => Box::new(cubic::Cubic::new(mss)),
-            EndhostAlg::NewReno => Box::new(reno::NewReno::new(mss)),
-            EndhostAlg::Bbr => Box::new(bbr::BbrWindow::new(mss)),
-            EndhostAlg::Vegas => Box::new(vegas::Vegas::new(mss)),
-            EndhostAlg::FixedWindow(pkts) => Box::new(FixedWindow {
+            EndhostAlg::Cubic => EndhostCc::Cubic(cubic::Cubic::new(mss)),
+            EndhostAlg::NewReno => EndhostCc::NewReno(reno::NewReno::new(mss)),
+            EndhostAlg::Bbr => EndhostCc::Bbr(Box::new(bbr::BbrWindow::new(mss))),
+            EndhostAlg::Vegas => EndhostCc::Vegas(vegas::Vegas::new(mss)),
+            EndhostAlg::FixedWindow(pkts) => EndhostCc::Fixed(FixedWindow {
                 // Saturating: `pkts` is decoded from snapshots as well as
                 // written by callers.
                 cwnd: pkts.saturating_mul(mss),
             }),
         }
+    }
+}
+
+/// The endhost controller an [`EndhostAlg`] builds, held by value: a TCP
+/// sender owns one per flow, so the common algorithms sit inline and a
+/// `match` dispatches each call. BBR, about twice CUBIC's size, stays
+/// boxed so it does not widen every sender. Its [`State`] is the held
+/// controller's alone; the algorithm is configuration, written (as
+/// [`EndhostAlg`]) by whoever built it.
+#[derive(Debug)]
+pub enum EndhostCc {
+    /// CUBIC.
+    Cubic(cubic::Cubic),
+    /// TCP NewReno.
+    NewReno(reno::NewReno),
+    /// TCP Vegas.
+    Vegas(vegas::Vegas),
+    /// A fixed window.
+    Fixed(FixedWindow),
+    /// Window-based BBR.
+    Bbr(Box<bbr::BbrWindow>),
+}
+
+// An inline controller must not outgrow CUBIC, or every sender grows.
+const _: () = assert!(
+    std::mem::size_of::<EndhostCc>()
+        <= std::mem::size_of::<cubic::Cubic>() + std::mem::align_of::<cubic::Cubic>()
+);
+
+/// Runs `$body` with `$cc` bound to the controller `$this` holds.
+macro_rules! dispatch {
+    ($this:expr, $cc:ident => $body:expr) => {
+        match $this {
+            EndhostCc::Cubic($cc) => $body,
+            EndhostCc::NewReno($cc) => $body,
+            EndhostCc::Vegas($cc) => $body,
+            EndhostCc::Fixed($cc) => $body,
+            EndhostCc::Bbr($cc) => $body,
+        }
+    };
+}
+
+impl WindowCc for EndhostCc {
+    #[inline]
+    fn cwnd(&self) -> u64 {
+        dispatch!(self, cc => cc.cwnd())
+    }
+
+    #[inline]
+    fn pacing_rate(&self) -> Option<Rate> {
+        dispatch!(self, cc => cc.pacing_rate())
+    }
+
+    #[inline]
+    fn on_ack(&mut self, ev: &AckEvent) {
+        dispatch!(self, cc => cc.on_ack(ev))
+    }
+
+    #[inline]
+    fn on_loss(&mut self, ev: &LossEvent) {
+        dispatch!(self, cc => cc.on_loss(ev))
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(self, cc => cc.name())
+    }
+}
+
+impl State for EndhostCc {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        dispatch!(self, cc => cc.save_state(out))
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        dispatch!(self, cc => cc.load_state(r))
     }
 }
 
@@ -262,9 +329,10 @@ impl std::fmt::Display for BundleAlg {
 }
 
 /// A constant-window "controller" used to emulate the idealized TCP proxy of
-/// §7.5, where endhosts keep a fixed 450-packet window.
+/// §7.5, where endhosts keep a fixed 450-packet window. Built by
+/// [`EndhostAlg::FixedWindow`].
 #[derive(Debug)]
-struct FixedWindow {
+pub struct FixedWindow {
     cwnd: u64,
 }
 

@@ -25,6 +25,7 @@
 use std::collections::VecDeque;
 
 use bundler_types::{Duration, Nanos, Rate};
+use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::fft::peak_to_band_ratio;
 use crate::windowed::WindowedFilter;
@@ -154,6 +155,129 @@ impl Default for ElasticityConfig {
     }
 }
 
+/// The minimum of a sliding window of samples in O(1) amortized time per
+/// sample: the samples smaller than every later one, oldest first, each
+/// with its sequence number. A NaN is never the minimum (`f64::min` skips
+/// it), so it is not kept.
+#[derive(Debug)]
+struct WindowMin<T> {
+    entries: VecDeque<(u64, T)>,
+}
+
+impl<T: PartialOrd + Copy> WindowMin<T> {
+    fn new() -> Self {
+        WindowMin {
+            entries: VecDeque::new(),
+        }
+    }
+
+    fn push(&mut self, seq: u64, value: T) {
+        if value.partial_cmp(&value).is_none() {
+            return;
+        }
+        while self.entries.back().is_some_and(|&(_, v)| v >= value) {
+            self.entries.pop_back();
+        }
+        self.entries.push_back((seq, value));
+    }
+
+    /// Forgets the samples numbered below `seq`.
+    fn expire_before(&mut self, seq: u64) {
+        while self.entries.front().is_some_and(|&(s, _)| s < seq) {
+            self.entries.pop_front();
+        }
+    }
+
+    fn min(&self) -> Option<T> {
+        self.entries.front().map(|&(_, v)| v)
+    }
+}
+
+/// The detector's cross-traffic samples — `(time, rate in bit/s, queueing
+/// delay)`, in time order, newest at the back — with running minima of
+/// the rate and the delay over the persistence window. The minima are
+/// derived, so only the samples are saved; loading rebuilds the rest.
+#[derive(Debug)]
+struct CrossSamples {
+    samples: VecDeque<(Nanos, f64, Duration)>,
+    /// Samples ever pushed, which numbers the next one; the front sample
+    /// is number `pushed - samples.len()`.
+    pushed: u64,
+    /// Number of the oldest sample in the last window asked for.
+    window_from: u64,
+    min_rate: WindowMin<f64>,
+    min_queue_delay: WindowMin<Duration>,
+}
+
+impl CrossSamples {
+    fn new() -> Self {
+        CrossSamples {
+            samples: VecDeque::new(),
+            pushed: 0,
+            window_from: 0,
+            min_rate: WindowMin::new(),
+            min_queue_delay: WindowMin::new(),
+        }
+    }
+
+    fn front_seq(&self) -> u64 {
+        self.pushed - self.samples.len() as u64
+    }
+
+    /// Appends a sample, keeping at most `cap` (the oldest go first).
+    fn push(&mut self, sample: (Nanos, f64, Duration), cap: usize) {
+        let (_, rate, queue_delay) = sample;
+        self.samples.push_back(sample);
+        self.min_rate.push(self.pushed, rate);
+        self.min_queue_delay.push(self.pushed, queue_delay);
+        self.pushed += 1;
+        if self.samples.len() > cap {
+            let excess = self.samples.len() - cap;
+            self.samples.drain(..excess);
+            let front = self.front_seq();
+            self.min_rate.expire_before(front);
+            self.min_queue_delay.expire_before(front);
+        }
+    }
+
+    /// `(count, minimum rate, minimum queueing delay)` over the samples
+    /// taken at or after `start_ns`: `INFINITY` and `Duration::MAX` for
+    /// none, as a fold with `f64::min` and `Ord::min` would give. `start_ns`
+    /// must not decrease from one call to the next — it trails the newest
+    /// sample, and samples arrive in time order.
+    fn window_since(&mut self, start_ns: u64) -> (usize, f64, Duration) {
+        let front = self.front_seq();
+        let mut from = self.window_from.max(front);
+        while from < self.pushed && self.samples[(from - front) as usize].0.as_nanos() < start_ns {
+            from += 1;
+        }
+        self.window_from = from;
+        self.min_rate.expire_before(from);
+        self.min_queue_delay.expire_before(from);
+        (
+            (self.pushed - from) as usize,
+            self.min_rate.min().unwrap_or(f64::INFINITY),
+            self.min_queue_delay.min().unwrap_or(Duration::MAX),
+        )
+    }
+}
+
+impl State for CrossSamples {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        self.samples.encode(out);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let samples: VecDeque<(Nanos, f64, Duration)> = Decode::decode(r)?;
+        *self = CrossSamples::new();
+        let cap = samples.len();
+        for sample in samples {
+            self.push(sample, cap);
+        }
+        Ok(())
+    }
+}
+
 /// Detects the presence of buffer-filling (elastic) cross traffic from the
 /// same send/receive-rate measurements Bundler already collects.
 #[derive(Debug)]
@@ -161,7 +285,7 @@ pub struct ElasticityDetector {
     config: ElasticityConfig,
     /// Cross-traffic rate samples in bit/s plus the queueing delay observed
     /// with them, newest at the back.
-    cross_samples: VecDeque<(Nanos, f64, Duration)>,
+    cross_samples: CrossSamples,
     /// Estimate of the bottleneck rate μ: windowed max of observed receive
     /// rate plus estimated cross rate.
     mu_filter: WindowedFilter<u64>,
@@ -175,7 +299,7 @@ impl ElasticityDetector {
     pub fn new(config: ElasticityConfig) -> Self {
         ElasticityDetector {
             config,
-            cross_samples: VecDeque::new(),
+            cross_samples: CrossSamples::new(),
             mu_filter: WindowedFilter::new_max(Duration::from_secs(10)),
             total_samples: 0,
             last_fft_ratio: 0.0,
@@ -233,15 +357,15 @@ impl ElasticityDetector {
         let z = self.cross_rate(m.send_rate, m.recv_rate);
         debug_assert!(
             self.cross_samples
+                .samples
                 .back()
                 .is_none_or(|&(t, _, _)| t <= m.now),
             "cross-traffic samples arrive in time order"
         );
-        self.cross_samples
-            .push_back((m.now, z.as_bps() as f64, m.queue_delay()));
-        while self.cross_samples.len() > self.config.fft_window {
-            self.cross_samples.pop_front();
-        }
+        self.cross_samples.push(
+            (m.now, z.as_bps() as f64, m.queue_delay()),
+            self.config.fft_window,
+        );
 
         if self.total_samples < self.config.warmup_samples as u64 {
             self.last_verdict = CrossTrafficVerdict::Inelastic;
@@ -270,16 +394,12 @@ impl ElasticityDetector {
 
     /// Decision based on spectral energy at the pulse frequency.
     fn fft_verdict(&mut self) -> CrossTrafficVerdict {
-        if self.cross_samples.len() < self.config.fft_window {
+        let samples = &self.cross_samples.samples;
+        if samples.len() < self.config.fft_window {
             return CrossTrafficVerdict::Inelastic;
         }
-        let mean: f64 = self.cross_samples.iter().map(|&(_, z, _)| z).sum::<f64>()
-            / self.cross_samples.len() as f64;
-        let signal: Vec<f64> = self
-            .cross_samples
-            .iter()
-            .map(|&(_, z, _)| z - mean)
-            .collect();
+        let mean: f64 = samples.iter().map(|&(_, z, _)| z).sum::<f64>() / samples.len() as f64;
+        let signal: Vec<f64> = samples.iter().map(|&(_, z, _)| z - mean).collect();
         let sample_rate = 1.0 / self.config.sample_interval.as_secs_f64();
         let ratio =
             peak_to_band_ratio(&signal, sample_rate, self.config.pulse_hz, 0.6, (1.0, 20.0));
@@ -305,20 +425,10 @@ impl ElasticityDetector {
             .saturating_since(Nanos::ZERO)
             .as_nanos()
             .saturating_sub(self.config.persistence_window.as_nanos());
-        // Sample times never decrease (see `update`), so the window is a
-        // suffix: walk back from the newest sample. Minima do not depend
-        // on the order they are taken in.
-        let (mut n, mut min_z, mut min_queue_delay) = (0usize, f64::INFINITY, Duration::MAX);
-        for &(_, z, dq) in self
-            .cross_samples
-            .iter()
-            .rev()
-            .take_while(|&&(t, _, _)| t.as_nanos() >= window_start)
-        {
-            n += 1;
-            min_z = min_z.min(z);
-            min_queue_delay = min_queue_delay.min(dq);
-        }
+        // Sample times never decrease (see `on_measurement`), so the
+        // window is a suffix whose start only moves forward, and its minima
+        // are kept as the samples arrive.
+        let (n, min_z, min_queue_delay) = self.cross_samples.window_since(window_start);
         // Require the window to be reasonably full before declaring.
         let expected = (self.config.persistence_window.as_nanos()
             / self.config.sample_interval.as_nanos().max(1)) as usize;
@@ -615,6 +725,98 @@ mod tests {
         for i in 0..10 {
             let v = det.on_measurement(&m(i * 10, 70.0, 50, 48.0, 44.0), Some(mu));
             assert_eq!(v, CrossTrafficVerdict::Inelastic);
+        }
+    }
+
+    /// The persistence rule as a scan of the whole window, newest sample
+    /// first: the oracle the running minima replaced.
+    fn scan_persistence_verdict(det: &ElasticityDetector, now: Nanos) -> CrossTrafficVerdict {
+        let mu = det.mu().as_bps() as f64;
+        if mu <= 0.0 {
+            return CrossTrafficVerdict::Inelastic;
+        }
+        let config = &det.config;
+        let window_start = now
+            .as_nanos()
+            .saturating_sub(config.persistence_window.as_nanos());
+        let (mut n, mut min_z, mut min_queue_delay) = (0usize, f64::INFINITY, Duration::MAX);
+        for &(_, z, dq) in det
+            .cross_samples
+            .samples
+            .iter()
+            .rev()
+            .take_while(|&&(t, _, _)| t.as_nanos() >= window_start)
+        {
+            n += 1;
+            min_z = min_z.min(z);
+            min_queue_delay = min_queue_delay.min(dq);
+        }
+        let expected = (config.persistence_window.as_nanos()
+            / config.sample_interval.as_nanos().max(1)) as usize;
+        if n < expected / 2 {
+            return det.last_verdict;
+        }
+        if min_z / mu > config.persistence_min_frac
+            && min_queue_delay >= config.persistence_min_queue_delay
+        {
+            CrossTrafficVerdict::Elastic
+        } else {
+            CrossTrafficVerdict::Inelastic
+        }
+    }
+
+    proptest::proptest! {
+        /// Verdicts from the running window minima equal the scan's over
+        /// random sample streams: repeated and jumping timestamps, NaN and
+        /// zero rates, a sample cap below the window's length, μ unset
+        /// and moving, and a save/load in the middle, which rebuilds the
+        /// minima from the saved samples.
+        #[test]
+        fn window_minima_give_the_scans_verdicts(
+            (cap, window_ms) in (1usize..160, 20u64..1500),
+            steps in proptest::collection::vec(
+                (0u8..10, 0u64..50, 0u8..8, 25u64..100, 0u64..40, 0u8..40),
+                1..400,
+            ),
+        ) {
+            let config = ElasticityConfig {
+                fft_window: cap,
+                persistence_window: Duration::from_millis(window_ms),
+                ..Default::default()
+            };
+            let mut det = ElasticityDetector::new(config);
+            let mut now = Nanos::ZERO;
+            for (gap, gap_ms, rate_kind, rate_mbps, dq_ms, other) in steps {
+                now += match gap {
+                    0 => Duration::ZERO,
+                    1..=6 => Duration::from_millis(10),
+                    7 => Duration::from_millis(gap_ms),
+                    _ => Duration::from_secs(2),
+                };
+                let rate = match rate_kind {
+                    0 => f64::NAN,
+                    1 => 0.0,
+                    _ => rate_mbps as f64 * 1e6,
+                };
+                // μ stays unset in a few streams and moves in the rest.
+                if other % 20 != 0 || now > Nanos::from_millis(200) {
+                    det.mu_filter.update(80_000_000 + other as u64 * 1_000_000, now);
+                }
+                det.cross_samples.push((now, rate, Duration::from_millis(dq_ms)), cap);
+                let expect = scan_persistence_verdict(&det, now);
+                let verdict = det.persistence_verdict(now);
+                proptest::prop_assert_eq!(verdict, expect);
+                det.last_verdict = verdict;
+                if other == 39 {
+                    let mut bytes = Vec::new();
+                    det.save_state(&mut bytes);
+                    let mut restored = ElasticityDetector::new(config);
+                    let mut r = Reader::new(&bytes);
+                    restored.load_state(&mut r).expect("round trip");
+                    proptest::prop_assert!(r.is_empty());
+                    det = restored;
+                }
+            }
         }
     }
 

@@ -45,9 +45,14 @@ impl LongestTracker {
         self.weights.insert(key, weight);
         self.heap.push((weight, key));
         // Bound the stale backlog: past a small multiple of the live set,
-        // rebuilding from the exact table is cheaper than carrying it.
+        // rebuilding from the exact table is cheaper than carrying it. The
+        // rebuild refills the heap's own buffer; the answer depends only on
+        // the `(weight, key)` values, not on their order in it.
         if self.heap.len() > 64 + 4 * self.weights.len() {
-            self.heap = self.weights.iter().map(|(&k, &w)| (w, k)).collect();
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
+            entries.clear();
+            entries.extend(self.weights.iter().map(|(&k, &w)| (w, k)));
+            self.heap = BinaryHeap::from(entries);
         }
     }
 

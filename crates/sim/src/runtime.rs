@@ -62,7 +62,7 @@ use crate::path::{Balancing, BottleneckPath, LoadBalancer};
 use crate::sim::SimulationConfig;
 use crate::snapshot::{PathSection, WorkerPart};
 use crate::stats::{FctRecord, SimReport, TimeSeries};
-use crate::tcp::{PingClient, TcpReceiver, TcpSender};
+use crate::tcp::{InflightWindow, PingClient, TcpReceiver, TcpSender};
 use crate::workload::{FlowSpec, Origin};
 
 /// The net (bottleneck) logical process.
@@ -399,6 +399,11 @@ fn not_owned(lp: u16) -> ! {
     panic!("LP {lp}, which this worker does not own")
 }
 
+/// The largest in-flight window (in segments of buffer capacity) a worker
+/// keeps for reuse. CUBIC's 10-segment initial window fits in 16; a window
+/// a long flow grew past 32 is freed rather than held for short ones.
+const SPARE_WINDOW_SEGS: usize = 32;
+
 /// One shard's worth of site-side simulation state.
 pub struct WorkerCore {
     config: SimulationConfig,
@@ -427,6 +432,11 @@ pub struct WorkerCore {
     release_buf: Vec<PacketId>,
     /// Reusable scratch for health-monitor verdicts at sample events.
     health_buf: Vec<(HealthKind, u64)>,
+    /// Empty in-flight windows of completed flows, each started on by a
+    /// later arrival, so a flow allocates no window of its own once the
+    /// run has warmed up. Per worker, and dropped with it: no run sees
+    /// another's buffers.
+    spare_windows: Vec<InflightWindow>,
     events_processed: u64,
     /// Packets this core's endhosts created (data, ACKs, pings,
     /// retransmissions) — counted at creation so the total is identical
@@ -506,6 +516,7 @@ impl WorkerCore {
             pkt_buf: Vec::with_capacity(64),
             release_buf: Vec::with_capacity(64),
             health_buf: Vec::new(),
+            spare_windows: Vec::new(),
             events_processed: 0,
             packets_created: 0,
             obs,
@@ -772,6 +783,9 @@ impl WorkerCore {
             );
         }
         let mut sender = TcpSender::new(spec.id, key, spec.size_bytes, spec.alg, spec.class, now);
+        if let Some(window) = self.spare_windows.pop() {
+            sender.adopt_window(window);
+        }
         sender.maybe_send(now, arena, &mut self.pkt_buf);
         let state = FlowState {
             sender,
@@ -940,6 +954,10 @@ impl WorkerCore {
                 let completed = flow.sender.is_complete() && !flow.recorded;
                 if completed {
                     flow.recorded = true;
+                    let spare = flow.sender.take_spare_window();
+                    if let Some(w) = spare.filter(|w| w.capacity() <= SPARE_WINDOW_SEGS) {
+                        self.spare_windows.push(w);
+                    }
                 }
                 (completed, flow.size_bytes, flow.sender.started)
             }

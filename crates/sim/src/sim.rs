@@ -615,6 +615,7 @@ mod tests {
         for (at, blob) in &ckpts {
             let mut r = serde::binary::Reader::new(blob);
             assert_eq!(crate::snapshot::read_header(&mut r, fp), Ok(*at));
+            assert_eq!(blob.capacity(), blob.len(), "a blob is sized once");
         }
 
         // A restore hashes once to validate the header; the checkpoints

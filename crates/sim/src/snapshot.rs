@@ -243,6 +243,10 @@ pub struct WorkerPart {
 /// bytes depend on the state alone — not on how many workers or net cores
 /// the parts came from, nor on which held what. Panics unless the parts
 /// cover every bundle, the direct slice and every path exactly once.
+///
+/// Every part but the residue is already bytes, so once the residue is
+/// encoded the snapshot's length is known: `out` grows exactly once, to
+/// exactly that.
 pub fn assemble(
     config: &SimulationConfig,
     at: Nanos,
@@ -262,11 +266,17 @@ pub fn assemble(
         }
         bundles.extend(part.bundles);
     }
-    write_header(out, at, fp);
-    residue.encode(out);
-    out.extend_from_slice(&direct.expect("shard 0 serializes the direct slice"));
+    let direct = direct.expect("shard 0 serializes the direct slice");
+    let mut head = Vec::new();
+    write_header(&mut head, at, fp);
+    residue.encode(&mut head);
+    let count = config.n_bundles() as u64;
+    let sections_len: usize = bundles.iter().chain(&sections).map(|(_, b)| b.len()).sum();
+    out.reserve_exact(head.len() + direct.len() + size_of::<u64>() + sections_len);
+    out.extend_from_slice(&head);
+    out.extend_from_slice(&direct);
     bundles.sort_by_key(|&(b, _)| b);
-    (config.n_bundles() as u64).encode(out);
+    count.encode(out);
     for (i, (b, bytes)) in bundles.iter().enumerate() {
         assert_eq!(i, *b, "bundle {b} was checkpointed by no worker, or by two");
         out.extend_from_slice(bytes);
@@ -284,8 +294,7 @@ pub fn assemble(
 }
 
 /// What a host keeps from one checkpoint to the next: when the next one is
-/// due, the fingerprint every header carries, and how big the last blob
-/// was.
+/// due, and the fingerprint every header carries.
 #[derive(Debug)]
 pub struct Writer {
     /// [`fingerprint`] of the host's config and workload, which never
@@ -295,9 +304,6 @@ pub struct Writer {
     fingerprint: Option<u64>,
     /// `(interval, next target)` in nanoseconds, if there is a cadence.
     cadence: Option<(u64, Nanos)>,
-    /// Length of the previous blob, the size hint for the next one's
-    /// buffer (successive snapshots of one run differ little).
-    last_len: usize,
 }
 
 /// The first multiple of `every` strictly after `t`.
@@ -316,7 +322,6 @@ impl Writer {
         Writer {
             fingerprint,
             cadence: every.map(|iv| (iv, next_multiple(iv, start))),
-            last_len: 0,
         }
     }
 
@@ -342,9 +347,8 @@ impl Writer {
         let fp = *self
             .fingerprint
             .get_or_insert_with(|| fingerprint(config, workload));
-        let mut blob = Vec::with_capacity(self.last_len);
+        let mut blob = Vec::new();
         assemble(config, at, fp, parts, sections, &mut blob);
-        self.last_len = blob.len();
         if let Some((iv, next)) = &mut self.cadence {
             *next = next_multiple(*iv, at);
         }
@@ -679,7 +683,8 @@ mod tests {
         // The sharded host stamps past the target; the next target is the
         // first multiple after the stamp, not after the old target.
         let at = Nanos::from_millis(2010);
-        w.write(&world(), &[], at, parts(1, [0, 1, 2, 3, 4]), sections());
+        let blob = w.write(&world(), &[], at, parts(1, [0, 1, 2, 3, 4]), sections());
         assert_eq!(w.due(), Some(Nanos::from_millis(2500)));
+        assert_eq!(blob.capacity(), blob.len(), "the blob is sized once");
     }
 }

@@ -3,19 +3,23 @@
 //! real-Internet experiments.
 //!
 //! The senders implement the pieces that matter to Bundler's evaluation:
-//! window-limited transmission governed by a pluggable [`WindowCc`]
-//! congestion controller (Cubic by default), cumulative ACKs, duplicate-ACK
-//! fast retransmit, retransmission timeouts with exponential backoff, and
-//! RTT estimation. Endhosts are completely unaware of Bundler — exactly the
-//! deployment model of the paper.
+//! window-limited transmission governed by a pluggable congestion
+//! controller (Cubic by default, held by value as an [`EndhostCc`]),
+//! cumulative ACKs, duplicate-ACK fast retransmit, retransmission timeouts
+//! with exponential backoff, and RTT estimation. Endhosts are completely
+//! unaware of Bundler — exactly the deployment model of the paper.
 //!
 //! Senders allocate their packets directly into the simulation's
 //! [`PacketArena`] and report them as [`PacketId`]s through a caller-owned
 //! scratch buffer, so the steady-state send path performs no allocation.
+//! A completed sender gives up its (empty) [`InflightWindow`] through
+//! [`TcpSender::take_spare_window`], and [`TcpSender::adopt_window`] starts
+//! a new sender on it, so a host that recycles windows allocates none per
+//! flow either.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bundler_cc::{AckEvent, EndhostAlg, LossEvent, WindowCc};
+use bundler_cc::{AckEvent, EndhostAlg, EndhostCc, LossEvent, WindowCc};
 use bundler_types::{
     Duration, FlowId, FlowKey, Nanos, Packet, PacketArena, PacketId, TrafficClass,
 };
@@ -48,14 +52,20 @@ serde::layout!(value Segment { seq, len, sent_at, retransmitted });
 /// the SACK-repair scan's resume point, where the previous `BTreeMap`
 /// paid pointer-chasing node traversals on every ACK.
 #[derive(Debug, Default)]
-struct InflightWindow {
+pub struct InflightWindow {
     segs: VecDeque<Segment>,
 }
 
 serde::layout!(value InflightWindow { segs });
 
 impl InflightWindow {
-    fn is_empty(&self) -> bool {
+    /// Segments the window holds without growing its buffer.
+    pub fn capacity(&self) -> usize {
+        self.segs.capacity()
+    }
+
+    /// True when no segment is in flight.
+    pub fn is_empty(&self) -> bool {
         self.segs.is_empty()
     }
 
@@ -115,10 +125,10 @@ pub struct TcpSender {
     /// Time the last byte was acknowledged, if the flow has finished.
     pub completed: Option<Nanos>,
 
-    /// The algorithm the `cc` box was built from, kept so checkpoints can
+    /// The algorithm `cc` was built from, kept so checkpoints can
     /// rebuild an identical controller before loading its dynamic state.
     alg: EndhostAlg,
-    cc: Box<dyn WindowCc>,
+    cc: EndhostCc,
     next_seq: u64,
     snd_una: u64,
     inflight: InflightWindow,
@@ -205,6 +215,32 @@ impl TcpSender {
     /// True once every byte has been acknowledged.
     pub fn is_complete(&self) -> bool {
         self.completed.is_some()
+    }
+
+    /// Moves out the in-flight window of a completed sender, for a new
+    /// sender to [`adopt`](TcpSender::adopt_window). Every byte is
+    /// acknowledged, so the window is empty and the sender keeps an equal
+    /// (empty, unallocated) one: its snapshot bytes do not change. `None`
+    /// while the flow runs.
+    pub fn take_spare_window(&mut self) -> Option<InflightWindow> {
+        self.is_complete().then(|| {
+            debug_assert!(
+                self.inflight.is_empty(),
+                "a completed flow has nothing in flight"
+            );
+            std::mem::take(&mut self.inflight)
+        })
+    }
+
+    /// Starts this sender, which has sent nothing yet, on `window`, an
+    /// empty window a completed sender gave up, so its first sends fill the
+    /// buffer already allocated instead of growing a new one.
+    pub fn adopt_window(&mut self, window: InflightWindow) {
+        assert!(
+            window.is_empty() && self.inflight.is_empty(),
+            "only an empty window moves into a sender with nothing in flight"
+        );
+        self.inflight = window;
     }
 
     /// Current congestion window in bytes.
@@ -742,6 +778,36 @@ mod tests {
         let r4 = ack(&mut s, &mut a, 0, Nanos::from_millis(54));
         assert!(r4.is_empty());
         assert_eq!(s.retransmits, 1);
+    }
+
+    #[test]
+    fn a_completed_senders_taken_window_is_empty() {
+        let mut a = PacketArena::new();
+        let mut s = sender(12 * MSS);
+        let sent = send(&mut s, &mut a, Nanos::ZERO).len() as u64;
+        ack(&mut s, &mut a, sent * MSS / 2, Nanos::from_millis(50));
+        assert!(s.take_spare_window().is_none(), "a running flow keeps it");
+        ack(&mut s, &mut a, 12 * MSS, Nanos::from_millis(100));
+        assert!(s.is_complete());
+        let before = encode_to_vec(&s);
+        let window = s.take_spare_window().expect("a completed flow gives it up");
+        assert!(window.is_empty());
+        assert!(window.capacity() >= 10, "it held the initial window");
+        assert_eq!(encode_to_vec(&s), before, "the sender's bytes do not move");
+    }
+
+    #[test]
+    fn a_sender_started_on_a_spare_window_keeps_its_capacity() {
+        let mut a = PacketArena::new();
+        let mut done = sender(12 * MSS);
+        send(&mut done, &mut a, Nanos::ZERO);
+        ack(&mut done, &mut a, 12 * MSS, Nanos::from_millis(50));
+        let window = done.take_spare_window().expect("complete");
+        let capacity = window.capacity();
+        let mut s = sender(1_000_000);
+        s.adopt_window(window);
+        assert_eq!(send(&mut s, &mut a, Nanos::ZERO).len(), 10);
+        assert_eq!(s.inflight.capacity(), capacity, "the initial window fits");
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! Senders allocate their packets directly into the simulation's
 //! [`PacketArena`] and report them as [`PacketId`]s through a caller-owned
 //! scratch buffer, so the steady-state send path performs no allocation.
-//! A completed sender gives up its (empty) [`InflightWindow`] through
-//! [`TcpSender::take_spare_window`], and [`TcpSender::adopt_window`] starts
-//! a new sender on it, so a host that recycles windows allocates none per
-//! flow either.
+//! A completed sender gives up its (empty) in-flight window, and the
+//! runtime starts a later sender on it, so a flow allocates no window of
+//! its own either.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -52,7 +51,7 @@ serde::layout!(value Segment { seq, len, sent_at, retransmitted });
 /// the SACK-repair scan's resume point, where the previous `BTreeMap`
 /// paid pointer-chasing node traversals on every ACK.
 #[derive(Debug, Default)]
-pub struct InflightWindow {
+pub(crate) struct InflightWindow {
     segs: VecDeque<Segment>,
 }
 
@@ -60,12 +59,11 @@ serde::layout!(value InflightWindow { segs });
 
 impl InflightWindow {
     /// Segments the window holds without growing its buffer.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.segs.capacity()
     }
 
-    /// True when no segment is in flight.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.segs.is_empty()
     }
 
@@ -222,7 +220,7 @@ impl TcpSender {
     /// acknowledged, so the window is empty and the sender keeps an equal
     /// (empty, unallocated) one: its snapshot bytes do not change. `None`
     /// while the flow runs.
-    pub fn take_spare_window(&mut self) -> Option<InflightWindow> {
+    pub(crate) fn take_spare_window(&mut self) -> Option<InflightWindow> {
         self.is_complete().then(|| {
             debug_assert!(
                 self.inflight.is_empty(),
@@ -235,7 +233,7 @@ impl TcpSender {
     /// Starts this sender, which has sent nothing yet, on `window`, an
     /// empty window a completed sender gave up, so its first sends fill the
     /// buffer already allocated instead of growing a new one.
-    pub fn adopt_window(&mut self, window: InflightWindow) {
+    pub(crate) fn adopt_window(&mut self, window: InflightWindow) {
         assert!(
             window.is_empty() && self.inflight.is_empty(),
             "only an empty window moves into a sender with nothing in flight"

@@ -119,25 +119,6 @@ impl<V> PrefixClassifier<V> {
         None
     }
 
-    /// The most specific installed prefix containing `addr`, with its value.
-    pub fn lookup_entry(&self, addr: u32) -> Option<(IpPrefix, &V)> {
-        let mut lens = self.occupied;
-        while lens != 0 {
-            let len = 63 - lens.leading_zeros() as u8;
-            let masked = if len == 0 {
-                0
-            } else {
-                addr & (u32::MAX << (32 - len))
-            };
-            if let Some(v) = self.tables[len as usize].get(&masked) {
-                let prefix = IpPrefix::new(masked, len).expect("len <= 32");
-                return Some((prefix, v));
-            }
-            lens &= !(1 << len);
-        }
-        None
-    }
-
     /// Classifies a flow by its destination address.
     pub fn classify(&self, key: &FlowKey) -> Option<&V> {
         self.lookup(key.dst_ip)
@@ -177,8 +158,6 @@ mod tests {
         assert_eq!(t.lookup(ipv4(10, 1, 9, 9)), Some(&"site-b"));
         assert_eq!(t.lookup(ipv4(10, 9, 9, 9)), Some(&"site-a"));
         assert_eq!(t.lookup(ipv4(11, 0, 0, 1)), None);
-        let (matched, v) = t.lookup_entry(ipv4(10, 1, 2, 9)).unwrap();
-        assert_eq!((matched, *v), (p("10.1.2.0/24"), "site-c"));
     }
 
     #[test]

@@ -70,15 +70,6 @@ impl Bbr {
     pub fn bottleneck_bw(&self) -> Rate {
         Rate::from_bps(self.max_bw.get().unwrap_or(self.last_rate.as_bps()))
     }
-
-    /// Current phase name (for diagnostics).
-    pub fn phase_name(&self) -> &'static str {
-        match self.phase {
-            Phase::Startup => "startup",
-            Phase::Drain => "drain",
-            Phase::ProbeBw => "probe_bw",
-        }
-    }
 }
 
 impl BundleCc for Bbr {
@@ -304,13 +295,13 @@ mod tests {
     #[test]
     fn startup_exits_when_bandwidth_plateaus() {
         let mut bbr = Bbr::new(Rate::from_mbps(1));
-        assert_eq!(bbr.phase_name(), "startup");
+        assert_eq!(bbr.phase, Phase::Startup);
         // Bandwidth capped at 96: after a few flat measurements it must
         // leave startup.
         for i in 0..20 {
             bbr.on_measurement(&m(i * 10, 52, 50, 96));
         }
-        assert_ne!(bbr.phase_name(), "startup");
+        assert_ne!(bbr.phase, Phase::Startup);
     }
 
     #[test]
@@ -319,7 +310,7 @@ mod tests {
         for i in 0..200 {
             bbr.on_measurement(&m(i * 10, 51, 50, 96));
         }
-        assert_eq!(bbr.phase_name(), "probe_bw");
+        assert_eq!(bbr.phase, Phase::ProbeBw);
         let rate = bbr.current_rate().as_mbps_f64();
         assert!(
             (70.0..125.0).contains(&rate),
@@ -334,7 +325,7 @@ mod tests {
         let mut max_rate: f64 = 0.0;
         for i in 0..500 {
             let u = bbr.on_measurement(&m(i * 10, 51, 50, 96));
-            if bbr.phase_name() == "probe_bw" {
+            if bbr.phase == Phase::ProbeBw {
                 max_rate = max_rate.max(u.rate.as_mbps_f64());
             }
         }
@@ -351,7 +342,7 @@ mod tests {
         let before = bbr.current_rate();
         bbr.on_feedback_timeout(Nanos::from_secs(2));
         assert!(bbr.current_rate() < before);
-        assert_eq!(bbr.phase_name(), "startup");
+        assert_eq!(bbr.phase, Phase::Startup);
         assert_eq!(bbr.name(), "bbr");
     }
 

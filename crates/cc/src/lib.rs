@@ -456,12 +456,14 @@ mod tests {
         }
     }
 
-    /// Pins each endhost controller's saved state, `(len, FNV-1a)`, after a
+    /// Pins each endhost controller's saved state, `(len, digest)`, after a
     /// fixed script of slow start, a fast-retransmit loss, congestion
     /// avoidance and a timeout: a moved pin is a checkpoint layout change.
     #[test]
     fn endhost_state_bytes_are_pinned() {
-        fn fnv1a(bytes: &[u8]) -> u64 {
+        /// `bundler_sim::snapshot::digest`, the hash every checkpoint pin
+        /// is taken with (out of this crate's reach).
+        fn snapshot_digest(bytes: &[u8]) -> u64 {
             bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
                 (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
             })
@@ -501,7 +503,11 @@ mod tests {
             cc.on_ack(&ack(1_700, 60));
             let mut buf = Vec::new();
             cc.save_state(&mut buf);
-            assert_eq!((buf.len(), fnv1a(&buf)), pin, "{alg}: saved state moved");
+            assert_eq!(
+                (buf.len(), snapshot_digest(&buf)),
+                pin,
+                "{alg}: saved state moved"
+            );
         }
     }
 

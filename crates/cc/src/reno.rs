@@ -33,11 +33,6 @@ impl NewReno {
         self.cwnd
     }
 
-    /// Slow-start threshold in packets.
-    pub fn ssthresh_packets(&self) -> f64 {
-        self.ssthresh
-    }
-
     fn in_recovery(&self, now: Nanos) -> bool {
         matches!(self.in_recovery_until, Some(until) if now < until)
     }
@@ -108,8 +103,7 @@ mod tests {
             lost_bytes: 1460,
             is_timeout: false,
         });
-        let ssthresh = r.ssthresh_packets();
-        assert!((r.cwnd_packets() - ssthresh).abs() < 1e-9);
+        assert!((r.cwnd_packets() - r.ssthresh).abs() < 1e-9);
         // In congestion avoidance a full window of ACKs adds ~1 packet.
         let w = r.cwnd_packets();
         let acks = w.ceil() as usize;

@@ -73,19 +73,6 @@ impl<T: PartialOrd + Copy> WindowedFilter<T> {
         self.samples.front().map(|&(_, v)| v)
     }
 
-    /// Returns the extremum after expiring samples older than the window
-    /// relative to `now`.
-    pub fn get_at(&mut self, now: Nanos) -> Option<T> {
-        while let Some(&(t, _)) = self.samples.front() {
-            if now.saturating_since(t) > self.window {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.get()
-    }
-
     /// Drops all samples.
     pub fn reset(&mut self) {
         self.samples.clear();
@@ -157,8 +144,10 @@ mod tests {
         let mut f = WindowedFilter::new_max(Duration::from_millis(100));
         f.update(100u64, Nanos::from_millis(0));
         f.update(5u64, Nanos::from_millis(50));
-        // At t=150 the 100 sample (age 150ms) is outside the window.
-        assert_eq!(f.get_at(Nanos::from_millis(150)), Some(5));
+        // At t=150 the 100 sample (age 150ms) is outside the window; the 5
+        // (age 100ms) is not, and dominates the new sample.
+        f.update(1u64, Nanos::from_millis(150));
+        assert_eq!(f.get(), Some(5));
     }
 
     #[test]
@@ -168,7 +157,9 @@ mod tests {
         f.update(30u64, Nanos::from_millis(10));
         f.update(70u64, Nanos::from_millis(20));
         assert_eq!(f.get(), Some(30));
-        assert_eq!(f.get_at(Nanos::from_millis(115)), Some(70));
+        // At t=115 the 30 sample (age 105ms) has left the window.
+        f.update(80u64, Nanos::from_millis(115));
+        assert_eq!(f.get(), Some(70));
     }
 
     #[test]

@@ -138,22 +138,6 @@ impl BundlerConfig {
         }
         Ok(())
     }
-
-    /// Convenience constructor: defaults with a given scheduling policy.
-    pub fn with_policy(policy: Policy) -> Self {
-        BundlerConfig {
-            policy,
-            ..Default::default()
-        }
-    }
-
-    /// Convenience constructor: defaults with a given bundle algorithm.
-    pub fn with_algorithm(algorithm: BundleAlg) -> Self {
-        BundlerConfig {
-            algorithm,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,17 +191,5 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn convenience_constructors() {
-        assert_eq!(
-            BundlerConfig::with_policy(Policy::Fifo).policy,
-            Policy::Fifo
-        );
-        assert_eq!(
-            BundlerConfig::with_algorithm(BundleAlg::Bbr).algorithm,
-            BundleAlg::Bbr
-        );
     }
 }

@@ -52,11 +52,6 @@ impl Fnv1a {
         self
     }
 
-    /// Feeds a big-endian `u16`.
-    pub fn write_u16(&mut self, v: u16) -> &mut Self {
-        self.write(&v.to_be_bytes())
-    }
-
     /// Feeds a big-endian `u32`.
     pub fn write_u32(&mut self, v: u32) -> &mut Self {
         self.write(&v.to_be_bytes())
@@ -87,7 +82,7 @@ mod tests {
         assert_eq!(h.finish(), fnv1a(b"foobar"));
 
         let mut h2 = Fnv1a::new();
-        h2.write_u16(0x0102).write_u32(0x0304_0506);
+        h2.write(&[1, 2]).write_u32(0x0304_0506);
         assert_eq!(h2.finish(), fnv1a(&[1, 2, 3, 4, 5, 6]));
     }
 
@@ -105,7 +100,9 @@ mod tests {
         let mut matches = 0;
         for i in 0u32..4096 {
             let mut h = Fnv1a::new();
-            h.write_u16(i as u16).write_u32(0x0a00_0001).write_u16(443);
+            h.write(&(i as u16).to_be_bytes())
+                .write_u32(0x0a00_0001)
+                .write(&443u16.to_be_bytes());
             if h.finish().is_multiple_of(16) {
                 matches += 1;
             }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use bundler_types::Nanos;
+use bundler_types::{splitmix64, Nanos};
 
 use crate::health::HealthState;
 use crate::trace::{TraceKind, TraceRecord};
@@ -57,14 +57,6 @@ impl FlowTrace {
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSampler {
     cfg: FlowTrace,
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl FlowSampler {

@@ -40,9 +40,10 @@
 //! order and finds the line's end itself; any other line goes to
 //! [`parse_line`] with `str::lines`' semantics, `\r\n` included. Records
 //! stay in per-shard runs, each checked for `(at, seq)` order as it
-//! arrives (a run that is not is sorted on its own), and the runs are
-//! merged by `(at, shard)`: the same order as a stable sort by
-//! `(at, shard, seq)` of the whole stream, for any input.
+//! arrives. When every run is in order they are merged by `(at, shard)`;
+//! when one is not, the whole stream is sorted instead. Either way the
+//! result is the order of a stable sort by `(at, shard, seq)` of the whole
+//! stream, for any input.
 
 use std::fmt::Write as _;
 use std::io::Write;

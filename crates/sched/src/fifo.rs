@@ -48,11 +48,6 @@ impl DropTailFifo {
         Self::new(Capacity::Packets(pkts))
     }
 
-    /// Creates a FIFO bounded by a byte count.
-    pub fn with_byte_capacity(bytes: u64) -> Self {
-        Self::new(Capacity::Bytes(bytes))
-    }
-
     /// Creates a FIFO with no capacity limit.
     pub fn unbounded() -> Self {
         Self::new(Capacity::Unbounded)
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn byte_capacity_enforced() {
         let mut a = PacketArena::new();
-        let mut q = DropTailFifo::with_byte_capacity(300);
+        let mut q = DropTailFifo::new(Capacity::Bytes(300));
         // Each packet is payload + 40 header bytes = 140.
         assert!(!enq(&mut q, &mut a, pkt(0, 100), Nanos::ZERO).is_drop());
         assert!(!enq(&mut q, &mut a, pkt(1, 100), Nanos::ZERO).is_drop());

@@ -423,6 +423,34 @@ mod tests {
     }
 
     #[test]
+    fn obs_export_carries_sojourns_and_drop_transitions() {
+        let mut a = PacketArena::new();
+        let mut s = FqCodel::with_defaults();
+        assert!(s.take_obs().is_none(), "disabled by default");
+        s.set_obs(true);
+        // Standing queue: force CoDel into (and out of) its dropping state.
+        for _ in 0..200 {
+            enq(&mut s, &mut a, pkt(0, 1460), Nanos::ZERO);
+        }
+        let mut now = Nanos::ZERO;
+        while !s.is_empty() {
+            now += Duration::from_millis(1);
+            if let Some(id) = s.dequeue(&mut a, now) {
+                a.free(id);
+            }
+        }
+        let obs = s.take_obs().expect("enabled");
+        assert!(obs.sojourn.count() > 0, "delivered sojourns recorded");
+        assert_eq!(obs.aqm_drops, s.aqm_drops());
+        assert!(obs.drop_entries > 0, "entered dropping state");
+        assert!(
+            obs.drop_exits <= obs.drop_entries,
+            "cannot exit more episodes than were entered"
+        );
+        assert!(s.take_obs().is_none(), "take drains the export");
+    }
+
+    #[test]
     fn fair_between_two_bulk_flows() {
         let mut a = PacketArena::new();
         let mut s = FqCodel::with_defaults();

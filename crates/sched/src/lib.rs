@@ -8,7 +8,7 @@
 //! * Work-conserving schedulers: [`fifo::DropTailFifo`], [`sfq::Sfq`],
 //!   [`drr::Drr`], [`fq::FairQueue`], [`fq_codel::FqCodel`],
 //!   [`prio::StrictPriority`].
-//! * AQM: [`codel::Codel`] (used standalone or inside FQ-CoDel).
+//! * AQM: [`codel::CodelState`], the CoDel drop law FQ-CoDel runs per flow.
 //! * Rate enforcement: [`tbf::TokenBucket`] and [`tbf::Tbf`], the token
 //!   bucket filter with a pluggable inner scheduler.
 

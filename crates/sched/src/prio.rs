@@ -2,12 +2,13 @@
 //!
 //! The paper (§7.2) notes that by strictly prioritizing one traffic class
 //! over another at the sendbox, Bundler achieves 65 % lower median FCTs for
-//! the higher-priority class. Each [`TrafficClass`] gets its own FIFO; lower
+//! the higher-priority class. Each
+//! [`TrafficClass`](bundler_types::TrafficClass) gets its own FIFO; lower
 //! class numbers are always served first.
 
 use std::collections::VecDeque;
 
-use bundler_types::{Nanos, PacketArena, PacketId, TrafficClass};
+use bundler_types::{Nanos, PacketArena, PacketId};
 
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
@@ -34,14 +35,6 @@ impl StrictPriority {
             total_bytes: 0,
             stats: SchedStats::default(),
         }
-    }
-
-    /// Packets queued in a particular class.
-    pub fn class_len(&self, class: TrafficClass) -> usize {
-        self.queues
-            .get(class.0 as usize % NUM_CLASSES)
-            .map(|q| q.len())
-            .unwrap_or(0)
     }
 
     fn drop_from_lowest_priority(&mut self) -> Option<PktRef> {
@@ -124,8 +117,13 @@ serde::layout!(state StrictPriority { queues, total_pkts, total_bytes, stats }
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet};
+    use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet, TrafficClass};
     use serde::binary::{Encode, Reader, State};
+
+    /// Packets queued in `class`.
+    fn class_len(s: &StrictPriority, class: TrafficClass) -> usize {
+        s.queues[usize::from(class.0)].len()
+    }
 
     fn pkt(flow: u64, class: TrafficClass) -> Packet {
         Packet::data(
@@ -189,8 +187,8 @@ mod tests {
             }
             _ => panic!("expected drop"),
         }
-        assert_eq!(s.class_len(TrafficClass::HIGH), 3);
-        assert_eq!(s.class_len(TrafficClass::BULK), 0);
+        assert_eq!(class_len(&s, TrafficClass::HIGH), 3);
+        assert_eq!(class_len(&s, TrafficClass::BULK), 0);
     }
 
     #[test]
@@ -199,8 +197,8 @@ mod tests {
         let mut s = StrictPriority::new(10);
         enq(&mut s, &mut a, pkt(0, TrafficClass::HIGH));
         enq(&mut s, &mut a, pkt(1, TrafficClass::BULK));
-        assert_eq!(s.class_len(TrafficClass::HIGH), 1);
-        assert_eq!(s.class_len(TrafficClass::BULK), 1);
+        assert_eq!(class_len(&s, TrafficClass::HIGH), 1);
+        assert_eq!(class_len(&s, TrafficClass::BULK), 1);
         assert_eq!(s.len_packets(), 2);
         s.dequeue(&mut a, Nanos::ZERO);
         s.dequeue(&mut a, Nanos::ZERO);

@@ -188,11 +188,6 @@ impl Tbf {
         self.inner.stats()
     }
 
-    /// Name of the inner scheduling policy.
-    pub fn inner_name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     /// Enables or disables the inner scheduler's observability export
     /// (see [`Scheduler::set_obs`]).
     pub fn set_obs(&mut self, on: bool) {
@@ -332,7 +327,6 @@ mod tests {
         assert_eq!(tbf.rate(), Rate::from_mbps(12));
         tbf.set_rate(Rate::from_mbps(48), Nanos::from_millis(1));
         assert_eq!(tbf.rate(), Rate::from_mbps(48));
-        assert_eq!(tbf.inner_name(), "fifo");
     }
 
     #[test]

@@ -81,8 +81,7 @@ use bundler_sim::directory::FlowDirectory;
 use bundler_sim::event::{Event, EventKey, EventQueue};
 use bundler_sim::path::LoadBalancer;
 use bundler_sim::runtime::{
-    assemble_report, balancer_for, bundle_lp, Delivery, NetCore, Partition, ToNet, WorkerCore,
-    LP_BUNDLE0,
+    assemble_report, balancer_for, bundle_lp, Delivery, NetCore, ToNet, WorkerCore, LP_BUNDLE0,
 };
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
@@ -566,17 +565,13 @@ impl Cores {
         // barriers.
         let workers = (0..shards)
             .map(|index| {
-                let part = Partition {
-                    workers: shards,
-                    index,
-                };
                 let owned = balancer
                     .assignment()
                     .iter()
                     .map(|&owner| fresh && owner == index)
                     .collect();
                 let directory = Arc::clone(&directory);
-                let mut core = WorkerCore::with_owned(config, directory, part, owned);
+                let mut core = WorkerCore::with_owned(config, directory, index, owned);
                 let mut queue = EventQueue::new();
                 if fresh {
                     core.schedule_initial(&mut queue);
@@ -851,7 +846,7 @@ impl Worker {
 
 impl Party for Worker {
     fn step(&mut self, phase: Phase, plan: &WindowPlan, seat: &Seat<'_>) {
-        let me = self.core.partition().index;
+        let me = self.core.shard();
         match phase {
             Phase::Extract => {
                 // Drain the inboxes *before* extracting: deliveries for an

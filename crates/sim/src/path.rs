@@ -11,7 +11,7 @@
 
 use bundler_sched::fifo::DropTailFifo;
 use bundler_sched::{Enqueued, Scheduler};
-use bundler_types::{Duration, Nanos, Packet, PacketArena, PacketId, Rate};
+use bundler_types::{splitmix64, Duration, Nanos, Packet, PacketArena, PacketId, Rate};
 use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::stats::TimeSeries;
@@ -294,16 +294,6 @@ pub enum Balancing {
 pub struct LoadBalancer {
     paths: usize,
     balancing: Balancing,
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed hash for the per-packet
-/// spray. Public only for the pick-locality tests in `bundler-shard`.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl LoadBalancer {

@@ -327,37 +327,6 @@ pub fn flow_key(flow_id: u64, origin: Origin) -> FlowKey {
     FlowKey::tcp(src, (10_000 + (flow_id * 31) % 50_000) as u16, dst, 443)
 }
 
-/// How the site-side LPs are partitioned: worker `index` of `workers`
-/// owns bundle `b` iff `b % workers == index`, and worker 0 owns the
-/// direct cross-traffic LP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// Total worker count (≥ 1).
-    pub workers: usize,
-    /// This worker's index.
-    pub index: usize,
-}
-
-impl Partition {
-    /// The whole-site partition (one worker owning everything).
-    pub fn solo() -> Self {
-        Partition {
-            workers: 1,
-            index: 0,
-        }
-    }
-
-    /// True if this worker owns bundle `b`.
-    pub fn owns_bundle(&self, b: usize) -> bool {
-        b % self.workers == self.index
-    }
-
-    /// True if this worker owns the direct cross-traffic LP.
-    pub fn owns_direct(&self) -> bool {
-        self.index == 0
-    }
-}
-
 /// One site-side LP's state on the worker that owns it — a bundle complex
 /// or the direct cross traffic — besides its flows (in the worker's
 /// `FlowTable`) and its sendbox (in the `Edge`). A worker owns the LP
@@ -407,7 +376,9 @@ const SPARE_WINDOW_SEGS: usize = 32;
 /// One shard's worth of site-side simulation state.
 pub struct WorkerCore {
     config: SimulationConfig,
-    part: Partition,
+    /// This worker's index among the run's workers: its obs shard id.
+    /// Worker 0 holds the direct cross-traffic LP.
+    shard: usize,
     /// The site-side LPs this worker owns, indexed by LP id (`LP_NET` is
     /// never held). Starts as the static assignment the worker was built
     /// with; [`WorkerCore::drop_bundle`] / [`WorkerCore::load_bundle`] move
@@ -450,36 +421,23 @@ pub struct WorkerCore {
 }
 
 impl WorkerCore {
-    /// Builds the worker owning partition `part` of the configured edge
-    /// (the static round-robin assignment). Panics if a bundle
+    /// Builds worker `shard` owning the bundles flagged in `owned` (one
+    /// flag per bundle index), as the balancer placed them; worker 0 also
+    /// owns the direct cross-traffic LP. `directory` holds the run's
+    /// workload and is shared by every core of the run. Panics if a bundle
     /// configuration is invalid (checked identically on every worker) or
     /// if two specs share a flow id.
-    pub fn new(config: &SimulationConfig, workload: Vec<FlowSpec>, part: Partition) -> Self {
-        let owned = (0..config.n_bundles())
-            .map(|b| part.owns_bundle(b))
-            .collect();
-        let directory = Arc::new(FlowDirectory::new(workload));
-        Self::with_owned(config, directory, part, owned)
-    }
-
-    /// Builds the worker with an explicit initial bundle-ownership vector
-    /// (one flag per bundle index) — how the sharded driver seeds a
-    /// non-round-robin partition, e.g. one that keeps classification
-    /// co-location groups together before the rate-aware balancer has any
-    /// measurements. `part` still fixes the worker's index and count (and
-    /// therefore ownership of the direct cross-traffic LP). `directory`
-    /// holds the run's workload and is shared by every core of the run.
     pub fn with_owned(
         config: &SimulationConfig,
         directory: Arc<FlowDirectory>,
-        part: Partition,
+        shard: usize,
         owned: Vec<bool>,
     ) -> Self {
         let forward_delay = config.lookahead();
         let reverse_delay = config.rtt - forward_delay;
         debug_assert_eq!(owned.len(), config.n_bundles());
         let mut edge = Edge::new(config, &owned).expect("invalid bundle configuration");
-        let mut obs = ShardObs::new(config.obs, part.index as u16);
+        let mut obs = ShardObs::new(config.obs, shard as u16);
         obs.sampler = config.flow_trace.map(FlowSampler::new);
         obs.stream = config.stream.clone();
         if obs.metrics_on() {
@@ -496,17 +454,17 @@ impl WorkerCore {
             .iter()
             .filter(|spec| match spec.origin {
                 Origin::Bundle(b) => owned.get(b) == Some(&true),
-                Origin::Direct => part.owns_direct(),
+                Origin::Direct => shard == 0,
             })
             .count();
-        let lps = [false, part.owns_direct()]
+        let lps = [false, shard == 0]
             .into_iter()
             .chain(owned)
             .map(|own| own.then(SiteLp::default))
             .collect();
         WorkerCore {
             config: config.clone(),
-            part,
+            shard,
             lps,
             edge,
             flows: FlowTable::new(directory, admitted),
@@ -523,10 +481,9 @@ impl WorkerCore {
         }
     }
 
-    /// The partition this worker was built with (static index and worker
-    /// count; current bundle ownership may differ after migrations).
-    pub fn partition(&self) -> Partition {
-        self.part
+    /// This worker's index among the run's workers.
+    pub fn shard(&self) -> usize {
+        self.shard
     }
 
     /// True if this worker currently owns bundle `b`.
@@ -1463,9 +1420,8 @@ impl WorkerCore {
     /// The worker's run-wide accumulators that belong to no single LP:
     /// counters, completed-flow records (in canonical merge order) and the
     /// agent's lifetime stats. One [`WorkerResidue`] per worker; a
-    /// whole-simulation snapshot merges them into one (the merge is what
-    /// makes snapshot bytes partition-independent — `assemble_report` only
-    /// ever sums/merges these across workers).
+    /// whole-simulation snapshot and the report merge them into one (the
+    /// merge is what makes both partition-independent).
     pub fn residue(&self) -> WorkerResidue {
         let mut fcts = self.fcts.clone();
         fcts.sort_by_key(|&(t, k, _)| (t, k));
@@ -1602,9 +1558,9 @@ impl WorkerCore {
 
 /// A worker's run-wide accumulators that belong to no single LP. Snapshots
 /// merge every worker's residue into one canonical record (sums of
-/// counters, completed flows in canonical order, summed agent stats) — the
-/// same folds `assemble_report` performs — so the merged bytes are
-/// identical for any shard count.
+/// counters, completed flows in canonical order, summed agent stats), and
+/// `assemble_report` folds them with the same [`WorkerResidue::merge`], so
+/// the merged bytes and the report are identical for any shard count.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerResidue {
     /// Events handled by the worker cores.
@@ -1618,8 +1574,8 @@ pub struct WorkerResidue {
 }
 
 impl WorkerResidue {
-    /// Folds another worker's residue into this one, keeping the canonical
-    /// orders and sums `assemble_report` would produce.
+    /// Folds another worker's residue into this one: sums the counters and
+    /// agent stats and keeps the completed flows in canonical order.
     pub fn merge(&mut self, mut other: WorkerResidue) {
         self.events_processed += other.events_processed;
         self.packets_created += other.packets_created;
@@ -2514,18 +2470,22 @@ pub fn assemble_report(
         ..Default::default()
     };
 
-    // Flow completions: merge per-worker lists by canonical (time, key).
-    let mut tagged: Vec<(Nanos, EventKey, FctRecord)> = Vec::new();
+    // Run-wide accumulators: the fold a snapshot makes, with each worker's
+    // completed-flow records moved in rather than cloned.
+    let mut residue = WorkerResidue::default();
     for w in &mut workers {
-        tagged.append(&mut w.fcts);
+        let fcts = std::mem::take(&mut w.fcts);
+        residue.merge(WorkerResidue {
+            fcts,
+            ..w.residue()
+        });
     }
-    tagged.sort_by_key(|&(t, k, _)| (t, k));
-    report.fcts = tagged.into_iter().map(|(_, _, r)| r).collect();
+    report.fcts = residue.fcts.into_iter().map(|(_, _, r)| r).collect();
     report.completed = report.fcts.len();
+    report.events_processed = residue.events_processed;
+    report.packets_created = residue.packets_created;
 
     let mut telemetry_rows: Vec<bundler_agent::BundleTelemetry> = Vec::new();
-    let mut agent_stats_total: Option<bundler_agent::AgentStats> = None;
-
     for w in &mut workers {
         report.unfinished += w
             .flows
@@ -2536,8 +2496,6 @@ pub fn assemble_report(
                     if !f.sender.is_complete() && f.size_bytes != FlowSpec::BACKLOGGED)
             })
             .count();
-        report.events_processed += w.events_processed;
-        report.packets_created += w.packets_created;
         if let Some(site) = &mut w.lps[LP_DIRECT as usize] {
             report.cross_throughput_mbps = std::mem::take(&mut site.throughput_mbps);
         }
@@ -2560,7 +2518,6 @@ pub fn assemble_report(
         }
         if let Some(agent) = w.edge.agent() {
             telemetry_rows.extend(agent.snapshots().bundles);
-            *agent_stats_total.get_or_insert_with(Default::default) += agent.stats();
         }
         // Ping RTT series, merged per bundle in flow-id order so the
         // result is independent of partitioning.
@@ -2577,12 +2534,12 @@ pub fn assemble_report(
         }
     }
 
-    if agent_stats_total.is_some() {
+    if residue.agent_stats.is_some() {
         telemetry_rows.sort_by_key(|row| row.index);
         report.agent_telemetry = Some(bundler_agent::AgentTelemetry {
             bundles: telemetry_rows,
         });
-        report.agent_stats = agent_stats_total;
+        report.agent_stats = residue.agent_stats;
     }
 
     report.packets_recycled = packets_recycled;
@@ -2887,7 +2844,9 @@ mod tests {
             .collect();
         workload.push(FlowSpec::bundled(flow_id(0, 90).0, 40, Nanos::ZERO, 0).as_ping());
         workload.push(FlowSpec::direct(flow_id(2, 0).0, 50_000, Nanos::ZERO));
-        let mut core = WorkerCore::new(&config, workload.clone(), Partition::solo());
+        let directory = Arc::new(FlowDirectory::new(workload.clone()));
+        let owned = vec![true; config.n_bundles()];
+        let mut core = WorkerCore::with_owned(&config, directory, 0, owned);
         let (mut queue, mut arena) = (EventQueue::new(), PacketArena::new());
         core.schedule_initial(&mut queue);
         // Admit every flow (nothing reaches the bottleneck: no net core).

@@ -6,8 +6,10 @@
 //! [`PacketId`](bundler_types::PacketId)s, endhosts emit into reusable
 //! scratch buffers, per-flow state sits in a slab reserved at
 //! construction, and the event queue is a calendar queue with O(1)
-//! amortized operations. What does allocate is per *flow*: a sender's
-//! congestion-controller box and in-flight window, and the receiver's
+//! amortized operations. Once the run has warmed up, a flow allocates
+//! little either: a sender holds its congestion controller by value (only
+//! BBR's is boxed) and starts on a finished flow's in-flight window. What
+//! does allocate is a window growing past its buffer, and the receiver's
 //! out-of-order buffer when segments arrive out of order.
 //!
 //! The main loop is pop → dispatch, one event at a time. A checkpoint is
@@ -29,9 +31,7 @@ use bundler_types::{Duration, FlowKey, Nanos, PacketArena, Rate};
 use crate::directory::FlowDirectory;
 use crate::edge::{BundleMode, MultiBundleSpec};
 use crate::event::{Event, EventQueue};
-use crate::runtime::{
-    assemble_report, is_net_event, Delivery, NetCore, Partition, ToNet, WorkerCore,
-};
+use crate::runtime::{assemble_report, is_net_event, Delivery, NetCore, ToNet, WorkerCore};
 use crate::snapshot::Writer;
 use crate::stats::SimReport;
 use crate::workload::{FlowSpec, Origin};
@@ -292,7 +292,7 @@ impl Simulation {
     fn build(config: SimulationConfig, workload: Vec<FlowSpec>, fresh: bool) -> Self {
         let owned = vec![fresh; config.n_bundles()];
         let directory = Arc::new(FlowDirectory::new(workload));
-        let mut worker = WorkerCore::with_owned(&config, directory, Partition::solo(), owned);
+        let mut worker = WorkerCore::with_owned(&config, directory, 0, owned);
         let mut net = NetCore::new(&config);
         let mut queue = EventQueue::new();
         if fresh {

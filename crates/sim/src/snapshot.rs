@@ -391,12 +391,6 @@ pub fn read_header(r: &mut Reader<'_>, expected_fp: u64) -> Result<Nanos, Snapsh
     Ok(at)
 }
 
-/// Reads only the timestamp out of a snapshot header without checking the
-/// fingerprint — useful for listing checkpoints.
-pub fn peek_at(bytes: &[u8]) -> Result<Nanos, SnapshotError> {
-    read_stamp(&mut Reader::new(bytes))
-}
-
 /// Where a snapshot's parts land. The hosts differ only in this: the
 /// single-threaded host answers every call with its one worker, net core,
 /// queue and arena; the sharded host picks the worker the balancer assigned
@@ -530,7 +524,6 @@ mod tests {
         let mut r = Reader::new(&buf);
         let at = read_header(&mut r, 0xdead_beef).expect("valid header");
         assert_eq!(at, Nanos::from_millis(250));
-        assert_eq!(peek_at(&buf).unwrap(), Nanos::from_millis(250));
 
         let mut r = Reader::new(&buf);
         match read_header(&mut r, 0x1234) {

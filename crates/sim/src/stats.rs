@@ -241,8 +241,8 @@ pub struct SimReport {
     pub agent_stats: Option<bundler_agent::AgentStats>,
     /// Total events the simulation loop processed. Together with the wall
     /// time around [`Simulation::run`](crate::Simulation::run) this is the
-    /// simulator-throughput metric (`events/sec`) the perf trajectory in
-    /// `BENCH_*.json` tracks.
+    /// simulator-throughput metric (`events/sec`) the repository benchmark
+    /// reports as `events_per_s`.
     pub events_processed: u64,
     /// Total packets created over the run (arena inserts: data, ACKs, pings
     /// and retransmissions).

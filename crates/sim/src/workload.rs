@@ -244,18 +244,6 @@ impl FlowSizeDist {
             acc / steps as f64
         })
     }
-
-    /// Fraction of flows at or below `size` bytes.
-    pub fn cdf_at(&self, size: u64) -> f64 {
-        let mut prev_p = 0.0;
-        for &(s, p) in &self.points {
-            if size < s {
-                return prev_p;
-            }
-            prev_p = p;
-        }
-        1.0
-    }
 }
 
 /// Generates Poisson flow arrivals at a target offered load.
@@ -297,7 +285,8 @@ mod tests {
     fn caida_like_matches_reported_shape() {
         let d = FlowSizeDist::caida_like();
         // 97.6 % of requests are 10 KB or shorter.
-        assert!((d.cdf_at(10_000) - 0.976).abs() < 1e-9);
+        assert_eq!(d.quantile(0.976), 10_000);
+        assert!(d.quantile(0.9761) > 10_000);
         // The largest requests reach 100 MB.
         assert_eq!(d.quantile(1.0), 100_000_000);
         // ...but the 99.99th percentile is still in the low megabytes.

@@ -147,9 +147,13 @@ impl FlowKey {
 
     /// A stable 64-bit digest of the tuple, used by hashing schedulers.
     ///
-    /// This is a simple FNV-1a over the tuple fields; it is *not* the
-    /// epoch-boundary hash (which lives in `bundler-core` and covers a
-    /// different header subset).
+    /// FNV-1a's loop and offset basis over the tuple's big-endian fields,
+    /// but with the prime `0x1000_0000_01b3`: neither FNV's `0x100_0000_01b3`
+    /// nor the snapshot digest's `0x1_0000_01b3`. Frozen: SFQ and FQ-CoDel
+    /// buckets, DRR's flow map and the flow-hash and per-packet multipath
+    /// picks all depend on it, so another prime would move every run. It is
+    /// *not* the epoch-boundary hash (which lives in `bundler-core` and
+    /// covers a different header subset).
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x1000_0000_01b3;
@@ -226,6 +230,12 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
         assert_eq!(a.digest(), a.digest());
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        let k = FlowKey::tcp(ipv4(10, 0, 0, 1), 1000, ipv4(10, 1, 0, 1), 80);
+        assert_eq!(k.digest(), 0xf7c9_6bff_5e2c_9329);
     }
 
     #[test]

@@ -408,6 +408,14 @@ mod tests {
         assert_eq!(EndhostAlg::FixedWindow(3).to_string(), "fixed(3)");
     }
 
+    /// `bundler_sim::snapshot::digest`, the hash every checkpoint pin is
+    /// taken with (out of this crate's reach).
+    pub(crate) fn snapshot_digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+        })
+    }
+
     /// Drives a controller, snapshots it, loads the bytes into a freshly
     /// built one, and checks the two agree — both immediately and after
     /// processing one more identical event.
@@ -461,13 +469,6 @@ mod tests {
     /// avoidance and a timeout: a moved pin is a checkpoint layout change.
     #[test]
     fn endhost_state_bytes_are_pinned() {
-        /// `bundler_sim::snapshot::digest`, the hash every checkpoint pin
-        /// is taken with (out of this crate's reach).
-        fn snapshot_digest(bytes: &[u8]) -> u64 {
-            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
-            })
-        }
         let pins = [
             (EndhostAlg::Cubic, (34, 0xbaa8_984b_ba53_ef70)),
             (EndhostAlg::NewReno, (17, 0x0801_3c83_30d8_6c37)),

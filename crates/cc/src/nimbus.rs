@@ -820,6 +820,30 @@ mod tests {
         }
     }
 
+    /// Pins the detector's saved state, `(len, digest)`, after a fixed
+    /// script of 300 samples in which a backlogged flow holds about half
+    /// the bottleneck while μ moves: a moved pin is a checkpoint layout or
+    /// detector behaviour change.
+    #[test]
+    fn detector_state_bytes_are_pinned() {
+        let mut det = ElasticityDetector::with_defaults();
+        let mut verdict = CrossTrafficVerdict::Inelastic;
+        for i in 0..300u64 {
+            let mu = Rate::from_mbps(94 + i % 5);
+            let rtt = 62.0 + (i % 9) as f64;
+            let recv = 42.0 + (i % 4) as f64;
+            verdict = det.on_measurement(&m(i * 10, rtt, 50, 48.0, recv), Some(mu));
+        }
+        assert_eq!(verdict, CrossTrafficVerdict::Elastic);
+        let mut buf = Vec::new();
+        det.save_state(&mut buf);
+        assert_eq!(
+            (buf.len(), crate::tests::snapshot_digest(&buf)),
+            (7249, 0x0fb6_ff2e_5c86_6e06),
+            "saved detector state moved"
+        );
+    }
+
     #[test]
     fn feedback_timeout_halves_rate() {
         let mut nimbus = Nimbus::new(NimbusConfig::default(), Rate::from_mbps(40));

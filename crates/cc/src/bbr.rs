@@ -15,7 +15,7 @@
 use bundler_types::{Duration, Nanos, Rate};
 
 use crate::windowed::WindowedFilter;
-use crate::{AckEvent, BundleCc, LossEvent, Measurement, RateUpdate, WindowCc};
+use crate::{AckEvent, BundleCc, LossEvent, Measurement, WindowCc};
 
 /// ProbeBW pacing-gain cycle (from the BBR paper).
 const PROBE_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
@@ -73,12 +73,9 @@ impl Bbr {
 }
 
 impl BundleCc for Bbr {
-    fn on_measurement(&mut self, m: &Measurement) -> RateUpdate {
+    fn on_measurement(&mut self, m: &Measurement) -> Rate {
         if m.rtt.is_zero() {
-            return RateUpdate {
-                rate: self.last_rate,
-                bottleneck_estimate: None,
-            };
+            return self.last_rate;
         }
         self.max_bw.update(m.recv_rate.as_bps(), m.now);
         self.min_rtt.update(m.rtt.as_nanos(), m.now);
@@ -120,13 +117,10 @@ impl BundleCc for Bbr {
             }
         }
         self.last_rate = self.last_rate.clamp(self.min_rate, self.max_rate);
-        RateUpdate {
-            rate: self.last_rate,
-            bottleneck_estimate: Some(bw),
-        }
+        self.last_rate
     }
 
-    fn on_feedback_timeout(&mut self, _now: Nanos) -> RateUpdate {
+    fn on_feedback_timeout(&mut self, _now: Nanos) -> Rate {
         self.last_rate = self
             .last_rate
             .mul_f64(0.5)
@@ -134,10 +128,7 @@ impl BundleCc for Bbr {
         self.phase = Phase::Startup;
         self.full_bw = Rate::ZERO;
         self.full_bw_rounds = 0;
-        RateUpdate {
-            rate: self.last_rate,
-            bottleneck_estimate: None,
-        }
+        self.last_rate
     }
 
     fn current_rate(&self) -> Rate {
@@ -324,9 +315,9 @@ mod tests {
         let mut bbr = Bbr::new(Rate::from_mbps(1));
         let mut max_rate: f64 = 0.0;
         for i in 0..500 {
-            let u = bbr.on_measurement(&m(i * 10, 51, 50, 96));
+            let rate = bbr.on_measurement(&m(i * 10, 51, 50, 96));
             if bbr.phase == Phase::ProbeBw {
-                max_rate = max_rate.max(u.rate.as_mbps_f64());
+                max_rate = max_rate.max(rate.as_mbps_f64());
             }
         }
         // The 1.25 gain slot should show up: rate exceeds the bottleneck.

@@ -17,7 +17,7 @@
 use bundler_types::{Duration, Nanos, Rate};
 
 use crate::windowed::WindowedFilter;
-use crate::{BundleCc, Measurement, RateUpdate};
+use crate::{BundleCc, Measurement};
 
 /// Configuration parameters for [`Copa`].
 #[derive(Debug, Clone, Copy)]
@@ -116,13 +116,10 @@ impl Copa {
 }
 
 impl BundleCc for Copa {
-    fn on_measurement(&mut self, m: &Measurement) -> RateUpdate {
+    fn on_measurement(&mut self, m: &Measurement) -> Rate {
         let now = m.now;
         if m.rtt.is_zero() {
-            return RateUpdate {
-                rate: self.last_rate,
-                bottleneck_estimate: None,
-            };
+            return self.last_rate;
         }
         self.min_rtt
             .update(m.min_rtt.as_nanos().min(m.rtt.as_nanos()), now);
@@ -207,13 +204,10 @@ impl BundleCc for Copa {
         let rate = self.clamp_rate(rate);
         self.last_rate = rate;
         self.last_update = Some(now);
-        RateUpdate {
-            rate,
-            bottleneck_estimate: Some(m.recv_rate.max(rate)),
-        }
+        rate
     }
 
-    fn on_feedback_timeout(&mut self, _now: Nanos) -> RateUpdate {
+    fn on_feedback_timeout(&mut self, _now: Nanos) -> Rate {
         // Halve the window: feedback loss usually means severe congestion or
         // path failure; being conservative is safe because the endhost
         // controllers still govern their own flows.
@@ -221,10 +215,7 @@ impl BundleCc for Copa {
         self.velocity = 1.0;
         self.direction = None;
         self.last_rate = self.clamp_rate(self.last_rate.mul_f64(0.5));
-        RateUpdate {
-            rate: self.last_rate,
-            bottleneck_estimate: None,
-        }
+        self.last_rate
     }
 
     fn current_rate(&self) -> Rate {
@@ -264,8 +255,7 @@ mod tests {
         let mut rate = initial;
         for i in 0..200 {
             // RTT equals min RTT: no queueing, so Copa should ramp up.
-            let u = copa.on_measurement(&measurement(i * 10, 50, 50, rate.as_bps() / 1_000_000));
-            rate = u.rate;
+            rate = copa.on_measurement(&measurement(i * 10, 50, 50, rate.as_bps() / 1_000_000));
         }
         assert!(
             rate > initial,
@@ -280,8 +270,7 @@ mod tests {
         let mut rate = Rate::from_mbps(96);
         for i in 0..100 {
             // 100 ms of queueing over a 50 ms base RTT.
-            let u = copa.on_measurement(&measurement(i * 10, 150, 50, 96));
-            rate = u.rate;
+            rate = copa.on_measurement(&measurement(i * 10, 150, 50, 96));
         }
         assert!(
             rate < Rate::from_mbps(96),
@@ -317,7 +306,7 @@ mod tests {
                 acked_bytes: delivered.bytes_over(dt),
                 lost_samples: 0,
             };
-            rate = copa.on_measurement(&m).rate;
+            rate = copa.on_measurement(&m);
             if step > 2500 {
                 rates.push(rate.as_mbps_f64());
             }
@@ -333,7 +322,7 @@ mod tests {
     fn feedback_timeout_halves_rate() {
         let mut copa = Copa::new(CopaConfig::default(), Rate::from_mbps(80));
         let before = copa.current_rate();
-        let after = copa.on_feedback_timeout(Nanos::from_secs(1)).rate;
+        let after = copa.on_feedback_timeout(Nanos::from_secs(1));
         assert!(after < before);
         assert!(after >= CopaConfig::default().min_rate);
     }
@@ -348,9 +337,9 @@ mod tests {
         let mut copa = Copa::new(config, Rate::from_mbps(100));
         assert!(copa.current_rate() <= Rate::from_mbps(10));
         for i in 0..100 {
-            let u = copa.on_measurement(&measurement(i * 10, 50, 50, 10));
-            assert!(u.rate <= Rate::from_mbps(10));
-            assert!(u.rate >= Rate::from_mbps(1));
+            let rate = copa.on_measurement(&measurement(i * 10, 50, 50, 10));
+            assert!(rate <= Rate::from_mbps(10));
+            assert!(rate >= Rate::from_mbps(1));
         }
     }
 
@@ -367,8 +356,7 @@ mod tests {
             acked_bytes: 0,
             lost_samples: 0,
         };
-        let u = copa.on_measurement(&m);
-        assert_eq!(u.rate, before);
+        assert_eq!(copa.on_measurement(&m), before);
     }
 
     #[test]

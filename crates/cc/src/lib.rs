@@ -24,7 +24,6 @@
 pub mod bbr;
 pub mod copa;
 pub mod cubic;
-pub mod fft;
 pub mod nimbus;
 pub mod reno;
 pub mod vegas;
@@ -67,16 +66,6 @@ serde::layout!(value Measurement {
     now, rtt, min_rtt, send_rate, recv_rate, acked_bytes, lost_samples,
 });
 
-/// A rate update produced by a bundle congestion controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateUpdate {
-    /// The pacing rate to enforce at the sendbox until the next update.
-    pub rate: Rate,
-    /// The controller's current estimate of the bottleneck capacity, if it
-    /// forms one (used by Nimbus pulsing and by diagnostics).
-    pub bottleneck_estimate: Option<Rate>,
-}
-
 /// A congestion controller that operates on an aggregate (a bundle) and
 /// outputs a pacing rate.
 ///
@@ -88,12 +77,12 @@ pub struct RateUpdate {
 pub trait BundleCc: Send + State {
     /// Called roughly once per 10 ms (the paper's control interval) with the
     /// latest measurement; returns the new pacing rate.
-    fn on_measurement(&mut self, m: &Measurement) -> RateUpdate;
+    fn on_measurement(&mut self, m: &Measurement) -> Rate;
 
     /// Called when the sendbox detects that feedback has stopped arriving
     /// (e.g. a timeout); the controller should reset towards a conservative
-    /// rate.
-    fn on_feedback_timeout(&mut self, now: Nanos) -> RateUpdate;
+    /// rate; returns the new pacing rate.
+    fn on_feedback_timeout(&mut self, now: Nanos) -> Rate;
 
     /// Current rate without processing a new measurement.
     fn current_rate(&self) -> Rate;

@@ -14,22 +14,23 @@
 //!
 //! The detection idea: superimpose a small asymmetric sinusoidal pulse
 //! ([`Pulser`]) on the sending rate and watch the *cross traffic's* estimated
-//! rate. Elastic (backlogged, loss-based) cross traffic reacts to the pulses,
-//! so its rate shows energy at the pulse frequency; inelastic traffic does
-//! not. This module implements the full FFT-based metric and, because a
-//! packet-level simulation of the closed loop is noisier than a real
-//! testbed, also a persistence heuristic (elastic cross traffic never lets
-//! its share drop) that the mode state machine uses as the default decision
-//! rule. Both are exposed so experiments can compare them.
+//! rate. Nimbus decides with an FFT of that rate (energy at the pulse
+//! frequency); a packet-level simulation of the closed loop is noisier than
+//! a real testbed, so this detector decides with a persistence rule instead:
+//! backlogged, loss-based cross traffic never lets its share of the
+//! bottleneck drop, and keeps the bottleneck queue occupied, over a whole
+//! persistence window (1 s). The rule reads only the samples inside that
+//! window, yet the detector keeps the last 512 (`max_samples`), about 5 s
+//! at 10 ms: snapshot layout v3 saves the whole sample deque, so a shorter
+//! deque would move checkpoint bytes.
 
 use std::collections::VecDeque;
 
 use bundler_types::{Duration, Nanos, Rate};
 use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
-use crate::fft::peak_to_band_ratio;
 use crate::windowed::WindowedFilter;
-use crate::{BundleCc, Measurement, RateUpdate};
+use crate::{BundleCc, Measurement};
 
 /// The asymmetric sinusoidal pulse Nimbus superimposes on the sending rate.
 ///
@@ -55,11 +56,6 @@ impl Default for Pulser {
 }
 
 impl Pulser {
-    /// The frequency of the up-pulse, in Hz.
-    pub fn pulse_hz(&self) -> f64 {
-        1.0 / self.period.as_secs_f64()
-    }
-
     /// The signed rate offset to add to the base rate at time `now`, given
     /// the current bottleneck estimate `mu`.
     pub fn offset(&self, now: Nanos, mu: Rate) -> f64 {
@@ -112,12 +108,10 @@ pub struct ElasticityConfig {
     /// Interval between samples pushed into the detector (the paper's
     /// control interval, 10 ms).
     pub sample_interval: Duration,
-    /// Number of samples the FFT operates over (512 ⇒ ~5 s at 10 ms).
-    pub fft_window: usize,
-    /// Frequency of the superimposed pulse, Hz.
-    pub pulse_hz: f64,
-    /// Peak-to-band ratio above which the FFT metric declares elasticity.
-    pub fft_threshold: f64,
+    /// Number of samples kept (512 ⇒ ~5 s at 10 ms). The rule reads only
+    /// the persistence window; the rest are kept for the snapshot layout
+    /// (see the module docs).
+    pub max_samples: usize,
     /// Window over which the persistence heuristic looks at the cross-rate
     /// minimum.
     pub persistence_window: Duration,
@@ -131,10 +125,6 @@ pub struct ElasticityConfig {
     /// capacity (which also makes the cross-rate estimate non-zero) does
     /// not.
     pub persistence_min_queue_delay: Duration,
-    /// Use the FFT metric as the decision rule (true) or the persistence
-    /// heuristic (false, default — more robust at packet-level simulation
-    /// granularity).
-    pub use_fft_decision: bool,
     /// Samples required before any verdict other than `Inelastic` is given.
     pub warmup_samples: usize,
 }
@@ -143,13 +133,10 @@ impl Default for ElasticityConfig {
     fn default() -> Self {
         ElasticityConfig {
             sample_interval: Duration::from_millis(10),
-            fft_window: 512,
-            pulse_hz: 5.0,
-            fft_threshold: 3.0,
+            max_samples: 512,
             persistence_window: Duration::from_secs(1),
             persistence_min_frac: 0.2,
             persistence_min_queue_delay: Duration::from_millis(3),
-            use_fft_decision: false,
             warmup_samples: 50,
         }
     }
@@ -286,11 +273,9 @@ pub struct ElasticityDetector {
     /// Cross-traffic rate samples in bit/s plus the queueing delay observed
     /// with them, newest at the back.
     cross_samples: CrossSamples,
-    /// Estimate of the bottleneck rate μ: windowed max of observed receive
-    /// rate plus estimated cross rate.
+    /// The bottleneck rate μ: windowed max of the caller's estimates.
     mu_filter: WindowedFilter<u64>,
     total_samples: u64,
-    last_fft_ratio: f64,
     last_verdict: CrossTrafficVerdict,
 }
 
@@ -302,7 +287,6 @@ impl ElasticityDetector {
             cross_samples: CrossSamples::new(),
             mu_filter: WindowedFilter::new_max(Duration::from_secs(10)),
             total_samples: 0,
-            last_fft_ratio: 0.0,
             last_verdict: CrossTrafficVerdict::Inelastic,
         }
     }
@@ -330,29 +314,11 @@ impl ElasticityDetector {
         Rate::from_bps(z.max(0.0) as u64)
     }
 
-    /// Pushes one measurement into the detector and returns the current
-    /// verdict. `externally_known_mu` lets the caller supply a bottleneck
-    /// estimate (e.g. from configuration); otherwise pass `None` and the
-    /// detector tracks the max observed throughput.
-    pub fn on_measurement(
-        &mut self,
-        m: &Measurement,
-        externally_known_mu: Option<Rate>,
-    ) -> CrossTrafficVerdict {
+    /// Pushes one measurement and the caller's bottleneck estimate `mu`
+    /// into the detector and returns the current verdict.
+    pub fn on_measurement(&mut self, m: &Measurement, mu: Rate) -> CrossTrafficVerdict {
         self.total_samples += 1;
-        // μ is at least whatever total throughput we have seen delivered;
-        // cross traffic pushes the estimate up via recv + cross from the
-        // previous estimate. An externally supplied μ wins.
-        let observed = match externally_known_mu {
-            Some(mu) => mu,
-            None => m.recv_rate,
-        };
-        self.mu_filter.update(observed.as_bps(), m.now);
-        if externally_known_mu.is_none() {
-            // Also consider send rate: if we are sending faster than we
-            // receive, the bottleneck is at least the receive rate.
-            self.mu_filter.update(m.recv_rate.as_bps(), m.now);
-        }
+        self.mu_filter.update(mu.as_bps(), m.now);
 
         let z = self.cross_rate(m.send_rate, m.recv_rate);
         debug_assert!(
@@ -364,7 +330,7 @@ impl ElasticityDetector {
         );
         self.cross_samples.push(
             (m.now, z.as_bps() as f64, m.queue_delay()),
-            self.config.fft_window,
+            self.config.max_samples,
         );
 
         if self.total_samples < self.config.warmup_samples as u64 {
@@ -372,44 +338,13 @@ impl ElasticityDetector {
             return self.last_verdict;
         }
 
-        let verdict = if self.config.use_fft_decision {
-            self.fft_verdict()
-        } else {
-            self.persistence_verdict(m.now)
-        };
-        self.last_verdict = verdict;
-        verdict
+        self.last_verdict = self.persistence_verdict(m.now);
+        self.last_verdict
     }
 
     /// The most recent verdict.
     pub fn verdict(&self) -> CrossTrafficVerdict {
         self.last_verdict
-    }
-
-    /// The most recently computed FFT peak-to-band ratio (0 if not yet
-    /// computed).
-    pub fn fft_ratio(&self) -> f64 {
-        self.last_fft_ratio
-    }
-
-    /// Decision based on spectral energy at the pulse frequency.
-    fn fft_verdict(&mut self) -> CrossTrafficVerdict {
-        let samples = &self.cross_samples.samples;
-        if samples.len() < self.config.fft_window {
-            return CrossTrafficVerdict::Inelastic;
-        }
-        let mean: f64 = samples.iter().map(|&(_, z, _)| z).sum::<f64>() / samples.len() as f64;
-        let signal: Vec<f64> = samples.iter().map(|&(_, z, _)| z - mean).collect();
-        let sample_rate = 1.0 / self.config.sample_interval.as_secs_f64();
-        let ratio =
-            peak_to_band_ratio(&signal, sample_rate, self.config.pulse_hz, 0.6, (1.0, 20.0));
-        self.last_fft_ratio = ratio;
-        let mu = self.mu().as_bps() as f64;
-        if mu > 0.0 && mean > 0.05 * mu && ratio > self.config.fft_threshold {
-            CrossTrafficVerdict::Elastic
-        } else {
-            CrossTrafficVerdict::Inelastic
-        }
     }
 
     /// Decision based on the cross traffic's share never dropping: a
@@ -447,10 +382,29 @@ impl ElasticityDetector {
 }
 
 // The configuration is not written: restore builds the detector with the
-// same `ElasticityConfig` first.
-serde::layout!(state ElasticityDetector {
-    cross_samples, mu_filter, total_samples, last_fft_ratio, last_verdict,
-});
+// same `ElasticityConfig` first. The `0.0` after `total_samples` is the slot
+// of an FFT ratio the detector no longer computes; layout v3 keeps it, and a
+// load refuses anything else there.
+impl State for ElasticityDetector {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        self.cross_samples.save_state(out);
+        self.mu_filter.save_state(out);
+        self.total_samples.encode(out);
+        0.0f64.encode(out);
+        self.last_verdict.encode(out);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.cross_samples.load_state(r)?;
+        self.mu_filter.load_state(r)?;
+        self.total_samples = Decode::decode(r)?;
+        if f64::decode(r)?.to_bits() != 0 {
+            return Err(r.error("nonzero retired FFT ratio slot"));
+        }
+        self.last_verdict = Decode::decode(r)?;
+        Ok(())
+    }
+}
 
 /// Configuration for the [`Nimbus`] BasicDelay rate controller.
 #[derive(Debug, Clone, Copy)]
@@ -510,12 +464,9 @@ impl Nimbus {
 }
 
 impl BundleCc for Nimbus {
-    fn on_measurement(&mut self, m: &Measurement) -> RateUpdate {
+    fn on_measurement(&mut self, m: &Measurement) -> Rate {
         if m.rtt.is_zero() {
-            return RateUpdate {
-                rate: self.last_rate,
-                bottleneck_estimate: None,
-            };
+            return self.last_rate;
         }
         self.mu_filter.update(m.recv_rate.as_bps(), m.now);
         let mu = self.mu();
@@ -532,21 +483,15 @@ impl BundleCc for Nimbus {
         let rate =
             Rate::from_bps(rate.max(0.0) as u64).clamp(self.config.min_rate, self.config.max_rate);
         self.last_rate = rate;
-        RateUpdate {
-            rate,
-            bottleneck_estimate: Some(mu),
-        }
+        rate
     }
 
-    fn on_feedback_timeout(&mut self, _now: Nanos) -> RateUpdate {
+    fn on_feedback_timeout(&mut self, _now: Nanos) -> Rate {
         self.last_rate = self
             .last_rate
             .mul_f64(0.5)
             .clamp(self.config.min_rate, self.config.max_rate);
-        RateUpdate {
-            rate: self.last_rate,
-            bottleneck_estimate: None,
-        }
+        self.last_rate
     }
 
     fn current_rate(&self) -> Rate {
@@ -617,11 +562,10 @@ mod tests {
     #[test]
     fn basic_delay_probes_up_when_queue_empty() {
         let mut nimbus = Nimbus::new(NimbusConfig::default(), Rate::from_mbps(10));
-        let u = nimbus.on_measurement(&m(0, 50.0, 50, 10.0, 10.0));
+        let rate = nimbus.on_measurement(&m(0, 50.0, 50, 10.0, 10.0));
         assert!(
-            u.rate > Rate::from_mbps(10),
-            "should probe above receive rate, got {}",
-            u.rate
+            rate > Rate::from_mbps(10),
+            "should probe above receive rate, got {rate}"
         );
     }
 
@@ -631,19 +575,15 @@ mod tests {
         // Warm the μ estimate.
         nimbus.on_measurement(&m(0, 50.0, 50, 96.0, 96.0));
         // 40 ms of queueing on a 50 ms path: far above the 5 ms target.
-        let u = nimbus.on_measurement(&m(10, 90.0, 50, 96.0, 96.0));
-        assert!(
-            u.rate < Rate::from_mbps(96),
-            "should back off, got {}",
-            u.rate
-        );
+        let rate = nimbus.on_measurement(&m(10, 90.0, 50, 96.0, 96.0));
+        assert!(rate < Rate::from_mbps(96), "should back off, got {rate}");
     }
 
     #[test]
     fn cross_rate_estimate_matches_formula() {
         let mut det = ElasticityDetector::with_defaults();
         // Feed one measurement to set μ = 96.
-        det.on_measurement(&m(0, 50.0, 50, 48.0, 48.0), Some(Rate::from_mbps(96)));
+        det.on_measurement(&m(0, 50.0, 50, 48.0, 48.0), Rate::from_mbps(96));
         // We send 48, receive 32: z = 96*48/32 - 48 = 96 Mbit/s... i.e. the
         // bottleneck is dominated by cross traffic.
         let z = det.cross_rate(Rate::from_mbps(48), Rate::from_mbps(32));
@@ -663,7 +603,7 @@ mod tests {
         // Bundle sends 48 and receives 44 while a backlogged flow holds the
         // rest: cross share stays ~50 % for 3 seconds.
         for i in 0..300 {
-            verdict = det.on_measurement(&m(i * 10, 70.0, 50, 48.0, 44.0), Some(mu));
+            verdict = det.on_measurement(&m(i * 10, 70.0, 50, 48.0, 44.0), mu);
         }
         assert_eq!(verdict, CrossTrafficVerdict::Elastic);
     }
@@ -677,31 +617,9 @@ mod tests {
             // Cross traffic present only 1 sample in 10: its rate regularly
             // drops to ~0.
             let recv = if i % 10 == 0 { 60.0 } else { 90.0 };
-            verdict = det.on_measurement(&m(i * 10, 55.0, 50, 90.0, recv), Some(mu));
+            verdict = det.on_measurement(&m(i * 10, 55.0, 50, 90.0, recv), mu);
         }
         assert_eq!(verdict, CrossTrafficVerdict::Inelastic);
-    }
-
-    #[test]
-    fn fft_decision_detects_pulse_correlated_cross_traffic() {
-        let config = ElasticityConfig {
-            use_fft_decision: true,
-            ..Default::default()
-        };
-        let mut det = ElasticityDetector::new(config);
-        let mu = Rate::from_mbps(96);
-        let mut verdict = CrossTrafficVerdict::Inelastic;
-        for i in 0..600 {
-            let t = i as f64 * 0.01;
-            // Elastic cross traffic mirrors our 5 Hz pulses: when we pulse
-            // up it yields, when we pulse down it grabs.
-            let wiggle = 12.0 * (2.0 * core::f64::consts::PI * 5.0 * t).sin();
-            let send = 48.0;
-            let recv = 48.0 + wiggle.clamp(-20.0, 0.0) * 0.5 - wiggle.max(0.0) * 0.25;
-            verdict = det.on_measurement(&m(i * 10, 60.0, 50, send, recv.max(5.0)), Some(mu));
-        }
-        assert_eq!(verdict, CrossTrafficVerdict::Elastic);
-        assert!(det.fft_ratio() > 3.0, "fft ratio {}", det.fft_ratio());
     }
 
     #[test]
@@ -713,7 +631,7 @@ mod tests {
         let mu = Rate::from_mbps(96);
         let mut verdict = CrossTrafficVerdict::Elastic;
         for i in 0..300 {
-            verdict = det.on_measurement(&m(i * 10, 50.0, 50, 40.0, 40.0), Some(mu));
+            verdict = det.on_measurement(&m(i * 10, 50.0, 50, 40.0, 40.0), mu);
         }
         assert_eq!(verdict, CrossTrafficVerdict::Inelastic);
     }
@@ -723,7 +641,7 @@ mod tests {
         let mut det = ElasticityDetector::with_defaults();
         let mu = Rate::from_mbps(96);
         for i in 0..10 {
-            let v = det.on_measurement(&m(i * 10, 70.0, 50, 48.0, 44.0), Some(mu));
+            let v = det.on_measurement(&m(i * 10, 70.0, 50, 48.0, 44.0), mu);
             assert_eq!(v, CrossTrafficVerdict::Inelastic);
         }
     }
@@ -780,7 +698,7 @@ mod tests {
             ),
         ) {
             let config = ElasticityConfig {
-                fft_window: cap,
+                max_samples: cap,
                 persistence_window: Duration::from_millis(window_ms),
                 ..Default::default()
             };
@@ -832,7 +750,7 @@ mod tests {
             let mu = Rate::from_mbps(94 + i % 5);
             let rtt = 62.0 + (i % 9) as f64;
             let recv = 42.0 + (i % 4) as f64;
-            verdict = det.on_measurement(&m(i * 10, rtt, 50, 48.0, recv), Some(mu));
+            verdict = det.on_measurement(&m(i * 10, rtt, 50, 48.0, recv), mu);
         }
         assert_eq!(verdict, CrossTrafficVerdict::Elastic);
         let mut buf = Vec::new();
@@ -845,9 +763,24 @@ mod tests {
     }
 
     #[test]
+    fn load_refuses_a_nonzero_retired_slot() {
+        let mut det = ElasticityDetector::with_defaults();
+        det.on_measurement(&m(0, 60.0, 50, 48.0, 44.0), Rate::from_mbps(96));
+        let mut bytes = Vec::new();
+        det.save_state(&mut bytes);
+        // The slot is the eight bytes before the one-byte verdict.
+        let slot = bytes.len() - 9..bytes.len() - 1;
+        assert_eq!(bytes[slot.clone()], 0.0f64.to_le_bytes());
+        bytes[slot].copy_from_slice(&(-0.0f64).to_le_bytes());
+        let mut restored = ElasticityDetector::with_defaults();
+        let err = restored.load_state(&mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!(err.what, "nonzero retired FFT ratio slot");
+    }
+
+    #[test]
     fn feedback_timeout_halves_rate() {
         let mut nimbus = Nimbus::new(NimbusConfig::default(), Rate::from_mbps(40));
-        let r = nimbus.on_feedback_timeout(Nanos::from_secs(1)).rate;
+        let r = nimbus.on_feedback_timeout(Nanos::from_secs(1));
         assert_eq!(r, Rate::from_mbps(20));
         assert_eq!(nimbus.name(), "nimbus");
     }

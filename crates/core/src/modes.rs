@@ -167,11 +167,9 @@ impl ModeController {
 
     /// Signals that no feedback has arrived for the configured timeout.
     pub fn on_feedback_timeout(&mut self, now: Nanos) -> Rate {
-        let update = self.cc.on_feedback_timeout(now);
+        let rate = self.cc.on_feedback_timeout(now);
         if self.mode == Mode::DelayControl {
-            self.current_rate = update
-                .rate
-                .clamp(self.config.min_rate, self.config.max_rate);
+            self.current_rate = rate.clamp(self.config.min_rate, self.config.max_rate);
         }
         self.current_rate
     }
@@ -255,14 +253,13 @@ impl ModeController {
             // Cross-traffic detection runs in every mode (that is the point
             // of keeping the small probing queue in pass-through).
             if self.config.enable_cross_traffic_detection {
-                let verdict = self.detector.on_measurement(m, Some(self.mu()));
+                let verdict = self.detector.on_measurement(m, self.mu());
                 self.track_verdict(verdict, now);
             }
 
             match self.mode {
                 Mode::DelayControl => {
-                    let update = self.cc.on_measurement(m);
-                    let base = update.rate;
+                    let base = self.cc.on_measurement(m);
                     let rate = if self.config.enable_cross_traffic_detection {
                         self.pulser.apply(base, now, self.mu())
                     } else {

@@ -1,7 +1,7 @@
 //! Drop-tail FIFO queue.
 //!
-//! This is the "status quo" queue discipline: a single queue with a finite
-//! capacity that drops arriving packets when full. Both the emulated
+//! This is the "status quo" queue discipline: a single queue bounded by a
+//! packet count that drops arriving packets when full. Both the emulated
 //! bottleneck router and the Bundler-with-FIFO configuration in Figure 9 use
 //! it.
 
@@ -11,71 +11,36 @@ use bundler_types::{Nanos, PacketArena, PacketId};
 
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
-/// How the FIFO capacity is expressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capacity {
-    /// Maximum number of packets.
-    Packets(usize),
-    /// Maximum number of bytes.
-    Bytes(u64),
-    /// No limit (used for the sendbox queue, which Bundler wants to absorb
-    /// arbitrarily large standing queues shifted from the network).
-    Unbounded,
-}
-
 /// A drop-tail FIFO queue.
 #[derive(Debug)]
 pub struct DropTailFifo {
     queue: VecDeque<PktRef>,
-    capacity: Capacity,
+    max_packets: usize,
     bytes: u64,
     stats: SchedStats,
 }
 
 impl DropTailFifo {
-    /// Creates a FIFO with the given capacity.
-    pub fn new(capacity: Capacity) -> Self {
+    /// Creates a FIFO that holds at most `pkts` packets.
+    pub fn with_packet_capacity(pkts: usize) -> Self {
         DropTailFifo {
             queue: VecDeque::new(),
-            capacity,
+            max_packets: pkts,
             bytes: 0,
             stats: SchedStats::default(),
         }
-    }
-
-    /// Creates a FIFO bounded by a packet count.
-    pub fn with_packet_capacity(pkts: usize) -> Self {
-        Self::new(Capacity::Packets(pkts))
-    }
-
-    /// Creates a FIFO with no capacity limit.
-    pub fn unbounded() -> Self {
-        Self::new(Capacity::Unbounded)
-    }
-
-    /// Returns the configured capacity.
-    pub fn capacity(&self) -> Capacity {
-        self.capacity
     }
 
     /// Peeks at the head-of-line packet without removing it.
     pub fn peek(&self) -> Option<PacketId> {
         self.queue.front().map(|p| p.id)
     }
-
-    fn would_overflow(&self, size: u32) -> bool {
-        match self.capacity {
-            Capacity::Packets(max) => self.queue.len() + 1 > max,
-            Capacity::Bytes(max) => self.bytes + size as u64 > max,
-            Capacity::Unbounded => false,
-        }
-    }
 }
 
 impl Scheduler for DropTailFifo {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: Nanos) -> Enqueued {
         let size = arena[pkt].size;
-        if self.would_overflow(size) {
+        if self.queue.len() >= self.max_packets {
             self.stats.dropped += 1;
             self.stats.dropped_bytes += size as u64;
             return Enqueued::Dropped(pkt);
@@ -170,30 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn byte_capacity_enforced() {
-        let mut a = PacketArena::new();
-        let mut q = DropTailFifo::new(Capacity::Bytes(300));
-        // Each packet is payload + 40 header bytes = 140.
-        assert!(!enq(&mut q, &mut a, pkt(0, 100), Nanos::ZERO).is_drop());
-        assert!(!enq(&mut q, &mut a, pkt(1, 100), Nanos::ZERO).is_drop());
-        assert!(enq(&mut q, &mut a, pkt(2, 100), Nanos::ZERO).is_drop());
-        assert_eq!(q.len_bytes(), 280);
-    }
-
-    #[test]
-    fn unbounded_never_drops() {
-        let mut a = PacketArena::new();
-        let mut q = DropTailFifo::unbounded();
-        for i in 0..10_000 {
-            assert!(!enq(&mut q, &mut a, pkt(i, 1460), Nanos::ZERO).is_drop());
-        }
-        assert_eq!(q.len_packets(), 10_000);
-    }
-
-    #[test]
     fn enqueue_stamps_enqueued_at() {
         let mut a = PacketArena::new();
-        let mut q = DropTailFifo::unbounded();
+        let mut q = DropTailFifo::with_packet_capacity(10);
         enq(&mut q, &mut a, pkt(0, 100), Nanos::from_millis(7));
         let head = q.peek().unwrap();
         assert_eq!(a[head].enqueued_at, Nanos::from_millis(7));
@@ -202,7 +146,7 @@ mod tests {
     #[test]
     fn bytes_tracks_dequeues() {
         let mut a = PacketArena::new();
-        let mut q = DropTailFifo::unbounded();
+        let mut q = DropTailFifo::with_packet_capacity(10);
         enq(&mut q, &mut a, pkt(0, 100), Nanos::ZERO);
         enq(&mut q, &mut a, pkt(1, 200), Nanos::ZERO);
         assert_eq!(q.len_bytes(), 140 + 240);

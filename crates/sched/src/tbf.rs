@@ -294,7 +294,7 @@ mod tests {
     fn tbf_enforces_long_run_rate() {
         // 12 Mbit/s, 1500-byte packets -> 1 packet per ms.
         let mut arena = PacketArena::new();
-        let inner = Box::new(DropTailFifo::unbounded());
+        let inner = Box::new(DropTailFifo::with_packet_capacity(1000));
         let mut tbf = Tbf::new(Rate::from_mbps(12), 1514, inner, Nanos::ZERO);
         for _ in 0..100 {
             let id = arena.insert(pkt(1460));
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn tbf_rate_update_applies() {
-        let inner = Box::new(DropTailFifo::unbounded());
+        let inner = Box::new(DropTailFifo::with_packet_capacity(1000));
         let mut tbf = Tbf::new(Rate::from_mbps(12), 1514, inner, Nanos::ZERO);
         assert_eq!(tbf.rate(), Rate::from_mbps(12));
         tbf.set_rate(Rate::from_mbps(48), Nanos::from_millis(1));
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn tbf_empty_reports_empty() {
         let mut arena = PacketArena::new();
-        let inner = Box::new(DropTailFifo::unbounded());
+        let inner = Box::new(DropTailFifo::with_packet_capacity(1000));
         let mut tbf = Tbf::new(Rate::from_mbps(12), 1514, inner, Nanos::ZERO);
         assert!(matches!(
             tbf.try_dequeue(&mut arena, Nanos::ZERO),

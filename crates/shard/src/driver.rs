@@ -326,7 +326,7 @@ enum Host {
         /// Simulated time the run starts from (`ZERO` for a fresh run, the
         /// snapshot's stamp after a restore).
         start: Nanos,
-        /// Checkpoint cadence, fingerprint and size hint.
+        /// Checkpoint cadence and fingerprint.
         writer: snapshot::Writer,
     },
 }

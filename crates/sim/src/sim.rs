@@ -253,7 +253,7 @@ pub struct Simulation {
     /// the snapshot's packets by value, so it clears this; checkpoints
     /// only read the arena.
     arena_exact: bool,
-    /// Checkpoint cadence, fingerprint and size hint.
+    /// Checkpoint cadence and fingerprint.
     writer: Writer,
 }
 

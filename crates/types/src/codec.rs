@@ -20,7 +20,7 @@ serde::layout!(enum Protocol { 0 => Tcp, 1 => Udp });
 
 serde::layout!(value FlowKey { src_ip, dst_ip, src_port, dst_port, protocol });
 
-serde::layout!(enum PacketKind { 0 => Data, 1 => Ack, 2 => CongestionAck, 3 => EpochUpdate });
+serde::layout!(enum PacketKind { 0 => Data, 1 => Ack });
 
 serde::layout!(value Packet {
     flow, key, kind, ip_id, seq, size, payload, class, sent_at, enqueued_at, retransmit, ecn_ce,

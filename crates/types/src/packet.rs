@@ -18,10 +18,6 @@ pub enum PacketKind {
     Data,
     /// Transport-level acknowledgement on the reverse path.
     Ack,
-    /// Out-of-band Bundler congestion ACK (receivebox → sendbox).
-    CongestionAck,
-    /// Out-of-band Bundler epoch-size update (sendbox → receivebox).
-    EpochUpdate,
 }
 
 /// Operator-assigned traffic class, used by the strict-priority scheduler.

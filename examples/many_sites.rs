@@ -10,12 +10,12 @@
 //!
 //! Each remote site announces a /24 destination prefix and gets its own
 //! bundle: packets are classified to bundles by longest-prefix match, and
-//! all 8 control loops tick off the agent's timer wheel. At the end the
-//! per-bundle telemetry snapshots are printed, together with the aggregate
-//! totals the agent derives from them. With `--obs metrics` the run also
-//! prints the portable metrics registry (sojourn/slowdown quantiles);
-//! with `--obs full --trace-out trace.json` it writes a Chrome trace you
-//! can load at <https://ui.perfetto.dev>.
+//! each of the 8 control loops ticks from its bundle's own control-tick
+//! event. At the end the per-bundle telemetry snapshots are printed,
+//! together with the aggregate totals the agent derives from them. With
+//! `--obs metrics` the run also prints the portable metrics registry
+//! (sojourn/slowdown quantiles); with `--obs full --trace-out trace.json`
+//! it writes a Chrome trace you can load at <https://ui.perfetto.dev>.
 //!
 //! The checkpoint flags drive the crash-recovery workflow: `--checkpoint-
 //! every 500 --checkpoint-dir ckpts` writes a snapshot file at every 500 ms

@@ -143,7 +143,7 @@ fn elasticity_detector_is_reachable_and_consistent() {
             acked_bytes: 60_000,
             lost_samples: 0,
         };
-        verdict = det.on_measurement(&m, Some(mu));
+        verdict = det.on_measurement(&m, mu);
     }
     assert_eq!(verdict, CrossTrafficVerdict::Elastic);
 }

@@ -252,7 +252,7 @@ fn assert_tags_are_total<T: Encode + Decode>(rows: u8) {
 #[test]
 fn enum_decoders_are_total_over_the_tag_byte() {
     assert_tags_are_total::<Protocol>(2);
-    assert_tags_are_total::<PacketKind>(4);
+    assert_tags_are_total::<PacketKind>(2);
     assert_tags_are_total::<Mode>(3);
     assert_tags_are_total::<CrossTrafficVerdict>(2);
     assert_tags_are_total::<Origin>(2);

@@ -21,10 +21,13 @@
 //! * [`pi`] — the PI controller itself.
 //! * [`sendbox`] — the sendbox control plane tying everything together.
 //! * [`receivebox`] — the receivebox datapath observer.
-//! * [`config`] — tunables, with the paper's defaults.
+//! * [`config`] — the per-deployment settings and the pacing-rate bounds;
+//!   the paper's fixed parameters are constants in the module that reads
+//!   each one.
 //! * [`wheel`] — the [`CalendarQueue`], the hierarchical timer wheel that
-//!   drives the simulator's event loop and the site agent's control ticks,
-//!   and the [`BinaryHeapQueue`] it is tested against.
+//!   drives the simulator's event loop, and the [`BinaryHeapQueue`] it is
+//!   tested against. The site agent's tick queue is one too, but in a
+//!   simulation each bundle ticks from its own control-tick event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

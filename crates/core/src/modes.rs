@@ -22,10 +22,18 @@ use bundler_cc::windowed::WindowedFilter;
 use bundler_cc::{BundleCc, Measurement};
 use bundler_types::{Duration, Nanos, Rate};
 
-use crate::config::BundlerConfig;
+use crate::config::{BundlerConfig, MAX_RATE, MIN_RATE};
 use crate::measurement::AckOrdering;
-use crate::multipath::{MultipathConfig, MultipathDetector};
-use crate::pi::{PiConfig, PiController};
+use crate::multipath::MultipathDetector;
+use crate::pi::PiController;
+
+/// How long the elastic verdict must persist before switching to
+/// pass-through mode.
+pub(crate) const ELASTIC_HOLD: Duration = Duration::from_millis(500);
+
+/// How long the inelastic verdict must persist before switching back to
+/// delay-control mode.
+pub(crate) const INELASTIC_HOLD: Duration = Duration::from_secs(2);
 
 /// The sendbox's current operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +61,6 @@ impl std::fmt::Display for Mode {
 
 /// Drives mode transitions and produces the pacing rate each control tick.
 pub struct ModeController {
-    config: BundlerConfig,
     cc: Box<dyn BundleCc>,
     detector: ElasticityDetector,
     pulser: Pulser,
@@ -92,28 +99,12 @@ impl ModeController {
             sample_interval: config.control_interval,
             ..Default::default()
         });
-        let pi = PiController::new(
-            PiConfig {
-                alpha: config.pi_alpha,
-                beta: config.pi_beta,
-                target: config.pass_through_target_queue,
-                min_rate: config.min_rate,
-                max_rate: config.max_rate,
-            },
-            config.initial_rate,
-        );
-        let multipath = MultipathDetector::new(MultipathConfig {
-            threshold: config.multipath_threshold,
-            min_samples: config.multipath_min_samples,
-            ..Default::default()
-        });
         ModeController {
-            config,
             cc,
             detector,
             pulser: Pulser::default(),
-            pi,
-            multipath,
+            pi: PiController::new(config.initial_rate),
+            multipath: MultipathDetector::default(),
             mode: Mode::DelayControl,
             mu_filter: WindowedFilter::new_max(Duration::from_secs(60)),
             elastic_since: None,
@@ -169,7 +160,7 @@ impl ModeController {
     pub fn on_feedback_timeout(&mut self, now: Nanos) -> Rate {
         let rate = self.cc.on_feedback_timeout(now);
         if self.mode == Mode::DelayControl {
-            self.current_rate = rate.clamp(self.config.min_rate, self.config.max_rate);
+            self.current_rate = rate.clamp(MIN_RATE, MAX_RATE);
         }
         self.current_rate
     }
@@ -181,14 +172,14 @@ impl ModeController {
 
     /// Enters the graceful-degradation fallback: the feedback channel is
     /// considered dead, so the bundle reverts to status-quo behaviour
-    /// (unlimited pass-through at `max_rate`) rather than keep acting on
+    /// (unlimited pass-through at [`MAX_RATE`]) rather than keep acting on
     /// stale congestion state. Recorded as a transition to [`Mode::Disabled`]
     /// so the outage is visible in the mode timeline.
     pub fn enter_degraded(&mut self, now: Nanos) -> Rate {
         if !self.degraded {
             self.degraded = true;
             self.set_mode(Mode::Disabled, now);
-            self.current_rate = self.config.max_rate;
+            self.current_rate = MAX_RATE;
         }
         self.current_rate
     }
@@ -233,14 +224,14 @@ impl ModeController {
         // Feedback blackout: hold status-quo pass-through until an ACK
         // arrives again (the sendbox calls `exit_degraded` at that point).
         if self.degraded {
-            self.current_rate = self.config.max_rate;
+            self.current_rate = MAX_RATE;
             return self.current_rate;
         }
 
         // Multipath imbalance overrides everything.
-        if self.config.enable_multipath_detection && self.multipath.imbalanced() {
+        if self.multipath.imbalanced() {
             self.set_mode(Mode::Disabled, now);
-            self.current_rate = self.config.max_rate;
+            self.current_rate = MAX_RATE;
             return self.current_rate;
         } else if self.mode == Mode::Disabled {
             // Paths became balanced again.
@@ -252,20 +243,14 @@ impl ModeController {
 
             // Cross-traffic detection runs in every mode (that is the point
             // of keeping the small probing queue in pass-through).
-            if self.config.enable_cross_traffic_detection {
-                let verdict = self.detector.on_measurement(m, self.mu());
-                self.track_verdict(verdict, now);
-            }
+            let verdict = self.detector.on_measurement(m, self.mu());
+            self.track_verdict(verdict, now);
 
             match self.mode {
                 Mode::DelayControl => {
                     let base = self.cc.on_measurement(m);
-                    let rate = if self.config.enable_cross_traffic_detection {
-                        self.pulser.apply(base, now, self.mu())
-                    } else {
-                        base
-                    };
-                    self.current_rate = rate.clamp(self.config.min_rate, self.config.max_rate);
+                    let rate = self.pulser.apply(base, now, self.mu());
+                    self.current_rate = rate.clamp(MIN_RATE, MAX_RATE);
                 }
                 Mode::PassThrough => {
                     // Keep the congestion controller's internal state warm
@@ -273,7 +258,7 @@ impl ModeController {
                     let _ = self.cc.on_measurement(m);
                     let base = self.pi.update(sendbox_queue_bytes, self.mu(), now);
                     let rate = self.pulser.apply(base, now, self.mu());
-                    self.current_rate = rate.clamp(self.config.min_rate, self.config.max_rate);
+                    self.current_rate = rate.clamp(MIN_RATE, MAX_RATE);
                 }
                 Mode::Disabled => unreachable!("handled above"),
             }
@@ -281,7 +266,7 @@ impl ModeController {
             // No fresh measurement, but the PI controller can still track
             // the local queue.
             let base = self.pi.update(sendbox_queue_bytes, self.mu(), now);
-            self.current_rate = base.clamp(self.config.min_rate, self.config.max_rate);
+            self.current_rate = base.clamp(MIN_RATE, MAX_RATE);
         }
 
         self.current_rate
@@ -292,18 +277,14 @@ impl ModeController {
             CrossTrafficVerdict::Elastic => {
                 self.inelastic_since = None;
                 let since = *self.elastic_since.get_or_insert(now);
-                if self.mode == Mode::DelayControl
-                    && now.saturating_since(since) >= self.config.elastic_hold
-                {
+                if self.mode == Mode::DelayControl && now.saturating_since(since) >= ELASTIC_HOLD {
                     self.set_mode(Mode::PassThrough, now);
                 }
             }
             CrossTrafficVerdict::Inelastic => {
                 self.elastic_since = None;
                 let since = *self.inelastic_since.get_or_insert(now);
-                if self.mode == Mode::PassThrough
-                    && now.saturating_since(since) >= self.config.inelastic_hold
-                {
+                if self.mode == Mode::PassThrough && now.saturating_since(since) >= INELASTIC_HOLD {
                     self.set_mode(Mode::DelayControl, now);
                 }
             }
@@ -416,7 +397,7 @@ mod tests {
         let m = measurement(now, 52, 50, 90.0, 90.0);
         let rate = mc.on_tick(Some(&m), 0, now);
         assert_eq!(mc.mode(), Mode::Disabled);
-        assert_eq!(rate, BundlerConfig::default().max_rate);
+        assert_eq!(rate, MAX_RATE);
 
         // A long run of in-order ACKs clears the detector.
         for i in 0..600u64 {
@@ -429,11 +410,7 @@ mod tests {
 
     #[test]
     fn pass_through_rate_tracks_queue_target() {
-        let config = BundlerConfig {
-            elastic_hold: Duration::from_millis(100),
-            ..Default::default()
-        };
-        let mut mc = ModeController::new(config);
+        let mut mc = controller();
         // Learn μ, then force elastic conditions to enter pass-through.
         for i in 0..200u64 {
             let now = Nanos::from_millis(i * 10);
@@ -465,29 +442,6 @@ mod tests {
              ({rate_with_big_queue} vs {rate_with_empty_queue})"
         );
         assert_eq!(mc.mode(), Mode::PassThrough);
-    }
-
-    #[test]
-    fn detection_can_be_disabled() {
-        let config = BundlerConfig {
-            enable_cross_traffic_detection: false,
-            enable_multipath_detection: false,
-            ..Default::default()
-        };
-        let mut mc = ModeController::new(config);
-        for i in 0..200u64 {
-            let ordering = AckOrdering::OutOfOrder;
-            mc.on_ack_ordering(ordering, Nanos::from_millis(i));
-        }
-        for i in 0..1000u64 {
-            let now = Nanos::from_millis(i * 10);
-            mc.on_tick(Some(&measurement(now, 90, 50, 48.0, 46.0)), 50_000, now);
-        }
-        assert_eq!(
-            mc.mode(),
-            Mode::DelayControl,
-            "detection disabled: never leaves delay control"
-        );
     }
 
     #[test]

@@ -16,31 +16,18 @@ use bundler_types::Nanos;
 
 use crate::measurement::AckOrdering;
 
-/// Configuration of the multipath detector.
-#[derive(Debug, Clone, Copy)]
-pub struct MultipathConfig {
-    /// Out-of-order fraction above which multipath imbalance is declared.
-    pub threshold: f64,
-    /// Number of most recent measurements the fraction is computed over.
-    pub window: usize,
-    /// Minimum number of measurements before a verdict is given.
-    pub min_samples: u64,
-}
+/// Out-of-order fraction above which multipath imbalance is declared.
+pub(crate) const THRESHOLD: f64 = 0.05;
 
-impl Default for MultipathConfig {
-    fn default() -> Self {
-        MultipathConfig {
-            threshold: 0.05,
-            window: 500,
-            min_samples: 100,
-        }
-    }
-}
+/// Number of most recent measurements the fraction is computed over.
+pub(crate) const WINDOW: usize = 500;
+
+/// Minimum number of measurements before a verdict is given.
+pub(crate) const MIN_SAMPLES: u64 = 100;
 
 /// Sliding-window out-of-order fraction detector.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MultipathDetector {
-    config: MultipathConfig,
     recent: VecDeque<bool>,
     out_of_order_in_window: usize,
     total_seen: u64,
@@ -49,23 +36,6 @@ pub struct MultipathDetector {
 }
 
 impl MultipathDetector {
-    /// Creates a detector.
-    pub fn new(config: MultipathConfig) -> Self {
-        MultipathDetector {
-            config,
-            recent: VecDeque::new(),
-            out_of_order_in_window: 0,
-            total_seen: 0,
-            total_out_of_order: 0,
-            last_update: None,
-        }
-    }
-
-    /// Creates a detector with the paper's defaults (5 % threshold).
-    pub fn with_defaults() -> Self {
-        Self::new(MultipathConfig::default())
-    }
-
     /// Feeds one measurement's ordering classification.
     pub fn on_ack(&mut self, ordering: AckOrdering, now: Nanos) {
         let ooo = ordering == AckOrdering::OutOfOrder;
@@ -77,7 +47,7 @@ impl MultipathDetector {
         if ooo {
             self.out_of_order_in_window += 1;
         }
-        while self.recent.len() > self.config.window {
+        while self.recent.len() > WINDOW {
             if self.recent.pop_front() == Some(true) {
                 self.out_of_order_in_window -= 1;
             }
@@ -106,7 +76,7 @@ impl MultipathDetector {
     /// True once enough measurements exist and the windowed fraction exceeds
     /// the threshold.
     pub fn imbalanced(&self) -> bool {
-        self.total_seen >= self.config.min_samples && self.window_fraction() > self.config.threshold
+        self.total_seen >= MIN_SAMPLES && self.window_fraction() > THRESHOLD
     }
 
     /// Total measurements observed.
@@ -115,7 +85,6 @@ impl MultipathDetector {
     }
 }
 
-// The config is rebuilt at construction time.
 serde::layout!(state MultipathDetector {
     recent, out_of_order_in_window, total_seen, total_out_of_order, last_update,
 });
@@ -137,7 +106,7 @@ mod tests {
 
     #[test]
     fn all_in_order_never_triggers() {
-        let mut det = MultipathDetector::with_defaults();
+        let mut det = MultipathDetector::default();
         feed(&mut det, &vec![false; 1000]);
         assert!(!det.imbalanced());
         assert_eq!(det.window_fraction(), 0.0);
@@ -147,7 +116,7 @@ mod tests {
     #[test]
     fn single_path_level_reordering_stays_below_threshold() {
         // 0.4 % out-of-order (the paper's worst single-path case).
-        let mut det = MultipathDetector::with_defaults();
+        let mut det = MultipathDetector::default();
         let pattern: Vec<bool> = (0..1000).map(|i| i % 250 == 0).collect();
         feed(&mut det, &pattern);
         assert!(det.window_fraction() < 0.05);
@@ -157,7 +126,7 @@ mod tests {
     #[test]
     fn multipath_level_reordering_triggers() {
         // 20 % out-of-order (the paper's best multipath case).
-        let mut det = MultipathDetector::with_defaults();
+        let mut det = MultipathDetector::default();
         let pattern: Vec<bool> = (0..1000).map(|i| i % 5 == 0).collect();
         feed(&mut det, &pattern);
         assert!(det.window_fraction() > 0.05);
@@ -166,7 +135,7 @@ mod tests {
 
     #[test]
     fn does_not_trigger_before_min_samples() {
-        let mut det = MultipathDetector::with_defaults();
+        let mut det = MultipathDetector::default();
         feed(&mut det, &[true; 50]);
         assert!(!det.imbalanced(), "needs min_samples before a verdict");
         feed(&mut det, &[true; 60]);
@@ -175,19 +144,15 @@ mod tests {
 
     #[test]
     fn window_slides_so_detector_recovers() {
-        let mut det = MultipathDetector::new(MultipathConfig {
-            threshold: 0.05,
-            window: 100,
-            min_samples: 10,
-        });
-        feed(&mut det, &[true; 100]);
+        let mut det = MultipathDetector::default();
+        feed(&mut det, &[true; WINDOW]);
         assert!(det.imbalanced());
         // A long run of in-order ACKs pushes the bad period out of the
         // window and the detector clears.
-        feed(&mut det, &[false; 200]);
+        feed(&mut det, &[false; 2 * WINDOW]);
         assert!(!det.imbalanced());
         assert_eq!(det.window_fraction(), 0.0);
         assert!(det.lifetime_fraction() > 0.0);
-        assert_eq!(det.samples(), 300);
+        assert_eq!(det.samples(), 3 * WINDOW as u64);
     }
 }

@@ -11,37 +11,21 @@
 
 use bundler_types::{Duration, Nanos, Rate};
 
-/// Configuration of the pass-through queue controller.
-#[derive(Debug, Clone, Copy)]
-pub struct PiConfig {
-    /// Gain on the queue error term (paper: 10).
-    pub alpha: f64,
-    /// Gain on the queue derivative term (paper: 10).
-    pub beta: f64,
-    /// Target sendbox queueing delay (paper: 10 ms).
-    pub target: Duration,
-    /// Lower bound on the output rate.
-    pub min_rate: Rate,
-    /// Upper bound on the output rate.
-    pub max_rate: Rate,
-}
+use crate::config::{MAX_RATE, MIN_RATE};
 
-impl Default for PiConfig {
-    fn default() -> Self {
-        PiConfig {
-            alpha: 10.0,
-            beta: 10.0,
-            target: Duration::from_millis(10),
-            min_rate: Rate::from_kbps(500),
-            max_rate: Rate::from_gbps(10),
-        }
-    }
-}
+/// Gain on the queue error term (paper: α = 10).
+pub(crate) const ALPHA: f64 = 10.0;
+
+/// Gain on the queue derivative term (paper: β = 10).
+pub(crate) const BETA: f64 = 10.0;
+
+/// Target sendbox queueing delay: the paper derives 8 ms from the Nimbus
+/// pulse area and adds a 2 ms cushion, giving 10 ms.
+pub(crate) const TARGET: Duration = Duration::from_millis(10);
 
 /// The queue-targeting PI controller.
 #[derive(Debug)]
 pub struct PiController {
-    config: PiConfig,
     rate: Rate,
     last_queue_delay: Option<Duration>,
     last_update: Option<Nanos>,
@@ -49,18 +33,12 @@ pub struct PiController {
 
 impl PiController {
     /// Creates a controller starting at `initial_rate`.
-    pub fn new(config: PiConfig, initial_rate: Rate) -> Self {
+    pub fn new(initial_rate: Rate) -> Self {
         PiController {
-            config,
-            rate: initial_rate.clamp(config.min_rate, config.max_rate),
+            rate: initial_rate.clamp(MIN_RATE, MAX_RATE),
             last_queue_delay: None,
             last_update: None,
         }
-    }
-
-    /// Target queueing delay.
-    pub fn target(&self) -> Duration {
-        self.config.target
     }
 
     /// Current output rate.
@@ -71,7 +49,7 @@ impl PiController {
     /// Re-seeds the controller's rate (used when entering pass-through mode
     /// so the rate starts from the delay-controller's last value).
     pub fn reset(&mut self, rate: Rate, now: Nanos) {
-        self.rate = rate.clamp(self.config.min_rate, self.config.max_rate);
+        self.rate = rate.clamp(MIN_RATE, MAX_RATE);
         self.last_queue_delay = None;
         self.last_update = Some(now);
     }
@@ -95,7 +73,7 @@ impl PiController {
             Some(prev) => now.saturating_since(prev).as_secs_f64(),
             None => 0.0,
         };
-        let error = queue_delay.as_secs_f64() - self.config.target.as_secs_f64();
+        let error = queue_delay.as_secs_f64() - TARGET.as_secs_f64();
         let derivative = match (self.last_queue_delay, dt > 1e-9) {
             (Some(prev), true) => (queue_delay.as_secs_f64() - prev.as_secs_f64()) / dt,
             _ => 0.0,
@@ -105,11 +83,9 @@ impl PiController {
             // ṙ = α·error + β·q̇, scaled by the reference rate so the gains
             // are dimensionless fractions-of-μ per second per second of
             // error, then integrated over dt.
-            let rdot = (self.config.alpha * error + self.config.beta * derivative)
-                * reference.as_bps() as f64;
+            let rdot = (ALPHA * error + BETA * derivative) * reference.as_bps() as f64;
             let new_rate = self.rate.as_bps() as f64 + rdot * dt;
-            self.rate = Rate::from_bps(new_rate.max(0.0) as u64)
-                .clamp(self.config.min_rate, self.config.max_rate);
+            self.rate = Rate::from_bps(new_rate.max(0.0) as u64).clamp(MIN_RATE, MAX_RATE);
         }
 
         self.last_queue_delay = Some(queue_delay);
@@ -118,7 +94,6 @@ impl PiController {
     }
 }
 
-// The config is rebuilt at construction time.
 serde::layout!(state PiController { rate, last_queue_delay, last_update });
 
 #[cfg(test)]
@@ -127,22 +102,19 @@ mod tests {
 
     #[test]
     fn rate_increases_when_queue_above_target() {
-        let mut pi = PiController::new(PiConfig::default(), Rate::from_mbps(50));
+        let mut pi = PiController::new(Rate::from_mbps(50));
         let mu = Rate::from_mbps(96);
         // 30 ms of queue at 96 Mbit/s = 360 KB; target is 10 ms.
         let q = (mu.as_bytes_per_sec() * 0.030) as u64;
         pi.update(q, mu, Nanos::from_millis(0));
         let r1 = pi.update(q, mu, Nanos::from_millis(10));
         let r2 = pi.update(q, mu, Nanos::from_millis(20));
-        assert!(
-            r2 > r1 || r2 == PiConfig::default().max_rate,
-            "rate should rise to drain queue"
-        );
+        assert!(r2 > r1 || r2 == MAX_RATE, "rate should rise to drain queue");
     }
 
     #[test]
     fn rate_decreases_when_queue_below_target() {
-        let mut pi = PiController::new(PiConfig::default(), Rate::from_mbps(96));
+        let mut pi = PiController::new(Rate::from_mbps(96));
         let mu = Rate::from_mbps(96);
         pi.update(0, mu, Nanos::from_millis(0));
         let r1 = pi.update(0, mu, Nanos::from_millis(10));
@@ -156,7 +128,7 @@ mod tests {
         // the PI rate; the queue integrates the difference.
         let mu = Rate::from_mbps(96);
         let arrival = mu;
-        let mut pi = PiController::new(PiConfig::default(), Rate::from_mbps(96));
+        let mut pi = PiController::new(Rate::from_mbps(96));
         let mut queue_bytes = 0f64;
         let dt = Duration::from_millis(10);
         let mut last_delays = Vec::new();
@@ -179,14 +151,9 @@ mod tests {
 
     #[test]
     fn respects_rate_bounds() {
-        let config = PiConfig {
-            min_rate: Rate::from_mbps(1),
-            max_rate: Rate::from_mbps(100),
-            ..Default::default()
-        };
-        let mut pi = PiController::new(config, Rate::from_gbps(5));
-        assert!(pi.rate() <= Rate::from_mbps(100));
-        // Huge queue for a long time: must cap at max_rate.
+        let mut pi = PiController::new(Rate::from_gbps(50));
+        assert_eq!(pi.rate(), MAX_RATE);
+        // Huge queue for a long time: must cap at MAX_RATE.
         for step in 0..100 {
             pi.update(
                 100_000_000,
@@ -194,19 +161,20 @@ mod tests {
                 Nanos::from_millis(step * 10),
             );
         }
-        assert_eq!(pi.rate(), Rate::from_mbps(100));
-        // Empty queue forever: must floor at min_rate.
+        assert_eq!(pi.rate(), MAX_RATE);
+        // Empty queue forever: must floor at MIN_RATE. An empty queue cuts
+        // the rate by a bounded amount per second, so start near the floor.
+        pi.reset(Rate::from_mbps(1), Nanos::from_millis(1000));
         for step in 100..2000 {
             pi.update(0, Rate::from_mbps(96), Nanos::from_millis(step * 10));
         }
-        assert_eq!(pi.rate(), Rate::from_mbps(1));
+        assert_eq!(pi.rate(), MIN_RATE);
     }
 
     #[test]
     fn reset_reseeds_rate() {
-        let mut pi = PiController::new(PiConfig::default(), Rate::from_mbps(10));
+        let mut pi = PiController::new(Rate::from_mbps(10));
         pi.reset(Rate::from_mbps(42), Nanos::from_secs(1));
         assert_eq!(pi.rate(), Rate::from_mbps(42));
-        assert_eq!(pi.target(), Duration::from_millis(10));
     }
 }

@@ -21,6 +21,18 @@ use crate::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use crate::measurement::{AckOutcome, MeasurementEngine};
 use crate::modes::{Mode, ModeController};
 
+/// Epoch spacing target: measurements should arrive roughly once per
+/// `EPOCH_FRACTION` of an RTT; the paper uses 0.25 so that a one-RTT sliding
+/// window covers ~4 epochs.
+pub(crate) const EPOCH_FRACTION: f64 = 0.25;
+
+/// Maximum epoch size the sendbox will ever request.
+pub(crate) const MAX_EPOCH_SIZE: u32 = 1 << 14;
+
+/// If no congestion ACK arrives for this long, the controller is told
+/// feedback timed out.
+pub const FEEDBACK_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// What the control plane wants the datapath to do after a tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SendboxOutput {
@@ -284,10 +296,10 @@ impl Sendbox {
         // Feedback-timeout handling: if traffic is flowing but no ACKs have
         // arrived for a while, tell the controller.
         if let Some(last_ack) = self.engine.last_ack_at() {
-            if now.saturating_since(last_ack) > self.config.feedback_timeout
+            if now.saturating_since(last_ack) > FEEDBACK_TIMEOUT
                 && self
                     .last_feedback_timeout_at
-                    .map(|t| now.saturating_since(t) > self.config.feedback_timeout)
+                    .map(|t| now.saturating_since(t) > FEEDBACK_TIMEOUT)
                     .unwrap_or(true)
             {
                 if self.config.degrade_on_feedback_timeout {
@@ -321,13 +333,8 @@ impl Sendbox {
     fn maybe_update_epoch_size(&mut self, rate: Rate) -> Option<EpochSizeUpdate> {
         let min_rtt = self.engine.min_rtt()?;
         let avg_pkt = self.avg_packet_size.get().unwrap_or(1500.0).max(64.0) as u64;
-        let target = epoch::target_epoch_size(
-            self.config.epoch_fraction,
-            min_rtt,
-            rate,
-            avg_pkt,
-            self.config.max_epoch_size,
-        );
+        let target =
+            epoch::target_epoch_size(EPOCH_FRACTION, min_rtt, rate, avg_pkt, MAX_EPOCH_SIZE);
         if target == self.epoch_size {
             return None;
         }
@@ -349,6 +356,7 @@ serde::layout!(state Sendbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_RATE;
     use crate::receivebox::Receivebox;
     use bundler_types::{flow::ipv4, FlowId, FlowKey};
     use serde::binary::State;
@@ -591,11 +599,7 @@ mod tests {
         }
         assert!(sb.is_degraded(), "timeout must trigger degradation");
         assert_eq!(sb.mode(), Mode::Disabled);
-        assert_eq!(
-            sb.rate(),
-            cfg.max_rate,
-            "status-quo passthrough at max rate"
-        );
+        assert_eq!(sb.rate(), MAX_RATE, "status-quo passthrough at max rate");
 
         // Feedback recovers: the next ACK re-engages delay control.
         sb.on_congestion_ack(&last_ack.unwrap(), Nanos::from_secs(10));

@@ -80,9 +80,9 @@ impl Balancer {
         let n = config.n_bundles();
         let mut parent: Vec<usize> = (0..n).collect();
         let mut pinned_to_direct: Vec<usize> = Vec::new();
-        if let Some(mode) = &config.multi_bundle {
-            let mut full = bundler_agent::SiteAgent::new(mode.agent);
-            for spec in &mode.specs {
+        if let Some(specs) = &config.multi_bundle {
+            let mut full = bundler_agent::SiteAgent::default();
+            for spec in specs {
                 full.add_bundle(&spec.prefixes, spec.config, Nanos::ZERO)
                     .expect("invalid multi-bundle specs");
             }

@@ -1,5 +1,6 @@
 //! Scenario adapters: run the canonical experiments on the sharded host.
 
+use bundler_core::sendbox::FEEDBACK_TIMEOUT;
 use bundler_sim::edge::BundleMode;
 use bundler_sim::fault::FaultPlan;
 use bundler_sim::scenario::hot_bundle::HotBundleScenario;
@@ -62,19 +63,13 @@ pub fn run_unreliable(
 ) -> ManySitesReport {
     let mut config = scenario.sim_config();
     config.shards = shards;
-    // Opt every bundle into graceful degradation and find the longest
-    // feedback timeout the blackout must outlast.
-    let mut timeout = Duration::ZERO;
-    if let Some(multi) = config.multi_bundle.as_mut() {
-        for spec in &mut multi.specs {
-            spec.config.degrade_on_feedback_timeout = true;
-            timeout = timeout.max(spec.config.feedback_timeout);
-        }
+    // Opt every bundle into graceful degradation.
+    for spec in config.multi_bundle.iter_mut().flatten() {
+        spec.config.degrade_on_feedback_timeout = true;
     }
     for mode in &mut config.bundles {
         if let BundleMode::Bundler(c) = mode {
             c.degrade_on_feedback_timeout = true;
-            timeout = timeout.max(c.feedback_timeout);
         }
     }
     // Seeded bottleneck faults; the generated blackouts (hundreds of ms)
@@ -85,7 +80,7 @@ pub fn run_unreliable(
     let mut plan = FaultPlan::generate(fault_seed, config.duration, config.num_paths);
     plan.blackouts.clear();
     let start = Nanos(config.duration.as_nanos() / 4);
-    let plan = plan.with_blackout(start, Duration(timeout.as_nanos() * 2));
+    let plan = plan.with_blackout(start, Duration(FEEDBACK_TIMEOUT.as_nanos() * 2));
     config.faults = Some(plan);
     ManySitesReport::from_sim(ShardedSimulation::new(config, scenario.workload()).run())
 }

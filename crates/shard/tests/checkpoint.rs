@@ -292,8 +292,10 @@ fn classic_edge_checkpoints_restore_and_match_solo() {
     // The checkpoint stamped 2 s, reduced to `snapshot::digest`: the exact
     // bytes of status-quo parcels and `Bundle::save_state`. If this fails
     // the snapshot layout changed — follow the steps on
-    // `snapshot_wire_format_is_stable` in `crates/sim/tests/checkpoint.rs`.
-    const GOLDEN_AT_2S: (usize, u64) = (35_933, 0x88e1_5bc8_17d4_3e3a);
+    // `snapshot_wire_format_is_stable` in `crates/sim/tests/checkpoint.rs` —
+    // or, if only bytes 20–27 differ, a fingerprinted config type's field
+    // list did, which needs no version bump (same doc comment).
+    const GOLDEN_AT_2S: (usize, u64) = (35_933, 0xce67_8d49_4f34_8b4b);
 
     let (config, wl) = classic_world();
     let mut solo = Vec::new();

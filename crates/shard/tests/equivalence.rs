@@ -177,10 +177,8 @@ fn fluid_cross_traffic_is_shard_count_invariant() {
 /// single-threaded engine.
 #[test]
 fn cross_shard_prefix_shadowing_matches_solo_under_round_robin() {
-    use bundler_agent::AgentConfig;
     use bundler_core::BundlerConfig;
     use bundler_sim::edge::MultiBundleSpec;
-    use bundler_sim::sim::MultiBundleMode;
     use bundler_types::{flow::ipv4, IpPrefix};
 
     let specs = vec![
@@ -200,10 +198,7 @@ fn cross_shard_prefix_shadowing_matches_solo_under_round_robin() {
     ];
     let config = SimulationConfig {
         duration: Duration::from_secs(1),
-        multi_bundle: Some(MultiBundleMode {
-            agent: AgentConfig::default(),
-            specs,
-        }),
+        multi_bundle: Some(specs),
         bundles: Vec::new(),
         ..Default::default()
     };
@@ -233,10 +228,8 @@ fn cross_shard_prefix_shadowing_matches_solo_under_round_robin() {
 /// Bundle 2's flows and the direct ones finish late (about 6 s in), so the
 /// run is 10 s long.
 fn colocated_world() -> (SimulationConfig, Vec<FlowSpec>) {
-    use bundler_agent::AgentConfig;
     use bundler_core::BundlerConfig;
     use bundler_sim::edge::MultiBundleSpec;
-    use bundler_sim::sim::MultiBundleMode;
     use bundler_types::{flow::ipv4, IpPrefix};
 
     let site = |prefixes: &[(u32, u8)]| MultiBundleSpec {
@@ -255,10 +248,7 @@ fn colocated_world() -> (SimulationConfig, Vec<FlowSpec>) {
     let config = SimulationConfig {
         duration: Duration::from_secs(10),
         bottleneck_rate: Rate::from_mbps(48),
-        multi_bundle: Some(MultiBundleMode {
-            agent: AgentConfig::default(),
-            specs,
-        }),
+        multi_bundle: Some(specs),
         bundles: Vec::new(),
         ..Default::default()
     };

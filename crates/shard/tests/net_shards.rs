@@ -13,8 +13,7 @@
 //!   window — the adversarial schedule)
 //! * seeds, per scenario family
 //! * scenario families: `many_sites` (agent mode), `metro` with the fluid
-//!   cross-traffic tier, and classic multipath mode with per-packet
-//!   spraying
+//!   cross-traffic tier, and classic multipath mode with flow hashing
 //! * `wire_envelopes` on in several legs, so live traffic crosses the
 //!   versioned codec end to end
 //!
@@ -138,9 +137,9 @@ fn metro_fluid_matrix_is_net_shard_invariant() {
     }
 }
 
-/// Classic (non-agent) mode with per-packet spraying across four
-/// imbalanced sub-paths: every event type — pings, direct cross traffic,
-/// status-quo bundles, sprayed data — crosses the net-shard mailboxes.
+/// Classic (non-agent) mode with flows hashed across four imbalanced
+/// sub-paths: every event type — pings, direct cross traffic, status-quo
+/// and Bundler bundles' data — crosses the net-shard mailboxes.
 #[test]
 fn classic_multipath_matrix_is_net_shard_invariant() {
     let config = SimulationConfig {
@@ -149,7 +148,6 @@ fn classic_multipath_matrix_is_net_shard_invariant() {
         rtt: Duration::from_millis(40),
         num_paths: 4,
         path_delay_spread: Duration::from_millis(5),
-        packet_spraying: true,
         bundles: vec![
             BundleMode::Bundler(BundlerConfig::default()),
             BundleMode::StatusQuo,
@@ -316,11 +314,9 @@ fn randomized_soak_is_net_shard_invariant() {
     assert!(iterations > 0, "the budget must fit at least one iteration");
 }
 
-/// Regression pin for the load-balancer refactor (PR 10 made every pick a
-/// pure per-packet function; the old spray threaded a global round-robin
-/// counter through the net core). For `num_paths = 1` both old and new
-/// balancers route every packet to path 0, so the single-NetCore digest
-/// must not have moved — pinned here as a golden hash. If this fails, the
+/// Regression pin for the load balancer: for `num_paths = 1` every packet
+/// takes path 0, however the balancer picks, so the single-NetCore digest
+/// must not move — pinned here as a golden hash. If this fails, the
 /// simulation's *behaviour* changed (not just a format): re-pin only when
 /// the change is intended and called out in the changelog.
 #[test]
@@ -331,9 +327,6 @@ fn single_path_digest_is_pinned() {
         bottleneck_rate: Rate::from_mbps(24),
         rtt: Duration::from_millis(40),
         num_paths: 1,
-        // Spraying enabled on one path: the pure spray must degenerate to
-        // "always path 0" exactly like the old stateful round-robin did.
-        packet_spraying: true,
         bundles: vec![BundleMode::Bundler(BundlerConfig::default())],
         ..Default::default()
     };

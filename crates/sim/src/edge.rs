@@ -12,6 +12,7 @@
 //! holds the bundle's [`Sendbox`]* (the [`Bundle`] itself, or the agent).
 
 use bundler_agent::{AgentStats, SiteAgent};
+use bundler_core::config::SENDBOX_QUEUE_CAPACITY_PKTS;
 use bundler_core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use bundler_core::{BundlerConfig, Mode, Receivebox, Sendbox, SendboxOutput};
 use bundler_sched::tbf::{Release, Tbf};
@@ -85,7 +86,7 @@ impl Bundle {
     /// [`SiteAgent`], which validated `config` when it built the
     /// [`Sendbox`]): datapath, receivebox and telemetry only.
     fn without_control(index: usize, config: &BundlerConfig, now: Nanos) -> Self {
-        let scheduler = config.policy.build(config.sendbox_queue_capacity_pkts);
+        let scheduler = config.policy.build(SENDBOX_QUEUE_CAPACITY_PKTS);
         Bundle {
             index,
             tbf: Tbf::new(config.initial_rate, 3 * 1514, scheduler, now),
@@ -218,9 +219,9 @@ impl Edge {
         let now = Nanos::ZERO;
         let mut bundles = Vec::with_capacity(owned.len());
         let agent = match &config.multi_bundle {
-            Some(mode) => {
-                let mut agent = SiteAgent::new(mode.agent);
-                for (b, spec) in mode.specs.iter().enumerate() {
+            Some(specs) => {
+                let mut agent = SiteAgent::default();
+                for (b, spec) in specs.iter().enumerate() {
                     bundles.push(if owned[b] {
                         let id = BundleId(b as u32);
                         agent.add_bundle_with_id(&spec.prefixes, spec.config, id, now)?;
@@ -444,7 +445,7 @@ impl Edge {
                 _ => return Err(r.error("snapshot deploys a sendbox the config does not")),
             },
             2 => {
-                let spec = config.multi_bundle.as_ref().and_then(|m| m.specs.get(b));
+                let spec = config.multi_bundle.as_ref().and_then(|specs| specs.get(b));
                 let (Some(agent), Some(spec)) = (&mut self.agent, spec) else {
                     return Err(r.error("snapshot has an agent bundle the config lacks"));
                 };
@@ -482,8 +483,6 @@ impl Edge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::MultiBundleMode;
-    use bundler_agent::AgentConfig;
     use bundler_types::{flow::ipv4, Duration, FlowId, FlowKey};
 
     fn pkt(i: u16) -> Packet {
@@ -578,10 +577,7 @@ mod tests {
     fn agent_edge(specs: Vec<MultiBundleSpec>) -> Result<Edge, String> {
         let owned = vec![true; specs.len()];
         let config = SimulationConfig {
-            multi_bundle: Some(MultiBundleMode {
-                agent: AgentConfig::default(),
-                specs,
-            }),
+            multi_bundle: Some(specs),
             ..Default::default()
         };
         Edge::new(&config, &owned)

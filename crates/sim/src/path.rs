@@ -11,7 +11,7 @@
 
 use bundler_sched::fifo::DropTailFifo;
 use bundler_sched::{Enqueued, Scheduler};
-use bundler_types::{splitmix64, Duration, Nanos, Packet, PacketArena, PacketId, Rate};
+use bundler_types::{Duration, Nanos, Packet, PacketArena, PacketId, Rate};
 use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::stats::TimeSeries;
@@ -266,17 +266,8 @@ pub(crate) fn load_queued(
     Ok(())
 }
 
-/// How flows are assigned to bottleneck sub-paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Balancing {
-    /// Hash the five-tuple (ECMP-style): each flow sticks to one path.
-    FlowHash,
-    /// Round-robin per packet (worst case for reordering; not used by the
-    /// paper but useful for stress tests).
-    PacketRoundRobin,
-}
-
-/// Load balancer across the bottleneck sub-paths.
+/// Load balancer across the bottleneck sub-paths: it hashes the five-tuple
+/// (ECMP-style), so each flow sticks to one path.
 ///
 /// Picks are *pure per-packet functions*: the balancer holds no mutable
 /// state, so the path a packet takes depends only on the packet itself,
@@ -286,21 +277,16 @@ pub enum Balancing {
 /// exactly the arrivals the single-threaded engine would route to those
 /// paths — and it lets worker shards compute the pick locally when
 /// addressing envelopes to net shards, without consulting shared state.
-/// (The balancer used to thread a global round-robin counter through
-/// every pick, which made the pick sequence depend on the global
-/// arrival interleaving; see `PacketRoundRobin` below for the stateless
-/// replacement.)
 #[derive(Debug, Clone, Copy)]
 pub struct LoadBalancer {
     paths: usize,
-    balancing: Balancing,
 }
 
 impl LoadBalancer {
     /// Creates a load balancer over `paths` sub-paths.
-    pub fn new(paths: usize, balancing: Balancing) -> Self {
+    pub fn new(paths: usize) -> Self {
         assert!(paths > 0, "need at least one path");
-        LoadBalancer { paths, balancing }
+        LoadBalancer { paths }
     }
 
     /// Number of sub-paths.
@@ -314,17 +300,7 @@ impl LoadBalancer {
         if self.paths == 1 {
             return 0;
         }
-        match self.balancing {
-            Balancing::FlowHash => (pkt.key.digest() % self.paths as u64) as usize,
-            Balancing::PacketRoundRobin => {
-                // Per-packet spray: hash the five-tuple *and* the
-                // sequence number so consecutive packets of one flow
-                // spread across paths (the reordering stressor round-
-                // robin existed for), while staying a pure function of
-                // the packet.
-                (splitmix64(pkt.key.digest() ^ pkt.seq) % self.paths as u64) as usize
-            }
-        }
+        (pkt.key.digest() % self.paths as u64) as usize
     }
 }
 
@@ -425,7 +401,7 @@ mod tests {
 
     #[test]
     fn flow_hash_balancing_is_sticky_per_flow() {
-        let lb = LoadBalancer::new(4, Balancing::FlowHash);
+        let lb = LoadBalancer::new(4);
         let a = pkt(1, 100);
         let b = pkt(2, 100);
         let pa = lb.pick(&a);
@@ -443,54 +419,25 @@ mod tests {
     }
 
     #[test]
-    fn packet_spray_is_pure_and_spreads_a_flow() {
-        let lb = LoadBalancer::new(3, Balancing::PacketRoundRobin);
-        // Purity: the pick is a function of the packet alone — repeating
-        // the same pick, in any interleaving, returns the same path.
-        let mut p = pkt(1, 100);
-        p.seq = 42;
-        let chosen = lb.pick(&p);
-        for _ in 0..10 {
-            assert_eq!(lb.pick(&p), chosen, "pick must not depend on history");
-        }
-        // Spread: consecutive sequence numbers of one flow use every path
-        // (the reordering stressor the policy exists for).
-        let mut seen = std::collections::HashSet::new();
-        let picks: Vec<usize> = (0..32)
-            .map(|seq| {
-                let mut p = pkt(1, 100);
-                p.seq = seq;
-                let path = lb.pick(&p);
-                seen.insert(path);
-                path
-            })
-            .collect();
-        assert_eq!(seen.len(), 3, "32 sprayed packets must hit all 3 paths");
-        assert!(picks.iter().all(|&p| p < 3));
-    }
-
-    #[test]
     fn pick_is_independent_of_other_traffic() {
         // The regression the net-shard split depends on: interleaving
         // arrivals from other flows must not move a packet's path.
-        for balancing in [Balancing::FlowHash, Balancing::PacketRoundRobin] {
-            let lb = LoadBalancer::new(4, balancing);
-            let mut target = pkt(7, 100);
-            target.seq = 3;
-            let alone = lb.pick(&target);
-            // Interleave arbitrary other picks; the target's path is fixed.
-            for f in 0..16 {
-                let mut other = pkt(f, 100);
-                other.seq = f;
-                let _ = lb.pick(&other);
-                assert_eq!(lb.pick(&target), alone, "{balancing:?}");
-            }
+        let lb = LoadBalancer::new(4);
+        let mut target = pkt(7, 100);
+        target.seq = 3;
+        let alone = lb.pick(&target);
+        // Interleave arbitrary other picks; the target's path is fixed.
+        for f in 0..16 {
+            let mut other = pkt(f, 100);
+            other.seq = f;
+            let _ = lb.pick(&other);
+            assert_eq!(lb.pick(&target), alone);
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one path")]
     fn zero_paths_rejected() {
-        let _ = LoadBalancer::new(0, Balancing::FlowHash);
+        let _ = LoadBalancer::new(0);
     }
 }

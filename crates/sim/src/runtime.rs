@@ -58,7 +58,7 @@ use crate::edge::Edge;
 use crate::event::{Event, EventKey, EventQueue};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fluid::FluidState;
-use crate::path::{Balancing, BottleneckPath, LoadBalancer};
+use crate::path::{BottleneckPath, LoadBalancer};
 use crate::sim::SimulationConfig;
 use crate::snapshot::{PathSection, WorkerPart};
 use crate::stats::{FctRecord, SimReport, TimeSeries};
@@ -1682,12 +1682,7 @@ pub const MAX_NET_PATHS: usize = 256;
 /// data: workers and net shards each hold their own copy and make
 /// identical picks for the same packet.
 pub fn balancer_for(config: &SimulationConfig) -> LoadBalancer {
-    let balancing = if config.packet_spraying {
-        Balancing::PacketRoundRobin
-    } else {
-        Balancing::FlowHash
-    };
-    LoadBalancer::new(config.num_paths.max(1), balancing)
+    LoadBalancer::new(config.num_paths.max(1))
 }
 
 /// The shared-bottleneck logical process: load balancer, paths, and the

@@ -10,7 +10,7 @@
 //!
 //! The run is a deterministic function of its seed, like every scenario.
 
-use bundler_agent::{AgentConfig, AgentStats, AgentTelemetry};
+use bundler_agent::{AgentStats, AgentTelemetry};
 use bundler_core::sendbox::SendboxStats;
 use bundler_core::BundlerConfig;
 use bundler_types::{flow::ipv4, Duration, IpPrefix, Nanos, Rate};
@@ -18,7 +18,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::edge::MultiBundleSpec;
-use crate::sim::{MultiBundleMode, Simulation, SimulationConfig};
+use crate::sim::{Simulation, SimulationConfig};
 use crate::stats::SimReport;
 use crate::workload::{FlowSizeDist, FlowSpec, PoissonArrivals};
 
@@ -98,10 +98,7 @@ pub(crate) fn agent_edge(
         .collect();
     SimulationConfig {
         bundles: Vec::new(),
-        multi_bundle: Some(MultiBundleMode {
-            agent: AgentConfig::default(),
-            specs,
-        }),
+        multi_bundle: Some(specs),
         ..base
     }
 }

@@ -52,8 +52,6 @@ pub struct SimulationConfig {
     /// Additional one-way delay added to sub-path `i` (`i × spread`); a
     /// non-zero value creates the imbalanced-multipath scenarios of §5.2.
     pub path_delay_spread: Duration,
-    /// Per-packet (rather than per-flow) load balancing; off by default.
-    pub packet_spraying: bool,
     /// Use the ideal fair queue at the bottleneck instead of drop-tail FIFO
     /// (the paper's undeployable "In-Network" baseline).
     pub in_network_fq: bool,
@@ -63,7 +61,7 @@ pub struct SimulationConfig {
     /// bundle per spec behind a destination-prefix classifier, and
     /// `bundles` is ignored. Workload origins must still name bundle
     /// indices consistent with the specs' prefixes.
-    pub multi_bundle: Option<MultiBundleMode>,
+    pub multi_bundle: Option<Vec<MultiBundleSpec>>,
     /// Interval between statistics samples.
     pub sample_interval: Duration,
     /// How many worker shards the simulation runs on. `1` (the default) is
@@ -161,15 +159,6 @@ pub enum ShardBalance {
     Rotate,
 }
 
-/// Configuration of an agent-managed source edge.
-#[derive(Debug, Clone)]
-pub struct MultiBundleMode {
-    /// Agent-wide tunables (tick-queue quantum).
-    pub agent: bundler_agent::AgentConfig,
-    /// One bundle per remote site: its prefixes and Bundler configuration.
-    pub specs: Vec<MultiBundleSpec>,
-}
-
 impl Default for SimulationConfig {
     fn default() -> Self {
         SimulationConfig {
@@ -179,7 +168,6 @@ impl Default for SimulationConfig {
             buffer_pkts: 0,
             num_paths: 1,
             path_delay_spread: Duration::ZERO,
-            packet_spraying: false,
             in_network_fq: false,
             bundles: vec![BundleMode::StatusQuo],
             multi_bundle: None,
@@ -207,7 +195,7 @@ impl SimulationConfig {
     /// Number of bundle indices this configuration defines.
     pub fn n_bundles(&self) -> usize {
         match &self.multi_bundle {
-            Some(mode) => mode.specs.len(),
+            Some(specs) => specs.len(),
             None => self.bundles.len(),
         }
     }

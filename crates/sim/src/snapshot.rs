@@ -19,6 +19,8 @@
 //! version      u32       = 3
 //! at           u64       simulated time T in nanoseconds
 //! fingerprint  u64       `digest` of the result-affecting config + workload
+//!                        (their `Debug` text, so it also moves when a
+//!                        config type's field list changes; no layout does)
 //! residue      WorkerResidue   merged run-wide accumulators (fcts, counters)
 //! direct       direct-traffic slice (flows, pings, pending LP_DIRECT events)
 //! bundles      u64 count, then one bundle section per bundle, ascending index
@@ -181,7 +183,6 @@ pub fn fingerprint(config: &SimulationConfig, workload: &[FlowSpec]) -> u64 {
         buffer_pkts,
         num_paths,
         path_delay_spread,
-        packet_spraying,
         in_network_fq,
         bundles,
         multi_bundle,
@@ -197,9 +198,11 @@ pub fn fingerprint(config: &SimulationConfig, workload: &[FlowSpec]) -> u64 {
         flow_trace: _,
         stream: _,
     } = config;
+    // The `false` slot held the retired per-packet spraying flag; keeping it
+    // keeps every fingerprint that does not render a changed config type.
     let mut s = format!(
         "{duration:?}|{bottleneck_rate:?}|{rtt:?}|{buffer_pkts:?}|{num_paths:?}|\
-         {path_delay_spread:?}|{packet_spraying:?}|{in_network_fq:?}|{bundles:?}|\
+         {path_delay_spread:?}|false|{in_network_fq:?}|{bundles:?}|\
          {multi_bundle:?}|{sample_interval:?}|{faults:?}|{workload:?}",
     );
     // Appended (rather than a 14th slot) only when the fluid tier is on, so
@@ -515,6 +518,52 @@ mod tests {
         let mut faster = base.clone();
         faster.bottleneck_rate = bundler_types::Rate::from_mbps_f64(123.0);
         assert_ne!(fp, fingerprint(&faster, &wl), "rate must change fp");
+    }
+
+    #[test]
+    fn fingerprint_covers_every_bundler_config_field() {
+        use crate::edge::{BundleMode, MultiBundleSpec};
+        use bundler_core::BundlerConfig;
+
+        let wl = vec![FlowSpec::bundled(1, 500_000, Nanos::ZERO, 0)];
+        type Build = fn(BundlerConfig) -> SimulationConfig;
+        let edges: [(&str, Build); 2] = [
+            ("classic", |c| SimulationConfig {
+                bundles: vec![BundleMode::Bundler(c)],
+                ..Default::default()
+            }),
+            ("agent", |config| SimulationConfig {
+                multi_bundle: Some(vec![MultiBundleSpec {
+                    prefixes: Vec::new(),
+                    config,
+                }]),
+                ..Default::default()
+            }),
+        ];
+        type Flip = fn(&mut BundlerConfig);
+        let flips: [(&str, Flip); 6] = [
+            ("control_interval", |c| {
+                c.control_interval = Duration::from_millis(20)
+            }),
+            ("initial_epoch_size", |c| c.initial_epoch_size = 8),
+            ("algorithm", |c| c.algorithm = bundler_cc::BundleAlg::Copa),
+            ("policy", |c| c.policy = bundler_sched::Policy::Fifo),
+            ("initial_rate", |c| {
+                c.initial_rate = bundler_types::Rate::from_mbps(20)
+            }),
+            ("degrade_on_feedback_timeout", |c| {
+                c.degrade_on_feedback_timeout = true
+            }),
+        ];
+        for (field, flip) in flips {
+            let mut flipped = BundlerConfig::default();
+            flip(&mut flipped);
+            for (edge, build) in edges {
+                let fp = fingerprint(&build(BundlerConfig::default()), &wl);
+                let moved = fingerprint(&build(flipped), &wl);
+                assert_ne!(fp, moved, "{edge}: {field} must change fp");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! agent edge), and every generator here draws its request sizes from the
 //! built-in size distribution, so a moved pin here is a behaviour change in
 //! every world built on them, not something to re-pin.
+//!
+//! The one exception: the fingerprint hashes the config's `Debug` text, so a
+//! pin also moves when a config type's field list changes. Such a change
+//! moves only bytes 20–27 of a checkpoint, and an older snapshot is refused
+//! with `SnapshotError::FingerprintMismatch` rather than misread: it needs no
+//! `snapshot::VERSION` bump, but its record must show that no other checkpoint
+//! byte moved.
 
 use bundler_sim::fluid::CrossTrafficTier;
 use bundler_sim::scenario::fct::{FctScenario, SendboxMode};
@@ -31,7 +38,7 @@ fn fig9_world_is_pinned() {
     let sfq = sc(SendboxMode::BundlerSfq);
     assert_eq!(
         pin(&sfq.sim_config(), &sfq.workload()),
-        (0x8ad7_67c2_2d4e_9167, 2_000)
+        (0x90dc_f44c_a204_4480, 2_000)
     );
     let quo = sc(SendboxMode::StatusQuo);
     assert_eq!(
@@ -50,7 +57,7 @@ fn many_sites_world_is_pinned() {
         .build();
     assert_eq!(
         pin(&sc.sim_config(), &sc.workload()),
-        (0x43e8_d01b_c097_30fd, 1_015)
+        (0x9fcf_b446_8953_9d0f, 1_015)
     );
 }
 
@@ -66,7 +73,7 @@ fn hot_bundle_world_is_pinned() {
         .build();
     assert_eq!(
         pin(&sc.sim_config(), &sc.workload()),
-        (0xbc2b_2b37_29b6_f90a, 609)
+        (0x76f2_9571_805c_5ae8, 609)
     );
 }
 
@@ -81,7 +88,7 @@ fn metro_packet_tier_world_is_pinned() {
         .build();
     assert_eq!(
         pin(&sc.sim_config(), &sc.workload()),
-        (0x2d67_10b0_6176_2a76, 280)
+        (0x181e_256c_2c2e_8289, 280)
     );
 }
 
@@ -97,6 +104,6 @@ fn metro_fluid_tier_world_is_pinned() {
         .build();
     assert_eq!(
         pin(&sc.sim_config(), &sc.workload()),
-        (0xb5ed_67e6_9048_3f50, 549)
+        (0x0f75_b640_b3f5_bc56, 549)
     );
 }

@@ -14,9 +14,9 @@
 //!   multipath imbalance detection.
 //! * [`agent`] — the site-edge agent that scales the control loop from one
 //!   bundle to many: a longest-prefix-match classifier maps each packet to
-//!   its bundle, a hierarchical timer wheel batches the per-bundle control
-//!   ticks (O(due bundles) per tick, not O(all bundles)), and every bundle
-//!   exports a uniform telemetry snapshot.
+//!   its bundle, it holds every bundle's control plane, and every bundle
+//!   exports a uniform telemetry snapshot. In a simulation each bundle
+//!   ticks from its own control-tick event.
 //! * [`sim`] — a deterministic packet-level network simulator used for the
 //!   paper's emulation experiments, including a multi-bundle edge mode
 //!   backed by the agent (`sim::scenario::many_sites`).

@@ -84,7 +84,7 @@ impl BundlerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{modes, multipath, pi, sendbox};
+    use crate::{epoch, modes, multipath, pi};
 
     #[test]
     fn default_config_is_valid_and_matches_paper() {
@@ -97,8 +97,8 @@ mod tests {
         assert_eq!(pi::ALPHA, 10.0);
         assert_eq!(pi::BETA, 10.0);
         assert_eq!(multipath::THRESHOLD, 0.05);
-        assert_eq!(sendbox::EPOCH_FRACTION, 0.25);
-        assert_eq!(sendbox::MAX_EPOCH_SIZE, 1 << 14);
+        assert_eq!(epoch::EPOCH_FRACTION, 0.25);
+        assert_eq!(epoch::MAX_EPOCH_SIZE, 1 << 14);
         assert_eq!(modes::ELASTIC_HOLD, Duration::from_millis(500));
         assert_eq!(modes::INELASTIC_HOLD, Duration::from_secs(2));
         assert_eq!(

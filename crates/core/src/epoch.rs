@@ -33,29 +33,32 @@ pub fn packet_is_boundary(pkt: &Packet, epoch_size: u32) -> bool {
     is_boundary(epoch_hash(pkt), epoch_size)
 }
 
+/// Epoch spacing target: measurements should arrive roughly once per
+/// `EPOCH_FRACTION` of an RTT; the paper uses 0.25 so that a one-RTT sliding
+/// window covers ~4 epochs.
+pub const EPOCH_FRACTION: f64 = 0.25;
+
+/// Maximum epoch size the sendbox will ever request.
+pub const MAX_EPOCH_SIZE: u32 = 1 << 14;
+
 /// Computes the epoch size the sendbox should use so that boundary packets
-/// are spaced roughly `epoch_fraction` of an RTT apart (the paper uses 1/4):
-/// `N = epoch_fraction × minRTT × send_rate`, expressed in packets of
-/// `avg_packet_bytes` and rounded **down** to a power of two.
-pub fn target_epoch_size(
-    epoch_fraction: f64,
-    min_rtt: Duration,
-    send_rate: Rate,
-    avg_packet_bytes: u64,
-    max_epoch_size: u32,
-) -> u32 {
+/// are spaced roughly [`EPOCH_FRACTION`] of an RTT apart:
+/// `N = EPOCH_FRACTION × minRTT × send_rate`, expressed in packets of
+/// `avg_packet_bytes`, rounded **down** to a power of two and capped at
+/// [`MAX_EPOCH_SIZE`].
+pub fn target_epoch_size(min_rtt: Duration, send_rate: Rate, avg_packet_bytes: u64) -> u32 {
     if min_rtt.is_zero() || send_rate.is_zero() || avg_packet_bytes == 0 {
         return 1;
     }
-    let bytes_per_epoch = epoch_fraction * min_rtt.as_secs_f64() * send_rate.as_bytes_per_sec();
+    let bytes_per_epoch = EPOCH_FRACTION * min_rtt.as_secs_f64() * send_rate.as_bytes_per_sec();
     let packets = (bytes_per_epoch / avg_packet_bytes as f64).floor();
     if packets < 2.0 {
         return 1;
     }
-    let packets = packets.min(max_epoch_size as f64) as u32;
+    let packets = packets.min(MAX_EPOCH_SIZE as f64) as u32;
     // Round down to a power of two.
     let rounded = 1u32 << (31 - packets.leading_zeros());
-    rounded.clamp(1, max_epoch_size)
+    rounded.clamp(1, MAX_EPOCH_SIZE)
 }
 
 /// State the sendbox records for each outstanding epoch boundary packet
@@ -155,57 +158,33 @@ mod tests {
     fn target_epoch_size_matches_formula_and_rounds_down() {
         // 0.25 × 50 ms × 96 Mbit/s = 150 KB ≈ 100 × 1500-byte packets;
         // rounded down to a power of two → 64.
-        let n = target_epoch_size(
-            0.25,
-            Duration::from_millis(50),
-            Rate::from_mbps(96),
-            1500,
-            1 << 14,
-        );
+        let n = target_epoch_size(Duration::from_millis(50), Rate::from_mbps(96), 1500);
         assert_eq!(n, 64);
     }
 
     #[test]
     fn target_epoch_size_edge_cases() {
         assert_eq!(
-            target_epoch_size(0.25, Duration::ZERO, Rate::from_mbps(10), 1500, 1 << 14),
+            target_epoch_size(Duration::ZERO, Rate::from_mbps(10), 1500),
             1
         );
         assert_eq!(
-            target_epoch_size(0.25, Duration::from_millis(50), Rate::ZERO, 1500, 1 << 14),
+            target_epoch_size(Duration::from_millis(50), Rate::ZERO, 1500),
             1
         );
         // Very slow link: fewer than 2 packets per quarter RTT → 1.
         assert_eq!(
-            target_epoch_size(
-                0.25,
-                Duration::from_millis(10),
-                Rate::from_kbps(64),
-                1500,
-                1 << 14
-            ),
+            target_epoch_size(Duration::from_millis(10), Rate::from_kbps(64), 1500),
             1
         );
         // Huge product is clamped to the maximum.
         assert_eq!(
-            target_epoch_size(
-                0.25,
-                Duration::from_secs(10),
-                Rate::from_gbps(100),
-                1500,
-                1 << 10
-            ),
-            1 << 10
+            target_epoch_size(Duration::from_secs(10), Rate::from_gbps(100), 1500),
+            MAX_EPOCH_SIZE
         );
         // Result is always a power of two.
         for mbps in [1u64, 3, 7, 24, 48, 96, 250, 1000] {
-            let n = target_epoch_size(
-                0.25,
-                Duration::from_millis(37),
-                Rate::from_mbps(mbps),
-                1500,
-                1 << 14,
-            );
+            let n = target_epoch_size(Duration::from_millis(37), Rate::from_mbps(mbps), 1500);
             assert!(n.is_power_of_two(), "{n} not a power of two");
         }
     }

@@ -21,14 +21,6 @@ use crate::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use crate::measurement::{AckOutcome, MeasurementEngine};
 use crate::modes::{Mode, ModeController};
 
-/// Epoch spacing target: measurements should arrive roughly once per
-/// `EPOCH_FRACTION` of an RTT; the paper uses 0.25 so that a one-RTT sliding
-/// window covers ~4 epochs.
-pub(crate) const EPOCH_FRACTION: f64 = 0.25;
-
-/// Maximum epoch size the sendbox will ever request.
-pub(crate) const MAX_EPOCH_SIZE: u32 = 1 << 14;
-
 /// If no congestion ACK arrives for this long, the controller is told
 /// feedback timed out.
 pub const FEEDBACK_TIMEOUT: Duration = Duration::from_secs(1);
@@ -333,8 +325,7 @@ impl Sendbox {
     fn maybe_update_epoch_size(&mut self, rate: Rate) -> Option<EpochSizeUpdate> {
         let min_rtt = self.engine.min_rtt()?;
         let avg_pkt = self.avg_packet_size.get().unwrap_or(1500.0).max(64.0) as u64;
-        let target =
-            epoch::target_epoch_size(EPOCH_FRACTION, min_rtt, rate, avg_pkt, MAX_EPOCH_SIZE);
+        let target = epoch::target_epoch_size(min_rtt, rate, avg_pkt);
         if target == self.epoch_size {
             return None;
         }

@@ -47,7 +47,7 @@
 
 use std::fmt::Write as _;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use bundler_types::Nanos;
 
@@ -87,24 +87,83 @@ impl std::fmt::Debug for StreamSink {
 /// The in-memory buffer behind [`StreamSink::to_shared_vec`] (tests and
 /// in-process consumers).
 #[derive(Clone, Debug, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+pub struct SharedBuf(Arc<(Mutex<Lendable>, Condvar)>);
+
+#[derive(Debug, Default)]
+struct Lendable {
+    /// Every byte written, or while a [`Contents`] is out, those written
+    /// since it was taken.
+    bytes: Vec<u8>,
+    /// Whether a [`Contents`] holds the earlier bytes.
+    lent: bool,
+}
 
 impl SharedBuf {
-    /// The bytes written so far, as UTF-8.
-    pub fn contents(&self) -> String {
-        let bytes = lock(&self.0);
-        // The strict check is a word-at-a-time scan; the lossy walk only
-        // runs for bytes that need a replacement character.
-        match std::str::from_utf8(&bytes) {
-            Ok(text) => text.to_owned(),
-            Err(_) => String::from_utf8_lossy(&bytes).into_owned(),
+    /// The bytes written so far, as UTF-8, lent rather than copied: the
+    /// view takes the buffer's own allocation and puts it back when it
+    /// drops. Valid UTF-8 is checked once per call and not copied; invalid
+    /// bytes read lossily (U+FFFD) from a copy, and the buffer keeps them
+    /// as written.
+    ///
+    /// A writer never blocks on a view, on this thread or another: what it
+    /// writes while the view is held lands after the lent bytes and shows
+    /// in the next view. A second `contents()` waits until the first view
+    /// drops, so one thread must not hold two.
+    pub fn contents(&self) -> Contents<'_> {
+        let (state, returned) = &*self.0;
+        let mut state = lock(state);
+        while state.lent {
+            state = returned
+                .wait(state)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
+        match String::from_utf8(std::mem::take(&mut state.bytes)) {
+            Ok(text) => {
+                state.lent = true;
+                Contents {
+                    text,
+                    lender: Some(self),
+                }
+            }
+            Err(invalid) => {
+                let text = String::from_utf8_lossy(invalid.as_bytes()).into_owned();
+                state.bytes = invalid.into_bytes();
+                Contents { text, lender: None }
+            }
+        }
+    }
+}
+
+/// A [`SharedBuf`]'s text, read in place; see [`SharedBuf::contents`].
+pub struct Contents<'a> {
+    text: String,
+    /// The buffer `text` was taken from, or `None` for a lossy copy.
+    lender: Option<&'a SharedBuf>,
+}
+
+impl std::ops::Deref for Contents<'_> {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl Drop for Contents<'_> {
+    fn drop(&mut self) {
+        let Some(buf) = self.lender else { return };
+        let (state, returned) = &*buf.0;
+        let mut state = lock(state);
+        let mut bytes = std::mem::take(&mut self.text).into_bytes();
+        bytes.extend_from_slice(&state.bytes);
+        state.bytes = bytes;
+        state.lent = false;
+        returned.notify_one();
     }
 }
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        lock(&self.0).extend_from_slice(buf);
+        lock(&self.0 .0).bytes.extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -822,6 +881,91 @@ mod tests {
         let text = buf.contents();
         assert!(text.starts_with("{\"meta\":\"metrics\",\"at\":123,\"shard\":2,\"c\":["));
         assert!(text.lines().filter_map(parse_line).next().is_none());
+    }
+
+    #[test]
+    fn a_view_reads_every_block_written() {
+        let (sink, buf) = StreamSink::to_shared_vec();
+        let mut ring = TraceRing::with_capacity(8, 8);
+        let (mut seq, mut scratch, mut want) = (0u64, Vec::new(), String::new());
+        let mut m = MetricsShard::default();
+        for round in 0..3u64 {
+            for i in 0..=round {
+                let r = rec(round * 100 + i, 1, TraceKind::Enqueue { bundle: i as u32 });
+                want += &(render_line(&r, seq + i) + "\n");
+                ring.push(r);
+            }
+            sink.flush_ring(&mut ring, &mut seq, &mut scratch);
+            m.add(crate::metrics::CounterId::FlowsCompleted, round);
+            sink.write_metrics(Nanos(round * 100 + 50), 1, &m);
+            let counters: Vec<String> = m.counters().iter().map(u64::to_string).collect();
+            want += &format!(
+                "{{\"meta\":\"metrics\",\"at\":{},\"shard\":1,\"c\":[{}]}}\n",
+                round * 100 + 50,
+                counters.join(",")
+            );
+        }
+        assert_eq!(&*buf.contents(), want);
+    }
+
+    #[test]
+    fn a_view_lends_the_bytes_and_puts_them_back() {
+        let (mut buf, raw) = (SharedBuf::default(), b"a\nbb\n");
+        buf.write_all(raw).unwrap();
+        let view = buf.contents();
+        let at = view.as_ptr();
+        drop(view);
+        // The buffer holds the very allocation the view read: nothing was
+        // copied, and the next view reads the same text.
+        assert_eq!(lock(&buf.0 .0).bytes.as_ptr(), at);
+        assert_eq!(&*buf.contents(), "a\nbb\n");
+        assert_eq!(&*buf.contents(), "a\nbb\n");
+    }
+
+    #[test]
+    fn bytes_written_after_a_view_follow_the_earlier_ones() {
+        let mut buf = SharedBuf::default();
+        buf.write_all(b"a\n").unwrap();
+        drop(buf.contents());
+        buf.write_all(b"b\n").unwrap();
+        // A write on the view's own thread, through a clone as the sink
+        // holds one, does not wait for the view.
+        let view = buf.contents();
+        buf.clone().write_all(b"c\n").unwrap();
+        assert_eq!(&*view, "a\nb\n");
+        drop(view);
+        assert_eq!(&*buf.contents(), "a\nb\nc\n");
+    }
+
+    #[test]
+    fn invalid_utf8_reads_lossily_and_keeps_its_bytes() {
+        let mut buf = SharedBuf::default();
+        buf.write_all(b"ok\n\xff\xfe\n").unwrap();
+        assert_eq!(&*buf.contents(), "ok\n\u{FFFD}\u{FFFD}\n");
+        buf.write_all(b"more\n").unwrap();
+        assert_eq!(&*buf.contents(), "ok\n\u{FFFD}\u{FFFD}\nmore\n");
+        let state = lock(&buf.0 .0);
+        assert_eq!(state.bytes, b"ok\n\xff\xfe\nmore\n");
+        assert!(!state.lent);
+    }
+
+    #[test]
+    fn other_threads_write_past_a_view_and_read_after_it() {
+        let mut buf = SharedBuf::default();
+        buf.write_all(b"a\n").unwrap();
+        let view = buf.contents();
+        std::thread::scope(|s| {
+            // The view is out before either thread starts: the writer
+            // finishes while it is held, the reader waits for it to drop.
+            let mut writer = buf.clone();
+            s.spawn(move || writer.write_all(b"b\n").unwrap())
+                .join()
+                .unwrap();
+            let reader = s.spawn(|| buf.contents().to_string());
+            assert_eq!(&*view, "a\n");
+            drop(view);
+            assert_eq!(reader.join().unwrap(), "a\nb\n");
+        });
     }
 
     #[test]

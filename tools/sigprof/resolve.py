@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Resolve a sampler.c dump: `resolve.py DUMP [--symbol SUBSTRING]`.
 
-Without --symbol, prints three tables of sample shares: by outermost symbol
+Without --symbol, prints four tables of sample shares: by outermost symbol
 (the function whose machine code was running), inclusive over the inline
-chain (every function inlined at the sampled instruction counts once), and
-by leaf source line. With --symbol, prints `objdump -d -l` of every function
-whose demangled name contains SUBSTRING, each instruction prefixed with its
-sample count. Samples outside the executable get one row per mapping.
+chain (every function inlined at the sampled instruction counts once), by
+leaf source line, and the callers of samples outside the executable. With
+--symbol, prints `objdump -d -l` of every function whose demangled name
+contains SUBSTRING, each instruction prefixed with its sample count.
+Samples outside the executable get one row per mapping in the first three
+tables; the fourth splits each such row by the function that holds the
+caller word the sampler found on the stack (`?` when it found none).
 """
 import argparse
 import collections
@@ -18,13 +21,15 @@ TOP = 40  # rows per table
 
 
 def load(dump):
-    """-> (exe path, its load base, [sample addresses], [(lo, hi, path)])."""
+    """-> (exe path, its load base, [(sample address, caller word or None)],
+    [(lo, hi, path)])."""
     maps, samples, in_samples = [], [], False
     for line in open(dump):
         if line.startswith("--samples--"):
             in_samples = True
         elif in_samples:
-            samples.append(int(line, 16))
+            words = [int(w, 16) for w in line.split()]
+            samples.append((words[0], words[1] if len(words) > 1 else None))
         else:
             f = line.split()
             lo, hi = (int(x, 16) for x in f[0].split("-"))
@@ -50,6 +55,12 @@ def chains(exe, vaddrs):
     return result
 
 
+def mapping(maps, addr):
+    """The `[name]` row of the mapping that holds `addr`."""
+    where = next((p for lo, hi, p in maps if lo <= addr < hi), "[unmapped]")
+    return f"[{os.path.basename(where)}]"
+
+
 def table(title, counts, total):
     print(f"\n== {title} ==")
     for name, n in counts.most_common(TOP):
@@ -62,7 +73,7 @@ def main():
     ap.add_argument("--symbol")
     args = ap.parse_args()
     exe, base, samples, maps = load(args.dump)
-    hits = collections.Counter(samples)
+    hits = collections.Counter(a for a, _ in samples)
     in_exe = {a: a - base for a in hits if any(lo <= a < hi and p == exe for lo, hi, p in maps)}
     print(f"{len(samples)} samples, {sum(hits[a] for a in in_exe)} in {exe}")
 
@@ -86,8 +97,11 @@ def main():
                 print(f"{count or '':>7} {d}")
         return
 
-    resolved = chains(exe, sorted(set(in_exe.values())))
-    outer, inclusive, leaf = (collections.Counter() for _ in range(3))
+    outside = collections.Counter((a, c) for a, c in samples if a not in in_exe)
+    # A caller word is a return address: the call before it is at word - 1.
+    calls = {c - base - 1 for _, c in outside if c is not None}
+    resolved = chains(exe, sorted(set(in_exe.values()) | calls))
+    outer, inclusive, leaf, callers = (collections.Counter() for _ in range(4))
     for addr, n in hits.items():
         if addr in in_exe:
             frames = resolved[in_exe[addr]]
@@ -96,12 +110,15 @@ def main():
             for fn in {fn for fn, _ in frames}:
                 inclusive[fn] += n
         else:
-            where = next((p for lo, hi, p in maps if lo <= addr < hi), "[unmapped]")
             for t in (outer, inclusive, leaf):
-                t[f"[{os.path.basename(where)}]"] += n
+                t[mapping(maps, addr)] += n
+    for (addr, caller), n in outside.items():
+        who = resolved[caller - base - 1][-1][0] if caller is not None else "?"
+        callers[f"{mapping(maps, addr)} <- {who}"] += n
     table("outermost symbol", outer, len(samples))
     table("inclusive over the inline chain", inclusive, len(samples))
     table("leaf source line", leaf, len(samples))
+    table("callers of samples outside the executable", callers, len(samples))
 
 
 if __name__ == "__main__":

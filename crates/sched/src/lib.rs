@@ -305,6 +305,82 @@ mod tests {
         }
     }
 
+    /// FNV-1a, the digest the workspace's snapshot pins use.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+        })
+    }
+
+    /// Offers packet `seq` of `flow` at `now`: the size and the traffic
+    /// class vary with both, and an overflow victim is freed.
+    fn offer(s: &mut dyn Scheduler, arena: &mut PacketArena, flow: u64, seq: u64, now: Nanos) {
+        let p = Packet::data(
+            FlowId(flow),
+            FlowKey::tcp(ipv4(10, 0, 0, 1), 1000 + flow as u16, ipv4(10, 0, 1, 1), 80),
+            seq,
+            200 + (seq * 97 % 1300) as u32,
+            now,
+        )
+        .with_class(bundler_types::TrafficClass(flow as u8 % 3));
+        let id = arena.insert(p);
+        if let Enqueued::Dropped(victim) = s.enqueue(id, arena, now) {
+            arena.free(victim);
+        }
+    }
+
+    /// Pins each policy's saved state, `(len, digest)`, and the digest of
+    /// its dequeue order after a fixed script: a 60-packet burst over six
+    /// flows into a 40-packet scheduler, which overflows, then one arrival
+    /// and one departure every 2 ms for 1.2 s, which keeps a standing queue
+    /// long enough to put FQ-CoDel's CoDel in its dropping state. A moved
+    /// pin is a layout or scheduling behaviour change.
+    #[test]
+    fn scheduler_state_bytes_are_pinned() {
+        const FLOWS: [u64; 10] = [0, 1, 0, 2, 0, 3, 4, 0, 5, 1];
+        let mut got = Vec::new();
+        for &policy in Policy::all() {
+            let mut arena = PacketArena::new();
+            let mut s = policy.build(40);
+            s.set_obs(true);
+            let mut now = Nanos::ZERO;
+            for seq in 0..60 {
+                offer(&mut *s, &mut arena, FLOWS[seq as usize % 10], seq, now);
+            }
+            let mut order = Vec::new();
+            for seq in 60..660 {
+                now += bundler_types::Duration::from_millis(2);
+                offer(&mut *s, &mut arena, FLOWS[seq as usize % 10], seq, now);
+                if let Some(id) = s.dequeue(&mut arena, now) {
+                    order.extend_from_slice(&arena[id].seq.to_le_bytes());
+                    arena.free(id);
+                }
+            }
+            assert!(s.stats().dropped > 0, "{policy}: no drops");
+            if policy == Policy::FqCodel {
+                let obs = s.take_obs().expect("enabled");
+                assert!(obs.drop_entries > 0, "CoDel never entered dropping");
+            }
+            let mut bytes = Vec::new();
+            s.save_state(&mut bytes);
+            got.push((s.name(), bytes.len(), digest(&bytes), digest(&order)));
+        }
+        let want = [
+            ("fifo", 360, 0x715e_db68_4af6_52d5, 0x5555_e0be_4577_4ecf),
+            ("sfq", 3480, 0x85ea_1513_89e1_fd97, 0xaf3a_1201_e6e4_2a07),
+            (
+                "fq_codel",
+                68_720,
+                0x3f7c_61be_fb25_2900,
+                0x76eb_51dd_159e_9053,
+            ),
+            ("fq", 536, 0x1f22_3544_241d_7aea, 0xaf3a_1201_e6e4_2a07),
+            ("drr", 496, 0x7c99_33ef_7546_6aea, 0xaf3a_1201_e6e4_2a07),
+            ("prio", 432, 0xa4f3_0f37_b483_aecb, 0xc40a_dc0f_f662_8173),
+        ];
+        assert_eq!(got, want, "saved scheduler state or dequeue order moved");
+    }
+
     #[test]
     fn policy_display_names_are_stable() {
         let names: Vec<String> = Policy::all().iter().map(|p| p.to_string()).collect();

@@ -34,32 +34,20 @@ fn main() {
     ]);
     let mut single_max: f64 = 0.0;
     let mut multi_min: f64 = 1.0;
-    for &rate in &rates {
-        for &rtt in &rtts {
-            for &p in &paths {
-                let point = MultipathScenario {
-                    rate,
-                    rtt,
-                    paths: p,
-                    duration,
-                    ..Default::default()
-                }
-                .run();
-                if p == 1 {
-                    single_max = single_max.max(point.out_of_order_fraction);
-                } else {
-                    multi_min = multi_min.min(point.out_of_order_fraction);
-                }
-                println!(
-                    "{} | {} | {} | {} | {}",
-                    fmt(rate.as_mbps_f64()),
-                    fmt(rtt.as_millis_f64()),
-                    p,
-                    fmt(point.out_of_order_fraction),
-                    point.disabled
-                );
-            }
+    for point in MultipathScenario::sweep(&rates, &rtts, &paths, duration) {
+        if point.paths == 1 {
+            single_max = single_max.max(point.out_of_order_fraction);
+        } else {
+            multi_min = multi_min.min(point.out_of_order_fraction);
         }
+        println!(
+            "{} | {} | {} | {} | {}",
+            fmt(point.rate.as_mbps_f64()),
+            fmt(point.rtt.as_millis_f64()),
+            point.paths,
+            fmt(point.out_of_order_fraction),
+            point.disabled
+        );
     }
     println!();
     println!(

@@ -13,16 +13,22 @@
 //!   controller is running).
 //!
 //! The detection idea: superimpose a small asymmetric sinusoidal pulse
-//! ([`Pulser`]) on the sending rate and watch the *cross traffic's* estimated
+//! ([`offset`]) on the sending rate and watch the *cross traffic's* estimated
 //! rate. Nimbus decides with an FFT of that rate (energy at the pulse
 //! frequency); a packet-level simulation of the closed loop is noisier than
 //! a real testbed, so this detector decides with a persistence rule instead:
 //! backlogged, loss-based cross traffic never lets its share of the
 //! bottleneck drop, and keeps the bottleneck queue occupied, over a whole
-//! persistence window (1 s). The rule reads only the samples inside that
-//! window, yet the detector keeps the last 512 (`max_samples`), about 5 s
+//! `PERSISTENCE_WINDOW` (1 s). The rule reads only the samples inside that
+//! window, yet the detector keeps the last 512 (`MAX_SAMPLES`), about 5 s
 //! at 10 ms: snapshot layout v3 saves the whole sample deque, so a shorter
 //! deque would move checkpoint bytes.
+//!
+//! No run varies the pulse or the rule, so their parameters are constants:
+//! the paper's `T = 0.2 s` and `A = μ/4` (`PULSE_PERIOD`,
+//! `PULSE_AMPLITUDE_FRAC`) and the rule's thresholds and warm-up. The
+//! detector's one setting is the interval its samples arrive at, the
+//! sendbox's control interval.
 
 use std::collections::VecDeque;
 
@@ -32,61 +38,47 @@ use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 use crate::windowed::WindowedFilter;
 use crate::{BundleCc, Measurement};
 
-/// The asymmetric sinusoidal pulse Nimbus superimposes on the sending rate.
-///
-/// Over each period `T` the rate is raised by `A·sin(4πt/T)` during the
-/// first quarter and lowered by `(A/3)·sin(4π(t−T/4)/(3T))` for the rest, so
-/// the average added rate over a full period is zero. The paper uses
-/// `T = 0.2 s` and `A = μ/4`.
-#[derive(Debug, Clone, Copy)]
-pub struct Pulser {
-    /// Pulse period.
-    pub period: Duration,
-    /// Pulse amplitude as a fraction of the bottleneck rate estimate μ.
-    pub amplitude_frac: f64,
-}
+/// Period `T` of the asymmetric sinusoidal pulse Nimbus superimposes on the
+/// sending rate: the paper's 0.2 s.
+const PULSE_PERIOD: Duration = Duration::from_millis(200);
 
-impl Default for Pulser {
-    fn default() -> Self {
-        Pulser {
-            period: Duration::from_millis(200),
-            amplitude_frac: 0.25,
-        }
+/// Pulse amplitude `A` as a fraction of the bottleneck rate estimate μ: the
+/// paper's `A = μ/4`.
+const PULSE_AMPLITUDE_FRAC: f64 = 0.25;
+
+/// The signed rate offset the pulse adds to the base rate at time `now`,
+/// given the bottleneck estimate `mu`. Over each period `T` the rate is
+/// raised by `A·sin(4πt/T)` during the first quarter and lowered by
+/// `(A/3)·sin(4π(t−T/4)/(3T))` for the rest, so the average added rate over
+/// a full period is zero.
+pub fn offset(now: Nanos, mu: Rate) -> f64 {
+    let t = now.as_secs_f64() % PULSE_PERIOD.as_secs_f64();
+    let period = PULSE_PERIOD.as_secs_f64();
+    let amplitude = PULSE_AMPLITUDE_FRAC * mu.as_bps() as f64;
+    let quarter = period / 4.0;
+    if t < quarter {
+        amplitude * (4.0 * core::f64::consts::PI * t / period).sin()
+    } else {
+        let u = t - quarter;
+        -(amplitude / 3.0) * (4.0 * core::f64::consts::PI * u / (3.0 * period)).sin()
     }
 }
 
-impl Pulser {
-    /// The signed rate offset to add to the base rate at time `now`, given
-    /// the current bottleneck estimate `mu`.
-    pub fn offset(&self, now: Nanos, mu: Rate) -> f64 {
-        let t = now.as_secs_f64() % self.period.as_secs_f64();
-        let period = self.period.as_secs_f64();
-        let amplitude = self.amplitude_frac * mu.as_bps() as f64;
-        let quarter = period / 4.0;
-        if t < quarter {
-            amplitude * (4.0 * core::f64::consts::PI * t / period).sin()
-        } else {
-            let u = t - quarter;
-            -(amplitude / 3.0) * (4.0 * core::f64::consts::PI * u / (3.0 * period)).sin()
-        }
-    }
+/// Applies the pulse to `base`, never going below 5 % of `mu`.
+pub fn apply(base: Rate, now: Nanos, mu: Rate) -> Rate {
+    let offset = offset(now, mu);
+    let pulsed = base.as_bps() as f64 + offset;
+    let floor = mu.as_bps() as f64 * 0.05;
+    Rate::from_bps(pulsed.max(floor) as u64)
+}
 
-    /// Applies the pulse to `base`, never going below 5 % of `mu`.
-    pub fn apply(&self, base: Rate, now: Nanos, mu: Rate) -> Rate {
-        let offset = self.offset(now, mu);
-        let pulsed = base.as_bps() as f64 + offset;
-        let floor = mu.as_bps() as f64 * 0.05;
-        Rate::from_bps(pulsed.max(floor) as u64)
-    }
-
-    /// Queueing (in bytes·seconds terms, expressed as a delay at rate `mu`)
-    /// that must be available at the sendbox to express the up-pulse: the
-    /// area under the up-pulse curve is `A·T/(2π)`, which at `A = μ/4` is
-    /// `μ·T/(8π)` — about 8 ms of queueing for `T = 0.2 s` (paper §5.1).
-    pub fn required_queue_delay(&self) -> Duration {
-        let secs = self.amplitude_frac * self.period.as_secs_f64() / (2.0 * core::f64::consts::PI);
-        Duration::from_secs_f64(secs)
-    }
+/// Queueing (in bytes·seconds terms, expressed as a delay at rate `mu`)
+/// that must be available at the sendbox to express the up-pulse: the
+/// area under the up-pulse curve is `A·T/(2π)`, which at `A = μ/4` is
+/// `μ·T/(8π)` — about 8 ms of queueing for `T = 0.2 s` (paper §5.1).
+pub fn required_queue_delay() -> Duration {
+    let secs = PULSE_AMPLITUDE_FRAC * PULSE_PERIOD.as_secs_f64() / (2.0 * core::f64::consts::PI);
+    Duration::from_secs_f64(secs)
 }
 
 /// Classification of the cross traffic sharing the bottleneck.
@@ -102,45 +94,27 @@ pub enum CrossTrafficVerdict {
 
 serde::layout!(enum CrossTrafficVerdict { 0 => Inelastic, 1 => Elastic });
 
-/// Configuration for [`ElasticityDetector`].
-#[derive(Debug, Clone, Copy)]
-pub struct ElasticityConfig {
-    /// Interval between samples pushed into the detector (the paper's
-    /// control interval, 10 ms).
-    pub sample_interval: Duration,
-    /// Number of samples kept (512 ⇒ ~5 s at 10 ms). The rule reads only
-    /// the persistence window; the rest are kept for the snapshot layout
-    /// (see the module docs).
-    pub max_samples: usize,
-    /// Window over which the persistence heuristic looks at the cross-rate
-    /// minimum.
-    pub persistence_window: Duration,
-    /// If the cross traffic's share of μ never falls below this fraction
-    /// over the persistence window, the cross traffic is considered
-    /// backlogged (elastic).
-    pub persistence_min_frac: f64,
-    /// The queueing delay must also stay above this floor over the whole
-    /// persistence window: buffer-filling cross traffic keeps the bottleneck
-    /// queue occupied, whereas an application-limited bundle with spare
-    /// capacity (which also makes the cross-rate estimate non-zero) does
-    /// not.
-    pub persistence_min_queue_delay: Duration,
-    /// Samples required before any verdict other than `Inelastic` is given.
-    pub warmup_samples: usize,
-}
+/// Number of cross-traffic samples the detector keeps (512 ⇒ ~5 s at
+/// 10 ms). The rule reads only the persistence window; the rest are kept
+/// for the snapshot layout (see the module docs).
+const MAX_SAMPLES: usize = 512;
 
-impl Default for ElasticityConfig {
-    fn default() -> Self {
-        ElasticityConfig {
-            sample_interval: Duration::from_millis(10),
-            max_samples: 512,
-            persistence_window: Duration::from_secs(1),
-            persistence_min_frac: 0.2,
-            persistence_min_queue_delay: Duration::from_millis(3),
-            warmup_samples: 50,
-        }
-    }
-}
+/// Window over which the persistence rule looks at the cross-rate minimum.
+const PERSISTENCE_WINDOW: Duration = Duration::from_secs(1);
+
+/// If the cross traffic's share of μ never falls below this fraction over
+/// the persistence window, the cross traffic is considered backlogged
+/// (elastic).
+const PERSISTENCE_MIN_FRAC: f64 = 0.2;
+
+/// The queueing delay must also stay above this floor over the whole
+/// persistence window: buffer-filling cross traffic keeps the bottleneck
+/// queue occupied, whereas an application-limited bundle with spare
+/// capacity (which also makes the cross-rate estimate non-zero) does not.
+const PERSISTENCE_MIN_QUEUE_DELAY: Duration = Duration::from_millis(3);
+
+/// Samples required before any verdict other than `Inelastic` is given.
+const WARMUP_SAMPLES: u64 = 50;
 
 /// The minimum of a sliding window of samples in O(1) amortized time per
 /// sample: the samples smaller than every later one, oldest first, each
@@ -269,7 +243,9 @@ impl State for CrossSamples {
 /// same send/receive-rate measurements Bundler already collects.
 #[derive(Debug)]
 pub struct ElasticityDetector {
-    config: ElasticityConfig,
+    /// Interval between the samples pushed into the detector (the control
+    /// interval).
+    sample_interval: Duration,
     /// Cross-traffic rate samples in bit/s plus the queueing delay observed
     /// with them, newest at the back.
     cross_samples: CrossSamples,
@@ -280,20 +256,15 @@ pub struct ElasticityDetector {
 }
 
 impl ElasticityDetector {
-    /// Creates a detector.
-    pub fn new(config: ElasticityConfig) -> Self {
+    /// Creates a detector fed one sample every `sample_interval`.
+    pub fn new(sample_interval: Duration) -> Self {
         ElasticityDetector {
-            config,
+            sample_interval,
             cross_samples: CrossSamples::new(),
             mu_filter: WindowedFilter::new_max(Duration::from_secs(10)),
             total_samples: 0,
             last_verdict: CrossTrafficVerdict::Inelastic,
         }
-    }
-
-    /// Creates a detector with default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(ElasticityConfig::default())
     }
 
     /// Current bottleneck rate estimate μ.
@@ -328,12 +299,10 @@ impl ElasticityDetector {
                 .is_none_or(|&(t, _, _)| t <= m.now),
             "cross-traffic samples arrive in time order"
         );
-        self.cross_samples.push(
-            (m.now, z.as_bps() as f64, m.queue_delay()),
-            self.config.max_samples,
-        );
+        self.cross_samples
+            .push((m.now, z.as_bps() as f64, m.queue_delay()), MAX_SAMPLES);
 
-        if self.total_samples < self.config.warmup_samples as u64 {
+        if self.total_samples < WARMUP_SAMPLES {
             self.last_verdict = CrossTrafficVerdict::Inelastic;
             return self.last_verdict;
         }
@@ -359,21 +328,19 @@ impl ElasticityDetector {
         let window_start = now
             .saturating_since(Nanos::ZERO)
             .as_nanos()
-            .saturating_sub(self.config.persistence_window.as_nanos());
+            .saturating_sub(PERSISTENCE_WINDOW.as_nanos());
         // Sample times never decrease (see `on_measurement`), so the
         // window is a suffix whose start only moves forward, and its minima
         // are kept as the samples arrive.
         let (n, min_z, min_queue_delay) = self.cross_samples.window_since(window_start);
         // Require the window to be reasonably full before declaring.
-        let expected = (self.config.persistence_window.as_nanos()
-            / self.config.sample_interval.as_nanos().max(1)) as usize;
+        let expected =
+            (PERSISTENCE_WINDOW.as_nanos() / self.sample_interval.as_nanos().max(1)) as usize;
         if n < expected / 2 {
             return self.last_verdict;
         }
         let min_frac = min_z / mu;
-        if min_frac > self.config.persistence_min_frac
-            && min_queue_delay >= self.config.persistence_min_queue_delay
-        {
+        if min_frac > PERSISTENCE_MIN_FRAC && min_queue_delay >= PERSISTENCE_MIN_QUEUE_DELAY {
             CrossTrafficVerdict::Elastic
         } else {
             CrossTrafficVerdict::Inelastic
@@ -381,8 +348,8 @@ impl ElasticityDetector {
     }
 }
 
-// The configuration is not written: restore builds the detector with the
-// same `ElasticityConfig` first. The `0.0` after `total_samples` is the slot
+// The sample interval is not written: restore builds the detector with the
+// same interval first. The `0.0` after `total_samples` is the slot
 // of an FFT ratio the detector no longer computes; layout v3 keeps it, and a
 // load refuses anything else there.
 impl State for ElasticityDetector {
@@ -439,7 +406,7 @@ impl Default for NimbusConfig {
 /// delay `d_q` is below target the controller probes above the receive rate;
 /// when above target it backs off proportionally. It emits that rate
 /// unpulsed: under Bundler the mode controller superimposes the probe
-/// pulses ([`Pulser`]).
+/// pulses ([`apply`]).
 #[derive(Debug)]
 pub struct Nimbus {
     config: NimbusConfig,
@@ -521,15 +488,19 @@ mod tests {
         }
     }
 
+    /// A detector fed every 10 ms, the default control interval.
+    fn detector() -> ElasticityDetector {
+        ElasticityDetector::new(Duration::from_millis(10))
+    }
+
     #[test]
     fn pulser_is_zero_mean_over_a_period() {
-        let p = Pulser::default();
         let mu = Rate::from_mbps(96);
         let steps = 2000;
         let mut sum = 0.0;
         for i in 0..steps {
-            let t = Nanos(p.period.as_nanos() * i as u64 / steps as u64);
-            sum += p.offset(t, mu);
+            let t = Nanos(PULSE_PERIOD.as_nanos() * i as u64 / steps as u64);
+            sum += offset(t, mu);
         }
         let mean = sum / steps as f64;
         assert!(
@@ -540,22 +511,20 @@ mod tests {
 
     #[test]
     fn pulser_up_phase_then_down_phase() {
-        let p = Pulser::default();
         let mu = Rate::from_mbps(96);
         // Peak of the up-pulse at T/8.
-        let up = p.offset(Nanos(p.period.as_nanos() / 8), mu);
+        let up = offset(Nanos(PULSE_PERIOD.as_nanos() / 8), mu);
         assert!(up > 0.0);
         assert!((up - 0.25 * mu.as_bps() as f64).abs() < 1e-3 * mu.as_bps() as f64);
         // Middle of the down phase.
-        let down = p.offset(Nanos(p.period.as_nanos() * 5 / 8), mu);
+        let down = offset(Nanos(PULSE_PERIOD.as_nanos() * 5 / 8), mu);
         assert!(down < 0.0);
         assert!(down.abs() <= 0.25 / 3.0 * mu.as_bps() as f64 + 1.0);
     }
 
     #[test]
     fn pulser_required_queue_is_about_8ms() {
-        let p = Pulser::default();
-        let d = p.required_queue_delay();
+        let d = required_queue_delay();
         assert!((7.0..9.0).contains(&d.as_millis_f64()), "got {d}");
     }
 
@@ -581,7 +550,7 @@ mod tests {
 
     #[test]
     fn cross_rate_estimate_matches_formula() {
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         // Feed one measurement to set μ = 96.
         det.on_measurement(&m(0, 50.0, 50, 48.0, 48.0), Rate::from_mbps(96));
         // We send 48, receive 32: z = 96*48/32 - 48 = 96 Mbit/s... i.e. the
@@ -597,7 +566,7 @@ mod tests {
 
     #[test]
     fn persistence_detects_backlogged_cross_traffic() {
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         let mu = Rate::from_mbps(96);
         let mut verdict = CrossTrafficVerdict::Inelastic;
         // Bundle sends 48 and receives 44 while a backlogged flow holds the
@@ -610,7 +579,7 @@ mod tests {
 
     #[test]
     fn persistence_stays_inelastic_for_bursty_cross_traffic() {
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         let mu = Rate::from_mbps(96);
         let mut verdict = CrossTrafficVerdict::Elastic;
         for i in 0..300 {
@@ -627,7 +596,7 @@ mod tests {
         // The bundle only offers 40 of the 96 Mbit/s capacity. The naive
         // cross-rate estimate is large (μ − S), but there is no queueing, so
         // the detector must not declare elastic cross traffic.
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         let mu = Rate::from_mbps(96);
         let mut verdict = CrossTrafficVerdict::Elastic;
         for i in 0..300 {
@@ -638,7 +607,7 @@ mod tests {
 
     #[test]
     fn warmup_period_reports_inelastic() {
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         let mu = Rate::from_mbps(96);
         for i in 0..10 {
             let v = det.on_measurement(&m(i * 10, 70.0, 50, 48.0, 44.0), mu);
@@ -646,69 +615,54 @@ mod tests {
         }
     }
 
-    /// The persistence rule as a scan of the whole window, newest sample
-    /// first: the oracle the running minima replaced.
+    /// `(count, minimum rate, minimum queueing delay)` over the samples
+    /// taken at or after `start_ns`, by a scan from the newest sample back:
+    /// the oracle the running minima are held to.
+    fn scan_window(samples: &CrossSamples, start_ns: u64) -> (usize, f64, Duration) {
+        samples
+            .samples
+            .iter()
+            .rev()
+            .take_while(|&&(t, _, _)| t.as_nanos() >= start_ns)
+            .fold(
+                (0, f64::INFINITY, Duration::MAX),
+                |(n, z, dq), &(_, rate, delay)| (n + 1, z.min(rate), dq.min(delay)),
+            )
+    }
+
+    /// The persistence rule over [`scan_window`].
     fn scan_persistence_verdict(det: &ElasticityDetector, now: Nanos) -> CrossTrafficVerdict {
         let mu = det.mu().as_bps() as f64;
         if mu <= 0.0 {
             return CrossTrafficVerdict::Inelastic;
         }
-        let config = &det.config;
-        let window_start = now
-            .as_nanos()
-            .saturating_sub(config.persistence_window.as_nanos());
-        let (mut n, mut min_z, mut min_queue_delay) = (0usize, f64::INFINITY, Duration::MAX);
-        for &(_, z, dq) in det
-            .cross_samples
-            .samples
-            .iter()
-            .rev()
-            .take_while(|&&(t, _, _)| t.as_nanos() >= window_start)
-        {
-            n += 1;
-            min_z = min_z.min(z);
-            min_queue_delay = min_queue_delay.min(dq);
-        }
-        let expected = (config.persistence_window.as_nanos()
-            / config.sample_interval.as_nanos().max(1)) as usize;
+        let window_start = now.as_nanos().saturating_sub(PERSISTENCE_WINDOW.as_nanos());
+        let (n, min_z, min_queue_delay) = scan_window(&det.cross_samples, window_start);
+        let expected =
+            (PERSISTENCE_WINDOW.as_nanos() / det.sample_interval.as_nanos().max(1)) as usize;
         if n < expected / 2 {
             return det.last_verdict;
         }
-        if min_z / mu > config.persistence_min_frac
-            && min_queue_delay >= config.persistence_min_queue_delay
-        {
+        if min_z / mu > PERSISTENCE_MIN_FRAC && min_queue_delay >= PERSISTENCE_MIN_QUEUE_DELAY {
             CrossTrafficVerdict::Elastic
         } else {
             CrossTrafficVerdict::Inelastic
         }
     }
 
-    proptest::proptest! {
-        /// Verdicts from the running window minima equal the scan's over
-        /// random sample streams: repeated and jumping timestamps, NaN and
-        /// zero rates, a sample cap below the window's length, μ unset
-        /// and moving, and a save/load in the middle, which rebuilds the
-        /// minima from the saved samples.
-        #[test]
-        fn window_minima_give_the_scans_verdicts(
-            (cap, window_ms) in (1usize..160, 20u64..1500),
-            steps in proptest::collection::vec(
-                (0u8..10, 0u64..50, 0u8..8, 25u64..100, 0u64..40, 0u8..40),
-                1..400,
-            ),
-        ) {
-            let config = ElasticityConfig {
-                max_samples: cap,
-                persistence_window: Duration::from_millis(window_ms),
-                ..Default::default()
-            };
-            let mut det = ElasticityDetector::new(config);
-            let mut now = Nanos::ZERO;
-            for (gap, gap_ms, rate_kind, rate_mbps, dq_ms, other) in steps {
-                now += match gap {
+    /// Random streams of `(gap since the previous sample, rate, queueing
+    /// delay, a free draw)`: repeated and jumping timestamps, NaN and zero
+    /// rates, and a queueing-delay floor of 0–5 ms per stream, so that some
+    /// streams keep the queue occupied throughout.
+    fn sample_streams() -> impl proptest::Strategy<Value = Vec<(Duration, f64, Duration, u8)>> {
+        let step = (0u8..100, 0u64..50, 0u8..100, 25u64..100, 0u64..40, 0u8..40);
+        let streams = (0u64..6, proptest::collection::vec(step, 1..400));
+        proptest::Strategy::prop_map(streams, |(floor_ms, steps)| {
+            let sample = |(gap, gap_ms, rate_kind, rate_mbps, dq_ms, other)| {
+                let gap = match gap {
                     0 => Duration::ZERO,
-                    1..=6 => Duration::from_millis(10),
-                    7 => Duration::from_millis(gap_ms),
+                    1..=94 => Duration::from_millis(10),
+                    95..=97 => Duration::from_millis(gap_ms),
                     _ => Duration::from_secs(2),
                 };
                 let rate = match rate_kind {
@@ -716,11 +670,56 @@ mod tests {
                     1 => 0.0,
                     _ => rate_mbps as f64 * 1e6,
                 };
+                (gap, rate, Duration::from_millis(floor_ms + dq_ms), other)
+            };
+            steps.into_iter().map(sample).collect()
+        })
+    }
+
+    proptest::proptest! {
+        /// The running window minima equal the scan's over random sample
+        /// streams, with a sample cap below and above the window's length
+        /// and a save/load in the middle, which rebuilds the minima from
+        /// the saved samples.
+        #[test]
+        fn cross_samples_minima_match_a_scan(
+            (cap, window_ms) in (1usize..160, 20u64..1500),
+            stream in sample_streams(),
+        ) {
+            let mut samples = CrossSamples::new();
+            let mut now = Nanos::ZERO;
+            for (gap, rate, queue_delay, other) in stream {
+                now += gap;
+                samples.push((now, rate, queue_delay), cap);
+                let start = now.as_nanos().saturating_sub(window_ms * 1_000_000);
+                let expect = scan_window(&samples, start);
+                proptest::prop_assert_eq!(samples.window_since(start), expect);
+                if other == 39 {
+                    let mut bytes = Vec::new();
+                    samples.save_state(&mut bytes);
+                    let mut restored = CrossSamples::new();
+                    let mut r = Reader::new(&bytes);
+                    restored.load_state(&mut r).expect("round trip");
+                    proptest::prop_assert!(r.is_empty());
+                    samples = restored;
+                }
+            }
+        }
+
+        /// Verdicts from the running window minima equal the scan's over
+        /// random sample streams at the detector's constants, with μ unset
+        /// and moving, and a save/load in the middle.
+        #[test]
+        fn window_minima_give_the_scans_verdicts(stream in sample_streams()) {
+            let mut det = detector();
+            let mut now = Nanos::ZERO;
+            for (gap, rate, queue_delay, other) in stream {
+                now += gap;
                 // μ stays unset in a few streams and moves in the rest.
                 if other % 20 != 0 || now > Nanos::from_millis(200) {
                     det.mu_filter.update(80_000_000 + other as u64 * 1_000_000, now);
                 }
-                det.cross_samples.push((now, rate, Duration::from_millis(dq_ms)), cap);
+                det.cross_samples.push((now, rate, queue_delay), MAX_SAMPLES);
                 let expect = scan_persistence_verdict(&det, now);
                 let verdict = det.persistence_verdict(now);
                 proptest::prop_assert_eq!(verdict, expect);
@@ -728,7 +727,7 @@ mod tests {
                 if other == 39 {
                     let mut bytes = Vec::new();
                     det.save_state(&mut bytes);
-                    let mut restored = ElasticityDetector::new(config);
+                    let mut restored = detector();
                     let mut r = Reader::new(&bytes);
                     restored.load_state(&mut r).expect("round trip");
                     proptest::prop_assert!(r.is_empty());
@@ -744,7 +743,7 @@ mod tests {
     /// detector behaviour change.
     #[test]
     fn detector_state_bytes_are_pinned() {
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         let mut verdict = CrossTrafficVerdict::Inelastic;
         for i in 0..300u64 {
             let mu = Rate::from_mbps(94 + i % 5);
@@ -764,7 +763,7 @@ mod tests {
 
     #[test]
     fn load_refuses_a_nonzero_retired_slot() {
-        let mut det = ElasticityDetector::with_defaults();
+        let mut det = detector();
         det.on_measurement(&m(0, 60.0, 50, 48.0, 44.0), Rate::from_mbps(96));
         let mut bytes = Vec::new();
         det.save_state(&mut bytes);
@@ -772,7 +771,7 @@ mod tests {
         let slot = bytes.len() - 9..bytes.len() - 1;
         assert_eq!(bytes[slot.clone()], 0.0f64.to_le_bytes());
         bytes[slot].copy_from_slice(&(-0.0f64).to_le_bytes());
-        let mut restored = ElasticityDetector::with_defaults();
+        let mut restored = detector();
         let err = restored.load_state(&mut Reader::new(&bytes)).unwrap_err();
         assert_eq!(err.what, "nonzero retired FFT ratio slot");
     }

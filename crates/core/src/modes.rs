@@ -17,7 +17,7 @@
 //!   Rate limiting is removed entirely (status-quo behaviour) until the
 //!   out-of-order fraction subsides.
 
-use bundler_cc::nimbus::{CrossTrafficVerdict, ElasticityConfig, ElasticityDetector, Pulser};
+use bundler_cc::nimbus::{self, CrossTrafficVerdict, ElasticityDetector};
 use bundler_cc::windowed::WindowedFilter;
 use bundler_cc::{BundleCc, Measurement};
 use bundler_types::{Duration, Nanos, Rate};
@@ -63,7 +63,6 @@ impl std::fmt::Display for Mode {
 pub struct ModeController {
     cc: Box<dyn BundleCc>,
     detector: ElasticityDetector,
-    pulser: Pulser,
     pi: PiController,
     multipath: MultipathDetector,
     mode: Mode,
@@ -95,14 +94,9 @@ impl ModeController {
     /// Creates the mode controller from a validated configuration.
     pub fn new(config: BundlerConfig) -> Self {
         let cc = config.algorithm.build(config.initial_rate);
-        let detector = ElasticityDetector::new(ElasticityConfig {
-            sample_interval: config.control_interval,
-            ..Default::default()
-        });
         ModeController {
             cc,
-            detector,
-            pulser: Pulser::default(),
+            detector: ElasticityDetector::new(config.control_interval),
             pi: PiController::new(config.initial_rate),
             multipath: MultipathDetector::default(),
             mode: Mode::DelayControl,
@@ -249,7 +243,7 @@ impl ModeController {
             match self.mode {
                 Mode::DelayControl => {
                     let base = self.cc.on_measurement(m);
-                    let rate = self.pulser.apply(base, now, self.mu());
+                    let rate = nimbus::apply(base, now, self.mu());
                     self.current_rate = rate.clamp(MIN_RATE, MAX_RATE);
                 }
                 Mode::PassThrough => {
@@ -257,7 +251,7 @@ impl ModeController {
                     // so switching back is smooth, but ignore its output.
                     let _ = self.cc.on_measurement(m);
                     let base = self.pi.update(sendbox_queue_bytes, self.mu(), now);
-                    let rate = self.pulser.apply(base, now, self.mu());
+                    let rate = nimbus::apply(base, now, self.mu());
                     self.current_rate = rate.clamp(MIN_RATE, MAX_RATE);
                 }
                 Mode::Disabled => unreachable!("handled above"),

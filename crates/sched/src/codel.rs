@@ -2,22 +2,27 @@
 //! Jacobson, "Controlling Queue Delay" (ACM Queue 2012).
 //!
 //! CoDel watches the *sojourn time* of packets through a queue. If the
-//! minimum sojourn time over an interval exceeds `target`, the queue has a
-//! standing backlog and CoDel begins dropping at increasing frequency
-//! (the control-law interval shrinks with the square root of the drop count)
-//! until the sojourn time falls back below target.
+//! minimum sojourn time over an interval (100 ms) exceeds a target (5 ms),
+//! the queue has a standing backlog and CoDel begins dropping at increasing
+//! frequency (the control-law interval shrinks with the square root of the
+//! drop count) until the sojourn time falls back below target.
 //!
 //! This module is the drop-decision state machine ([`CodelState`]) that
 //! FQ-CoDel embeds per flow queue.
 
 use bundler_types::{Duration, Nanos};
 
+/// Sojourn time above which a queue counts as standing: RFC 8289's 5 ms.
+const TARGET: Duration = Duration::from_millis(5);
+
+/// How long the sojourn must stay above `TARGET` before the first drop,
+/// and the base of the control law: RFC 8289's 100 ms.
+const INTERVAL: Duration = Duration::from_millis(100);
+
 /// The CoDel drop-decision state machine, independent of any particular
-/// queue implementation.
-#[derive(Debug, Clone)]
+/// queue implementation. The default is outside any dropping episode.
+#[derive(Debug, Clone, Default)]
 pub struct CodelState {
-    target: Duration,
-    interval: Duration,
     /// Time at which the current "sojourn above target" episode will trigger
     /// the first drop (None when below target).
     first_above_time: Option<Nanos>,
@@ -48,22 +53,6 @@ pub enum CodelVerdict {
 }
 
 impl CodelState {
-    /// Creates the drop state machine with the given target and interval.
-    pub fn new(target: Duration, interval: Duration) -> Self {
-        CodelState {
-            target,
-            interval,
-            first_above_time: None,
-            dropping: false,
-            drop_next: Nanos::ZERO,
-            count: 0,
-            last_count: 0,
-            total_drops: 0,
-            drop_entries: 0,
-            drop_exits: 0,
-        }
-    }
-
     /// True if the state machine is currently in its dropping state.
     pub fn is_dropping(&self) -> bool {
         self.dropping
@@ -72,7 +61,7 @@ impl CodelState {
     fn control_law(&self, t: Nanos) -> Nanos {
         // interval / sqrt(count)
         let denom = (self.count.max(1) as f64).sqrt();
-        t + Duration::from_secs_f64(self.interval.as_secs_f64() / denom)
+        t + Duration::from_secs_f64(INTERVAL.as_secs_f64() / denom)
     }
 
     /// Decides whether the packet dequeued at `now` with queue sojourn time
@@ -80,14 +69,14 @@ impl CodelState {
     /// occupancy remaining after the dequeue; CoDel never drops when the
     /// queue holds less than one MTU.
     pub fn on_dequeue(&mut self, sojourn: Duration, queue_bytes: u64, now: Nanos) -> CodelVerdict {
-        let below = sojourn < self.target || queue_bytes <= 1514;
+        let below = sojourn < TARGET || queue_bytes <= 1514;
         let ok_to_drop = if below {
             self.first_above_time = None;
             false
         } else {
             match self.first_above_time {
                 None => {
-                    self.first_above_time = Some(now + self.interval);
+                    self.first_above_time = Some(now + INTERVAL);
                     false
                 }
                 Some(fat) => now >= fat,
@@ -114,7 +103,7 @@ impl CodelState {
             // If we were dropping recently, resume from a related count so
             // the drop rate ramps quickly for persistent overload.
             let delta = self.count.saturating_sub(self.last_count);
-            self.count = if delta > 1 && now.saturating_since(self.drop_next) < self.interval {
+            self.count = if delta > 1 && now.saturating_since(self.drop_next) < INTERVAL {
                 delta
             } else {
                 1
@@ -129,7 +118,6 @@ impl CodelState {
     }
 }
 
-// `target` and `interval` are configuration, re-established at construction.
 serde::layout!(state CodelState {
     first_above_time, dropping, drop_next, count, last_count, total_drops, drop_entries,
     drop_exits,
@@ -139,10 +127,6 @@ serde::layout!(state CodelState {
 mod tests {
     use super::*;
     use serde::binary::State;
-
-    fn state() -> CodelState {
-        CodelState::new(Duration::from_millis(5), Duration::from_millis(100))
-    }
 
     /// One dequeue per millisecond from `*now` on, each with `sojourn` and
     /// plenty of backlog; returns the times at which the verdict was `Drop`.
@@ -160,7 +144,7 @@ mod tests {
 
     #[test]
     fn no_drops_below_target_delay() {
-        let mut s = state();
+        let mut s = CodelState::default();
         let mut now = Nanos::ZERO;
         // Packets spend 1 ms in the queue, below the 5 ms target.
         assert!(drive(&mut s, &mut now, 1, 1000).is_empty());
@@ -170,7 +154,7 @@ mod tests {
 
     #[test]
     fn drops_start_after_interval_of_high_delay() {
-        let mut s = state();
+        let mut s = CodelState::default();
         let mut now = Nanos::ZERO;
         // The sojourn first exceeds the target at 1 ms; the first drop comes
         // one 100 ms interval later, not before.
@@ -183,7 +167,7 @@ mod tests {
 
     #[test]
     fn drop_rate_increases_with_persistent_overload() {
-        let mut s = state();
+        let mut s = CodelState::default();
         let mut now = Nanos::ZERO;
         // Persistent 50 ms sojourn, plenty of backlog.
         let first_half = drive(&mut s, &mut now, 50, 1000).len();
@@ -196,7 +180,7 @@ mod tests {
 
     #[test]
     fn leaves_dropping_state_when_delay_subsides() {
-        let mut s = state();
+        let mut s = CodelState::default();
         let mut now = Nanos::ZERO;
         // Force it into dropping.
         drive(&mut s, &mut now, 50, 500);
@@ -208,7 +192,7 @@ mod tests {
 
     #[test]
     fn never_drops_last_mtu() {
-        let mut s = state();
+        let mut s = CodelState::default();
         let mut now = Nanos::ZERO;
         for _ in 0..500 {
             now += Duration::from_millis(1);
@@ -221,7 +205,7 @@ mod tests {
 
     #[test]
     fn state_round_trips_through_the_codec() {
-        let mut s = state();
+        let mut s = CodelState::default();
         let mut now = Nanos::ZERO;
         // Mid-episode, so the snapshot carries non-trivial drop state.
         drive(&mut s, &mut now, 50, 150);
@@ -229,7 +213,7 @@ mod tests {
 
         let mut bytes = Vec::new();
         s.save_state(&mut bytes);
-        let mut s2 = state();
+        let mut s2 = CodelState::default();
         let mut r = serde::binary::Reader::new(&bytes);
         s2.load_state(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes after restore");

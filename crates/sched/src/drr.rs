@@ -12,24 +12,6 @@ use serde::binary::{decode_len, Decode, DecodeError, Encode, Reader, State};
 use crate::rr::{FlowQueue, RoundRobin};
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
-/// Configuration for [`Drr`].
-#[derive(Debug, Clone, Copy)]
-pub struct DrrConfig {
-    /// Bytes a flow may send per round.
-    pub quantum_bytes: u32,
-    /// Total packet capacity; overflow drops from the longest flow queue.
-    pub total_capacity_pkts: usize,
-}
-
-impl Default for DrrConfig {
-    fn default() -> Self {
-        DrrConfig {
-            quantum_bytes: 1514,
-            total_capacity_pkts: 4096,
-        }
-    }
-}
-
 /// Deficit Round Robin scheduler with exact per-flow queues.
 #[derive(Debug)]
 pub struct Drr {
@@ -38,14 +20,11 @@ pub struct Drr {
 }
 
 impl Drr {
-    /// Creates a DRR scheduler.
-    pub fn new(config: DrrConfig) -> Self {
+    /// Creates a DRR scheduler holding at most `capacity_pkts` packets;
+    /// overflow drops from the longest flow queue.
+    pub fn new(capacity_pkts: usize) -> Self {
         Drr {
-            rr: RoundRobin::new(
-                IdHashMap::default(),
-                config.quantum_bytes,
-                config.total_capacity_pkts,
-            ),
+            rr: RoundRobin::new(IdHashMap::default(), capacity_pkts),
         }
     }
 
@@ -144,7 +123,7 @@ mod tests {
     #[test]
     fn equal_share_between_two_backlogged_flows() {
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig::default());
+        let mut d = Drr::new(4096);
         for _ in 0..50 {
             enq(&mut d, &mut a, pkt(0, 1460));
             enq(&mut d, &mut a, pkt(1, 1460));
@@ -165,10 +144,7 @@ mod tests {
         // After many rounds, bytes served should be roughly equal even though
         // packet counts differ by ~5x.
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig {
-            quantum_bytes: 1500,
-            total_capacity_pkts: 100_000,
-        });
+        let mut d = Drr::new(100_000);
         for _ in 0..200 {
             enq(&mut d, &mut a, pkt(0, 1460));
         }
@@ -191,7 +167,7 @@ mod tests {
     #[test]
     fn flow_state_is_cleaned_up() {
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig::default());
+        let mut d = Drr::new(4096);
         enq(&mut d, &mut a, pkt(0, 100));
         assert_eq!(d.backlogged_flows(), 1);
         d.dequeue(&mut a, Nanos::ZERO);
@@ -202,10 +178,7 @@ mod tests {
     #[test]
     fn capacity_drop_comes_from_longest_flow() {
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig {
-            total_capacity_pkts: 5,
-            ..Default::default()
-        });
+        let mut d = Drr::new(5);
         for _ in 0..5 {
             enq(&mut d, &mut a, pkt(0, 1000));
         }
@@ -218,7 +191,7 @@ mod tests {
     #[test]
     fn state_round_trips_through_the_codec() {
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig::default());
+        let mut d = Drr::new(4096);
         // Mixed backlog across three flows, partially drained so deficits
         // and round-robin position are mid-flight.
         for i in 0..30u64 {
@@ -235,7 +208,7 @@ mod tests {
         d.for_each_pkt_mut(&mut |id| pkts.push(a[*id].clone()));
 
         let mut a2 = PacketArena::new();
-        let mut d2 = Drr::new(DrrConfig::default());
+        let mut d2 = Drr::new(4096);
         let mut r = serde::binary::Reader::new(&bytes);
         d2.load_state(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes after restore");
@@ -269,12 +242,12 @@ mod tests {
     #[test]
     fn truncated_state_fails_loudly() {
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig::default());
+        let mut d = Drr::new(4096);
         enq(&mut d, &mut a, pkt(0, 500));
         let mut bytes = Vec::new();
         d.save_state(&mut bytes);
         bytes.truncate(bytes.len() - 1);
-        let mut d2 = Drr::new(DrrConfig::default());
+        let mut d2 = Drr::new(4096);
         let mut r = serde::binary::Reader::new(&bytes);
         assert!(d2.load_state(&mut r).is_err());
     }
@@ -282,7 +255,7 @@ mod tests {
     #[test]
     fn dequeue_on_empty_is_none() {
         let mut a = PacketArena::new();
-        let mut d = Drr::new(DrrConfig::default());
+        let mut d = Drr::new(4096);
         assert!(d.dequeue(&mut a, Nanos::ZERO).is_none());
     }
 }

@@ -24,7 +24,7 @@ impl FairQueue {
     /// Creates a fair queue with the given total packet capacity.
     pub fn new(capacity_pkts: usize) -> Self {
         FairQueue {
-            rr: RoundRobin::new(IdHashMap::default(), 1514, capacity_pkts),
+            rr: RoundRobin::new(IdHashMap::default(), capacity_pkts),
         }
     }
 

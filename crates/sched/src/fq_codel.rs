@@ -9,42 +9,16 @@
 
 use std::collections::VecDeque;
 
-use bundler_types::{Duration, Nanos, PacketArena, PacketId};
+use bundler_types::{Nanos, PacketArena, PacketId};
 use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 
 use crate::codel::{CodelState, CodelVerdict};
 use crate::longest::LongestTracker;
-use crate::{Enqueued, PktRef, SchedStats, Scheduler};
+use crate::{Enqueued, PktRef, SchedStats, Scheduler, QUANTUM_BYTES};
 
-/// Configuration for [`FqCodel`].
-#[derive(Debug, Clone, Copy)]
-pub struct FqCodelConfig {
-    /// Number of hash buckets. RFC 8290 default is 1024.
-    pub buckets: usize,
-    /// DRR quantum in bytes.
-    pub quantum_bytes: u32,
-    /// CoDel target delay.
-    pub target: Duration,
-    /// CoDel interval.
-    pub interval: Duration,
-    /// Total packet capacity across all buckets.
-    pub total_capacity_pkts: usize,
-    /// Hash seed.
-    pub hash_seed: u64,
-}
-
-impl Default for FqCodelConfig {
-    fn default() -> Self {
-        FqCodelConfig {
-            buckets: 1024,
-            quantum_bytes: 1514,
-            target: Duration::from_millis(5),
-            interval: Duration::from_millis(100),
-            total_capacity_pkts: 10240,
-            hash_seed: 0,
-        }
-    }
-}
+/// Number of hash buckets, RFC 8290's default. A flow's bucket is its
+/// five-tuple digest modulo this, as in SFQ.
+const BUCKETS: usize = 1024;
 
 #[derive(Debug)]
 struct Bucket {
@@ -57,7 +31,6 @@ struct Bucket {
     membership: Membership,
 }
 
-// The CoDel target and interval are configuration.
 serde::layout!(state Bucket { queue, bytes, deficit, codel, membership });
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +45,6 @@ serde::layout!(enum Membership { 0 => None, 1 => New, 2 => Old });
 /// FQ-CoDel scheduler.
 #[derive(Debug)]
 pub struct FqCodel {
-    config: FqCodelConfig,
     buckets: Vec<Bucket>,
     new_flows: VecDeque<usize>,
     old_flows: VecDeque<usize>,
@@ -81,26 +53,27 @@ pub struct FqCodel {
     total_pkts: usize,
     total_bytes: u64,
     stats: SchedStats,
+    /// Total packet capacity across all buckets.
+    capacity: usize,
     /// Sojourn recording, boxed so the disabled (default) case costs one
     /// pointer; per-bucket drop-state counters live in each `CodelState`.
     obs: Option<Box<bundler_obs::SchedObs>>,
 }
 
 impl FqCodel {
-    /// Creates an FQ-CoDel scheduler.
-    pub fn new(config: FqCodelConfig) -> Self {
-        assert!(config.buckets > 0);
-        let buckets = (0..config.buckets)
+    /// Creates an FQ-CoDel scheduler holding at most `capacity_pkts`
+    /// packets across its buckets.
+    pub fn new(capacity_pkts: usize) -> Self {
+        let buckets = (0..BUCKETS)
             .map(|_| Bucket {
                 queue: VecDeque::new(),
                 bytes: 0,
                 deficit: 0,
-                codel: CodelState::new(config.target, config.interval),
+                codel: CodelState::default(),
                 membership: Membership::None,
             })
             .collect();
         FqCodel {
-            config,
             buckets,
             new_flows: VecDeque::new(),
             old_flows: VecDeque::new(),
@@ -108,13 +81,9 @@ impl FqCodel {
             total_pkts: 0,
             total_bytes: 0,
             stats: SchedStats::default(),
+            capacity: capacity_pkts,
             obs: None,
         }
-    }
-
-    /// Creates an FQ-CoDel scheduler with RFC-default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(FqCodelConfig::default())
     }
 
     /// Total packets dropped by per-bucket CoDel (not tail overflow).
@@ -148,13 +117,12 @@ impl FqCodel {
                 None => return HeadOutcome::ListEmpty,
             }
         };
-        let quantum = self.config.quantum_bytes as i64;
         let bucket = &mut self.buckets[idx];
 
         if bucket.deficit <= 0 {
             // Out of deficit: add a quantum and move to the end of the old
             // list (new flows that exhaust their quantum become old flows).
-            bucket.deficit += quantum;
+            bucket.deficit += QUANTUM_BYTES;
             if from_new {
                 self.new_flows.pop_front();
             } else {
@@ -221,7 +189,7 @@ impl Scheduler for FqCodel {
             p.enqueued_at = now;
             (p.size, p.key.digest())
         };
-        let idx = crate::sfq::bucket_of(digest, self.config.hash_seed, self.config.buckets);
+        let idx = (digest % BUCKETS as u64) as usize;
         let bucket = &mut self.buckets[idx];
         bucket.bytes += size as u64;
         bucket.queue.push_back(PktRef { id: pkt, size });
@@ -231,10 +199,10 @@ impl Scheduler for FqCodel {
         self.stats.enqueued += 1;
         if bucket.membership == Membership::None {
             bucket.membership = Membership::New;
-            bucket.deficit = self.config.quantum_bytes as i64;
+            bucket.deficit = QUANTUM_BYTES;
             self.new_flows.push_back(idx);
         }
-        if self.total_pkts > self.config.total_capacity_pkts {
+        if self.total_pkts > self.capacity {
             if let Some(dropped) = self.drop_from_longest() {
                 self.stats.dropped += 1;
                 self.stats.dropped_bytes += dropped.size as u64;
@@ -307,9 +275,9 @@ impl Scheduler for FqCodel {
     }
 }
 
-// The bucket array is fixed-size configuration; its length goes out anyway
-// so a restore into a differently sized instance fails loudly instead of
-// silently re-hashing flows into different buckets.
+// The bucket count is the constant `BUCKETS`; it goes out anyway, and a
+// load refuses any other count rather than silently re-hash flows into
+// different buckets.
 impl State for FqCodel {
     fn save_state(&self, out: &mut Vec<u8>) {
         self.buckets.len().encode(out);
@@ -354,7 +322,7 @@ impl State for FqCodel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bundler_types::{flow::ipv4, FlowId, FlowKey, Packet};
+    use bundler_types::{flow::ipv4, Duration, FlowId, FlowKey, Packet};
 
     fn pkt(flow: u64, size: u32) -> Packet {
         Packet::data(
@@ -379,7 +347,7 @@ mod tests {
     #[test]
     fn sparse_flow_gets_priority_over_bulk_flow() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::with_defaults();
+        let mut s = FqCodel::new(10240);
         for _ in 0..200 {
             enq(&mut s, &mut a, pkt(0, 1460), Nanos::ZERO);
         }
@@ -400,7 +368,7 @@ mod tests {
     #[test]
     fn codel_drops_under_standing_queue() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::with_defaults();
+        let mut s = FqCodel::new(10240);
         for _ in 0..500 {
             enq(&mut s, &mut a, pkt(0, 1460), Nanos::ZERO);
         }
@@ -425,7 +393,7 @@ mod tests {
     #[test]
     fn obs_export_carries_sojourns_and_drop_transitions() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::with_defaults();
+        let mut s = FqCodel::new(10240);
         assert!(s.take_obs().is_none(), "disabled by default");
         s.set_obs(true);
         // Standing queue: force CoDel into (and out of) its dropping state.
@@ -453,7 +421,7 @@ mod tests {
     #[test]
     fn fair_between_two_bulk_flows() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::with_defaults();
+        let mut s = FqCodel::new(10240);
         for _ in 0..100 {
             enq(&mut s, &mut a, pkt(0, 1460), Nanos::ZERO);
             enq(&mut s, &mut a, pkt(1, 1460), Nanos::ZERO);
@@ -472,10 +440,7 @@ mod tests {
     #[test]
     fn total_capacity_enforced() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::new(FqCodelConfig {
-            total_capacity_pkts: 10,
-            ..Default::default()
-        });
+        let mut s = FqCodel::new(10);
         let mut drops = 0;
         for i in 0..20 {
             if enq(&mut s, &mut a, pkt(i % 3, 1000), Nanos::ZERO).is_drop() {
@@ -489,16 +454,13 @@ mod tests {
     #[test]
     fn state_round_trips_through_the_codec() {
         let mut a = PacketArena::new();
-        // Few buckets so the stream stays small and collisions are exercised.
-        let config = FqCodelConfig {
-            buckets: 16,
-            ..Default::default()
-        };
-        let mut s = FqCodel::new(config);
+        let mut s = FqCodel::new(10240);
         // Standing queues across several flows, drained far enough that
         // some buckets are mid-CoDel-episode and lists are mid-rotation.
-        for i in 0..300u64 {
-            enq(&mut s, &mut a, pkt(i % 5, 1460), Nanos::ZERO);
+        // Flows 45 and 81 share a bucket, so collisions are exercised.
+        const FLOWS: [u64; 5] = [0, 1, 2, 45, 81];
+        for i in 0..300 {
+            enq(&mut s, &mut a, pkt(FLOWS[i % 5], 1460), Nanos::ZERO);
         }
         let mut now = Nanos::ZERO;
         for _ in 0..150 {
@@ -515,7 +477,7 @@ mod tests {
         s.for_each_pkt_mut(&mut |id| pkts.push(a[*id].clone()));
 
         let mut a2 = PacketArena::new();
-        let mut s2 = FqCodel::new(config);
+        let mut s2 = FqCodel::new(10240);
         let mut r = serde::binary::Reader::new(&bytes);
         s2.load_state(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes after restore");
@@ -550,35 +512,29 @@ mod tests {
     #[test]
     fn restore_into_wrong_geometry_is_rejected() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::new(FqCodelConfig {
-            buckets: 16,
-            ..Default::default()
-        });
+        let mut s = FqCodel::new(10240);
         enq(&mut s, &mut a, pkt(0, 500), Nanos::ZERO);
-        let mut bytes = Vec::new();
-        s.save_state(&mut bytes);
-        let mut other = FqCodel::new(FqCodelConfig {
-            buckets: 32,
-            ..Default::default()
-        });
-        let mut r = serde::binary::Reader::new(&bytes);
-        assert!(other.load_state(&mut r).is_err());
+        crate::tests::assert_rejects_patched_bucket_count(
+            &s,
+            Box::new(FqCodel::new(10240)),
+            "fq_codel bucket count mismatch",
+        );
     }
 
     #[test]
     fn restore_rejects_totals_the_buckets_do_not_hold() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::with_defaults();
+        let mut s = FqCodel::new(10240);
         for i in 0..6 {
             enq(&mut s, &mut a, pkt(i % 3, 500), Nanos::ZERO);
         }
-        crate::tests::assert_rejects_patched_totals(&s, || Box::new(FqCodel::with_defaults()));
+        crate::tests::assert_rejects_patched_totals(&s, || Box::new(FqCodel::new(10240)));
     }
 
     #[test]
     fn empty_dequeue_is_none() {
         let mut a = PacketArena::new();
-        let mut s = FqCodel::with_defaults();
+        let mut s = FqCodel::new(10240);
         assert!(s.dequeue(&mut a, Nanos::ZERO).is_none());
         enq(&mut s, &mut a, pkt(0, 100), Nanos::ZERO);
         assert!(s.dequeue(&mut a, Nanos::ZERO).is_some());

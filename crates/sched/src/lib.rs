@@ -11,6 +11,13 @@
 //! * AQM: [`codel::CodelState`], the CoDel drop law FQ-CoDel runs per flow.
 //! * Rate enforcement: [`tbf::TokenBucket`] and [`tbf::Tbf`], the token
 //!   bucket filter with a pluggable inner scheduler.
+//!
+//! The paper runs its sendbox qdiscs at their Linux defaults and varies only
+//! the policy, so a scheduler's one setting is its packet capacity
+//! ([`Policy::build`]). The rest are constants in the module that reads
+//! them: the round-robin quantum (`QUANTUM_BYTES`, one MTU, shared by SFQ,
+//! DRR, FQ and FQ-CoDel), `sfq::BUCKETS`, `fq_codel::BUCKETS`, and
+//! CoDel's `codel::{TARGET, INTERVAL}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -151,6 +158,10 @@ impl State for Box<dyn Scheduler> {
     }
 }
 
+/// Bytes a flow queue may send per round-robin visit, in SFQ, DRR, FQ and
+/// FQ-CoDel alike: one Ethernet MTU, the Linux default.
+const QUANTUM_BYTES: i64 = 1514;
+
 /// Packets and bytes held in `queues`: what a decoded scheduler's
 /// `total_pkts`/`total_bytes` must equal, or the first dequeue underflows
 /// them.
@@ -208,19 +219,10 @@ impl Policy {
     pub fn build(self, capacity_pkts: usize) -> Box<dyn Scheduler> {
         match self {
             Policy::Fifo => Box::new(fifo::DropTailFifo::with_packet_capacity(capacity_pkts)),
-            Policy::Sfq => Box::new(sfq::Sfq::new(sfq::SfqConfig {
-                total_capacity_pkts: capacity_pkts,
-                ..Default::default()
-            })),
-            Policy::FqCodel => Box::new(fq_codel::FqCodel::new(fq_codel::FqCodelConfig {
-                total_capacity_pkts: capacity_pkts,
-                ..Default::default()
-            })),
+            Policy::Sfq => Box::new(sfq::Sfq::new(capacity_pkts)),
+            Policy::FqCodel => Box::new(fq_codel::FqCodel::new(capacity_pkts)),
             Policy::FairQueue => Box::new(fq::FairQueue::new(capacity_pkts)),
-            Policy::Drr => Box::new(drr::Drr::new(drr::DrrConfig {
-                total_capacity_pkts: capacity_pkts,
-                ..Default::default()
-            })),
+            Policy::Drr => Box::new(drr::Drr::new(capacity_pkts)),
             Policy::StrictPriority => Box::new(prio::StrictPriority::new(capacity_pkts)),
         }
     }
@@ -273,6 +275,21 @@ mod tests {
             let loaded = fresh().load_state(&mut Reader::new(&patched));
             assert!(loaded.is_err(), "{}: total at byte {at} patched", s.name());
         }
+    }
+
+    /// Saves `s`, lowers the bucket count its state opens with by one, and
+    /// requires `fresh` to refuse the bytes with `what`.
+    pub(crate) fn assert_rejects_patched_bucket_count(
+        s: &dyn Scheduler,
+        mut fresh: Box<dyn Scheduler>,
+        what: &str,
+    ) {
+        let mut bytes = Vec::new();
+        s.save_state(&mut bytes);
+        let count = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        bytes[..8].copy_from_slice(&(count - 1).to_le_bytes());
+        let err = fresh.load_state(&mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!(err.what, what, "{}: bucket count patched", s.name());
     }
 
     fn pkt(flow: u64) -> Packet {

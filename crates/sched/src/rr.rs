@@ -14,7 +14,7 @@ use bundler_types::{IdHashMap, PacketId};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::longest::LongestTracker;
-use crate::{Enqueued, PktRef, SchedStats};
+use crate::{Enqueued, PktRef, SchedStats, QUANTUM_BYTES};
 
 /// One queue of a round robin: its packets, their bytes, and the byte
 /// allowance it has left in the current round.
@@ -103,14 +103,12 @@ pub(crate) struct RoundRobin<Q> {
     pub(crate) total_pkts: usize,
     pub(crate) total_bytes: u64,
     pub(crate) stats: SchedStats,
-    /// Bytes a queue may send per round.
-    quantum: i64,
     /// Total packet capacity across all queues.
     capacity: usize,
 }
 
 impl<Q: Queues> RoundRobin<Q> {
-    pub(crate) fn new(queues: Q, quantum_bytes: u32, capacity_pkts: usize) -> Self {
+    pub(crate) fn new(queues: Q, capacity_pkts: usize) -> Self {
         RoundRobin {
             queues,
             active: VecDeque::new(),
@@ -118,7 +116,6 @@ impl<Q: Queues> RoundRobin<Q> {
             total_pkts: 0,
             total_bytes: 0,
             stats: SchedStats::default(),
-            quantum: quantum_bytes as i64,
             capacity: capacity_pkts,
         }
     }
@@ -133,7 +130,7 @@ impl<Q: Queues> RoundRobin<Q> {
         let occupancy = fq.queue.len() as u64;
         if newly_active {
             // A queue entering the active list starts a fresh round.
-            fq.deficit = self.quantum;
+            fq.deficit = QUANTUM_BYTES;
             self.active.push_back(key);
         }
         self.total_pkts += 1;
@@ -184,7 +181,7 @@ impl<Q: Queues> RoundRobin<Q> {
                     return Some(p);
                 }
                 Some(_) => {
-                    fq.deficit += self.quantum;
+                    fq.deficit += QUANTUM_BYTES;
                     self.active.rotate_left(1);
                 }
             }

@@ -12,44 +12,14 @@ use serde::binary::{Decode, DecodeError, Encode, Reader, State};
 use crate::rr::{FlowQueue, RoundRobin};
 use crate::{Enqueued, PktRef, SchedStats, Scheduler};
 
-/// Configuration for [`Sfq`].
-#[derive(Debug, Clone, Copy)]
-pub struct SfqConfig {
-    /// Number of hash buckets. The Linux default is 128.
-    pub buckets: usize,
-    /// Bytes a bucket may send per round-robin visit. Linux uses one MTU.
-    pub quantum_bytes: u32,
-    /// Total packet capacity across all buckets; when exceeded a packet is
-    /// dropped from the longest bucket (as in the Linux implementation).
-    pub total_capacity_pkts: usize,
-    /// Perturbation seed for the bucket hash. Re-keying the hash
-    /// periodically avoids persistent unlucky collisions; the simulator
-    /// keeps it fixed for reproducibility.
-    pub hash_seed: u64,
-}
-
-impl Default for SfqConfig {
-    fn default() -> Self {
-        SfqConfig {
-            buckets: 128,
-            quantum_bytes: 1514,
-            total_capacity_pkts: 1024,
-            hash_seed: 0,
-        }
-    }
-}
-
-/// The bucket of `buckets` a five-tuple digest hashes to under
-/// `hash_seed` — SFQ's, and FQ-CoDel's too.
-pub(crate) fn bucket_of(digest: u64, hash_seed: u64, buckets: usize) -> usize {
-    let h = digest ^ hash_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h % buckets as u64) as usize
-}
+/// Number of hash buckets, the Linux default. A flow's bucket is its
+/// five-tuple digest modulo this; the hash is never perturbed, so runs are
+/// reproducible.
+const BUCKETS: usize = 128;
 
 /// Stochastic Fairness Queueing scheduler.
 #[derive(Debug)]
 pub struct Sfq {
-    config: SfqConfig,
     /// Deficit round robin over the hash buckets, keyed by bucket index.
     rr: RoundRobin<Vec<FlowQueue>>,
     /// Sojourn recording, boxed so the disabled (default) case costs one
@@ -58,20 +28,15 @@ pub struct Sfq {
 }
 
 impl Sfq {
-    /// Creates an SFQ scheduler with the given configuration.
-    pub fn new(config: SfqConfig) -> Self {
-        assert!(config.buckets > 0, "SFQ needs at least one bucket");
-        let buckets = (0..config.buckets).map(|_| FlowQueue::default()).collect();
+    /// Creates an SFQ scheduler holding at most `capacity_pkts` packets
+    /// across its buckets; past that, a packet is dropped from the longest
+    /// bucket, as in the Linux implementation.
+    pub fn new(capacity_pkts: usize) -> Self {
+        let buckets = (0..BUCKETS).map(|_| FlowQueue::default()).collect();
         Sfq {
-            config,
-            rr: RoundRobin::new(buckets, config.quantum_bytes, config.total_capacity_pkts),
+            rr: RoundRobin::new(buckets, capacity_pkts),
             obs: None,
         }
-    }
-
-    /// Creates an SFQ scheduler with default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(SfqConfig::default())
     }
 }
 
@@ -79,9 +44,8 @@ impl Scheduler for Sfq {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: Nanos) -> Enqueued {
         let p = arena.get_mut(pkt);
         p.enqueued_at = now;
-        let (digest, size) = (p.key.digest(), p.size);
-        let bucket = bucket_of(digest, self.config.hash_seed, self.config.buckets);
-        self.rr.enqueue(bucket as u64, PktRef { id: pkt, size })
+        let (bucket, size) = (p.key.digest() % BUCKETS as u64, p.size);
+        self.rr.enqueue(bucket, PktRef { id: pkt, size })
     }
 
     fn dequeue(&mut self, arena: &mut PacketArena, now: Nanos) -> Option<PacketId> {
@@ -129,9 +93,9 @@ impl Scheduler for Sfq {
     }
 }
 
-// The bucket count is config, re-established at construction; it goes out
-// anyway, as the bucket vector's length, so a mismatched restore fails
-// loudly instead of silently re-hashing flows into different buckets.
+// The bucket count is the constant `BUCKETS`; it goes out anyway, as the
+// bucket vector's length, and a load refuses any other count rather than
+// silently re-hash flows into different buckets.
 impl State for Sfq {
     fn save_state(&self, out: &mut Vec<u8>) {
         self.rr.queues.encode(out);
@@ -179,7 +143,7 @@ mod tests {
     #[test]
     fn interleaves_two_flows() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::with_defaults();
+        let mut s = Sfq::new(1024);
         // Flow 0 dumps 10 packets, then flow 1 dumps 10 packets.
         for _ in 0..10 {
             enq(&mut s, &mut a, pkt(0, 1000));
@@ -200,7 +164,7 @@ mod tests {
     #[test]
     fn short_flow_not_stuck_behind_long_flow() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::with_defaults();
+        let mut s = Sfq::new(1024);
         for _ in 0..100 {
             enq(&mut s, &mut a, pkt(0, 1460));
         }
@@ -226,10 +190,7 @@ mod tests {
     #[test]
     fn drops_from_longest_bucket_when_full() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::new(SfqConfig {
-            total_capacity_pkts: 10,
-            ..Default::default()
-        });
+        let mut s = Sfq::new(10);
         for _ in 0..10 {
             assert!(!enq(&mut s, &mut a, pkt(0, 1000)).is_drop());
         }
@@ -249,7 +210,7 @@ mod tests {
     #[test]
     fn many_flows_served_fairly() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::with_defaults();
+        let mut s = Sfq::new(1024);
         const FLOWS: u64 = 32;
         const PER_FLOW: usize = 8;
         for f in 0..FLOWS {
@@ -274,7 +235,7 @@ mod tests {
     #[test]
     fn conserves_packets_and_bytes() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::with_defaults();
+        let mut s = Sfq::new(1024);
         let mut in_bytes = 0u64;
         for f in 0..5 {
             for i in 0..7 {
@@ -300,10 +261,7 @@ mod tests {
     #[test]
     fn obs_export_carries_sojourns_and_overflow_drops() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::new(SfqConfig {
-            total_capacity_pkts: 4,
-            ..Default::default()
-        });
+        let mut s = Sfq::new(4);
         assert!(s.take_obs().is_none(), "disabled by default");
         s.set_obs(true);
         for _ in 0..6 {
@@ -324,17 +282,29 @@ mod tests {
     #[test]
     fn restore_rejects_totals_the_buckets_do_not_hold() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::with_defaults();
+        let mut s = Sfq::new(1024);
         for i in 0..6 {
             enq(&mut s, &mut a, pkt(i % 3, 500));
         }
-        crate::tests::assert_rejects_patched_totals(&s, || Box::new(Sfq::with_defaults()));
+        crate::tests::assert_rejects_patched_totals(&s, || Box::new(Sfq::new(1024)));
+    }
+
+    #[test]
+    fn restore_rejects_a_different_bucket_count() {
+        let mut a = PacketArena::new();
+        let mut s = Sfq::new(1024);
+        enq(&mut s, &mut a, pkt(0, 500));
+        crate::tests::assert_rejects_patched_bucket_count(
+            &s,
+            Box::new(Sfq::new(1024)),
+            "sfq bucket count mismatch",
+        );
     }
 
     #[test]
     fn empty_dequeue_returns_none() {
         let mut a = PacketArena::new();
-        let mut s = Sfq::with_defaults();
+        let mut s = Sfq::new(1024);
         assert!(s.dequeue(&mut a, Nanos::ZERO).is_none());
     }
 }

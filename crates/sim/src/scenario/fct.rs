@@ -69,7 +69,6 @@ pub struct FctScenarioBuilder {
     rtt: Duration,
     high_priority_fraction: f64,
     background_bulk_flows: usize,
-    dist: FlowSizeDist,
 }
 
 impl Default for FctScenarioBuilder {
@@ -84,7 +83,6 @@ impl Default for FctScenarioBuilder {
             rtt: Duration::from_millis(50),
             high_priority_fraction: 0.0,
             background_bulk_flows: 0,
-            dist: FlowSizeDist::caida_like(),
         }
     }
 }
@@ -150,12 +148,6 @@ impl FctScenarioBuilder {
         self
     }
 
-    /// Flow-size distribution.
-    pub fn distribution(mut self, dist: FlowSizeDist) -> Self {
-        self.dist = dist;
-        self
-    }
-
     /// Finalizes the builder.
     pub fn build(self) -> FctScenario {
         FctScenario { builder: self }
@@ -178,12 +170,13 @@ impl FctScenario {
     pub fn workload(&self) -> Vec<FlowSpec> {
         let b = &self.builder;
         let mut rng = SmallRng::seed_from_u64(b.seed);
-        let arrivals = PoissonArrivals::for_load(b.offered_load, &b.dist);
+        let dist = FlowSizeDist::caida_like();
+        let arrivals = PoissonArrivals::for_load(b.offered_load, &dist);
         let mut specs = Vec::with_capacity(b.requests);
         let mut t = Nanos::ZERO;
         for i in 0..b.requests {
             t += arrivals.next_gap(&mut rng);
-            let size = b.dist.sample(&mut rng);
+            let size = dist.sample(&mut rng);
             let class = if rng.gen::<f64>() < b.high_priority_fraction {
                 TrafficClass::HIGH
             } else {
@@ -255,7 +248,7 @@ impl FctScenario {
 
     fn workload_span(&self) -> Duration {
         let b = &self.builder;
-        let arrivals = PoissonArrivals::for_load(b.offered_load, &b.dist);
+        let arrivals = PoissonArrivals::for_load(b.offered_load, &FlowSizeDist::caida_like());
         arrivals.mean_gap().mul_f64(b.requests as f64)
     }
 

@@ -34,6 +34,10 @@ use crate::sim::{Simulation, SimulationConfig};
 use crate::stats::SimReport;
 use crate::workload::{FlowSizeDist, FlowSpec};
 
+/// Integration cadence of the fluid tier: metro queue dynamics are slow
+/// relative to the tier's sub-RTT default.
+const FLUID_UPDATE_INTERVAL: Duration = Duration::from_millis(5);
+
 /// Builder for [`MetroScenario`].
 #[derive(Debug, Clone)]
 pub struct MetroBuilder {
@@ -46,7 +50,6 @@ pub struct MetroBuilder {
     rtt: Duration,
     drain: Duration,
     seed: u64,
-    fluid_update_interval: Duration,
     dist: FlowSizeDist,
     obs: bundler_obs::ObsLevel,
 }
@@ -63,7 +66,6 @@ impl Default for MetroBuilder {
             rtt: Duration::from_millis(50),
             drain: Duration::from_secs(6),
             seed: 1,
-            fluid_update_interval: Duration::from_millis(5),
             dist: FlowSizeDist::caida_like(),
             obs: bundler_obs::ObsLevel::Off,
         }
@@ -132,13 +134,6 @@ impl MetroBuilder {
     /// Random seed controlling arrivals, sizes and window jitter.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Integration cadence of the fluid tier (default 5 ms — metro queue
-    /// dynamics are slow relative to the sub-RTT default).
-    pub fn fluid_update_interval(mut self, interval: Duration) -> Self {
-        self.fluid_update_interval = interval;
         self
     }
 
@@ -276,7 +271,7 @@ impl MetroScenario {
             CrossTrafficTier::Packet => None,
             CrossTrafficTier::Fluid => Some(
                 FluidCrossTraffic::new(self.aggregates())
-                    .with_update_interval(b.fluid_update_interval),
+                    .with_update_interval(FLUID_UPDATE_INTERVAL),
             ),
         };
         let base = SimulationConfig {

@@ -130,7 +130,7 @@ fn fct_scenario_headline_comparison_holds_at_small_scale() {
 
 #[test]
 fn elasticity_detector_is_reachable_and_consistent() {
-    let mut det = ElasticityDetector::with_defaults();
+    let mut det = ElasticityDetector::new(Duration::from_millis(10));
     let mu = Rate::from_mbps(96);
     let mut verdict = CrossTrafficVerdict::Inelastic;
     for i in 0..200u64 {

@@ -349,29 +349,8 @@ impl ElasticityDetector {
 }
 
 // The sample interval is not written: restore builds the detector with the
-// same interval first. The `0.0` after `total_samples` is the slot
-// of an FFT ratio the detector no longer computes; layout v3 keeps it, and a
-// load refuses anything else there.
-impl State for ElasticityDetector {
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.cross_samples.save_state(out);
-        self.mu_filter.save_state(out);
-        self.total_samples.encode(out);
-        0.0f64.encode(out);
-        self.last_verdict.encode(out);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.cross_samples.load_state(r)?;
-        self.mu_filter.load_state(r)?;
-        self.total_samples = Decode::decode(r)?;
-        if f64::decode(r)?.to_bits() != 0 {
-            return Err(r.error("nonzero retired FFT ratio slot"));
-        }
-        self.last_verdict = Decode::decode(r)?;
-        Ok(())
-    }
-}
+// same interval first.
+serde::layout!(state ElasticityDetector { cross_samples, mu_filter, total_samples, last_verdict });
 
 /// Configuration for the [`Nimbus`] BasicDelay rate controller.
 #[derive(Debug, Clone, Copy)]
@@ -756,24 +735,9 @@ mod tests {
         det.save_state(&mut buf);
         assert_eq!(
             (buf.len(), crate::tests::snapshot_digest(&buf)),
-            (7249, 0x0fb6_ff2e_5c86_6e06),
+            (7241, 0x75c7_9726_25d2_e0e6),
             "saved detector state moved"
         );
-    }
-
-    #[test]
-    fn load_refuses_a_nonzero_retired_slot() {
-        let mut det = detector();
-        det.on_measurement(&m(0, 60.0, 50, 48.0, 44.0), Rate::from_mbps(96));
-        let mut bytes = Vec::new();
-        det.save_state(&mut bytes);
-        // The slot is the eight bytes before the one-byte verdict.
-        let slot = bytes.len() - 9..bytes.len() - 1;
-        assert_eq!(bytes[slot.clone()], 0.0f64.to_le_bytes());
-        bytes[slot].copy_from_slice(&(-0.0f64).to_le_bytes());
-        let mut restored = detector();
-        let err = restored.load_state(&mut Reader::new(&bytes)).unwrap_err();
-        assert_eq!(err.what, "nonzero retired FFT ratio slot");
     }
 
     #[test]

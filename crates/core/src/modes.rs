@@ -146,8 +146,8 @@ impl ModeController {
 
     /// Feeds the ordering classification of one congestion ACK (from the
     /// measurement engine) into the multipath detector.
-    pub fn on_ack_ordering(&mut self, ordering: AckOrdering, now: Nanos) {
-        self.multipath.on_ack(ordering, now);
+    pub fn on_ack_ordering(&mut self, ordering: AckOrdering) {
+        self.multipath.on_ack(ordering);
     }
 
     /// Signals that no feedback has arrived for the configured timeout.
@@ -385,7 +385,7 @@ mod tests {
             } else {
                 AckOrdering::InOrder
             };
-            mc.on_ack_ordering(ordering, Nanos::from_millis(i));
+            mc.on_ack_ordering(ordering);
         }
         let now = Nanos::from_millis(2000);
         let m = measurement(now, 52, 50, 90.0, 90.0);
@@ -394,8 +394,8 @@ mod tests {
         assert_eq!(rate, MAX_RATE);
 
         // A long run of in-order ACKs clears the detector.
-        for i in 0..600u64 {
-            mc.on_ack_ordering(AckOrdering::InOrder, Nanos::from_millis(3000 + i));
+        for _ in 0..600 {
+            mc.on_ack_ordering(AckOrdering::InOrder);
         }
         let now2 = Nanos::from_millis(4000);
         mc.on_tick(Some(&m), 0, now2);

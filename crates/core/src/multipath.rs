@@ -12,8 +12,6 @@
 
 use std::collections::VecDeque;
 
-use bundler_types::Nanos;
-
 use crate::measurement::AckOrdering;
 
 /// Out-of-order fraction above which multipath imbalance is declared.
@@ -32,12 +30,11 @@ pub struct MultipathDetector {
     out_of_order_in_window: usize,
     total_seen: u64,
     total_out_of_order: u64,
-    last_update: Option<Nanos>,
 }
 
 impl MultipathDetector {
     /// Feeds one measurement's ordering classification.
-    pub fn on_ack(&mut self, ordering: AckOrdering, now: Nanos) {
+    pub fn on_ack(&mut self, ordering: AckOrdering) {
         let ooo = ordering == AckOrdering::OutOfOrder;
         self.total_seen += 1;
         if ooo {
@@ -52,7 +49,6 @@ impl MultipathDetector {
                 self.out_of_order_in_window -= 1;
             }
         }
-        self.last_update = Some(now);
     }
 
     /// Out-of-order fraction over the sliding window.
@@ -86,7 +82,7 @@ impl MultipathDetector {
 }
 
 serde::layout!(state MultipathDetector {
-    recent, out_of_order_in_window, total_seen, total_out_of_order, last_update,
+    recent, out_of_order_in_window, total_seen, total_out_of_order,
 });
 
 #[cfg(test)]
@@ -94,13 +90,13 @@ mod tests {
     use super::*;
 
     fn feed(det: &mut MultipathDetector, pattern: &[bool]) {
-        for (i, &ooo) in pattern.iter().enumerate() {
+        for &ooo in pattern {
             let ordering = if ooo {
                 AckOrdering::OutOfOrder
             } else {
                 AckOrdering::InOrder
             };
-            det.on_ack(ordering, Nanos::from_millis(i as u64));
+            det.on_ack(ordering);
         }
     }
 

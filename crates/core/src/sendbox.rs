@@ -264,7 +264,7 @@ impl Sendbox {
         }
         self.stats.acks_received += 1;
         if let AckOutcome::Sample { ordering, .. } = self.engine.on_congestion_ack(ack, now) {
-            self.modes.on_ack_ordering(ordering, now);
+            self.modes.on_ack_ordering(ordering);
         }
         // Feedback is flowing again: re-engage control if we had fallen back
         // to status-quo pass-through during a blackout.

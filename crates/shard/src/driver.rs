@@ -1063,7 +1063,8 @@ fn run_sharded(
     net_windows.sort_by_key(|w| (w.windex, w.net_shard));
     let workers = workers.into_iter().map(|w| w.core).collect();
     let nets = sides.into_iter().map(|side| side.net).collect();
-    let mut report = assemble_report(&driver.config, workers, nets, recycled);
+    let finished = driver.writer.into_finished();
+    let mut report = assemble_report(&driver.config, finished, workers, nets, recycled);
     if let Some(obs) = report.obs.as_mut() {
         obs.net_phase = bundler_obs::NetPhaseProfile {
             windows: net_windows,

@@ -6,14 +6,14 @@
 //! fingerprint and the sharded balancer read them here too.
 //!
 //! Each id of the workload gets a dense *position* (its rank among the
-//! workload's ids, so ascending positions are ascending ids) and the LP its
-//! spec's origin names. Ids are stored as maximal runs of consecutive
-//! values, so a lookup is one binary search over the run starts plus one
-//! subtraction: the Fig. 9 request stream (`0..n`) is one run, and the
-//! multi-site scenarios (`site × 1 000 000 + i`, then the reserved offsets)
-//! are a few runs per site. Arbitrary sparse ids are runs of one, and the
-//! same search is then a plain binary search over the ids — one code path
-//! for every id set.
+//! workload's ids, so ascending positions are ascending ids), the LP its
+//! spec's origin names and the index of that spec. Ids are stored as
+//! maximal runs of consecutive values, so a lookup is one binary search
+//! over the run starts plus one subtraction: the Fig. 9 request stream
+//! (`0..n`) is one run, and the multi-site scenarios (`site × 1 000 000 +
+//! i`, then the reserved offsets) are a few runs per site. Arbitrary sparse
+//! ids are runs of one, and the same search is then a plain binary search
+//! over the ids — one code path for every id set.
 //!
 //! Each LP also gets the list of its own positions, ascending, built once
 //! here, so a snapshot section walks only its LP's flows, not the whole
@@ -45,6 +45,8 @@ pub struct FlowDirectory {
     runs: Vec<Run>,
     /// The LP of the spec at each position.
     lps: Vec<u16>,
+    /// The workload index of the spec at each position.
+    spec_at: Vec<u32>,
     /// Every position, as maximal ranges `(first, count)` of consecutive
     /// positions of one LP, grouped by LP and ascending within each group:
     /// LP `lp`'s ranges are `lp_ranges[lp_starts[lp]..lp_starts[lp + 1]]`.
@@ -57,13 +59,17 @@ impl FlowDirectory {
     /// workload. Panics, naming the id, if two specs share one: every
     /// lookup of it would hand one flow's state to the other's packets.
     pub fn new(workload: Vec<FlowSpec>) -> Self {
-        let mut ids: Vec<(u64, u16)> = workload
+        let mut ids: Vec<(u64, u16, u32)> = workload
             .iter()
-            .map(|spec| (spec.id.0, origin_lp(spec.origin)))
+            .enumerate()
+            .map(|(i, spec)| {
+                let i = u32::try_from(i).expect("fewer than 2^32 flows");
+                (spec.id.0, origin_lp(spec.origin), i)
+            })
             .collect();
-        ids.sort_unstable_by_key(|&(id, _)| id);
+        ids.sort_unstable_by_key(|&(id, ..)| id);
         let mut runs: Vec<Run> = Vec::new();
-        for (pos, &(id, _)) in ids.iter().enumerate() {
+        for (pos, &(id, ..)) in ids.iter().enumerate() {
             let pos = u32::try_from(pos).expect("fewer than 2^32 flows");
             // `id` repeats the last id so far, extends its run or starts
             // one; past the first arm the last id is below `id`, so its
@@ -80,7 +86,8 @@ impl FlowDirectory {
                 }),
             }
         }
-        let lps: Vec<u16> = ids.into_iter().map(|(_, lp)| lp).collect();
+        let (lps, spec_at): (Vec<u16>, Vec<u32>) =
+            ids.into_iter().map(|(_, lp, i)| (lp, i)).unzip();
         // The ranges in position order, then a counting sort of them by LP:
         // stable, so each LP's ranges stay ascending.
         let mut ranges: Vec<(u16, u32, u32)> = Vec::new();
@@ -108,6 +115,7 @@ impl FlowDirectory {
             specs: workload,
             runs,
             lps,
+            spec_at,
             lp_ranges,
             lp_starts,
         }
@@ -141,6 +149,13 @@ impl FlowDirectory {
     #[inline]
     pub fn lp_at(&self, pos: usize) -> u16 {
         self.lps[pos]
+    }
+
+    /// The spec of flow `id`, or `None` if the workload does not name it.
+    #[inline]
+    pub fn spec_of(&self, id: FlowId) -> Option<&FlowSpec> {
+        let pos = self.position(id)?;
+        Some(&self.specs[self.spec_at[pos] as usize])
     }
 
     /// The LP of flow `id`, or `None` if the workload does not name it.
@@ -242,16 +257,19 @@ mod tests {
             let dir = FlowDirectory::new(specs.clone());
             prop_assert_eq!(dir.specs(), &specs[..]);
             prop_assert_eq!(dir.len(), oracle.len());
-            // Every member sits at its rank, with its spec's LP.
+            // Every member sits at its rank, with its spec and its LP.
             for (rank, (&id, &lp)) in oracle.iter().enumerate() {
                 prop_assert_eq!(dir.position(FlowId(id)), Some(rank));
                 prop_assert_eq!(dir.lp_of(FlowId(id)), Some(lp));
+                let spec = specs.iter().find(|s| s.id.0 == id);
+                prop_assert_eq!(dir.spec_of(FlowId(id)), spec);
                 prop_assert_eq!(origin_lp(lp_origin(lp)), lp);
             }
             // Ids before, between and after the runs are refused.
             for &id in oracle.keys() {
                 for probe in [id.wrapping_sub(1), id.wrapping_add(1), id ^ (1 << 50)] {
                     prop_assert_eq!(dir.position(FlowId(probe)).is_some(), oracle.contains_key(&probe));
+                    prop_assert_eq!(dir.spec_of(FlowId(probe)).is_some(), oracle.contains_key(&probe));
                 }
             }
             // The walk is ascending in position and id alike.

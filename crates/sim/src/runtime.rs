@@ -149,10 +149,9 @@ struct FlowState {
     receiver: TcpReceiver,
     origin: Origin,
     size_bytes: u64,
-    recorded: bool,
 }
 
-serde::layout!(value FlowState { sender, receiver, origin, size_bytes, recorded });
+serde::layout!(value FlowState { sender, receiver, origin, size_bytes });
 
 /// What one slot of a [`FlowTable`] holds.
 // The large variant is the common one — nearly every slot is a TCP flow —
@@ -189,9 +188,13 @@ impl FlowSlot {
 /// run's [`FlowDirectory`] (`VACANT` where this worker holds no flow). A
 /// handler resolves its flow id once ([`FlowTable::resolve`]: one search
 /// over the directory's runs, then one load each for the LP and the slot)
-/// and works on the slot from then on. A completed flow keeps its slot
-/// (late ACKs and the RTO poll still resolve it); slots are only freed when
-/// a bundle is dropped from the worker, and are reused by the next insert.
+/// and works on the slot from then on. A flow leaves the table on the ACK
+/// that completes it, and a bundle's flows when the bundle is dropped from
+/// the worker; a freed slot is taken by the next insert, so the slab peaks
+/// at the number of flows held at once, not at the number ever started.
+/// What can still name a finished flow finds no slot: a late ACK and a
+/// pending RTO poll end there, and a late duplicate data segment is
+/// answered from the flow's spec (`WorkerCore::on_arrive_destination`).
 struct FlowTable {
     directory: Arc<FlowDirectory>,
     index: Vec<u32>,
@@ -203,13 +206,12 @@ struct FlowTable {
 const VACANT: u32 = u32::MAX;
 
 impl FlowTable {
-    /// An empty table over `directory`, with slab room for `capacity` flows
-    /// reserved but not filled.
-    fn new(directory: Arc<FlowDirectory>, capacity: usize) -> Self {
+    /// An empty table over `directory`.
+    fn new(directory: Arc<FlowDirectory>) -> Self {
         FlowTable {
             index: vec![VACANT; directory.len()],
             directory,
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             free: Vec::new(),
         }
     }
@@ -395,8 +397,10 @@ pub struct WorkerCore {
     reverse_delay: Duration,
     /// Completed-flow records tagged with the (time, key) of the ACK event
     /// that completed them, so per-worker lists merge into the canonical
-    /// global order.
-    fcts: Vec<(Nanos, EventKey, FctRecord)>,
+    /// global order; they are pushed in that order. A checkpoint moves them
+    /// out ([`WorkerCore::save_part`]), so this holds the records completed
+    /// since the last one.
+    fcts: Vec<TaggedFct>,
     /// Reusable scratch for endhost output (ids of packets to route).
     pkt_buf: Vec<PacketId>,
     /// Reusable scratch for sendbox release bursts.
@@ -446,17 +450,6 @@ impl WorkerCore {
             // bundle and never needs re-arming on adoption.
             edge.set_obs(true);
         }
-        // Slab room for every flow `schedule_initial` will admit, reserved
-        // but not filled: slots are written as the arrivals fire, so
-        // construction pays for no flow state.
-        let admitted = directory
-            .specs()
-            .iter()
-            .filter(|spec| match spec.origin {
-                Origin::Bundle(b) => owned.get(b) == Some(&true),
-                Origin::Direct => shard == 0,
-            })
-            .count();
         let lps = [false, shard == 0]
             .into_iter()
             .chain(owned)
@@ -467,7 +460,7 @@ impl WorkerCore {
             shard,
             lps,
             edge,
-            flows: FlowTable::new(directory, admitted),
+            flows: FlowTable::new(directory),
             forward_delay,
             reverse_delay,
             fcts: Vec::new(),
@@ -749,7 +742,6 @@ impl WorkerCore {
             receiver: TcpReceiver::new(),
             origin: spec.origin,
             size_bytes: spec.size_bytes,
-            recorded: false,
         };
         self.flows.insert(spec.id, FlowSlot::Tcp(state));
         self.flush_pkt_buf(lp, spec.origin, now, arena, queue, to_net);
@@ -842,8 +834,9 @@ impl WorkerCore {
             }
         }
 
-        // Application processing.
-        match slot.map(|slot| &mut self.flows.slots[slot]) {
+        // Application processing: the cumulative ACK and the highest byte
+        // held, if a receiver answers.
+        let answer = match slot.map(|slot| &mut self.flows.slots[slot]) {
             Some(FlowSlot::Ping {
                 client: Some(_), ..
             }) => {
@@ -855,24 +848,34 @@ impl WorkerCore {
                 queue.schedule(now + self.reverse_delay, k, Event::ArriveSource { pkt });
                 return;
             }
+            // The SACK information must be a snapshot taken together with
+            // the cumulative ACK; mixing a stale cumulative value with newer
+            // receiver state would make ordinary pipelining look like loss.
             Some(FlowSlot::Tcp(flow)) => {
                 let ack_seq = flow.receiver.on_data(seq, payload);
-                // The SACK information must be a snapshot taken together
-                // with the cumulative ACK; mixing a stale cumulative value
-                // with newer receiver state would make ordinary pipelining
-                // look like loss.
-                let ack = Packet::ack(flow_id, key.reversed(), ack_seq, now)
-                    .with_sack_highest(flow.receiver.highest_received());
-                let ack_id = arena.insert(ack);
-                self.packets_created += 1;
-                let k = self.key_for(lp);
-                queue.schedule(
-                    now + self.reverse_delay,
-                    k,
-                    Event::ArriveSource { pkt: ack_id },
-                );
+                Some((ack_seq, flow.receiver.highest_received()))
             }
-            _ => {}
+            // A TCP flow with no slot has finished: this is a late duplicate.
+            // Its receiver, gone with the slot, held every byte and nothing
+            // out of order, so it would have answered `size` for both.
+            None => self
+                .flows
+                .directory
+                .spec_of(flow_id)
+                .filter(|spec| !spec.is_ping)
+                .map(|spec| (spec.size_bytes, spec.size_bytes)),
+            _ => None,
+        };
+        if let Some((ack_seq, highest)) = answer {
+            let ack = Packet::ack(flow_id, key.reversed(), ack_seq, now).with_sack_highest(highest);
+            let ack_id = arena.insert(ack);
+            self.packets_created += 1;
+            let k = self.key_for(lp);
+            queue.schedule(
+                now + self.reverse_delay,
+                k,
+                Event::ArriveSource { pkt: ack_id },
+            );
         }
         // The data packet has been consumed at the destination endhost.
         arena.free(pkt);
@@ -908,20 +911,25 @@ impl WorkerCore {
                 let highest = sack_highest.max(seq);
                 flow.sender
                     .on_ack_sack(seq, highest, now, arena, &mut self.pkt_buf);
-                let completed = flow.sender.is_complete() && !flow.recorded;
-                if completed {
-                    flow.recorded = true;
-                    let spare = flow.sender.take_spare_window();
-                    if let Some(w) = spare.filter(|w| w.capacity() <= SPARE_WINDOW_SEGS) {
-                        self.spare_windows.push(w);
-                    }
-                }
-                (completed, flow.size_bytes, flow.sender.started)
+                // A finished flow holds no slot, so a complete sender here
+                // completed on this ACK.
+                (
+                    flow.sender.is_complete(),
+                    flow.size_bytes,
+                    flow.sender.started,
+                )
             }
             _ => return,
         };
         self.flush_pkt_buf(lp, origin, now, arena, queue, to_net);
         if completed {
+            // The flow leaves the table; its window goes to the next arrival.
+            if let Some(FlowSlot::Tcp(mut flow)) = self.flows.remove(flow_id) {
+                let spare = flow.sender.take_spare_window();
+                if let Some(w) = spare.filter(|w| w.capacity() <= SPARE_WINDOW_SEGS) {
+                    self.spare_windows.push(w);
+                }
+            }
             let fct = now.saturating_since(started);
             let unloaded = self.unloaded_fct(size);
             let bundle = match origin {
@@ -960,8 +968,16 @@ impl WorkerCore {
                 }
             }
             // Tag with this LP's next key so per-worker lists merge into
-            // the canonical completion order.
+            // the canonical completion order. Events run in `(time, key)`
+            // order and the tag is a key of the event's own LP, so the
+            // list grows in that order too.
             let tag = self.key_for(lp);
+            debug_assert!(
+                self.fcts
+                    .last()
+                    .is_none_or(|&(t, k, _)| (t, k) < (now, tag)),
+                "completed-flow records out of canonical order"
+            );
             self.fcts.push((
                 now,
                 tag,
@@ -1418,17 +1434,16 @@ impl WorkerCore {
     }
 
     /// The worker's run-wide accumulators that belong to no single LP:
-    /// counters, completed-flow records (in canonical merge order) and the
-    /// agent's lifetime stats. One [`WorkerResidue`] per worker; a
-    /// whole-simulation snapshot and the report merge them into one (the
-    /// merge is what makes both partition-independent).
-    pub fn residue(&self) -> WorkerResidue {
-        let mut fcts = self.fcts.clone();
-        fcts.sort_by_key(|&(t, k, _)| (t, k));
+    /// counters, the completed-flow records since the last call (moved
+    /// out, in canonical merge order) and the agent's lifetime stats. One
+    /// [`WorkerResidue`] per worker; a whole-simulation snapshot and the
+    /// report merge them into one (the merge is what makes both
+    /// partition-independent).
+    fn take_residue(&mut self) -> WorkerResidue {
         WorkerResidue {
             events_processed: self.events_processed,
             packets_created: self.packets_created,
-            fcts,
+            fcts: std::mem::take(&mut self.fcts),
             agent_stats: self.edge.agent().map(|a| a.stats()),
         }
     }
@@ -1446,7 +1461,10 @@ impl WorkerCore {
     }
 
     /// This worker's part of the whole-simulation snapshot stamped `at`,
-    /// taken without disturbing the live run: its residue, the direct slice
+    /// taken without disturbing the live run: its residue, whose
+    /// completed-flow records move to the host's `snapshot::Writer` (which
+    /// keeps them for every later checkpoint and hands them back to the
+    /// report), so each record is handed over once; the direct slice
     /// iff it owns the direct LP, and the section of every bundle it owns
     /// ([`WorkerCore::save_bundle`]) in ascending index.
     /// `queue` must already hold every delivery published below `at`.
@@ -1460,7 +1478,7 @@ impl WorkerCore {
         at: Nanos,
     ) -> WorkerPart {
         let mut part = WorkerPart {
-            residue: self.residue(),
+            residue: self.take_residue(),
             direct: None,
             bundles: Vec::new(),
         };
@@ -1556,6 +1574,43 @@ impl WorkerCore {
     }
 }
 
+/// A completed-flow record tagged with the `(time, key)` of the ACK event
+/// that completed it: its place in the canonical completion order.
+pub type TaggedFct = (Nanos, EventKey, FctRecord);
+
+/// Merges two runs of completed-flow records, each in canonical
+/// `(time, key)` order, into one. A run that starts after the other ends —
+/// the records since the last checkpoint after those of every earlier one —
+/// is appended without a comparison per record.
+pub(crate) fn merge_runs(mut a: Vec<TaggedFct>, b: Vec<TaggedFct>) -> Vec<TaggedFct> {
+    let order = |&(t, k, _): &TaggedFct| (t, k);
+    debug_assert!(
+        a.is_sorted_by_key(order) && b.is_sorted_by_key(order),
+        "completed-flow records out of canonical order"
+    );
+    match (a.last(), b.first()) {
+        (None, _) => return b,
+        (Some(last), Some(first)) if order(last) > order(first) => {}
+        _ => {
+            a.extend(b);
+            return a;
+        }
+    }
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let next = if order(y) < order(x) {
+            b.next()
+        } else {
+            a.next()
+        };
+        merged.extend(next);
+    }
+    merged.extend(a);
+    merged.extend(b);
+    merged
+}
+
 /// A worker's run-wide accumulators that belong to no single LP. Snapshots
 /// merge every worker's residue into one canonical record (sums of
 /// counters, completed flows in canonical order, summed agent stats), and
@@ -1568,19 +1623,19 @@ pub struct WorkerResidue {
     /// Packets created by the worker cores' endhosts.
     pub packets_created: u64,
     /// Completed-flow records in canonical `(time, key)` order.
-    pub fcts: Vec<(Nanos, EventKey, FctRecord)>,
+    pub fcts: Vec<TaggedFct>,
     /// Summed agent lifetime stats (agent mode only).
     pub agent_stats: Option<bundler_agent::AgentStats>,
 }
 
 impl WorkerResidue {
     /// Folds another worker's residue into this one: sums the counters and
-    /// agent stats and keeps the completed flows in canonical order.
-    pub fn merge(&mut self, mut other: WorkerResidue) {
+    /// agent stats and merges the two completed-flow lists, each already in
+    /// canonical order.
+    pub fn merge(&mut self, other: WorkerResidue) {
         self.events_processed += other.events_processed;
         self.packets_created += other.packets_created;
-        self.fcts.append(&mut other.fcts);
-        self.fcts.sort_by_key(|&(t, k, _)| (t, k));
+        self.fcts = merge_runs(std::mem::take(&mut self.fcts), other.fcts);
         if let Some(stats) = other.agent_stats {
             *self.agent_stats.get_or_insert_with(Default::default) += stats;
         }
@@ -2441,13 +2496,16 @@ fn load_pending(
 // Report assembly (shared by the single-threaded and sharded hosts)
 // ---------------------------------------------------------------------------
 
-/// Merges the cores' outputs into one [`SimReport`]. `workers` may be one
+/// Merges the cores' outputs into one [`SimReport`]. `finished` is what the
+/// host's `snapshot::Writer` took from the workers' completed-flow records
+/// ([`WorkerCore::save_part`]). `workers` may be one
 /// core owning everything (single-threaded host) or one per shard, and
 /// `nets` one core owning every path or one per net shard; the result is
 /// identical either way because every per-LP output is tagged with its
 /// canonical order and every net-side accumulator is per-path.
 pub fn assemble_report(
     config: &SimulationConfig,
+    finished: Vec<TaggedFct>,
     mut workers: Vec<WorkerCore>,
     mut nets: Vec<NetCore>,
     packets_recycled: u64,
@@ -2465,16 +2523,13 @@ pub fn assemble_report(
         ..Default::default()
     };
 
-    // Run-wide accumulators: the fold a snapshot makes, with each worker's
-    // completed-flow records moved in rather than cloned.
+    // Run-wide accumulators: the fold a snapshot makes, after the records
+    // the checkpoints took.
     let mut residue = WorkerResidue::default();
     for w in &mut workers {
-        let fcts = std::mem::take(&mut w.fcts);
-        residue.merge(WorkerResidue {
-            fcts,
-            ..w.residue()
-        });
+        residue.merge(w.take_residue());
     }
+    residue.fcts = merge_runs(finished, residue.fcts);
     report.fcts = residue.fcts.into_iter().map(|(_, _, r)| r).collect();
     report.completed = report.fcts.len();
     report.events_processed = residue.events_processed;
@@ -2486,10 +2541,7 @@ pub fn assemble_report(
             .flows
             .slots
             .iter()
-            .filter(|slot| {
-                matches!(slot, FlowSlot::Tcp(f)
-                    if !f.sender.is_complete() && f.size_bytes != FlowSpec::BACKLOGGED)
-            })
+            .filter(|slot| matches!(slot, FlowSlot::Tcp(f) if f.size_bytes != FlowSpec::BACKLOGGED))
             .count();
         if let Some(site) = &mut w.lps[LP_DIRECT as usize] {
             report.cross_throughput_mbps = std::mem::take(&mut site.throughput_mbps);
@@ -2672,7 +2724,6 @@ mod tests {
             receiver: TcpReceiver::new(),
             origin,
             size_bytes: tag,
-            recorded: false,
         })
     }
 
@@ -2736,8 +2787,11 @@ mod tests {
                 .collect();
             let spec_origin: HashMap<FlowId, Origin> =
                 universe.iter().map(|s| (s.id, s.origin)).collect();
-            let mut table = FlowTable::new(Arc::new(FlowDirectory::new(universe)), 0);
+            let mut table = FlowTable::new(Arc::new(FlowDirectory::new(universe)));
             let mut model = ThreeMaps::default();
+            // The slots freed so far and not yet taken again, last freed
+            // last: the next insert of a new id takes the last of them.
+            let mut freed: Vec<usize> = Vec::new();
             for (op, site, i, tag) in ops {
                 let id = flow_id(site, i);
                 let Some(&origin) = spec_origin.get(&id) else {
@@ -2748,6 +2802,10 @@ mod tests {
                     continue;
                 };
                 let held = model.holds(id);
+                let (slot, _) = table.resolve(id);
+                // An insert leaves a held id in its slot; a new id takes the
+                // last slot freed, else a new one.
+                let taken = (op < 2).then(|| slot.or_else(|| freed.pop()).unwrap_or(table.slots.len()));
                 match op {
                     0 => {
                         prop_assert_eq!(table.insert(id, tcp(id, origin, tag as u64)), Some(!held));
@@ -2764,11 +2822,15 @@ mod tests {
                             model.pings.insert(id, tag);
                         }
                     }
+                    // The flow finishes (its completing ACK) or its bundle
+                    // leaves the worker: either way it leaves the table.
                     _ => {
                         prop_assert_eq!(table.remove(id).is_some(), held);
                         model.remove(id);
+                        freed.extend(slot);
                     }
                 }
+                prop_assert_eq!(table.resolve(id).0, taken);
                 // Every id of the universe resolves as the maps would, with
                 // the LP its spec names whether or not it is held.
                 for (&id, &origin) in &spec_origin {
@@ -2811,6 +2873,136 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One worker and one net core, run an event at a time as the
+    /// single-threaded host runs them.
+    struct Solo {
+        core: WorkerCore,
+        net: NetCore,
+        queue: EventQueue,
+        arena: PacketArena,
+        end: Nanos,
+    }
+
+    impl Solo {
+        fn new(config: &SimulationConfig, workload: Vec<FlowSpec>) -> Self {
+            let directory = Arc::new(FlowDirectory::new(workload));
+            let owned = vec![true; config.n_bundles()];
+            let mut core = WorkerCore::with_owned(config, directory, 0, owned);
+            let mut net = NetCore::new(config);
+            let mut queue = EventQueue::new();
+            core.schedule_initial(&mut queue);
+            net.schedule_initial(&mut queue);
+            let end = Nanos::ZERO + config.duration;
+            let arena = PacketArena::new();
+            Solo {
+                core,
+                net,
+                queue,
+                arena,
+                end,
+            }
+        }
+
+        /// Handles the next event and returns it; `None` once the run is
+        /// over.
+        fn step(&mut self) -> Option<Event> {
+            let (now, event) = self.queue.pop().filter(|&(now, _)| now < self.end)?;
+            let (mut to_net, mut deliveries) = (Vec::new(), Vec::new());
+            let (arena, queue) = (&mut self.arena, &mut self.queue);
+            if is_net_event(&event) {
+                self.net.handle(event, now, arena, queue, &mut deliveries);
+            } else {
+                self.core.handle(event, now, arena, queue, &mut to_net);
+            }
+            for d in deliveries {
+                queue.schedule(d.at, d.key, Event::ArriveDestination { pkt: d.pkt });
+            }
+            for m in to_net {
+                queue.schedule(m.at, m.key, Event::ArriveBottleneck { pkt: m.pkt });
+            }
+            Some(event)
+        }
+    }
+
+    #[test]
+    fn the_slab_peaks_at_the_flows_open_at_once() {
+        let scenario = crate::scenario::fct::FctScenario::builder()
+            .requests(3_000)
+            .seed(5)
+            .mode(crate::scenario::fct::SendboxMode::StatusQuo)
+            .build();
+        let mut solo = Solo::new(&scenario.sim_config(), scenario.workload());
+        let (mut admitted, mut peak_open) = (0, 0);
+        while let Some(event) = solo.step() {
+            admitted += usize::from(matches!(event, Event::FlowArrival { .. }));
+            peak_open = peak_open.max(admitted - solo.core.fcts.len());
+        }
+        assert_eq!(admitted, 3_000);
+        assert!(
+            solo.core.fcts.len() > 2_900,
+            "{} finished",
+            solo.core.fcts.len()
+        );
+        // Every flow held needs a slot of its own, and a slot is added only
+        // when none is free: the slab is exactly as long as the most flows
+        // ever open at once.
+        assert_eq!(solo.core.flows.slots.len(), peak_open);
+        assert!(peak_open < admitted / 2, "{peak_open} flows open at once");
+        let held = solo.core.flows.index.iter().filter(|&&slot| slot != VACANT);
+        assert_eq!(held.count(), admitted - solo.core.fcts.len());
+    }
+
+    #[test]
+    fn a_late_duplicate_to_a_finished_flow_is_answered_from_its_spec() {
+        let config = SimulationConfig {
+            duration: Duration::from_secs(3),
+            bundles: vec![BundleMode::StatusQuo],
+            ..Default::default()
+        };
+        let (id, size) = (FlowId(7), 5 * 1460 + 100);
+        let mut solo = Solo::new(&config, vec![FlowSpec::bundled(id.0, size, Nanos::ZERO, 0)]);
+        while solo.core.fcts.is_empty() {
+            solo.step().expect("the flow finishes");
+        }
+        assert_eq!(solo.core.flows.resolve(id), (None, bundle_lp(0)));
+        assert_eq!(solo.core.flows.slots.len(), 1);
+        // A copy of the flow's second segment arrives after all.
+        let now = solo.queue.now();
+        let key = flow_key(id.0, Origin::Bundle(0));
+        let before = solo
+            .queue
+            .extract_if(|e| matches!(e, Event::ArriveSource { .. }));
+        let created = solo.core.packets_created();
+        let pkt = solo.arena.insert(Packet::data(id, key, 1460, 1460, now));
+        let event = Event::ArriveDestination { pkt };
+        let (arena, queue) = (&mut solo.arena, &mut solo.queue);
+        solo.core.handle(event, now, arena, queue, &mut Vec::new());
+        assert_eq!(solo.core.packets_created(), created + 1);
+        let answers = solo
+            .queue
+            .extract_if(|e| matches!(e, Event::ArriveSource { .. }));
+        let [(at, _, Event::ArriveSource { pkt: ack })] = answers[..] else {
+            panic!("one answer, got {answers:?}");
+        };
+        assert_eq!(at, now + (config.rtt - config.lookahead()));
+        let ack = &solo.arena[ack];
+        assert_eq!(
+            (ack.kind, ack.seq, ack.sack_highest),
+            (PacketKind::Ack, size, size)
+        );
+        assert_eq!((ack.flow, ack.key), (id, key.reversed()));
+        // The answer, and the pending RTO poll, reach the finished sender
+        // and end there.
+        for (at, key, event) in before.into_iter().chain(answers) {
+            solo.queue.schedule(at, key, event);
+        }
+        let created = solo.core.packets_created();
+        while solo.step().is_some() {}
+        assert_eq!(solo.core.packets_created(), created);
+        assert_eq!(solo.core.fcts.len(), 1);
+        assert_eq!(solo.core.flows.resolve(id).0, None);
     }
 
     #[test]

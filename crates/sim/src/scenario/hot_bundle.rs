@@ -16,7 +16,7 @@ use bundler_types::{Duration, Rate};
 
 use crate::scenario::many_sites::{self, ManySitesReport, BULK_IDS};
 use crate::sim::{Simulation, SimulationConfig};
-use crate::workload::{FlowSizeDist, FlowSpec};
+use crate::workload::FlowSpec;
 
 /// Builder for [`HotBundleScenario`].
 #[derive(Debug, Clone)]
@@ -28,7 +28,6 @@ pub struct HotBundleBuilder {
     bottleneck: Rate,
     rtt: Duration,
     drain: Duration,
-    dist: FlowSizeDist,
     obs: bundler_obs::ObsLevel,
 }
 
@@ -42,7 +41,6 @@ impl Default for HotBundleBuilder {
             bottleneck: Rate::from_mbps(96),
             rtt: Duration::from_millis(50),
             drain: Duration::from_secs(8),
-            dist: FlowSizeDist::caida_like(),
             obs: bundler_obs::ObsLevel::Off,
         }
     }
@@ -155,7 +153,7 @@ impl HotBundleScenario {
                 (b.requests_per_cold_site, b.offered_load_per_cold_site, 1)
             };
             let mut rng = many_sites::rng(b.seed, site);
-            many_sites::push(&mut specs, &mut rng, site, &b.dist, load, requests, bulk);
+            many_sites::push(&mut specs, &mut rng, site, load, requests, bulk);
         }
         specs
     }
@@ -179,7 +177,7 @@ impl HotBundleScenario {
         let fair_share = Rate::from_bps(b.bottleneck.as_bps() / b.sites.max(1) as u64);
         let (load, requests) = (b.offered_load_per_cold_site, b.requests_per_cold_site);
         let base = SimulationConfig {
-            duration: many_sites::span(load, &b.dist, requests) + b.drain,
+            duration: many_sites::span(load, requests) + b.drain,
             bottleneck_rate: b.bottleneck,
             rtt: b.rtt,
             obs: b.obs,

@@ -42,19 +42,20 @@ pub(crate) fn rng(seed: u64, site: usize) -> SmallRng {
 }
 
 /// Appends site `site`'s flows to `specs`: `requests` Poisson arrivals at
-/// `load` with sizes from `dist`, ids counting up from the site's first,
+/// `load` with sizes from [`FlowSizeDist::caida_like`], ids counting up
+/// from the site's first,
 /// then `bulk` backlogged flows from [`BULK_IDS`], flow `j` starting at
 /// `20·site + 50·j` ms.
 pub(crate) fn push(
     specs: &mut Vec<FlowSpec>,
     rng: &mut SmallRng,
     site: usize,
-    dist: &FlowSizeDist,
     load: Rate,
     requests: usize,
     bulk: usize,
 ) {
-    let arrivals = PoissonArrivals::for_load(load, dist);
+    let dist = FlowSizeDist::caida_like();
+    let arrivals = PoissonArrivals::for_load(load, &dist);
     let base_id = site as u64 * SITE_IDS;
     let mut t = Nanos::ZERO;
     for i in 0..requests {
@@ -73,8 +74,8 @@ pub(crate) fn push(
 }
 
 /// The mean time `requests` arrivals at `load` span.
-pub(crate) fn span(load: Rate, dist: &FlowSizeDist, requests: usize) -> Duration {
-    PoissonArrivals::for_load(load, dist)
+pub(crate) fn span(load: Rate, requests: usize) -> Duration {
+    PoissonArrivals::for_load(load, &FlowSizeDist::caida_like())
         .mean_gap()
         .mul_f64(requests as f64)
 }
@@ -114,7 +115,6 @@ pub struct ManySitesBuilder {
     rtt: Duration,
     bulk_flows_per_site: usize,
     drain: Duration,
-    dist: FlowSizeDist,
     obs: bundler_obs::ObsLevel,
 }
 
@@ -129,7 +129,6 @@ impl Default for ManySitesBuilder {
             rtt: Duration::from_millis(50),
             bulk_flows_per_site: 1,
             drain: Duration::from_secs(8),
-            dist: FlowSizeDist::caida_like(),
             obs: bundler_obs::ObsLevel::Off,
         }
     }
@@ -279,7 +278,6 @@ impl ManySitesScenario {
                 &mut specs,
                 &mut rng(b.seed, site),
                 site,
-                &b.dist,
                 b.offered_load_per_site,
                 b.requests_per_site,
                 b.bulk_flows_per_site,
@@ -294,7 +292,7 @@ impl ManySitesScenario {
         let b = &self.builder;
         let fair_share = Rate::from_bps(b.bottleneck.as_bps() / b.sites.max(1) as u64);
         let base = SimulationConfig {
-            duration: span(b.offered_load_per_site, &b.dist, b.requests_per_site) + b.drain,
+            duration: span(b.offered_load_per_site, b.requests_per_site) + b.drain,
             bottleneck_rate: b.bottleneck,
             rtt: b.rtt,
             obs: b.obs,

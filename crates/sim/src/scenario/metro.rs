@@ -32,7 +32,7 @@ use crate::fluid::{CrossTrafficTier, FluidAggregate, FluidCrossTraffic};
 use crate::scenario::many_sites::{self, BULK_IDS, SITE_IDS, USER_IDS};
 use crate::sim::{Simulation, SimulationConfig};
 use crate::stats::SimReport;
-use crate::workload::{FlowSizeDist, FlowSpec};
+use crate::workload::FlowSpec;
 
 /// Integration cadence of the fluid tier: metro queue dynamics are slow
 /// relative to the tier's sub-RTT default.
@@ -50,7 +50,6 @@ pub struct MetroBuilder {
     rtt: Duration,
     drain: Duration,
     seed: u64,
-    dist: FlowSizeDist,
     obs: bundler_obs::ObsLevel,
 }
 
@@ -66,7 +65,6 @@ impl Default for MetroBuilder {
             rtt: Duration::from_millis(50),
             drain: Duration::from_secs(6),
             seed: 1,
-            dist: FlowSizeDist::caida_like(),
             obs: bundler_obs::ObsLevel::Off,
         }
     }
@@ -189,7 +187,7 @@ impl MetroScenario {
     /// Simulated time spanned by the foreground request arrivals.
     fn span(&self) -> Duration {
         let b = &self.builder;
-        many_sites::span(b.offered_load_per_site, &b.dist, b.requests_per_site)
+        many_sites::span(b.offered_load_per_site, b.requests_per_site)
     }
 
     /// The fluid aggregates standing for the background population:
@@ -244,7 +242,7 @@ impl MetroScenario {
         for site in 0..b.sites {
             let mut rng = many_sites::rng(b.seed, site);
             let (load, requests) = (b.offered_load_per_site, b.requests_per_site);
-            many_sites::push(&mut specs, &mut rng, site, &b.dist, load, requests, 1);
+            many_sites::push(&mut specs, &mut rng, site, load, requests, 1);
             if b.tier == CrossTrafficTier::Packet {
                 for u in 0..b.users_per_site {
                     // Stagger the background ramp over the first second so

@@ -433,6 +433,7 @@ impl Simulation {
         }
         assemble_report(
             &self.config,
+            self.writer.into_finished(),
             vec![self.worker],
             vec![self.net],
             self.arena.recycled(),

@@ -9,23 +9,33 @@
 //! sharded configuration, and a snapshot may be restored into a different
 //! shard count than the one that wrote it.
 //!
-//! # Wire format (version 3)
+//! # Wire format (version 4)
 //!
 //! All integers are little-endian; variable structures use the repo's
 //! vendored `serde::binary` codec (`u64` length prefixes, `u8` enum tags).
 //!
 //! ```text
 //! magic        [u8; 8]   = b"BNDLSNAP"
-//! version      u32       = 3
+//! version      u32       = 4
 //! at           u64       simulated time T in nanoseconds
 //! fingerprint  u64       `digest` of the result-affecting config + workload
 //!                        (their `Debug` text, so it also moves when a
 //!                        config type's field list changes; no layout does)
 //! residue      WorkerResidue   merged run-wide accumulators (fcts, counters)
-//! direct       direct-traffic slice (flows, pings, pending LP_DIRECT events)
+//! direct       direct-traffic slice (open flows, pings, pending LP_DIRECT events)
 //! bundles      u64 count, then one bundle section per bundle, ascending index
 //! net          one path section per bottleneck path, ascending global id
 //! ```
+//!
+//! Version 4 lists only *open* flows in the direct slice and the bundle
+//! sections: a flow leaves its worker's table on the ACK that completes it,
+//! so its record in the residue is all that is left of it, and a flow entry
+//! no longer carries a `recorded` flag. A worker answers a late duplicate
+//! segment of a finished flow from the flow's spec; a reader that expects
+//! finished flows in the sections would restore these bytes and leave such
+//! segments unanswered, hence the new version. It also drops two fields
+//! nothing read: the multipath detector's last-update time and the
+//! elasticity detector's retired FFT-ratio slot (always `0.0`).
 //!
 //! Version 3 (PR 10) makes the net slice *path-major*: instead of one
 //! `NetCore` blob (global event sequence, balancer state, one fault
@@ -88,7 +98,7 @@ use bundler_types::{Duration, Nanos, PacketArena};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::event::EventQueue;
-use crate::runtime::{NetCore, WorkerCore, WorkerResidue};
+use crate::runtime::{merge_runs, NetCore, TaggedFct, WorkerCore, WorkerResidue};
 use crate::sim::SimulationConfig;
 use crate::workload::FlowSpec;
 
@@ -98,7 +108,7 @@ pub const MAGIC: [u8; 8] = *b"BNDLSNAP";
 /// Current snapshot format version. Bump this (and the format notes in
 /// `ARCHITECTURE.md`) whenever the byte layout changes; the golden-format
 /// test fails loudly when an accidental layout change sneaks in.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,7 +240,8 @@ pub type PathSection = (usize, Vec<u8>);
 /// One worker core's serialized partition of a snapshot
 /// (`WorkerCore::save_part`).
 pub struct WorkerPart {
-    /// The worker's run-wide accumulators (fcts, counters, agent stats).
+    /// The worker's run-wide accumulators: its counters and agent stats,
+    /// and the completed-flow records since its previous part.
     pub residue: WorkerResidue,
     /// The direct-traffic slice — present exactly on the worker that owns
     /// the direct LP.
@@ -247,6 +258,10 @@ pub struct WorkerPart {
 /// the parts came from, nor on which held what. Panics unless the parts
 /// cover every bundle, the direct slice and every path exactly once.
 ///
+/// `finished` holds the completed-flow records of the earlier snapshots'
+/// parts, and takes this one's: the residue lists them first, then the
+/// parts' records (all of which completed later) merged.
+///
 /// Every part but the residue is already bytes, so once the residue is
 /// encoded the snapshot's length is known: `out` grows exactly once, to
 /// exactly that.
@@ -254,6 +269,7 @@ pub fn assemble(
     config: &SimulationConfig,
     at: Nanos,
     fp: u64,
+    finished: &mut Vec<TaggedFct>,
     parts: impl IntoIterator<Item = WorkerPart>,
     mut sections: Vec<PathSection>,
     out: &mut Vec<u8>,
@@ -270,9 +286,11 @@ pub fn assemble(
         bundles.extend(part.bundles);
     }
     let direct = direct.expect("shard 0 serializes the direct slice");
+    residue.fcts = merge_runs(std::mem::take(finished), residue.fcts);
     let mut head = Vec::new();
     write_header(&mut head, at, fp);
     residue.encode(&mut head);
+    *finished = residue.fcts;
     let count = config.n_bundles() as u64;
     let sections_len: usize = bundles.iter().chain(&sections).map(|(_, b)| b.len()).sum();
     out.reserve_exact(head.len() + direct.len() + size_of::<u64>() + sections_len);
@@ -297,7 +315,8 @@ pub fn assemble(
 }
 
 /// What a host keeps from one checkpoint to the next: when the next one is
-/// due, and the fingerprint every header carries.
+/// due, the fingerprint every header carries, and the completed-flow records
+/// the checkpoints so far took from the workers.
 #[derive(Debug)]
 pub struct Writer {
     /// [`fingerprint`] of the host's config and workload, which never
@@ -307,6 +326,12 @@ pub struct Writer {
     fingerprint: Option<u64>,
     /// `(interval, next target)` in nanoseconds, if there is a cadence.
     cadence: Option<(u64, Nanos)>,
+    /// Every completed-flow record the workers' parts handed over, in
+    /// canonical order. A part carries only what its worker completed since
+    /// its previous part, so a checkpoint moves each record once instead
+    /// of copying every one so far; the run's report takes them back
+    /// ([`Writer::into_finished`]).
+    finished: Vec<TaggedFct>,
 }
 
 /// The first multiple of `every` strictly after `t`.
@@ -325,7 +350,13 @@ impl Writer {
         Writer {
             fingerprint,
             cadence: every.map(|iv| (iv, next_multiple(iv, start))),
+            finished: Vec::new(),
         }
+    }
+
+    /// The completed-flow records the checkpoints took, for the report.
+    pub fn into_finished(self) -> Vec<TaggedFct> {
+        self.finished
     }
 
     /// The instant the next checkpoint of a collecting run is due at, and
@@ -351,7 +382,15 @@ impl Writer {
             .fingerprint
             .get_or_insert_with(|| fingerprint(config, workload));
         let mut blob = Vec::new();
-        assemble(config, at, fp, parts, sections, &mut blob);
+        assemble(
+            config,
+            at,
+            fp,
+            &mut self.finished,
+            parts,
+            sections,
+            &mut blob,
+        );
         if let Some((iv, next)) = &mut self.cadence {
             *next = next_multiple(*iv, at);
         }
@@ -650,6 +689,7 @@ mod tests {
             &world(),
             Nanos::from_millis(500),
             7,
+            &mut Vec::new(),
             parts,
             sections,
             &mut out,

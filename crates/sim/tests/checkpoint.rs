@@ -246,7 +246,7 @@ fn streamed_export_resumes_across_checkpoint_restore_under_faults() {
     assert_eq!(prefix.len() + got_tail.len(), full.len());
 }
 
-/// Golden wire-format test: the exact bytes of a version-3 snapshot for a
+/// Golden wire-format test: the exact bytes of a version-4 snapshot for a
 /// pinned config and workload, reduced to `snapshot::digest`. If this fails,
 /// the snapshot byte layout changed: bump `snapshot::VERSION`, update the
 /// wire-format notes in `ARCHITECTURE.md` and `crates/sim/src/snapshot.rs`,
@@ -261,11 +261,11 @@ fn streamed_export_resumes_across_checkpoint_restore_under_faults() {
 /// by comparing the old and new checkpoint files, that no other byte moved.
 #[test]
 fn snapshot_wire_format_is_stable() {
-    const GOLDEN_HASH: u64 = 0x3966_f292_4ecd_72df;
-    const GOLDEN_LEN: usize = 5488;
+    const GOLDEN_HASH: u64 = 0xf3e7_a82c_16db_e89d;
+    const GOLDEN_LEN: usize = 5239;
     assert_eq!(
         snapshot::VERSION,
-        3,
+        4,
         "snapshot::VERSION changed — re-pin this test's golden hash for the new format"
     );
     let config = SimulationConfig {
@@ -428,62 +428,62 @@ fn worlds() -> Vec<World> {
         World {
             name: "bundler fifo (nimbus, cubic)",
             build: || fct(BundlerPolicy(Policy::Fifo), Cubic, false),
-            pin: (278_961, 0xa313_630d_693e_ec0d),
+            pin: (179_989, 0x30cf_6101_9db8_f185),
         },
         World {
             name: "bundler sfq",
             build: || fct(BundlerPolicy(Policy::Sfq), Cubic, false),
-            pin: (287_584, 0x9642_1f22_0762_b049),
+            pin: (188_612, 0xda65_3db5_3605_2f2c),
         },
         World {
             name: "bundler fq_codel",
             build: || fct(BundlerPolicy(Policy::FqCodel), Cubic, false),
-            pin: (245_318, 0xe247_3d13_3667_a019),
+            pin: (146_346, 0x9d79_128d_3443_5bb3),
         },
         World {
             name: "bundler fq",
             build: || fct(BundlerPolicy(Policy::FairQueue), Cubic, true),
-            pin: (1_279_357, 0x0eba_1577_1976_c2e5),
+            pin: (287_583, 0x2017_fe75_73a7_19f4),
         },
         World {
             name: "bundler drr",
             build: || fct(BundlerPolicy(Policy::Drr), Cubic, false),
-            pin: (284_601, 0x64dc_bd2f_65e3_0838),
+            pin: (185_629, 0x4e21_4626_33a9_1107),
         },
         World {
             name: "bundler prio",
             build: || fct_marked(BundlerPolicy(Policy::StrictPriority), Cubic, false, 0.25),
-            pin: (456_806, 0x8640_9b47_c3c2_dfb0),
+            pin: (357_587, 0x7e70_4ab3_f38c_e7e2),
         },
         World {
             name: "in-network fq",
             build: || fct(InNetwork, Cubic, true),
-            pin: (1_228_563, 0x0679_57f5_a9ef_c409),
+            pin: (237_021, 0x45e7_f3e1_4165_3ad1),
         },
         World {
             name: "bundle cc copa",
             build: || fct(BundlerAlg(BundleAlg::Copa), Cubic, false),
-            pin: (218_159, 0x1afb_13b5_8eb3_9ce9),
+            pin: (119_187, 0xd7f3_9a46_afd0_237e),
         },
         World {
             name: "bundle cc bbr",
             build: || fct(BundlerAlg(BundleAlg::Bbr), Cubic, false),
-            pin: (280_645, 0xaece_10c5_3728_3042),
+            pin: (181_673, 0xcc65_1513_c0e9_4dba),
         },
         World {
             name: "endhost newreno",
             build: || fct(BundlerPolicy(Policy::Sfq), NewReno, false),
-            pin: (280_726, 0x742a_589e_e84f_c784),
+            pin: (188_537, 0x763d_ee56_e8c8_52a8),
         },
         World {
             name: "endhost vegas",
             build: || fct(BundlerPolicy(Policy::Sfq), Vegas, false),
-            pin: (193_956, 0x17a8_7a52_6f05_e63c),
+            pin: (101_937, 0x5d57_1d4e_79dd_f547),
         },
         World {
             name: "endhost fixed window",
             build: || fct(BundlerPolicy(Policy::Sfq), FixedWindow(40), false),
-            pin: (145_301, 0x4a24_7d8a_624c_cd5b),
+            pin: (53_511, 0x925d_9470_4042_8e26),
         },
         World {
             name: "agent many_sites + faults",
@@ -492,7 +492,7 @@ fn worlds() -> Vec<World> {
                 let duration = sc.sim_config().duration;
                 setup(37, Some(FaultPlan::generate(37, duration, 1)))
             },
-            pin: (139_602, 0x9521_5a08_eb16_460f),
+            pin: (135_084, 0xf2ba_373c_0ba4_458f),
         },
         World {
             name: "metro fluid",
@@ -513,7 +513,7 @@ fn worlds() -> Vec<World> {
                 config.path_delay_spread = Duration::from_millis(5);
                 (config, sc.workload())
             },
-            pin: (233_199, 0x217f_833f_e11e_18ea),
+            pin: (231_179, 0x828b_6066_1cf4_d24f),
         },
         World {
             name: "flow trace",
@@ -523,7 +523,7 @@ fn worlds() -> Vec<World> {
                 config.flow_trace = Some(FlowTrace::all(9));
                 (config, workload)
             },
-            pin: (287_741, 0x5d27_d1c0_cc10_df99),
+            pin: (188_769, 0xc253_5a31_e609_e60a),
         },
     ]
 }

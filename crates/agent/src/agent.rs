@@ -91,11 +91,6 @@ struct ManagedBundle {
     /// that partitions the bundle table across agents assigns the global
     /// index instead (via [`SiteAgent::add_bundle_with_id`]).
     id: BundleId,
-    /// Incarnation counter: bumped every time this id is (re-)installed,
-    /// so tick entries from a *previous* incarnation (left behind by
-    /// [`SiteAgent::remove_bundle`]) are dead on arrival instead of
-    /// doubling the tick train when the same id is added again.
-    generation: u64,
 }
 
 /// A site-edge agent managing one [`Sendbox`] control plane per remote
@@ -131,16 +126,10 @@ pub struct SiteAgent {
     bundles: Vec<ManagedBundle>,
     /// Global bundle id → slot in `bundles`.
     slot_of: IdHashMap<u32, usize>,
-    /// Pending control ticks as `(deadline, global bundle id, generation)`
-    /// — never by slot (slots shift when a bundle is removed) and never by
-    /// id alone (the same id can be removed and adopted again; a stale
-    /// entry from the previous incarnation must not fire). An entry whose
-    /// id is gone or whose generation is old is skipped on expiry, so
-    /// removal doubles as tick cancellation. Each entry carries its own
-    /// deadline because the queue clamps one scheduled behind its clock.
-    ticks: CalendarQueue<(Nanos, usize, u64)>,
-    /// Next incarnation number handed to an installed bundle.
-    next_generation: u64,
+    /// Pending control ticks as `(deadline, global bundle id)`, one per
+    /// managed bundle. Each entry carries its own deadline because the
+    /// queue clamps one scheduled behind its clock.
+    ticks: CalendarQueue<(Nanos, usize)>,
     stats: AgentStats,
 }
 
@@ -168,7 +157,6 @@ impl SiteAgent {
             bundles: Vec::new(),
             slot_of: IdHashMap::default(),
             ticks: CalendarQueue::new(config.tick_quantum),
-            next_generation: 0,
             stats: AgentStats::default(),
             config,
         }
@@ -249,42 +237,15 @@ impl SiteAgent {
         for p in prefixes {
             self.classifier.insert(*p, id.0 as usize);
         }
-        self.next_generation += 1;
-        let generation = self.next_generation;
         self.bundles.push(ManagedBundle {
             control,
             prefixes: prefixes.to_vec(),
             id,
-            generation,
         });
         self.slot_of.insert(id.0, slot);
         let deadline = now + config.control_interval;
-        self.ticks
-            .schedule(deadline, (deadline, id.0 as usize, generation));
+        self.ticks.schedule(deadline, (deadline, id.0 as usize));
         Ok(id)
-    }
-
-    /// Drops a bundle (by global id) from this agent: its prefixes leave
-    /// the classifier and its pending control tick is cancelled. Returns
-    /// `false` for an unmanaged id. A host that moves a bundle to another
-    /// agent saves its [`SiteAgent::sendbox`] state first, then adds it
-    /// there under the same id and loads that state into
-    /// [`SiteAgent::sendbox_mut`].
-    pub fn remove_bundle(&mut self, bundle: usize) -> bool {
-        let Some(slot) = self.slot(bundle) else {
-            return false;
-        };
-        let b = self.bundles.remove(slot);
-        self.slot_of.remove(&b.id.0);
-        for s in self.slot_of.values_mut() {
-            if *s > slot {
-                *s -= 1;
-            }
-        }
-        for p in &b.prefixes {
-            self.classifier.remove(*p);
-        }
-        true
     }
 
     /// The slot of a global bundle id, if this agent manages it.
@@ -376,21 +337,13 @@ impl SiteAgent {
         // one deadline are clamped in schedule order to a clock that never
         // goes back, so they pop in schedule order, and a stable sort on
         // the carried deadline yields (deadline, schedule order).
-        due.sort_by_key(|&(deadline, _, _)| deadline);
+        due.sort_by_key(|&(deadline, _)| deadline);
         let mut out = Vec::with_capacity(due.len());
-        for (deadline, bundle, generation) in due {
-            // A stale entry — removed bundle, or an earlier incarnation of
-            // a re-adopted id — is a cancelled tick.
-            let Some(&slot) = self.slot_of.get(&(bundle as u32)) else {
-                continue;
-            };
-            let b = &mut self.bundles[slot];
-            if b.generation != generation {
-                continue;
-            }
+        for (deadline, bundle) in due {
+            let b = &mut self.bundles[self.slot_of[&(bundle as u32)]];
             let output = b.control.on_tick(queue_bytes(bundle), now);
             let next = deadline + b.control.config().control_interval;
-            self.ticks.schedule(next, (next, bundle, generation));
+            self.ticks.schedule(next, (next, bundle));
             self.stats.ticks_run += 1;
             out.push(BundleTick { bundle, output });
         }
@@ -621,41 +574,6 @@ mod tests {
         assert_eq!(now, Nanos::from_millis(370));
         assert_eq!(ticks, 37, "one tick per 10 ms deadline up to 370 ms");
         assert_eq!(agent.next_tick_at(), Some(Nanos::from_millis(380)));
-    }
-
-    #[test]
-    fn remove_and_readopt_keeps_a_single_tick_train() {
-        // A bundle removed and added back into the *same* agent under its
-        // id (the shortest round trip a migrating bundle can make) must not
-        // end up with two tick trains: the pre-removal entry is a
-        // stale incarnation and must die silently when it fires.
-        let mut agent = agent_with_sites(2);
-        assert!(agent.remove_bundle(0), "managed");
-        assert!(!agent.remove_bundle(0), "already gone");
-        assert!(agent.sendbox(0).is_none());
-        assert_eq!(agent.classify_dst(ipv4(10, 1, 0, 7)), None, "route gone");
-        let (config, now) = (BundlerConfig::default(), Nanos::from_millis(3));
-        agent
-            .add_bundle_with_id(&[prefix(0)], config, BundleId(0), now)
-            .expect("clean re-add");
-        assert!(agent.sendbox_mut(0).is_some());
-        assert_eq!(agent.classify_dst(ipv4(10, 1, 0, 7)), Some(0));
-        // Over 400 ms at the default 10 ms interval, bundle 0 must tick
-        // exactly as often as the never-removed bundle 1 (its grid is
-        // re-anchored when it is added back, so allow the one-tick phase
-        // offset).
-        let mut ticks = [0u32; 2];
-        for ms in 1..=400u64 {
-            for t in agent.advance(Nanos::from_millis(ms), |_| 0) {
-                ticks[t.bundle] += 1;
-            }
-        }
-        assert_eq!(ticks[1], 40);
-        assert!(
-            (39..=40).contains(&ticks[0]),
-            "re-added bundle must keep ONE tick train, got {} ticks",
-            ticks[0]
-        );
     }
 
     #[test]

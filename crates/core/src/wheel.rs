@@ -123,9 +123,9 @@ impl<T> BinaryHeapQueue<T> {
     /// Removes and returns every pending entry whose item matches `pred`,
     /// as `(deadline, key, item)` tuples in no particular order. The
     /// remaining entries keep their deadlines, keys and relative order.
-    /// O(pending) — intended for rare structural operations (the sharded
-    /// simulator migrating a logical process between shards), not the hot
-    /// path.
+    /// O(pending) — intended for rare structural operations (the
+    /// simulator lifting its pending events into a checkpoint), not the
+    /// hot path.
     pub fn extract_if(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(Nanos, u64, T)> {
         let mut out = Vec::new();
         let mut kept = BinaryHeap::with_capacity(self.heap.len());
@@ -500,8 +500,8 @@ impl<T> CalendarQueue<T> {
     /// as `(deadline, key, item)` tuples in no particular order. The
     /// remaining entries keep their deadlines, keys and relative order —
     /// extraction never disturbs the wheel's cursor or clock. O(pending);
-    /// intended for rare structural operations (the sharded simulator
-    /// migrating a logical process between shards), not the hot path.
+    /// intended for rare structural operations (the simulator lifting
+    /// its pending events into a checkpoint), not the hot path.
     pub fn extract_if(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<(Nanos, u64, T)> {
         let mut out = Vec::new();
         fn sift<T>(

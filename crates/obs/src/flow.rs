@@ -7,9 +7,9 @@
 //! flow id and the configured seed, so every shard (and the net side)
 //! independently agrees on which flows are traced without exchanging any
 //! state. Per-flow accumulators ([`FlowSpanTable`]) live in the record of
-//! the flow's logical process and travel with it when a bundle migrates, so
+//! the flow's logical process and are saved in its snapshot section, so
 //! the [`TraceKind::FlowEnd`] record is identical wherever the flow happens
-//! to finish.
+//! to finish — on any shard, or after a restore.
 //!
 //! [`TraceKind::FlowEnd`]: crate::trace::TraceKind::FlowEnd
 
@@ -97,9 +97,9 @@ pub type FlowSpanTable = BTreeMap<u64, FlowSpan>;
 /// Everything observability accumulates *per site-side logical process* (a
 /// bundle complex, or the direct cross traffic): in-flight flow spans and
 /// health-monitor state. Lives in the LP's record on its owning shard and
-/// is encoded into the LP's snapshot section — the form in which a bundle
-/// also migrates — so a restored or migrated bundle finishes its flows
-/// with the same records a straight-through run would produce.
+/// is encoded into the LP's snapshot section, so a restored bundle
+/// finishes its flows with the same records a straight-through run would
+/// produce.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BundleObsState {
     /// In-flight sampled flows.

@@ -4,7 +4,7 @@
 //! sample's readings) — no wall clock, no randomness — so the emitted
 //! [`TraceKind::Health`] records are bit-identical across shard counts:
 //! sample events fire at the same sim-times everywhere, the readings are
-//! simulation state, and the per-bundle [`HealthState`] migrates with its
+//! simulation state, and the per-bundle [`HealthState`] is saved with its
 //! bundle.
 //!
 //! Monitors never feed back into the simulation: they read, compare and
@@ -64,8 +64,8 @@ impl HealthKind {
     }
 }
 
-/// Per-bundle monitor state: the previous sample's readings. Travels with
-/// the bundle (inside [`crate::flow::BundleObsState`]) so a migrated
+/// Per-bundle monitor state: the previous sample's readings. Saved with
+/// the bundle (inside [`crate::flow::BundleObsState`]) so a restored
 /// bundle's monitors keep their streaks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthState {

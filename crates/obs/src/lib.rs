@@ -133,8 +133,8 @@ pub struct ShardObs {
     /// Portable metrics: partition-invariant per-event facts. Merged
     /// snapshots are bit-identical across shard counts.
     pub metrics: MetricsShard,
-    /// Host metrics: partition-*dependent* facts (mailbox depth, migration
-    /// traffic) that describe how this particular run was executed.
+    /// Host metrics: partition-*dependent* facts (mailbox depth, window
+    /// timings) that describe how this particular run was executed.
     pub host: HostMetrics,
     /// Fixed-capacity trace ring, drained into its sink at window barriers.
     pub ring: TraceRing,

@@ -1,7 +1,7 @@
 //! Env-gated debug log sink.
 //!
-//! Diagnostic prints from the runtime (migration plans, balance decisions)
-//! go through here instead of raw `eprintln!`: the gate is checked once per
+//! Diagnostic prints from the runtime (such as trace-ring overflow) go
+//! through here instead of raw `eprintln!`: the gate is checked once per
 //! process, so disabled logging costs one atomic load per call site and
 //! stderr stays quiet unless `BUNDLER_SHARD_DEBUG` is set.
 
@@ -20,7 +20,7 @@ pub fn debug_enabled() -> bool {
 /// `format_args!` so the formatting itself is skipped when disabled:
 ///
 /// ```
-/// bundler_obs::logsink::debug_log(format_args!("window {}: {} moves", 3, 1));
+/// bundler_obs::logsink::debug_log(format_args!("window {}: {} events", 3, 1));
 /// ```
 pub fn debug_log(args: std::fmt::Arguments<'_>) {
     if debug_enabled() {

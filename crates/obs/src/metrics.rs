@@ -12,7 +12,7 @@
 //!   partition-invariant and the commutative merge (adds, min/max) makes
 //!   the merged snapshot bit-identical across shard counts;
 //! * **host** ([`HostMetrics`]) — facts about *how this run executed*
-//!   (mailbox depth, migration traffic, window count). These legitimately
+//!   (mailbox depth, window count). These legitimately
 //!   differ between shard counts and are excluded from bit-identity tests.
 
 use crate::hist::LogLinearHist;
@@ -170,11 +170,14 @@ impl MetricsShard {
 /// Partition-dependent metrics about how the run executed on this host.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostMetrics {
-    /// Bundle migrations performed (counted at the source shard).
+    /// Bundle migrations performed. Always 0: a bundle stays on the worker
+    /// it was placed on for the whole run. Kept only because
+    /// `benchmark/src/trace.rs` reads it; ROADMAP item 4(d) deletes it.
     pub migrations: u64,
-    /// Packets carried inside migrating bundles' sections.
+    /// Packets carried by bundle migrations. Always 0, as `migrations`.
     pub migration_pkts: u64,
-    /// Packet payload bytes carried inside migrating bundles' sections.
+    /// Payload bytes carried by bundle migrations. Always 0, as
+    /// `migrations`.
     pub migration_bytes: u64,
     /// Conservative windows executed by this shard.
     pub windows: u64,
@@ -185,8 +188,9 @@ pub struct HostMetrics {
     /// Trace records lost to ring/sink overflow (previously only a
     /// one-shot `BUNDLER_SHARD_DEBUG` warning).
     pub trace_ring_dropped: u64,
-    /// Mailbox envelopes that overflowed their ring into the mutex slow
-    /// path (lossless, but a sign the ring is undersized for the bursts).
+    /// Mailbox envelopes that overflowed a ring into a slow path. Always
+    /// 0: the mailbox is one mutex-guarded `Vec` with no ring. ROADMAP
+    /// item 4(d) deletes it with `migrations`.
     pub mailbox_spills: u64,
 }
 
@@ -208,11 +212,11 @@ impl HostMetrics {
 /// drop-state transitions, previously scheduler-private.
 ///
 /// Lives *inside* the scheduler (behind `Scheduler::set_obs` /
-/// `Scheduler::take_obs`) and is in no snapshot. A shard that drops a
-/// migrating bundle folds the sojourn histogram into its own registry and
-/// the loading shard re-arms a fresh one; the drop counters are read off
-/// the scheduler's own (snapshotted) state by whichever shard takes the
-/// export last. The merged series is partition-invariant either way.
+/// `Scheduler::take_obs`) and is in no snapshot. The shard that owns a
+/// bundle at the end of the run folds the export into its own registry;
+/// the drop counters are read off the scheduler's own (snapshotted)
+/// state, so a restored bundle's counts are whole. The merged series is
+/// partition-invariant.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedObs {
     /// Sojourn time of each *delivered* packet through the scheduler, ns.

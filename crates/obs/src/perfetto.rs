@@ -10,7 +10,7 @@
 //! * [`TraceKind::RateChange`] / [`TraceKind::Epoch`] become `"C"` counter
 //!   tracks, one per bundle, so each bundle's pacing rate plots as a
 //!   stepped line;
-//! * migrations, drops and mode changes become `"i"` instants;
+//! * drops and mode changes become `"i"` instants;
 //! * per-packet [`TraceKind::Enqueue`]/[`TraceKind::Dequeue`] records are
 //!   *not* exported (they exist for trace diffing); their aggregate lives
 //!   in the metrics histograms.
@@ -200,18 +200,6 @@ pub fn to_chrome_trace(report: &ObsReport) -> String {
                 backlog_bytes as f64 / 1e3,
                 rate_bps as f64 / 1e6
             ),
-            TraceKind::Migration {
-                bundle,
-                from,
-                to,
-                pkts,
-                bytes,
-            } => format!(
-                "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\
-                 \"name\":\"migrate b{bundle} {from}->{to}\",\"ts\":{ts:.3},\"s\":\"g\",\
-                 \"args\":{{\"pkts\":{pkts},\"bytes\":{bytes},\"wall_ns\":{}}}}}",
-                rec.wall_ns
-            ),
             TraceKind::WorkerWindow {
                 windex,
                 width_ns,
@@ -317,17 +305,6 @@ mod tests {
                 },
             ),
             rec(
-                30,
-                0,
-                TraceKind::Migration {
-                    bundle: 3,
-                    from: 0,
-                    to: 1,
-                    pkts: 4,
-                    bytes: 6000,
-                },
-            ),
-            rec(
                 40,
                 NET_SHARD,
                 TraceKind::FluidLevel {
@@ -343,7 +320,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""), "rate counter missing");
         assert!(json.contains("bundle3 rate Mbps"));
         assert!(json.contains("\"mbps\":12.000"));
-        assert!(json.contains("migrate b3 0->1"));
         assert!(json.contains("fluid p2 backlog KB"));
         assert!(json.contains("\"kb\":45.500"));
         assert!(json.contains("\"drain_mbps\":8.000"));

@@ -668,13 +668,6 @@ mod tests {
                 bundle: 8,
                 size_pkts: 16,
             },
-            TraceKind::Migration {
-                bundle: 9,
-                from: 0,
-                to: 1,
-                pkts: 10,
-                bytes: 11,
-            },
             TraceKind::WorkerWindow {
                 windex: 12,
                 width_ns: 13,
@@ -751,9 +744,6 @@ mod tests {
             ("mode", "mode", 8),
             ("rate", "bundle", 32),
             ("epoch", "bundle", 32),
-            ("migrate", "bundle", 32),
-            ("migrate", "from", 16),
-            ("migrate", "to", 16),
             ("fluid", "path", 32),
             ("flow_admit", "bundle", 32),
             ("health", "kind", 8),
@@ -1006,7 +996,6 @@ mod tests {
                 TraceKind::ModeChange { .. } => "mode",
                 TraceKind::RateChange { .. } => "rate",
                 TraceKind::Epoch { .. } => "epoch",
-                TraceKind::Migration { .. } => "migrate",
                 TraceKind::WorkerWindow { .. } => "window",
                 TraceKind::NetPhase { .. } => "netphase",
                 TraceKind::FluidLevel { .. } => "fluid",
@@ -1028,12 +1017,6 @@ mod tests {
                 TraceKind::ModeChange { bundle, mode } => (at, 3, bundle as u64, mode as u64, 0),
                 TraceKind::RateChange { bundle, rate_bps } => (at, 4, bundle as u64, rate_bps, 0),
                 TraceKind::Epoch { bundle, size_pkts } => (at, 5, bundle as u64, size_pkts, 0),
-                TraceKind::Migration {
-                    bundle,
-                    pkts,
-                    bytes,
-                    ..
-                } => (at, 6, bundle as u64, pkts, bytes),
                 TraceKind::WorkerWindow { windex, events, .. } => (at, 7, windex, events, 0),
                 TraceKind::NetPhase { windex, events, .. } => (at, 8, windex, events, 0),
                 TraceKind::FluidLevel {
@@ -1096,19 +1079,6 @@ mod tests {
                 TraceKind::Epoch { bundle, size_pkts } => {
                     f("bundle", bundle as u64);
                     f("size_pkts", size_pkts);
-                }
-                TraceKind::Migration {
-                    bundle,
-                    from,
-                    to,
-                    pkts,
-                    bytes,
-                } => {
-                    f("bundle", bundle as u64);
-                    f("from", from as u64);
-                    f("to", to as u64);
-                    f("pkts", pkts);
-                    f("bytes", bytes);
                 }
                 TraceKind::WorkerWindow {
                     windex,
@@ -1244,13 +1214,6 @@ mod tests {
                     bundle: n("bundle")? as u32,
                     size_pkts: n("size_pkts")?,
                 },
-                "migrate" => TraceKind::Migration {
-                    bundle: n("bundle")? as u32,
-                    from: n("from")? as u16,
-                    to: n("to")? as u16,
-                    pkts: n("pkts")?,
-                    bytes: n("bytes")?,
-                },
                 "window" => TraceKind::WorkerWindow {
                     windex: n("windex")?,
                     width_ns: n("width_ns")?,
@@ -1352,13 +1315,6 @@ mod tests {
                         bundle: a as u32,
                         size_pkts: b,
                     },
-                    6 => TraceKind::Migration {
-                        bundle: a as u32,
-                        from: b as u16,
-                        to: c as u16,
-                        pkts: d,
-                        bytes: e,
-                    },
                     7 => TraceKind::WorkerWindow {
                         windex: a,
                         width_ns: b,
@@ -1401,6 +1357,7 @@ mod tests {
                         subject: b as u32,
                         value: c,
                     },
+                    // 6, the retired migration kind, draws one too.
                     _ => TraceKind::FluidAgg {
                         agg: a as u32,
                         path: b as u32,

@@ -170,7 +170,7 @@ trace_kinds! {
     } key(bundle, mode);
 
     /// A control tick set the bundle's pacing rate (emitted every tick, so
-    /// rate tracks survive bundle migration without cached state).
+    /// a rate track needs no cached state to survive a restore).
     4 "rate" RateChange {
         /// Bundle index.
         bundle: u32,
@@ -186,19 +186,9 @@ trace_kinds! {
         size_pkts: u64,
     } key(bundle, size_pkts);
 
-    /// A bundle complex migrated between shards at a window barrier.
-    6 "migrate" Migration {
-        /// Bundle index.
-        bundle: u32,
-        /// Source shard.
-        from: u16,
-        /// Destination shard.
-        to: u16,
-        /// Packets carried in the bundle's section.
-        pkts: u64,
-        /// Packet payload bytes carried in the bundle's section.
-        bytes: u64,
-    } key(bundle, pkts, bytes);
+    // 6 ("migrate", bundle migration) is retired: never reuse the number
+    // or the tag, so an old stream or portable key cannot read as another
+    // kind.
 
     /// One worker shard's conservative window (span).
     7 "window" WorkerWindow {
@@ -330,13 +320,12 @@ impl TraceRecord {
 
     /// True for the per-event datapath records that trace simulated
     /// behavior (and can be diffed between runs); false for the host-side
-    /// span records (windows, phases, migrations, mailbox health) that
+    /// span records (windows, phases, mailbox health) that
     /// describe execution.
     pub fn is_portable(&self) -> bool {
         !matches!(
             self.kind,
-            TraceKind::Migration { .. }
-                | TraceKind::WorkerWindow { .. }
+            TraceKind::WorkerWindow { .. }
                 | TraceKind::NetPhase { .. }
                 | TraceKind::Health {
                     kind: 3, // the retired mailbox watchdog's tag: host-side
@@ -536,17 +525,6 @@ mod tests {
                 busy_ns: 1,
                 stall_ns: 1,
                 events: 1
-            }
-        )
-        .is_portable());
-        assert!(!rec(
-            0,
-            TraceKind::Migration {
-                bundle: 0,
-                from: 0,
-                to: 1,
-                pkts: 0,
-                bytes: 0
             }
         )
         .is_portable());

@@ -97,7 +97,7 @@ pub struct SchedStats {
 ///
 /// A scheduler's [`State`] — queued packet refs, per-queue bookkeeping,
 /// counters — loads into a freshly built scheduler of the same policy and
-/// configuration. Queued packet ids are placeholders in it: like migration,
+/// configuration. Queued packet ids are placeholders in it: a
 /// restore rewrites them via [`Scheduler::for_each_pkt_mut`]. Observability
 /// exports ([`Scheduler::take_obs`]) are host-local and not part of it.
 pub trait Scheduler: Send + State {

@@ -9,26 +9,17 @@
 //! (< 2 ns), has nothing to window over: [`ShardedSimulation`] then *is*
 //! the single-threaded [`Simulation`].
 //!
+//! Each bundle lives on one worker for the whole run: the placement
+//! ([`crate::balance::placement`]) is fixed when the cores are built, and
+//! so is delivery routing. Event order is canonical, so any placement is
+//! bit-identical to the single-threaded engine (property-tested in
+//! `tests/equivalence.rs`).
+//!
 //! Before each window the driver publishes one [`WindowPlan`]; the plan
 //! alone says which [`Phase`]s the window has, and every thread walks them
 //! in [`Seat::attend`] — the window-start barrier, then each phase
 //! followed by one barrier — supplying only its own share of each
 //! ([`Party::step`]; doing nothing is the default). In plan order:
-//!
-//! **`Extract`** (windows the balancer re-packs, see [`crate::balance`]).
-//! Each worker drains its inboxes — deliveries routed to it under the old
-//! assignment become queue events and travel with their bundle — then, for
-//! every bundle it is losing, writes the bundle's snapshot section
-//! (`WorkerCore::save_bundle`, the very bytes a checkpoint holds), drops
-//! the bundle from its core (`WorkerCore::drop_bundle`) and deposits the
-//! bytes. The barrier that ends the phase is the rendezvous: every section
-//! is in its slot.
-//!
-//! **`Adopt`** (same windows). Each worker loads the sections addressed to
-//! it (`WorkerCore::load_bundle`, the restore path). Re-partitioning
-//! happens only here, between barriers, and event order is canonical, so
-//! *any* migration schedule is bit-identical to the single-threaded engine
-//! (property-tested in `tests/equivalence.rs`).
 //!
 //! **`Flush`** (checkpoint windows: with
 //! `SimulationConfig::checkpoint_every` set and a collecting run, the
@@ -66,14 +57,8 @@
 //! [`snapshot::Writer::write`] — canonical order, independent of the
 //! partitioning, byte-identical to the solo snapshot at the same `T` and
 //! restorable into any worker or net shard count.
-//!
-//! Between the barrier that ends `Run` and the next window's start, the
-//! driver alone runs: it reads the load counts the workers published,
-//! lets the balancer decide the next window's moves, and re-points
-//! delivery routing at the post-migration owners.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use bundler_obs::{wall_now_ns, NetWindow, TraceKind, WindowPhase};
@@ -88,9 +73,8 @@ use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{SimReport, Simulation};
 use bundler_types::{Duration, Nanos, Packet, PacketArena};
-use serde::binary::Reader;
 
-use crate::balance::{Balancer, Move};
+use crate::balance::placement;
 use crate::error::{self, ShardError};
 use crate::mailbox::{self, Receiver, Sender};
 use crate::wire::{self, WireDir};
@@ -107,15 +91,14 @@ struct Envelope {
     pkt: Packet,
 }
 
-/// Delivery routing state shared by the driver (writer, between windows)
-/// and the net threads (readers, during net phases). The window barriers
-/// separate writes from reads; the atomics make the sharing sound.
+/// Delivery routing, fixed before any thread starts and read by the net
+/// threads.
 struct Routing {
     /// A flow's LP is static: its workload origin, as the run's directory
     /// (the one its worker cores share) names it.
     directory: Arc<FlowDirectory>,
-    /// The LP's owning worker follows the balancer's assignment.
-    worker_of_lp: Vec<AtomicUsize>,
+    /// The LP's owning worker, by the run's placement.
+    worker_of_lp: Vec<usize>,
 }
 
 /// Locks a driver mutex, recovering the data from a poisoned lock: a
@@ -130,8 +113,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// what each thread does in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Extract,
-    Adopt,
     Flush,
     Save,
     Run,
@@ -146,8 +127,6 @@ struct WindowPlan {
     /// The window is `[start, end)` in simulated time.
     start: Nanos,
     end: Nanos,
-    /// Bundles that change worker as the window opens.
-    moves: Vec<Move>,
     /// Whether a checkpoint stamped `start` is taken as the window opens.
     checkpoint: bool,
     /// The run is over: there is no window, the threads return.
@@ -158,10 +137,7 @@ impl WindowPlan {
     /// The phases this window has, in order — the one place the sequence
     /// is stated. Each ends at a barrier.
     fn phases(&self) -> impl Iterator<Item = Phase> {
-        let migrate = !self.moves.is_empty();
         [
-            (Phase::Extract, migrate),
-            (Phase::Adopt, migrate),
             (Phase::Flush, self.checkpoint),
             (Phase::Save, self.checkpoint),
             (Phase::Run, true),
@@ -178,20 +154,12 @@ struct Control {
     /// The current window's plan, replaced by the driver before the
     /// window-start barrier and read by every thread after it.
     plan: Mutex<Arc<WindowPlan>>,
-    /// Bundles in transit as their snapshot sections, one slot per
-    /// bundle: deposited by the `from` worker in `Extract`, taken by the
-    /// `to` worker in `Adopt`.
-    parcels: Mutex<Vec<Option<Vec<u8>>>>,
     /// Checkpoint parts, one slot per worker shard: deposited in `Save`,
     /// taken by the driver in `Run`.
     parts: Mutex<Vec<Option<WorkerPart>>>,
     /// Per-path checkpoint sections, deposited by the net threads in
     /// `Flush`, taken by the driver in `Run`.
     sections: Mutex<Vec<PathSection>>,
-    /// Cumulative handled-event count per bundle, stored by the bundle's
-    /// current owner at the end of each `Run` and read by the driver after
-    /// the barrier — the balancer's load signal.
-    counts: Vec<AtomicU64>,
     /// Filled by the first thread whose step panicked: which shard, which
     /// window, the last event it peeked, the panic message. Net thread k
     /// reports as shard `workers + k`, the driver as the one after.
@@ -304,12 +272,11 @@ impl<'a> Seat<'a> {
 ///
 /// `SimulationConfig::shards` selects the worker count: `1` is the
 /// single-threaded [`Simulation`] (today's engine, unchanged); `k > 1`
-/// partitions bundles across `k` worker threads around the shared
-/// bottleneck, statically or adaptively per
-/// [`SimulationConfig::balance`](bundler_sim::sim::ShardBalance).
+/// places bundles once across `k` worker threads around the shared
+/// bottleneck (see [`crate::balance`]) and keeps them there.
 /// `SimulationConfig::net_shards` splits the bottleneck itself across
 /// that many net threads by path. Results are bit-identical for every
-/// worker and net shard count and balance mode — see the crate docs,
+/// worker and net shard count — see the crate docs,
 /// `tests/equivalence.rs` and `tests/net_shards.rs`.
 pub struct ShardedSimulation(Host);
 
@@ -501,7 +468,6 @@ struct NetSide {
 /// Every core of a windowed run, wired to its mailboxes on the calling
 /// thread before any worker or net thread exists.
 struct Cores {
-    balancer: Balancer,
     routing: Arc<Routing>,
     /// One per worker shard.
     workers: Vec<Worker>,
@@ -511,8 +477,8 @@ struct Cores {
 }
 
 impl Cores {
-    /// `fresh` cores own their balancer-assigned bundles and hold the
-    /// run's initial events; the others own nothing and hold none — every
+    /// `fresh` cores own the bundles placed on them and hold the run's
+    /// initial events; the others own nothing and hold none — every
     /// bundle complex and pending event arrives from a snapshot.
     fn new(
         config: &SimulationConfig,
@@ -522,17 +488,14 @@ impl Cores {
     ) -> Self {
         let shards = config.shards;
         let directory = Arc::new(FlowDirectory::new(workload));
-        let balancer = Balancer::new(config, directory.specs(), shards);
+        let placed = placement(config, directory.specs(), shards);
         // Delivery routing: a flow's LP is static (its workload origin);
         // the LP's owning worker is worker 0 for the LPs below the bundles'
-        // and follows the balancer's assignment for those.
+        // and the placement's for those.
         let below = std::iter::repeat_n(0, LP_BUNDLE0 as usize);
         let routing = Arc::new(Routing {
             directory: Arc::clone(&directory),
-            worker_of_lp: below
-                .chain(balancer.assignment().iter().copied())
-                .map(AtomicUsize::new)
-                .collect(),
+            worker_of_lp: below.chain(placed.iter().copied()).collect(),
         });
         let net_shards = config.effective_net_shards();
         let mut sides: Vec<NetSide> = (0..net_shards)
@@ -565,8 +528,7 @@ impl Cores {
         // barriers.
         let workers = (0..shards)
             .map(|index| {
-                let owned = balancer
-                    .assignment()
+                let owned = placed
                     .iter()
                     .map(|&owner| fresh && owner == index)
                     .collect();
@@ -601,7 +563,6 @@ impl Cores {
             })
             .collect();
         Cores {
-            balancer,
             routing,
             workers,
             sides,
@@ -617,7 +578,7 @@ impl RestoreHost for Cores {
         // The direct LP lives on shard 0, and the whole-run residue lands
         // there too: `assemble_report` sums across shards, so totals are
         // placement-independent.
-        let owner = bundle.map_or(0, |b| self.balancer.assignment()[b]);
+        let owner = bundle.map_or(0, |b| self.routing.worker_of_lp[bundle_lp(b) as usize]);
         let w = &mut self.workers[owner];
         (&mut w.core, &mut w.queue, &mut w.arena)
     }
@@ -632,7 +593,7 @@ impl RestoreHost for Cores {
 impl NetSide {
     /// Runs the pending net phase, if there is one: merge that worker
     /// window's envelopes (by parity), handle net events below its end,
-    /// route deliveries to the current owner of each flow's LP.
+    /// route deliveries to the owner of each flow's LP.
     fn run_pending(&mut self, seat: &Seat<'_>) {
         let Some((windex, start, window_end)) = self.pending.take() else {
             return;
@@ -673,7 +634,7 @@ impl NetSide {
                 let flow = self.arena[d.pkt].flow;
                 let lp = self.routing.directory.lp_of(flow);
                 let lp = lp.expect("flow has an origin") as usize;
-                let worker = self.routing.worker_of_lp[lp].load(Ordering::Acquire);
+                let worker = self.routing.worker_of_lp[lp];
                 let mut pkt = self.arena.remove(d.pkt);
                 if let Some(buf) = &mut self.wire {
                     pkt = wire::roundtrip(WireDir::Delivery, d.at, d.key, pkt, buf);
@@ -768,7 +729,7 @@ impl Worker {
 
     /// The `Run` phase: handle every local event below the window's end,
     /// mailing bottleneck-bound packets to the net shard that owns their
-    /// path, then publish the load signal and the window's phase profile.
+    /// path, then record the window's phase profile.
     fn run_window(&mut self, plan: &WindowPlan, seat: &Seat<'_>) {
         // Phase profiling (metrics level and up): wall time split into
         // barrier stall vs. event processing, per window.
@@ -809,13 +770,6 @@ impl Worker {
                 });
             }
         }
-        // Publish the cumulative load signal for the bundles currently
-        // owned here; the driver reads it after the barrier.
-        for (b, count) in seat.ctrl.counts.iter().enumerate() {
-            if self.core.owns_bundle(b) {
-                count.store(self.core.bundle_events(b), Ordering::Release);
-            }
-        }
         if timing {
             let busy_ns = wall_now_ns().saturating_sub(busy_from);
             let events = self.core.events_processed() - events_before;
@@ -846,48 +800,7 @@ impl Worker {
 
 impl Party for Worker {
     fn step(&mut self, phase: Phase, plan: &WindowPlan, seat: &Seat<'_>) {
-        let me = self.core.shard();
         match phase {
-            Phase::Extract => {
-                // Drain the inboxes *before* extracting: deliveries for an
-                // outgoing bundle (routed here under the old assignment)
-                // become queue events and migrate with it.
-                self.drain_inbox();
-                for mv in plan.moves.iter().filter(|mv| mv.from == me) {
-                    let (core, queue) = (&mut self.core, &mut self.queue);
-                    let mut section = Vec::new();
-                    core.save_bundle(mv.bundle, queue, &self.arena, &mut section);
-                    let (pkts, bytes) = core.drop_bundle(mv.bundle, queue, &mut self.arena);
-                    if core.obs.metrics_on() {
-                        core.obs.host.migrations += 1;
-                        core.obs.host.migration_pkts += pkts;
-                        core.obs.host.migration_bytes += bytes;
-                        core.obs.record(
-                            plan.start,
-                            TraceKind::Migration {
-                                bundle: mv.bundle as u32,
-                                from: mv.from as u16,
-                                to: mv.to as u16,
-                                pkts,
-                                bytes,
-                            },
-                        );
-                    }
-                    lock(&seat.ctrl.parcels)[mv.bundle] = Some(section);
-                }
-            }
-            Phase::Adopt => {
-                let now = self.queue.now();
-                for mv in plan.moves.iter().filter(|mv| mv.to == me) {
-                    let section = lock(&seat.ctrl.parcels)[mv.bundle]
-                        .take()
-                        .expect("the source worker deposited the section");
-                    let r = &mut Reader::new(&section);
-                    self.core
-                        .load_bundle(mv.bundle, &mut self.queue, &mut self.arena, r, now)
-                        .expect("a section its own run wrote loads");
-                }
-            }
             // The net threads' turn; every delivery below the checkpoint
             // instant is in a mailbox once it ends.
             Phase::Flush => {}
@@ -896,7 +809,7 @@ impl Party for Worker {
                 let part = self
                     .core
                     .save_part(&mut self.queue, &self.arena, plan.start);
-                lock(&seat.ctrl.parts)[me] = Some(part);
+                lock(&seat.ctrl.parts)[self.core.shard()] = Some(part);
             }
             Phase::Run => self.run_window(plan, seat),
         }
@@ -942,7 +855,6 @@ fn run_sharded(
     sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
 ) -> Result<SimReport, ShardError> {
     let Cores {
-        mut balancer,
         routing,
         mut workers,
         mut sides,
@@ -950,15 +862,12 @@ fn run_sharded(
     let shards = workers.len();
     let net_shards = sides.len();
     let end = Nanos::ZERO + config.duration;
-    let n_bundles = config.n_bundles();
 
     let ctrl = &Control {
         barrier: Barrier::new(shards + net_shards + 1),
         plan: Mutex::default(),
-        parcels: Mutex::new((0..n_bundles).map(|_| None).collect()),
         parts: Mutex::new((0..shards).map(|_| None).collect()),
         sections: Mutex::default(),
-        counts: (0..n_bundles).map(|_| AtomicU64::new(0)).collect(),
         diag: Mutex::new(None),
     };
     let mut driver = Driver {
@@ -1005,33 +914,6 @@ fn run_sharded(
             if !seat.attend(&mut driver) {
                 break;
             }
-            // Decide the moves for the *next* window boundary from the
-            // counts the workers just published, and re-point delivery
-            // routing — the next net phase must deliver to the
-            // post-migration owners.
-            ctrl.guard(&seat, plan.windex, || {
-                let counts: Vec<u64> = ctrl
-                    .counts
-                    .iter()
-                    .map(|c| c.load(Ordering::Acquire))
-                    .collect();
-                plan.moves = balancer.decide(plan.windex + 1, &counts);
-                if !plan.moves.is_empty() {
-                    // Structured Migration trace records are emitted by
-                    // the extracting workers; this is the opt-in stderr
-                    // mirror (gated on BUNDLER_SHARD_DEBUG, checked once).
-                    bundler_obs::logsink::debug_log(format_args!(
-                        "window {}: {} moves: {:?}",
-                        plan.windex + 1,
-                        plan.moves.len(),
-                        plan.moves
-                    ));
-                }
-                for mv in &plan.moves {
-                    routing.worker_of_lp[bundle_lp(mv.bundle) as usize]
-                        .store(mv.to, Ordering::Release);
-                }
-            });
             plan.start = plan.end;
             plan.windex += 1;
         }
@@ -1076,31 +958,22 @@ fn run_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bundler_sim::runtime::{bundle_lp, LP_NET};
+    use bundler_sim::runtime::LP_NET;
 
-    /// The one place the phase sequence is stated, walked over all four
-    /// kinds of window.
+    /// The one place the phase sequence is stated, walked over both kinds
+    /// of window.
     #[test]
     fn a_plan_names_its_phases_in_order() {
         use Phase::*;
-        let moves = vec![Move {
-            bundle: 0,
-            from: 0,
-            to: 1,
-        }];
-        let plan = |moves: &[Move], checkpoint| WindowPlan {
-            moves: moves.to_vec(),
-            checkpoint,
-            ..WindowPlan::default()
+        let phases = |checkpoint| {
+            let plan = WindowPlan {
+                checkpoint,
+                ..WindowPlan::default()
+            };
+            plan.phases().collect::<Vec<_>>()
         };
-        let phases = |plan: WindowPlan| plan.phases().collect::<Vec<_>>();
-        assert_eq!(phases(plan(&[], false)), [Run]);
-        assert_eq!(phases(plan(&moves, false)), [Extract, Adopt, Run]);
-        assert_eq!(phases(plan(&[], true)), [Flush, Save, Run]);
-        assert_eq!(
-            phases(plan(&moves, true)),
-            [Extract, Adopt, Flush, Save, Run]
-        );
+        assert_eq!(phases(false), [Run]);
+        assert_eq!(phases(true), [Flush, Save, Run]);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub enum ShardError {
         window: u64,
         /// Timestamp and canonical key of the last event the worker peeked
         /// before panicking — the first suspect for replay. `None` if the
-        /// panic happened outside event processing (e.g. migration).
+        /// panic happened outside event processing (e.g. saving a
+        /// checkpoint).
         last_event: Option<(Nanos, EventKey)>,
         /// The panic payload, if it was a string.
         message: String,

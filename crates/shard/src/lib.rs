@@ -4,7 +4,9 @@
 //! bundles are partitioned across N worker shards — each owning its own
 //! event queue, packet arena, TCP endhosts, sendbox schedulers and a
 //! partition of the site agent's bundle table — around the one shared
-//! resource, the bottleneck ([`bundler_sim::runtime::NetCore`]).
+//! resource, the bottleneck ([`bundler_sim::runtime::NetCore`]). The
+//! partition ([`balance::placement`]) is decided once, when the run's cores
+//! are built, and a bundle stays on its shard for the whole run.
 //!
 //! # How determinism survives parallelism
 //!

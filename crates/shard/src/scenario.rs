@@ -13,35 +13,17 @@ use crate::ShardedSimulation;
 /// With `shards == 1` this is exactly [`ManySitesScenario::run`]; larger
 /// counts produce bit-identical reports from the multi-threaded host.
 pub fn run_many_sites(scenario: &ManySitesScenario, shards: usize) -> ManySitesReport {
-    run_many_sites_balanced(scenario, shards, bundler_sim::ShardBalance::RoundRobin)
-}
-
-/// [`run_many_sites`] under an explicit bundle-balancing mode. Every mode
-/// is bit-identical to every other (and to shards = 1); the choice only
-/// moves wall-clock.
-pub fn run_many_sites_balanced(
-    scenario: &ManySitesScenario,
-    shards: usize,
-    balance: bundler_sim::ShardBalance,
-) -> ManySitesReport {
     let mut config = scenario.sim_config();
     config.shards = shards;
-    config.balance = balance;
     ManySitesReport::from_sim(ShardedSimulation::new(config, scenario.workload()).run())
 }
 
-/// Runs the skewed-load experiment on `shards` worker shards under the
-/// given balancing mode. This is the workload the rate-aware balancer
-/// exists for: one bundle carries ~50 % of flows, so a static round-robin
-/// partition leaves one shard hot while the rest idle at the barrier.
-pub fn run_hot_bundle(
-    scenario: &HotBundleScenario,
-    shards: usize,
-    balance: bundler_sim::ShardBalance,
-) -> ManySitesReport {
+/// Runs the skewed-load experiment on `shards` worker shards. One bundle
+/// carries ~50 % of flows, so its shard stays hot while the rest idle at
+/// the barrier: the placement is fixed for the run.
+pub fn run_hot_bundle(scenario: &HotBundleScenario, shards: usize) -> ManySitesReport {
     let mut config = scenario.sim_config();
     config.shards = shards;
-    config.balance = balance;
     ManySitesReport::from_sim(ShardedSimulation::new(config, scenario.workload()).run())
 }
 
@@ -141,6 +123,8 @@ mod tests {
         );
     }
 
+    /// `Rate` is a name for `RoundRobin`'s placement; both runs must be
+    /// the solo run.
     #[test]
     fn hot_bundle_matches_single_threaded_under_both_balancers() {
         let scenario = HotBundleScenario::builder()
@@ -153,7 +137,11 @@ mod tests {
         let single = scenario.run();
         let want = SimStats::of(&single.sim);
         for balance in [ShardBalance::RoundRobin, ShardBalance::Rate] {
-            let sharded = run_hot_bundle(&scenario, 2, balance);
+            let mut config = scenario.sim_config();
+            config.shards = 2;
+            config.balance = balance;
+            let run = ShardedSimulation::new(config, scenario.workload()).run();
+            let sharded = ManySitesReport::from_sim(run);
             assert_eq!(
                 want,
                 SimStats::of(&sharded.sim),

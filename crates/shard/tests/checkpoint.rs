@@ -2,16 +2,16 @@
 //!
 //! * Snapshots are **partition-invariant**: the bytes a sharded run writes
 //!   at time `T` equal the single-threaded run's bytes at `T`.
-//! * Restoring any checkpoint into any shard count — under the
-//!   adversarial `Rotate` balancer and an active fault plan — finishes
-//!   with a digest bit-identical to the uninterrupted run.
+//! * Restoring any checkpoint into any shard count — which places the
+//!   bundles anew — under an active fault plan finishes with a digest
+//!   bit-identical to the uninterrupted run.
 
 use bundler_shard::{ShardError, ShardedSimulation};
 use bundler_sim::fault::FaultPlan;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::workload::FlowSpec;
-use bundler_sim::{ShardBalance, SimStats, Simulation};
+use bundler_sim::{SimStats, Simulation};
 use bundler_types::{Duration, Rate};
 
 fn scenario(seed: u64) -> ManySitesScenario {
@@ -94,13 +94,12 @@ fn checkpoints_off_the_window_grid_match_solo() {
 
 #[test]
 fn restore_into_any_shard_count_is_bit_identical() {
-    // Checkpoints come from a 2-shard run under the adversarial Rotate
-    // balancer with an active fault plan; every one restores into shard
-    // counts 1, 2 and 4 and must finish with the uninterrupted digest.
+    // Checkpoints come from a 2-shard run with an active fault plan; every
+    // one restores into shard counts 1, 2 and 4, each placing the bundles
+    // its own way, and must finish with the uninterrupted digest.
     let faults = FaultPlan::generate(11, Duration::from_secs(4), 1);
     let (mut config, wl) = setup(9, Some(faults));
     config.shards = 2;
-    config.balance = ShardBalance::Rotate;
     let mut ckpts = Vec::new();
     let baseline = ShardedSimulation::new(config.clone(), wl.clone()).run_collecting(&mut ckpts);
     let want = SimStats::of(&baseline);
@@ -253,7 +252,7 @@ fn restore_is_total_over_truncated_and_overwritten_snapshots() {
 
 /// The classic (non-agent) sendbox edge — two `Bundler` bundles around a
 /// status-quo one, two imbalanced paths, a direct flow and a ping: the
-/// world of `equivalence.rs::classic_mode_survives_worst_case_migration`.
+/// world of `equivalence.rs::classic_mode_with_cross_traffic_is_shard_count_invariant`.
 /// Every other checkpoint test runs an agent-mode world, so this is the
 /// one that writes and restores edge tags 0 (no sendbox) and 1 (`Bundle`).
 /// The 500 ms cadence is a multiple of the 10 ms window (rtt 40 ms).
@@ -322,16 +321,13 @@ fn classic_edge_checkpoints_restore_and_match_solo() {
             .run();
         assert_eq!(want, SimStats::of(&report), "2-shard restore at {at:?}");
     }
-    for balance in [ShardBalance::Rotate, ShardBalance::Rate] {
-        let mut cfg = config.clone();
-        cfg.shards = 2;
-        cfg.balance = balance;
-        let mut got = Vec::new();
-        let report = ShardedSimulation::new(cfg, wl.clone()).run_collecting(&mut got);
-        assert_eq!(want, SimStats::of(&report), "2 shards, {balance:?}");
-        assert!(
-            solo == got,
-            "2-shard {balance:?} checkpoints differ from the solo run's"
-        );
-    }
+    let mut cfg = config.clone();
+    cfg.shards = 2;
+    let mut got = Vec::new();
+    let report = ShardedSimulation::new(cfg, wl.clone()).run_collecting(&mut got);
+    assert_eq!(want, SimStats::of(&report), "2 shards");
+    assert!(
+        solo == got,
+        "2-shard checkpoints differ from the solo run's"
+    );
 }

@@ -3,7 +3,7 @@
 
 mod common;
 
-use bundler_shard::scenario::{run_many_sites, run_many_sites_balanced};
+use bundler_shard::scenario::run_many_sites;
 use bundler_shard::ShardedSimulation;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::sim::SimulationConfig;
@@ -24,12 +24,11 @@ fn quick_scenario(seed: u64, sites: usize) -> ManySitesScenario {
 }
 
 /// [`common::where_they_part`] for a many-sites scenario on `shards`
-/// workers under `balance`.
-fn where_they_part(scenario: &ManySitesScenario, shards: usize, balance: ShardBalance) -> String {
+/// workers.
+fn where_they_part(scenario: &ManySitesScenario, shards: usize) -> String {
     let solo = scenario.sim_config();
     let mut sharded = solo.clone();
     sharded.shards = shards;
-    sharded.balance = balance;
     common::where_they_part(&solo, &sharded, &scenario.workload())
 }
 
@@ -51,92 +50,17 @@ proptest! {
             prop_assert_eq!(
                 &want, &got,
                 "shards={} diverged from the single-threaded engine (seed={}){}",
-                shards, seed, where_they_part(&scenario, shards, ShardBalance::RoundRobin)
+                shards, seed, where_they_part(&scenario, shards)
             );
             prop_assert_eq!(baseline.totals(), sharded.totals());
-        }
-    }
-
-    /// The *worst-case migration schedule*: `ShardBalance::Rotate` moves
-    /// every bundle to the next shard at every window barrier, so every
-    /// bundle's events, queued sendbox packets, TCP endhosts, agent table
-    /// slice and telemetry cross shards hundreds of times per run — and
-    /// the digest still cannot move. Rate-aware balancing (the mode that
-    /// actually ships) is asserted under the same roof.
-    #[test]
-    fn any_migration_schedule_is_bit_identical(seed in 1u64..1000, sites in 3usize..8) {
-        let scenario = quick_scenario(seed, sites);
-        let baseline = scenario.run(); // the single-threaded engine
-        let want = SimStats::of(&baseline.sim);
-        prop_assert!(want.completed > 0, "scenario must do real work");
-        for shards in [2usize, 4, 7] {
-            for balance in [ShardBalance::Rotate, ShardBalance::Rate] {
-                let sharded = run_many_sites_balanced(&scenario, shards, balance);
-                let got = SimStats::of(&sharded.sim);
-                prop_assert_eq!(
-                    &want, &got,
-                    "balance={:?} shards={} diverged from the single-threaded \
-                     engine (seed={}){}",
-                    balance, shards, seed, where_they_part(&scenario, shards, balance)
-                );
-                prop_assert_eq!(baseline.totals(), sharded.totals());
-            }
-        }
-    }
-}
-
-/// Classic (non-agent) mode under the rotating worst case: every event
-/// type — pings, cross traffic, multipath, status-quo bundles — migrates
-/// every barrier and the digest stays put.
-#[test]
-fn classic_mode_survives_worst_case_migration() {
-    use bundler_core::BundlerConfig;
-    use bundler_sim::edge::BundleMode;
-
-    let config = SimulationConfig {
-        duration: Duration::from_secs(6),
-        bottleneck_rate: Rate::from_mbps(48),
-        rtt: Duration::from_millis(40),
-        num_paths: 2,
-        path_delay_spread: Duration::from_millis(5),
-        bundles: vec![
-            BundleMode::Bundler(BundlerConfig::default()),
-            BundleMode::StatusQuo,
-            BundleMode::Bundler(BundlerConfig::default()),
-        ],
-        ..Default::default()
-    };
-    let workload = || {
-        vec![
-            FlowSpec::bundled(1, 900_000, Nanos::ZERO, 0),
-            FlowSpec::bundled(2, FlowSpec::BACKLOGGED, Nanos::from_millis(15), 1),
-            FlowSpec::bundled(3, 300_000, Nanos::from_millis(40), 2),
-            FlowSpec::direct(4, 400_000, Nanos::from_millis(25)),
-            FlowSpec::bundled(5, 40, Nanos::from_millis(10), 0).as_ping(),
-            FlowSpec::bundled(6, 120_000, Nanos::from_millis(350), 2),
-        ]
-    };
-    let baseline = Simulation::new(config.clone(), workload()).run();
-    let want = SimStats::of(&baseline);
-    assert!(want.completed >= 4);
-    for shards in [2usize, 3] {
-        for balance in [ShardBalance::Rotate, ShardBalance::Rate] {
-            let mut cfg = config.clone();
-            cfg.shards = shards;
-            cfg.balance = balance;
-            let got = SimStats::of(&ShardedSimulation::new(cfg, workload()).run());
-            assert_eq!(
-                want, got,
-                "classic mode diverged at shards={shards} balance={balance:?}"
-            );
         }
     }
 }
 
 /// The fluid cross-traffic tier integrates f64 rate ODEs at `FluidUpdate`
 /// events on the canonical net stream; being net-core state, it must be
-/// bit-invariant across shard counts and migration schedules, for several
-/// seeds, including multi-path runs with aggregates pinned per path.
+/// bit-invariant across shard counts, for several seeds, including
+/// multi-path runs with aggregates pinned per path.
 #[test]
 fn fluid_cross_traffic_is_shard_count_invariant() {
     use bundler_sim::fluid::CrossTrafficTier;
@@ -157,16 +81,13 @@ fn fluid_cross_traffic_is_shard_count_invariant() {
         let want = SimStats::of(&baseline);
         assert!(want.completed > 0, "scenario must do real work");
         for shards in [1usize, 2, 4] {
-            for balance in [ShardBalance::Rate, ShardBalance::Rotate] {
-                let mut cfg = config.clone();
-                cfg.shards = shards;
-                cfg.balance = balance;
-                let got = SimStats::of(&ShardedSimulation::new(cfg, sc.workload()).run());
-                assert_eq!(
-                    want, got,
-                    "fluid tier diverged at seed={seed} shards={shards} balance={balance:?}"
-                );
-            }
+            let mut cfg = config.clone();
+            cfg.shards = shards;
+            let got = SimStats::of(&ShardedSimulation::new(cfg, sc.workload()).run());
+            assert_eq!(
+                want, got,
+                "fluid tier diverged at seed={seed} shards={shards}"
+            );
         }
     }
 }
@@ -275,11 +196,11 @@ fn colocated_world() -> (SimulationConfig, Vec<FlowSpec>) {
     (config, workload)
 }
 
-/// Every mode places whole co-location groups (and keeps the pinned one
-/// on shard 0), and the adaptive modes move them whole, so the world above
-/// reproduces the solo engine exactly.
+/// Placement keeps each co-location group on one shard (and the pinned
+/// one on shard 0) at every shard count, under both `ShardBalance` names,
+/// so the world above reproduces the solo engine exactly.
 #[test]
-fn colocation_groups_survive_rate_and_rotate() {
+fn colocation_groups_stay_whole_at_every_shard_count() {
     let (config, workload) = colocated_world();
     let want = SimStats::of(&Simulation::new(config.clone(), workload.clone()).run());
     assert_eq!(
@@ -287,12 +208,8 @@ fn colocation_groups_survive_rate_and_rotate() {
         (16, 0),
         "every flow must finish"
     );
-    for shards in [2usize, 3] {
-        for balance in [
-            ShardBalance::RoundRobin,
-            ShardBalance::Rate,
-            ShardBalance::Rotate,
-        ] {
+    for shards in [2usize, 3, 4] {
+        for balance in [ShardBalance::RoundRobin, ShardBalance::Rate] {
             let mut cfg = config.clone();
             cfg.shards = shards;
             cfg.balance = balance;

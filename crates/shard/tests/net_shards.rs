@@ -3,14 +3,12 @@
 //! The net-shard split (PR 10) partitions the bottleneck sub-paths
 //! round-robin across dedicated net threads. These tests prove the split
 //! is invisible: for every combination of worker-shard count, net-shard
-//! count, balancing mode, seed and scenario family, `SimStats` digests
+//! count, seed and scenario family, `SimStats` digests
 //! are **bit-identical** to the single-threaded engine — with and without
 //! the `NETENV` wire format encoding every mailbox envelope.
 //!
 //! Matrix axes:
 //! * `shards ∈ {1, 2, 4}` × `net_shards ∈ {1, 2, 4}`
-//! * balance ∈ {`Rate`, `Rotate`} (`Rotate` migrates every bundle every
-//!   window — the adversarial schedule)
 //! * seeds, per scenario family
 //! * scenario families: `many_sites` (agent mode), `metro` with the fluid
 //!   cross-traffic tier, and classic multipath mode with flow hashing
@@ -31,11 +29,11 @@ use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::scenario::metro::MetroScenario;
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::workload::FlowSpec;
-use bundler_sim::{ShardBalance, SimStats, Simulation};
+use bundler_sim::{SimStats, Simulation};
 use bundler_types::{Duration, Nanos, Rate};
 
-/// One sharded leg of the matrix: `(shards, net_shards, balance, wire)`.
-type Leg = (usize, usize, ShardBalance, bool);
+/// One sharded leg of the matrix: `(shards, net_shards, wire)`.
+type Leg = (usize, usize, bool);
 
 /// Runs the single-threaded baseline, then every leg, asserting each is
 /// bit-identical. Returns the baseline digest so callers can chain
@@ -48,17 +46,16 @@ fn assert_matrix(
 ) -> SimStats {
     let want = SimStats::of(&Simulation::new(config.clone(), workload.to_vec()).run());
     assert!(want.completed > 0, "{name}: scenario must do real work");
-    for &(shards, net_shards, balance, wire) in legs {
+    for &(shards, net_shards, wire) in legs {
         let mut cfg = config.clone();
         cfg.shards = shards;
         cfg.net_shards = net_shards;
-        cfg.balance = balance;
         cfg.wire_envelopes = wire;
         let got = SimStats::of(&ShardedSimulation::new(cfg.clone(), workload.to_vec()).run());
         assert_eq!(
             want,
             got,
-            "{name}: shards={shards} net_shards={net_shards} balance={balance:?} \
+            "{name}: shards={shards} net_shards={net_shards} \
              wire_envelopes={wire} diverged from the single-threaded engine{}",
             common::where_they_part(config, &cfg, workload)
         );
@@ -82,17 +79,17 @@ fn many_sites_multipath(seed: u64) -> (SimulationConfig, Vec<FlowSpec>) {
     (config, sc.workload())
 }
 
-/// The full `shards × net_shards` grid on the agent-mode scenario, one
-/// seed under each balancing mode, wire envelopes on along the diagonal.
+/// The full `shards × net_shards` grid on the agent-mode scenario, for two
+/// seeds, wire envelopes on along the diagonal.
 #[test]
 fn many_sites_matrix_is_net_shard_invariant() {
-    for (seed, balance) in [(3u64, ShardBalance::Rate), (41, ShardBalance::Rotate)] {
+    for seed in [3u64, 41] {
         let (config, workload) = many_sites_multipath(seed);
         let mut legs = Vec::new();
         for shards in [1usize, 2, 4] {
             for net_shards in [1usize, 2, 4] {
                 let wire = shards == net_shards && shards > 1;
-                legs.push((shards, net_shards, balance, wire));
+                legs.push((shards, net_shards, wire));
             }
         }
         assert_matrix(
@@ -122,11 +119,11 @@ fn metro_fluid_matrix_is_net_shard_invariant() {
         config.num_paths = 2;
         config.path_delay_spread = Duration::from_millis(5);
         let legs = [
-            (1, 2, ShardBalance::Rate, false),
-            (2, 1, ShardBalance::Rate, false),
-            (2, 2, ShardBalance::Rate, false),
-            (4, 2, ShardBalance::Rotate, false),
-            (2, 2, ShardBalance::Rotate, true),
+            (1, 2, false),
+            (2, 1, false),
+            (2, 2, false),
+            (4, 2, false),
+            (2, 2, true),
         ];
         assert_matrix(
             &format!("metro fluid seed={seed}"),
@@ -164,11 +161,11 @@ fn classic_multipath_matrix_is_net_shard_invariant() {
         FlowSpec::bundled(6, 120_000, Nanos::from_millis(350), 2),
     ];
     let legs = [
-        (1, 4, ShardBalance::Rate, false),
-        (2, 2, ShardBalance::Rate, false),
-        (2, 4, ShardBalance::Rotate, false),
-        (4, 2, ShardBalance::Rate, false),
-        (4, 4, ShardBalance::Rotate, true),
+        (1, 4, false),
+        (2, 2, false),
+        (2, 4, false),
+        (4, 2, false),
+        (4, 4, true),
     ];
     assert_matrix("classic multipath", &config, &workload, &legs);
 }
@@ -180,7 +177,7 @@ fn classic_multipath_matrix_is_net_shard_invariant() {
 fn net_shards_above_num_paths_clamp() {
     let (config, workload) = many_sites_multipath(11);
     assert_eq!(config.num_paths, 4);
-    let legs = [(2, 64, ShardBalance::Rate, false)];
+    let legs = [(2, 64, false)];
     assert_matrix("net_shards clamp", &config, &workload, &legs);
 }
 
@@ -291,11 +288,6 @@ fn randomized_soak_is_net_shard_invariant() {
             legs.push((
                 1usize << (splitmix64(&mut rng) % 3),
                 1usize << (splitmix64(&mut rng) % 3),
-                match splitmix64(&mut rng) % 3 {
-                    0 => ShardBalance::RoundRobin,
-                    1 => ShardBalance::Rate,
-                    _ => ShardBalance::Rotate,
-                },
                 splitmix64(&mut rng) % 2 == 1,
             ));
         }

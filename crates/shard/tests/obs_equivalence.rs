@@ -1,14 +1,14 @@
 //! Property tests: observability is a pure output. Recording at any
 //! level never changes a simulation result, the merged *portable* metrics
 //! are bit-identical for every shard count, and the exported trace
-//! contains what the acceptance criteria demand (per-shard window spans,
-//! migration events, per-bundle rate tracks).
+//! contains per-shard window spans, net phases and per-bundle rate
+//! tracks.
 
 use bundler_obs::{CounterId, HistId, ObsLevel, TraceKind};
-use bundler_shard::scenario::{run_hot_bundle, run_many_sites_balanced};
+use bundler_shard::scenario::{run_hot_bundle, run_many_sites};
 use bundler_sim::scenario::hot_bundle::HotBundleScenario;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
-use bundler_sim::{ShardBalance, SimStats};
+use bundler_sim::SimStats;
 use bundler_types::{Duration, Rate};
 use proptest::prelude::*;
 
@@ -39,7 +39,7 @@ proptest! {
         prop_assert!(want.completed > 0, "scenario must do real work");
         prop_assert!(baseline.sim.obs.is_none(), "obs off must carry no report");
         for shards in [1usize, 2, 4] {
-            let traced = run_many_sites_balanced(&full, shards, ShardBalance::RoundRobin);
+            let traced = run_many_sites(&full, shards);
             prop_assert_eq!(
                 &want,
                 &SimStats::of(&traced.sim),
@@ -53,8 +53,8 @@ proptest! {
 
     /// The merged *portable* metrics snapshot — counters, max-gauges and
     /// every histogram bucket — is bit-identical for any shard count
-    /// (host metrics are exempt by design: mailbox depth and migration
-    /// traffic describe the execution, not the simulation).
+    /// (host metrics are exempt by design: mailbox depth and window
+    /// timings describe the execution, not the simulation).
     #[test]
     fn portable_metrics_are_shard_count_invariant(seed in 1u64..1000, sites in 3usize..8) {
         let scenario = quick_scenario(seed, sites, ObsLevel::Metrics);
@@ -63,24 +63,21 @@ proptest! {
         prop_assert!(want.counter(CounterId::SendboxEnqueued) > 0, "traffic must flow");
         prop_assert!(want.hist(HistId::SendboxSojournNs).count() > 0);
         for shards in [2usize, 4] {
-            for balance in [ShardBalance::RoundRobin, ShardBalance::Rotate] {
-                let sharded = run_many_sites_balanced(&scenario, shards, balance);
-                let got = &sharded.sim.obs.as_ref().expect("metrics on").metrics;
-                prop_assert_eq!(
-                    &want, got,
-                    "portable metrics diverged at shards={} balance={:?} (seed={})",
-                    shards, balance, seed
-                );
-            }
+            let sharded = run_many_sites(&scenario, shards);
+            let got = &sharded.sim.obs.as_ref().expect("metrics on").metrics;
+            prop_assert_eq!(
+                &want, got,
+                "portable metrics diverged at shards={} (seed={})",
+                shards, seed
+            );
         }
     }
 }
 
-/// The acceptance-criteria trace: a skewed `hot_bundle` run, 2 shards,
-/// the adversarial `Rotate` schedule (guaranteeing migrations), traced at
-/// `ObsLevel::Full`. The report must contain per-shard window spans, at
-/// least one bundle migration, per-bundle rate changes — and the Perfetto
-/// export must carry all three.
+/// The acceptance-criteria trace: a skewed `hot_bundle` run on 2 shards,
+/// traced at `ObsLevel::Full`. The report must contain per-shard window
+/// spans, net phases and per-bundle rate changes — and the Perfetto export
+/// must carry the spans and the rate tracks.
 #[test]
 fn hot_bundle_trace_contains_windows_migrations_and_rate_tracks() {
     let scenario = HotBundleScenario::builder()
@@ -91,17 +88,16 @@ fn hot_bundle_trace_contains_windows_migrations_and_rate_tracks() {
         .seed(13)
         .obs(ObsLevel::Full)
         .build();
-    let report = run_hot_bundle(&scenario, 2, ShardBalance::Rotate);
+    let report = run_hot_bundle(&scenario, 2);
     let obs = report.sim.obs.as_ref().expect("obs=full carries a report");
 
     let mut window_shards = std::collections::BTreeSet::new();
-    let (mut migrations, mut rate_changes, mut net_phases) = (0usize, 0usize, 0usize);
+    let (mut rate_changes, mut net_phases) = (0usize, 0usize);
     for rec in &obs.trace {
         match rec.kind {
             TraceKind::WorkerWindow { .. } => {
                 window_shards.insert(rec.shard);
             }
-            TraceKind::Migration { .. } => migrations += 1,
             TraceKind::RateChange { .. } => rate_changes += 1,
             TraceKind::NetPhase { .. } => net_phases += 1,
             _ => {}
@@ -112,10 +108,8 @@ fn hot_bundle_trace_contains_windows_migrations_and_rate_tracks() {
         vec![0, 1],
         "every worker shard must emit window spans"
     );
-    assert!(migrations >= 1, "Rotate balancing must migrate bundles");
     assert!(rate_changes > 0, "control ticks must emit rate tracks");
     assert!(net_phases > 0, "the driver must stamp net phases");
-    assert_eq!(obs.host.migrations, migrations as u64);
 
     // Phase profiles: one per shard, with a net-phase timeline, and a
     // breakdown that actually partitions the run's wall time.
@@ -134,15 +128,12 @@ fn hot_bundle_trace_contains_windows_migrations_and_rate_tracks() {
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"ph\":\"X\""), "window spans must export");
-    assert!(json.contains("migrate b"), "migrations must export");
     assert!(json.contains("rate Mbps"), "rate tracks must export");
 }
 
-/// Sojourn/drop-state export from inside the schedulers survives
-/// migration: the worker that drops a bundle folds its sojourns, the one
-/// that loads it re-arms the export, and the drop counters come off the
-/// scheduler state the section carries — so the sharded totals match the
-/// single-threaded ones.
+/// Sojourn/drop-state export from inside the schedulers is
+/// partition-invariant: each worker folds the exports of the bundles it
+/// owns, so the sharded totals match the single-threaded ones.
 #[test]
 fn sched_obs_travels_with_migrating_bundles() {
     let scenario = HotBundleScenario::builder()
@@ -154,12 +145,12 @@ fn sched_obs_travels_with_migrating_bundles() {
         .obs(ObsLevel::Metrics)
         .build();
     let single = scenario.run();
-    let sharded = run_hot_bundle(&scenario, 2, ShardBalance::Rotate);
+    let sharded = run_hot_bundle(&scenario, 2);
     let a = &single.sim.obs.as_ref().expect("metrics on").metrics;
     let b = &sharded.sim.obs.as_ref().expect("metrics on").metrics;
     assert!(
         a.hist(HistId::SchedSojournNs).count() > 0,
         "sendboxes must deliver"
     );
-    assert_eq!(a, b, "in-scheduler metrics must be migration-invariant");
+    assert_eq!(a, b, "in-scheduler metrics must be shard-count-invariant");
 }

@@ -180,7 +180,7 @@ impl Bundle {
 
 // The bundle's complete dynamic state: datapath, control plane if the bundle
 // holds it, receivebox, telemetry. The queued packets themselves are not in
-// it: `Edge::save_bundle` writes them right after it, by value in
+// it: `Edge::write_bundle` writes them right after it, by value in
 // `Tbf::for_each_pkt_mut` order, and `Edge::load_bundle` re-homes the refs
 // into its arena in that order.
 serde::layout!(state Bundle {
@@ -378,16 +378,6 @@ impl Edge {
         }
     }
 
-    /// Removes bundle `b` from this edge — at an agent edge its control
-    /// plane and prefixes too — and returns its [`Bundle`], if a sendbox
-    /// was deployed for it. The packets it queues are still in the arena.
-    pub(crate) fn remove(&mut self, b: usize) -> Option<Bundle> {
-        if let Some(agent) = &mut self.agent {
-            agent.remove_bundle(b);
-        }
-        self.bundles[b].take()
-    }
-
     /// Appends bundle `b`'s edge state to a snapshot stream: a tag — `0` no
     /// sendbox, `1` a [`Bundle`] holding its control plane, `2` an
     /// agent-held one — then the state, then the packets the datapath
@@ -395,7 +385,7 @@ impl Edge {
     /// `BNDLSNAP` v3 format; tag 2 interleaves the agent's part (id,
     /// prefixes, control plane), the index and the [`Bundle`] the way the
     /// format always has.
-    pub(crate) fn save_bundle(&mut self, b: usize, arena: &PacketArena, out: &mut Vec<u8>) {
+    pub(crate) fn write_bundle(&mut self, b: usize, arena: &PacketArena, out: &mut Vec<u8>) {
         if let Some(bundle) = &self.bundles[b] {
             match &self.agent {
                 None => 1u8.encode(out),
@@ -420,7 +410,7 @@ impl Edge {
         });
     }
 
-    /// Reverses [`Edge::save_bundle`] into this edge, which must not hold
+    /// Reverses [`Edge::write_bundle`] into this edge, which must not hold
     /// bundle `b`: the state is rebuilt from the *restoring* config (the
     /// snapshot fingerprint guarantees it matches the writing one) and the
     /// queued packets land in `arena`. `now` only anchors the agent's tick

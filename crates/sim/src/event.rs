@@ -40,8 +40,8 @@
 //! (one table, `event_tags!`, numbers the variants for both), and the one
 //! wide payload parks in a side slab the queue owns, because feedback in
 //! flight *is* queue state — it exists exactly from `schedule` to
-//! `pop`/`extract_if`, which hand it back by value, so snapshots and
-//! migration never see a slot number.
+//! `pop`/`extract_if`, which hand it back by value, so snapshots never
+//! see a slot number.
 
 use bundler_core::feedback::{BundleId, CongestionAck, EpochSizeUpdate};
 use bundler_core::wheel::CalendarQueue;
@@ -498,9 +498,8 @@ impl EventQueue {
 
     /// Removes and returns every pending event matching `pred`, sorted by
     /// the canonical `(timestamp, key)` order; everything else stays
-    /// queued, undisturbed. O(pending) — this is how the sharded runtime
-    /// migrates a logical process's pending events between shards at a
-    /// window barrier, never how the hot path runs.
+    /// queued, undisturbed. O(pending) — this is how a checkpoint lifts
+    /// the pending events out of a queue, never how the hot path runs.
     pub fn extract_if(
         &mut self,
         mut pred: impl FnMut(&Event) -> bool,

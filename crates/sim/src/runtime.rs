@@ -32,8 +32,8 @@
 //! origin on to the routing below it. Every walk of the table that reaches
 //! a snapshot or the report goes in ascending `FlowId`. State leaves a
 //! core only as snapshot bytes: a whole bundle complex as its section
-//! ([`WorkerCore::save_bundle`] / [`WorkerCore::load_bundle`]), for a
-//! checkpoint and a migration alike, beside the direct slice and the path
+//! (written by [`WorkerCore::save_part`], read by
+//! [`WorkerCore::load_bundle`]), beside the direct slice and the path
 //! sections; all of them share the pending-events-plus-packets layout of
 //! `save_pending`. A checkpoint lifts a core's pending events out of its
 //! queue once and groups them by LP (`Lifted`), and each LP's section
@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use bundler_obs::{
     BundleObsState, CounterId, FlowSampler, GaugeId, HealthKind, HistId, ObsReport, PhaseProfile,
-    SchedObs, ShardObs, TraceKind,
+    ShardObs, TraceKind,
 };
 use bundler_sched::tbf::Release;
 use bundler_sched::Policy;
@@ -332,16 +332,14 @@ pub fn flow_key(flow_id: u64, origin: Origin) -> FlowKey {
 /// One site-side LP's state on the worker that owns it — a bundle complex
 /// or the direct cross traffic — besides its flows (in the worker's
 /// `FlowTable`) and its sendbox (in the `Edge`). A worker owns the LP
-/// exactly when it holds the record: a checkpoint writes it, a migration
-/// or a restore moves it as a whole, and dropping the LP clears it.
+/// exactly when it holds the record: a checkpoint writes it and a restore
+/// installs it as a whole.
 #[derive(Default)]
 struct SiteLp {
     /// Schedule sequence counter: the LP's canonical key stream.
     seq: u64,
-    /// Events handled on the LP's behalf: the measured load signal the
-    /// rate-aware balancer packs bundles by. Attributed where the handler
-    /// has already resolved the LP, so counting adds no lookups to the hot
-    /// path; migrates with the LP so rates stay cumulative.
+    /// Events handled on the LP's behalf. Only the snapshot layout reads
+    /// it (a bundle section carries it), so it goes with layout v5.
     events: u64,
     /// Delivered payload bytes since the last sample.
     delivered: u64,
@@ -382,9 +380,8 @@ pub struct WorkerCore {
     /// Worker 0 holds the direct cross-traffic LP.
     shard: usize,
     /// The site-side LPs this worker owns, indexed by LP id (`LP_NET` is
-    /// never held). Starts as the static assignment the worker was built
-    /// with; [`WorkerCore::drop_bundle`] / [`WorkerCore::load_bundle`] move
-    /// bundle LPs at window barriers when the sharded driver rebalances.
+    /// never held): the placement the worker was built with, or the
+    /// sections a restore loaded into it ([`WorkerCore::load_bundle`]).
     lps: Vec<Option<SiteLp>>,
     /// The owned partition of the site's sendbox edge.
     edge: Edge,
@@ -415,7 +412,7 @@ pub struct WorkerCore {
     events_processed: u64,
     /// Packets this core's endhosts created (data, ACKs, pings,
     /// retransmissions) — counted at creation so the total is identical
-    /// whether or not packets later migrate between per-shard arenas.
+    /// however packets cross between per-shard arenas.
     packets_created: u64,
     /// Observability state (metrics, trace ring, phase timings). At
     /// [`bundler_obs::ObsLevel::Off`] every record site is one skipped
@@ -426,7 +423,7 @@ pub struct WorkerCore {
 
 impl WorkerCore {
     /// Builds worker `shard` owning the bundles flagged in `owned` (one
-    /// flag per bundle index), as the balancer placed them; worker 0 also
+    /// flag per bundle index), as the sharded host placed them; worker 0 also
     /// owns the direct cross-traffic LP. `directory` holds the run's
     /// workload and is shared by every core of the run. Panics if a bundle
     /// configuration is invalid (checked identically on every worker) or
@@ -446,8 +443,8 @@ impl WorkerCore {
         obs.stream = config.stream.clone();
         if obs.metrics_on() {
             // Turn on the in-scheduler sojourn/drop-state export. The flag
-            // lives inside the datapath scheduler, so it migrates with the
-            // bundle and never needs re-arming on adoption.
+            // lives inside the datapath scheduler; `load_bundle` re-arms it
+            // for a restored bundle.
             edge.set_obs(true);
         }
         let lps = [false, shard == 0]
@@ -479,7 +476,7 @@ impl WorkerCore {
         self.shard
     }
 
-    /// True if this worker currently owns bundle `b`.
+    /// True if this worker owns bundle `b`.
     pub fn owns_bundle(&self, b: usize) -> bool {
         let lp = usize::from(LP_BUNDLE0) + b;
         self.lps.get(lp).is_some_and(Option::is_some)
@@ -488,15 +485,6 @@ impl WorkerCore {
     /// Events this core has handled.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Events handled so far on behalf of bundle `b` (cumulative across
-    /// migrations — the count travels with the bundle). The sharded
-    /// driver's rate-aware balancer packs bundles by deltas of this.
-    pub fn bundle_events(&self, b: usize) -> u64 {
-        self.lps[bundle_lp(b) as usize]
-            .as_ref()
-            .map_or(0, |site| site.events)
     }
 
     /// Packets this core's endhosts have created.
@@ -1129,7 +1117,7 @@ impl WorkerCore {
                         },
                     );
                     // Accumulate into the flow's span (kept in its LP's
-                    // record, so it migrates with the bundle complex). A
+                    // record, so a checkpoint saves it with the bundle). A
                     // released packet's flow was admitted on this bundle.
                     if let Some(span) = self.site(lp).obs.spans.get_mut(&flow) {
                         span.pkts += 1;
@@ -1202,7 +1190,7 @@ impl WorkerCore {
         }
         if self.obs.metrics_on() {
             // Bundle health monitors: pure functions of this sample's
-            // readings vs the previous sample's (state migrates with the
+            // readings vs the previous sample's (state saved with the
             // bundle), evaluated on the canonical sample stream so verdicts
             // are identical for any shard count.
             let readings = bundle.and_then(|b| {
@@ -1240,8 +1228,8 @@ impl WorkerCore {
         queue.schedule(now + self.config.sample_interval, k, Event::Sample { lp });
     }
 
-    /// The site-side LP an event is handled by — the routing rule bundle
-    /// migration extracts pending events with. Flow-routed events resolve
+    /// The site-side LP an event is handled by — the rule a checkpoint
+    /// groups a worker's pending events by. Flow-routed events resolve
     /// through the flow table, so this must run while it is intact.
     fn event_lp(&self, event: &Event, arena: &PacketArena) -> u16 {
         match *event {
@@ -1265,37 +1253,11 @@ impl WorkerCore {
         }
     }
 
-    /// Appends bundle `bundle`'s snapshot section to `out` without
-    /// disturbing the live run: its LP sequence and load counters, its
-    /// pending events (packets cloned by value), its sendbox edge state
-    /// with the queued packets, its flows' TCP endhosts and ping clients,
-    /// its telemetry series and in-flight observability state. This is the
-    /// one form in which a bundle leaves a worker: a checkpoint keeps the
-    /// bytes; a migration follows them with [`WorkerCore::drop_bundle`]
-    /// here and [`WorkerCore::load_bundle`] on the other worker. Safe only
-    /// at a window barrier or between two events of the single-threaded
-    /// host — then no event for the bundle is in flight anywhere except
-    /// `queue` (the caller drains its inbox into it first).
-    pub fn save_bundle(
-        &mut self,
-        bundle: usize,
-        queue: &mut EventQueue,
-        arena: &PacketArena,
-        out: &mut Vec<u8>,
-    ) {
-        let lp = bundle_lp(bundle);
-        let lifted = Lifted::lift(
-            queue,
-            |e| !is_net_event(e) && self.event_lp(e, arena) == lp,
-            1,
-            |_| 0,
-        );
-        self.write_bundle(bundle, lifted.bucket(0), arena, out);
-        lifted.restore(queue);
-    }
-
-    /// Appends bundle `bundle`'s section, given its pending events in
-    /// canonical order: the body of [`WorkerCore::save_bundle`].
+    /// Appends bundle `bundle`'s snapshot section to `out`, given its
+    /// pending events in canonical order: its LP sequence and load
+    /// counters, the events (packets cloned by value), its sendbox edge
+    /// state with the queued packets, its flows' TCP endhosts and ping
+    /// clients, its telemetry series and in-flight observability state.
     fn write_bundle<'a>(
         &mut self,
         bundle: usize,
@@ -1309,7 +1271,7 @@ impl WorkerCore {
         };
         (bundle, site.seq, site.events, site.delivered).encode(out);
         save_pending(events, arena, out);
-        self.edge.save_bundle(bundle, arena, out);
+        self.edge.write_bundle(bundle, arena, out);
         // The bundle's flows, then its pings, each in ascending id.
         let flows = self.flows.sorted(lp, |slot| match slot {
             FlowSlot::Tcp(f) => Some(f),
@@ -1328,55 +1290,8 @@ impl WorkerCore {
         save_obs_state(&site.obs, out);
     }
 
-    /// Removes everything bundle `bundle` holds on this worker — pending
-    /// events, sendbox edge state, flows and pings, counters, telemetry —
-    /// freeing the packets of its events and queue back to `arena`, and
-    /// returns how many packets and payload bytes that was. The sendbox's
-    /// in-scheduler sojourn histogram is in no snapshot, so it folds into
-    /// this worker's metrics here (its drop counters are read off the
-    /// scheduler state, which travels in the section). Same barrier rule as
-    /// [`WorkerCore::save_bundle`].
-    pub fn drop_bundle(
-        &mut self,
-        bundle: usize,
-        queue: &mut EventQueue,
-        arena: &mut PacketArena,
-    ) -> (u64, u64) {
-        assert!(
-            self.owns_bundle(bundle),
-            "dropping bundle {bundle}, which this worker does not own"
-        );
-        let lp = bundle_lp(bundle);
-        let mut events = queue.extract_if(|e| !is_net_event(e) && self.event_lp(e, arena) == lp);
-        let (mut pkts, mut bytes) = (0, 0);
-        let mut free = |id: PacketId| {
-            pkts += 1;
-            bytes += arena[id].size as u64;
-            arena.free(id);
-        };
-        for id in events.iter_mut().filter_map(|(_, _, e)| event_pkt_mut(e)) {
-            free(*id);
-        }
-        if let Some(mut b) = self.edge.remove(bundle) {
-            b.tbf.for_each_pkt_mut(&mut |id| free(*id));
-            if let Some(sched) = b.take_obs() {
-                let sojourn = SchedObs {
-                    sojourn: sched.sojourn,
-                    ..SchedObs::default()
-                };
-                sojourn.merge_into(&mut self.obs.metrics);
-            }
-        }
-        for (id, ()) in self.flows.sorted(lp, |_| Some(())) {
-            self.flows.remove(id);
-        }
-        self.lps[lp as usize] = None;
-        (pkts, bytes)
-    }
-
-    /// Installs bundle `bundle`'s section, as [`WorkerCore::save_bundle`]
-    /// wrote it on any worker of this run or of the run a snapshot came
-    /// from, into this worker, which must not hold the bundle: packets land
+    /// Installs bundle `bundle`'s section, as a checkpoint of any host
+    /// wrote it, into this worker, which must not hold the bundle: packets land
     /// in `arena`, pending events in `queue` under their original
     /// `(timestamp, key)` — the canonical order guarantees the merged
     /// stream is exactly what the single-threaded engine would run — and
@@ -1466,7 +1381,7 @@ impl WorkerCore {
     /// keeps them for every later checkpoint and hands them back to the
     /// report), so each record is handed over once; the direct slice
     /// iff it owns the direct LP, and the section of every bundle it owns
-    /// ([`WorkerCore::save_bundle`]) in ascending index.
+    /// in ascending index.
     /// `queue` must already hold every delivery published below `at`.
     /// Ends by flushing the records below `at` to the telemetry stream, so
     /// a restore resumes from a complete prefix (saving records nothing,
@@ -2651,8 +2566,7 @@ pub fn assemble_report(
             w.obs.flush(at_end);
             // Fold each owned bundle's in-scheduler export (sojourns,
             // CoDel drop-state transitions) into the worker's shard
-            // metrics. Migrated bundles carried theirs along, so the fold
-            // happens exactly once wherever the bundle ended up.
+            // metrics, once per bundle on the worker that owns it.
             for b in 0..n_bundles {
                 if !w.owns_bundle(b) {
                     continue;
@@ -2708,7 +2622,6 @@ mod tests {
     use std::collections::HashMap;
 
     use bundler_cc::EndhostAlg;
-    use bundler_core::BundlerConfig;
     use bundler_types::TrafficClass;
     use proptest::prelude::*;
 
@@ -3003,74 +2916,6 @@ mod tests {
         assert_eq!(solo.core.packets_created(), created);
         assert_eq!(solo.core.fcts.len(), 1);
         assert_eq!(solo.core.flows.resolve(id).0, None);
-    }
-
-    #[test]
-    fn rotating_a_bundle_reuses_its_slots() {
-        // What `ShardBalance::Rotate` does to a bundle at every barrier,
-        // 1 000 times over: its section is saved, the bundle dropped and the
-        // section loaded. The freed slots are taken again on loading, so
-        // neither the slab nor the free list grows, and the loaded bundle
-        // saves the very bytes it was loaded from.
-        let config = SimulationConfig {
-            bundles: vec![
-                BundleMode::Bundler(BundlerConfig::default()),
-                BundleMode::StatusQuo,
-            ],
-            ..Default::default()
-        };
-        let mut workload: Vec<FlowSpec> = (0..40)
-            .map(|i| {
-                FlowSpec::bundled(
-                    flow_id(i % 2, i).0,
-                    50_000,
-                    Nanos::from_millis(i),
-                    i as usize % 2,
-                )
-            })
-            .collect();
-        workload.push(FlowSpec::bundled(flow_id(0, 90).0, 40, Nanos::ZERO, 0).as_ping());
-        workload.push(FlowSpec::direct(flow_id(2, 0).0, 50_000, Nanos::ZERO));
-        let directory = Arc::new(FlowDirectory::new(workload.clone()));
-        let owned = vec![true; config.n_bundles()];
-        let mut core = WorkerCore::with_owned(&config, directory, 0, owned);
-        let (mut queue, mut arena) = (EventQueue::new(), PacketArena::new());
-        core.schedule_initial(&mut queue);
-        // Admit every flow (nothing reaches the bottleneck: no net core).
-        let mut to_net = Vec::new();
-        let now = Nanos::from_millis(45);
-        while queue.peek().is_some_and(|(t, _)| t < now) {
-            let (t, event) = queue.pop().expect("peeked");
-            core.handle(event, t, &mut arena, &mut queue, &mut to_net);
-        }
-        assert_eq!(core.flows.index.len(), workload.len());
-        let (slots, live) = (core.flows.slots.len(), arena.live());
-        let mut section = Vec::new();
-        core.save_bundle(0, &mut queue, &arena, &mut section);
-        let (mut pkts, mut resaved) = (0, Vec::new());
-        for cycle in 0..1000 {
-            pkts = core.drop_bundle(0, &mut queue, &mut arena).0;
-            assert_eq!(core.flows.free.len(), 21, "bundle 0's flows and ping left");
-            assert_eq!(arena.live() as u64, live as u64 - pkts, "its packets freed");
-            let r = &mut Reader::new(&section);
-            core.load_bundle(0, &mut queue, &mut arena, r, now)
-                .expect("a bundle's own section loads");
-            assert!(
-                r.is_empty(),
-                "cycle {cycle}: the section is read to its end"
-            );
-            assert_eq!(core.flows.slots.len(), slots, "cycle {cycle}");
-            assert!(core.flows.free.is_empty(), "cycle {cycle}");
-            assert_eq!(core.flows.index.len(), workload.len());
-            assert_eq!(arena.live(), live, "cycle {cycle}");
-            resaved.clear();
-            core.save_bundle(0, &mut queue, &arena, &mut resaved);
-            assert!(
-                resaved == section,
-                "cycle {cycle}: the loaded bundle saves other bytes"
-            );
-        }
-        assert!(pkts > 0, "the bundle moves with packets in flight");
     }
 
     #[test]

@@ -72,10 +72,9 @@ pub struct SimulationConfig {
     /// the plain [`Simulation`] ignores the field.
     pub shards: usize,
     /// How the sharded host assigns bundles to worker shards (ignored by
-    /// the plain [`Simulation`] and when `shards == 1`). Every mode
-    /// produces bit-identical results — placement is invisible by
-    /// construction — so this only trades load balance against migration
-    /// work.
+    /// the plain [`Simulation`] and when `shards == 1`). Both modes place
+    /// bundles the same way, once, for the whole run; see
+    /// [`ShardBalance`].
     pub balance: ShardBalance,
     /// How many net shards the bottleneck runs on in the multi-threaded
     /// host, which partitions the bottleneck sub-paths round-robin across
@@ -135,28 +134,21 @@ pub struct SimulationConfig {
 
 /// Bundle-to-shard assignment policy for the multi-threaded host.
 ///
-/// Results are **identical** across all modes (and to the single-threaded
-/// engine): event order is canonical and re-partitioning happens only at
-/// window barriers, where no cross-shard message is in flight. The choice
-/// affects wall-clock only.
+/// Results are **identical** to the single-threaded engine whatever the
+/// placement: event order is canonical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBalance {
     /// Static round-robin over classification co-location groups (group
     /// leader `% shards`, groups classified-to by direct traffic on shard
-    /// 0) — `bundle % shards` when every group is a singleton. A heavy
-    /// bundle serializes its shard while the others idle at the barrier.
+    /// 0) — `bundle % shards` when every group is a singleton — fixed for
+    /// the whole run. A heavy bundle serializes its shard while the others
+    /// idle at the barrier.
     #[default]
     RoundRobin,
-    /// Rate-aware: periodically re-pack bundles across shards with a
-    /// deterministic greedy bin-pack (longest processing time first) over
-    /// the measured per-bundle event rates, migrating whole bundle
-    /// complexes at window barriers.
+    /// A name only: places exactly as [`ShardBalance::RoundRobin`].
+    /// ROADMAP item 4(d) deletes this variant with
+    /// [`SimulationConfig::balance`].
     Rate,
-    /// Adversarial schedule for tests: rotate **every** bundle to the next
-    /// shard at every rebalancing barrier, regardless of load. Maximizes
-    /// migration churn to prove any schedule is bit-identical; never worth
-    /// running for performance.
-    Rotate,
 }
 
 impl Default for SimulationConfig {

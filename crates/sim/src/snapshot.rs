@@ -88,11 +88,9 @@
 //! hint. **Reading**: [`restore_into`] pours the same layout into whatever
 //! cores a [`RestoreHost`] names.
 //!
-//! A bundle's section is written by `WorkerCore::save_bundle` and read by
-//! `WorkerCore::load_bundle` and nowhere else — and those two are also how
-//! the sharded host migrates a bundle between workers (save, drop, load), so
-//! a checkpoint, a restore and a migration move one bundle through the same
-//! bytes.
+//! A bundle's section is written by `WorkerCore::save_part` and read by
+//! `WorkerCore::load_bundle` and nowhere else, on every host, so a
+//! checkpoint taken at one shard count restores into any other.
 
 use bundler_types::{Duration, Nanos, PacketArena};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
@@ -534,7 +532,7 @@ mod tests {
         type Flip = fn(&mut SimulationConfig);
         let flips: [(&str, Flip); 8] = [
             ("shards", |c| c.shards = 4),
-            ("balance", |c| c.balance = crate::sim::ShardBalance::Rotate),
+            ("balance", |c| c.balance = crate::sim::ShardBalance::Rate),
             ("net_shards", |c| c.net_shards = 2),
             ("wire_envelopes", |c| c.wire_envelopes = true),
             ("obs", |c| c.obs = bundler_obs::ObsLevel::Full),

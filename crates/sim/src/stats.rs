@@ -256,7 +256,7 @@ pub struct SimReport {
     /// tests and the obs payload can dwarf the rest. Deliberately
     /// **excluded** from [`SimStats`] — its portable half is
     /// shard-count-invariant by construction, but its host half (phase
-    /// timings, migration traffic, wall stamps) legitimately varies run to
+    /// timings, mailbox depths, wall stamps) legitimately varies run to
     /// run.
     pub obs: Option<Box<bundler_obs::ObsReport>>,
 }
@@ -264,7 +264,7 @@ pub struct SimReport {
 /// The deterministic digest of a simulation run: every output that must be
 /// *bit-identical* across event engines and across shard counts. Excluded
 /// by design: `packets_recycled` (arena recycling is a host implementation
-/// detail — a sharded run re-inserts packets as they migrate between
+/// detail — a sharded run re-inserts packets as they cross between
 /// per-shard arenas) and wall-clock measurements.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimStats {

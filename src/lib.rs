@@ -23,11 +23,9 @@
 //! * [`shard`] — the sharded multi-threaded simulation runtime: per-bundle
 //!   worker shards around the shared bottleneck, synchronized by
 //!   conservative time windows and barrier-drained mailboxes, with the
-//!   net phase pipelined behind the next worker window and a rate-aware
-//!   balancer that migrates whole bundle complexes between shards at
-//!   window barriers; bit-identical to the single-threaded engine for any
-//!   shard count, balance mode and migration schedule (ARCHITECTURE.md
-//!   has the proof sketch).
+//!   net phase pipelined behind the next worker window; each bundle stays
+//!   on the shard it is placed on. Bit-identical to the single-threaded
+//!   engine for any shard count (ARCHITECTURE.md has the proof sketch).
 //! * [`internet`] — WAN path profiles and workloads for the real-Internet
 //!   experiments (§8 of the paper).
 //! * [`obs`] — deterministic observability: fixed-slot metrics with

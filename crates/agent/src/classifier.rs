@@ -84,19 +84,6 @@ impl<V> PrefixClassifier<V> {
         self.tables[prefix.len() as usize].get(&prefix.addr())
     }
 
-    /// Removes the exact prefix, returning its value if it was installed.
-    pub fn remove(&mut self, prefix: IpPrefix) -> Option<V> {
-        let table = &mut self.tables[prefix.len() as usize];
-        let old = table.remove(&prefix.addr());
-        if old.is_some() {
-            self.len -= 1;
-            if table.is_empty() {
-                self.occupied &= !(1 << prefix.len());
-            }
-        }
-        old
-    }
-
     /// Longest-prefix-match lookup: the value of the most specific installed
     /// prefix containing `addr`, if any.
     pub fn lookup(&self, addr: u32) -> Option<&V> {
@@ -170,15 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_replaces_and_remove_clears() {
+    fn insert_replaces_the_value() {
         let mut t = PrefixClassifier::new();
         assert_eq!(t.insert(p("10.0.0.0/24"), 1), None);
         assert_eq!(t.insert(p("10.0.0.0/24"), 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.remove(p("10.0.0.0/24")), Some(2));
-        assert_eq!(t.remove(p("10.0.0.0/24")), None);
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(ipv4(10, 0, 0, 1)), None);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! unequal delays, printing the out-of-order measurement fraction and
 //! whether Bundler disabled itself (§5.2 / §7.6).
 
-use bundler::sim::scenario::multipath::MultipathScenario;
-use bundler::types::{Duration, Rate};
+use bundler_bench::multipath::MultipathScenario;
+use bundler_types::{Duration, Rate};
 
 fn main() {
     println!("Out-of-order congestion-ACK fraction (threshold for disabling: 5%)\n");

@@ -12,8 +12,8 @@
 //! path and print the request-latency distribution for the three
 //! configurations.
 
-use bundler::internet::{Region, WanExperiment, WanPath};
-use bundler::types::Rate;
+use bundler_bench::internet::{Region, WanExperiment, WanPath};
+use bundler_types::Rate;
 
 fn main() {
     let mut experiment = WanExperiment::quick();

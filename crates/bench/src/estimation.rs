@@ -11,15 +11,16 @@
 //! truth from the simulator's own bookkeeping.
 
 use bundler_core::BundlerConfig;
+use bundler_sim::edge::BundleMode;
+use bundler_sim::sim::{Simulation, SimulationConfig};
+use bundler_sim::stats::quantile;
+use bundler_sim::workload::{FlowSizeDist, FlowSpec};
 use bundler_types::{Duration, Nanos, Rate};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::edge::BundleMode;
-use crate::scenario::cross_traffic::request_workload;
-use crate::sim::{Simulation, SimulationConfig};
-use crate::stats::quantile;
-use crate::workload::{FlowSizeDist, FlowSpec};
+use crate::cross_traffic::request_workload;
+use crate::{fmt, header, Scale};
 
 /// One sweep point's error samples.
 #[derive(Debug, Clone)]
@@ -185,6 +186,90 @@ pub fn summarize_errors(errors: &[f64], tolerance: f64) -> ErrorSummary {
         median_abs: median,
         p90_abs: p90,
     }
+}
+
+/// Figure 5: accuracy of Bundler's receive-rate estimate.
+///
+/// The paper reports that 80 % of receive-rate estimates are within
+/// 4 Mbit/s of the value measured at the bottleneck router, across traces
+/// spanning {20, 50, 100} ms delays and {24, 48, 96} Mbit/s rates.
+pub fn fig05_rate_estimation(scale: Scale) {
+    let scenario = scale.pick(EstimationScenario::quick(), EstimationScenario::default());
+    println!("# Figure 5: receive-rate estimation accuracy\n");
+    let results = scenario.run();
+
+    header(&[
+        "rtt_ms",
+        "rate_mbps",
+        "samples",
+        "median_abs_err_mbps",
+        "p90_abs_err_mbps",
+        "frac_within_4mbps",
+    ]);
+    let mut all_errors = Vec::new();
+    for r in &results {
+        let s = summarize_errors(&r.rate_error_mbps, 4.0);
+        println!(
+            "{} | {} | {} | {} | {} | {}",
+            fmt(r.rtt.as_millis_f64()),
+            fmt(r.rate.as_mbps_f64()),
+            s.samples,
+            fmt(s.median_abs),
+            fmt(s.p90_abs),
+            fmt(s.within_tolerance)
+        );
+        all_errors.extend_from_slice(&r.rate_error_mbps);
+    }
+    let overall = summarize_errors(&all_errors, 4.0);
+    println!();
+    println!(
+        "overall: {} samples, {}% within 4 Mbit/s (paper: 80% within 4 Mbit/s)",
+        overall.samples,
+        fmt(overall.within_tolerance * 100.0)
+    );
+}
+
+/// Figure 6: accuracy of Bundler's RTT estimate.
+///
+/// The paper reports that 80 % of RTT estimates are within 1.2 ms of the
+/// value measured at the bottleneck router.
+pub fn fig06_rtt_estimation(scale: Scale) {
+    let scenario = scale.pick(EstimationScenario::quick(), EstimationScenario::default());
+    println!("# Figure 6: RTT estimation accuracy\n");
+    let results = scenario.run();
+
+    header(&[
+        "rtt_ms",
+        "rate_mbps",
+        "samples",
+        "median_abs_err_ms",
+        "p90_abs_err_ms",
+        "frac_within_1.2ms",
+        "frac_within_5ms",
+    ]);
+    let mut all_errors = Vec::new();
+    for r in &results {
+        let tight = summarize_errors(&r.rtt_error_ms, 1.2);
+        let loose = summarize_errors(&r.rtt_error_ms, 5.0);
+        println!(
+            "{} | {} | {} | {} | {} | {} | {}",
+            fmt(r.rtt.as_millis_f64()),
+            fmt(r.rate.as_mbps_f64()),
+            tight.samples,
+            fmt(tight.median_abs),
+            fmt(tight.p90_abs),
+            fmt(tight.within_tolerance),
+            fmt(loose.within_tolerance)
+        );
+        all_errors.extend_from_slice(&r.rtt_error_ms);
+    }
+    let overall = summarize_errors(&all_errors, 1.2);
+    println!();
+    println!(
+        "overall: {} samples, {}% within 1.2 ms (paper: 80% within 1.2 ms)",
+        overall.samples,
+        fmt(overall.within_tolerance * 100.0)
+    );
 }
 
 #[cfg(test)]

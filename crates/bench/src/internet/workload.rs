@@ -9,7 +9,7 @@ use bundler_sim::stats::quantile;
 use bundler_sim::workload::FlowSpec;
 use bundler_types::{Duration, Nanos, Rate};
 
-use crate::paths::WanPath;
+use super::paths::WanPath;
 
 /// The per-path workload of the paper's §8 experiment.
 #[derive(Debug, Clone, Copy)]
@@ -129,7 +129,7 @@ impl Default for WanExperiment {
 impl WanExperiment {
     /// A reduced experiment (fewer/shorter paths) for tests and quick runs.
     pub fn quick() -> Self {
-        let mut path = WanPath::for_region(crate::paths::Region::Oregon)
+        let mut path = WanPath::for_region(super::paths::Region::Oregon)
             .with_egress_limit(Rate::from_mbps(60));
         // Keep the buffer proportionally smaller at the reduced rate.
         path.buffer_pkts = 300;
@@ -246,7 +246,7 @@ mod tests {
         // status quo is never better than the base RTT, Bundler never makes
         // request latency worse than the status quo, and bulk throughput
         // stays comparable. The full inflation/57%-reduction shape is
-        // demonstrated by the fig16_internet_paths bench binary at paper
+        // demonstrated by `paper fig16_internet_paths` at paper
         // scale (longer runs, deeper buffers).
         assert!(
             quo >= base - 1.0,

@@ -10,11 +10,12 @@
 //! with 2–32 imbalanced paths, so a 5 % threshold separates them cleanly.
 
 use bundler_core::BundlerConfig;
+use bundler_sim::edge::BundleMode;
+use bundler_sim::sim::{Simulation, SimulationConfig};
+use bundler_sim::workload::FlowSpec;
 use bundler_types::{Duration, Nanos, Rate};
 
-use crate::edge::BundleMode;
-use crate::sim::{Simulation, SimulationConfig};
-use crate::workload::FlowSpec;
+use crate::{fmt, header, Scale};
 
 /// One sweep point of the multipath-detection experiment.
 #[derive(Debug, Clone, Copy)]
@@ -120,6 +121,91 @@ impl MultipathScenario {
         }
         out
     }
+}
+
+/// Figure 7: the out-of-order fraction on one path against four paths with
+/// different delays.
+pub fn fig07_multipath_delays(scale: Scale) {
+    let duration = scale.pick(Duration::from_secs(15), Duration::from_secs(60));
+    println!("# Figure 7: imbalanced multipath detection (4 paths with different delays)\n");
+
+    header(&[
+        "paths",
+        "delay_spread_ms",
+        "out_of_order_fraction",
+        "bundler_disabled",
+    ]);
+    for (paths, spread_ms) in [(1usize, 0u64), (4, 40)] {
+        let point = MultipathScenario {
+            rate: Rate::from_mbps(96),
+            rtt: Duration::from_millis(50),
+            paths,
+            delay_spread: Duration::from_millis(spread_ms),
+            flows: 24,
+            duration,
+        }
+        .run();
+        println!(
+            "{} | {} | {} | {}",
+            paths,
+            spread_ms,
+            fmt(point.out_of_order_fraction),
+            point.disabled
+        );
+    }
+    println!();
+    println!(
+        "paper: single-path runs stay below 0.4% out-of-order; 4 imbalanced paths exceed 20%."
+    );
+}
+
+/// §7.6: the multipath-detection heuristic across bandwidths, RTTs and path
+/// counts (the module doc has the paper's numbers).
+pub fn tab_multipath_sweep(scale: Scale) {
+    let duration = scale.pick(Duration::from_secs(10), Duration::from_secs(30));
+    let rates = [
+        Rate::from_mbps(12),
+        Rate::from_mbps(48),
+        Rate::from_mbps(96),
+    ];
+    let rtts = [
+        Duration::from_millis(10),
+        Duration::from_millis(50),
+        Duration::from_millis(150),
+    ];
+    let paths = [1usize, 2, 4, 8];
+
+    println!("# Section 7.6 table: out-of-order fraction vs paths/bandwidth/RTT\n");
+    header(&[
+        "rate_mbps",
+        "rtt_ms",
+        "paths",
+        "out_of_order_fraction",
+        "disabled",
+    ]);
+    let mut single_max: f64 = 0.0;
+    let mut multi_min: f64 = 1.0;
+    for point in MultipathScenario::sweep(&rates, &rtts, &paths, duration) {
+        if point.paths == 1 {
+            single_max = single_max.max(point.out_of_order_fraction);
+        } else {
+            multi_min = multi_min.min(point.out_of_order_fraction);
+        }
+        println!(
+            "{} | {} | {} | {} | {}",
+            fmt(point.rate.as_mbps_f64()),
+            fmt(point.rtt.as_millis_f64()),
+            point.paths,
+            fmt(point.out_of_order_fraction),
+            point.disabled
+        );
+    }
+    println!();
+    println!(
+        "max single-path fraction: {} | min multipath fraction: {} (paper: 0.4% vs 20%)",
+        fmt(single_max),
+        fmt(multi_min)
+    );
 }
 
 #[cfg(test)]

@@ -53,11 +53,6 @@ pub enum CodelVerdict {
 }
 
 impl CodelState {
-    /// True if the state machine is currently in its dropping state.
-    pub fn is_dropping(&self) -> bool {
-        self.dropping
-    }
-
     fn control_law(&self, t: Nanos) -> Nanos {
         // interval / sqrt(count)
         let denom = (self.count.max(1) as f64).sqrt();
@@ -149,7 +144,7 @@ mod tests {
         // Packets spend 1 ms in the queue, below the 5 ms target.
         assert!(drive(&mut s, &mut now, 1, 1000).is_empty());
         assert_eq!(s.total_drops, 0);
-        assert!(!s.is_dropping());
+        assert!(!s.dropping);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
         // one 100 ms interval later, not before.
         let drops = drive(&mut s, &mut now, 50, 200);
         assert_eq!(drops.first(), Some(&Nanos::from_millis(101)));
-        assert!(s.is_dropping());
+        assert!(s.dropping);
         assert_eq!(s.drop_entries, 1);
         assert_eq!(s.total_drops, drops.len() as u64);
     }
@@ -184,9 +179,9 @@ mod tests {
         let mut now = Nanos::ZERO;
         // Force it into dropping.
         drive(&mut s, &mut now, 50, 500);
-        assert!(s.is_dropping());
+        assert!(s.dropping);
         assert!(drive(&mut s, &mut now, 1, 1).is_empty());
-        assert!(!s.is_dropping());
+        assert!(!s.dropping);
         assert_eq!((s.drop_entries, s.drop_exits), (1, 1));
     }
 
@@ -209,7 +204,7 @@ mod tests {
         let mut now = Nanos::ZERO;
         // Mid-episode, so the snapshot carries non-trivial drop state.
         drive(&mut s, &mut now, 50, 150);
-        assert!(s.is_dropping() && s.total_drops > 0);
+        assert!(s.dropping && s.total_drops > 0);
 
         let mut bytes = Vec::new();
         s.save_state(&mut bytes);

@@ -27,11 +27,6 @@ impl Drr {
             rr: RoundRobin::new(IdHashMap::default(), capacity_pkts),
         }
     }
-
-    /// Number of distinct flows currently backlogged.
-    pub fn backlogged_flows(&self) -> usize {
-        self.rr.active.len()
-    }
 }
 
 impl Scheduler for Drr {
@@ -121,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_share_between_two_backlogged_flows() {
+    fn equal_share_between_two_busy_flows() {
         let mut a = PacketArena::new();
         let mut d = Drr::new(4096);
         for _ in 0..50 {
@@ -169,9 +164,9 @@ mod tests {
         let mut a = PacketArena::new();
         let mut d = Drr::new(4096);
         enq(&mut d, &mut a, pkt(0, 100));
-        assert_eq!(d.backlogged_flows(), 1);
+        assert_eq!(d.rr.active.len(), 1);
         d.dequeue(&mut a, Nanos::ZERO);
-        assert_eq!(d.backlogged_flows(), 0);
+        assert_eq!(d.rr.active.len(), 0);
         assert!(d.rr.queues.is_empty(), "idle flow queues must be removed");
     }
 
@@ -219,7 +214,7 @@ mod tests {
         let mut resaved = Vec::new();
         d2.save_state(&mut resaved);
         assert_eq!(bytes, resaved, "restore must be lossless");
-        assert_eq!(d.backlogged_flows(), d2.backlogged_flows());
+        assert_eq!(d.rr.active.len(), d2.rr.active.len());
         // Identical drain: same (flow, size) sequence from both instances.
         loop {
             let x = d.dequeue(&mut a, Nanos::ZERO).map(|id| {

@@ -27,11 +27,6 @@ impl FairQueue {
             rr: RoundRobin::new(IdHashMap::default(), capacity_pkts),
         }
     }
-
-    /// Number of distinct backlogged flows.
-    pub fn backlogged_flows(&self) -> usize {
-        self.rr.active.len()
-    }
 }
 
 impl Scheduler for FairQueue {
@@ -126,7 +121,7 @@ mod tests {
             enq(&mut fq, &mut a, pkt(0, 1000));
             enq(&mut fq, &mut a, pkt(1, 1000));
         }
-        assert_eq!(fq.backlogged_flows(), 2);
+        assert_eq!(fq.rr.active.len(), 2);
         let mut counts = [0usize; 2];
         for _ in 0..10 {
             let id = fq.dequeue(&mut a, Nanos::ZERO).unwrap();
@@ -174,7 +169,7 @@ mod tests {
         }
         assert!(enq(&mut fq, &mut a, pkt(1, 500)).is_drop());
         while fq.dequeue(&mut a, Nanos::ZERO).is_some() {}
-        assert_eq!(fq.backlogged_flows(), 0);
+        assert_eq!(fq.rr.active.len(), 0);
         assert_eq!(fq.len_bytes(), 0);
     }
 }

@@ -18,8 +18,9 @@
 //! * [`sim`] — the event loop tying everything together.
 //! * [`stats`] — flow-completion-time, slowdown, throughput and queue-delay
 //!   accounting.
-//! * [`scenario`] — ready-made experiment configurations, one per figure or
-//!   table of the paper.
+//! * [`scenario`] — ready-made worlds: Figure 9's request workload and the
+//!   multi-site worlds beyond the paper. The other paper-figure worlds live
+//!   in `bundler-bench`.
 //!
 //! Every run is a deterministic function of its seed, so experiments are
 //! exactly reproducible.

@@ -6,7 +6,7 @@
 //! requests are 10 KB or shorter, and the largest 0.002 % of requests are
 //! between 5 MB and 100 MB." The CAIDA trace itself is not redistributable,
 //! so [`FlowSizeDist::caida_like`] is a synthetic empirical CDF with the
-//! same reported shape; DESIGN.md records this substitution.
+//! same reported shape.
 
 use std::sync::{LazyLock, OnceLock};
 

@@ -26,8 +26,6 @@
 //!   net phase pipelined behind the next worker window; each bundle stays
 //!   on the shard it is placed on. Bit-identical to the single-threaded
 //!   engine for any shard count (ARCHITECTURE.md has the proof sketch).
-//! * [`internet`] — WAN path profiles and workloads for the real-Internet
-//!   experiments (§8 of the paper).
 //! * [`obs`] — deterministic observability: fixed-slot metrics with
 //!   shard-count-invariant merged snapshots, a structured trace recorder
 //!   with Perfetto (Chrome trace-event) export, and the sharded runtime's
@@ -56,7 +54,6 @@
 pub use bundler_agent as agent;
 pub use bundler_cc as cc;
 pub use bundler_core as core;
-pub use bundler_internet as internet;
 pub use bundler_obs as obs;
 pub use bundler_sched as sched;
 pub use bundler_shard as shard;

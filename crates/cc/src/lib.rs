@@ -8,7 +8,7 @@
 //!   the whole bundle. The paper runs Copa by default, with Nimbus providing
 //!   the buffer-filling cross-traffic detector.
 //! * **Window-based controllers for simulated endhosts** ([`cubic::Cubic`],
-//!   [`reno::NewReno`], [`vegas::Vegas`], and BBR again): they implement the
+//!   [`reno::NewReno`], and BBR again): they implement the
 //!   [`WindowCc`] trait with per-ACK and per-loss callbacks. The
 //!   simulator's TCP senders hold one [`EndhostCc`] by value, the enum
 //!   [`EndhostAlg::build`] returns, which dispatches to the algorithm with
@@ -26,7 +26,6 @@ pub mod copa;
 pub mod cubic;
 pub mod nimbus;
 pub mod reno;
-pub mod vegas;
 pub mod windowed;
 
 use bundler_types::{Duration, Nanos, Rate};
@@ -161,8 +160,6 @@ pub enum EndhostAlg {
     NewReno,
     /// BBR v1 (simplified model).
     Bbr,
-    /// TCP Vegas (delay-based).
-    Vegas,
     /// Fixed congestion window; models the idealized TCP proxy of §7.5.
     FixedWindow(u64),
 }
@@ -175,7 +172,6 @@ impl EndhostAlg {
             EndhostAlg::Cubic => EndhostCc::Cubic(cubic::Cubic::new(mss)),
             EndhostAlg::NewReno => EndhostCc::NewReno(reno::NewReno::new(mss)),
             EndhostAlg::Bbr => EndhostCc::Bbr(Box::new(bbr::BbrWindow::new(mss))),
-            EndhostAlg::Vegas => EndhostCc::Vegas(vegas::Vegas::new(mss)),
             EndhostAlg::FixedWindow(pkts) => EndhostCc::Fixed(FixedWindow {
                 // Saturating: `pkts` is decoded from snapshots as well as
                 // written by callers.
@@ -197,8 +193,6 @@ pub enum EndhostCc {
     Cubic(cubic::Cubic),
     /// TCP NewReno.
     NewReno(reno::NewReno),
-    /// TCP Vegas.
-    Vegas(vegas::Vegas),
     /// A fixed window.
     Fixed(FixedWindow),
     /// Window-based BBR.
@@ -217,7 +211,6 @@ macro_rules! dispatch {
         match $this {
             EndhostCc::Cubic($cc) => $body,
             EndhostCc::NewReno($cc) => $body,
-            EndhostCc::Vegas($cc) => $body,
             EndhostCc::Fixed($cc) => $body,
             EndhostCc::Bbr($cc) => $body,
         }
@@ -264,7 +257,8 @@ serde::layout!(enum EndhostAlg {
     0 => Cubic,
     1 => NewReno,
     2 => Bbr,
-    3 => Vegas,
+    // 3 (TCP Vegas) is retired: never reuse the number, so an old
+    // checkpoint cannot decode as another algorithm.
     4 => FixedWindow(pkts),
 });
 
@@ -274,7 +268,6 @@ impl std::fmt::Display for EndhostAlg {
             EndhostAlg::Cubic => write!(f, "cubic"),
             EndhostAlg::NewReno => write!(f, "newreno"),
             EndhostAlg::Bbr => write!(f, "bbr"),
-            EndhostAlg::Vegas => write!(f, "vegas"),
             EndhostAlg::FixedWindow(p) => write!(f, "fixed({p})"),
         }
     }
@@ -371,7 +364,6 @@ mod tests {
             EndhostAlg::Cubic,
             EndhostAlg::NewReno,
             EndhostAlg::Bbr,
-            EndhostAlg::Vegas,
             EndhostAlg::FixedWindow(450),
         ] {
             let cc = alg.build(1460);
@@ -414,7 +406,6 @@ mod tests {
             EndhostAlg::Cubic,
             EndhostAlg::NewReno,
             EndhostAlg::Bbr,
-            EndhostAlg::Vegas,
             EndhostAlg::FixedWindow(450),
         ] {
             let mut cc = alg.build(1460);
@@ -462,7 +453,6 @@ mod tests {
             (EndhostAlg::Cubic, (34, 0xbaa8_984b_ba53_ef70)),
             (EndhostAlg::NewReno, (17, 0x0801_3c83_30d8_6c37)),
             (EndhostAlg::Bbr, (309, 0xce71_6454_2c48_921a)),
-            (EndhostAlg::Vegas, (16, 0xf6a2_dd9a_8969_f35a)),
             (EndhostAlg::FixedWindow(450), (8, 0x1aba_5319_8631_8321)),
         ];
         for (alg, pin) in pins {

@@ -12,7 +12,7 @@
 //! Because each LP's sequence numbers depend only on that LP's own
 //! execution history, the total `(timestamp, key)` order is *canonical*:
 //! it does not change when LPs are partitioned across shards. That is the
-//! property that lets `bundler-shard` run workers in parallel and still
+//! property that lets [`crate::shard`] run workers in parallel and still
 //! merge cross-shard mailboxes into exactly the order the single-threaded
 //! engine produces — bit-identical results for any shard count.
 //!
@@ -160,7 +160,7 @@ pub enum Event {
         lp: u16,
     },
     /// Integration step for the fluid cross-traffic tier of one bottleneck
-    /// path (keyed on [`crate::runtime::LP_FLUID`] with the path's own
+    /// path (keyed on `LP_FLUID` with the path's own
     /// sequence stream, so fluid steps interleave canonically with packet
     /// events at the same timestamp and touch only that path's state —
     /// which is what lets a net shard integrate its owned paths without

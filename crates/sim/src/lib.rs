@@ -15,7 +15,10 @@
 //!   buffers, propagation delay and ECMP-style load balancing.
 //! * [`edge`] — the site edge: either a pass-through (status quo) or a
 //!   Bundler sendbox (token bucket + scheduler + control plane).
-//! * [`sim`] — the event loop tying everything together.
+//! * [`sim`] — [`Simulation`], the one entry point: the single-threaded
+//!   event loop tying everything together, or, when
+//!   [`SimulationConfig::shards`] asks for more than one worker, the
+//!   windowed multi-threaded runtime of [`shard`], bit-identical to it.
 //! * [`stats`] — flow-completion-time, slowdown, throughput and queue-delay
 //!   accounting.
 //! * [`scenario`] — ready-made worlds: Figure 9's request workload and the
@@ -28,14 +31,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod directory;
+mod directory;
 pub mod edge;
 pub mod event;
 pub mod fault;
 pub mod fluid;
 pub mod path;
-pub mod runtime;
+mod runtime;
 pub mod scenario;
+pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod stats;

@@ -2,8 +2,9 @@
 //!
 //! The simulator is split into two kinds of logical-process (LP) cores so
 //! the same code runs single-threaded (one [`WorkerCore`] owning every LP,
-//! composed by [`crate::sim::Simulation`]) and sharded (`bundler-shard`
-//! composes K worker cores on K threads around one [`NetCore`]):
+//! composed by [`crate::sim::Simulation`]) and sharded (the windowed
+//! runtime in [`crate::shard`] composes K worker cores on K threads around
+//! one [`NetCore`] per net shard):
 //!
 //! * [`WorkerCore`] — a partition of the *site-side* LPs: each bundle
 //!   complex (the bundle's flows' TCP endhosts at both sites, its sendbox

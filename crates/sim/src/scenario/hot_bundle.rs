@@ -6,9 +6,9 @@
 //! hot bundle serializes its shard while the others idle at the window
 //! barrier. This scenario makes that imbalance reproducible — site 0
 //! receives as many requests (and backlogged bulk flows) as all the cold
-//! sites combined — so `bundler-shard`'s rate-aware balancer has something
-//! real to fix (the repository benchmark's `hot_solo` and `hot_sharded`
-//! workloads run this world).
+//! sites combined — so the skew a fixed placement leaves is measurable
+//! (the repository benchmark's `hot_solo` and `hot_sharded` workloads run
+//! this world).
 //!
 //! The run is a deterministic function of its seed, like every scenario.
 
@@ -97,7 +97,7 @@ impl HotBundleBuilder {
 
     /// Observability level the run records at (default
     /// [`bundler_obs::ObsLevel::Off`]; turning it on never changes
-    /// results — property-tested in `bundler-shard`).
+    /// results — property-tested in `tests/obs_equivalence.rs`).
     pub fn obs(mut self, level: bundler_obs::ObsLevel) -> Self {
         self.obs = level;
         self

@@ -189,7 +189,7 @@ impl ManySitesBuilder {
 
     /// Observability level the run records at (default
     /// [`bundler_obs::ObsLevel::Off`]; turning it on never changes
-    /// results — property-tested in `bundler-shard`).
+    /// results — property-tested in `tests/obs_equivalence.rs`).
     pub fn obs(mut self, level: bundler_obs::ObsLevel) -> Self {
         self.obs = level;
         self

@@ -4,8 +4,8 @@
 //! # Why any placement is legal
 //!
 //! Results are partition-invariant by construction (canonical event keys;
-//! see the crate docs), so placement never has to be *right* — only
-//! deterministic. It is fixed for the whole run: a bundle changes worker
+//! see the module docs of `shard`), so placement never has to be *right*
+//! — only deterministic. It is fixed for the whole run: a bundle changes worker
 //! only when a checkpoint is restored at another shard count, and the
 //! restoring run places it by this same rule.
 //!
@@ -22,13 +22,17 @@
 //! index) modulo the shard count: plain `bundle % shards` when every group
 //! is a singleton (every built-in world).
 
-use bundler_sim::sim::SimulationConfig;
-use bundler_sim::workload::{FlowSpec, Origin};
+use crate::sim::SimulationConfig;
+use crate::workload::{FlowSpec, Origin};
 use bundler_types::Nanos;
 
 /// The worker shard of each bundle (by global index) for a run of
 /// `config` over `workload` on `shards` workers.
-pub fn placement(config: &SimulationConfig, workload: &[FlowSpec], shards: usize) -> Vec<usize> {
+pub(crate) fn placement(
+    config: &SimulationConfig,
+    workload: &[FlowSpec],
+    shards: usize,
+) -> Vec<usize> {
     let n = config.n_bundles();
     let mut parent: Vec<usize> = (0..n).collect();
     let mut pinned_to_direct: Vec<usize> = Vec::new();
@@ -39,7 +43,7 @@ pub fn placement(config: &SimulationConfig, workload: &[FlowSpec], shards: usize
                 .expect("invalid multi-bundle specs");
         }
         for spec in workload {
-            let key = bundler_sim::runtime::flow_key(spec.id.0, spec.origin);
+            let key = crate::runtime::flow_key(spec.id.0, spec.origin);
             let Some(c) = full.classify(&key) else {
                 continue;
             };
@@ -93,7 +97,7 @@ mod tests {
     #[test]
     fn singleton_groups_place_round_robin() {
         let config = SimulationConfig {
-            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 5],
+            bundles: vec![crate::edge::BundleMode::StatusQuo; 5],
             ..Default::default()
         };
         assert_eq!(placement(&config, &[], 2), [0, 1, 0, 1, 0]);

@@ -1,17 +1,17 @@
 //! The windowed multi-threaded driver.
 //!
-//! See the crate docs for the synchronization argument. The run is a
-//! sequence of *windows* `[T, T+Δ)`, Δ = ½ lookahead, attended by three
-//! kinds of thread: one **worker** per shard, one **net thread** per net
-//! shard (net shard k of K owns the bottleneck paths `gid % K == k`), and
-//! the **driver** — the calling thread, which only coordinates. A
-//! configuration with one shard, or whose lookahead is too short to halve
-//! (< 2 ns), has nothing to window over: [`ShardedSimulation`] then *is*
-//! the single-threaded [`Simulation`].
+//! See the module docs of `shard` for the synchronization argument. The
+//! run is a sequence of *windows* `[T, T+Δ)`, Δ = ½ lookahead, attended
+//! by three kinds of thread: one **worker** per shard, one **net thread**
+//! per net shard (net shard k of K owns the bottleneck paths
+//! `gid % K == k`), and the **driver** — the calling thread, which only
+//! coordinates. A configuration with one shard, or whose lookahead is too
+//! short to halve (< 2 ns), has nothing to window over: [`window_of`]
+//! sends it to the single-threaded engine instead.
 //!
 //! Each bundle lives on one worker for the whole run: the placement
-//! ([`crate::balance::placement`]) is fixed when the cores are built, and
-//! so is delivery routing. Event order is canonical, so any placement is
+//! ([`placement`]) is fixed when the cores are built, and so is delivery
+//! routing. Event order is canonical, so any placement is
 //! bit-identical to the single-threaded engine (property-tested in
 //! `tests/equivalence.rs`).
 //!
@@ -39,7 +39,7 @@
 //! events with `t < T+Δ`, moving packets released toward the bottleneck
 //! into `(timestamp, key, packet)` envelopes; with
 //! `SimulationConfig::wire_envelopes` on, each crosses the versioned
-//! `NETENV` frame ([`crate::wire`]) on the way. A packet's path — and so
+//! `NETENV` frame ([`wire`]) on the way. A packet's path — and so
 //! its net shard — is a pure function of the packet (`pick(pkt) mod K`, a
 //! stateless copy of the net side's load balancer), identical on both
 //! sides of the mailbox. Meanwhile each net thread runs the net phase of
@@ -62,22 +62,22 @@ use std::cell::Cell;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use bundler_obs::{wall_now_ns, NetWindow, TraceKind, WindowPhase};
-use bundler_sim::directory::FlowDirectory;
-use bundler_sim::event::{Event, EventKey, EventQueue};
-use bundler_sim::path::LoadBalancer;
-use bundler_sim::runtime::{
-    assemble_report, balancer_for, bundle_lp, Delivery, NetCore, ToNet, WorkerCore, LP_BUNDLE0,
-};
-use bundler_sim::sim::SimulationConfig;
-use bundler_sim::snapshot::{self, PathSection, RestoreHost, WorkerPart};
-use bundler_sim::workload::FlowSpec;
-use bundler_sim::{SimReport, Simulation};
 use bundler_types::{Duration, Nanos, Packet, PacketArena};
 
-use crate::balance::placement;
-use crate::error::{self, ShardError};
-use crate::mailbox::{self, Receiver, Sender};
-use crate::wire::{self, WireDir};
+use super::balance::placement;
+use super::error::{self, WorkerPanic};
+use super::mailbox::{self, Receiver, Sender};
+use super::wire::{self, WireDir};
+use crate::directory::FlowDirectory;
+use crate::event::{Event, EventKey, EventQueue};
+use crate::path::LoadBalancer;
+use crate::runtime::{
+    assemble_report, balancer_for, bundle_lp, Delivery, NetCore, ToNet, WorkerCore, LP_BUNDLE0,
+};
+use crate::sim::SimulationConfig;
+use crate::snapshot::{self, PathSection, RestoreHost, SnapshotError, WorkerPart};
+use crate::workload::FlowSpec;
+use crate::SimReport;
 
 /// Messages a mailbox holds before its vector first grows.
 const MAILBOX_CAPACITY: usize = 4096;
@@ -168,7 +168,7 @@ struct Control {
     /// once this is set every thread idles through its remaining steps,
     /// and the driver, which checks between windows, stops the run and
     /// surfaces the diagnostic.
-    diag: Mutex<Option<ShardError>>,
+    diag: Mutex<Option<WorkerPanic>>,
 }
 
 impl Control {
@@ -186,7 +186,7 @@ impl Control {
             return;
         }
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
-            lock(&self.diag).get_or_insert(ShardError::WorkerPanicked {
+            lock(&self.diag).get_or_insert(WorkerPanic {
                 shard: seat.shard,
                 window,
                 last_event: seat.last_event.get(),
@@ -268,151 +268,63 @@ impl<'a> Seat<'a> {
     }
 }
 
-/// The multi-threaded simulation host.
-///
-/// `SimulationConfig::shards` selects the worker count: `1` is the
-/// single-threaded [`Simulation`] (today's engine, unchanged); `k > 1`
-/// places bundles once across `k` worker threads around the shared
-/// bottleneck (see [`crate::balance`]) and keeps them there.
-/// `SimulationConfig::net_shards` splits the bottleneck itself across
-/// that many net threads by path. Results are bit-identical for every
-/// worker and net shard count — see the crate docs,
-/// `tests/equivalence.rs` and `tests/net_shards.rs`.
-pub struct ShardedSimulation(Host);
-
-#[allow(clippy::large_enum_variant)] // one value per run, built once, moved once
-enum Host {
-    /// One shard, or a lookahead too short to halve into windows: the
-    /// single-threaded engine itself.
-    Solo(Simulation),
-    Windowed {
-        config: SimulationConfig,
-        /// Δ = ½ lookahead.
-        window: Duration,
-        cores: Cores,
-        /// Simulated time the run starts from (`ZERO` for a fresh run, the
-        /// snapshot's stamp after a restore).
-        start: Nanos,
-        /// Checkpoint cadence and fingerprint.
-        writer: snapshot::Writer,
-    },
+/// A windowed run: `SimulationConfig::shards` worker threads place
+/// bundles once (see [`placement`]) and keep them, and
+/// `SimulationConfig::net_shards` net threads split the bottleneck by
+/// path. Results are bit-identical for every worker and net shard count —
+/// see the module docs of `shard`, `tests/equivalence.rs` and
+/// `tests/net_shards.rs`.
+pub(crate) struct Windowed {
+    config: SimulationConfig,
+    /// Δ = ½ lookahead.
+    window: Duration,
+    cores: Cores,
+    /// Simulated time the run starts from (`ZERO` for a fresh run, the
+    /// snapshot's stamp after a restore).
+    start: Nanos,
+    /// Checkpoint cadence and fingerprint.
+    writer: snapshot::Writer,
 }
 
 /// The window width Δ = ½ lookahead of a configuration the windowed
 /// runtime can run; `None` when the single-threaded engine runs it
 /// instead (one shard, or a one-way delay below 2 ns, which leaves no
 /// conservative lookahead to halve).
-fn window_of(config: &SimulationConfig) -> Option<Duration> {
+pub(crate) fn window_of(config: &SimulationConfig) -> Option<Duration> {
     let lookahead = config.lookahead();
     (config.shards > 1 && lookahead.as_nanos() >= 2).then(|| Duration(lookahead.as_nanos() / 2))
 }
 
-impl ShardedSimulation {
-    /// Builds a sharded simulation from a configuration and workload.
-    /// Panics, naming the id, if two specs of the workload share a flow id.
-    pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
-        ShardedSimulation(match window_of(&config) {
-            None => Host::Solo(Simulation::new(config, workload)),
-            Some(window) => Host::Windowed {
-                cores: Cores::new(&config, workload, window, true),
-                writer: snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None),
-                config,
-                window,
-                start: Nanos::ZERO,
-            },
-        })
+impl Windowed {
+    /// A fresh run of `workload` in windows of `window`.
+    pub(crate) fn new(config: SimulationConfig, workload: Vec<FlowSpec>, window: Duration) -> Self {
+        Windowed {
+            cores: Cores::new(&config, workload, window, true),
+            writer: snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None),
+            config,
+            window,
+            start: Nanos::ZERO,
+        }
     }
 
-    /// Builds a sharded simulation that resumes from a snapshot taken at
-    /// some earlier instant of a run with an equivalent config and the
-    /// same workload — by *any* host: snapshots are partition-invariant,
-    /// so a solo snapshot restores into any worker or net shard count and
-    /// vice versa. The whole snapshot is validated and decoded here.
-    pub fn restore(
+    /// A run resumed from a snapshot written by any host: snapshots are
+    /// partition-invariant, so the cores place the bundles anew.
+    pub(crate) fn restore(
         config: SimulationConfig,
         workload: Vec<FlowSpec>,
+        window: Duration,
         bytes: &[u8],
-    ) -> Result<Self, ShardError> {
-        Ok(ShardedSimulation(match window_of(&config) {
-            None => Host::Solo(Simulation::restore(config, workload, bytes)?),
-            Some(window) => {
-                let fp = snapshot::fingerprint(&config, &workload);
-                let mut cores = Cores::new(&config, workload, window, false);
-                let start = snapshot::restore_into(&config, bytes, fp, &mut cores)?;
-                Host::Windowed {
-                    writer: snapshot::Writer::new(config.checkpoint_every, start, Some(fp)),
-                    config,
-                    window,
-                    cores,
-                    start,
-                }
-            }
-        }))
-    }
-
-    /// Runs the simulation to completion and returns the report.
-    ///
-    /// Panics on worker failure, with the [`ShardError`] diagnostic as the
-    /// message; use [`try_run`](ShardedSimulation::try_run) to handle
-    /// failures as values.
-    pub fn run(self) -> SimReport {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs the simulation to completion, surfacing worker panics as a
-    /// typed [`ShardError`] (with shard id, window and last event key)
-    /// instead of unwinding.
-    pub fn try_run(self) -> Result<SimReport, ShardError> {
-        self.try_run_inner(None)
-    }
-
-    /// Runs to completion, pushing a `(time, bytes)` whole-simulation
-    /// snapshot into `sink` at every
-    /// [`SimulationConfig::checkpoint_every`] multiple, stamped exactly
-    /// there on either host. Panics on worker failure; see
-    /// [`try_run_collecting`](ShardedSimulation::try_run_collecting).
-    pub fn run_collecting(self, sink: &mut Vec<(Nanos, Vec<u8>)>) -> SimReport {
-        self.try_run_collecting(sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_collecting`](ShardedSimulation::run_collecting) with typed
-    /// errors.
-    pub fn try_run_collecting(
-        self,
-        sink: &mut Vec<(Nanos, Vec<u8>)>,
-    ) -> Result<SimReport, ShardError> {
-        let mut push = |at: Nanos, blob: Vec<u8>| sink.push((at, blob));
-        self.try_run_inner(Some(&mut push))
-    }
-
-    /// Streaming checkpoint form: invokes `sink` with each checkpoint as
-    /// it is taken, so callers can persist them externally (e.g. to disk
-    /// for crash recovery).
-    pub fn try_run_with_checkpoints(
-        self,
-        mut sink: impl FnMut(Nanos, Vec<u8>),
-    ) -> Result<SimReport, ShardError> {
-        self.try_run_inner(Some(&mut sink))
-    }
-
-    fn try_run_inner(
-        self,
-        sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
-    ) -> Result<SimReport, ShardError> {
-        match self.0 {
-            Host::Solo(sim) => Ok(match sink {
-                Some(f) => sim.run_with_checkpoints(f),
-                None => sim.run(),
-            }),
-            Host::Windowed {
-                config,
-                window,
-                cores,
-                start,
-                writer,
-            } => run_sharded(config, window, cores, start, writer, sink),
-        }
+    ) -> Result<Self, SnapshotError> {
+        let fp = snapshot::fingerprint(&config, &workload);
+        let mut cores = Cores::new(&config, workload, window, false);
+        let start = snapshot::restore_into(&config, bytes, fp, &mut cores)?;
+        Ok(Windowed {
+            writer: snapshot::Writer::new(config.checkpoint_every, start, Some(fp)),
+            config,
+            window,
+            cores,
+            start,
+        })
     }
 }
 
@@ -846,14 +758,20 @@ impl Party for Driver<'_> {
     }
 }
 
-fn run_sharded(
-    config: SimulationConfig,
-    window: Duration,
-    cores: Cores,
-    start: Nanos,
-    writer: snapshot::Writer,
+/// Runs `host` to the end of its configured duration, handing each
+/// checkpoint to `sink`; the first thread panic, if any, ends the run as
+/// the `Err`.
+pub(crate) fn run_sharded(
+    host: Windowed,
     sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>,
-) -> Result<SimReport, ShardError> {
+) -> Result<SimReport, WorkerPanic> {
+    let Windowed {
+        config,
+        window,
+        cores,
+        start,
+        writer,
+    } = host;
     let Cores {
         routing,
         mut workers,
@@ -882,7 +800,7 @@ fn run_sharded(
         for (index, worker) in workers.iter_mut().enumerate() {
             let timing = worker.core.obs.metrics_on();
             let thread = std::thread::Builder::new()
-                .name(format!("bundler-shard-{index}"))
+                .name(format!("bundler-worker-{index}"))
                 .spawn_scoped(s, move || Seat::new(ctrl, index, timing).attend_all(worker));
             threads.push(thread.expect("spawn worker shard"));
         }
@@ -920,7 +838,7 @@ fn run_sharded(
         for (shard, thread) in threads.into_iter().enumerate() {
             // A thread that unwound outside the panic net (or was killed).
             if let Err(payload) = thread.join() {
-                lock(&ctrl.diag).get_or_insert(ShardError::WorkerPanicked {
+                lock(&ctrl.diag).get_or_insert(WorkerPanic {
                     shard,
                     window: plan.windex,
                     last_event: None,
@@ -958,7 +876,7 @@ fn run_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bundler_sim::runtime::LP_NET;
+    use crate::runtime::LP_NET;
 
     /// The one place the phase sequence is stated, walked over both kinds
     /// of window.
@@ -980,7 +898,7 @@ mod tests {
     #[should_panic(expected = "two workload specs share flow id 2")]
     fn a_workload_naming_one_id_twice_panics() {
         let config = SimulationConfig {
-            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            bundles: vec![crate::edge::BundleMode::StatusQuo; 2],
             shards: 2,
             ..Default::default()
         };
@@ -988,7 +906,7 @@ mod tests {
             FlowSpec::bundled(2, 50_000, Nanos::ZERO, 0),
             FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
         ];
-        ShardedSimulation::new(config, workload);
+        crate::Simulation::new(config, workload);
     }
 
     /// A net thread that panics mid-phase reports the event it had just
@@ -998,7 +916,7 @@ mod tests {
     fn a_net_thread_panic_names_the_event_it_was_handling() {
         let config = SimulationConfig {
             duration: Duration::from_millis(200),
-            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            bundles: vec![crate::edge::BundleMode::StatusQuo; 2],
             shards: 2,
             ..Default::default()
         };
@@ -1007,13 +925,12 @@ mod tests {
             FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
         ];
         let window = window_of(&config).expect("two shards, 25 ms of lookahead");
-        let mut cores = Cores::new(&config, workload, window, true);
+        let mut host = Windowed::new(config, workload, window);
         let stray = (Nanos::from_millis(30), EventKey::new(bundle_lp(0), 999));
         let tick = Event::ControlTick { bundle: 0 };
-        cores.sides[0].queue.schedule(stray.0, stray.1, tick);
-        let writer = snapshot::Writer::new(None, Nanos::ZERO, None);
-        match run_sharded(config, window, cores, Nanos::ZERO, writer, None) {
-            Err(ShardError::WorkerPanicked {
+        host.cores.sides[0].queue.schedule(stray.0, stray.1, tick);
+        match run_sharded(host, None) {
+            Err(WorkerPanic {
                 shard,
                 last_event,
                 message,
@@ -1023,7 +940,7 @@ mod tests {
                 assert_eq!(last_event, Some(stray));
                 assert!(message.contains("routed to the net core"), "{message}");
             }
-            other => panic!("expected WorkerPanicked, got {:?}", other.map(|_| ())),
+            other => panic!("expected a WorkerPanic, got {:?}", other.map(|_| ())),
         }
     }
 
@@ -1037,7 +954,7 @@ mod tests {
         let every = Duration::from_millis(50);
         let config = SimulationConfig {
             duration: Duration::from_millis(200),
-            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
+            bundles: vec![crate::edge::BundleMode::StatusQuo; 2],
             shards: 2,
             checkpoint_every: Some(every),
             ..Default::default()
@@ -1047,19 +964,18 @@ mod tests {
             FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
         ];
         let window = window_of(&config).expect("two shards, 25 ms of lookahead");
-        let mut cores = Cores::new(&config, workload, window, true);
+        let mut host = Windowed::new(config, workload, window);
         let stray = Event::ArriveDestination {
             pkt: bundler_types::PacketId::from_index(u32::MAX),
         };
         let key = EventKey::new(bundle_lp(0), 999);
-        cores.workers[0]
+        host.cores.workers[0]
             .queue
             .schedule(Nanos::from_millis(80), key, stray);
-        let writer = snapshot::Writer::new(config.checkpoint_every, Nanos::ZERO, None);
         let mut emitted = 0;
         let mut sink = |_: Nanos, _: Vec<u8>| emitted += 1;
-        match run_sharded(config, window, cores, Nanos::ZERO, writer, Some(&mut sink)) {
-            Err(ShardError::WorkerPanicked {
+        match run_sharded(host, Some(&mut sink)) {
+            Err(WorkerPanic {
                 shard,
                 window: windex,
                 last_event,
@@ -1074,7 +990,7 @@ mod tests {
                 assert_eq!(last_event, None, "outside event processing");
                 assert!(message.contains("index out of bounds"), "{message}");
             }
-            other => panic!("expected WorkerPanicked, got {:?}", other.map(|_| ())),
+            other => panic!("expected a WorkerPanic, got {:?}", other.map(|_| ())),
         }
         assert_eq!(emitted, 0, "a failed run emits no checkpoint");
     }
@@ -1125,42 +1041,5 @@ mod tests {
                 (t, Some(32)),                    // bundle 3's lp, seq 9
             ]
         );
-    }
-
-    #[test]
-    fn a_lookahead_too_short_to_halve_runs_on_the_single_threaded_engine() {
-        // rtt = 2 ns leaves a 1 ns one-way delay: there is no half-lookahead
-        // window to run, whatever `shards` asks for.
-        let config = SimulationConfig {
-            duration: Duration::from_millis(200),
-            rtt: Duration(2),
-            bundles: vec![bundler_sim::edge::BundleMode::StatusQuo; 2],
-            shards: 2,
-            ..Default::default()
-        };
-        let workload = vec![
-            FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0),
-            FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
-        ];
-        let sharded = ShardedSimulation::new(config.clone(), workload.clone());
-        assert!(matches!(sharded.0, Host::Solo(_)));
-        let solo = Simulation::new(config, workload).run();
-        assert_eq!(
-            bundler_sim::SimStats::of(&sharded.run()),
-            bundler_sim::SimStats::of(&solo)
-        );
-    }
-
-    #[test]
-    fn one_shard_delegates_to_the_single_threaded_engine() {
-        let config = SimulationConfig {
-            duration: bundler_types::Duration::from_secs(2),
-            shards: 1,
-            ..Default::default()
-        };
-        let workload = vec![FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0)];
-        let sharded = ShardedSimulation::new(config, workload);
-        assert!(matches!(sharded.0, Host::Solo(_)));
-        assert_eq!(sharded.run().completed, 1);
     }
 }

@@ -32,9 +32,9 @@
 //! bit-identical with the encoding in the loop. Round-tripping and
 //! rejection are also property-tested directly in `tests/wire_format.rs`.
 //!
-//! [`SimulationConfig::wire_envelopes`]: bundler_sim::sim::SimulationConfig::wire_envelopes
+//! [`SimulationConfig::wire_envelopes`]: crate::sim::SimulationConfig::wire_envelopes
 
-use bundler_sim::event::EventKey;
+use crate::event::EventKey;
 use bundler_types::{Nanos, Packet};
 use serde::binary::{Decode, Encode, Reader};
 
@@ -162,7 +162,7 @@ pub fn decode(bytes: &[u8]) -> Result<WireEnvelope, WireError> {
 }
 
 /// Encode → decode an envelope in place: the driver's send-edge hook when
-/// [`wire_envelopes`](bundler_sim::sim::SimulationConfig::wire_envelopes)
+/// [`wire_envelopes`](crate::sim::SimulationConfig::wire_envelopes)
 /// is on. `buf` is a scratch buffer reused across calls to keep the hot
 /// path allocation-free. Panics if the codec does not round-trip — that is
 /// a wire-format bug, not an input error.

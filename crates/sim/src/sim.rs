@@ -12,17 +12,17 @@
 //! does allocate is a window growing past its buffer, and the receiver's
 //! out-of-order buffer when segments arrive out of order.
 //!
-//! The main loop is pop → dispatch, one event at a time. A checkpoint is
-//! taken between two pops, when the next event's time has reached the
-//! checkpoint instant; the queue is only peeked while one is armed.
-//!
-//! [`Simulation`] is the *single-threaded host*: it composes one
-//! [`WorkerCore`] owning every site-side logical process with the
-//! [`NetCore`] bottleneck over a single event queue. The multi-threaded
-//! host lives in the `bundler-shard` crate and composes the same cores,
-//! one worker per thread — [`SimulationConfig::shards`] selects how many.
-//! Because event order is canonical (see [`crate::event`]), both hosts
-//! produce bit-identical reports for the same config and workload.
+//! [`Simulation`] is the one host, and it runs one of two loops. With one
+//! shard (the default) it is the *single-threaded engine*: one
+//! `WorkerCore` owning every site-side logical process and the `NetCore`
+//! bottleneck over a single event queue, popped and dispatched one event
+//! at a time. A checkpoint is taken between two pops, when the next
+//! event's time has reached the checkpoint instant; the queue is only
+//! peeked while one is armed. With [`SimulationConfig::shards`] above one
+//! it runs the windowed runtime of [`crate::shard`], which composes the
+//! same cores, one worker per thread. Because event order is canonical
+//! (see [`crate::event`]), both loops produce bit-identical reports for
+//! the same config and workload.
 
 use std::sync::Arc;
 
@@ -32,7 +32,8 @@ use crate::directory::FlowDirectory;
 use crate::edge::{BundleMode, MultiBundleSpec};
 use crate::event::{Event, EventQueue};
 use crate::runtime::{assemble_report, is_net_event, Delivery, NetCore, ToNet, WorkerCore};
-use crate::snapshot::Writer;
+use crate::shard::{run_sharded, window_of, Windowed};
+use crate::snapshot::{SnapshotError, Writer};
 use crate::stats::SimReport;
 use crate::workload::{FlowSpec, Origin};
 
@@ -65,30 +66,30 @@ pub struct SimulationConfig {
     /// Interval between statistics samples.
     pub sample_interval: Duration,
     /// How many worker shards the simulation runs on. `1` (the default) is
-    /// today's engine: this crate's single-threaded [`Simulation`],
-    /// unchanged. Larger values are honoured by the multi-threaded host in
-    /// `bundler-shard` (`ShardedSimulation`), which partitions bundles
-    /// across that many worker threads and produces bit-identical results;
-    /// the plain [`Simulation`] ignores the field.
+    /// the single-threaded engine. A larger value runs the windowed
+    /// runtime ([`crate::shard`]), which partitions bundles across that
+    /// many worker threads and produces bit-identical results — unless the
+    /// one-way delay is below 2 ns, which leaves no window to run and so
+    /// runs the single-threaded engine.
     pub shards: usize,
-    /// How the sharded host assigns bundles to worker shards (ignored by
-    /// the plain [`Simulation`] and when `shards == 1`). Both modes place
-    /// bundles the same way, once, for the whole run; see
-    /// [`ShardBalance`].
+    /// How the windowed runtime assigns bundles to worker shards (unused
+    /// when the single-threaded engine runs). Both modes place bundles the
+    /// same way, once, for the whole run; see [`ShardBalance`].
     pub balance: ShardBalance,
-    /// How many net shards the bottleneck runs on in the multi-threaded
-    /// host, which partitions the bottleneck sub-paths round-robin across
-    /// that many net threads (net shard `k` owns paths
+    /// How many net shards the bottleneck runs on in the windowed
+    /// runtime, which partitions the bottleneck sub-paths round-robin
+    /// across that many net threads (net shard `k` owns paths
     /// `{gid : gid % net_shards == k}`; `1`, the default, is one net thread
     /// owning every path) and produces bit-identical results; values above
-    /// `num_paths` are clamped. The plain [`Simulation`] ignores the field.
+    /// `num_paths` are clamped. The single-threaded engine has no net
+    /// threads.
     pub net_shards: usize,
     /// Route every mailbox envelope through the versioned `NETENV` wire
-    /// format (encode → decode at the sending edge) in the sharded host.
-    /// Purely a transport exercise — results are bit-identical either way
-    /// (property-tested) — kept as a run-time switch so the differential
-    /// matrix proves the codec before shards ever cross a process
-    /// boundary. Ignored by the plain [`Simulation`].
+    /// format (encode → decode at the sending edge) in the windowed
+    /// runtime. Purely a transport exercise — results are bit-identical
+    /// either way (property-tested) — kept as a run-time switch so the
+    /// differential matrix proves the codec before shards ever cross a
+    /// process boundary. The single-threaded engine has no mailboxes.
     pub wire_envelopes: bool,
     /// Observability level. `Off` (the default) reduces every
     /// instrumentation site to a skipped branch on this enum; `Metrics`
@@ -97,11 +98,11 @@ pub struct SimulationConfig {
     /// level ever changes a simulation result: the output rides on
     /// [`SimReport::obs`], which `SimStats` digests exclude.
     pub obs: bundler_obs::ObsLevel,
-    /// When set, the hosts take a whole-simulation snapshot at every
+    /// When set, the run takes a whole-simulation snapshot at every
     /// multiple of this much simulated time, stamped exactly there (the
-    /// sharded host ends a window early at a multiple that falls inside
-    /// it), so both hosts write the same bytes at the same instants and a
-    /// restore resumes bit-identically. [`crate::snapshot::Writer`] keeps
+    /// windowed runtime ends a window early at a multiple that falls
+    /// inside it), so both loops write the same bytes at the same instants
+    /// and a restore resumes bit-identically. The snapshot writer keeps
     /// the cadence: the next target is the first multiple strictly after
     /// the last stamp. Collected via
     /// [`Simulation::run_collecting`]; `None` (the default) disables
@@ -209,15 +210,28 @@ impl SimulationConfig {
         Duration(self.rtt.as_nanos() / 2)
     }
 
-    /// The net-shard count the sharded host actually runs: at least one,
+    /// The net-shard count the windowed runtime actually runs: at least one,
     /// at most one shard per bottleneck sub-path.
     pub fn effective_net_shards(&self) -> usize {
         self.net_shards.clamp(1, self.num_paths.max(1))
     }
 }
 
-/// The single-threaded simulator host.
-pub struct Simulation {
+/// The simulator: a configuration and a workload, run to a [`SimReport`].
+/// [`SimulationConfig::shards`] picks the loop — see the module docs —
+/// and every loop gives the same report.
+pub struct Simulation(Host);
+
+#[allow(clippy::large_enum_variant)] // one value per run, built once, moved once
+enum Host {
+    /// One shard, or a lookahead too short to halve into windows.
+    Solo(Solo),
+    /// Worker and net threads stepping conservative windows.
+    Windowed(Windowed),
+}
+
+/// The single-threaded engine.
+struct Solo {
     config: SimulationConfig,
     queue: EventQueue,
     /// Every in-flight packet; events and queues reference it by id.
@@ -237,7 +251,7 @@ pub struct Simulation {
     writer: Writer,
 }
 
-/// The single-threaded host's cores while a snapshot is poured into them:
+/// The single-threaded engine's cores while a snapshot is poured into them:
 /// every part of the snapshot lands on the one worker, net core, queue and
 /// arena.
 struct SoloParts<'a> {
@@ -262,57 +276,28 @@ impl Simulation {
     /// arrivals). Panics if a bundle configuration is invalid, or, naming
     /// the id, if two specs of the workload share a flow id.
     pub fn new(config: SimulationConfig, workload: Vec<FlowSpec>) -> Self {
-        Self::build(config, workload, true)
-    }
-
-    /// A `fresh` simulation owns every bundle and holds the run's initial
-    /// events. One that is not owns nothing and schedules nothing: every
-    /// bundle and pending event — future flow arrivals included — is then
-    /// to come from a snapshot.
-    fn build(config: SimulationConfig, workload: Vec<FlowSpec>, fresh: bool) -> Self {
-        let owned = vec![fresh; config.n_bundles()];
-        let directory = Arc::new(FlowDirectory::new(workload));
-        let mut worker = WorkerCore::with_owned(&config, directory, 0, owned);
-        let mut net = NetCore::new(&config);
-        let mut queue = EventQueue::new();
-        if fresh {
-            worker.schedule_initial(&mut queue);
-            net.schedule_initial(&mut queue);
-        }
-        Simulation {
-            writer: Writer::new(config.checkpoint_every, Nanos::ZERO, None),
-            config,
-            queue,
-            arena: PacketArena::with_capacity(1024),
-            worker,
-            net,
-            to_net: Vec::with_capacity(64),
-            deliveries: Vec::with_capacity(64),
-            arena_exact: fresh,
-        }
+        Simulation(match window_of(&config) {
+            None => Host::Solo(Solo::build(config, workload, true)),
+            Some(window) => Host::Windowed(Windowed::new(config, workload, window)),
+        })
     }
 
     /// Rebuilds a simulation from a snapshot taken at some earlier instant
     /// of a run with an equivalent config and the same workload, positioned
     /// to resume bit-identically. "Equivalent" means the result-affecting
     /// fields match (checked via the snapshot fingerprint); observability,
-    /// partitioning and checkpoint cadence may differ.
+    /// partitioning and checkpoint cadence may differ — a snapshot written
+    /// by one loop, at any shard count, restores into any other. The whole
+    /// snapshot is validated and decoded here.
     pub fn restore(
         config: SimulationConfig,
         workload: Vec<FlowSpec>,
         bytes: &[u8],
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let fp = crate::snapshot::fingerprint(&config, &workload);
-        let mut sim = Self::build(config, workload, false);
-        let mut parts = SoloParts {
-            worker: &mut sim.worker,
-            net: &mut sim.net,
-            queue: &mut sim.queue,
-            arena: &mut sim.arena,
-        };
-        let at = crate::snapshot::restore_into(&sim.config, bytes, fp, &mut parts)?;
-        sim.writer = Writer::new(sim.config.checkpoint_every, at, Some(fp));
-        Ok(sim)
+    ) -> Result<Self, SnapshotError> {
+        Ok(Simulation(match window_of(&config) {
+            None => Host::Solo(Solo::restore(config, workload, bytes)?),
+            Some(window) => Host::Windowed(Windowed::restore(config, workload, window, bytes)?),
+        }))
     }
 
     /// The five-tuple assigned to a flow (exposed for tests).
@@ -320,15 +305,19 @@ impl Simulation {
         crate::runtime::flow_key(flow_id, origin)
     }
 
-    /// Runs the simulation to completion and returns the report.
+    /// Runs the simulation to completion and returns the report. A panic
+    /// on a worker or net thread of a windowed run ends the run and is
+    /// raised here, naming the shard, the window and the last event the
+    /// thread handled.
     pub fn run(self) -> SimReport {
         self.run_inner(None)
     }
 
     /// Runs to completion, pushing a `(time, bytes)` whole-simulation
     /// snapshot into `sink` at every [`SimulationConfig::checkpoint_every`]
-    /// multiple. With `checkpoint_every` unset this is exactly [`run`].
-    /// Checkpointing never changes the report.
+    /// multiple, stamped exactly there whatever the loop. With
+    /// `checkpoint_every` unset this is exactly [`run`]. Checkpointing
+    /// never changes the report.
     ///
     /// [`run`]: Simulation::run
     pub fn run_collecting(self, sink: &mut Vec<(Nanos, Vec<u8>)>) -> SimReport {
@@ -344,7 +333,61 @@ impl Simulation {
         self.run_inner(Some(&mut sink))
     }
 
-    fn run_inner(mut self, mut sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>) -> SimReport {
+    fn run_inner(self, sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>) -> SimReport {
+        match self.0 {
+            Host::Solo(solo) => solo.run(sink),
+            Host::Windowed(host) => run_sharded(host, sink).unwrap_or_else(|e| panic!("{e}")),
+        }
+    }
+}
+
+impl Solo {
+    /// A `fresh` simulation owns every bundle and holds the run's initial
+    /// events. One that is not owns nothing and schedules nothing: every
+    /// bundle and pending event — future flow arrivals included — is then
+    /// to come from a snapshot.
+    fn build(config: SimulationConfig, workload: Vec<FlowSpec>, fresh: bool) -> Self {
+        let owned = vec![fresh; config.n_bundles()];
+        let directory = Arc::new(FlowDirectory::new(workload));
+        let mut worker = WorkerCore::with_owned(&config, directory, 0, owned);
+        let mut net = NetCore::new(&config);
+        let mut queue = EventQueue::new();
+        if fresh {
+            worker.schedule_initial(&mut queue);
+            net.schedule_initial(&mut queue);
+        }
+        Solo {
+            writer: Writer::new(config.checkpoint_every, Nanos::ZERO, None),
+            config,
+            queue,
+            arena: PacketArena::with_capacity(1024),
+            worker,
+            net,
+            to_net: Vec::with_capacity(64),
+            deliveries: Vec::with_capacity(64),
+            arena_exact: fresh,
+        }
+    }
+
+    fn restore(
+        config: SimulationConfig,
+        workload: Vec<FlowSpec>,
+        bytes: &[u8],
+    ) -> Result<Self, SnapshotError> {
+        let fp = crate::snapshot::fingerprint(&config, &workload);
+        let mut sim = Self::build(config, workload, false);
+        let mut parts = SoloParts {
+            worker: &mut sim.worker,
+            net: &mut sim.net,
+            queue: &mut sim.queue,
+            arena: &mut sim.arena,
+        };
+        let at = crate::snapshot::restore_into(&sim.config, bytes, fp, &mut parts)?;
+        sim.writer = Writer::new(sim.config.checkpoint_every, at, Some(fp));
+        Ok(sim)
+    }
+
+    fn run(mut self, mut sink: Option<&mut dyn FnMut(Nanos, Vec<u8>)>) -> SimReport {
         let end = Nanos::ZERO + self.config.duration;
         loop {
             // Peeked only while a checkpoint is armed; otherwise pop alone.
@@ -404,9 +447,9 @@ impl Simulation {
     /// simulated time `at`. Callers must guarantee every event strictly
     /// before `at` has been processed and none at or after it has — which
     /// is exactly the situation between two event pops (the checkpoint loop
-    /// in [`Simulation::run_collecting`] enforces it). Non-destructive: the
-    /// run continues unchanged afterwards.
-    pub fn snapshot(&mut self, at: Nanos) -> Vec<u8> {
+    /// in `run` enforces it). Non-destructive: the run continues unchanged
+    /// afterwards.
+    fn snapshot(&mut self, at: Nanos) -> Vec<u8> {
         let part = self.worker.save_part(&mut self.queue, &self.arena, at);
         let sections = self.net.save_sections(&mut self.queue, &self.arena, at);
         self.writer
@@ -667,5 +710,104 @@ mod tests {
             "imbalanced paths should cause out-of-order measurements, got {}",
             report.out_of_order_fraction[0]
         );
+    }
+
+    /// Many-sites worlds for the host tests: 3 sites, 500 ms checkpoints.
+    fn many_sites(seed: u64) -> (SimulationConfig, Vec<FlowSpec>) {
+        let sc = crate::scenario::many_sites::ManySitesScenario::builder()
+            .sites(3)
+            .requests_per_site(6)
+            .offered_load_per_site(Rate::from_mbps(8))
+            .bottleneck(Rate::from_mbps(60))
+            .drain(Duration::from_secs(2))
+            .seed(seed)
+            .build();
+        let mut config = sc.sim_config();
+        config.checkpoint_every = Some(Duration::from_millis(500));
+        (config, sc.workload())
+    }
+
+    /// Taking a snapshot leaves the run exactly as it found it: every lifted
+    /// event goes back under its key and every buffer is a copy. So two
+    /// back-to-back snapshots at the same instant are the same bytes — with and
+    /// without a fault plan, and for a restored run, whose snapshot at the
+    /// checkpoint's instant is that checkpoint.
+    #[test]
+    fn back_to_back_snapshots_at_one_instant_are_identical() {
+        let (config, _) = many_sites(23);
+        let plan = crate::fault::FaultPlan::generate(23, config.duration, config.num_paths);
+        for (seed, faults) in [(17, None), (23, Some(plan))] {
+            let (mut config, workload) = many_sites(seed);
+            config.faults = faults;
+            let mut ckpts = Vec::new();
+            Simulation::new(config.clone(), workload.clone()).run_collecting(&mut ckpts);
+            assert!(ckpts.len() >= 3, "expected several checkpoints");
+            for (at, blob) in [&ckpts[1], &ckpts[ckpts.len() / 2]] {
+                let mut sim = Solo::restore(config.clone(), workload.clone(), blob)
+                    .unwrap_or_else(|e| panic!("restore at {at:?}: {e}"));
+                let first = sim.snapshot(*at);
+                let second = sim.snapshot(*at);
+                assert!(first == second, "seed {seed}: snapshots at {at:?} differ");
+                assert!(&first == blob, "seed {seed}: re-snapshot at {at:?} differs");
+            }
+        }
+    }
+
+    /// `shards: 2` runs the windowed runtime — both workers report their
+    /// windows — and the report's digest is the single-threaded one's.
+    #[test]
+    fn simulation_honours_shards() {
+        let (mut config, workload) = many_sites(29);
+        config.obs = bundler_obs::ObsLevel::Metrics;
+        let solo = Simulation::new(config.clone(), workload.clone()).run();
+        config.shards = 2;
+        let sim = Simulation::new(config, workload);
+        assert!(matches!(sim.0, Host::Windowed(_)));
+        let sharded = sim.run();
+        let obs = sharded.obs.as_ref().expect("metrics on");
+        assert_eq!(obs.worker_phases.len(), 2, "one phase profile per shard");
+        assert!(obs.worker_phases.iter().all(|p| !p.windows.is_empty()));
+        assert_eq!(
+            crate::SimStats::of(&sharded),
+            crate::SimStats::of(&solo),
+            "two shards must be bit-identical to one"
+        );
+    }
+
+    #[test]
+    fn a_lookahead_too_short_to_halve_runs_on_the_single_threaded_engine() {
+        // rtt = 2 ns leaves a 1 ns one-way delay: there is no half-lookahead
+        // window to run, whatever `shards` asks for.
+        let config = SimulationConfig {
+            duration: Duration::from_millis(200),
+            rtt: Duration(2),
+            bundles: vec![BundleMode::StatusQuo; 2],
+            shards: 2,
+            ..Default::default()
+        };
+        let workload = vec![
+            FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0),
+            FlowSpec::bundled(2, 80_000, Nanos::from_millis(1), 1),
+        ];
+        let sharded = Simulation::new(config.clone(), workload.clone());
+        assert!(matches!(sharded.0, Host::Solo(_)));
+        let solo = Solo::build(config, workload, true).run(None);
+        assert_eq!(
+            crate::SimStats::of(&sharded.run()),
+            crate::SimStats::of(&solo)
+        );
+    }
+
+    #[test]
+    fn one_shard_delegates_to_the_single_threaded_engine() {
+        let config = SimulationConfig {
+            duration: Duration::from_secs(2),
+            shards: 1,
+            ..Default::default()
+        };
+        let workload = vec![FlowSpec::bundled(1, 50_000, Nanos::ZERO, 0)];
+        let sim = Simulation::new(config, workload);
+        assert!(matches!(sim.0, Host::Solo(_)));
+        assert_eq!(sim.run().completed, 1);
     }
 }

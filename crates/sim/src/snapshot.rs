@@ -79,14 +79,14 @@
 //!
 //! Both walks of the layout above live here, once each, and both hosts go
 //! through them. **Writing**: every worker core contributes one
-//! [`WorkerPart`] (`WorkerCore::save_part`), every net core its
-//! [`PathSection`]s (`NetCore::save_sections`), and [`assemble`] lays the
+//! `WorkerPart` (`WorkerCore::save_part`), every net core its
+//! `PathSection`s (`NetCore::save_sections`), and `assemble` lays the
 //! parts out in the canonical order whatever the partitioning was — the
-//! single-threaded host hands it one part and one section list, the
-//! sharded host one per thread. A host's [`Writer`] keeps what lasts from
-//! one checkpoint to the next: the cadence, the fingerprint, the size
-//! hint. **Reading**: [`restore_into`] pours the same layout into whatever
-//! cores a [`RestoreHost`] names.
+//! single-threaded engine hands it one part and one section list, the
+//! windowed runtime one per thread. A host's `Writer` keeps what lasts
+//! from one checkpoint to the next: the cadence, the fingerprint, the
+//! size hint. **Reading**: `restore_into` pours the same layout into
+//! whatever cores a `RestoreHost` names.
 //!
 //! A bundle's section is written by `WorkerCore::save_part` and read by
 //! `WorkerCore::load_bundle` and nowhere else, on every host, so a
@@ -233,11 +233,11 @@ fn write_header(out: &mut Vec<u8>, at: Nanos, fp: u64) {
 
 /// `(path global id, serialized section)` — one bottleneck path's slice of
 /// a snapshot, as written by the net core that owns the path.
-pub type PathSection = (usize, Vec<u8>);
+pub(crate) type PathSection = (usize, Vec<u8>);
 
 /// One worker core's serialized partition of a snapshot
 /// (`WorkerCore::save_part`).
-pub struct WorkerPart {
+pub(crate) struct WorkerPart {
     /// The worker's run-wide accumulators: its counters and agent stats,
     /// and the completed-flow records since its previous part.
     pub residue: WorkerResidue,
@@ -263,7 +263,7 @@ pub struct WorkerPart {
 /// Every part but the residue is already bytes, so once the residue is
 /// encoded the snapshot's length is known: `out` grows exactly once, to
 /// exactly that.
-pub fn assemble(
+pub(crate) fn assemble(
     config: &SimulationConfig,
     at: Nanos,
     fp: u64,
@@ -316,7 +316,7 @@ pub fn assemble(
 /// due, the fingerprint every header carries, and the completed-flow records
 /// the checkpoints so far took from the workers.
 #[derive(Debug)]
-pub struct Writer {
+pub(crate) struct Writer {
     /// [`fingerprint`] of the host's config and workload, which never
     /// change once the host exists: known after a restore (the header was
     /// checked against it), otherwise computed by the first checkpoint, so
@@ -435,7 +435,7 @@ pub fn read_header(r: &mut Reader<'_>, expected_fp: u64) -> Result<Nanos, Snapsh
 /// single-threaded host answers every call with its one worker, net core,
 /// queue and arena; the sharded host picks the worker the balancer assigned
 /// the bundle to and the net shard that owns the path.
-pub trait RestoreHost {
+pub(crate) trait RestoreHost {
     /// The worker core that takes bundle `bundle` — for `None`, the direct
     /// LP and the run-wide residue — with its queue and arena.
     fn worker(
@@ -455,7 +455,7 @@ pub trait RestoreHost {
 /// ascending global id, nothing after. Bytes that do not decode to that
 /// return [`SnapshotError::Corrupt`]; the cores are then half-filled and
 /// must be dropped.
-pub fn restore_into(
+pub(crate) fn restore_into(
     config: &SimulationConfig,
     bytes: &[u8],
     fp: u64,

@@ -3,16 +3,16 @@
 
 use bundler_obs::trace::{first_divergence, TraceRecord};
 use bundler_obs::ObsLevel;
-use bundler_shard::ShardedSimulation;
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::workload::FlowSpec;
+use bundler_sim::Simulation;
 
 /// The portable records of a run of `config` at `ObsLevel::Full`, in the
 /// one order every partitioning agrees on: by their portable key.
 fn portable_trace(mut config: SimulationConfig, workload: &[FlowSpec]) -> Vec<TraceRecord> {
     config.obs = ObsLevel::Full;
     // One shard *is* the single-threaded engine.
-    let report = ShardedSimulation::new(config, workload.to_vec()).run();
+    let report = Simulation::new(config, workload.to_vec()).run();
     let mut trace = report.obs.expect("obs=full carries a report").trace;
     trace.retain(TraceRecord::is_portable);
     trace.sort_by_key(TraceRecord::portable_key);

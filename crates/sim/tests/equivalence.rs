@@ -3,9 +3,7 @@
 
 mod common;
 
-use bundler_shard::scenario::run_many_sites;
-use bundler_shard::ShardedSimulation;
-use bundler_sim::scenario::many_sites::ManySitesScenario;
+use bundler_sim::scenario::many_sites::{ManySitesReport, ManySitesScenario};
 use bundler_sim::sim::SimulationConfig;
 use bundler_sim::workload::FlowSpec;
 use bundler_sim::{ShardBalance, SimStats, Simulation};
@@ -45,7 +43,9 @@ proptest! {
         let want = SimStats::of(&baseline.sim);
         prop_assert!(want.completed > 0, "scenario must do real work");
         for shards in [1usize, 2, 4, 7] {
-            let sharded = run_many_sites(&scenario, shards);
+            let mut config = scenario.sim_config();
+            config.shards = shards;
+            let sharded = ManySitesReport::from_sim(Simulation::new(config, scenario.workload()).run());
             let got = SimStats::of(&sharded.sim);
             prop_assert_eq!(
                 &want, &got,
@@ -83,7 +83,7 @@ fn fluid_cross_traffic_is_shard_count_invariant() {
         for shards in [1usize, 2, 4] {
             let mut cfg = config.clone();
             cfg.shards = shards;
-            let got = SimStats::of(&ShardedSimulation::new(cfg, sc.workload()).run());
+            let got = SimStats::of(&Simulation::new(cfg, sc.workload()).run());
             assert_eq!(
                 want, got,
                 "fluid tier diverged at seed={seed} shards={shards}"
@@ -134,7 +134,7 @@ fn cross_shard_prefix_shadowing_matches_solo_under_round_robin() {
         balance: ShardBalance::RoundRobin,
         ..config
     };
-    let got = SimStats::of(&ShardedSimulation::new(sharded, workload).run());
+    let got = SimStats::of(&Simulation::new(sharded, workload).run());
     assert_eq!(want, got, "round-robin placement split a co-location group");
 }
 
@@ -213,7 +213,7 @@ fn colocation_groups_stay_whole_at_every_shard_count() {
             let mut cfg = config.clone();
             cfg.shards = shards;
             cfg.balance = balance;
-            let got = SimStats::of(&ShardedSimulation::new(cfg, workload.clone()).run());
+            let got = SimStats::of(&Simulation::new(cfg, workload.clone()).run());
             assert_eq!(
                 want, got,
                 "co-location groups diverged at shards={shards} balance={balance:?}"
@@ -259,7 +259,7 @@ fn classic_mode_with_cross_traffic_is_shard_count_invariant() {
     for shards in [2usize, 3, 5] {
         let mut cfg = config.clone();
         cfg.shards = shards;
-        let got = SimStats::of(&ShardedSimulation::new(cfg, workload()).run());
+        let got = SimStats::of(&Simulation::new(cfg, workload()).run());
         assert_eq!(want, got, "classic mode diverged at shards={shards}");
     }
 }

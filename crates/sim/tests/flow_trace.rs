@@ -9,7 +9,6 @@
 
 use bundler_obs::stream::{self, StreamSink, StreamedRecord};
 use bundler_obs::{FlowTrace, ObsLevel, TraceKind};
-use bundler_shard::ShardedSimulation;
 use bundler_sim::scenario::hot_bundle::HotBundleScenario;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
 use bundler_sim::sim::SimulationConfig;
@@ -123,7 +122,7 @@ fn flow_spans_survive_migration_under_rotate() {
         let mut cfg = config.clone();
         cfg.shards = shards;
         cfg.stream = Some(sink);
-        let report = ShardedSimulation::new(cfg, workload.clone()).run();
+        let report = Simulation::new(cfg, workload.clone()).run();
         assert_eq!(
             SimStats::of(&solo),
             SimStats::of(&report),
@@ -185,7 +184,7 @@ fn tracing_and_streaming_never_perturb_digests() {
         cfg.flow_trace = Some(FlowTrace::all(43));
         cfg.stream = Some(sink);
         cfg.shards = shards;
-        let report = ShardedSimulation::new(cfg, sc.workload()).run();
+        let report = Simulation::new(cfg, sc.workload()).run();
         assert_eq!(
             baseline,
             SimStats::of(&report),

@@ -22,7 +22,6 @@
 mod common;
 
 use bundler_core::BundlerConfig;
-use bundler_shard::ShardedSimulation;
 use bundler_sim::edge::BundleMode;
 use bundler_sim::fluid::CrossTrafficTier;
 use bundler_sim::scenario::many_sites::ManySitesScenario;
@@ -51,7 +50,7 @@ fn assert_matrix(
         cfg.shards = shards;
         cfg.net_shards = net_shards;
         cfg.wire_envelopes = wire;
-        let got = SimStats::of(&ShardedSimulation::new(cfg.clone(), workload.to_vec()).run());
+        let got = SimStats::of(&Simulation::new(cfg.clone(), workload.to_vec()).run());
         assert_eq!(
             want,
             got,
@@ -219,7 +218,7 @@ fn solo_snapshot_restores_into_net_sharded_run() {
     cfg.shards = 2;
     cfg.net_shards = 2;
     let mut sharded = Vec::new();
-    let report = ShardedSimulation::new(cfg, workload.clone()).run_collecting(&mut sharded);
+    let report = Simulation::new(cfg, workload.clone()).run_collecting(&mut sharded);
     assert_eq!(baseline, SimStats::of(&report));
     assert_eq!(solo.len(), sharded.len(), "checkpoint count");
     for ((at_a, a), (at_b, b)) in solo.iter().zip(&sharded) {
@@ -237,7 +236,7 @@ fn solo_snapshot_restores_into_net_sharded_run() {
         cfg.shards = 2;
         cfg.net_shards = 2;
         cfg.wire_envelopes = true;
-        let resumed = ShardedSimulation::restore(cfg, workload.clone(), blob)
+        let resumed = Simulation::restore(cfg, workload.clone(), blob)
             .unwrap_or_else(|e| panic!("restore at {at:?}: {e}"))
             .run();
         assert_eq!(
@@ -256,7 +255,7 @@ fn solo_snapshot_restores_into_net_sharded_run() {
 /// vs sharded legs, wire envelopes included.
 ///
 /// Reproduce a CI failure locally with the logged seed:
-/// `NET_SHARDS_SOAK_SEED=<seed> cargo test --release -p bundler-shard \
+/// `NET_SHARDS_SOAK_SEED=<seed> cargo test --release -p bundler-sim \
 ///  --test net_shards -- --ignored randomized_soak --nocapture`
 #[test]
 #[ignore = "wall-clock soak; run with NET_SHARDS_SOAK_SEED (see doc comment)"]
@@ -341,7 +340,7 @@ fn single_path_digest_is_pinned() {
         let mut cfg = config.clone();
         cfg.shards = 2;
         cfg.net_shards = net_shards;
-        let got = SimStats::of(&ShardedSimulation::new(cfg, workload.clone()).run());
+        let got = SimStats::of(&Simulation::new(cfg, workload.clone()).run());
         assert_eq!(want, got, "net_shards={net_shards} diverged on one path");
     }
 }

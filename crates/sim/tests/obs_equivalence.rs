@@ -5,10 +5,11 @@
 //! tracks.
 
 use bundler_obs::{CounterId, HistId, ObsLevel, TraceKind};
-use bundler_shard::scenario::{run_hot_bundle, run_many_sites};
 use bundler_sim::scenario::hot_bundle::HotBundleScenario;
-use bundler_sim::scenario::many_sites::ManySitesScenario;
-use bundler_sim::SimStats;
+use bundler_sim::scenario::many_sites::{ManySitesReport, ManySitesScenario};
+use bundler_sim::sim::SimulationConfig;
+use bundler_sim::workload::FlowSpec;
+use bundler_sim::{SimStats, Simulation};
 use bundler_types::{Duration, Rate};
 use proptest::prelude::*;
 
@@ -22,6 +23,16 @@ fn quick_scenario(seed: u64, sites: usize, obs: ObsLevel) -> ManySitesScenario {
         .seed(seed)
         .obs(obs)
         .build()
+}
+
+/// A run of `config` over `workload` on `shards` worker shards.
+fn on_shards(
+    mut config: SimulationConfig,
+    workload: Vec<FlowSpec>,
+    shards: usize,
+) -> ManySitesReport {
+    config.shards = shards;
+    ManySitesReport::from_sim(Simulation::new(config, workload).run())
 }
 
 proptest! {
@@ -39,7 +50,7 @@ proptest! {
         prop_assert!(want.completed > 0, "scenario must do real work");
         prop_assert!(baseline.sim.obs.is_none(), "obs off must carry no report");
         for shards in [1usize, 2, 4] {
-            let traced = run_many_sites(&full, shards);
+            let traced = on_shards(full.sim_config(), full.workload(), shards);
             prop_assert_eq!(
                 &want,
                 &SimStats::of(&traced.sim),
@@ -63,7 +74,7 @@ proptest! {
         prop_assert!(want.counter(CounterId::SendboxEnqueued) > 0, "traffic must flow");
         prop_assert!(want.hist(HistId::SendboxSojournNs).count() > 0);
         for shards in [2usize, 4] {
-            let sharded = run_many_sites(&scenario, shards);
+            let sharded = on_shards(scenario.sim_config(), scenario.workload(), shards);
             let got = &sharded.sim.obs.as_ref().expect("metrics on").metrics;
             prop_assert_eq!(
                 &want, got,
@@ -88,7 +99,7 @@ fn hot_bundle_trace_contains_windows_migrations_and_rate_tracks() {
         .seed(13)
         .obs(ObsLevel::Full)
         .build();
-    let report = run_hot_bundle(&scenario, 2);
+    let report = on_shards(scenario.sim_config(), scenario.workload(), 2);
     let obs = report.sim.obs.as_ref().expect("obs=full carries a report");
 
     let mut window_shards = std::collections::BTreeSet::new();
@@ -145,7 +156,7 @@ fn sched_obs_travels_with_migrating_bundles() {
         .obs(ObsLevel::Metrics)
         .build();
     let single = scenario.run();
-    let sharded = run_hot_bundle(&scenario, 2);
+    let sharded = on_shards(scenario.sim_config(), scenario.workload(), 2);
     let a = &single.sim.obs.as_ref().expect("metrics on").metrics;
     let b = &sharded.sim.obs.as_ref().expect("metrics on").metrics;
     assert!(

@@ -9,8 +9,8 @@
 //!   the `BNDLSNAP` snapshot golden test), so the layout cannot drift
 //!   without a deliberate `WIRE_VERSION` bump.
 
-use bundler_shard::wire::{self, WireDir, WireEnvelope, WireError, WIRE_MAGIC, WIRE_VERSION};
 use bundler_sim::event::EventKey;
+use bundler_sim::shard::wire::{self, WireDir, WireEnvelope, WireError, WIRE_MAGIC, WIRE_VERSION};
 use bundler_types::{
     flow::{FlowId, FlowKey},
     Nanos, Packet, PacketKind, TrafficClass,

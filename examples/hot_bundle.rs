@@ -20,9 +20,9 @@
 use std::time::Instant;
 
 use bundler::obs::ObsLevel;
-use bundler::shard::scenario::run_hot_bundle;
 use bundler::sim::scenario::hot_bundle::HotBundleScenario;
-use bundler::sim::SimStats;
+use bundler::sim::scenario::many_sites::ManySitesReport;
+use bundler::sim::{SimStats, Simulation};
 use bundler::types::{Duration, Rate};
 
 /// Parses `--obs {off,metrics,full}` and `--trace-out PATH` from `args`.
@@ -84,8 +84,11 @@ fn main() {
     // The per-shard event counts come from the phase profile, so the
     // sharded run records at least metrics; no level changes a digest.
     let sharded_obs = obs_level.max(ObsLevel::Metrics);
+    let scenario = build(sharded_obs);
+    let mut config = scenario.sim_config();
+    config.shards = 2;
     let start = Instant::now();
-    let sharded = run_hot_bundle(&build(sharded_obs), 2);
+    let sharded = ManySitesReport::from_sim(Simulation::new(config, scenario.workload()).run());
     let wall = start.elapsed();
     assert_eq!(
         SimStats::of(&single.sim),

@@ -33,10 +33,9 @@
 //! bit-identical for every `(--shards, --net-shards)` combination.
 
 use bundler::obs::{CounterId, HistId, ObsLevel};
-use bundler::shard::ShardedSimulation;
 use bundler::sim::fault::FaultPlan;
 use bundler::sim::scenario::many_sites::{ManySitesReport, ManySitesScenario};
-use bundler::sim::SimStats;
+use bundler::sim::{SimStats, Simulation};
 use bundler::types::Rate;
 
 struct Cli {
@@ -160,12 +159,12 @@ fn main() {
     let sim = match &cli.restore_from {
         Some(path) => {
             let bytes = std::fs::read(path).expect("read snapshot file");
-            let sim = ShardedSimulation::restore(config, workload, &bytes)
+            let sim = Simulation::restore(config, workload, &bytes)
                 .unwrap_or_else(|e| panic!("cannot restore {path}: {e}"));
             println!("restored from {path}\n");
             sim
         }
-        None => ShardedSimulation::new(config, workload),
+        None => Simulation::new(config, workload),
     };
 
     let dir = cli.checkpoint_dir.clone();
@@ -174,25 +173,23 @@ fn main() {
     }
     let crash_at = cli.crash_at;
     let mut taken: u64 = 0;
-    let sim_report = sim
-        .try_run_with_checkpoints(|at, blob| {
-            taken += 1;
-            if let Some(dir) = &dir {
-                let path = format!("{dir}/ckpt_{taken}.bin");
-                std::fs::write(&path, &blob).expect("write checkpoint");
-                println!(
-                    "checkpoint {taken} at {at:?} -> {path} ({} bytes)",
-                    blob.len()
-                );
-            }
-            if crash_at == Some(taken) {
-                // Simulated crash: die mid-run, right after persisting the
-                // checkpoint — the restore path must pick it up from here.
-                println!("crash-at-checkpoint {taken}: exiting now");
-                std::process::exit(42);
-            }
-        })
-        .unwrap_or_else(|e| panic!("{e}"));
+    let sim_report = sim.run_with_checkpoints(|at, blob| {
+        taken += 1;
+        if let Some(dir) = &dir {
+            let path = format!("{dir}/ckpt_{taken}.bin");
+            std::fs::write(&path, &blob).expect("write checkpoint");
+            println!(
+                "checkpoint {taken} at {at:?} -> {path} ({} bytes)",
+                blob.len()
+            );
+        }
+        if crash_at == Some(taken) {
+            // Simulated crash: die mid-run, right after persisting the
+            // checkpoint — the restore path must pick it up from here.
+            println!("crash-at-checkpoint {taken}: exiting now");
+            std::process::exit(42);
+        }
+    });
     let report = ManySitesReport::from_sim(sim_report);
 
     println!("{}", report.telemetry.to_table());

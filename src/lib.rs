@@ -8,7 +8,7 @@
 //! * [`sched`] — packet schedulers and rate limiters (FIFO, SFQ, FQ-CoDel,
 //!   DRR, strict priority, token bucket).
 //! * [`cc`] — congestion-control algorithms (Copa, Nimbus, BBR, Cubic,
-//!   NewReno, Vegas).
+//!   NewReno).
 //! * [`core`] — the Bundler sendbox/receivebox control loop: epoch-based
 //!   measurement, congestion ACKs, cross-traffic mode switching and
 //!   multipath imbalance detection.
@@ -19,10 +19,12 @@
 //!   ticks from its own control-tick event.
 //! * [`sim`] — a deterministic packet-level network simulator used for the
 //!   paper's emulation experiments, including a multi-bundle edge mode
-//!   backed by the agent (`sim::scenario::many_sites`).
-//! * [`shard`] — the sharded multi-threaded simulation runtime: per-bundle
-//!   worker shards around the shared bottleneck, synchronized by
-//!   conservative time windows and barrier-drained mailboxes, with the
+//!   backed by the agent (`sim::scenario::many_sites`). Its one entry
+//!   point, `sim::Simulation`, runs the single-threaded engine, or with
+//!   `SimulationConfig::shards` above one the sharded runtime.
+//! * [`shard`] — that sharded multi-threaded runtime (`sim::shard`):
+//!   per-bundle worker shards around the shared bottleneck, synchronized
+//!   by conservative time windows and barrier-drained mailboxes, with the
 //!   net phase pipelined behind the next worker window; each bundle stays
 //!   on the shard it is placed on. Bit-identical to the single-threaded
 //!   engine for any shard count (ARCHITECTURE.md has the proof sketch).
@@ -56,6 +58,6 @@ pub use bundler_cc as cc;
 pub use bundler_core as core;
 pub use bundler_obs as obs;
 pub use bundler_sched as sched;
-pub use bundler_shard as shard;
 pub use bundler_sim as sim;
+pub use bundler_sim::shard;
 pub use bundler_types as types;

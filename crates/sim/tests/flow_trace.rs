@@ -192,3 +192,58 @@ fn tracing_and_streaming_never_perturb_digests() {
         );
     }
 }
+
+/// The stream's bytes, pinned: a traced solo metro world with checkpoints,
+/// streamed into memory, must leave exactly these bytes, however the sink
+/// renders and writes them. A 2-shard run's file order depends on which
+/// shard flushes first, so its leg pins the canonical `stream::read`
+/// order instead, portable records only (window spans carry wall time).
+#[test]
+fn streamed_bytes_are_pinned() {
+    use bundler_core::fnv::fnv1a;
+    use bundler_sim::fluid::CrossTrafficTier;
+    use bundler_sim::scenario::metro::MetroScenario;
+
+    let sc = MetroScenario::builder()
+        .sites(3)
+        .users_per_site(12)
+        .requests_per_site(20)
+        .bottleneck(Rate::from_mbps(48))
+        .drain(Duration::from_secs(2))
+        .tier(CrossTrafficTier::Fluid)
+        .seed(5)
+        .obs(ObsLevel::Full)
+        .build();
+    let mut config = sc.sim_config();
+    config.flow_trace = Some(FlowTrace::all(5));
+    config.checkpoint_every = Some(Duration::from_millis(500));
+    let (sink, buf) = StreamSink::to_shared_vec();
+    config.stream = Some(sink);
+    let mut ckpts = Vec::new();
+    Simulation::new(config, sc.workload()).run_collecting(&mut ckpts);
+    assert!(ckpts.len() >= 2, "the run must checkpoint");
+    let text = buf.contents();
+    assert_eq!(
+        (text.len(), fnv1a(text.as_bytes())),
+        (835_574, 0x934b_53db_893a_b43a),
+        "solo stream bytes"
+    );
+
+    let (mut config, workload) = traced_many_sites(53);
+    config.shards = 2;
+    let (sink, buf) = StreamSink::to_shared_vec();
+    config.stream = Some(sink);
+    Simulation::new(config, workload).run();
+    let mut canonical = String::new();
+    for r in stream::read(&buf.contents()) {
+        if r.rec.is_portable() {
+            canonical.push_str(&stream::render_line(&r.rec, r.seq));
+            canonical.push('\n');
+        }
+    }
+    assert_eq!(
+        (canonical.len(), fnv1a(canonical.as_bytes())),
+        (3_493_161, 0x2b5f_db7b_057b_4bad),
+        "2-shard canonical stream"
+    );
+}

@@ -8,7 +8,10 @@
 //!
 //! Here each (delay, rate, seed) combination is one simulation run; the
 //! estimate series comes from the sendbox control plane and the ground
-//! truth from the simulator's own bookkeeping.
+//! truth from the simulator's own bookkeeping. Both figures reduce one
+//! sweep, simulated once per scale however many of them a process prints.
+
+use std::sync::OnceLock;
 
 use bundler_core::BundlerConfig;
 use bundler_sim::edge::BundleMode;
@@ -152,6 +155,18 @@ impl EstimationScenario {
     }
 }
 
+/// The sweep at `scale`, simulated on first use: Figures 5 and 6 read the
+/// rate and the RTT errors of the same runs.
+fn sweep(scale: Scale) -> &'static [EstimationErrors] {
+    static QUICK: OnceLock<Vec<EstimationErrors>> = OnceLock::new();
+    static PAPER: OnceLock<Vec<EstimationErrors>> = OnceLock::new();
+    scale.pick(&QUICK, &PAPER).get_or_init(|| {
+        scale
+            .pick(EstimationScenario::quick(), EstimationScenario::default())
+            .run()
+    })
+}
+
 /// Aggregates absolute errors across sweep points and reports the fraction
 /// within a tolerance plus selected quantiles.
 #[derive(Debug, Clone, Copy)]
@@ -194,9 +209,8 @@ pub fn summarize_errors(errors: &[f64], tolerance: f64) -> ErrorSummary {
 /// 4 Mbit/s of the value measured at the bottleneck router, across traces
 /// spanning {20, 50, 100} ms delays and {24, 48, 96} Mbit/s rates.
 pub fn fig05_rate_estimation(scale: Scale) {
-    let scenario = scale.pick(EstimationScenario::quick(), EstimationScenario::default());
     println!("# Figure 5: receive-rate estimation accuracy\n");
-    let results = scenario.run();
+    let results = sweep(scale);
 
     header(&[
         "rtt_ms",
@@ -207,7 +221,7 @@ pub fn fig05_rate_estimation(scale: Scale) {
         "frac_within_4mbps",
     ]);
     let mut all_errors = Vec::new();
-    for r in &results {
+    for r in results {
         let s = summarize_errors(&r.rate_error_mbps, 4.0);
         println!(
             "{} | {} | {} | {} | {} | {}",
@@ -234,9 +248,8 @@ pub fn fig05_rate_estimation(scale: Scale) {
 /// The paper reports that 80 % of RTT estimates are within 1.2 ms of the
 /// value measured at the bottleneck router.
 pub fn fig06_rtt_estimation(scale: Scale) {
-    let scenario = scale.pick(EstimationScenario::quick(), EstimationScenario::default());
     println!("# Figure 6: RTT estimation accuracy\n");
-    let results = scenario.run();
+    let results = sweep(scale);
 
     header(&[
         "rtt_ms",
@@ -248,7 +261,7 @@ pub fn fig06_rtt_estimation(scale: Scale) {
         "frac_within_5ms",
     ]);
     let mut all_errors = Vec::new();
-    for r in &results {
+    for r in results {
         let tight = summarize_errors(&r.rtt_error_ms, 1.2);
         let loose = summarize_errors(&r.rtt_error_ms, 5.0);
         println!(
@@ -284,6 +297,13 @@ mod tests {
         assert!(s.median_abs >= 0.5 && s.median_abs <= 2.0);
         let empty = summarize_errors(&[], 1.0);
         assert_eq!(empty.samples, 0);
+    }
+
+    #[test]
+    fn both_figures_reduce_one_sweep() {
+        let first = sweep(Scale::Quick);
+        assert_eq!(first.len(), 1);
+        assert!(std::ptr::eq(first, sweep(Scale::Quick)), "simulated twice");
     }
 
     #[test]

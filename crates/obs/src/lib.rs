@@ -147,8 +147,6 @@ pub struct ShardObs {
     pub stream: Option<StreamSink>,
     /// Per-shard stream sequence counter (push order within the shard).
     pub seq: u64,
-    /// Render buffer reused by every stream flush of this shard.
-    line_buf: Vec<u8>,
     /// Edge-trigger state for the fluid-collapse monitor (net side only):
     /// whether each aggregate was at its floor rate at the last check.
     pub fluid_floor: Vec<bool>,
@@ -167,7 +165,6 @@ impl ShardObs {
             sampler: None,
             stream: None,
             seq: 0,
-            line_buf: Vec::new(),
             fluid_floor: Vec::new(),
         }
     }
@@ -197,7 +194,7 @@ impl ShardObs {
             let wall_ns = match &self.stream {
                 Some(stream) => {
                     if self.ring.is_full() {
-                        stream.flush_ring(&mut self.ring, &mut self.seq, &mut self.line_buf);
+                        stream.flush_ring(&mut self.ring, &mut self.seq);
                     }
                     0
                 }
@@ -219,15 +216,15 @@ impl ShardObs {
         self.level.trace_on() && self.sampler.as_ref().is_some_and(|s| s.picks(flow))
     }
 
-    /// Barrier flush. With a stream attached, serializes the ring's
-    /// pending records (assigning per-shard sequence numbers) and a
-    /// cumulative metrics meta line, then clears the ring — memory stays
-    /// ring-capacity sized. Without one, drains the ring into its
-    /// in-memory sink exactly as before.
+    /// Barrier flush. With a stream attached, hands the sink's writer the
+    /// ring's pending records (numbered from the shard's sequence counter)
+    /// and a cumulative metrics meta line, and the ring goes on with an
+    /// emptied buffer — memory stays ring-capacity sized. Without one,
+    /// drains the ring into its in-memory sink exactly as before.
     pub fn flush(&mut self, at: Nanos) {
         if let Some(stream) = &self.stream {
             if self.level.trace_on() {
-                stream.flush_ring(&mut self.ring, &mut self.seq, &mut self.line_buf);
+                stream.flush_ring(&mut self.ring, &mut self.seq);
             }
             if self.level.metrics_on() {
                 stream.write_metrics(at, self.shard, &self.metrics);

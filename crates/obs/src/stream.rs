@@ -24,6 +24,36 @@
 //!   export"): a flat object without whitespace, unsigned decimal values,
 //!   the closing brace required, unknown numeric keys ignored.
 //!
+//! ## Who renders
+//!
+//! The simulation thread never renders. [`StreamSink::flush_ring`] swaps
+//! the ring's pending records out for an emptied buffer and queues them
+//! with their first `seq`; [`StreamSink::write_metrics`] queues a copy of
+//! the shard's counters. One writer thread per sink, spawned with the
+//! first block and joined when the last handle drops, renders each block
+//! into one reused buffer and writes it, in the order the blocks were
+//! queued: a solo run's bytes are exactly those of rendering in place, and
+//! a sharded run's file order is its submission order.
+//!
+//! At most one ring's worth of records ([`crate::trace::RING_CAPACITY`])
+//! is in flight; a flush that would pass the bound waits for the writer.
+//! The number of queued blocks is not bounded, so the frequent small
+//! flushes of a barrier beat never wait.
+//!
+//! The sync points wait for the writer:
+//!
+//! * [`StreamSink::flush_io`] returns once every block queued before it
+//!   is written and the output has flushed. Every checkpoint calls it
+//!   before the snapshot is published, and every run at its end, so a
+//!   crash leaves a complete prefix.
+//! * [`StreamSink::lines`] counts once every queued block is written.
+//! * [`SharedBuf::contents`] on a [`StreamSink::to_shared_vec`] buffer
+//!   first waits for its sink's queue to drain, so an in-process reader
+//!   sees every block handed over.
+//!
+//! A write error, or a writer that panics, fails the sink for good: it
+//! goes quiet and every sync point returns at once.
+//!
 //! ## Canonical order
 //!
 //! Lines are appended flush-by-flush, so the *file* order interleaves
@@ -45,41 +75,147 @@
 //! result is the order of a stable sort by `(at, shard, seq)` of the whole
 //! stream, for any input.
 
-use std::fmt::Write as _;
+use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::thread::JoinHandle;
 
 use bundler_types::Nanos;
 
-use crate::metrics::MetricsShard;
-use crate::trace::{TraceKind, TraceRecord, TraceRing};
+use crate::metrics::{CounterId, MetricsShard};
+use crate::trace::{TraceKind, TraceRecord, TraceRing, RING_CAPACITY};
 
-/// Locks the sink, recovering from a poisoned mutex (a panicking thread
-/// can only have poisoned it mid-write; the stream is best-effort output).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks a mutex, recovering from poisoning (a panicking thread can only
+/// have poisoned it mid-write; the stream is best-effort output).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-struct StreamInner {
-    out: Box<dyn Write + Send>,
-    /// Sticky failure: after the first write error the sink goes quiet
-    /// (streaming is pure output — it must never panic a run).
-    failed: bool,
+/// Waits on `cv`, recovering from poisoning as [`lock`] does.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard)
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Records handed to the writer and not yet written: one full trace ring.
+/// A flush that would pass the bound waits for the writer, unless nothing
+/// is in flight (a larger block then goes alone).
+const MAX_IN_FLIGHT: usize = RING_CAPACITY;
+
+/// Emptied record buffers kept for the next [`StreamSink::flush_ring`].
+const MAX_SPARE: usize = 2;
+
+/// One block handed to the writer, which renders and writes the blocks in
+/// the order they were handed over.
+enum Block {
+    /// A ring's pending records, numbered from `first_seq` in push order.
+    Records {
+        records: Vec<TraceRecord>,
+        first_seq: u64,
+    },
+    /// One shard's cumulative counters at `at`: a metrics meta line.
+    Metrics {
+        at: Nanos,
+        shard: u16,
+        counters: [u64; CounterId::COUNT],
+    },
+}
+
+/// Everything the producers and the writer thread share, under one lock.
+struct Queue {
+    /// Blocks handed over and not yet taken by the writer.
+    blocks: VecDeque<Block>,
+    /// Records in `blocks` and in the block being written.
+    in_flight: usize,
+    /// Blocks handed over.
+    submitted: u64,
+    /// Blocks the writer has finished with.
+    done: u64,
+    /// Flushes asked for.
+    flush_asked: u64,
+    /// The last flush the writer answered.
+    flushed: u64,
+    /// Complete lines written.
     lines: u64,
+    /// Sticky failure: after the first write error (or a panicking
+    /// writer) the sink goes quiet; streaming is pure output and must
+    /// never fail a run.
+    failed: bool,
+    /// The output until the first block arrives; the writer thread owns
+    /// it from then on.
+    out: Option<Box<dyn Write + Send>>,
+    writer: Option<JoinHandle<()>>,
+    /// Set when the last handle drops: the writer drains and exits.
+    closing: bool,
+    spare: Vec<Vec<TraceRecord>>,
+}
+
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Wakes the writer: a block, a flush request, or closing.
+    work: Condvar,
+    /// Wakes waiting producers and readers: the writer made progress.
+    progress: Condvar,
+}
+
+impl Shared {
+    /// Waits, holding `q` between checks, until `done` holds.
+    fn wait_until<'a>(
+        &self,
+        mut q: MutexGuard<'a, Queue>,
+        done: impl Fn(&Queue) -> bool,
+    ) -> MutexGuard<'a, Queue> {
+        while !done(&q) {
+            q = wait(&self.progress, q);
+        }
+        q
+    }
+
+    /// Waits until every block handed over so far is written (or the sink
+    /// failed).
+    fn drain(&self) -> MutexGuard<'_, Queue> {
+        let q = lock(&self.queue);
+        let target = q.submitted;
+        self.wait_until(q, |q| q.failed || q.done >= target)
+    }
+}
+
+/// The last handle: dropping it stops and joins the writer.
+struct Owner(Arc<Shared>);
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        let writer = {
+            let mut q = lock(&self.0.queue);
+            q.closing = true;
+            q.writer.take()
+        };
+        self.0.work.notify_one();
+        if let Some(writer) = writer {
+            // A panic of the writer's output has already failed the sink;
+            // a drop must not panic again.
+            let _ = writer.join();
+        }
+    }
 }
 
 /// A shared, thread-safe JSONL sink. Clones share the underlying writer,
 /// so one sink serves every shard of a run; `SimulationConfig` carries it
 /// by value (cloning a config clones the handle, not the stream).
+///
+/// The sink renders and writes on a writer thread of its own, spawned
+/// when the first block arrives and joined when the last handle drops; the
+/// simulation only hands it records and counters. See the module docs for
+/// the sync points.
 #[derive(Clone)]
 pub struct StreamSink {
-    inner: Arc<Mutex<StreamInner>>,
+    owner: Arc<Owner>,
 }
 
 impl std::fmt::Debug for StreamSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamSink")
-            .field("lines", &lock(&self.inner).lines)
+            .field("lines", &lock(&self.owner.0.queue).lines)
             .finish_non_exhaustive()
     }
 }
@@ -96,6 +232,9 @@ struct Lendable {
     bytes: Vec<u8>,
     /// Whether a [`Contents`] holds the earlier bytes.
     lent: bool,
+    /// The sink writing here, weakly: the writer thread's own clone of the
+    /// buffer must not keep the sink alive.
+    sink: Weak<Shared>,
 }
 
 impl SharedBuf {
@@ -105,17 +244,23 @@ impl SharedBuf {
     /// bytes read lossily (U+FFFD) from a copy, and the buffer keeps them
     /// as written.
     ///
+    /// First waits until the sink writing here (if it is still alive) has
+    /// written every block handed to it, so the view holds everything
+    /// streamed before the call.
+    ///
     /// A writer never blocks on a view, on this thread or another: what it
     /// writes while the view is held lands after the lent bytes and shows
     /// in the next view. A second `contents()` waits until the first view
     /// drops, so one thread must not hold two.
     pub fn contents(&self) -> Contents<'_> {
         let (state, returned) = &*self.0;
+        let sink = lock(state).sink.upgrade();
+        if let Some(sink) = sink {
+            drop(sink.drain());
+        }
         let mut state = lock(state);
         while state.lent {
-            state = returned
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            state = wait(returned, state);
         }
         match String::from_utf8(std::mem::take(&mut state.bytes)) {
             Ok(text) => {
@@ -171,15 +316,145 @@ impl Write for SharedBuf {
     }
 }
 
+/// Runs one operation on the output, turning an error or a panic into
+/// `false`.
+fn attempt(op: impl FnOnce() -> std::io::Result<()>) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).is_ok_and(|r| r.is_ok())
+}
+
+/// Writer threads alive, by the thread that spawned them (tests run in
+/// parallel, so each reads only its own).
+#[cfg(test)]
+static LIVE_WRITERS: Mutex<Vec<(std::thread::ThreadId, usize)>> = Mutex::new(Vec::new());
+
+#[cfg(test)]
+fn count_writer(spawner: std::thread::ThreadId, delta: isize) {
+    let mut live = lock(&LIVE_WRITERS);
+    let i = match live.iter().position(|(id, _)| *id == spawner) {
+        Some(i) => i,
+        None => {
+            live.push((spawner, 0));
+            live.len() - 1
+        }
+    };
+    live[i].1 = live[i]
+        .1
+        .checked_add_signed(delta)
+        .expect("a writer ends once");
+}
+
+/// Ends the writer thread's life however it ends: a panic that escaped
+/// the writer marks the sink failed, and every waiter is woken.
+struct WriterExit<'a> {
+    shared: &'a Shared,
+    #[cfg(test)]
+    spawner: std::thread::ThreadId,
+}
+
+impl Drop for WriterExit<'_> {
+    fn drop(&mut self) {
+        let mut q = lock(&self.shared.queue);
+        if std::thread::panicking() {
+            q.failed = true;
+        }
+        drop(q);
+        self.shared.progress.notify_all();
+        #[cfg(test)]
+        count_writer(self.spawner, -1);
+    }
+}
+
+/// The writer thread: takes the blocks in order, renders each into one
+/// reused buffer and writes it; answers flush requests once every block
+/// before them is written; exits when the last handle has dropped and the
+/// queue is empty.
+fn write_blocks(shared: &Shared, mut out: Box<dyn Write + Send>) {
+    let mut buf = Vec::new();
+    let mut q = lock(&shared.queue);
+    loop {
+        if let Some(block) = q.blocks.pop_front() {
+            let failed = q.failed;
+            drop(q);
+            let (records, lines) = match block {
+                Block::Records { records, first_seq } => {
+                    if !failed {
+                        buf.clear();
+                        for (rec, seq) in records.iter().zip(first_seq..) {
+                            render_line_into(&mut buf, rec, seq);
+                            buf.push(b'\n');
+                        }
+                    }
+                    let n = records.len();
+                    (Some(records), n)
+                }
+                Block::Metrics {
+                    at,
+                    shard,
+                    counters,
+                } => {
+                    if !failed {
+                        buf.clear();
+                        render_metrics_into(&mut buf, at, shard, &counters);
+                    }
+                    (None, 1)
+                }
+            };
+            let written = !failed && attempt(|| out.write_all(&buf));
+            q = lock(&shared.queue);
+            if written {
+                q.lines += lines as u64;
+            } else {
+                q.failed = true;
+            }
+            if let Some(mut records) = records {
+                q.in_flight -= records.len();
+                if q.spare.len() < MAX_SPARE {
+                    records.clear();
+                    q.spare.push(records);
+                }
+            }
+            q.done += 1;
+        } else if q.flushed < q.flush_asked {
+            let asked = q.flush_asked;
+            let failed = q.failed;
+            drop(q);
+            let flushed = !failed && attempt(|| out.flush());
+            q = lock(&shared.queue);
+            q.failed |= !flushed;
+            q.flushed = asked;
+        } else if q.closing {
+            return;
+        } else {
+            q = wait(&shared.work, q);
+            continue;
+        }
+        shared.progress.notify_all();
+    }
+}
+
 impl StreamSink {
-    /// Wraps any writer.
+    /// Wraps any writer. No thread starts until the first block arrives.
     pub fn new(out: Box<dyn Write + Send>) -> Self {
-        StreamSink {
-            inner: Arc::new(Mutex::new(StreamInner {
-                out,
-                failed: false,
+        let shared = Shared {
+            queue: Mutex::new(Queue {
+                blocks: VecDeque::new(),
+                in_flight: 0,
+                submitted: 0,
+                done: 0,
+                flush_asked: 0,
+                flushed: 0,
                 lines: 0,
-            })),
+                failed: false,
+                out: Some(out),
+                writer: None,
+                closing: false,
+                spare: Vec::new(),
+            }),
+            work: Condvar::new(),
+            progress: Condvar::new(),
+        };
+        StreamSink {
+            owner: Arc::new(Owner(Arc::new(shared))),
         }
     }
 
@@ -189,78 +464,149 @@ impl StreamSink {
         Ok(StreamSink::new(Box::new(std::io::BufWriter::new(file))))
     }
 
-    /// Streams into a shared in-memory buffer (tests).
+    /// Streams into a shared in-memory buffer (tests and in-process
+    /// consumers): the buffer's [`SharedBuf::contents`] waits for this
+    /// sink's writer.
     pub fn to_shared_vec() -> (Self, SharedBuf) {
+        StreamSink::with_shared_buf(|buf| Box::new(buf))
+    }
+
+    /// A sink over the writer `out` builds around a fresh buffer, whose
+    /// [`SharedBuf::contents`] waits for this sink's writer.
+    fn with_shared_buf(out: impl FnOnce(SharedBuf) -> Box<dyn Write + Send>) -> (Self, SharedBuf) {
         let buf = SharedBuf::default();
-        (StreamSink::new(Box::new(buf.clone())), buf)
+        let sink = StreamSink::new(out(buf.clone()));
+        lock(&buf.0 .0).sink = Arc::downgrade(&sink.owner.0);
+        (sink, buf)
     }
 
-    /// Lines written so far.
+    fn shared(&self) -> &Shared {
+        &self.owner.0
+    }
+
+    /// Lines written so far, once every block handed over is written.
     pub fn lines(&self) -> u64 {
-        lock(&self.inner).lines
+        self.shared().drain().lines
     }
 
-    /// Appends `lines` complete, newline-terminated lines: one lock, one
-    /// `write_all`, however many records the block holds.
-    fn write_block(&self, block: &[u8], lines: u64) {
-        let inner = &mut *lock(&self.inner);
-        if inner.failed {
+    /// Hands the writer one block of `records` records, first waiting for
+    /// room in flight. Starts the writer with the first block.
+    fn submit(&self, records: usize, block: impl FnOnce(&mut Queue) -> Block) {
+        let shared = self.shared();
+        let q = lock(&shared.queue);
+        let mut q = shared.wait_until(q, |q| {
+            q.failed || q.in_flight == 0 || q.in_flight + records <= MAX_IN_FLIGHT
+        });
+        if q.failed {
             return;
         }
-        if inner.out.write_all(block).is_err() {
-            inner.failed = true;
-        } else {
-            inner.lines += lines;
+        if let Some(out) = q.out.take() {
+            let shared = Arc::clone(&self.owner.0);
+            #[cfg(test)]
+            let spawner = std::thread::current().id();
+            #[cfg(test)]
+            count_writer(spawner, 1);
+            let spawned = std::thread::Builder::new()
+                .name("bundler-stream".into())
+                .spawn(move || {
+                    let _exit = WriterExit {
+                        shared: &shared,
+                        #[cfg(test)]
+                        spawner,
+                    };
+                    write_blocks(&shared, out)
+                });
+            match spawned {
+                Ok(writer) => q.writer = Some(writer),
+                Err(_) => {
+                    #[cfg(test)]
+                    count_writer(spawner, -1);
+                    q.failed = true;
+                    return;
+                }
+            }
         }
+        let block = block(&mut q);
+        q.blocks.push_back(block);
+        q.in_flight += records;
+        q.submitted += 1;
+        drop(q);
+        shared.work.notify_one();
     }
 
-    /// Serializes the ring's pending records into `buf` (the caller's
-    /// reused render buffer, overwritten), assigning per-shard sequence
-    /// numbers from `seq` in push order, hands the sink the whole block at
-    /// once and clears the ring. Dropped-record counts stay in the ring
-    /// (they surface through `HostMetrics::trace_ring_dropped`).
-    pub fn flush_ring(&self, ring: &mut TraceRing, seq: &mut u64, buf: &mut Vec<u8>) {
-        let pending = ring.pending();
-        if pending.is_empty() {
+    /// Hands the ring's pending records to the writer, to be numbered from
+    /// `seq` in push order, and advances `seq` past them. The ring keeps
+    /// going with an emptied buffer the writer recycled. Dropped-record
+    /// counts stay in the ring (they surface through
+    /// `HostMetrics::trace_ring_dropped`).
+    pub fn flush_ring(&self, ring: &mut TraceRing, seq: &mut u64) {
+        let n = ring.len();
+        if n == 0 {
             return;
         }
-        buf.clear();
-        for rec in pending {
-            render_line_into(buf, rec, *seq);
-            buf.push(b'\n');
-            *seq += 1;
-        }
-        self.write_block(buf, pending.len() as u64);
+        let first_seq = *seq;
+        *seq += n as u64;
+        self.submit(n, |q| {
+            let empty = q.spare.pop().unwrap_or_else(|| Vec::with_capacity(n));
+            Block::Records {
+                records: ring.take_pending(empty),
+                first_seq,
+            }
+        });
+        // A failed sink takes nothing: the records go.
         ring.clear_pending();
     }
 
     /// Emits a cumulative-counters meta line for one shard (skipped by
     /// trace consumers; `obs_query` can plot counter series from these).
     pub fn write_metrics(&self, at: Nanos, shard: u16, metrics: &MetricsShard) {
-        let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"meta\":\"metrics\",\"at\":{},\"shard\":{shard},\"c\":[",
-            at.as_nanos()
-        );
-        for (i, c) in metrics.counters().iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{c}");
-        }
-        line.push_str("]}\n");
-        self.write_block(line.as_bytes(), 1);
+        let mut counters = [0; CounterId::COUNT];
+        counters.copy_from_slice(metrics.counters());
+        self.submit(0, |_| Block::Metrics {
+            at,
+            shard,
+            counters,
+        });
     }
 
-    /// Flushes the underlying writer (end of run, and before a snapshot is
-    /// published so a restore resumes from a complete prefix).
+    /// The stream's one sync point: returns once every block handed over
+    /// is written and the underlying writer has flushed (end of run, and
+    /// before a snapshot is published so a restore resumes from a
+    /// complete prefix). Returns at once on a failed sink.
     pub fn flush_io(&self) {
-        let inner = &mut *lock(&self.inner);
-        if !inner.failed && inner.out.flush().is_err() {
-            inner.failed = true;
+        let shared = self.shared();
+        let mut q = lock(&shared.queue);
+        if q.failed {
+            return;
         }
+        if let Some(out) = &mut q.out {
+            // No block has arrived, so no writer runs: flush in place.
+            if !attempt(|| out.flush()) {
+                q.failed = true;
+            }
+            return;
+        }
+        q.flush_asked += 1;
+        let ticket = q.flush_asked;
+        shared.work.notify_one();
+        drop(shared.wait_until(q, |q| q.failed || q.flushed >= ticket));
     }
+}
+
+/// Appends a shard's metrics meta line, newline included.
+fn render_metrics_into(out: &mut Vec<u8>, at: Nanos, shard: u16, counters: &[u64]) {
+    out.extend_from_slice(b"{\"meta\":\"metrics\",\"at\":");
+    push_u64(out, at.as_nanos());
+    out.extend_from_slice(b",\"shard\":");
+    push_u64(out, shard as u64);
+    out.extend_from_slice(b",\"c\":[");
+    for (i, &c) in counters.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(out, c);
+    }
+    out.extend_from_slice(b"]}\n");
 }
 
 /// The decimal digits of `0..100`, two bytes each.
@@ -842,16 +1188,15 @@ mod tests {
         let (sink, buf) = StreamSink::to_shared_vec();
         let mut ring = TraceRing::with_capacity(8, 8);
         let mut seq = 0u64;
-        let mut scratch = Vec::new();
         for i in 0..3u64 {
             ring.push(rec(i * 10, 0, TraceKind::Enqueue { bundle: i as u32 }));
         }
-        sink.flush_ring(&mut ring, &mut seq, &mut scratch);
+        sink.flush_ring(&mut ring, &mut seq);
         assert_eq!(seq, 3);
         assert!(ring.is_empty());
         // A second barrier keeps counting from where the first stopped.
         ring.push(rec(100, 0, TraceKind::Drop { bundle: 9 }));
-        sink.flush_ring(&mut ring, &mut seq, &mut scratch);
+        sink.flush_ring(&mut ring, &mut seq);
         assert_eq!(seq, 4);
         sink.flush_io();
         let text = buf.contents();
@@ -877,7 +1222,7 @@ mod tests {
     fn a_view_reads_every_block_written() {
         let (sink, buf) = StreamSink::to_shared_vec();
         let mut ring = TraceRing::with_capacity(8, 8);
-        let (mut seq, mut scratch, mut want) = (0u64, Vec::new(), String::new());
+        let (mut seq, mut want) = (0u64, String::new());
         let mut m = MetricsShard::default();
         for round in 0..3u64 {
             for i in 0..=round {
@@ -885,7 +1230,7 @@ mod tests {
                 want += &(render_line(&r, seq + i) + "\n");
                 ring.push(r);
             }
-            sink.flush_ring(&mut ring, &mut seq, &mut scratch);
+            sink.flush_ring(&mut ring, &mut seq);
             m.add(crate::metrics::CounterId::FlowsCompleted, round);
             sink.write_metrics(Nanos(round * 100 + 50), 1, &m);
             let counters: Vec<String> = m.counters().iter().map(u64::to_string).collect();
@@ -956,6 +1301,198 @@ mod tests {
             drop(view);
             assert_eq!(reader.join().unwrap(), "a\nb\n");
         });
+    }
+
+    /// Writer threads this test's thread has spawned and not yet joined.
+    fn live_writers() -> usize {
+        let me = std::thread::current().id();
+        lock(&LIVE_WRITERS)
+            .iter()
+            .find(|(id, _)| *id == me)
+            .map_or(0, |(_, n)| *n)
+    }
+
+    /// Accepts `room` bytes into `buf`, then fails every write.
+    struct FailAfter {
+        buf: SharedBuf,
+        room: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::other("no room"));
+            }
+            let n = bytes.len().min(self.room);
+            self.room -= n;
+            self.buf.write(&bytes[..n])
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Streams `rounds` barrier flushes of a shard's obs state, five
+    /// records and one metrics line each, and ends like a run.
+    fn run_rounds(sink: &StreamSink, rounds: u64) {
+        let mut obs = crate::ShardObs::new(crate::ObsLevel::Full, 1);
+        obs.stream = Some(sink.clone());
+        for round in 0..rounds {
+            for i in 0..5 {
+                obs.record(Nanos(round * 10 + i), TraceKind::Drop { bundle: i as u32 });
+            }
+            obs.flush(Nanos(round * 10 + 9));
+            if round % 4 == 3 {
+                sink.flush_io();
+            }
+        }
+        sink.flush_io();
+    }
+
+    #[test]
+    fn a_write_error_quiets_the_sink_and_counts_only_whole_lines() {
+        let (sink, buf) =
+            StreamSink::with_shared_buf(|buf| Box::new(FailAfter { buf, room: 1000 }));
+        run_rounds(&sink, 20);
+        let text = buf.contents().to_string();
+        let (reference, all) = StreamSink::to_shared_vec();
+        run_rounds(&reference, 20);
+        let all = all.contents().to_string();
+        assert!(all.len() > 1000);
+        // The sink wrote the writer's room to the byte and nothing after.
+        assert_eq!(text, all[..1000]);
+        let lines = sink.lines() as usize;
+        let whole = text.matches('\n').count();
+        // Only blocks written whole count: every line of the cut block,
+        // at most five, is lost with it.
+        assert!(
+            lines > 0 && lines <= whole && whole < lines + 5,
+            "{lines} of {whole}"
+        );
+        // More blocks change nothing.
+        run_rounds(&sink, 3);
+        assert_eq!(sink.lines() as usize, lines);
+        assert_eq!(buf.contents().len(), 1000);
+    }
+
+    /// Writes its first block into `buf`, then panics on every write and
+    /// every flush.
+    struct PanicsAfterOne {
+        buf: SharedBuf,
+        writes: usize,
+    }
+
+    impl Write for PanicsAfterOne {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            assert!(self.writes == 1, "the writer panics");
+            self.buf.write(bytes)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            panic!("the writer panics on flush")
+        }
+    }
+
+    #[test]
+    fn a_panicking_writer_hangs_nothing() {
+        let (sink, buf) =
+            StreamSink::with_shared_buf(|buf| Box::new(PanicsAfterOne { buf, writes: 0 }));
+        let mut ring = TraceRing::with_capacity(8, 8);
+        let mut seq = 0;
+        ring.push(rec(1, 0, TraceKind::Drop { bundle: 1 }));
+        sink.flush_ring(&mut ring, &mut seq);
+        ring.push(rec(2, 0, TraceKind::Drop { bundle: 2 }));
+        sink.flush_ring(&mut ring, &mut seq);
+        sink.flush_io();
+        assert_eq!(sink.lines(), 1);
+        assert_eq!(buf.contents().lines().count(), 1);
+        // The sink stays quiet and every sync point still returns.
+        ring.push(rec(3, 0, TraceKind::Drop { bundle: 3 }));
+        sink.flush_ring(&mut ring, &mut seq);
+        sink.flush_io();
+        assert_eq!(sink.lines(), 1);
+        assert_eq!(buf.contents().lines().count(), 1);
+        drop(sink);
+        assert_eq!(live_writers(), 0);
+
+        // A flush that panics before any block arrives, on the caller's
+        // thread.
+        let (sink, buf) =
+            StreamSink::with_shared_buf(|buf| Box::new(PanicsAfterOne { buf, writes: 0 }));
+        sink.flush_io();
+        run_rounds(&sink, 2);
+        assert_eq!((sink.lines(), buf.contents().len()), (0, 0));
+    }
+
+    #[test]
+    fn dropping_the_last_handle_joins_the_writer() {
+        for i in 0..100 {
+            let (sink, buf) = StreamSink::to_shared_vec();
+            let other = sink.clone();
+            let mut ring = TraceRing::with_capacity(8, 8);
+            ring.push(rec(i, 0, TraceKind::Drop { bundle: 1 }));
+            other.flush_ring(&mut ring, &mut 0);
+            assert_eq!(live_writers(), 1);
+            drop(other);
+            assert_eq!(live_writers(), 1, "a handle is left");
+            drop(sink);
+            assert_eq!(live_writers(), 0, "sink {i} left its writer running");
+            assert_eq!(buf.contents().lines().count(), 1);
+        }
+    }
+
+    #[test]
+    fn a_sink_that_never_receives_a_block_spawns_no_thread() {
+        let (sink, buf) = StreamSink::to_shared_vec();
+        sink.flush_io();
+        assert_eq!(sink.lines(), 0);
+        assert_eq!(&*buf.contents(), "");
+        assert!(lock(&sink.owner.0.queue).writer.is_none());
+        drop(sink);
+        assert_eq!(live_writers(), 0);
+    }
+
+    /// Blocks its first write until `gate` receives.
+    struct Gated {
+        gate: std::sync::mpsc::Receiver<()>,
+        buf: SharedBuf,
+    }
+
+    impl Write for Gated {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            let _ = self.gate.recv();
+            self.buf.write(bytes)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_flush_waits_while_a_ring_is_in_flight() {
+        let (open, gate) = std::sync::mpsc::channel();
+        let (sink, buf) = StreamSink::with_shared_buf(|buf| Box::new(Gated { gate, buf }));
+        let mut ring = TraceRing::with_capacity(RING_CAPACITY, 8);
+        let mut seq = 0;
+        ring.push(rec(0, 0, TraceKind::Drop { bundle: 0 }));
+        // The writer takes this block and blocks writing it.
+        sink.flush_ring(&mut ring, &mut seq);
+        for i in 0..RING_CAPACITY as u64 {
+            ring.push(rec(1 + i, 0, TraceKind::Drop { bundle: 0 }));
+        }
+        std::thread::scope(|s| {
+            let flushing = s.spawn(|| sink.flush_ring(&mut ring, &mut seq));
+            // While the gate is shut the flush cannot return, however the
+            // threads are scheduled; the pause only gives a sink without
+            // the bound the time to return and fail the assertion.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!flushing.is_finished(), "a whole ring more may not queue");
+            drop(open);
+            flushing.join().unwrap();
+        });
+        assert_eq!(seq, 1 + RING_CAPACITY as u64);
+        assert_eq!(sink.lines(), seq);
+        assert_eq!(buf.contents().lines().count() as u64, seq);
     }
 
     #[test]

@@ -403,15 +403,16 @@ impl TraceRing {
         self.buf.is_empty()
     }
 
-    /// Read-only view of the undrained records: the streaming exporter
-    /// serializes these at a barrier, then calls
-    /// [`TraceRing::clear_pending`] instead of draining to the in-memory
-    /// sink — memory stays ring-capacity sized however long the run is.
-    pub fn pending(&self) -> &[TraceRecord] {
-        &self.buf
+    /// Takes the undrained records, leaving `empty` (cleared) in their
+    /// place: the streaming exporter hands them to its writer at a barrier
+    /// instead of draining to the in-memory sink, so memory stays
+    /// ring-capacity sized however long the run is.
+    pub fn take_pending(&mut self, mut empty: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        empty.clear();
+        std::mem::replace(&mut self.buf, empty)
     }
 
-    /// Clears the ring after a streaming flush (capacity retained).
+    /// Discards the undrained records (capacity retained).
     pub fn clear_pending(&mut self) {
         self.buf.clear();
     }
